@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "Lattice",
     "TorusPoint",
     "PoleError",
+    "weierstrass_jet",
     "zeta",
     "wp_eval",
     "wp_derivs",
@@ -172,10 +173,15 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
     for n in range(n_terms):
         w = (2 * n + 1) * v
         qf = sign * q ** (n * (n + 1))
-        s, c = np.sin(w), np.cos(w)
-        trig = (s, c, -s, -c)
+        trig = (np.sin(w), np.cos(w))
         for k in range(kmax + 1):
-            out[k] += qf * (2 * n + 1) ** k * trig[k % 4]
+            # subtracting the -sin, -cos terms is exact: negation commutes
+            # with rounding, so this matches adding the negated products
+            term = qf * (2 * n + 1) ** k * trig[k % 2]
+            if k % 4 < 2:
+                out[k] += term
+            else:
+                out[k] -= term
         sign = -sign
     return out
 
@@ -187,58 +193,62 @@ def _check_poles(zr, lat: Lattice):
         )
 
 
+def weierstrass_jet(z, lat: Lattice, jmax: int):
+    """Weierstrass zeta and the stack wp, wp', ..., wp^(jmax) at z.
+
+    One reduction, one pole check and one theta pass serve every order:
+    the pass sums theta derivatives up to order min(jmax + 2, 3), which
+    gives zeta, wp and wp'.  Orders beyond 1 come from the differentiated
+    algebraic relation wp'' = 6 wp^2 - g2/2, which stays well conditioned
+    for the orders needed here (jmax <= 10 in practice).
+
+    Returns (zeta, derivs); zeta is a complex for scalar z, and derivs has
+    shape (jmax+1,) + z.shape, empty for jmax = -1.  Raises PoleError
+    within pole_radius of a lattice point.
+    """
+    if jmax < -1:
+        raise ValueError("jmax must be at least -1")
+    zr, m, n = reduce_centered(z, lat.tau)
+    _check_poles(zr, lat)
+    u = _theta_sums(np.pi * zr, lat.nome, lat.n_terms, min(jmax + 2, 3))
+    u0, u1 = u[0], u[1]
+    zeta_val = lat.eta1 * zr + np.pi * u1 / u0 + m * lat.eta1 + n * lat.eta2
+    out = np.empty((jmax + 1,) + np.shape(z), dtype=complex)
+    if jmax >= 0:
+        r1 = u1 / u0
+        out[0] = -lat.eta1 - np.pi**2 * (u[2] / u0 - r1 * r1)
+    if jmax >= 1:
+        out[1] = -np.pi**3 * (u[3] / u0 - 3 * r1 * (u[2] / u0) + 2 * r1**3)
+    if jmax >= 2:
+        out[2] = 6.0 * out[0] ** 2 - lat.g2 / 2.0
+    for j in range(3, jmax + 1):
+        acc = np.zeros(out.shape[1:], dtype=complex)
+        for i in range(j - 1):
+            acc += comb(j - 2, i) * out[i] * out[j - 2 - i]
+        out[j] = 6.0 * acc
+    return (zeta_val if zeta_val.shape else complex(zeta_val)), out
+
+
 def zeta(z, lat: Lattice):
     """Weierstrass zeta at z for the lattice Z + tau Z.
 
     Odd, quasi-periodic with increments eta1 and eta2 along the two
     generators.  Raises PoleError within pole_radius of a lattice point.
     """
-    zr, m, n = reduce_centered(z, lat.tau)
-    _check_poles(zr, lat)
-    v = np.pi * zr
-    u0, u1 = _theta_sums(v, lat.nome, lat.n_terms, 1)
-    val = lat.eta1 * zr + np.pi * u1 / u0 + m * lat.eta1 + n * lat.eta2
-    return val if val.shape else complex(val)
+    return weierstrass_jet(z, lat, -1)[0]
 
 
 def wp_eval(z, lat: Lattice, order: int = 0):
     """Weierstrass wp (order=0) or wp' (order=1)."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    zr, _, _ = reduce_centered(z, lat.tau)
-    _check_poles(zr, lat)
-    v = np.pi * zr
-    if order == 0:
-        u0, u1, u2 = _theta_sums(v, lat.nome, lat.n_terms, 2)
-        r1 = u1 / u0
-        val = -lat.eta1 - np.pi**2 * (u2 / u0 - r1 * r1)
-    else:
-        u0, u1, u2, u3 = _theta_sums(v, lat.nome, lat.n_terms, 3)
-        r1 = u1 / u0
-        val = -np.pi**3 * (u3 / u0 - 3 * r1 * (u2 / u0) + 2 * r1**3)
+    val = weierstrass_jet(z, lat, order)[1][order]
     return val if val.shape else complex(val)
 
 
 def wp_derivs(z, lat: Lattice, jmax: int):
-    """Stack of wp, wp', ..., wp^(jmax) at z, shape (jmax+1,) + z.shape.
-
-    Orders beyond 1 come from the differentiated algebraic relation
-    wp'' = 6 wp^2 - g2/2, which stays well conditioned for the orders
-    needed here (jmax <= 10 in practice).
-    """
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((jmax + 1,) + z.shape, dtype=complex)
-    out[0] = wp_eval(z, lat, 0)
-    if jmax >= 1:
-        out[1] = wp_eval(z, lat, 1)
-    if jmax >= 2:
-        out[2] = 6.0 * out[0] ** 2 - lat.g2 / 2.0
-    for j in range(3, jmax + 1):
-        acc = np.zeros(z.shape, dtype=complex)
-        for i in range(j - 1):
-            acc += comb(j - 2, i) * out[i] * out[j - 2 - i]
-        out[j] = 6.0 * acc
-    return out
+    """Stack of wp, wp', ..., wp^(jmax) at z, shape (jmax+1,) + z.shape."""
+    return weierstrass_jet(z, lat, jmax)[1]
 
 
 def xi_raw(w, lat: Lattice):

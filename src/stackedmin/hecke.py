@@ -18,8 +18,8 @@ from .elliptic import (
     TorusPoint,
     reduce_centered,
     torus_distance,
+    weierstrass_jet,
     wp_eval,
-    xi_raw,
     zeta,
 )
 
@@ -101,8 +101,9 @@ def _masked_G_step(z: np.ndarray, lat: Lattice, C: complex):
     if np.any(alive):
         za = z[alive]
         a, b = _ab(lat)
-        Fa = zeta(za, lat) + a * za + b * np.conj(za) - C
-        A = a - wp_eval(za, lat, 0)
+        zeta_za, wp_za = weierstrass_jet(za, lat, 0)
+        Fa = zeta_za + a * za + b * np.conj(za) - C
+        A = a - wp_za[0]
         det = np.abs(A) ** 2 - abs(b) ** 2
         with np.errstate(all="ignore"):
             det = np.where(np.abs(det) < 1e-14, np.nan, det)

@@ -29,10 +29,10 @@ from .opening import (
     GluingState,
     NeckLaurent,
     OmegaSeries,
+    gauss_and_omega,
     laurent_coeffs,
     mirror_conj,
     neck_point,
-    omega_eval,
     path_base,
 )
 
@@ -91,12 +91,9 @@ def weierstrass_phi(k: int, z, st: GluingState, series: OmegaSeries):
     map and its reciprocal.  Points inside the neck (|1/g| <= t) raise
     ChartError.
     """
-    T = st.torus(k)
-    za = np.asarray(z, dtype=complex)
-    gv = np.asarray(T.g(za), dtype=complex)
+    gv, W = gauss_and_omega(st, series, k, z)
     if np.any(np.abs(gv) * st.t >= 1.0):
         raise ChartError("point lies below the neck waist")
-    W = np.asarray(omega_eval(st, series, k, za), dtype=complex)
     div = W / gv
     mul = (st.t * st.t) * gv * W
     gdh, gidh = (div, mul) if k % 2 == 0 else (mul, div)
@@ -110,10 +107,7 @@ def weierstrass_phi(k: int, z, st: GluingState, series: OmegaSeries):
 
 def _diffs(st: GluingState, series: OmegaSeries, k: int, z) -> np.ndarray:
     """Integrand triple (F+', F-', H') against dz at layer-k points."""
-    T = st.torus(k)
-    za = np.asarray(z, dtype=complex)
-    gv = np.asarray(T.g(za), dtype=complex)
-    W = np.asarray(omega_eval(st, series, k, za), dtype=complex)
+    gv, W = gauss_and_omega(st, series, k, z)
     div = W / gv
     mul = (st.t * st.t) * gv * W
     gdh, gidh = (div, mul) if k % 2 == 0 else (mul, div)

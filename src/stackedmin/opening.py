@@ -19,8 +19,8 @@ from .elliptic import (
     lattice_coords,
     lattice_for,
     torus_distance,
+    weierstrass_jet,
     wp_derivs,
-    wp_eval,
     xi_raw,
     zeta,
 )
@@ -72,9 +72,18 @@ class TorusData:
         lat = self.lattice
         return self.a * (zeta(z, lat) - zeta(z - self.v, lat)) + self.b
 
-    def gp(self, z):
+    def jets(self, z, jmax: int):
+        """Weierstrass jets (zeta, wp stack) at z and at z - v."""
         lat = self.lattice
-        return self.a * (wp_eval(z - self.v, lat) - wp_eval(z, lat))
+        return weierstrass_jet(z, lat, jmax), weierstrass_jet(z - self.v, lat, jmax)
+
+    def g_and_gp(self, z):
+        """g and g' = a*(wp(z - v) - wp(z)) from one pair of jets."""
+        (zeta_z, wp_z), (zeta_zv, wp_zv) = self.jets(z, 0)
+        return self.a * (zeta_z - zeta_zv) + self.b, self.a * (wp_zv[0] - wp_z[0])
+
+    def gp(self, z):
+        return self.g_and_gp(z)[1]
 
 
 def _shortest_vector(tau: complex) -> float:
@@ -101,11 +110,11 @@ def _invert_chart(T: TorusData, sign: str, w, newton_iters: int = 40):
     res = np.full(w.shape, np.inf)
     with np.errstate(invalid="ignore", divide="ignore"):
         for _ in range(newton_iters):
-            gv = T.g(z)
+            gv, gp = T.g_and_gp(z)
             res = np.abs(1.0 / gv - ws)
             if np.all((res <= 1e-12 * np.abs(ws) + 1e-15) | at_pole):
                 break
-            z = z - (gv - target) / T.gp(z)
+            z = z - (gv - target) / gp
     if np.any((res > 1e-10 * np.abs(ws) + 1e-14) & ~at_pole):
         raise ChartError("chart inversion did not converge")
     z = np.where(at_pole, pole, z)
@@ -192,20 +201,30 @@ def _circle_nodes(center: complex, radius: float, m: int):
     return z, dz
 
 
-def _build_forms(T: TorusData, n_max: int, radius: float, m: int) -> dict:
+def _circle_jets(T: TorusData, center: complex, radius: float, m: int,
+                 jmax: int):
+    """Nodes around one pole with zeta(z) - zeta(z - v), g, g' and the wp
+    stacks at z - v and z, all from one pair of Weierstrass jets."""
+    z, dz = _circle_nodes(center, radius, m)
+    (zeta_z, dminus), (zeta_zv, dplus) = T.jets(z, jmax)
+    s = zeta_z - zeta_zv
+    gp = T.a * (dplus[0] - dminus[0])
+    return z, dz, s, T.a * s + T.b, gp, dplus, dminus
+
+
+def _build_forms(T: TorusData, n_max: int, circles: dict) -> dict:
     """Principal-part matching at both poles by contour coefficient
     extraction of -g^(n-2) g' = target principal part of dw/w^n."""
     lat = T.lattice
     forms = {}
-    for sign, pole in (("+", T.v), ("-", 0.0)):
-        z, dz = _circle_nodes(pole, radius, m)
-        gv = T.g(z)
-        gp = T.gp(z)
+    for sign, pole, side in (("+", T.v, "node"), ("-", 0.0, "zero")):
+        z, dz, _, gv, gp, _, _ = circles[side]
+        zpow = {mm: (z - pole) ** (mm - 1) for mm in range(2, n_max + 1)}
         for n in range(2, n_max + 1):
             h = -(gv ** (n - 2)) * gp
             coeffs = []
             for mm in range(2, n + 1):
-                a_mm = np.sum(h * (z - pole) ** (mm - 1) * dz) / (2j * np.pi)
+                a_mm = np.sum(h * zpow[mm] * dz) / (2j * np.pi)
                 coeffs.append((-1.0) ** mm * a_mm / math.factorial(mm - 1))
             c2 = coeffs[0]
             mu = -2j * np.pi * c2.imag / lat.tau.imag
@@ -232,15 +251,10 @@ class CircleCache:
 
 
 def _build_circle(T: TorusData, forms: dict, center: complex, n_max: int,
-                  rho: float, radius: float, m: int) -> CircleCache:
-    lat = T.lattice
-    z, dz = _circle_nodes(center, radius, m)
-    s = zeta(z, lat) - zeta(z - T.v, lat)
-    gv = T.a * s + T.b
-    gp = T.a * (wp_eval(z - T.v, lat) - wp_eval(z, lat))
-    w0 = s - xi_raw(T.v, lat)
-    dplus = wp_derivs(z - T.v, lat, n_max - 2)
-    dminus = wp_derivs(z, lat, n_max - 2)
+                  rho: float, jets: tuple) -> CircleCache:
+    z, dz, s, gv, gp, dplus, dminus = jets
+    m = len(z)
+    w0 = s - xi_raw(T.v, T.lattice)
     width = n_max - 1
     fvals = np.empty((2, width, m), dtype=complex)
     for n in range(2, n_max + 1):
@@ -371,13 +385,14 @@ class GluingState:
         r = self.contour_radius
         for j in todo:
             T = self.tori[j]
-            forms = _build_forms(T, self.n_max, r, self.circle_nodes)
+            centers = {"node": T.v, "zero": 0.0}
+            jets = {side: _circle_jets(T, c, r, self.circle_nodes, self.n_max - 2)
+                    for side, c in centers.items()}
+            forms = _build_forms(T, self.n_max, jets)
             self._forms[j] = forms
             self._circles[j] = {
-                "node": _build_circle(T, forms, T.v, self.n_max, self.rho, r,
-                                      self.circle_nodes),
-                "zero": _build_circle(T, forms, 0.0, self.n_max, self.rho, r,
-                                      self.circle_nodes),
+                side: _build_circle(T, forms, c, self.n_max, self.rho, jets[side])
+                for side, c in centers.items()
             }
 
     def form(self, k: int, sign: str, n: int) -> SecondKindForm:
@@ -526,22 +541,20 @@ def second_kind_form(st: GluingState, k: int, sign: str, n: int, z,
     return st.form(k, sign, n).value(z, alpha_normalized)
 
 
-def _omega0(T: TorusData, z):
-    lat = T.lattice
-    return zeta(z, lat) - zeta(z - T.v, lat) - xi_raw(T.v, lat)
-
-
-def omega_eval(st: GluingState, series: OmegaSeries, k: int, z):
-    """Density of the glued form on layer k at points of that torus."""
+def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
+    """g_k and the density of the glued form on layer k at the same
+    points of that torus, from one pair of Weierstrass jets; two arrays
+    shaped like z."""
     j = st.index_of(k)
     T = st.tori[j]
-    lat = T.lattice
     za = np.asarray(z, dtype=complex)
-    val = np.asarray(_omega0(T, za), dtype=complex)
     row = series.lam[j]
-    if np.any(row != 0):
-        dplus = wp_derivs(za - T.v, lat, st.n_max - 2)
-        dminus = wp_derivs(za, lat, st.n_max - 2)
+    live = np.any(row != 0)
+    (zeta_z, dminus), (zeta_zv, dplus) = T.jets(za, st.n_max - 2 if live else -1)
+    s = zeta_z - zeta_zv
+    gv = np.asarray(T.a * s + T.b, dtype=complex)
+    val = np.asarray(s - xi_raw(T.v, T.lattice), dtype=complex)
+    if live:
         for n in range(2, st.n_max + 1):
             lp, lm = row[0, n - 2], row[1, n - 2]
             w = st.rho ** (n - 1)
@@ -549,6 +562,12 @@ def omega_eval(st: GluingState, series: OmegaSeries, k: int, z):
                 val = val + w * lp * st._forms[j][(0, n)].value_from_derivs(dplus)
             if lm != 0:
                 val = val + w * lm * st._forms[j][(1, n)].value_from_derivs(dminus)
+    return gv, val
+
+
+def omega_eval(st: GluingState, series: OmegaSeries, k: int, z):
+    """Density of the glued form on layer k at points of that torus."""
+    val = gauss_and_omega(st, series, k, z)[1]
     return val if val.shape else complex(val)
 
 

@@ -7,7 +7,6 @@ the neck flux.  The closed necks (t = 0) solve the system exactly at the
 central values, and solutions at t > 0 are continued from there.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,7 @@ from .opening import (
     GluingState,
     OmegaSeries,
     fix_omega,
-    mirror_conj,
-    omega_eval,
+    gauss_and_omega,
     omega_on_circle,
     path_base,
 )
@@ -94,12 +92,12 @@ def zeros_symmetric(k: int, st: GluingState, edge_nodes: int = 64):
         (z0, T.tau, -1.0),
     ):
         z = base + s * vec
-        gv = T.g(z)
+        gv, gp = T.g_and_gp(z)
         if np.min(np.abs(gv)) < 1e-8:
             raise ContourError(f"zero of g_{k} on the cell boundary")
         if np.max(np.abs(gv)) > 1e8:
             raise ContourError(f"pole of g_{k} on the cell boundary")
-        f = T.gp(z) / gv * (sign * vec)
+        f = gp / gv * (sign * vec)
         for m in range(3):
             sums[m] += np.sum(w * z**m * f)
     sums /= 2j * np.pi
@@ -133,10 +131,10 @@ def _path_data(st, series, k, vec, m=PATH_NODES):
     T = st.torus(k)
     s = (np.arange(m) + 0.5) / m
     z = path_base(T) + s * vec
-    gv = T.g(z)
+    gv, W = gauss_and_omega(st, series, k, z)
     if np.min(np.abs(gv)) < 1e-6:
         raise ContourError(f"zero of g_{k} on a period path")
-    return omega_eval(st, series, k, z), gv, vec / m
+    return W, gv, vec / m
 
 
 def residual_P(k: int, st: GluingState, series: OmegaSeries):

@@ -1,9 +1,14 @@
 """Slow independent reference implementations used only by the test suite.
 
 These deliberately avoid the production series: zeta comes from a
-truncated lattice sum, K(m) from adaptive quadrature of its defining
-integral, invariants from direct Eisenstein-type lattice sums, and the
-normalized double-pole forms from the pairing-integral reconstruction.
+truncated lattice sum or from mpmath's theta functions in extended
+precision, K(m) from adaptive quadrature of its defining integral,
+invariants from direct Eisenstein-type lattice sums, and the normalized
+double-pole forms from the pairing-integral reconstruction.
+
+The multi-pass recipe at the end is the exception: it rebuilds the
+opened-node caches from separate zeta / wp_eval / wp_derivs calls, so the
+fused evaluators can be held to the same bits.
 """
 
 from __future__ import annotations
@@ -106,3 +111,115 @@ def newton_roots_of(f, fprime, seeds, tol=1e-12, max_iter=60):
         if ok and abs(f(z)) < 1e-9:
             roots.append(z)
     return roots
+
+
+def weierstrass_mpmath(z: complex, tau: complex, dps: int = 30):
+    """(zeta, wp, wp') at z for the lattice Z + tau Z from mpmath's theta.
+
+    Uses zeta(z) = eta1 z + pi theta1'(pi z)/theta1(pi z) with the
+    quasi-period eta1 = -(pi^2/3) theta1'''(0)/theta1'(0), evaluated at
+    the unreduced z in extended precision, so neither the argument
+    reduction, the nome series nor the Eisenstein value of eta1 of the
+    production kernel enters.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        eta1 = -(mp.pi**2 / 3) * mp.jtheta(1, 0, q, 3) / mp.jtheta(1, 0, q, 1)
+        zm = mp.mpc(z)
+        t0, t1, t2, t3 = (mp.jtheta(1, mp.pi * zm, q, d) for d in range(4))
+        r1 = t1 / t0
+        zeta = eta1 * zm + mp.pi * r1
+        wp = -eta1 - mp.pi**2 * (t2 / t0 - r1**2)
+        dwp = -mp.pi**3 * (t3 / t0 - 3 * r1 * t2 / t0 + 2 * r1**3)
+        return complex(zeta), complex(wp), complex(dwp)
+
+
+# ---------------------------------------------------------------------------
+# the multi-pass recipe of the opened-node caches: every Weierstrass value
+# comes from its own zeta / wp_eval / wp_derivs call, in the operation
+# order the fused evaluators must reproduce bit for bit
+
+
+def _gp_multipass(T, z):
+    from stackedmin.elliptic import wp_eval
+
+    lat = T.lattice
+    return T.a * (wp_eval(z - T.v, lat) - wp_eval(z, lat))
+
+
+def multipass_forms(T, n_max: int, radius: float, m: int) -> dict:
+    """Second-kind forms of one torus by contour coefficient extraction."""
+    import math
+
+    from stackedmin.opening import _SIGNS, SecondKindForm, _circle_nodes
+
+    lat = T.lattice
+    forms = {}
+    for sign, pole in (("+", T.v), ("-", 0.0)):
+        z, dz = _circle_nodes(pole, radius, m)
+        gv = T.g(z)
+        gp = _gp_multipass(T, z)
+        for n in range(2, n_max + 1):
+            h = -(gv ** (n - 2)) * gp
+            coeffs = []
+            for mm in range(2, n + 1):
+                a_mm = np.sum(h * (z - pole) ** (mm - 1) * dz) / (2j * np.pi)
+                coeffs.append((-1.0) ** mm * a_mm / math.factorial(mm - 1))
+            c2 = coeffs[0]
+            mu = -2j * np.pi * c2.imag / lat.tau.imag
+            forms[(_SIGNS[sign], n)] = SecondKindForm(
+                lat=lat, pole=pole, order=n, coeffs=tuple(coeffs), mu=mu)
+    return forms
+
+
+def multipass_circle(T, forms: dict, center: complex, n_max: int, rho: float,
+                     radius: float, m: int):
+    """Contour cache around one pole of one torus."""
+    from stackedmin.elliptic import wp_derivs, xi_raw, zeta
+    from stackedmin.opening import CircleCache, _circle_nodes
+
+    lat = T.lattice
+    z, dz = _circle_nodes(center, radius, m)
+    s = zeta(z, lat) - zeta(z - T.v, lat)
+    gv = T.a * s + T.b
+    gp = _gp_multipass(T, z)
+    w0 = s - xi_raw(T.v, lat)
+    dplus = wp_derivs(z - T.v, lat, n_max - 2)
+    dminus = wp_derivs(z, lat, n_max - 2)
+    fvals = np.empty((2, n_max - 1, m), dtype=complex)
+    for n in range(2, n_max + 1):
+        fvals[0, n - 2] = forms[(0, n)].value_from_derivs(dplus)
+        fvals[1, n - 2] = forms[(1, n)].value_from_derivs(dminus)
+    powers = gv ** np.arange(1, n_max)[:, None]
+    base = -np.sum(powers * w0 * dz, axis=1) / (2j * np.pi)
+    rhow = rho ** np.arange(1, n_max)
+    weighted = rhow[None, :, None] * fvals
+    cols = -np.einsum("in,smn,n->ism", powers, weighted, dz) / (2j * np.pi)
+    return CircleCache(center=center, z=z, dz=dz, g=gv, gp=gp, w0=w0,
+                       fvals=fvals, base=base, cols=cols)
+
+
+def multipass_omega(st, series, k: int, z):
+    """Density of the glued form on layer k."""
+    from stackedmin.elliptic import wp_derivs, xi_raw, zeta
+
+    j = st.index_of(k)
+    T = st.tori[j]
+    lat = T.lattice
+    za = np.asarray(z, dtype=complex)
+    val = np.asarray(zeta(za, lat) - zeta(za - T.v, lat) - xi_raw(T.v, lat),
+                     dtype=complex)
+    row = series.lam[j]
+    if np.any(row != 0):
+        dplus = wp_derivs(za - T.v, lat, st.n_max - 2)
+        dminus = wp_derivs(za, lat, st.n_max - 2)
+        for n in range(2, st.n_max + 1):
+            lp, lm = row[0, n - 2], row[1, n - 2]
+            w = st.rho ** (n - 1)
+            if lp != 0:
+                val = val + w * lp * st._forms[j][(0, n)].value_from_derivs(dplus)
+            if lm != 0:
+                val = val + w * lm * st._forms[j][(1, n)].value_from_derivs(dminus)
+    return val if val.shape else complex(val)

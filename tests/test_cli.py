@@ -1,0 +1,32 @@
+"""Tests for the console script declared in pyproject.toml."""
+
+import json
+
+import pytest
+
+from stackedmin.cli import main
+from stackedmin.configs import catalog, config_to_dict
+from stackedmin.solver import NEWTON_TOL
+
+
+def test_solve_prints_one_run_record(capsys):
+    assert main(["solve", "rPD", "--t", "0.005"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["name"] == "rPD"
+    assert record["config"] == config_to_dict(catalog("rPD"))
+    assert [s["t"] for s in record["steps"]] == [0.005]
+    step = record["steps"][0]
+    assert step["converged"] and step["residuals"][-1] < NEWTON_TOL
+    assert step["iterations"] == len(step["residuals"]) - 1
+    assert record["final_residual"] == step["residuals"][-1]
+    assert 0.0 < record["contraction_estimate"] < 1.0
+    assert "tail_steps" not in record
+
+
+def test_unknown_name_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "no-such-stack", "--t", "0.01"])
+    assert exc.value.code == 2
+    assert "valid names" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from stackedmin.elliptic import (
     elliptic_KE,
     theta_star,
     torus_distance,
+    weierstrass_jet,
     wp_derivs,
     wp_eval,
     xi,
@@ -132,6 +133,55 @@ def test_wp_derivs_ladder_matches_finite_differences():
     assert abs(fd2 - d[2]) < 1e-5 * max(1.0, abs(d[2]))
     fd3 = (wp_derivs(z + h, lat, 2)[2] - wp_derivs(z - h, lat, 2)[2]) / (2 * h)
     assert abs(fd3 - d[3]) < 1e-4 * max(1.0, abs(d[3]))
+
+
+MPMATH_TAUS = [0.3j, 1j, 3j, complex(np.exp(1j * np.pi / 3)), 0.45 + 0.35j, -0.2 + 0.7j]
+
+
+@pytest.mark.parametrize("tau", MPMATH_TAUS)
+def test_kernel_matches_mpmath(tau):
+    pytest.importorskip("mpmath")
+    lat = Lattice(tau)
+    generic = 0.31 + 0.58 * tau
+    ring = np.exp(2j * np.pi * (np.arange(4) + 0.125) / 4)
+    z = np.array([generic] + [
+        c + r * e
+        for c in (0.0, 0.5, tau / 2, (1 + tau) / 2, generic)
+        for r in (1e-3, 1e-2, 1e-1)
+        for e in ring
+    ])
+    ref_zeta, ref_wp, ref_dwp = np.array(
+        [oracles.weierstrass_mpmath(p, tau) for p in z]).T
+    got_zeta, (got_wp, got_dwp) = weierstrass_jet(z, lat, 1)
+
+    def rel(got, ref, scale):
+        return np.max(np.abs(got - ref) / np.maximum(scale, 1.0))
+
+    # relative error, floored at 1 where a value passes through zero
+    # (wp((1+i)/2) = 0 on the square lattice); wp' vanishes at the
+    # half-periods and is measured on the scale of |wp|^(3/2)
+    assert rel(got_zeta, ref_zeta, np.abs(ref_zeta)) < 1e-13
+    assert rel(got_wp, ref_wp, np.abs(ref_wp)) < 1e-13
+    scale = np.maximum(np.abs(ref_dwp), np.abs(ref_wp) ** 1.5)
+    assert rel(got_dwp, ref_dwp, scale) < 1e-13
+
+
+def test_views_share_the_jet():
+    lat = Lattice(0.2 + 0.9j)
+    z = np.array([0.13 + 0.4j, -0.7 + 0.05j, 1.9 - 2.2j])
+    zeta_v, derivs = weierstrass_jet(z, lat, 5)
+    assert derivs.shape == (6, 3)
+    assert np.array_equal(zeta(z, lat), zeta_v)
+    assert np.array_equal(wp_eval(z, lat), derivs[0])
+    assert np.array_equal(wp_eval(z, lat, 1), derivs[1])
+    assert np.array_equal(wp_derivs(z, lat, 5), derivs)
+    zeta_only, empty = weierstrass_jet(z[0], lat, -1)
+    assert zeta_only == zeta(z[0], lat) and empty.shape == (0,)
+    assert isinstance(zeta_only, complex)
+    with pytest.raises(PoleError):
+        weierstrass_jet(np.array([0.3, 1.0 + 1e-9j]), lat, 2)
+    with pytest.raises(ValueError):
+        weierstrass_jet(z, lat, -2)
 
 
 def test_torus_point_reduction_invariants():

@@ -15,6 +15,7 @@ from stackedmin.opening import (
     NonContractionError,
     _fixed_point_system,
     fix_omega,
+    gauss_and_omega,
     gauss_component,
     laurent_coeffs,
     mirror_conj,
@@ -393,3 +394,51 @@ def test_window_gamma_periods(rpdh):
         cc = st.circle(k, "zero")
         gamma = np.sum(omega_on_circle(st, series, k, "zero") * cc.dz)
         assert abs(gamma - 2j * np.pi) < 1e-8
+
+
+def _perturbed(st, k):
+    """Move layer k off the central data so every coefficient is generic."""
+    j = st.index_of(k)
+    T = st.tori[j]
+    T.a += 0.013 - 0.007j
+    T.bhat += 0.004 + 0.002j
+    T.v += 0.002 - 0.003j
+    st.refresh(only=j)
+    return j
+
+
+@pytest.mark.parametrize("name, K, k", [("rPD", None, 1), ("twin-rPD", 3, 0)])
+def test_fused_caches_match_multipass_recipe(name, K, k):
+    """refresh, omega_eval and the (g, g') evaluators take each torus point
+    set through one jet pair and must reproduce the separate-call recipe
+    bit for bit."""
+    st = GluingState.central(catalog(name, K=2), 0.01, K=K)
+    j = _perturbed(st, k)
+    T = st.tori[j]
+    r, m = st.contour_radius, st.circle_nodes
+    forms = oracles.multipass_forms(T, st.n_max, r, m)
+    assert forms.keys() == st._forms[j].keys()
+    for key, ref in forms.items():
+        got = st._forms[j][key]
+        assert (got.pole, got.order, got.coeffs, got.mu) == \
+            (ref.pole, ref.order, ref.coeffs, ref.mu)
+    for side, center in (("node", T.v), ("zero", 0.0)):
+        ref = oracles.multipass_circle(T, forms, center, st.n_max, st.rho, r, m)
+        got = st.circle(k, side)
+        for field_name in ("z", "dz", "g", "gp", "w0", "fvals", "base", "cols"):
+            assert np.array_equal(getattr(got, field_name),
+                                  getattr(ref, field_name)), (side, field_name)
+
+    series = fix_omega(st)
+    assert np.any(series.lam[j] != 0)
+    z = path_base(T) + np.linspace(0.05, 0.95, 9) * (0.6 + 0.3 * T.tau)
+    assert np.array_equal(omega_eval(st, series, k, z),
+                          oracles.multipass_omega(st, series, k, z))
+    gv, _ = gauss_and_omega(st, series, k, z)
+    assert np.array_equal(gv, T.g(z))
+    g2, gp = T.g_and_gp(z)
+    assert np.array_equal(g2, T.g(z))
+    assert np.array_equal(gp, oracles._gp_multipass(T, z))
+    got = omega_eval(st, series, k, complex(z[3]))
+    assert isinstance(got, complex)
+    assert got == oracles.multipass_omega(st, series, k, complex(z[3]))
