@@ -1,11 +1,16 @@
 """Command line entry point.
 
     stackedmin solve NAME --t T
+    stackedmin mesh NAME --t T
 
-solves the catalog configuration NAME by Newton continuation to the neck
-size T and prints one JSON run record: the configuration, every Newton
-step (main and tails) and the contraction estimate of the final glued
-form.
+Both continue the catalog configuration NAME by Newton continuation to
+the neck size T and print one JSON run record.  `solve` records the
+configuration, every Newton step (main and tails) and the contraction
+estimate of the final glued form.  `mesh` builds the surface mesh of the
+solved state and records its `mesh_summary` with the embeddedness
+battery: intersecting face pairs per layer slab, the graph bound min_n3
+per layer and the pass flag of each neck slice.  Neither record holds
+timings, so the same command prints the same record.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import json
 
 from .configs import UnknownConfigError, catalog, config_to_dict
+from .immersion import build_mesh, embeddedness_diagnostics, mesh_summary
 from .solver import auto_schedule, newton_continuation
 
 
@@ -23,12 +29,24 @@ def _steps(report) -> list[dict]:
             for s in report.steps]
 
 
+def _battery(mesh) -> dict:
+    emb = embeddedness_diagnostics(mesh)
+    return {
+        "pass": emb["pass"],
+        "pairs": {str(k): v["pairs"] for k, v in emb["intersections"].items()},
+        "min_n3": {str(k): v["min_n3"] for k, v in emb["graph"].items()},
+        "slices": {key: v["pass"] for key, v in emb["slices"].items()},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="stackedmin")
     sub = parser.add_subparsers(dest="command", required=True)
-    solve = sub.add_parser("solve", help="continue a catalog configuration to neck size T")
-    solve.add_argument("name", help="catalog configuration, e.g. rPD")
-    solve.add_argument("--t", type=float, required=True, help="target neck size")
+    for command, text in (("solve", "continue a catalog configuration to neck size T"),
+                          ("mesh", "solve, mesh and run the embeddedness battery")):
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("name", help="catalog configuration, e.g. rPD")
+        cmd.add_argument("--t", type=float, required=True, help="target neck size")
     args = parser.parse_args(argv)
     try:
         cfg = catalog(args.name)
@@ -36,19 +54,26 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     report = newton_continuation(cfg, args.t)
     record = {
-        "command": "solve",
+        "command": args.command,
         "name": args.name,
         "config": config_to_dict(cfg),
         "t": args.t,
-        "schedule": auto_schedule(args.t),
-        "steps": _steps(report),
-        "converged": report.converged,
-        "final_residual": report.final_residual,
-        "contraction_estimate": report.series.contraction_estimate,
     }
-    if report.tail_reports:
-        record["tail_steps"] = {side: _steps(tail)
-                                for side, tail in report.tail_reports.items()}
+    if args.command == "mesh":
+        mesh = build_mesh(report.state, report.series)
+        record["mesh"] = mesh_summary(mesh)
+        record["embeddedness"] = _battery(mesh)
+    else:
+        record.update({
+            "schedule": auto_schedule(args.t),
+            "steps": _steps(report),
+            "converged": report.converged,
+            "final_residual": report.final_residual,
+            "contraction_estimate": report.series.contraction_estimate,
+        })
+        if report.tail_reports:
+            record["tail_steps"] = {side: _steps(tail)
+                                    for side, tail in report.tail_reports.items()}
     print(json.dumps(record))
     return 0
 

@@ -49,6 +49,9 @@ CUT_FACTOR = 1.25  # layer grids keep |1/g| >= CUT_FACTOR * epsilon
 SEG_NODES = 12
 SEG_STEP = 0.04
 MESH_BUFFER = 3  # window states: clamped boundary layers are not meshed
+# two face planes closer than this in sin(angle) take the coplanar test
+COPLANAR_SIN = 1e-6
+SWEEP_CHUNK = 1 << 18  # candidate face pairs expanded at once
 
 
 class LoopResidualError(RuntimeError):
@@ -968,82 +971,124 @@ def _slice_polygon(mesh: SurfaceMesh, k: int, side: str,
     return poly
 
 
-def _tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float) -> bool:
-    """Moller interval test; coplanar pairs fall back to 2D separation."""
-    n2 = np.cross(q[1] - q[0], q[2] - q[0])
-    dp = (p - q[0]) @ n2
-    if np.all(dp > eps) or np.all(dp < -eps):
-        return False
-    n1 = np.cross(p[1] - p[0], p[2] - p[0])
-    dq = (q - p[0]) @ n1
-    if np.all(dq > eps) or np.all(dq < -eps):
-        return False
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.divide(v, n, out=np.zeros_like(v), where=n > 0)
+
+
+def _dot_rows(tris: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(m, 3, d) points against (m, d) directions -> (m, 3)."""
+    return np.einsum("mij,mj->mi", tris, v)
+
+
+def _line_interval(tri: np.ndarray, dist: np.ndarray, d: np.ndarray,
+                   eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Extent along the line direction d of each triangle's points within
+    eps of the other plane; an empty extent is (inf, -inf)."""
+    proj = _dot_rows(tri, d)
+    dist_b = np.roll(dist, -1, axis=1)
+    proj_b = np.roll(proj, -1, axis=1)
+    crosses = dist * dist_b < -eps * eps
+    s = dist / np.where(crosses, dist - dist_b, 1.0)
+    vals = np.concatenate([proj, proj + s * (proj_b - proj)], axis=1)
+    mask = np.concatenate([np.abs(dist) <= eps, crosses], axis=1)
+    return (np.where(mask, vals, np.inf).min(axis=1),
+            np.where(mask, vals, -np.inf).max(axis=1))
+
+
+def _coplanar_overlap(p: np.ndarray, q: np.ndarray, n1: np.ndarray,
+                      eps: float) -> np.ndarray:
+    """2D separating-axis test in the coordinate plane most nearly
+    parallel to each pair."""
+    keep = np.array([[1, 2], [0, 2], [0, 1]])[np.argmax(np.abs(n1), axis=1)]
+    a = np.take_along_axis(p, keep[:, None, :], axis=2)
+    b = np.take_along_axis(q, keep[:, None, :], axis=2)
+    apart = np.zeros(len(p), dtype=bool)
+    for t1, t2 in ((a, b), (b, a)):
+        edge = np.roll(t1, -1, axis=1) - t1
+        axis = _unit_rows(np.stack([-edge[..., 1], edge[..., 0]], axis=-1))
+        # pa[m, i, j]: vertex j of t1 against the normal of edge i
+        pa = np.sum((t1[:, None] - t1[:, :, None]) * axis[:, :, None], axis=-1)
+        pb = np.sum((t2[:, None] - t1[:, :, None]) * axis[:, :, None], axis=-1)
+        gap = ((pb.min(axis=2) > pa.max(axis=2) + eps)
+               | (pb.max(axis=2) < pa.min(axis=2) - eps))
+        apart |= gap.any(axis=1)
+    return ~apart
+
+
+def _tri_tri_batch(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """Moller (1997) interval test on the triangle pairs p[m], q[m].
+
+    Normals and the line direction are unit vectors, so every comparison
+    is a length against the length eps.  Pairs whose planes meet at
+    sin(angle) < COPLANAR_SIN take the 2D separating-axis test instead.
+    """
+    n1 = _unit_rows(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+    n2 = _unit_rows(np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]))
+    dp = _dot_rows(p - q[:, :1], n2)
+    dq = _dot_rows(q - p[:, :1], n1)
+    live = ~(np.all(dp > eps, axis=1) | np.all(dp < -eps, axis=1)
+             | np.all(dq > eps, axis=1) | np.all(dq < -eps, axis=1))
     d = np.cross(n1, n2)
-    if np.linalg.norm(d) < eps * max(np.linalg.norm(n1), np.linalg.norm(n2)):
-        axis = int(np.argmax(np.abs(n1)))
-        keep = [a for a in range(3) if a != axis]
-        return _poly_overlap_2d(p[:, keep], q[:, keep], eps)
-    iv = []
-    for tri, dist in ((p, dp), (q, dq)):
-        proj = tri @ d
-        pts = []
-        for a in range(3):
-            if abs(dist[a]) <= eps:
-                pts.append(proj[a])
-            b = (a + 1) % 3
-            if dist[a] * dist[b] < -eps * eps:
-                s = dist[a] / (dist[a] - dist[b])
-                pts.append(proj[a] + s * (proj[b] - proj[a]))
-        if not pts:
-            return False
-        iv.append((min(pts), max(pts)))
-    return not (iv[0][1] < iv[1][0] + eps or iv[1][1] < iv[0][0] + eps)
+    sin = np.linalg.norm(d, axis=1)
+    flat = live & (sin < COPLANAR_SIN)
+    out = np.zeros(len(p), dtype=bool)
+    out[flat] = _coplanar_overlap(p[flat], q[flat], n1[flat], eps)
+    sel = live & ~flat
+    d = d[sel] / sin[sel, None]
+    lo1, hi1 = _line_interval(p[sel], dp[sel], d, eps)
+    lo2, hi2 = _line_interval(q[sel], dq[sel], d, eps)
+    out[sel] = ~((hi1 < lo2 + eps) | (hi2 < lo1 + eps))
+    return out
 
 
-def _poly_overlap_2d(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
-    for tri1, tri2 in ((a, b), (b, a)):
-        for i in range(3):
-            edge = tri1[(i + 1) % 3] - tri1[i]
-            axis = np.array([-edge[1], edge[0]])
-            pa = (tri1 - tri1[i]) @ axis
-            pb = (tri2 - tri1[i]) @ axis
-            if pb.min() > pa.max() + eps or pb.max() < pa.min() - eps:
-                return False
-    return True
+def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
+                 faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Face pairs (a, b), a < b, whose closed bounding boxes overlap and
+    that share no vertex, by sort-and-sweep along the longest axis.
+
+    After sorting by the box minimum along that axis, the partners of a
+    face are a contiguous run found by one searchsorted; the runs are
+    expanded at most SWEEP_CHUNK pairs at a time to bound memory.
+    """
+    n = len(lo)
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    order = np.argsort(lo[:, axis], kind="stable")
+    key = lo[order, axis]
+    count = np.searchsorted(key, hi[order, axis], side="right") - np.arange(1, n + 1)
+    first = np.concatenate(([0], np.cumsum(count)))
+    cols = [(lo[order, c], hi[order, c]) for c in range(3) if c != axis]
+    found_a, found_b = [], []
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(first, first[start] + SWEEP_CHUNK, side="right")) - 1
+        stop = max(stop, start + 1)
+        run = count[start:stop]
+        a = np.repeat(np.arange(start, stop), run)
+        b = (a + 1 + np.arange(first[start], first[stop])
+             - np.repeat(first[start:stop], run))
+        keep = np.ones(len(a), dtype=bool)
+        for lc, hc in cols:
+            keep &= (lc[b] <= hc[a]) & (lc[a] <= hc[b])
+        found_a.append(order[a[keep]])
+        found_b.append(order[b[keep]])
+        start = stop
+    a = np.concatenate(found_a)
+    b = np.concatenate(found_b)
+    shared = np.any(faces[a][:, :, None] == faces[b][:, None, :], axis=(1, 2))
+    a, b = a[~shared], b[~shared]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
-def _intersecting_pairs(raw: np.ndarray, faces: np.ndarray) -> int:
-    """Count intersecting face pairs that share no vertex."""
+def _intersecting_pairs(raw: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Intersecting face pairs (a, b), a < b, that share no vertex, as
+    rows of indices into faces."""
     tris = raw[faces]
-    lo = tris.min(axis=1)
-    hi = tris.max(axis=1)
     cell = float(np.median(np.linalg.norm(tris[:, 1] - tris[:, 0], axis=1))) * 2
     cell = max(cell, 1e-9)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for f in range(len(faces)):
-        c0 = np.floor(lo[f] / cell).astype(int)
-        c1 = np.floor(hi[f] / cell).astype(int)
-        for cx in range(c0[0], c1[0] + 1):
-            for cy in range(c0[1], c1[1] + 1):
-                for cz in range(c0[2], c1[2] + 1):
-                    buckets.setdefault((cx, cy, cz), []).append(f)
-    scale = cell * 1e-7
-    seen = set()
-    count = 0
-    for ids in buckets.values():
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                a, b = ids[ai], ids[bi]
-                if (a, b) in seen:
-                    continue
-                seen.add((a, b))
-                if set(faces[a]) & set(faces[b]):
-                    continue
-                if np.any(lo[a] > hi[b]) or np.any(lo[b] > hi[a]):
-                    continue
-                if _tri_tri_intersect(tris[a], tris[b], scale):
-                    count += 1
-    return count
+    a, b = _sweep_pairs(tris.min(axis=1), tris.max(axis=1), faces)
+    hit = _tri_tri_batch(tris[a], tris[b], 1e-7 * cell)
+    return np.stack([a[hit], b[hit]], axis=1)
 
 
 def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = None,
@@ -1052,7 +1097,13 @@ def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = Non
 
     Checks (i) that layer patches stay vertical graphs, (ii) that neck
     cross sections at heights h_k +- t*c are simple convex curves, and
-    (iii) that no two faces of a layer slab intersect.
+    (iii) that no two faces of a layer slab intersect.  The slab of layer
+    k is its patch and the halves of necks k - 1 and k that attach to it,
+    up to their waists.  Check (iii) tests every pair of slab faces whose closed
+    bounding boxes overlap and that share no vertex, by the Moller
+    interval test with a tolerance of the length 1e-7 * cell, where cell
+    is twice the median edge of the slab; faces whose planes meet at
+    sin(angle) < COPLANAR_SIN take a 2D separating-axis test instead.
     """
     if slice_offset is None:
         slice_offset = 0.6 * math.log(mesh.epsilon / mesh.t)
@@ -1092,7 +1143,7 @@ def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = Non
                if (tag == "layer" and kk == k)
                or (tag == "neck" and kk == k and sd == "+")
                or (tag == "neck" and kk == k - 1 and sd == "-")]
-        pairs = _intersecting_pairs(mesh.raw, mesh.faces[ids])
+        pairs = len(_intersecting_pairs(mesh.raw, mesh.faces[ids]))
         out["intersections"][k] = {"pairs": pairs, "pass": pairs == 0}
 
     out["pass"] = bool(

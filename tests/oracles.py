@@ -6,9 +6,11 @@ precision, K(m) from adaptive quadrature of its defining integral,
 invariants from direct Eisenstein-type lattice sums, and the normalized
 double-pole forms from the pairing-integral reconstruction.
 
-The multi-pass recipe at the end is the exception: it rebuilds the
-opened-node caches from separate zeta / wp_eval / wp_derivs calls, so the
-fused evaluators can be held to the same bits.
+The multi-pass recipe is the exception: it rebuilds the opened-node
+caches from separate zeta / wp_eval / wp_derivs calls, so the fused
+evaluators can be held to the same bits.  The face-intersection reference
+at the end enumerates candidate pairs from a bucket grid and tests them
+one pair at a time, for the array sweep of the embeddedness battery.
 """
 
 from __future__ import annotations
@@ -223,3 +225,106 @@ def multipass_omega(st, series, k: int, z):
             if lm != 0:
                 val = val + w * lm * st._forms[j][(1, n)].value_from_derivs(dminus)
     return val if val.shape else complex(val)
+
+
+# ---------------------------------------------------------------------------
+# face intersections: the bucket-grid broad phase and the scalar Moller
+# (1997) interval test, pair by pair, that the array sweep replaced
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
+
+
+def _poly_overlap_2d(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
+    for tri1, tri2 in ((a, b), (b, a)):
+        for i in range(3):
+            edge = tri1[(i + 1) % 3] - tri1[i]
+            axis = _unit(np.array([-edge[1], edge[0]]))
+            pa = (tri1 - tri1[i]) @ axis
+            pb = (tri2 - tri1[i]) @ axis
+            if pb.min() > pa.max() + eps or pb.max() < pa.min() - eps:
+                return False
+    return True
+
+
+def tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float) -> bool:
+    """Moller interval test; coplanar pairs fall back to 2D separation.
+
+    Normals and the line direction are unit vectors, so every quantity
+    compared against the length eps is itself a length.
+    """
+    from stackedmin.immersion import COPLANAR_SIN
+
+    n2 = _unit(np.cross(q[1] - q[0], q[2] - q[0]))
+    dp = (p - q[0]) @ n2
+    if np.all(dp > eps) or np.all(dp < -eps):
+        return False
+    n1 = _unit(np.cross(p[1] - p[0], p[2] - p[0]))
+    dq = (q - p[0]) @ n1
+    if np.all(dq > eps) or np.all(dq < -eps):
+        return False
+    d = np.cross(n1, n2)
+    sin = np.linalg.norm(d)
+    if sin < COPLANAR_SIN:
+        axis = int(np.argmax(np.abs(n1)))
+        keep = [a for a in range(3) if a != axis]
+        return _poly_overlap_2d(p[:, keep], q[:, keep], eps)
+    d = d / sin
+    iv = []
+    for tri, dist in ((p, dp), (q, dq)):
+        proj = tri @ d
+        pts = []
+        for a in range(3):
+            if abs(dist[a]) <= eps:
+                pts.append(proj[a])
+            b = (a + 1) % 3
+            if dist[a] * dist[b] < -eps * eps:
+                s = dist[a] / (dist[a] - dist[b])
+                pts.append(proj[a] + s * (proj[b] - proj[a]))
+        if not pts:
+            return False
+        iv.append((min(pts), max(pts)))
+    return not (iv[0][1] < iv[1][0] + eps or iv[1][1] < iv[0][0] + eps)
+
+
+def bucket_candidates(raw: np.ndarray, faces: np.ndarray) -> tuple[set, float]:
+    """Face pairs (a, b), a < b, that share a grid cell, overlap as closed
+    boxes and share no vertex; with the grid's cell size."""
+    tris = raw[faces]
+    lo = tris.min(axis=1)
+    hi = tris.max(axis=1)
+    cell = float(np.median(np.linalg.norm(tris[:, 1] - tris[:, 0], axis=1))) * 2
+    cell = max(cell, 1e-9)
+    buckets: dict[tuple[int, int, int], list[int]] = {}
+    for f in range(len(faces)):
+        c0 = np.floor(lo[f] / cell).astype(int)
+        c1 = np.floor(hi[f] / cell).astype(int)
+        for cx in range(c0[0], c1[0] + 1):
+            for cy in range(c0[1], c1[1] + 1):
+                for cz in range(c0[2], c1[2] + 1):
+                    buckets.setdefault((cx, cy, cz), []).append(f)
+    seen = set()
+    out = set()
+    for ids in buckets.values():
+        for ai in range(len(ids)):
+            for bi in range(ai + 1, len(ids)):
+                a, b = ids[ai], ids[bi]
+                if (a, b) in seen:
+                    continue
+                seen.add((a, b))
+                if set(faces[a]) & set(faces[b]):
+                    continue
+                if np.any(lo[a] > hi[b]) or np.any(lo[b] > hi[a]):
+                    continue
+                out.add((a, b))
+    return out, cell
+
+
+def intersecting_pairs_buckets(raw: np.ndarray, faces: np.ndarray) -> set:
+    """Intersecting face pairs (a, b), a < b, that share no vertex."""
+    cands, cell = bucket_candidates(raw, faces)
+    tris = raw[faces]
+    return {(a, b) for a, b in cands
+            if tri_tri_intersect(tris[a], tris[b], 1e-7 * cell)}

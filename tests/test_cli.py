@@ -30,3 +30,25 @@ def test_unknown_name_is_a_usage_error(capsys):
         main(["solve", "no-such-stack", "--t", "0.01"])
     assert exc.value.code == 2
     assert "valid names" in capsys.readouterr().err
+
+
+def test_mesh_prints_one_deterministic_record(capsys):
+    lines = []
+    for _ in range(2):
+        assert main(["mesh", "rPD", "--t", "0.01"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1
+        lines.append(out[0])
+    assert lines[0] == lines[1]
+    record = json.loads(lines[0])
+    assert record["command"] == "mesh" and record["name"] == "rPD"
+    assert record["config"] == config_to_dict(catalog("rPD"))
+    mesh = record["mesh"]
+    assert mesh["t"] == 0.01 and mesh["n_faces"] > 0
+    battery = record["embeddedness"]
+    slabs = {str(k) for k in mesh["settings"]["k_range"]}
+    assert set(battery["pairs"]) == set(battery["min_n3"]) == slabs
+    assert battery["pass"]
+    assert all(n == 0 for n in battery["pairs"].values())
+    assert all(v > 0.5 for v in battery["min_n3"].values())
+    assert battery["slices"] and all(battery["slices"].values())

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from stackedmin import immersion
 from stackedmin.configs import Configuration, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_G, solve_G_equals_C
@@ -15,7 +17,10 @@ from stackedmin.immersion import (
     LAURENT_ORDER,
     LoopResidualError,
     _default_range,
+    _intersecting_pairs,
     _positions,
+    _sweep_pairs,
+    _tri_tri_batch,
     build_mesh,
     embeddedness_diagnostics,
     integrate_layer,
@@ -204,6 +209,109 @@ def test_embeddedness_battery(rpd_mesh):
         assert diag["convex"] and diag["simple"]
     for diag in emb["intersections"].values():
         assert diag["pairs"] == 0
+
+
+def test_planted_self_intersection_is_reported(rpd_mesh):
+    mesh = copy.deepcopy(rpd_mesh)
+    k = 0
+    grids = mesh.reports["neck_grids"]
+    layer = [i for i, (tag, kk, _) in enumerate(mesh.provenance)
+             if tag == "layer" and kk == k]
+    necks = np.concatenate([np.ravel(g) for sides in grids.values()
+                            for g in sides.values()])
+    inner = np.setdiff1d(mesh.faces[layer], necks)
+    # the layer vertex nearest the neck moves onto the neck axis halfway
+    # up to the waist, so the faces around it cross the neck wall
+    ring = grids[k]["plus"]
+    axis_pt = mesh.raw[ring[len(ring) // 2]].mean(axis=0)
+    v = inner[np.argmin(np.linalg.norm(mesh.raw[inner, :2] - axis_pt[:2], axis=1))]
+    mesh.raw[v] = axis_pt
+    emb = embeddedness_diagnostics(mesh)
+    assert emb["intersections"][k]["pairs"] >= 1
+    assert not emb["intersections"][k]["pass"]
+    assert not emb["pass"]
+    assert all(d["pairs"] == 0 for kk, d in emb["intersections"].items() if kk != k)
+
+
+# a unit right triangle in z = 0; PIERCE crosses its plane along
+# x in [0.2, 0.4] at y = 0.3, inside it; the SEPARATED triangles miss it
+# by 1e-3 of an edge, across the line of the two planes or above it
+UNIT_TRI = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+PIERCE = np.array([[0.1, 0.3, -0.5], [0.5, 0.3, -0.5], [0.3, 0.3, 0.5]])
+SEPARATED = (PIERCE + [0.5 + 1e-3, 0.0, 0.0], PIERCE + [0.0, 0.0, 0.5 + 1e-3])
+
+
+@pytest.mark.parametrize("edge", [1e-3, 0.0156, 1.0, 10.0])
+def test_triangle_test_is_scale_invariant(edge):
+    eps = 1e-7 * 2 * edge  # the battery's tolerance, cell = 2 * median edge
+    p = edge * UNIT_TRI
+    cases = [(edge * PIERCE, True)] + [(edge * q, False) for q in SEPARATED]
+    for q, hit in cases:
+        assert oracles.tri_tri_intersect(p, q, eps) == hit
+        assert oracles.tri_tri_intersect(q, p, eps) == hit
+    ps = np.array([p] * len(cases) + [q for q, _ in cases])
+    qs = np.array([q for q, _ in cases] + [p] * len(cases))
+    assert list(_tri_tri_batch(ps, qs, eps)) == [hit for _, hit in cases] * 2
+
+
+def _triangle_soup(seed: int = 11):
+    """Random triangles, fans that share vertices, and the special pairs
+    of the face test with their expected outcomes: touching edges,
+    interval ends that meet, overlapping and separate coplanar pairs."""
+    rng = np.random.default_rng(seed)
+    centers = rng.random((150, 1, 3))
+    verts = list((centers + 0.15 * rng.standard_normal((150, 3, 3))).reshape(-1, 3))
+    faces = [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(150)]
+    # fans through existing vertices: pairs that share one or two vertices
+    for _ in range(40):
+        a, b = rng.integers(0, len(verts), size=2)
+        verts.append(rng.random(3))
+        faces.append([int(a), int(b), len(verts) - 1])
+
+    def add(tri, offset):
+        verts.extend(np.asarray(tri, dtype=float) + offset)
+        faces.append([len(verts) - 3, len(verts) - 2, len(verts) - 1])
+        return len(faces) - 1
+
+    unit = [[0, 0, 0], [0.3, 0, 0], [0, 0.3, 0]]
+    expected = {}
+    p = add(unit, [3, 0, 0])
+    # an edge along an edge; a vertex on the face
+    expected[p, add([[0.05, 0, 0], [0.25, 0, 0], [0.15, 0, 0.3]], [3, 0, 0])] = True
+    expected[p, add([[0.1, 0.1, 0], [0.2, 0.1, 0.3], [0.1, 0.2, 0.3]], [3, 0, 0])] = True
+    # the two intervals on the line of the planes meet at one end
+    p = add(unit, [3, 1, 0])
+    expected[p, add([[0.3, -0.1, -0.1], [0.5, -0.1, -0.1], [0.3, 0.1, 0.1]],
+                    [3, 1, 0])] = False
+    # coplanar: overlapping, touching along an edge, apart; then the
+    # overlapping and apart pairs again, tilted off the coordinate planes
+    inner = [[0.1, 0.1, 0], [0.4, 0.1, 0], [0.1, 0.4, 0]]
+    apart = [[0.2, 0.2, 0], [0.5, 0.2, 0], [0.2, 0.5, 0]]
+    p = add(unit, [4, 0, 0])
+    expected[p, add(inner, [4, 0, 0])] = True
+    expected[p, add([[0.3, 0, 0], [0.3, 0.3, 0], [0, 0.3, 0]], [4, 0, 0])] = True
+    expected[p, add(apart, [4, 0, 0])] = False
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    p = add(np.asarray(unit, dtype=float) @ rot.T, [5, 0, 0])
+    expected[p, add(np.asarray(inner) @ rot.T, [5, 0, 0])] = True
+    expected[p, add(np.asarray(apart) @ rot.T, [5, 0, 0])] = False
+    return np.array(verts), np.array(faces), expected
+
+
+@pytest.mark.parametrize("chunk", [immersion.SWEEP_CHUNK, 7])
+def test_sweep_matches_bucket_oracle(chunk, monkeypatch):
+    monkeypatch.setattr(immersion, "SWEEP_CHUNK", chunk)
+    raw, faces, expected = _triangle_soup()
+    tris = raw[faces]
+    a, b = _sweep_pairs(tris.min(axis=1), tris.max(axis=1), faces)
+    cands, _ = oracles.bucket_candidates(raw, faces)
+    assert len(a) == len(cands)
+    assert set(zip(a.tolist(), b.tolist())) == cands
+    hits = {tuple(row) for row in _intersecting_pairs(raw, faces).tolist()}
+    ref = oracles.intersecting_pairs_buckets(raw, faces)
+    assert hits == ref
+    assert 0 < len(ref) < len(cands)
+    assert {pair: pair in ref for pair in expected} == expected
 
 
 def test_unbalanced_state_is_rejected(rpd):
