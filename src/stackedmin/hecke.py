@@ -154,31 +154,6 @@ def solve_G_equals_C(lat: Lattice, C: complex, grid: int = 32, max_iter: int = 5
     return SolutionSet(roots=roots, C=C, count=len(roots), jacobians=jacs, failures=failures)
 
 
-def antiholomorphic_iterate(lat: Lattice, C: complex, z0: complex, max_iter: int = 800):
-    """Fixed-point iteration z -> z - (conj(G(z)) - conj(C))/b.
-
-    Converges exactly at attracting roots of G = C and returns None
-    otherwise; an independent check on the Newton sweep for those roots.
-    """
-    z = complex(z0)
-    b = _ab(lat)[1]
-    for _ in range(max_iter):
-        zr, _, _ = reduce_centered(z, lat.tau)
-        if abs(complex(zr)) < 10 * lat.pole_radius:
-            return None
-        G = hecke_G(z, lat)
-        z_next = z - (np.conj(G) - np.conj(C)) / b
-        if abs(z_next - z) < 1e-13:
-            z = z_next
-            break
-        z = z_next
-    else:
-        return None
-    if abs(hecke_G(z, lat) - C) < ROOT_TOL:
-        return TorusPoint.from_z(z, lat)
-    return None
-
-
 def degeneracy_2division(lat: Lattice, which: int) -> tuple[complex, bool]:
     """Degeneracy test for a 2-division point.
 

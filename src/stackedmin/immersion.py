@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -87,11 +87,11 @@ def _lattice_triple(shift: complex, tau: complex, alpha: np.ndarray,
     return round(float(x)) * alpha + round(float(y)) * beta
 
 
-def weierstrass_phi(k: int, z, st: GluingState, series: OmegaSeries):
-    """Densities (phi1, phi2, phi3) of the Weierstrass forms against dz.
+def _diffs(st: GluingState, series: OmegaSeries, k: int, z) -> np.ndarray:
+    """Integrand triple (F+', F-', H') against dz at layer-k points.
 
-    phi3 is the height density t*omega; phi1, phi2 combine the Gauss
-    map and its reciprocal.  Points inside the neck (|1/g| <= t) raise
+    F+- integrate the Gauss map to the power +-1 against the height
+    differential t*omega.  Points inside the neck (|1/g| <= t) raise
     ChartError.
     """
     gv, W = gauss_and_omega(st, series, k, z)
@@ -100,21 +100,21 @@ def weierstrass_phi(k: int, z, st: GluingState, series: OmegaSeries):
     div = W / gv
     mul = (st.t * st.t) * gv * W
     gdh, gidh = (div, mul) if k % 2 == 0 else (mul, div)
-    phi1 = 0.5 * (gidh - gdh)
-    phi2 = 0.5j * (gidh + gdh)
-    phi3 = st.t * W
-    if phi1.shape == ():
-        return complex(phi1), complex(phi2), complex(phi3)
-    return phi1, phi2, phi3
-
-
-def _diffs(st: GluingState, series: OmegaSeries, k: int, z) -> np.ndarray:
-    """Integrand triple (F+', F-', H') against dz at layer-k points."""
-    gv, W = gauss_and_omega(st, series, k, z)
-    div = W / gv
-    mul = (st.t * st.t) * gv * W
-    gdh, gidh = (div, mul) if k % 2 == 0 else (mul, div)
     return np.stack([gdh, gidh, st.t * W], axis=-1)
+
+
+def weierstrass_phi(k: int, z, st: GluingState, series: OmegaSeries):
+    """Densities (phi1, phi2, phi3) of the Weierstrass forms against dz.
+
+    phi3 is the height density t*omega; phi1, phi2 combine the Gauss
+    map and its reciprocal.  Points inside the neck (|1/g| <= t) raise
+    ChartError.
+    """
+    fp, fm, h = np.moveaxis(_diffs(st, series, k, z), -1, 0)
+    phi = (0.5 * (fm - fp), 0.5j * (fm + fp), h)
+    if np.ndim(z) == 0:
+        return tuple(complex(p) for p in phi)
+    return phi
 
 
 def _segment_triple(st: GluingState, series: OmegaSeries, k: int,
@@ -633,90 +633,6 @@ def _default_range(st: GluingState) -> list[int]:
     return list(range(st.k_lo + MESH_BUFFER, st.k_hi - MESH_BUFFER + 1))
 
 
-def _walk_leg(st: GluingState, series: OmegaSeries, k: int, z0: complex,
-              z1: complex) -> np.ndarray:
-    """Straight frame leg with a clearance check against both charts."""
-    T = st.torus(k)
-    zs = z0 + np.linspace(0.05, 0.95, 19) * (z1 - z0)
-    if np.max(np.abs(T.g(zs))) > 1.0 / (0.8 * st.epsilon):
-        raise RuntimeError(f"frame leg on layer {k} passes through a chart")
-    return _segment_triple(st, series, k, z0, z1)
-
-
-def _neck_walk(st: GluingState, series: OmegaSeries, k: int,
-               laurent: NeckLaurent | None = None):
-    """Triple increment from base O_k to O_(k+1) through neck k.
-
-    Returns (increment, waist_rel) where waist_rel is the value at the
-    crossing waist point relative to O_k.
-    """
-    nl = laurent if laurent is not None else laurent_coeffs(
-        st, series, k, LAURENT_ORDER)
-    T0, T1 = st.torus(k), st.torus(k + 1)
-    O0, O1 = path_base(T0), path_base(T1)
-    O0n = _near_rep(O0, T0.v, T0.tau)
-    a0, b0 = _cycle_triples(st, series, k)
-    per0 = _lattice_triple(O0n - O0, T0.tau, a0, b0)
-    th_p = float(np.angle((O0n - T0.v) / (-T0.a)))
-    seam_p = complex(neck_point(st, k, "+", st.epsilon * np.exp(1j * th_p)))
-    leg1 = _walk_leg(st, series, k, O0n, seam_p)
-
-    sp, sm, sh = _series_triple(nl, k % 2 == 0)
-    drop = np.array([_antiderivative(a, st.t, th_p)
-                     - _antiderivative(a, st.epsilon, th_p)
-                     for a in (sp, sm, sh)])
-    waist_rel = per0 + leg1 + drop
-
-    # the waist transfer w * w' = t^2 lands at chart angle -th_p; climb
-    # back to the seam there, then rotate along it toward the next base
-    th_m = -th_p
-    tr2 = _series_triple(_swap_laurent(nl), (k + 1) % 2 == 0)
-    climb = np.array([_antiderivative(a, st.epsilon, th_m)
-                      - _antiderivative(a, st.t, th_m) for a in tr2])
-    O1n = _near_rep(O1, 0.0, T1.tau)
-    th_t = float(np.angle(O1n / T1.a))
-    darc = ((th_t - th_m + np.pi) % (2.0 * np.pi)) - np.pi
-    arc = np.array([_antiderivative(a, st.epsilon, th_m + darc)
-                    - _antiderivative(a, st.epsilon, th_m) for a in tr2])
-    seam_m = complex(neck_point(st, k + 1, "-",
-                                st.epsilon * np.exp(1j * th_t)))
-    a1, b1 = _cycle_triples(st, series, k + 1)
-    per1 = _lattice_triple(O1n - O1, T1.tau, a1, b1)
-    leg3 = _walk_leg(st, series, k + 1, seam_m, O1n)
-    # values live at the canonical base points; shifting a base to the
-    # representative used by a leg costs the corresponding period triple
-    return per0 + leg1 + drop + climb + arc + leg3 - per1, waist_rel
-
-
-def layer_frames(st: GluingState, series: OmegaSeries,
-                 k_range=None) -> list[LayerFrame]:
-    """Walk the layer chain and return one anchored frame per layer.
-
-    The chain crosses each neck along the spoke aimed at the next base
-    point; the accumulated triple is normalized so the first crossed
-    waist sits at height zero.
-    """
-    if st.t <= 0.0:
-        raise ValueError("frames need t > 0")
-    ks = list(k_range) if k_range is not None else _default_range(st)
-    if len(ks) < 2:
-        raise ValueError("need at least two layers")
-    vals = {ks[0]: np.zeros(3, dtype=complex)}
-    waist0 = None
-    for k in ks[:-1]:
-        inc, waist_rel = _neck_walk(st, series, k)
-        vals[k + 1] = vals[k] + inc
-        if waist0 is None:
-            waist0 = vals[k] + waist_rel
-    shift = np.zeros(3, dtype=complex)
-    shift[2] = -waist0[2].real
-    w12 = 0.5 * (np.conj(waist0[1]) - waist0[0])
-    shift[0] += w12
-    shift[1] -= np.conj(w12)
-    return [LayerFrame(k=k, base=path_base(st.torus(k)),
-                       triple=tuple(vals[k] + shift)) for k in ks]
-
-
 @dataclass(frozen=True)
 class SpacingRow:
     k: int
@@ -724,16 +640,18 @@ class SpacingRow:
     ratio: float
 
 
+def _spacing_rows(frames: list[LayerFrame], t: float) -> list[SpacingRow]:
+    ref = -2.0 * t * math.log(t)
+    return [SpacingRow(k=hi.k, delta_height=hi.height - lo.height,
+                       ratio=(hi.height - lo.height) / ref)
+            for lo, hi in zip(frames, frames[1:])]
+
+
 def spacing_report(st: GluingState, series: OmegaSeries,
                    k_range=None) -> list[SpacingRow]:
-    """Per-neck vertical spacing against the -2 t log t reference."""
-    frames = layer_frames(st, series, k_range)
-    ref = -2.0 * st.t * math.log(st.t)
-    rows = []
-    for lo, hi in zip(frames, frames[1:]):
-        dh = hi.height - lo.height
-        rows.append(SpacingRow(k=hi.k, delta_height=dh, ratio=dh / ref))
-    return rows
+    """Per-neck vertical spacing against the -2 t log t reference, from
+    the frames of the mesh over k_range."""
+    return _spacing_rows(build_mesh(st, series, k_range).frames, st.t)
 
 
 # ---------------------------------------------------------------------------
@@ -923,32 +841,35 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
 # diagnostics
 
 
+def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
 def _polygon_diagnostics(poly: np.ndarray) -> dict:
-    """Convexity and simplicity of a closed horizontal polygon."""
+    """Convexity and simplicity of a closed horizontal polygon.
+
+    Simple means no two edges cross at interior points of both; adjacent
+    edges, which share a vertex, are not compared.
+    """
     pts = poly[:, :2]
-    edges = np.roll(pts, -1, axis=0) - pts
-    cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-        - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+    nxt = np.roll(pts, -1, axis=0)
+    edges = nxt - pts
+    following = np.roll(edges, -1, axis=0)
+    cross = _cross2(edges, following)
     scale = float(np.max(np.linalg.norm(edges, axis=1))) ** 2
     signs = cross[np.abs(cross) > 1e-9 * scale]
     convex = bool(len(signs) == 0 or np.all(signs > 0) or np.all(signs < 0))
     turning = float(np.sum(np.arctan2(
-        cross, np.einsum("ij,ij->i", edges, np.roll(edges, -1, axis=0)))))
-    def _cr(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
+        cross, np.einsum("ij,ij->i", edges, following))))
     n = len(pts)
-    simple = True
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            c, d = pts[j], pts[(j + 1) % n]
-            if (_cr(b - a, c - a) * _cr(b - a, d - a) < 0
-                    and _cr(d - c, a - c) * _cr(d - c, b - c) < 0):
-                simple = False
-    return {"convex": convex, "simple": simple, "turning": turning}
+    i, j = np.triu_indices(n, 2)
+    far = ~((i == 0) & (j == n - 1))
+    i, j = i[far], j[far]
+    a, b, c, d = pts[i], nxt[i], pts[j], nxt[j]
+    crossing = ((_cross2(edges[i], c - a) * _cross2(edges[i], d - a) < 0)
+                & (_cross2(edges[j], a - c) * _cross2(edges[j], b - c) < 0))
+    return {"convex": convex, "simple": not bool(np.any(crossing)),
+            "turning": turning}
 
 
 def _slice_polygon(mesh: SurfaceMesh, k: int, side: str,
@@ -1107,24 +1028,28 @@ def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = Non
     """
     if slice_offset is None:
         slice_offset = 0.6 * math.log(mesh.epsilon / mesh.t)
-    prov = mesh.provenance
-    layer_ks = sorted({k for tag, k, _ in prov if tag == "layer"})
-    neck_ks = sorted({k for tag, k, _ in prov if tag == "neck"})
+    prov, n = mesh.provenance, len(mesh.provenance)
+    layer = np.fromiter((tag == "layer" for tag, _, _ in prov), bool, n)
+    kk = np.fromiter((k for _, k, _ in prov), int, n)
+    minus = np.fromiter((sign == "-" for _, _, sign in prov), bool, n)
     out: dict = {"graph": {}, "slices": {}, "intersections": {}}
 
-    for k in layer_ks:
-        ids = [i for i, (tag, kk, _) in enumerate(prov)
-               if tag == "layer" and kk == k]
-        tris = mesh.raw[mesh.faces[ids]]
+    for k in np.unique(kk[layer]).tolist():
+        tris = mesh.raw[mesh.faces[layer & (kk == k)]]
         nrm = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
         lens = np.linalg.norm(nrm, axis=1)
         ok = lens > 0
         n3 = np.abs(nrm[ok, 2]) / lens[ok]
         val = float(np.min(n3)) if len(n3) else 0.0
         out["graph"][k] = {"min_n3": val, "pass": bool(val >= graph_floor)}
+        # only neck faces carry the sign "-", so this is layer k, the plus
+        # half of neck k and the minus half of neck k - 1
+        slab = ((kk == k) & ~minus) | ((kk == k - 1) & minus)
+        pairs = len(_intersecting_pairs(mesh.raw, mesh.faces[slab]))
+        out["intersections"][k] = {"pairs": pairs, "pass": pairs == 0}
 
     tc = mesh.t * slice_offset
-    for k in neck_ks:
+    for k in np.unique(kk[~layer]).tolist():
         grid = mesh.reports["neck_grids"][k]["plus"]
         waist_h = float(mesh.raw[grid[-1], 2].mean())
         for side, h in (("+", waist_h - tc), ("-", waist_h + tc)):
@@ -1137,14 +1062,6 @@ def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = Non
             diag["height"] = h
             diag["pass"] = bool(diag["convex"] and diag["simple"])
             out["slices"][f"{k}{side}"] = diag
-
-    for k in layer_ks:
-        ids = [i for i, (tag, kk, sd) in enumerate(prov)
-               if (tag == "layer" and kk == k)
-               or (tag == "neck" and kk == k and sd == "+")
-               or (tag == "neck" and kk == k - 1 and sd == "-")]
-        pairs = len(_intersecting_pairs(mesh.raw, mesh.faces[ids]))
-        out["intersections"][k] = {"pairs": pairs, "pass": pairs == 0}
 
     out["pass"] = bool(
         all(v["pass"] for v in out["graph"].values())
@@ -1199,10 +1116,7 @@ def mesh_summary(mesh: SurfaceMesh) -> dict:
         "frames": [{"k": f.k, "base": [f.base.real, f.base.imag],
                     "position": [float(c) for c in f.position]}
                    for f in mesh.frames],
-        "spacing": [{"k": hi.k, "delta_height": hi.height - lo.height,
-                     "ratio": (hi.height - lo.height)
-                     / (-2.0 * mesh.t * math.log(mesh.t))}
-                    for lo, hi in zip(mesh.frames, mesh.frames[1:])],
+        "spacing": [asdict(row) for row in _spacing_rows(mesh.frames, mesh.t)],
         "reports": {
             "loop_defect": {str(k): _f(v) for k, v in rep["loop_defect"].items()},
             "stitch_defect": {str(k): _f(v)

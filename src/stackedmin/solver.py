@@ -10,7 +10,6 @@ central values, and solutions at t > 0 are continued from there.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .configs import Configuration
 from .elliptic import lattice_for
@@ -37,79 +36,6 @@ class ContourError(RuntimeError):
 
 class StepFailure(RuntimeError):
     """Newton failed to reduce the residual at one continuation step."""
-
-
-# ---------------------------------------------------------------------------
-# zeros of the Gauss component, without root tracking
-
-
-def _corner_score(T, z0):
-    s = np.linspace(0.04, 0.96, 14)
-    edges = np.concatenate([
-        z0 + s, z0 + 1 + s * T.tau, z0 + T.tau + s, z0 + s * T.tau,
-    ])
-    a = np.abs(T.g(edges))
-    return np.min(np.minimum(a, 1.0 / a))
-
-
-def _cell_corner(T) -> complex:
-    # keep all four edges away from both the zeros and the poles of g
-    best, best_score = None, -1.0
-    for x in np.linspace(0.03, 0.93, 10):
-        for y in np.linspace(0.03, 0.93, 10):
-            z0 = x + y * T.tau
-            sc = _corner_score(T, z0)
-            if sc > best_score:
-                best, best_score = z0, sc
-    return best
-
-
-def _reduce_into_cell(p: complex, z0: complex, tau: complex) -> complex:
-    c = p - z0
-    basis = np.array([[1.0, tau.real], [0.0, tau.imag]])
-    al, be = np.linalg.solve(basis, [c.real, c.imag])
-    return z0 + al % 1.0 + (be % 1.0) * tau
-
-
-def zeros_symmetric(k: int, st: GluingState, edge_nodes: int = 64):
-    """Elementary symmetric functions (Z1+Z2, Z1*Z2) of the zeros of g_k.
-
-    Argument-principle integrals of z^m g'/g over a cell boundary chosen
-    clear of zeros and poles; the two first-order poles of g_k are added
-    back at their in-cell representatives.  The zeros are never located,
-    so the result stays smooth when they collide.
-    """
-    T = st.torus(k)
-    z0 = _cell_corner(T)
-    x, w = leggauss(edge_nodes)
-    s = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    sums = np.zeros(3, dtype=complex)
-    for base, vec, sign in (
-        (z0, 1.0, 1.0),
-        (z0 + 1, T.tau, 1.0),
-        (z0 + T.tau, 1.0, -1.0),
-        (z0, T.tau, -1.0),
-    ):
-        z = base + s * vec
-        gv, gp = T.g_and_gp(z)
-        if np.min(np.abs(gv)) < 1e-8:
-            raise ContourError(f"zero of g_{k} on the cell boundary")
-        if np.max(np.abs(gv)) > 1e8:
-            raise ContourError(f"pole of g_{k} on the cell boundary")
-        f = gp / gv * (sign * vec)
-        for m in range(3):
-            sums[m] += np.sum(w * z**m * f)
-    sums /= 2j * np.pi
-    for pole in (0.0, T.v):
-        pr = _reduce_into_cell(complex(pole), z0, T.tau)
-        sums += np.array([1.0, pr, pr * pr])
-    count = sums[0]
-    if abs(count - 2.0) > 1e-6:
-        raise ContourError(f"argument principle counted {count:.3f} zeros of g_{k}")
-    s1 = sums[1]
-    s2 = 0.5 * (s1 * s1 - sums[2])
-    return s1, s2
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,15 @@ double-pole forms from the pairing-integral reconstruction.
 The multi-pass recipe is the exception: it rebuilds the opened-node
 caches from separate zeta / wp_eval / wp_derivs calls, so the fused
 evaluators can be held to the same bits.  The face-intersection reference
-at the end enumerates candidate pairs from a bucket grid and tests them
-one pair at a time, for the array sweep of the embeddedness battery.
+enumerates candidate pairs from a bucket grid and tests them one pair at
+a time, for the array sweep of the embeddedness battery.
+
+Two cross-checks close the file.  zeros_symmetric gets the symmetric
+functions of the zeros of a layer Gauss component from argument-principle
+integrals over a cell boundary, without locating the zeros, against
+which the solver's residue form of the regularity sum is checked.
+antiholomorphic_iterate finds the attracting roots of the balance form by
+a fixed-point iteration instead of the Newton sweep of solve_G_equals_C.
 """
 
 from __future__ import annotations
@@ -328,3 +335,106 @@ def intersecting_pairs_buckets(raw: np.ndarray, faces: np.ndarray) -> set:
     tris = raw[faces]
     return {(a, b) for a, b in cands
             if tri_tri_intersect(tris[a], tris[b], 1e-7 * cell)}
+
+
+# ---------------------------------------------------------------------------
+# zeros of the Gauss component by the argument principle
+
+
+def _corner_score(T, z0):
+    s = np.linspace(0.04, 0.96, 14)
+    edges = np.concatenate([
+        z0 + s, z0 + 1 + s * T.tau, z0 + T.tau + s, z0 + s * T.tau,
+    ])
+    a = np.abs(T.g(edges))
+    return np.min(np.minimum(a, 1.0 / a))
+
+
+def _cell_corner(T) -> complex:
+    # keep all four edges away from both the zeros and the poles of g
+    best, best_score = None, -1.0
+    for x in np.linspace(0.03, 0.93, 10):
+        for y in np.linspace(0.03, 0.93, 10):
+            z0 = x + y * T.tau
+            sc = _corner_score(T, z0)
+            if sc > best_score:
+                best, best_score = z0, sc
+    return best
+
+
+def zeros_symmetric(k: int, st, edge_nodes: int = 64):
+    """Elementary symmetric functions (Z1+Z2, Z1*Z2) of the zeros of g_k.
+
+    Argument-principle integrals of z^m g'/g over a cell boundary chosen
+    clear of zeros and poles; the two first-order poles of g_k are added
+    back at their in-cell representatives.  The zeros are never located,
+    so the result stays smooth when they collide.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    from stackedmin.immersion import _cell_rep
+    from stackedmin.solver import ContourError
+
+    T = st.torus(k)
+    z0 = _cell_corner(T)
+    x, w = leggauss(edge_nodes)
+    s = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    sums = np.zeros(3, dtype=complex)
+    for base, vec, sign in (
+        (z0, 1.0, 1.0),
+        (z0 + 1, T.tau, 1.0),
+        (z0 + T.tau, 1.0, -1.0),
+        (z0, T.tau, -1.0),
+    ):
+        z = base + s * vec
+        gv, gp = T.g_and_gp(z)
+        if np.min(np.abs(gv)) < 1e-8:
+            raise ContourError(f"zero of g_{k} on the cell boundary")
+        if np.max(np.abs(gv)) > 1e8:
+            raise ContourError(f"pole of g_{k} on the cell boundary")
+        f = gp / gv * (sign * vec)
+        for m in range(3):
+            sums[m] += np.sum(w * z**m * f)
+    sums /= 2j * np.pi
+    for pole in (0.0, T.v):
+        pr = _cell_rep(complex(pole), z0, T.tau)
+        sums += np.array([1.0, pr, pr * pr])
+    count = sums[0]
+    if abs(count - 2.0) > 1e-6:
+        raise ContourError(f"argument principle counted {count:.3f} zeros of g_{k}")
+    s1 = sums[1]
+    s2 = 0.5 * (s1 * s1 - sums[2])
+    return s1, s2
+
+
+# ---------------------------------------------------------------------------
+# attracting roots of the balance form by fixed-point iteration
+
+
+def antiholomorphic_iterate(lat, C: complex, z0: complex, max_iter: int = 800):
+    """Fixed-point iteration z -> z - (conj(G(z)) - conj(C))/b.
+
+    Converges exactly at attracting roots of G = C and returns None
+    otherwise; an independent check on the Newton sweep for those roots.
+    """
+    from stackedmin.elliptic import TorusPoint, reduce_centered
+    from stackedmin.hecke import ROOT_TOL, _ab, hecke_G
+
+    z = complex(z0)
+    b = _ab(lat)[1]
+    for _ in range(max_iter):
+        zr, _, _ = reduce_centered(z, lat.tau)
+        if abs(complex(zr)) < 10 * lat.pole_radius:
+            return None
+        G = hecke_G(z, lat)
+        z_next = z - (np.conj(G) - np.conj(C)) / b
+        if abs(z_next - z) < 1e-13:
+            z = z_next
+            break
+        z = z_next
+    else:
+        return None
+    if abs(hecke_G(z, lat) - C) < ROOT_TOL:
+        return TorusPoint.from_z(z, lat)
+    return None

@@ -1,6 +1,8 @@
 """Tests for the console script declared in pyproject.toml."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +54,16 @@ def test_mesh_prints_one_deterministic_record(capsys):
     assert all(n == 0 for n in battery["pairs"].values())
     assert all(v > 0.5 for v in battery["min_n3"].values())
     assert battery["slices"] and all(battery["slices"].values())
+
+
+def test_declared_console_scripts_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name

@@ -2,22 +2,25 @@
 
 import copy
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import oracles
+from oracles import zeros_symmetric
 from stackedmin import immersion
 from stackedmin.configs import Configuration, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_G, solve_G_equals_C
 from stackedmin.opening import fix_omega, laurent_coeffs, omega_eval
-from stackedmin.solver import newton_continuation, zeros_symmetric
+from stackedmin.solver import newton_continuation
 from stackedmin.immersion import (
     LAURENT_ORDER,
     LoopResidualError,
     _default_range,
     _intersecting_pairs,
+    _polygon_diagnostics,
     _positions,
     _sweep_pairs,
     _tri_tri_batch,
@@ -190,6 +193,12 @@ def test_spacing_rows_identical_for_periodic(rpd):
     assert np.ptp(dhs) < 1e-9
 
 
+def test_spacing_report_reads_the_mesh_frames(rpd, rpd_mesh):
+    st, series = rpd
+    rows = [asdict(row) for row in spacing_report(st, series)]
+    assert rows == mesh_summary(rpd_mesh)["spacing"]
+
+
 def test_spacing_ratio_climbs_to_one():
     ratios = []
     for t in (0.02, 0.01, 0.005):
@@ -231,6 +240,17 @@ def test_planted_self_intersection_is_reported(rpd_mesh):
     assert not emb["intersections"][k]["pass"]
     assert not emb["pass"]
     assert all(d["pairs"] == 0 for kk, d in emb["intersections"].items() if kk != k)
+
+
+def test_polygon_diagnostics_simple_and_crossing():
+    ang = 2.0 * np.pi * np.arange(64) / 64
+    ring = np.stack([np.cos(ang), np.sin(ang), np.zeros(64)], axis=1)
+    diag = _polygon_diagnostics(ring)
+    assert diag["convex"] and diag["simple"]
+    assert abs(diag["turning"] - 2.0 * np.pi) < 1e-12
+    # edges 0 and 2 of the bow tie cross at (0.5, 0.5)
+    bow_tie = np.array([[0.0, 0, 0], [1, 1, 0], [1, 0, 0], [0, 1, 0]])
+    assert not _polygon_diagnostics(bow_tie)["simple"]
 
 
 # a unit right triangle in z = 0; PIERCE crosses its plane along

@@ -5,9 +5,11 @@ import numpy.polynomial.legendre as leg
 import pytest
 
 import oracles
+from oracles import _cell_corner, zeros_symmetric
 from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
+from stackedmin.immersion import _cell_rep
 from stackedmin.opening import (
     GluingState,
     NonContractionError,
@@ -19,9 +21,7 @@ from stackedmin.opening import (
 from stackedmin.solver import (
     StepFailure,
     _block_residual,
-    _cell_corner,
     _get_block,
-    _reduce_into_cell,
     _set_block,
     auto_schedule,
     full_residual,
@@ -29,7 +29,6 @@ from stackedmin.solver import (
     residual_E,
     residual_Gbal,
     residual_P,
-    zeros_symmetric,
 )
 
 
@@ -165,7 +164,7 @@ def _rational_kernel_E(st, series, k, s1, s2, nodes=96):
         tot += np.sum(w * ker * W) * (sign * vec)
     for side in ("zero", "node"):
         cc = st.circle(k, side)
-        lam = _reduce_into_cell(cc.center, z0, T.tau) - cc.center
+        lam = _cell_rep(cc.center, z0, T.tau) - cc.center
         W = omega_on_circle(st, series, k, side)
         z = cc.z + lam
         ker = (2 * z - s1) / (z * z - s1 * z + s2)
