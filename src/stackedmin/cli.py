@@ -25,7 +25,8 @@ from .solver import auto_schedule, newton_continuation
 
 def _steps(report) -> list[dict]:
     return [{"t": s.t, "iterations": s.iterations,
-             "residuals": list(s.residuals), "converged": s.converged}
+             "residuals": list(s.residuals), "converged": s.converged,
+             "worst_k": s.worst_k}
             for s in report.steps]
 
 

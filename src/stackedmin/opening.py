@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .elliptic import (
     xi_raw,
     zeta,
 )
+from .hecke import hecke_G
 
 FIX_TOL = 1e-12
 DEFAULT_N_MAX = 8
@@ -73,9 +75,19 @@ class TorusData:
         return self.a * (zeta(z, lat) - zeta(z - self.v, lat)) + self.b
 
     def jets(self, z, jmax: int):
-        """Weierstrass jets (zeta, wp stack) at z and at z - v."""
+        """Weierstrass jets (zeta, wp stack) at z and at z - v.
+
+        An array z and z - v go through one kernel call on the stacked
+        array; the kernel is elementwise, so this is bit-identical to two
+        calls.  A scalar keeps two calls, because the kernel's scalar
+        arithmetic rounds differently from its array loops.
+        """
         lat = self.lattice
-        return weierstrass_jet(z, lat, jmax), weierstrass_jet(z - self.v, lat, jmax)
+        if np.ndim(z) == 0:
+            return weierstrass_jet(z, lat, jmax), weierstrass_jet(z - self.v, lat, jmax)
+        z = np.asarray(z)
+        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - self.v]), lat, jmax)
+        return (zeta_pair[0], derivs[:, 0]), (zeta_pair[1], derivs[:, 1])
 
     def g_and_gp(self, z):
         """g and g' = a*(wp(z - v) - wp(z)) from one pair of jets."""
@@ -203,11 +215,17 @@ def _circle_nodes(center: complex, radius: float, m: int):
 
 def _circle_jets(T: TorusData, center: complex, radius: float, m: int,
                  jmax: int):
-    """Nodes around one pole with zeta(z) - zeta(z - v), g, g' and the wp
-    stacks at z - v and z, all from one pair of Weierstrass jets."""
+    """Nodes around one pole with s = zeta(z) - zeta(z - v) and the wp
+    stacks at z - v and z, from one pair of Weierstrass jets; these
+    depend on tau and v only, not on a or bhat."""
     z, dz = _circle_nodes(center, radius, m)
     (zeta_z, dminus), (zeta_zv, dplus) = T.jets(z, jmax)
-    s = zeta_z - zeta_zv
+    return z, dz, zeta_z - zeta_zv, dplus, dminus
+
+
+def _circle_data(T: TorusData, raw: tuple):
+    """The raw circle jets completed with g and g' of the current a, b."""
+    z, dz, s, dplus, dminus = raw
     gp = T.a * (dplus[0] - dminus[0])
     return z, dz, s, T.a * s + T.b, gp, dplus, dminus
 
@@ -294,6 +312,7 @@ class GluingState:
     circle_nodes: int = DEFAULT_CIRCLE_NODES
     _forms: list = field(default=None, repr=False, compare=False)
     _circles: list = field(default=None, repr=False, compare=False)
+    _jet_slot: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("cyclic", "window"):
@@ -370,30 +389,73 @@ class GluingState:
     def logical_range(self) -> range:
         return range(self.k_lo, self.k_hi + 1)
 
+    @cached_property
+    def balance_value(self) -> complex:
+        """G(q_0) on the reference lattice, the value that every neck
+        flux is normalised against; a constant of the state."""
+        return hecke_G(self.q0_ref, lattice_for(self.tau_ref))
+
+    def cached_jets(self, j: int, key: tuple, build):
+        """Raw Weierstrass jets of stored torus j for the node set that
+        key names with the rest of what they depend on (node count, jet
+        order, radius or path); build(T) makes them on a miss.  The one
+        slot belongs to one (j, tau_j, v_j): a request for another owner
+        empties it first, so it never serves stale jets."""
+        T = self.tori[j]
+        owner = (j, T.tau, T.v)
+        if self._jet_slot is None or self._jet_slot[0] != owner:
+            self._jet_slot = (owner, {})
+        entries = self._jet_slot[1]
+        if key not in entries:
+            entries[key] = build(T)
+        return entries[key]
+
+    def drop_jets(self) -> None:
+        """Empty the jet slot.  Its jets serve the repeated refreshes and
+        residuals of one Newton solve; a solved state need not hold them."""
+        self._jet_slot = None
+
     def refresh(self, only: int | None = None) -> None:
         """Rebuild form and contour caches, for one stored torus or all.
 
         Must be called after mutating torus parameters; caches do not
         depend on t, so rescaling t alone needs no refresh.
+
+        The raw circle jets (nodes, zeta(z) - zeta(z - v) and the wp
+        stacks) depend on tau_j, v_j, the contour radius, the node count
+        and n_max only.  They come from the one-slot jet memo
+        (`cached_jets`), which also holds the solver's period-path jets,
+        so refresh(only=j) after a change of a or bhat alone runs no theta
+        pass: it rebuilds g, g', the forms and the circle caches from the
+        slot.  Moving tau or v, or asking for the jets of another torus,
+        invalidates the slot; a full refresh clears it.
         """
-        if self._forms is None or only is None:
+        full = self._forms is None or only is None
+        if full:
             self._forms = [None] * self.n_tori
             self._circles = [None] * self.n_tori
             todo = range(self.n_tori)
         else:
             todo = [only]
         r = self.contour_radius
+        m, jmax = self.circle_nodes, self.n_max - 2
         for j in todo:
             T = self.tori[j]
             centers = {"node": T.v, "zero": 0.0}
-            jets = {side: _circle_jets(T, c, r, self.circle_nodes, self.n_max - 2)
-                    for side, c in centers.items()}
+            jets = {
+                side: _circle_data(T, self.cached_jets(
+                    j, ("circle", side, r, m, jmax),
+                    lambda T, c=c: _circle_jets(T, c, r, m, jmax)))
+                for side, c in centers.items()
+            }
             forms = _build_forms(T, self.n_max, jets)
             self._forms[j] = forms
             self._circles[j] = {
                 side: _build_circle(T, forms, c, self.n_max, self.rho, jets[side])
                 for side, c in centers.items()
             }
+        if full:
+            self.drop_jets()
 
     def form(self, k: int, sign: str, n: int) -> SecondKindForm:
         if not 2 <= n <= self.n_max:
@@ -541,16 +603,30 @@ def second_kind_form(st: GluingState, k: int, sign: str, n: int, z,
     return st.form(k, sign, n).value(z, alpha_normalized)
 
 
+def omega_jmax(st: GluingState, series: OmegaSeries, j: int) -> int:
+    """Jet order the glued form needs on stored torus j: the wp stack of
+    the second-kind forms when its lambda row is live, zeta alone else."""
+    return st.n_max - 2 if np.any(series.lam[j] != 0) else -1
+
+
 def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     """g_k and the density of the glued form on layer k at the same
     points of that torus, from one pair of Weierstrass jets; two arrays
     shaped like z."""
     j = st.index_of(k)
-    T = st.tori[j]
     za = np.asarray(z, dtype=complex)
+    return gauss_and_omega_from_jets(
+        st, series, j, st.tori[j].jets(za, omega_jmax(st, series, j)))
+
+
+def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
+                              jets: tuple):
+    """`gauss_and_omega` on stored torus j from its jet pair, which
+    `TorusData.jets` made at order `omega_jmax`."""
+    T = st.tori[j]
     row = series.lam[j]
     live = np.any(row != 0)
-    (zeta_z, dminus), (zeta_zv, dplus) = T.jets(za, st.n_max - 2 if live else -1)
+    (zeta_z, dminus), (zeta_zv, dplus) = jets
     s = zeta_z - zeta_zv
     gv = np.asarray(T.a * s + T.b, dtype=complex)
     val = np.asarray(s - xi_raw(T.v, T.lattice), dtype=complex)

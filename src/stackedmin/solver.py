@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configs import Configuration
-from .elliptic import lattice_for
-from .hecke import hecke_G
 from .opening import (
     GluingState,
     OmegaSeries,
     fix_omega,
-    gauss_and_omega,
+    gauss_and_omega_from_jets,
+    omega_jmax,
     omega_on_circle,
     path_base,
 )
@@ -35,7 +34,18 @@ class ContourError(RuntimeError):
 
 
 class StepFailure(RuntimeError):
-    """Newton failed to reduce the residual at one continuation step."""
+    """Newton failed to reduce the residual at one continuation step.
+
+    k is the layer holding the largest residual entry, t the neck size
+    and history the residual sup-norms of the iterations made so far.
+    """
+
+    def __init__(self, message: str, k: int | None = None,
+                 t: float | None = None, history: tuple = ()):
+        super().__init__(message)
+        self.k = k
+        self.t = t
+        self.history = tuple(history)
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +64,12 @@ def residual_E(k: int, st: GluingState, series: OmegaSeries) -> complex:
 
 
 def _path_data(st, series, k, vec, m=PATH_NODES):
-    T = st.torus(k)
+    j = st.index_of(k)
+    jmax = omega_jmax(st, series, j)
     s = (np.arange(m) + 0.5) / m
-    z = path_base(T) + s * vec
-    gv, W = gauss_and_omega(st, series, k, z)
+    jets = st.cached_jets(j, ("path", vec, m, jmax),
+                          lambda T: T.jets(path_base(T) + s * vec, jmax))
+    gv, W = gauss_and_omega_from_jets(st, series, j, jets)
     if np.min(np.abs(gv)) < 1e-6:
         raise ContourError(f"zero of g_{k} on a period path")
     return W, gv, vec / m
@@ -87,8 +99,7 @@ def residual_Gbal(k: int, st: GluingState, series: OmegaSeries) -> complex:
     flux = np.sum(cc.g * W * cc.dz)
     if k % 2 == 1:
         flux = np.conj(flux)
-    g0 = hecke_G(st.q0_ref, lattice_for(st.tau_ref))
-    return flux + 2j * np.pi * g0
+    return flux + 2j * np.pi * st.balance_value
 
 
 def _block_residual(st, series, k):
@@ -108,6 +119,11 @@ class ResidualVector:
     @property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.entries)))
+
+    @property
+    def worst_k(self) -> int:
+        """Layer whose row holds the largest entry."""
+        return self.ks[int(np.argmax(np.max(np.abs(self.entries), axis=1)))]
 
     def flat(self) -> np.ndarray:
         out = np.empty(8 * len(self.ks))
@@ -136,21 +152,57 @@ def _get_block(st, j):
     return out
 
 
-def _set_block(st, j, x):
+def _put_block(st, j, x):
     T = st.tori[j]
     T.bhat = complex(x[0], x[1])
     T.a = complex(x[2], x[3])
     T.tau = complex(x[4], x[5])
     T.v = complex(x[6], x[7])
+
+
+def _set_block(st, j, x):
+    _put_block(st, j, x)
     st.refresh(only=j)
+
+
+def _fd_blocks(st, series, active, flat):
+    """Forward-difference 8x8 Jacobian blocks of the active layers, with
+    the series frozen; flat is the residual at the current parameters.
+
+    The bhat and a columns come first and leave tau and v alone, so their
+    refreshes and period paths reuse the state's jet slot.  The caches
+    saved before the columns go back with the parameters afterwards,
+    which needs no refresh.
+    """
+    blocks = np.empty((len(active), 8, 8))
+    for i, k in enumerate(active):
+        j = st.index_of(k)
+        x0 = _get_block(st, j)
+        saved = st._forms[j], st._circles[j]
+        r0 = flat[8 * i : 8 * i + 8]
+        for c in range(8):
+            xp = x0.copy()
+            xp[c] += FD_STEP
+            _set_block(st, j, xp)
+            rp = np.empty(8)
+            blk = _block_residual(st, series, k)
+            rp[0::2], rp[1::2] = blk.real, blk.imag
+            blocks[i, :, c] = (rp - r0) / FD_STEP
+        _put_block(st, j, x0)
+        st._forms[j], st._circles[j] = saved
+    return blocks
 
 
 @dataclass(frozen=True)
 class NewtonStep:
+    """One continuation step; worst_k is the layer holding the largest
+    entry of the last residual."""
+
     t: float
     iterations: int
     residuals: tuple
     converged: bool
+    worst_k: int
 
 
 @dataclass(frozen=True)
@@ -173,6 +225,13 @@ class SolveReport:
         return self.steps[-1].residuals[-1] if self.steps else 0.0
 
 
+def _step_failure(what, st, res, history):
+    return StepFailure(
+        f"{what} at t={st.t:g}: residual {history[-1]:.3e}, worst at layer "
+        f"k={res.worst_k}; try a smaller continuation step",
+        k=res.worst_k, t=st.t, history=history)
+
+
 def _solve_at_t(st, active, tol, itmax, callback=None):
     series = fix_omega(st)
     res = full_residual(st, series, active)
@@ -182,24 +241,8 @@ def _solve_at_t(st, active, tol, itmax, callback=None):
     it = 0
     while history[-1] >= tol:
         if it >= itmax:
-            raise StepFailure(
-                f"Newton stalled at t={st.t:g} (residual {history[-1]:.3e}); "
-                "try a smaller continuation step"
-            )
-        blocks = np.empty((n_act, 8, 8))
-        for i, k in enumerate(active):
-            j = st.index_of(k)
-            x0 = _get_block(st, j)
-            r0 = flat[8 * i : 8 * i + 8]
-            for c in range(8):
-                xp = x0.copy()
-                xp[c] += FD_STEP
-                _set_block(st, j, xp)  # series stays frozen here
-                rp = np.empty(8)
-                blk = _block_residual(st, series, k)
-                rp[0::2], rp[1::2] = blk.real, blk.imag
-                blocks[i, :, c] = (rp - r0) / FD_STEP
-            _set_block(st, j, x0)
+            raise _step_failure("Newton stalled", st, res, history)
+        blocks = _fd_blocks(st, series, active, flat)
         dx = np.linalg.solve(blocks, -flat.reshape(n_act, 8, 1))[..., 0]
         base = [_get_block(st, st.index_of(k)) for k in active]
         scale = 1.0
@@ -214,9 +257,7 @@ def _solve_at_t(st, active, tol, itmax, callback=None):
         else:
             for i, k in enumerate(active):
                 _set_block(st, st.index_of(k), base[i])
-            raise StepFailure(
-                f"line search failed at t={st.t:g}; try a smaller continuation step"
-            )
+            raise _step_failure("line search failed", st, res, history)
         series, res = trial_series, trial
         flat = res.flat()
         history.append(res.sup_norm)
@@ -224,8 +265,9 @@ def _solve_at_t(st, active, tol, itmax, callback=None):
         if callback is not None:
             callback({"t": st.t, "iteration": it, "residual": history[-1],
                       "step_scale": scale})
+    st.drop_jets()
     return series, NewtonStep(t=st.t, iterations=it, residuals=tuple(history),
-                              converged=history[-1] < tol)
+                              converged=history[-1] < tol, worst_k=res.worst_k)
 
 
 def auto_schedule(t_target: float) -> list:

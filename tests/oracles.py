@@ -8,7 +8,9 @@ double-pole forms from the pairing-integral reconstruction.
 
 The multi-pass recipe is the exception: it rebuilds the opened-node
 caches from separate zeta / wp_eval / wp_derivs calls, so the fused
-evaluators can be held to the same bits.  The face-intersection reference
+evaluators can be held to the same bits.  Likewise the plain
+finite-difference loop recomputes every jet of every Jacobian column, for
+the solver's loop that reuses them.  The face-intersection reference
 enumerates candidate pairs from a bucket grid and tests them one pair at
 a time, for the array sweep of the embeddedness battery.
 
@@ -232,6 +234,33 @@ def multipass_omega(st, series, k: int, z):
             if lm != 0:
                 val = val + w * lm * st._forms[j][(1, n)].value_from_derivs(dminus)
     return val if val.shape else complex(val)
+
+
+def fd_blocks_plain(st, series, active, flat):
+    """Forward-difference Jacobian blocks by the plain loop: each column
+    and the restore refresh the layer with the jet slot emptied first, so
+    every column computes its jets afresh."""
+    from stackedmin.solver import FD_STEP, _block_residual, _get_block, _set_block
+
+    def set_fresh(j, x):
+        st._jet_slot = None
+        _set_block(st, j, x)
+
+    blocks = np.empty((len(active), 8, 8))
+    for i, k in enumerate(active):
+        j = st.index_of(k)
+        x0 = _get_block(st, j)
+        r0 = flat[8 * i : 8 * i + 8]
+        for c in range(8):
+            xp = x0.copy()
+            xp[c] += FD_STEP
+            set_fresh(j, xp)
+            rp = np.empty(8)
+            blk = _block_residual(st, series, k)
+            rp[0::2], rp[1::2] = blk.real, blk.imag
+            blocks[i, :, c] = (rp - r0) / FD_STEP
+        set_fresh(j, x0)
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from stackedmin.cli import main
 from stackedmin.configs import catalog, config_to_dict
-from stackedmin.solver import NEWTON_TOL
+from stackedmin.solver import NEWTON_TOL, newton_continuation
 
 
 def test_solve_prints_one_run_record(capsys):
@@ -25,6 +25,17 @@ def test_solve_prints_one_run_record(capsys):
     assert record["final_residual"] == step["residuals"][-1]
     assert 0.0 < record["contraction_estimate"] < 1.0
     assert "tail_steps" not in record
+
+
+def test_solve_records_the_worst_layer(capsys):
+    lines = []
+    for _ in range(2):
+        assert main(["solve", "rPD", "--t", "0.005"]) == 0
+        lines.append(capsys.readouterr().out.strip())
+    assert lines[0] == lines[1]
+    steps = json.loads(lines[0])["steps"]
+    rep = newton_continuation(catalog("rPD"), 0.005)
+    assert [s["worst_k"] for s in steps] == [s.worst_k for s in rep.steps]
 
 
 def test_unknown_name_is_a_usage_error(capsys):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackedmin.configs import (
-    BALANCE_TOL,
     CATALOG_NAMES,
     DEGENERATE_NAMES,
     Configuration,

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import antiholomorphic_iterate
-from stackedmin.elliptic import Lattice, TorusPoint, theta_star, torus_distance
+from stackedmin.elliptic import Lattice, theta_star, torus_distance
 from stackedmin.hecke import (
     ROOT_TOL,
-    HeckeJacobian,
     degeneracy_2division,
     hecke_G,
     hecke_jacobian,

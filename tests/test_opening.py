@@ -9,10 +9,12 @@ from hypothesis import strategies as hs
 
 import oracles
 from stackedmin.configs import catalog
+from stackedmin.elliptic import weierstrass_jet
 from stackedmin.opening import (
     ChartError,
     GluingState,
     NonContractionError,
+    TorusData,
     _fixed_point_system,
     fix_omega,
     gauss_and_omega,
@@ -442,3 +444,21 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     got = omega_eval(st, series, k, complex(z[3]))
     assert isinstance(got, complex)
     assert got == oracles.multipass_omega(st, series, k, complex(z[3]))
+
+
+def test_jet_pair_matches_two_kernel_calls():
+    """The stacked z, z - v call returns the bits of two separate calls,
+    shapes and scalar types included."""
+    T = TorusData(a=-0.49 + 0.01j, bhat=0.003j, tau=0.1 + 1.2j, v=0.47 + 0.58j)
+    lat = T.lattice
+    z0 = 0.21 + 0.13j
+    line = z0 + np.linspace(0.0, 0.9, 7) * (0.6 + 0.3 * T.tau)
+    grid = line.reshape(1, 7) + np.array([[0.0], [0.05j]])
+    for z in (z0, np.asarray(z0), line, grid):
+        for jmax in (-1, 0, 6):
+            got = T.jets(z, jmax)
+            ref = weierstrass_jet(z, lat, jmax), weierstrass_jet(z - T.v, lat, jmax)
+            for (gz, gd), (rz, rd) in zip(got, ref):
+                assert type(gz) is type(rz)
+                assert np.shape(gz) == np.shape(rz) and gd.shape == rd.shape
+                assert np.array_equal(gz, rz) and np.array_equal(gd, rd)

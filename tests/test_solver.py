@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from oracles import _cell_corner, zeros_symmetric
+from stackedmin import elliptic
 from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
@@ -19,8 +20,11 @@ from stackedmin.opening import (
     omega_on_circle,
 )
 from stackedmin.solver import (
+    FD_STEP,
+    NEWTON_TOL,
     StepFailure,
     _block_residual,
+    _fd_blocks,
     _get_block,
     _set_block,
     auto_schedule,
@@ -217,6 +221,70 @@ def _fd_block(st, series, k, h=1e-6):
     return out
 
 
+def _perturbed_layer(name, K, k):
+    """State at t = 0.01 with layer k moved off the central data in every
+    parameter, its series, and the residual of layer k."""
+    st = GluingState.central(catalog(name, K=2), 0.01, K=K)
+    j = st.index_of(k)
+    T = st.tori[j]
+    T.a += 0.013 - 0.007j
+    T.bhat += 0.004 + 0.002j
+    T.tau += 0.003 + 0.001j
+    T.v += 0.002 - 0.003j
+    st.refresh(only=j)
+    series = fix_omega(st)
+    return st, series, full_residual(st, series, (k,)).flat()
+
+
+@pytest.mark.parametrize("name, K, k", [("oPa", None, 1), ("twin-rPD", 3, 0)])
+def test_fd_blocks_match_plain_loop(name, K, k):
+    """Jacobian blocks from the jet slot with the plain restore equal the
+    loop that recomputes every jet and refreshes to restore, bit for bit,
+    and leave the same caches behind."""
+    st, series, flat = _perturbed_layer(name, K, k)
+    ref_st, ref_series, ref_flat = _perturbed_layer(name, K, k)
+    assert np.array_equal(flat, ref_flat)
+    got = _fd_blocks(st, series, (k,), flat)
+    ref = oracles.fd_blocks_plain(ref_st, ref_series, (k,), ref_flat)
+    assert np.array_equal(got, ref)
+    j = st.index_of(k)
+    assert np.array_equal(_get_block(st, j), _get_block(ref_st, j))
+    for key, form in st._forms[j].items():
+        other = ref_st._forms[j][key]
+        assert (form.pole, form.coeffs, form.mu) == (other.pole, other.coeffs, other.mu)
+    for side in ("node", "zero"):
+        a, b = st.circle(k, side), ref_st.circle(k, side)
+        for name_ in ("z", "dz", "g", "gp", "w0", "fvals", "base", "cols"):
+            assert np.array_equal(getattr(a, name_), getattr(b, name_)), (side, name_)
+
+
+def test_ab_columns_run_no_theta_pass(monkeypatch):
+    """With the jet slot filled for a layer, its bhat and a columns reuse
+    every jet; each tau or v column needs one theta pass per circle and
+    per period path, and restoring the layer needs none."""
+    st, series, flat = _perturbed_layer("rPD", None, 1)
+    st.refresh(only=1)
+    _block_residual(st, series, 1)
+    passes = []
+    theta_sums = elliptic._theta_sums
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return theta_sums(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "_theta_sums", counted)
+    x0 = _get_block(st, 1)
+    for c in range(4):
+        xp = x0.copy()
+        xp[c] += FD_STEP
+        _set_block(st, 1, xp)
+        _block_residual(st, series, 1)
+    _set_block(st, 1, x0)
+    assert len(passes) == 0
+    _fd_blocks(st, series, (1,), flat)
+    assert len(passes) == 4 * 4
+
+
 def test_closed_neck_jacobian_blocks():
     st = central()
     series = fix_omega(st)
@@ -255,6 +323,20 @@ def test_continuation_converges(rpd_solved):
         assert all(b < a for a, b in zip(step.residuals, step.residuals[1:]))
     fresh = full_residual(rep.state, rep.series)
     assert fresh.sup_norm < 1e-9
+
+
+def test_steps_record_the_worst_layer(rpd_solved):
+    rep = rpd_solved
+    fresh = full_residual(rep.state, rep.series)
+    rows = np.max(np.abs(fresh.entries), axis=1)
+    assert rep.steps[-1].worst_k == fresh.ks[int(np.argmax(rows))]
+    assert all(s.worst_k in (0, 1) for s in rep.steps)
+
+
+def test_solve_drops_the_jet_slot():
+    rep = newton_continuation(catalog("rPD", K=1), 0.005, schedule=[0.005])
+    assert rep.converged
+    assert rep.state._jet_slot is None
 
 
 def test_solved_layers_repeat_periodically(rpd_solved):
@@ -298,6 +380,20 @@ def test_noncontraction_bubbles_up():
 def test_stalled_newton_raises():
     with pytest.raises(StepFailure):
         newton_continuation(catalog("rPD", K=1), 0.01, schedule=[0.01], itmax=1)
+
+
+def test_step_failure_names_layer_t_and_history():
+    with pytest.raises(StepFailure) as exc:
+        newton_continuation(catalog("rPD", K=1), 0.01, schedule=[0.01], itmax=1)
+    err = exc.value
+    assert err.t == 0.01
+    assert err.k in (0, 1)
+    assert len(err.history) == 2 and err.history[-1] >= NEWTON_TOL
+    assert f"t={err.t:g}" in str(err) and f"k={err.k}" in str(err)
+    assert f"{err.history[-1]:.3e}" in str(err)
+    # the partial history is the start of the unhindered solve's
+    rep = newton_continuation(catalog("rPD", K=1), 0.01, schedule=[0.01])
+    assert rep.steps[0].residuals[:2] == err.history
 
 
 def test_window_matches_cyclic():
