@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -60,6 +61,16 @@ class LoopResidualError(RuntimeError):
 
 class CoefficientDecayError(RuntimeError):
     """Truncated neck series tail exceeds the accuracy target."""
+
+
+class MeshTopologyError(RuntimeError):
+    """The cut grid of layer k at neck size t is not a torus with two
+    disks removed at this grid_res; a finer grid usually resolves them."""
+
+    def __init__(self, what: str, k: int, t: float, grid_res: int):
+        super().__init__(f"layer k={k} at t={t:g}, grid_res={grid_res}: "
+                         f"{what}; use a finer grid")
+        self.k, self.t, self.grid_res = k, t, grid_res
 
 
 def _near_rep(p: complex, ref: complex, tau: complex) -> complex:
@@ -117,34 +128,41 @@ def weierstrass_phi(k: int, z, st: GluingState, series: OmegaSeries):
     return phi
 
 
-def _segment_triple(st: GluingState, series: OmegaSeries, k: int,
-                    z0: complex, z1: complex) -> np.ndarray:
-    """Integral of the triple along the straight segment z0 -> z1."""
-    vec = z1 - z0
-    pieces = max(1, int(math.ceil(abs(vec) / SEG_STEP)))
-    x, wgt = leggauss(SEG_NODES)
-    s = (np.arange(pieces)[:, None] + 0.5 * (x[None, :] + 1.0)) / pieces
-    vals = _diffs(st, series, k, z0 + s.ravel() * vec)
-    vals = vals.reshape(pieces, SEG_NODES, 3)
-    return np.einsum("n, p n c -> c", 0.5 * wgt / pieces, vals) * vec
+_leggauss = lru_cache(maxsize=None)(leggauss)  # one table per node count
+
+
+def _segment_triples(st: GluingState, series: OmegaSeries, k: int,
+                     ends) -> np.ndarray:
+    """Integrals of the triple along the straight segments z0 -> z1 of
+    ends, in pieces of at most SEG_STEP with SEG_NODES Gauss nodes each.
+    One _diffs call takes the nodes of all segments, and each segment
+    sums its own slice, as it would alone."""
+    x, wgt = _leggauss(SEG_NODES)
+    nodes, pieces = [], []
+    for z0, z1 in ends:
+        vec = z1 - z0
+        p = max(1, int(math.ceil(abs(vec) / SEG_STEP)))
+        s = (np.arange(p)[:, None] + 0.5 * (x[None, :] + 1.0)) / p
+        nodes.append(z0 + s.ravel() * vec)
+        pieces.append(p)
+    vals = _diffs(st, series, k, np.concatenate(nodes))
+    out = np.empty((len(pieces), 3), dtype=complex)
+    start = 0
+    for i, ((z0, z1), p) in enumerate(zip(ends, pieces)):
+        seg = vals[start : start + p * SEG_NODES].reshape(p, SEG_NODES, 3)
+        out[i] = np.einsum("n, p n c -> c", 0.5 * wgt / p, seg) * (z1 - z0)
+        start += p * SEG_NODES
+    return out
 
 
 def _edge_triples(st: GluingState, series: OmegaSeries, k: int,
                   z0s: np.ndarray, vec: complex, nodes: int = 4) -> np.ndarray:
     """Batched straight-edge integrals sharing one direction vector."""
-    x, wgt = leggauss(nodes)
+    x, wgt = _leggauss(nodes)
     s = 0.5 * (x + 1.0)
     zs = z0s[:, None] + s[None, :] * vec
     vals = _diffs(st, series, k, zs.ravel()).reshape(len(z0s), nodes, 3)
     return np.einsum("n, e n c -> e c", 0.5 * wgt, vals) * vec
-
-
-def _cycle_triples(st: GluingState, series: OmegaSeries, k: int):
-    """Period triples of the two lattice cycles of layer k."""
-    z0 = path_base(st.torus(k))
-    alpha = _segment_triple(st, series, k, z0, z0 + 1.0)
-    beta = _segment_triple(st, series, k, z0, z0 + st.torus(k).tau)
-    return alpha, beta
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +255,6 @@ class NeckField:
     tail_minus: float
     weld_defect: float
 
-    def height_increment(self) -> float:
-        lo = float(self.minus[0, 0, 2].real - self.minus[-1, 0, 2].real)
-        hi = float(self.plus[-1, 0, 2].real - self.plus[0, 0, 2].real)
-        return hi - lo
-
 
 def _waist_transfer(nl: NeckLaurent, k: int, t: float,
                     eps: float) -> np.ndarray:
@@ -333,39 +346,30 @@ class LayerPatch:
 
 
 def _mesh_corner(T) -> complex:
-    """Cell corner maximizing edge clearance from both chart centers."""
+    """Cell corner maximizing edge clearance from both chart centers,
+    among 20 x 20 candidates; the first best one in (fx, fy) order wins."""
     edge = np.linspace(0.0, 1.0, 33)
-    centers = (0.0, T.v)
-    best, best_score = 0.0, -1.0
-    for fx in np.linspace(0.0, 0.95, 20):
-        for fy in np.linspace(0.0, 0.95, 20):
-            z0 = fx + fy * T.tau
-            pts = np.concatenate([z0 + edge, z0 + edge * T.tau,
-                                  z0 + 1.0 + edge * T.tau, z0 + T.tau + edge])
-            score = min(
-                float(np.min(np.abs(reduce_centered(pts - c, T.tau)[0])))
-                for c in centers)
-            if score > best_score:
-                best_score, best = score, z0
-    return best
+    f = np.linspace(0.0, 0.95, 20)
+    z0 = (f[:, None] + f[None, :] * T.tau).reshape(-1, 1)
+    pts = np.concatenate([z0 + edge, z0 + edge * T.tau,
+                          z0 + 1.0 + edge * T.tau, z0 + T.tau + edge], axis=1)
+    score = np.min([np.min(np.abs(reduce_centered(pts - c, T.tau)[0]), axis=1)
+                    for c in (0.0, T.v)], axis=0)
+    return z0[np.argmax(score), 0]
 
 
-def _hole_cycles(faces_w: np.ndarray) -> list[list[int]]:
-    """Closed boundary walks of the kept region, in wrapped vertex ids."""
-    counts: dict[tuple[int, int], int] = {}
-    for f in faces_w:
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
+def _hole_cycles(faces_w: np.ndarray) -> list[list[int]] | None:
+    """Closed boundary walks of the kept region, in wrapped vertex ids;
+    None when the boundary is not a union of simple cycles."""
+    edges = np.sort(faces_w[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first, counts = np.unique(edges, axis=0, return_index=True,
+                                 return_counts=True)
     nbrs: dict[int, list[int]] = {}
-    for (a, b), c in counts.items():
-        if c == 1:
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-    for v, ns in nbrs.items():
-        if len(ns) != 2:
-            raise RuntimeError("hole boundary is not a simple cycle; "
-                               "use a finer grid")
+    for a, b in edges[np.sort(first[counts == 1])]:  # boundary, as first met
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    if any(len(ns) != 2 for ns in nbrs.values()):
+        return None
     cycles, seen = [], set()
     for start in sorted(nbrs):
         if start in seen:
@@ -425,7 +429,8 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     Seam rings at |1/g| = epsilon are appended on both sides and joined
     to the jagged cut boundary; ring values follow the neck Laurent arc
     from the spoke-0 anchor, and the worst disagreement with the direct
-    tree route is recorded as the stitch defect.
+    tree route is recorded as the stitch defect.  A grid too coarse for
+    that cut raises MeshTopologyError.
     """
     T = st.torus(k)
     n = grid_res
@@ -435,8 +440,8 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     gv = T.g(zg.ravel()).reshape(n, n)
     kept = 1.0 / np.abs(gv) >= CUT_FACTOR * st.epsilon
     if kept.all():
-        raise RuntimeError("grid does not resolve the chart disks; "
-                           "use a finer grid")
+        raise MeshTopologyError("grid does not resolve the chart disks",
+                                k, st.t, n)
 
     vid = -np.ones((n, n), dtype=int)
     vid[kept] = np.arange(int(kept.sum()))
@@ -447,28 +452,21 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     for di, dj, vec in ((1, 0, 1.0 / n), (0, 1, T.tau / n)):
         i2, j2 = (ii + di) % n, (jj + dj) % n
         ok = kept & kept[i2, j2]
-        u = vid[ii[ok], jj[ok]]
-        v = vid[i2[ok], j2[ok]]
-        wrap_a = (ii[ok] + di >= n).astype(int)
-        wrap_b = (jj[ok] + dj >= n).astype(int)
-        tri = _edge_triples(st, series, k, zg[ok].ravel(), vec)
-        edges.append((u, v, wrap_a, wrap_b, tri))
+        edges.append((vid[ii[ok], jj[ok]], vid[i2[ok], j2[ok]],
+                      (ii[ok] + di >= n).astype(int), (jj[ok] + dj >= n).astype(int),
+                      _edge_triples(st, series, k, zg[ok].ravel(), vec)))
+    flat_u, flat_v, flat_wa, flat_wb, flat_tri = map(np.concatenate, zip(*edges))
 
-    alpha, beta = _cycle_triples(st, series, k)
+    z0 = path_base(T)
+    alpha, beta = _segment_triples(st, series, k, [(z0, z0 + 1.0), (z0, z0 + T.tau)])
 
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nkept)]
-    flat_u = np.concatenate([e[0] for e in edges])
-    flat_v = np.concatenate([e[1] for e in edges])
-    flat_wa = np.concatenate([e[2] for e in edges])
-    flat_wb = np.concatenate([e[3] for e in edges])
-    flat_tri = np.concatenate([e[4] for e in edges])
     for eix in range(len(flat_u)):
         adj[flat_u[eix]].append((flat_v[eix], eix, +1))
         adj[flat_v[eix]].append((flat_u[eix], eix, -1))
 
-    O_k = path_base(T)
     kept_z = zg[kept]
-    root = int(np.argmin(np.abs(reduce_centered(kept_z - O_k, T.tau)[0])))
+    root = int(np.argmin(np.abs(reduce_centered(kept_z - z0, T.tau)[0])))
     triples = np.zeros((nkept, 3), dtype=complex)
     in_tree = np.zeros(len(flat_u), dtype=bool)
     visited = np.zeros(nkept, dtype=bool)
@@ -485,7 +483,7 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
                 flat_tri[eix] - flat_wa[eix] * alpha - flat_wb[eix] * beta)
             queue.append(nxt)
     if not visited.all():
-        raise RuntimeError("cut layer grid is disconnected")
+        raise MeshTopologyError("cut layer grid is disconnected", k, st.t, n)
 
     # every non-tree edge closes a loop; its position defect must vanish
     loose = ~in_tree
@@ -505,23 +503,14 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     tri_list = [triples]
     nextid = nkept
 
-    col = vid[0, :]
-    mask = col >= 0
-    ids = np.full(n, -1, dtype=int)
-    ids[mask] = nextid + np.arange(int(mask.sum()))
-    nextid += int(mask.sum())
-    full_id[n, :n] = ids
-    verts_list.append(zg[0, mask] + 1.0)
-    tri_list.append(triples[col[mask]] + alpha)
-
-    row = vid[:, 0]
-    mask = row >= 0
-    ids = np.full(n, -1, dtype=int)
-    ids[mask] = nextid + np.arange(int(mask.sum()))
-    nextid += int(mask.sum())
-    full_id[:n, n] = ids
-    verts_list.append(zg[mask, 0] + T.tau)
-    tri_list.append(triples[row[mask]] + beta)
+    for ids, line, z_line, shift, period in (
+            (full_id[n, :n], vid[0, :], zg[0, :], 1.0, alpha),
+            (full_id[:n, n], vid[:, 0], zg[:, 0], T.tau, beta)):
+        mask = line >= 0
+        ids[mask] = nextid + np.arange(int(mask.sum()))
+        nextid += int(mask.sum())
+        verts_list.append(z_line[mask] + shift)
+        tri_list.append(triples[line[mask]] + period)
 
     if vid[0, 0] >= 0:
         full_id[n, n] = nextid
@@ -532,25 +521,23 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     verts_z = np.concatenate(verts_list)
     triples_all = np.concatenate(tri_list)
 
-    faces = []
-    faces_w = []
-    for i in range(n):
-        for j in range(n):
-            q = (full_id[i, j], full_id[i + 1, j],
-                 full_id[i + 1, j + 1], full_id[i, j + 1])
-            qw = (vid[i, j], vid[(i + 1) % n, j],
-                  vid[(i + 1) % n, (j + 1) % n], vid[i, (j + 1) % n])
-            if q[0] >= 0 and q[1] >= 0 and q[2] >= 0:
-                faces.append((q[0], q[1], q[2]))
-                faces_w.append((qw[0], qw[1], qw[2]))
-            if q[0] >= 0 and q[2] >= 0 and q[3] >= 0:
-                faces.append((q[0], q[2], q[3]))
-                faces_w.append((qw[0], qw[2], qw[3]))
+    # two triangles per grid cell whose corners are all kept, cell by
+    # cell; the wrapped ids of the same faces give the hole walks
+    tri = np.array([[0, 1, 2], [0, 2, 3]])
+    quad = np.stack([full_id[:n, :n], full_id[1:, :n], full_id[1:, 1:],
+                     full_id[:n, 1:]], axis=-1)[:, :, tri].reshape(-1, 3)
+    quad_w = np.stack([vid, np.roll(vid, -1, 0), np.roll(vid, (-1, -1), (0, 1)),
+                       np.roll(vid, -1, 1)], axis=-1)[:, :, tri].reshape(-1, 3)
+    live = np.all(quad >= 0, axis=1)
+    faces = [quad[live]]
 
-    cycles = _hole_cycles(np.asarray(faces_w))
+    cycles = _hole_cycles(quad_w[live])
+    if cycles is None:
+        raise MeshTopologyError("hole boundary is not a simple cycle",
+                                k, st.t, n)
     if len(cycles) != 2:
-        raise RuntimeError(f"expected 2 cut boundaries on layer {k}, "
-                           f"found {len(cycles)}")
+        raise MeshTopologyError(f"expected 2 cut boundaries, found "
+                                f"{len(cycles)}", k, st.t, n)
 
     # seam rings, one per side, valued along the Laurent arc
     nl_plus = laurent_coeffs(st, series, k, LAURENT_ORDER)
@@ -558,27 +545,29 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     thetas = 2.0 * np.pi * np.arange(spokes) / spokes
     seam = {}
     stitch = 0.0
-    centers = {"+": T.v, "-": 0.0}
     centers_cell: dict[str, complex] = {}
-    for side, nl in (("+", nl_plus), ("-", nl_minus)):
-        c_stored = centers[side]
+    rings = {}
+    for side, c_stored in (("+", T.v), ("-", 0.0)):
         ring_chart = np.asarray(
             neck_point(st, k, side, st.epsilon * np.exp(1j * thetas)),
             dtype=complex)
-        c_cell = _cell_rep(c_stored, corner, T.tau)
-        centers_cell[side] = c_cell
+        c_cell = centers_cell[side] = _cell_rep(c_stored, corner, T.tau)
         ring_z = c_cell + (ring_chart - c_stored)
         # direct tree route: nearest jagged vertex plus a short leg
         cyc = min(cycles, key=lambda w: abs(
             complex(reduce_centered(np.mean(kept_z[w]) - c_cell, T.tau)[0])))
         cyc_ids = np.asarray(cyc)
         cyc_z = kept_z[cyc_ids]
-        legs = np.empty((spokes, 3), dtype=complex)
-        near = np.empty(spokes, dtype=int)
-        for s in range(spokes):
-            near[s] = int(np.argmin(np.abs(cyc_z - ring_z[s])))
-            legs[s] = triples[cyc_ids[near[s]]] + _segment_triple(
-                st, series, k, cyc_z[near[s]], ring_z[s])
+        near = np.argmin(np.abs(cyc_z[None, :] - ring_z[:, None]), axis=1)
+        rings[side] = ring_z, cyc_ids, cyc_z, near
+    # the legs of both seam rings in one jet call
+    leg_triples = _segment_triples(st, series, k, [
+        (cyc_z[i], ring_z[s]) for ring_z, _, cyc_z, near in rings.values()
+        for s, i in enumerate(near)]).reshape(2, spokes, 3)
+    for (side, nl), leg in zip((("+", nl_plus), ("-", nl_minus)), leg_triples):
+        ring_z, cyc_ids, cyc_z, near = rings[side]
+        c_cell = centers_cell[side]
+        legs = triples[cyc_ids[near]] + leg
         arc = _sheet_values(nl, k % 2 == 0, np.array([st.epsilon]), thetas,
                             legs[0])[0]
         stitch = max(stitch, float(np.max(np.linalg.norm(
@@ -595,11 +584,12 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
             ang_cyc = ang_cyc[::-1]
         # ring angles in the z plane; the chart angle is offset by arg(-a)
         ang_ring = np.angle(ring_z - c_cell)
-        faces.extend(_zip_band(cyc_ids, ang_cyc, ring_ids, ang_ring))
+        faces.append(np.array(_zip_band(cyc_ids, ang_cyc, ring_ids, ang_ring),
+                              dtype=int))
         seam[side] = ring_ids
 
     return LayerPatch(k=k, corner=corner, verts_z=verts_z,
-                      triples=triples_all, faces=np.asarray(faces, dtype=int),
+                      triples=triples_all, faces=np.concatenate(faces),
                       seam=seam, centers=centers_cell, root_local=root,
                       root_z=complex(kept_z[root]),
                       alpha=alpha, beta=beta, loop_defect=loop_defect,
@@ -726,8 +716,8 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
         T = st.torus(k)
         On = _near_rep(path_base(T), patch.root_z, T.tau)
         per = _lattice_triple(On - path_base(T), T.tau, patch.alpha, patch.beta)
-        frames[k] = offsets[k] - per - _segment_triple(st, series, k, On,
-                                                      patch.root_z)
+        frames[k] = offsets[k] - per - _segment_triples(
+            st, series, k, [(On, patch.root_z)])[0]
 
     verts, faces, prov = [], [], []
     base_of: dict[int, int] = {}
@@ -766,14 +756,13 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
         pair = (spokes - np.arange(spokes)) % spokes
         ids_m[rings] = ids_p[rings][pair]
         neck_grids[k] = {"plus": ids_p, "minus": ids_m}
+        s1 = np.roll(np.arange(spokes), -1)
         for side, ids in (("+", ids_p), ("-", ids_m)):
-            for j in range(rings):
-                a, b = ids[j], ids[j + 1]
-                s1 = np.roll(np.arange(spokes), -1)
-                fa = np.stack([a, a[s1], b[s1]], axis=1)
-                fb = np.stack([a, b[s1], b], axis=1)
-                faces.append(np.concatenate([fa, fb]))
-                prov.extend([("neck", k, side)] * (2 * spokes))
+            a, b = ids[:-1], ids[1:]  # ring by ring, two strips per ring
+            faces.append(np.stack([np.stack([a, a[:, s1], b[:, s1]], axis=-1),
+                                   np.stack([a, b[:, s1], b], axis=-1)],
+                                  axis=1).reshape(-1, 3))
+            prov.extend([("neck", k, side)] * (2 * spokes * rings))
 
     triples_all = np.concatenate(verts)
     faces_all = np.concatenate(faces)

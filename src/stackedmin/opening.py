@@ -21,7 +21,6 @@ from .elliptic import (
     lattice_for,
     torus_distance,
     weierstrass_jet,
-    wp_derivs,
     xi_raw,
     zeta,
 )
@@ -168,12 +167,8 @@ def _chart_radius(tori: list[TorusData]) -> float:
 @dataclass(frozen=True)
 class SecondKindForm:
     """Meromorphic form with principal part dw/w^n in one neck chart and
-    imaginary periods on both cycles.
-
-    Built from derivatives of wp shifted to the pole; coeffs holds
-    c_2..c_n multiplying wp, wp', ..., wp^(n-2).  mu is the constant
-    that rotates the periods onto the imaginary axis; dropping it
-    (alpha_normalized) gives the variant with vanishing first period.
+    imaginary periods on both cycles: a read-only view of one row of a
+    `FormTable`, with c_2..c_n as coeffs and the period constant mu.
     """
 
     lat: Lattice
@@ -190,20 +185,43 @@ class SecondKindForm:
     def period_beta(self) -> complex:
         return self.lat.tau * self.mu + 2j * np.pi * self.coeffs[0]
 
-    def value_from_derivs(self, derivs, alpha_normalized: bool = False):
-        """Evaluate given a precomputed wp_derivs stack at z - pole."""
-        val = self.coeffs[0] * derivs[0]
-        for m in range(3, self.order + 1):
-            val = val + self.coeffs[m - 2] * derivs[m - 2]
-        val = val + self.coeffs[0] * self.lat.eta1
-        if not alpha_normalized:
-            val = val + self.mu
-        return val
 
-    def value(self, z, alpha_normalized: bool = False):
-        derivs = wp_derivs(np.asarray(z, complex) - self.pole, self.lat, self.order - 2)
-        val = self.value_from_derivs(derivs, alpha_normalized)
-        return val if val.shape else complex(val)
+@dataclass(frozen=True)
+class FormTable:
+    """The second-kind forms of one torus, all orders at both poles (sign
+    s = 0 at v, 1 at 0).  The order-n density is the sum over m <= n of
+    coeffs[s, n-2, m-2] wp^(m-2)(z - pole), plus eta[s, n-2] = c_2 eta1
+    and mu[s, n-2]; coeffs is zero above the diagonal."""
+
+    lat: Lattice
+    poles: tuple[complex, complex]
+    coeffs: np.ndarray
+    eta: np.ndarray
+    mu: np.ndarray
+
+    def values(self, s: int, derivs, alpha_normalized: bool = False):
+        """Densities of all orders of sign s, shape (n_max-1,) + z.shape,
+        from the wp stack at z - pole; without mu if alpha_normalized,
+        which makes the first period vanish.
+
+        The loop over the coefficient index updates only the rows of the
+        orders it reaches, so each form sums its terms in its own order.
+        A single point takes Python scalars, which round unlike arrays.
+        """
+        row = (-1,) + (1,) * (np.ndim(derivs) - 1)  # one row per order
+        c = self.coeffs[s] if len(row) > 1 else self.coeffs[s].astype(object)
+        val = c[:, 0].reshape(row) * derivs[0]
+        for m in range(1, len(c)):
+            val[m:] = val[m:] + c[m:, m].reshape(row) * derivs[m]
+        val = val + self.eta[s].reshape(row)
+        if not alpha_normalized:
+            val = val + self.mu[s].reshape(row)
+        return np.asarray(val, dtype=complex)
+
+    def form(self, s: int, n: int) -> SecondKindForm:
+        return SecondKindForm(lat=self.lat, pole=self.poles[s], order=n,
+                              coeffs=tuple(self.coeffs[s, n - 2, : n - 1]),
+                              mu=complex(self.mu[s, n - 2]))
 
 
 def _circle_nodes(center: complex, radius: float, m: int):
@@ -215,41 +233,41 @@ def _circle_nodes(center: complex, radius: float, m: int):
 
 def _circle_jets(T: TorusData, center: complex, radius: float, m: int,
                  jmax: int):
-    """Nodes around one pole with s = zeta(z) - zeta(z - v) and the wp
-    stacks at z - v and z, from one pair of Weierstrass jets; these
-    depend on tau and v only, not on a or bhat."""
+    """Nodes around one pole with s = zeta(z) - zeta(z - v), the wp
+    stacks at z - v and z from one pair of Weierstrass jets, and the
+    contour powers (z - center)^p for p = 1..jmax+1; these depend on tau
+    and v only, not on a or bhat."""
     z, dz = _circle_nodes(center, radius, m)
     (zeta_z, dminus), (zeta_zv, dplus) = T.jets(z, jmax)
-    return z, dz, zeta_z - zeta_zv, dplus, dminus
+    zpow = np.stack([(z - center) ** p for p in range(1, jmax + 2)])
+    return z, dz, zeta_z - zeta_zv, dplus, dminus, zpow
 
 
-def _circle_data(T: TorusData, raw: tuple):
-    """The raw circle jets completed with g and g' of the current a, b."""
-    z, dz, s, dplus, dminus = raw
-    gp = T.a * (dplus[0] - dminus[0])
-    return z, dz, s, T.a * s + T.b, gp, dplus, dminus
-
-
-def _build_forms(T: TorusData, n_max: int, circles: dict) -> dict:
+def _build_forms(T: TorusData, n_max: int, circles: dict) -> FormTable:
     """Principal-part matching at both poles by contour coefficient
-    extraction of -g^(n-2) g' = target principal part of dw/w^n."""
+    extraction of -g^(n-2) g' = target principal part of dw/w^n.
+
+    One product of h_n = -g^(n-2) g' with the contour powers of the jet
+    slot gives every coefficient of one form, each one sum over the nodes.
+    """
     lat = T.lattice
-    forms = {}
-    for sign, pole, side in (("+", T.v, "node"), ("-", 0.0, "zero")):
-        z, dz, _, gv, gp, _, _ = circles[side]
-        zpow = {mm: (z - pole) ** (mm - 1) for mm in range(2, n_max + 1)}
-        for n in range(2, n_max + 1):
+    width = n_max - 1
+    orders = range(2, n_max + 1)
+    sign, fact = np.array([((-1.0) ** m, math.factorial(m - 1)) for m in orders]).T
+    coeffs = np.zeros((2, width, width), dtype=complex)
+    for s, side in enumerate(("node", "zero")):
+        _, dz, _, gv, gp, _, _, zpow = circles[side]
+        for i, n in enumerate(orders):
+            # a Python int exponent: numpy squares a scalar 2 on its own path
             h = -(gv ** (n - 2)) * gp
-            coeffs = []
-            for mm in range(2, n + 1):
-                a_mm = np.sum(h * zpow[mm] * dz) / (2j * np.pi)
-                coeffs.append((-1.0) ** mm * a_mm / math.factorial(mm - 1))
-            c2 = coeffs[0]
-            mu = -2j * np.pi * c2.imag / lat.tau.imag
-            forms[(_SIGNS[sign], n)] = SecondKindForm(
-                lat=lat, pole=pole, order=n, coeffs=tuple(coeffs), mu=mu
-            )
-    return forms
+            a_mm = np.sum(h * zpow[: i + 1] * dz, axis=-1) / (2j * np.pi)
+            coeffs[s, i, : i + 1] = sign[: i + 1] * a_mm / fact[: i + 1]
+    eta = np.array([c * lat.eta1 for c in coeffs[:, :, 0].ravel()])  # scalar
+    # mu = -2 pi i Im(c_2) / Im(tau), in the float steps of that complex product
+    mu = np.zeros((2, width), dtype=complex)
+    mu.imag = ((-2.0 * np.pi) * coeffs[:, :, 0].imag + 0.0) / lat.tau.imag
+    return FormTable(lat=lat, poles=(T.v, 0.0), coeffs=coeffs,
+                     eta=eta.reshape(2, width), mu=mu)
 
 
 @dataclass
@@ -268,16 +286,11 @@ class CircleCache:
     cols: np.ndarray  # (n-2, sign, m-2): same with rho^(m-1) f in place of w0
 
 
-def _build_circle(T: TorusData, forms: dict, center: complex, n_max: int,
+def _build_circle(T: TorusData, forms: FormTable, center: complex, n_max: int,
                   rho: float, jets: tuple) -> CircleCache:
-    z, dz, s, gv, gp, dplus, dminus = jets
-    m = len(z)
+    z, dz, s, gv, gp, dplus, dminus, _ = jets
     w0 = s - xi_raw(T.v, T.lattice)
-    width = n_max - 1
-    fvals = np.empty((2, width, m), dtype=complex)
-    for n in range(2, n_max + 1):
-        fvals[0, n - 2] = forms[(0, n)].value_from_derivs(dplus)
-        fvals[1, n - 2] = forms[(1, n)].value_from_derivs(dminus)
+    fvals = np.stack([forms.values(0, dplus), forms.values(1, dminus)])
     powers = gv ** np.arange(1, n_max)[:, None]  # g^(n-1) for n = 2..n_max
     base = -np.sum(powers * w0 * dz, axis=1) / (2j * np.pi)
     rhow = rho ** np.arange(1, n_max)  # rho^(m-1)
@@ -421,14 +434,16 @@ class GluingState:
         Must be called after mutating torus parameters; caches do not
         depend on t, so rescaling t alone needs no refresh.
 
-        The raw circle jets (nodes, zeta(z) - zeta(z - v) and the wp
-        stacks) depend on tau_j, v_j, the contour radius, the node count
-        and n_max only.  They come from the one-slot jet memo
-        (`cached_jets`), which also holds the solver's period-path jets,
-        so refresh(only=j) after a change of a or bhat alone runs no theta
-        pass: it rebuilds g, g', the forms and the circle caches from the
-        slot.  Moving tau or v, or asking for the jets of another torus,
-        invalidates the slot; a full refresh clears it.
+        The raw circle jets (nodes, zeta(z) - zeta(z - v), the wp stacks
+        and the contour powers (z - pole)^(m-1)) depend on tau_j, v_j, the
+        contour radius, the node count and n_max only.  They come from the
+        one-slot jet memo (`cached_jets`), which also holds the solver's
+        period-path jets, so refresh(only=j) after a change of a or bhat
+        alone runs no theta pass: it rebuilds g, g', the `FormTable` of
+        torus j (coefficients (2, n_max-1, n_max-1) by pole, order and wp
+        derivative, with the eta and mu vectors) and the circle caches
+        from the slot.  Moving tau or v, or asking for the jets of another
+        torus, invalidates the slot; a full refresh clears it.
         """
         full = self._forms is None or only is None
         if full:
@@ -442,12 +457,14 @@ class GluingState:
         for j in todo:
             T = self.tori[j]
             centers = {"node": T.v, "zero": 0.0}
-            jets = {
-                side: _circle_data(T, self.cached_jets(
+            jets = {}
+            for side, c in centers.items():
+                # the raw jets completed with g and g' of the current a, b
+                z, dz, s, dplus, dminus, zpow = self.cached_jets(
                     j, ("circle", side, r, m, jmax),
-                    lambda T, c=c: _circle_jets(T, c, r, m, jmax)))
-                for side, c in centers.items()
-            }
+                    lambda T, c=c: _circle_jets(T, c, r, m, jmax))
+                jets[side] = (z, dz, s, T.a * s + T.b,
+                              T.a * (dplus[0] - dminus[0]), dplus, dminus, zpow)
             forms = _build_forms(T, self.n_max, jets)
             self._forms[j] = forms
             self._circles[j] = {
@@ -458,9 +475,10 @@ class GluingState:
             self.drop_jets()
 
     def form(self, k: int, sign: str, n: int) -> SecondKindForm:
+        """Read-only view of the order-n form at v_k (sign +) or 0_k (-)."""
         if not 2 <= n <= self.n_max:
             raise ValueError(f"order must lie in [2, {self.n_max}]")
-        return self._forms[self.index_of(k)][(_SIGNS[sign], n)]
+        return self._forms[self.index_of(k)].form(_SIGNS[sign], n)
 
     def circle(self, k: int, side: str) -> CircleCache:
         """Cached contour around 0_k (side 'zero') or v_k (side 'node')."""
@@ -593,16 +611,6 @@ def third_kind_form(st: GluingState, k: int, p: complex, q: complex, z):
     return val if np.asarray(val).shape else complex(val)
 
 
-def second_kind_form(st: GluingState, k: int, sign: str, n: int, z,
-                     alpha_normalized: bool = False):
-    """Density of the order-n neck form on layer k.
-
-    With alpha_normalized the first period vanishes instead of being
-    imaginary; that variant feeds the slow integral cross-check.
-    """
-    return st.form(k, sign, n).value(z, alpha_normalized)
-
-
 def omega_jmax(st: GluingState, series: OmegaSeries, j: int) -> int:
     """Jet order the glued form needs on stored torus j: the wp stack of
     the second-kind forms when its lambda row is live, zeta alone else."""
@@ -631,13 +639,15 @@ def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
     gv = np.asarray(T.a * s + T.b, dtype=complex)
     val = np.asarray(s - xi_raw(T.v, T.lattice), dtype=complex)
     if live:
+        forms = st._forms[j]
+        fplus, fminus = forms.values(0, dplus), forms.values(1, dminus)
         for n in range(2, st.n_max + 1):
             lp, lm = row[0, n - 2], row[1, n - 2]
             w = st.rho ** (n - 1)
             if lp != 0:
-                val = val + w * lp * st._forms[j][(0, n)].value_from_derivs(dplus)
+                val = val + w * lp * fplus[n - 2]
             if lm != 0:
-                val = val + w * lm * st._forms[j][(1, n)].value_from_derivs(dminus)
+                val = val + w * lm * fminus[n - 2]
     return gv, val
 
 

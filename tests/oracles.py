@@ -10,7 +10,9 @@ The multi-pass recipe is the exception: it rebuilds the opened-node
 caches from separate zeta / wp_eval / wp_derivs calls, so the fused
 evaluators can be held to the same bits.  Likewise the plain
 finite-difference loop recomputes every jet of every Jacobian column, for
-the solver's loop that reuses them.  The face-intersection reference
+the solver's loop that reuses them, and the layer-patch loops integrate
+one segment and score one cell corner at a time, for the batched seam
+legs and the array corner search.  The face-intersection reference
 enumerates candidate pairs from a bucket grid and tests them one pair at
 a time, for the array sweep of the embeddedness battery.
 
@@ -149,8 +151,36 @@ def weierstrass_mpmath(z: complex, tau: complex, dps: int = 30):
 
 # ---------------------------------------------------------------------------
 # the multi-pass recipe of the opened-node caches: every Weierstrass value
-# comes from its own zeta / wp_eval / wp_derivs call, in the operation
-# order the fused evaluators must reproduce bit for bit
+# comes from its own zeta / wp_eval / wp_derivs call, and every
+# second-kind form is evaluated by its own loop over the orders, in the
+# operation order the fused evaluators must reproduce bit for bit
+
+
+def form_value_from_derivs(form, derivs, alpha_normalized: bool = False):
+    """One second-kind form (a `SecondKindForm` view) from the wp stack
+    at z - pole, summed term by term."""
+    val = form.coeffs[0] * derivs[0]
+    for m in range(3, form.order + 1):
+        val = val + form.coeffs[m - 2] * derivs[m - 2]
+    val = val + form.coeffs[0] * form.lat.eta1
+    if not alpha_normalized:
+        val = val + form.mu
+    return val
+
+
+def second_kind_form(st, k: int, sign: str, n: int, z,
+                     alpha_normalized: bool = False):
+    """Density of the order-n neck form on layer k by the per-form loop.
+
+    With alpha_normalized the first period vanishes instead of being
+    imaginary; that variant feeds the slow integral cross-check.
+    """
+    from stackedmin.elliptic import wp_derivs
+
+    form = st.form(k, sign, n)
+    derivs = wp_derivs(np.asarray(z, complex) - form.pole, form.lat, n - 2)
+    val = form_value_from_derivs(form, derivs, alpha_normalized)
+    return val if val.shape else complex(val)
 
 
 def _gp_multipass(T, z):
@@ -161,7 +191,8 @@ def _gp_multipass(T, z):
 
 
 def multipass_forms(T, n_max: int, radius: float, m: int) -> dict:
-    """Second-kind forms of one torus by contour coefficient extraction."""
+    """Second-kind forms of one torus by contour coefficient extraction,
+    keyed on (sign, order)."""
     import math
 
     from stackedmin.opening import _SIGNS, SecondKindForm, _circle_nodes
@@ -201,8 +232,8 @@ def multipass_circle(T, forms: dict, center: complex, n_max: int, rho: float,
     dminus = wp_derivs(z, lat, n_max - 2)
     fvals = np.empty((2, n_max - 1, m), dtype=complex)
     for n in range(2, n_max + 1):
-        fvals[0, n - 2] = forms[(0, n)].value_from_derivs(dplus)
-        fvals[1, n - 2] = forms[(1, n)].value_from_derivs(dminus)
+        fvals[0, n - 2] = form_value_from_derivs(forms[(0, n)], dplus)
+        fvals[1, n - 2] = form_value_from_derivs(forms[(1, n)], dminus)
     powers = gv ** np.arange(1, n_max)[:, None]
     base = -np.sum(powers * w0 * dz, axis=1) / (2j * np.pi)
     rhow = rho ** np.arange(1, n_max)
@@ -230,9 +261,9 @@ def multipass_omega(st, series, k: int, z):
             lp, lm = row[0, n - 2], row[1, n - 2]
             w = st.rho ** (n - 1)
             if lp != 0:
-                val = val + w * lp * st._forms[j][(0, n)].value_from_derivs(dplus)
+                val = val + w * lp * form_value_from_derivs(st.form(k, "+", n), dplus)
             if lm != 0:
-                val = val + w * lm * st._forms[j][(1, n)].value_from_derivs(dminus)
+                val = val + w * lm * form_value_from_derivs(st.form(k, "-", n), dminus)
     return val if val.shape else complex(val)
 
 
@@ -261,6 +292,52 @@ def fd_blocks_plain(st, series, active, flat):
             blocks[i, :, c] = (rp - r0) / FD_STEP
         set_fresh(j, x0)
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# layer patches one segment and one candidate corner at a time, the loops
+# that the batched seam legs and the array corner search replaced
+
+
+def segment_triples_one_by_one(st, series, k: int, ends) -> np.ndarray:
+    """Segment integrals of the immersion triple, one _diffs call and one
+    Gauss-Legendre table per segment."""
+    import math
+
+    from numpy.polynomial.legendre import leggauss
+
+    from stackedmin.immersion import SEG_NODES, SEG_STEP, _diffs
+
+    out = []
+    for z0, z1 in ends:
+        vec = z1 - z0
+        pieces = max(1, int(math.ceil(abs(vec) / SEG_STEP)))
+        x, wgt = leggauss(SEG_NODES)
+        s = (np.arange(pieces)[:, None] + 0.5 * (x[None, :] + 1.0)) / pieces
+        vals = _diffs(st, series, k, z0 + s.ravel() * vec)
+        vals = vals.reshape(pieces, SEG_NODES, 3)
+        out.append(np.einsum("n, p n c -> c", 0.5 * wgt / pieces, vals) * vec)
+    return np.array(out)
+
+
+def mesh_corner_loop(T) -> complex:
+    """Cell corner maximizing edge clearance from both chart centers,
+    scored one candidate and one center at a time."""
+    from stackedmin.elliptic import reduce_centered
+
+    edge = np.linspace(0.0, 1.0, 33)
+    best, best_score = 0.0, -1.0
+    for fx in np.linspace(0.0, 0.95, 20):
+        for fy in np.linspace(0.0, 0.95, 20):
+            z0 = fx + fy * T.tau
+            pts = np.concatenate([z0 + edge, z0 + edge * T.tau,
+                                  z0 + 1.0 + edge * T.tau, z0 + T.tau + edge])
+            score = min(
+                float(np.min(np.abs(reduce_centered(pts - c, T.tau)[0])))
+                for c in (0.0, T.v))
+            if score > best_score:
+                best_score, best = score, z0
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import zeros_symmetric
-from stackedmin import immersion
+from stackedmin import elliptic, immersion
 from stackedmin.configs import Configuration, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_G, solve_G_equals_C
@@ -18,10 +18,14 @@ from stackedmin.solver import newton_continuation
 from stackedmin.immersion import (
     LAURENT_ORDER,
     LoopResidualError,
+    MeshTopologyError,
     _default_range,
+    _hole_cycles,
     _intersecting_pairs,
+    _mesh_corner,
     _polygon_diagnostics,
     _positions,
+    _segment_triples,
     _sweep_pairs,
     _tri_tri_batch,
     build_mesh,
@@ -118,6 +122,64 @@ def test_layer_loops_close(rpd):
         p = integrate_layer(k, st, series)
         assert p.loop_defect < 1e-8
         assert p.stitch_defect < 1e-8
+
+
+def test_coarse_grid_raises_typed_topology_error(rpd):
+    st, series = rpd
+    with pytest.raises(MeshTopologyError) as info:
+        integrate_layer(0, st, series, grid_res=4)
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert (err.k, err.t, err.grid_res) == (0, st.t, 4)
+    assert "k=0" in str(err) and f"t={st.t:g}" in str(err) and "grid_res=4" in str(err)
+    # two triangles touching at one vertex: four boundary edges meet there
+    assert _hole_cycles(np.array([[0, 1, 2], [0, 3, 4]])) is None
+
+
+def test_segment_batch_matches_single_segments(rpd):
+    """Segments integrated through one jet call give the bits of one call
+    per segment, for legs of one piece and of several."""
+    st, series = rpd
+    for k in (0, 1):
+        T = st.torus(k)
+        z0 = complex(immersion.path_base(T))
+        ends = [(z0, z0 + 1.0), (z0, z0 + T.tau),
+                (z0 + 0.1, z0 + 0.12 + 0.01j), (z0 + 0.3j, z0 + 0.2 + 0.31j),
+                (np.complex128(z0 + 0.2), np.complex128(z0 + 0.23))]
+        pieces = [max(1, int(np.ceil(abs(b - a) / immersion.SEG_STEP)))
+                  for a, b in ends]
+        assert 1 in pieces and max(pieces) > 1
+        got = _segment_triples(st, series, k, ends)
+        ref = oracles.segment_triples_one_by_one(st, series, k, ends)
+        assert np.array_equal(got, ref)
+        assert _mesh_corner(T) == oracles.mesh_corner_loop(T)
+
+
+def test_build_mesh_theta_passes(rpd, rpd_mesh, monkeypatch):
+    """build_mesh runs at most 60 theta passes on rPD at t = 0.01 (one
+    per seam ring pair instead of one per leg) over the points of the
+    per-segment loop, and builds the same mesh."""
+    st, series = rpd
+    passes, points = [], []
+    theta_sums = elliptic._theta_sums
+
+    def counted(v, *args):
+        passes.append(1)
+        points.append(np.size(v))
+        return theta_sums(v, *args)
+
+    monkeypatch.setattr(elliptic, "_theta_sums", counted)
+    mesh = build_mesh(st, series)
+    batched = len(passes), sum(points)
+    passes.clear(), points.clear()
+    monkeypatch.setattr(immersion, "_segment_triples",
+                        oracles.segment_triples_one_by_one)
+    ref = build_mesh(st, series)
+    assert batched[0] <= 60 < len(passes)
+    assert batched[1] == sum(points)
+    for got in (mesh, rpd_mesh):
+        assert np.array_equal(got.raw, ref.raw)
+        assert np.array_equal(got.faces, ref.faces)
 
 
 def test_lattice_period_displacements(rpd):

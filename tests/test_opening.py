@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import oracles
+from oracles import second_kind_form
 from stackedmin.configs import catalog
-from stackedmin.elliptic import weierstrass_jet
+from stackedmin.elliptic import weierstrass_jet, wp_derivs
 from stackedmin.opening import (
     ChartError,
     GluingState,
     NonContractionError,
     TorusData,
+    _build_forms,
+    _circle_nodes,
     _fixed_point_system,
     fix_omega,
     gauss_and_omega,
@@ -26,7 +29,6 @@ from stackedmin.opening import (
     omega_eval,
     omega_on_circle,
     path_base,
-    second_kind_form,
     third_kind_form,
 )
 
@@ -419,9 +421,9 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     T = st.tori[j]
     r, m = st.contour_radius, st.circle_nodes
     forms = oracles.multipass_forms(T, st.n_max, r, m)
-    assert forms.keys() == st._forms[j].keys()
-    for key, ref in forms.items():
-        got = st._forms[j][key]
+    assert len(forms) == 2 * (st.n_max - 1)
+    for (s, n), ref in forms.items():
+        got = st.form(k, "+-"[s], n)
         assert (got.pole, got.order, got.coeffs, got.mu) == \
             (ref.pole, ref.order, ref.coeffs, ref.mu)
     for side, center in (("node", T.v), ("zero", 0.0)):
@@ -444,6 +446,60 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     got = omega_eval(st, series, k, complex(z[3]))
     assert isinstance(got, complex)
     assert got == oracles.multipass_omega(st, series, k, complex(z[3]))
+
+
+@pytest.mark.parametrize("name, K, k", [("rPD", None, 1), ("twin-rPD", 3, 0)])
+def test_form_table_matches_per_form_loop(name, K, k):
+    """The form table evaluates all orders of one pole at once and must
+    give the bits of the per-form loop: on the contour circles, on a
+    period path, at a scalar, a 0-d and a 2-D z, with and without the
+    period constant."""
+    st = GluingState.central(catalog(name, K=2), 0.01, K=K)
+    j = _perturbed(st, k)
+    T, table = st.tori[j], st._forms[j]
+    assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1)
+    assert not np.any(np.triu(table.coeffs, 1))
+    z0 = path_base(T)
+    line = z0 + np.linspace(0.05, 0.95, 6) * (0.6 + 0.3 * T.tau)
+    points = {
+        "circle": st.circle(k, "node").z,
+        "path": z0 + (np.arange(512) + 0.5) / 512 * T.tau,
+        "scalar": complex(line[2]),
+        "0-d": np.asarray(line[2]),
+        "2-D": line.reshape(2, 3) + np.array([[0.0], [0.03j]]),
+    }
+    for s, sign in enumerate("+-"):
+        pole = table.poles[s]
+        for label, z in points.items():
+            derivs = wp_derivs(np.asarray(z, complex) - pole, T.lattice, st.n_max - 2)
+            for alpha in (False, True):
+                got = table.values(s, derivs, alpha_normalized=alpha)
+                assert got.shape == (st.n_max - 1,) + np.shape(z)
+                for n in range(2, st.n_max + 1):
+                    form = st.form(k, sign, n)
+                    ref = oracles.form_value_from_derivs(form, derivs, alpha)
+                    assert np.array_equal(got[n - 2], ref), (sign, label, n, alpha)
+                    assert np.shape(got[n - 2]) == np.shape(ref)
+        cc = st.circle(k, ("node", "zero")[s])
+        for n in range(2, st.n_max + 1):
+            ref = second_kind_form(st, k, sign, n, cc.z)
+            assert np.array_equal(cc.fvals[s, n - 2], ref), (sign, n)
+
+
+def test_form_table_mu_follows_the_complex_expression():
+    """mu = -2 pi i Im(c_2) / Im(tau) as the complex expression rounds it,
+    signed zeros included: a vanishing g' gives c_2 = 0 and mu = +0j."""
+    st = GluingState.central(catalog("rPD"), 0.01)
+    T = st.tori[0]
+    z, dz = _circle_nodes(0.0, st.contour_radius, 64)
+    zpow = np.stack([z ** p for p in range(1, st.n_max)])
+    flat = (z, dz, None, np.ones(64, complex), np.zeros(64, complex), None, None, zpow)
+    for table in (st._forms[0], _build_forms(T, st.n_max, {"node": flat, "zero": flat})):
+        for s in (0, 1):
+            for n in range(2, st.n_max + 1):
+                c2 = table.coeffs[s, n - 2, 0]
+                want = -2j * np.pi * c2.imag / T.lattice.tau.imag
+                assert repr(complex(table.mu[s, n - 2])) == repr(want)
 
 
 def test_jet_pair_matches_two_kernel_calls():
