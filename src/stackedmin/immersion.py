@@ -358,6 +358,20 @@ def _mesh_corner(T) -> complex:
     return z0[np.argmax(score), 0]
 
 
+def _grid_faces(full_id: np.ndarray, vid: np.ndarray):
+    """Two triangles per grid cell whose corners are all kept, cell by
+    cell in (i, j) order: as ids of the unwrapped (n+1, n+1) vertex grid
+    full_id, and as wrapped ids of the (n, n) grid vid for the hole walks."""
+    n = len(vid)
+    tri = np.array([[0, 1, 2], [0, 2, 3]])
+    quad = np.stack([full_id[:n, :n], full_id[1:, :n], full_id[1:, 1:],
+                     full_id[:n, 1:]], axis=-1)[:, :, tri].reshape(-1, 3)
+    quad_w = np.stack([vid, np.roll(vid, -1, 0), np.roll(vid, (-1, -1), (0, 1)),
+                       np.roll(vid, -1, 1)], axis=-1)[:, :, tri].reshape(-1, 3)
+    live = np.all(quad >= 0, axis=1)
+    return quad[live], quad_w[live]
+
+
 def _hole_cycles(faces_w: np.ndarray) -> list[list[int]] | None:
     """Closed boundary walks of the kept region, in wrapped vertex ids;
     None when the boundary is not a union of simple cycles."""
@@ -452,21 +466,29 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     for di, dj, vec in ((1, 0, 1.0 / n), (0, 1, T.tau / n)):
         i2, j2 = (ii + di) % n, (jj + dj) % n
         ok = kept & kept[i2, j2]
-        edges.append((vid[ii[ok], jj[ok]], vid[i2[ok], j2[ok]],
-                      (ii[ok] + di >= n).astype(int), (jj[ok] + dj >= n).astype(int),
-                      _edge_triples(st, series, k, zg[ok].ravel(), vec)))
-    flat_u, flat_v, flat_wa, flat_wb, flat_tri = map(np.concatenate, zip(*edges))
+        u = vid[ii[ok], jj[ok]]
+        v = vid[i2[ok], j2[ok]]
+        wrap_a = (ii[ok] + di >= n).astype(int)
+        wrap_b = (jj[ok] + dj >= n).astype(int)
+        tri = _edge_triples(st, series, k, zg[ok].ravel(), vec)
+        edges.append((u, v, wrap_a, wrap_b, tri))
 
-    z0 = path_base(T)
-    alpha, beta = _segment_triples(st, series, k, [(z0, z0 + 1.0), (z0, z0 + T.tau)])
+    O_k = path_base(T)
+    alpha, beta = _segment_triples(st, series, k,
+                                   [(O_k, O_k + 1.0), (O_k, O_k + T.tau)])
 
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nkept)]
+    flat_u = np.concatenate([e[0] for e in edges])
+    flat_v = np.concatenate([e[1] for e in edges])
+    flat_wa = np.concatenate([e[2] for e in edges])
+    flat_wb = np.concatenate([e[3] for e in edges])
+    flat_tri = np.concatenate([e[4] for e in edges])
     for eix in range(len(flat_u)):
         adj[flat_u[eix]].append((flat_v[eix], eix, +1))
         adj[flat_v[eix]].append((flat_u[eix], eix, -1))
 
     kept_z = zg[kept]
-    root = int(np.argmin(np.abs(reduce_centered(kept_z - z0, T.tau)[0])))
+    root = int(np.argmin(np.abs(reduce_centered(kept_z - O_k, T.tau)[0])))
     triples = np.zeros((nkept, 3), dtype=complex)
     in_tree = np.zeros(len(flat_u), dtype=bool)
     visited = np.zeros(nkept, dtype=bool)
@@ -503,14 +525,23 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     tri_list = [triples]
     nextid = nkept
 
-    for ids, line, z_line, shift, period in (
-            (full_id[n, :n], vid[0, :], zg[0, :], 1.0, alpha),
-            (full_id[:n, n], vid[:, 0], zg[:, 0], T.tau, beta)):
-        mask = line >= 0
-        ids[mask] = nextid + np.arange(int(mask.sum()))
-        nextid += int(mask.sum())
-        verts_list.append(z_line[mask] + shift)
-        tri_list.append(triples[line[mask]] + period)
+    col = vid[0, :]
+    mask = col >= 0
+    ids = np.full(n, -1, dtype=int)
+    ids[mask] = nextid + np.arange(int(mask.sum()))
+    nextid += int(mask.sum())
+    full_id[n, :n] = ids
+    verts_list.append(zg[0, mask] + 1.0)
+    tri_list.append(triples[col[mask]] + alpha)
+
+    row = vid[:, 0]
+    mask = row >= 0
+    ids = np.full(n, -1, dtype=int)
+    ids[mask] = nextid + np.arange(int(mask.sum()))
+    nextid += int(mask.sum())
+    full_id[:n, n] = ids
+    verts_list.append(zg[mask, 0] + T.tau)
+    tri_list.append(triples[row[mask]] + beta)
 
     if vid[0, 0] >= 0:
         full_id[n, n] = nextid
@@ -521,17 +552,10 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     verts_z = np.concatenate(verts_list)
     triples_all = np.concatenate(tri_list)
 
-    # two triangles per grid cell whose corners are all kept, cell by
-    # cell; the wrapped ids of the same faces give the hole walks
-    tri = np.array([[0, 1, 2], [0, 2, 3]])
-    quad = np.stack([full_id[:n, :n], full_id[1:, :n], full_id[1:, 1:],
-                     full_id[:n, 1:]], axis=-1)[:, :, tri].reshape(-1, 3)
-    quad_w = np.stack([vid, np.roll(vid, -1, 0), np.roll(vid, (-1, -1), (0, 1)),
-                       np.roll(vid, -1, 1)], axis=-1)[:, :, tri].reshape(-1, 3)
-    live = np.all(quad >= 0, axis=1)
-    faces = [quad[live]]
+    grid_faces, faces_w = _grid_faces(full_id, vid)
+    faces = [grid_faces]
 
-    cycles = _hole_cycles(quad_w[live])
+    cycles = _hole_cycles(faces_w)
     if cycles is None:
         raise MeshTopologyError("hole boundary is not a simple cycle",
                                 k, st.t, n)
@@ -756,13 +780,14 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
         pair = (spokes - np.arange(spokes)) % spokes
         ids_m[rings] = ids_p[rings][pair]
         neck_grids[k] = {"plus": ids_p, "minus": ids_m}
-        s1 = np.roll(np.arange(spokes), -1)
         for side, ids in (("+", ids_p), ("-", ids_m)):
-            a, b = ids[:-1], ids[1:]  # ring by ring, two strips per ring
-            faces.append(np.stack([np.stack([a, a[:, s1], b[:, s1]], axis=-1),
-                                   np.stack([a, b[:, s1], b], axis=-1)],
-                                  axis=1).reshape(-1, 3))
-            prov.extend([("neck", k, side)] * (2 * spokes * rings))
+            for j in range(rings):
+                a, b = ids[j], ids[j + 1]
+                s1 = np.roll(np.arange(spokes), -1)
+                fa = np.stack([a, a[s1], b[s1]], axis=1)
+                fb = np.stack([a, b[s1], b], axis=1)
+                faces.append(np.concatenate([fa, fb]))
+                prov.extend([("neck", k, side)] * (2 * spokes))
 
     triples_all = np.concatenate(verts)
     faces_all = np.concatenate(faces)

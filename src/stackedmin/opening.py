@@ -165,44 +165,19 @@ def _chart_radius(tori: list[TorusData]) -> float:
 
 
 @dataclass(frozen=True)
-class SecondKindForm:
-    """Meromorphic form with principal part dw/w^n in one neck chart and
-    imaginary periods on both cycles: a read-only view of one row of a
-    `FormTable`, with c_2..c_n as coeffs and the period constant mu.
-    """
-
-    lat: Lattice
-    pole: complex
-    order: int
-    coeffs: tuple[complex, ...]
-    mu: complex
-
-    @property
-    def period_alpha(self) -> complex:
-        return self.mu
-
-    @property
-    def period_beta(self) -> complex:
-        return self.lat.tau * self.mu + 2j * np.pi * self.coeffs[0]
-
-
-@dataclass(frozen=True)
 class FormTable:
     """The second-kind forms of one torus, all orders at both poles (sign
     s = 0 at v, 1 at 0).  The order-n density is the sum over m <= n of
     coeffs[s, n-2, m-2] wp^(m-2)(z - pole), plus eta[s, n-2] = c_2 eta1
     and mu[s, n-2]; coeffs is zero above the diagonal."""
 
-    lat: Lattice
-    poles: tuple[complex, complex]
     coeffs: np.ndarray
     eta: np.ndarray
     mu: np.ndarray
 
-    def values(self, s: int, derivs, alpha_normalized: bool = False):
+    def values(self, s: int, derivs):
         """Densities of all orders of sign s, shape (n_max-1,) + z.shape,
-        from the wp stack at z - pole; without mu if alpha_normalized,
-        which makes the first period vanish.
+        from the wp stack at z - pole.
 
         The loop over the coefficient index updates only the rows of the
         orders it reaches, so each form sums its terms in its own order.
@@ -213,15 +188,8 @@ class FormTable:
         val = c[:, 0].reshape(row) * derivs[0]
         for m in range(1, len(c)):
             val[m:] = val[m:] + c[m:, m].reshape(row) * derivs[m]
-        val = val + self.eta[s].reshape(row)
-        if not alpha_normalized:
-            val = val + self.mu[s].reshape(row)
+        val = val + self.eta[s].reshape(row) + self.mu[s].reshape(row)
         return np.asarray(val, dtype=complex)
-
-    def form(self, s: int, n: int) -> SecondKindForm:
-        return SecondKindForm(lat=self.lat, pole=self.poles[s], order=n,
-                              coeffs=tuple(self.coeffs[s, n - 2, : n - 1]),
-                              mu=complex(self.mu[s, n - 2]))
 
 
 def _circle_nodes(center: complex, radius: float, m: int):
@@ -266,8 +234,7 @@ def _build_forms(T: TorusData, n_max: int, circles: dict) -> FormTable:
     # mu = -2 pi i Im(c_2) / Im(tau), in the float steps of that complex product
     mu = np.zeros((2, width), dtype=complex)
     mu.imag = ((-2.0 * np.pi) * coeffs[:, :, 0].imag + 0.0) / lat.tau.imag
-    return FormTable(lat=lat, poles=(T.v, 0.0), coeffs=coeffs,
-                     eta=eta.reshape(2, width), mu=mu)
+    return FormTable(coeffs=coeffs, eta=eta.reshape(2, width), mu=mu)
 
 
 @dataclass
@@ -473,12 +440,6 @@ class GluingState:
             }
         if full:
             self.drop_jets()
-
-    def form(self, k: int, sign: str, n: int) -> SecondKindForm:
-        """Read-only view of the order-n form at v_k (sign +) or 0_k (-)."""
-        if not 2 <= n <= self.n_max:
-            raise ValueError(f"order must lie in [2, {self.n_max}]")
-        return self._forms[self.index_of(k)].form(_SIGNS[sign], n)
 
     def circle(self, k: int, side: str) -> CircleCache:
         """Cached contour around 0_k (side 'zero') or v_k (side 'node')."""

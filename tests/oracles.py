@@ -11,8 +11,9 @@ caches from separate zeta / wp_eval / wp_derivs calls, so the fused
 evaluators can be held to the same bits.  Likewise the plain
 finite-difference loop recomputes every jet of every Jacobian column, for
 the solver's loop that reuses them, and the layer-patch loops integrate
-one segment and score one cell corner at a time, for the batched seam
-legs and the array corner search.  The face-intersection reference
+one segment, score one cell corner, triangulate one grid cell and count
+one face edge at a time, for the batched seam legs, the array corner
+search, the array grid faces and the sorted edge count.  The face-intersection reference
 enumerates candidate pairs from a bucket grid and tests them one pair at
 a time, for the array sweep of the embeddedness battery.
 
@@ -25,6 +26,8 @@ a fixed-point iteration instead of the Newton sweep of solve_G_equals_C.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,6 +159,39 @@ def weierstrass_mpmath(z: complex, tau: complex, dps: int = 30):
 # operation order the fused evaluators must reproduce bit for bit
 
 
+@dataclass(frozen=True)
+class SecondKindForm:
+    """Meromorphic form with principal part dw/w^n in one neck chart and
+    imaginary periods on both cycles, with c_2..c_n as coeffs and the
+    period constant mu."""
+
+    lat: object
+    pole: complex
+    order: int
+    coeffs: tuple[complex, ...]
+    mu: complex
+
+    @property
+    def period_alpha(self) -> complex:
+        return self.mu
+
+    @property
+    def period_beta(self) -> complex:
+        return self.lat.tau * self.mu + 2j * np.pi * self.coeffs[0]
+
+
+def form_view(st, k: int, sign: str, n: int) -> SecondKindForm:
+    """The order-n form at v_k (sign +) or 0_k (-), read from one row of
+    the `FormTable` of layer k."""
+    from stackedmin.opening import _SIGNS
+
+    j, s = st.index_of(k), _SIGNS[sign]
+    T, table = st.tori[j], st._forms[j]
+    return SecondKindForm(lat=T.lattice, pole=(T.v, 0.0)[s], order=n,
+                          coeffs=tuple(table.coeffs[s, n - 2, : n - 1]),
+                          mu=complex(table.mu[s, n - 2]))
+
+
 def form_value_from_derivs(form, derivs, alpha_normalized: bool = False):
     """One second-kind form (a `SecondKindForm` view) from the wp stack
     at z - pole, summed term by term."""
@@ -177,7 +213,7 @@ def second_kind_form(st, k: int, sign: str, n: int, z,
     """
     from stackedmin.elliptic import wp_derivs
 
-    form = st.form(k, sign, n)
+    form = form_view(st, k, sign, n)
     derivs = wp_derivs(np.asarray(z, complex) - form.pole, form.lat, n - 2)
     val = form_value_from_derivs(form, derivs, alpha_normalized)
     return val if val.shape else complex(val)
@@ -195,7 +231,7 @@ def multipass_forms(T, n_max: int, radius: float, m: int) -> dict:
     keyed on (sign, order)."""
     import math
 
-    from stackedmin.opening import _SIGNS, SecondKindForm, _circle_nodes
+    from stackedmin.opening import _SIGNS, _circle_nodes
 
     lat = T.lattice
     forms = {}
@@ -261,9 +297,9 @@ def multipass_omega(st, series, k: int, z):
             lp, lm = row[0, n - 2], row[1, n - 2]
             w = st.rho ** (n - 1)
             if lp != 0:
-                val = val + w * lp * form_value_from_derivs(st.form(k, "+", n), dplus)
+                val = val + w * lp * form_value_from_derivs(form_view(st, k, "+", n), dplus)
             if lm != 0:
-                val = val + w * lm * form_value_from_derivs(st.form(k, "-", n), dminus)
+                val = val + w * lm * form_value_from_derivs(form_view(st, k, "-", n), dminus)
     return val if val.shape else complex(val)
 
 
@@ -295,8 +331,9 @@ def fd_blocks_plain(st, series, active, flat):
 
 
 # ---------------------------------------------------------------------------
-# layer patches one segment and one candidate corner at a time, the loops
-# that the batched seam legs and the array corner search replaced
+# layer patches one segment, one candidate corner, one grid cell and one
+# face edge at a time, the loops that the batched seam legs, the array
+# corner search, the array grid faces and the sorted edge count replaced
 
 
 def segment_triples_one_by_one(st, series, k: int, ends) -> np.ndarray:
@@ -338,6 +375,57 @@ def mesh_corner_loop(T) -> complex:
             if score > best_score:
                 best_score, best = score, z0
     return best
+
+
+def grid_faces_loop(full_id: np.ndarray, vid: np.ndarray):
+    """Grid faces and their wrapped ids, one cell at a time."""
+    n = len(vid)
+    faces, faces_w = [], []
+    for i in range(n):
+        for j in range(n):
+            q = (full_id[i, j], full_id[i + 1, j],
+                 full_id[i + 1, j + 1], full_id[i, j + 1])
+            qw = (vid[i, j], vid[(i + 1) % n, j],
+                  vid[(i + 1) % n, (j + 1) % n], vid[i, (j + 1) % n])
+            if q[0] >= 0 and q[1] >= 0 and q[2] >= 0:
+                faces.append((q[0], q[1], q[2]))
+                faces_w.append((qw[0], qw[1], qw[2]))
+            if q[0] >= 0 and q[2] >= 0 and q[3] >= 0:
+                faces.append((q[0], q[2], q[3]))
+                faces_w.append((qw[0], qw[2], qw[3]))
+    return np.asarray(faces, dtype=int), np.asarray(faces_w, dtype=int)
+
+
+def hole_cycles_dict(faces_w: np.ndarray):
+    """Boundary walks of the kept region, with the face edges counted in
+    a dict edge by edge; None when the boundary is not simple."""
+    counts: dict[tuple[int, int], int] = {}
+    for f in faces_w:
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            key = (a, b) if a < b else (b, a)
+            counts[key] = counts.get(key, 0) + 1
+    nbrs: dict[int, list[int]] = {}
+    for (a, b), c in counts.items():
+        if c == 1:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+    if any(len(ns) != 2 for ns in nbrs.values()):
+        return None
+    cycles, seen = [], set()
+    for start in sorted(nbrs):
+        if start in seen:
+            continue
+        walk, prev, cur = [start], None, start
+        while True:
+            a, b = nbrs[cur]
+            nxt = b if a == prev else a
+            if nxt == start:
+                break
+            walk.append(nxt)
+            prev, cur = cur, nxt
+        seen.update(walk)
+        cycles.append(walk)
+    return cycles
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,45 @@ def test_segment_batch_matches_single_segments(rpd):
         assert _mesh_corner(T) == oracles.mesh_corner_loop(T)
 
 
+def test_grid_faces_and_hole_walks_match_cell_loops(rpd, monkeypatch):
+    """The array grid faces and the sorted edge count give the faces,
+    wrapped faces and hole walks of the cell-by-cell loops, and the same
+    layer patches."""
+    st, series = rpd
+    rng = np.random.default_rng(3)
+    for n in (5, 12):
+        vid = np.where(rng.random((n, n)) < 0.8, rng.integers(0, 99, (n, n)), -1)
+        full_id = np.where(rng.random((n + 1, n + 1)) < 0.8,
+                           rng.integers(0, 99, (n + 1, n + 1)), -1)
+        full_id[:n, :n] = vid
+        for got, ref in zip(immersion._grid_faces(full_id, vid),
+                            oracles.grid_faces_loop(full_id, vid)):
+            assert np.array_equal(got, ref)
+    seen = []
+    grid_faces = immersion._grid_faces
+
+    def captured(full_id, vid):
+        seen.append(grid_faces(full_id, vid))
+        return seen[-1]
+
+    monkeypatch.setattr(immersion, "_grid_faces", captured)
+    patches = [integrate_layer(k, st, series) for k in (0, 1)]
+    assert len(seen) == 2
+    # both layers, each with one face fewer, a bowtie boundary, and a
+    # triangle whose first-met edge order is not the sorted one
+    wrapped = [fw for _, fw in seen] + [fw[:-1] for _, fw in seen]
+    for fw in wrapped + [np.array([[0, 1, 2], [0, 3, 4]]), np.array([[0, 2, 1]])]:
+        assert _hole_cycles(fw) == oracles.hole_cycles_dict(fw)
+    monkeypatch.setattr(immersion, "_grid_faces", oracles.grid_faces_loop)
+    monkeypatch.setattr(immersion, "_hole_cycles", oracles.hole_cycles_dict)
+    for k, got in zip((0, 1), patches):
+        ref = integrate_layer(k, st, series)
+        for name in ("verts_z", "triples", "faces"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), (k, name)
+        for side in "+-":
+            assert np.array_equal(got.seam[side], ref.seam[side])
+
+
 def test_build_mesh_theta_passes(rpd, rpd_mesh, monkeypatch):
     """build_mesh runs at most 60 theta passes on rPD at t = 0.01 (one
     per seam ring pair instead of one per leg) over the points of the

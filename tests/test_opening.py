@@ -202,7 +202,7 @@ def test_second_kind_periods(rpd):
         base = path_base(tor)
         for sign in "+-":
             for n in (2, 3, 8):
-                form = st.form(k, sign, n)
+                form = oracles.form_view(st, k, sign, n)
                 f = lambda z: second_kind_form(st, k, sign, n, z)
                 alpha = straight_integral(f, base, 1.0)
                 beta = straight_integral(f, base, tor.tau)
@@ -421,9 +421,12 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     T = st.tori[j]
     r, m = st.contour_radius, st.circle_nodes
     forms = oracles.multipass_forms(T, st.n_max, r, m)
+    table = st._forms[j]
+    assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1)
+    assert not np.any(np.triu(table.coeffs, 1))
     assert len(forms) == 2 * (st.n_max - 1)
     for (s, n), ref in forms.items():
-        got = st.form(k, "+-"[s], n)
+        got = oracles.form_view(st, k, "+-"[s], n)
         assert (got.pole, got.order, got.coeffs, got.mu) == \
             (ref.pole, ref.order, ref.coeffs, ref.mu)
     for side, center in (("node", T.v), ("zero", 0.0)):
@@ -452,8 +455,7 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
 def test_form_table_matches_per_form_loop(name, K, k):
     """The form table evaluates all orders of one pole at once and must
     give the bits of the per-form loop: on the contour circles, on a
-    period path, at a scalar, a 0-d and a 2-D z, with and without the
-    period constant."""
+    period path, at a scalar, a 0-d and a 2-D z."""
     st = GluingState.central(catalog(name, K=2), 0.01, K=K)
     j = _perturbed(st, k)
     T, table = st.tori[j], st._forms[j]
@@ -469,17 +471,16 @@ def test_form_table_matches_per_form_loop(name, K, k):
         "2-D": line.reshape(2, 3) + np.array([[0.0], [0.03j]]),
     }
     for s, sign in enumerate("+-"):
-        pole = table.poles[s]
+        pole = (T.v, 0.0)[s]
         for label, z in points.items():
             derivs = wp_derivs(np.asarray(z, complex) - pole, T.lattice, st.n_max - 2)
-            for alpha in (False, True):
-                got = table.values(s, derivs, alpha_normalized=alpha)
-                assert got.shape == (st.n_max - 1,) + np.shape(z)
-                for n in range(2, st.n_max + 1):
-                    form = st.form(k, sign, n)
-                    ref = oracles.form_value_from_derivs(form, derivs, alpha)
-                    assert np.array_equal(got[n - 2], ref), (sign, label, n, alpha)
-                    assert np.shape(got[n - 2]) == np.shape(ref)
+            got = table.values(s, derivs)
+            assert got.shape == (st.n_max - 1,) + np.shape(z)
+            for n in range(2, st.n_max + 1):
+                ref = oracles.form_value_from_derivs(
+                    oracles.form_view(st, k, sign, n), derivs)
+                assert np.array_equal(got[n - 2], ref), (sign, label, n)
+                assert np.shape(got[n - 2]) == np.shape(ref)
         cc = st.circle(k, ("node", "zero")[s])
         for n in range(2, st.n_max + 1):
             ref = second_kind_form(st, k, sign, n, cc.z)

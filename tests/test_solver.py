@@ -251,7 +251,8 @@ def test_fd_blocks_match_plain_loop(name, K, k):
     assert np.array_equal(_get_block(st, j), _get_block(ref_st, j))
     for sign in "+-":
         for n in range(2, st.n_max + 1):
-            form, other = st.form(k, sign, n), ref_st.form(k, sign, n)
+            form = oracles.form_view(st, k, sign, n)
+            other = oracles.form_view(ref_st, k, sign, n)
             assert (form.pole, form.coeffs, form.mu) == (other.pole, other.coeffs, other.mu)
     for side in ("node", "zero"):
         a, b = st.circle(k, side), ref_st.circle(k, side)
