@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import Configuration
-from .opening import GluingState, OmegaSeries, fix_omega, omega_on_circle
+from .opening import (GluingState, OmegaSeries, _chart_radius, central_layout,
+                      fix_omega, omega_on_circle)
 from .solver import newton_continuation
 from .immersion import SurfaceMesh, weierstrass_phi
 
@@ -84,9 +85,8 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
                 "match the reference for k >= 0")
     # shared chart radius: the defect's separations are a superset of the
     # reference's, so the forms must be compared on the tighter circles
-    eps = min(
-        GluingState.central(cfg, 0.0, K=K, force_window=True).epsilon,
-        GluingState.central(cfg_defect, 0.0, K=K, force_window=True).epsilon)
+    eps = min(_chart_radius(central_layout(c, K, force_window=True)[0])
+              for c in (cfg, cfg_defect))
     rep_p = newton_continuation(cfg, t, K=K, tol=tol, epsilon=eps,
                                 circle_nodes=circle_nodes, force_window=True,
                                 callback=callback)

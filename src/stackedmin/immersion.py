@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .elliptic import lattice_coords, reduce_centered
+from .elliptic import DEFAULT_POLE_RADIUS, lattice_coords, reduce_centered
 from .opening import (
     ChartError,
     GluingState,
@@ -56,7 +56,13 @@ SWEEP_CHUNK = 1 << 18  # candidate face pairs expanded at once
 
 
 class LoopResidualError(RuntimeError):
-    """A contractible mesh loop picked up a nonzero period."""
+    """A contractible loop of the cut layer grid picked up a position
+    defect above LOOP_TOL; a finer grid usually brings it down."""
+
+    def __init__(self, residual: float, k: int, t: float, grid_res: int):
+        super().__init__(f"layer k={k} at t={t:g}, grid_res={grid_res}: loop residual "
+                         f"{residual:.2e} exceeds {LOOP_TOL:.0e}; use a finer grid")
+        self.residual, self.k, self.t, self.grid_res = residual, k, t, grid_res
 
 
 class CoefficientDecayError(RuntimeError):
@@ -337,7 +343,6 @@ class LayerPatch:
     faces: np.ndarray
     seam: dict[str, np.ndarray]
     centers: dict[str, complex]
-    root_local: int
     root_z: complex
     alpha: np.ndarray
     beta: np.ndarray
@@ -432,27 +437,63 @@ def _zip_band(ids_a: np.ndarray, ang_a: np.ndarray,
     return faces
 
 
+def _tree_walk(n_nodes: int, u: np.ndarray, v: np.ndarray, inc: np.ndarray,
+               root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first spanning tree from root of the graph with edges
+    u[e] -> v[e], with triples[head] = triples[tail] +- inc[e], 0 at root.
+
+    One array pass per frontier gathers its out-edges from CSR offsets
+    (nodes ascending; forward, then reversed edges, each in edge order)
+    and keeps the first edge to each unvisited head.  Returns the triples
+    and the tree-edge mask, with n_nodes - 1 set entries iff it spans.
+    """
+    order = np.argsort(np.concatenate([u, v]), kind="stable")
+    tail, head = np.concatenate([u, v])[order], np.concatenate([v, u])[order]
+    step = np.concatenate([inc, -inc])[order]
+    offsets = np.searchsorted(tail, np.arange(n_nodes + 1))
+    triples = np.zeros((n_nodes,) + inc.shape[1:], dtype=inc.dtype)
+    in_tree = np.zeros(len(u), dtype=bool)
+    visited = np.arange(n_nodes) == root
+    frontier = np.array([root])
+    while len(frontier):
+        lo, count = offsets[frontier], offsets[frontier + 1] - offsets[frontier]
+        out = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        out = out[~visited[head[out]]]
+        frontier, first = np.unique(head[out], return_index=True)
+        out = out[first]
+        triples[frontier] = triples[tail[out]] + step[out]
+        visited[frontier] = True
+        in_tree[order[out] % len(u)] = True
+    return triples, in_tree
+
+
 def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
                     grid_res: int = GRID_RES,
                     spokes: int = NECK_SPOKES) -> LayerPatch:
     """Integrate the triple over a layer grid with the chart disks cut out.
 
-    A spanning tree of the wrapped grid graph accumulates the values;
-    every non-tree edge is checked against the period triple its wrap
-    class prescribes and LoopResidualError is raised past LOOP_TOL.
-    Seam rings at |1/g| = epsilon are appended on both sides and joined
-    to the jagged cut boundary; ring values follow the neck Laurent arc
-    from the spoke-0 anchor, and the worst disagreement with the direct
-    tree route is recorded as the stitch defect.  A grid too coarse for
-    that cut raises MeshTopologyError.
+    Grid nodes closer to a chart center than the kernel's pole radius are
+    cut before g is evaluated; they lie inside the chart disk anyway.  The
+    breadth-first spanning tree of `_tree_walk` accumulates the edge
+    integrals, less the periods of each edge's wrap, over the wrapped grid
+    graph; every non-tree edge closes a loop whose position defect past
+    LOOP_TOL raises LoopResidualError.  Seam rings at |1/g| = epsilon are
+    appended on both sides and joined to the jagged cut boundary; ring
+    values follow the neck Laurent arc from the spoke-0 anchor, and the
+    worst disagreement with the direct tree route is recorded as the
+    stitch defect.  A grid too coarse for that cut raises
+    MeshTopologyError.
     """
     T = st.torus(k)
     n = grid_res
     corner = _mesh_corner(T)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     zg = corner + (ii + jj * T.tau) / n
-    gv = T.g(zg.ravel()).reshape(n, n)
-    kept = 1.0 / np.abs(gv) >= CUT_FACTOR * st.epsilon
+    # the corner keeps both centers off the cell edges, so no other translate is near
+    centers_cell = {s: _cell_rep(c, corner, T.tau) for s, c in (("+", T.v), ("-", 0.0))}
+    kept = np.all(np.abs(zg[..., None] - list(centers_cell.values()))
+                  >= DEFAULT_POLE_RADIUS, axis=-1)
+    kept[kept] = 1.0 / np.abs(T.g(zg[kept])) >= CUT_FACTOR * st.epsilon
     if kept.all():
         raise MeshTopologyError("grid does not resolve the chart disks",
                                 k, st.t, n)
@@ -461,96 +502,48 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     vid[kept] = np.arange(int(kept.sum()))
     nkept = int(kept.sum())
 
-    # wrapped edges in the two lattice directions
-    edges = []
-    for di, dj, vec in ((1, 0, 1.0 / n), (0, 1, T.tau / n)):
-        i2, j2 = (ii + di) % n, (jj + dj) % n
-        ok = kept & kept[i2, j2]
-        u = vid[ii[ok], jj[ok]]
-        v = vid[i2[ok], j2[ok]]
-        wrap_a = (ii[ok] + di >= n).astype(int)
-        wrap_b = (jj[ok] + dj >= n).astype(int)
-        tri = _edge_triples(st, series, k, zg[ok].ravel(), vec)
-        edges.append((u, v, wrap_a, wrap_b, tri))
-
     O_k = path_base(T)
     alpha, beta = _segment_triples(st, series, k,
                                    [(O_k, O_k + 1.0), (O_k, O_k + T.tau)])
 
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(nkept)]
-    flat_u = np.concatenate([e[0] for e in edges])
-    flat_v = np.concatenate([e[1] for e in edges])
-    flat_wa = np.concatenate([e[2] for e in edges])
-    flat_wb = np.concatenate([e[3] for e in edges])
-    flat_tri = np.concatenate([e[4] for e in edges])
-    for eix in range(len(flat_u)):
-        adj[flat_u[eix]].append((flat_v[eix], eix, +1))
-        adj[flat_v[eix]].append((flat_u[eix], eix, -1))
+    # wrapped edges in the two lattice directions, net of their wrap periods
+    edges = []
+    for di, dj, vec, per in ((1, 0, 1.0 / n, alpha), (0, 1, T.tau / n, beta)):
+        i2, j2 = (ii + di) % n, (jj + dj) % n
+        ok = kept & kept[i2, j2]
+        wrap = (ii[ok] + di >= n) | (jj[ok] + dj >= n)
+        edges.append((vid[ii[ok], jj[ok]], vid[i2[ok], j2[ok]], _edge_triples(
+            st, series, k, zg[ok].ravel(), vec) - wrap[:, None] * per))
+    flat_u, flat_v, inc = (np.concatenate(e) for e in zip(*edges))
 
     kept_z = zg[kept]
     root = int(np.argmin(np.abs(reduce_centered(kept_z - O_k, T.tau)[0])))
-    triples = np.zeros((nkept, 3), dtype=complex)
-    in_tree = np.zeros(len(flat_u), dtype=bool)
-    visited = np.zeros(nkept, dtype=bool)
-    visited[root] = True
-    queue = [root]
-    while queue:
-        cur = queue.pop()
-        for nxt, eix, sgn in adj[cur]:
-            if visited[nxt]:
-                continue
-            visited[nxt] = True
-            in_tree[eix] = True
-            triples[nxt] = triples[cur] + sgn * (
-                flat_tri[eix] - flat_wa[eix] * alpha - flat_wb[eix] * beta)
-            queue.append(nxt)
-    if not visited.all():
+    triples, in_tree = _tree_walk(nkept, flat_u, flat_v, inc, root)
+    if in_tree.sum() != nkept - 1:
         raise MeshTopologyError("cut layer grid is disconnected", k, st.t, n)
 
     # every non-tree edge closes a loop; its position defect must vanish
     loose = ~in_tree
-    got = _positions(triples[flat_u[loose]] + flat_tri[loose]
-                     - flat_wa[loose, None] * alpha - flat_wb[loose, None] * beta)
-    want = _positions(triples[flat_v[loose]])
-    loop_defect = float(np.max(np.linalg.norm(got - want, axis=-1)))
+    gap = _positions(triples[flat_u[loose]] + inc[loose]) - _positions(
+        triples[flat_v[loose]])
+    loop_defect = float(np.max(np.linalg.norm(gap, axis=-1)))
     if loop_defect > LOOP_TOL:
-        raise LoopResidualError(
-            f"layer {k} loop residual {loop_defect:.2e} exceeds {LOOP_TOL:.0e}")
+        raise LoopResidualError(loop_defect, k, st.t, n)
 
     # duplicated boundary rows at i=n, j=n so faces close across the wrap
     # and lattice translates of the patch tile without seams
     full_id = -np.ones((n + 1, n + 1), dtype=int)
     full_id[:n, :n] = vid
-    verts_list = [kept_z]
-    tri_list = [triples]
-    nextid = nkept
-
-    col = vid[0, :]
-    mask = col >= 0
-    ids = np.full(n, -1, dtype=int)
-    ids[mask] = nextid + np.arange(int(mask.sum()))
-    nextid += int(mask.sum())
-    full_id[n, :n] = ids
-    verts_list.append(zg[0, mask] + 1.0)
-    tri_list.append(triples[col[mask]] + alpha)
-
-    row = vid[:, 0]
-    mask = row >= 0
-    ids = np.full(n, -1, dtype=int)
-    ids[mask] = nextid + np.arange(int(mask.sum()))
-    nextid += int(mask.sum())
-    full_id[:n, n] = ids
-    verts_list.append(zg[mask, 0] + T.tau)
-    tri_list.append(triples[row[mask]] + beta)
-
-    if vid[0, 0] >= 0:
-        full_id[n, n] = nextid
-        nextid += 1
-        verts_list.append(np.array([zg[0, 0] + 1.0 + T.tau]))
-        tri_list.append(triples[[vid[0, 0]]] + alpha + beta)
-
-    verts_z = np.concatenate(verts_list)
-    triples_all = np.concatenate(tri_list)
+    verts_list, tri_list, nextid = [kept_z], [triples], nkept
+    for dst, src, shift, per in (
+            (full_id[n, :n], vid[0], 1.0, alpha),
+            (full_id[:n, n], vid[:, 0], T.tau, beta),
+            (full_id[n, n:], vid[:1, 0], 1.0 + T.tau, alpha + beta)):
+        live = src[src >= 0]
+        dst[src >= 0] = nextid + np.arange(len(live))
+        nextid += len(live)
+        verts_list.append(kept_z[live] + shift)
+        tri_list.append(triples[live] + per)
 
     grid_faces, faces_w = _grid_faces(full_id, vid)
     faces = [grid_faces]
@@ -567,15 +560,12 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     nl_plus = laurent_coeffs(st, series, k, LAURENT_ORDER)
     nl_minus = _swap_laurent(laurent_coeffs(st, series, k - 1, LAURENT_ORDER))
     thetas = 2.0 * np.pi * np.arange(spokes) / spokes
-    seam = {}
-    stitch = 0.0
-    centers_cell: dict[str, complex] = {}
-    rings = {}
+    seam, rings, stitch = {}, {}, 0.0
     for side, c_stored in (("+", T.v), ("-", 0.0)):
         ring_chart = np.asarray(
             neck_point(st, k, side, st.epsilon * np.exp(1j * thetas)),
             dtype=complex)
-        c_cell = centers_cell[side] = _cell_rep(c_stored, corner, T.tau)
+        c_cell = centers_cell[side]
         ring_z = c_cell + (ring_chart - c_stored)
         # direct tree route: nearest jagged vertex plus a short leg
         cyc = min(cycles, key=lambda w: abs(
@@ -598,8 +588,8 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
             _positions(arc) - _positions(legs), axis=-1))))
         ring_ids = nextid + np.arange(spokes)
         nextid += spokes
-        verts_z = np.concatenate([verts_z, ring_z])
-        triples_all = np.concatenate([triples_all, arc])
+        verts_list.append(ring_z)
+        tri_list.append(arc)
         ang_cyc = np.angle(cyc_z - c_cell)
         # orient the jagged walk counterclockwise around the hole
         if np.sum(np.diff(np.unwrap(ang_cyc))) < 0:
@@ -612,10 +602,9 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
                               dtype=int))
         seam[side] = ring_ids
 
-    return LayerPatch(k=k, corner=corner, verts_z=verts_z,
-                      triples=triples_all, faces=np.concatenate(faces),
-                      seam=seam, centers=centers_cell, root_local=root,
-                      root_z=complex(kept_z[root]),
+    return LayerPatch(k=k, corner=corner, verts_z=np.concatenate(verts_list),
+                      triples=np.concatenate(tri_list), faces=np.concatenate(faces),
+                      seam=seam, centers=centers_cell, root_z=complex(kept_z[root]),
                       alpha=alpha, beta=beta, loop_defect=loop_defect,
                       stitch_defect=stitch)
 
@@ -891,19 +880,16 @@ def _slice_polygon(mesh: SurfaceMesh, k: int, side: str,
     grid = mesh.reports["neck_grids"][k]["plus" if side == "+" else "minus"]
     pos = mesh.raw[grid]
     hs = pos[:, :, 2]
-    poly = np.empty((grid.shape[1], 3))
-    for s in range(grid.shape[1]):
-        col = hs[:, s]
-        lo = np.minimum(col[:-1], col[1:])
-        hi = np.maximum(col[:-1], col[1:])
-        hits = np.nonzero((lo <= height) & (height <= hi))[0]
-        if len(hits) == 0:
-            return None
-        j = int(hits[0])
-        denom = col[j + 1] - col[j]
-        frac = 0.0 if denom == 0 else (height - col[j]) / denom
-        poly[s] = pos[j, s] + frac * (pos[j + 1, s] - pos[j, s])
-    return poly
+    hit = ((np.minimum(hs[:-1], hs[1:]) <= height)
+           & (height <= np.maximum(hs[:-1], hs[1:])))
+    if not hit.any(axis=0).all():
+        return None
+    s = np.arange(grid.shape[1])
+    j = np.argmax(hit, axis=0)  # the first ring interval that crosses
+    denom = hs[j + 1, s] - hs[j, s]
+    # a flat interval only crosses at its own height, where frac is 0
+    frac = (height - hs[j, s]) / np.where(denom == 0, 1.0, denom)
+    return pos[j, s] + frac[:, None] * (pos[j + 1, s] - pos[j, s])
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -980,36 +966,51 @@ def _tri_tri_batch(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
 def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
                  faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Face pairs (a, b), a < b, whose closed bounding boxes overlap and
-    that share no vertex, by sort-and-sweep along the longest axis.
+    that share no vertex, by sort-and-sweep along the longest axis within
+    strips of the second-longest one.
 
-    After sorting by the box minimum along that axis, the partners of a
-    face are a contiguous run found by one searchsorted; the runs are
-    expanded at most SWEEP_CHUNK pairs at a time to bound memory.
+    Strips are as wide as the widest box across them, and each face joins
+    every strip its box covers (at most two, up to rounding).  Sorted by
+    (strip, box minimum), the partners of an entry are a contiguous run
+    found by one searchsorted, expanded at most SWEEP_CHUNK pairs at a
+    time.  A pair counts only in the strip of its larger lower corner, by
+    the floor expression of the registration, so it is found once.
     """
-    n = len(lo)
-    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
-    order = np.argsort(lo[:, axis], kind="stable")
-    key = lo[order, axis]
-    count = np.searchsorted(key, hi[order, axis], side="right") - np.arange(1, n + 1)
+    spans = hi.max(axis=0) - lo.min(axis=0)
+    axis, across = (int(c) for c in np.argsort(-spans, kind="stable")[:2])
+    width = float(np.max(hi[:, across] - lo[:, across])) or 1.0
+    origin = lo[:, across].min()
+    s_lo, s_hi = np.floor((np.stack([lo[:, across], hi[:, across]]) - origin)
+                          / width).astype(np.int64)
+    reps = s_hi - s_lo + 1
+    face = np.repeat(np.arange(len(lo)), reps)
+    strip = np.repeat(s_lo - np.cumsum(reps) + reps, reps) + np.arange(len(face))
+    # lo <= hi along the axis as integer ranks, exact under the strip offset
+    ranks = np.unique(lo[:, axis])
+    stride = len(ranks) + 1
+    key = strip * stride + np.searchsorted(ranks, lo[face, axis]) + 1
+    order = np.argsort(key, kind="stable")
+    face, strip = face[order], strip[order]
+    own = s_lo[face]
+    bound = strip * stride + np.searchsorted(ranks, hi[face, axis], side="right")
+    count = np.searchsorted(key[order], bound, side="right") - np.arange(1, len(face) + 1)
     first = np.concatenate(([0], np.cumsum(count)))
-    cols = [(lo[order, c], hi[order, c]) for c in range(3) if c != axis]
-    found_a, found_b = [], []
+    cols = [(lo[face, c], hi[face, c]) for c in range(3) if c != axis]
+    found = []
     start = 0
-    while start < n:
+    while start < len(face):
         stop = int(np.searchsorted(first, first[start] + SWEEP_CHUNK, side="right")) - 1
         stop = max(stop, start + 1)
         run = count[start:stop]
         a = np.repeat(np.arange(start, stop), run)
         b = (a + 1 + np.arange(first[start], first[stop])
              - np.repeat(first[start:stop], run))
-        keep = np.ones(len(a), dtype=bool)
+        keep = np.maximum(own[a], own[b]) == strip[a]
         for lc, hc in cols:
             keep &= (lc[b] <= hc[a]) & (lc[a] <= hc[b])
-        found_a.append(order[a[keep]])
-        found_b.append(order[b[keep]])
+        found.append(face[np.stack([a[keep], b[keep]])])
         start = stop
-    a = np.concatenate(found_a)
-    b = np.concatenate(found_b)
+    a, b = np.concatenate(found, axis=1)
     shared = np.any(faces[a][:, :, None] == faces[b][:, None, :], axis=(1, 2))
     a, b = a[~shared], b[~shared]
     return np.minimum(a, b), np.maximum(a, b)
@@ -1042,10 +1043,13 @@ def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = Non
     """
     if slice_offset is None:
         slice_offset = 0.6 * math.log(mesh.epsilon / mesh.t)
-    prov, n = mesh.provenance, len(mesh.provenance)
-    layer = np.fromiter((tag == "layer" for tag, _, _ in prov), bool, n)
-    kk = np.fromiter((k for _, k, _ in prov), int, n)
-    minus = np.fromiter((sign == "-" for _, _, sign in prov), bool, n)
+    # one pass over the face tags; each of the few distinct tags decodes once
+    codes: dict[tuple[str, int, str], int] = {}
+    ids = np.fromiter((codes.setdefault(tag, len(codes)) for tag in mesh.provenance),
+                      int, len(mesh.provenance))
+    layer = np.array([tag == "layer" for tag, _, _ in codes], dtype=bool)[ids]
+    kk = np.array([k for _, k, _ in codes], dtype=int)[ids]
+    minus = np.array([sign == "-" for _, _, sign in codes], dtype=bool)[ids]
     out: dict = {"graph": {}, "slices": {}, "intersections": {}}
 
     for k in np.unique(kk[layer]).tolist():
@@ -1117,10 +1121,6 @@ def write_obj(mesh: SurfaceMesh, path: str, copies: int = 1) -> None:
 def mesh_summary(mesh: SurfaceMesh) -> dict:
     """JSON-ready sidecar payload describing one mesh."""
     rep = mesh.reports
-
-    def _f(x):
-        return float(x)
-
     return {
         "tau_ref": [mesh.tau_ref.real, mesh.tau_ref.imag],
         "t": mesh.t,
@@ -1132,13 +1132,9 @@ def mesh_summary(mesh: SurfaceMesh) -> dict:
                    for f in mesh.frames],
         "spacing": [asdict(row) for row in _spacing_rows(mesh.frames, mesh.t)],
         "reports": {
-            "loop_defect": {str(k): _f(v) for k, v in rep["loop_defect"].items()},
-            "stitch_defect": {str(k): _f(v)
-                              for k, v in rep["stitch_defect"].items()},
-            "weld_defect": {str(k): _f(v) for k, v in rep["weld_defect"].items()},
-            "wrap_continuity": {str(k): _f(v)
-                                for k, v in rep["wrap_continuity"].items()},
-            "drift": {str(k): _f(v) for k, v in rep["drift"].items()},
+            **{key: {str(k): float(v) for k, v in rep[key].items()}
+               for key in ("loop_defect", "stitch_defect", "weld_defect",
+                           "wrap_continuity", "drift")},
             "flux": {str(k): [float(c) for c in v]
                      for k, v in rep["flux"].items()},
             "heights_increasing": rep["heights_increasing"],

@@ -164,6 +164,32 @@ def _chart_radius(tori: list[TorusData]) -> float:
     raise ValueError("no admissible chart radius found")
 
 
+def central_layout(cfg: Configuration, K: int | None = None,
+                   n_buffer: int = 3, force_window: bool = False):
+    """Tori at the central data of a configuration (a = -1/2, bhat = 0,
+    tau_k and v_k the alternating reflections of tau, q_k) with the layout
+    of their state: (tori, mode, k_lo, left period, right period, buffer)."""
+    if cfg.is_periodic() and not force_window:
+        n = math.lcm(cfg.period(), 2)
+        ks = range(n)
+        mode, k_lo, buf = "cyclic", 0, 0
+        p_l = p_r = n
+    else:
+        if K is None:
+            K = max(8, cfg.K + 1)
+        if K < cfg.K:
+            raise ValueError("window half-width K must cover the configuration")
+        # a tail of odd length repeats with twice its length
+        p_l, p_r = (len(tl) * (1 + len(tl) % 2) for tl in (cfg.left_tail,
+                                                          cfg.right_tail))
+        buf = max(n_buffer, p_l, p_r)
+        ks = range(-K - buf, K + buf + 1)
+        mode, k_lo = "window", -K - buf
+    tori = [TorusData(a=-0.5, bhat=0j, tau=mirror_conj(cfg.tau, k),
+                      v=mirror_conj(cfg.q(k), k)) for k in ks]
+    return tori, mode, k_lo, p_l, p_r, buf
+
+
 @dataclass(frozen=True)
 class FormTable:
     """The second-kind forms of one torus, all orders at both poles (sign
@@ -310,32 +336,10 @@ class GluingState:
                 circle_nodes: int = DEFAULT_CIRCLE_NODES,
                 force_window: bool = False,
                 epsilon: float | None = None) -> "GluingState":
-        """State at the central data of a configuration: a = -1/2,
-        bhat = 0, tau_k and v_k the alternating reflections of tau, q_k."""
-
-        def tail_period(tail):
-            return len(tail) if len(tail) % 2 == 0 else 2 * len(tail)
-
-        if cfg.is_periodic() and not force_window:
-            n = math.lcm(cfg.period(), 2)
-            ks = range(n)
-            mode, k_lo, buf = "cyclic", 0, 0
-            p_l = p_r = n
-        else:
-            if K is None:
-                K = max(8, cfg.K + 1)
-            if K < cfg.K:
-                raise ValueError("window half-width K must cover the configuration")
-            p_l = tail_period(cfg.left_tail)
-            p_r = tail_period(cfg.right_tail)
-            buf = max(n_buffer, p_l, p_r)
-            ks = range(-K - buf, K + buf + 1)
-            mode, k_lo = "window", -K - buf
-        tori = [
-            TorusData(a=-0.5, bhat=0j, tau=mirror_conj(cfg.tau, k),
-                      v=mirror_conj(cfg.q(k), k))
-            for k in ks
-        ]
+        """State on the tori of `central_layout`, with the chart radius
+        `_chart_radius` of them unless epsilon is given."""
+        tori, mode, k_lo, p_l, p_r, buf = central_layout(cfg, K, n_buffer,
+                                                         force_window)
         eps = _chart_radius(tori) if epsilon is None else epsilon
         return cls(t=t, tori=tori, mode=mode, k_lo=k_lo, epsilon=eps,
                    rho=eps / 4, n_max=n_max, tau_ref=cfg.tau, q0_ref=cfg.q(0),

@@ -11,11 +11,13 @@ caches from separate zeta / wp_eval / wp_derivs calls, so the fused
 evaluators can be held to the same bits.  Likewise the plain
 finite-difference loop recomputes every jet of every Jacobian column, for
 the solver's loop that reuses them, and the layer-patch loops integrate
-one segment, score one cell corner, triangulate one grid cell and count
-one face edge at a time, for the batched seam legs, the array corner
-search, the array grid faces and the sorted edge count.  The face-intersection reference
+one segment, score one cell corner, triangulate one grid cell, count
+one face edge and grow the spanning tree one node at a time, for the
+batched seam legs, the array corner search, the array grid faces, the
+sorted edge count and the frontier walk.  The face-intersection reference
 enumerates candidate pairs from a bucket grid and tests them one pair at
-a time, for the array sweep of the embeddedness battery.
+a time, for the array sweep of the embeddedness battery, and the
+one-axis sweep holds the strip sweep to the same candidate pairs.
 
 Two cross-checks close the file.  zeros_symmetric gets the symmetric
 functions of the zeros of a layer Gauss component from argument-principle
@@ -331,9 +333,10 @@ def fd_blocks_plain(st, series, active, flat):
 
 
 # ---------------------------------------------------------------------------
-# layer patches one segment, one candidate corner, one grid cell and one
-# face edge at a time, the loops that the batched seam legs, the array
-# corner search, the array grid faces and the sorted edge count replaced
+# layer patches one segment, one candidate corner, one grid cell, one face
+# edge and one tree node at a time, the loops that the batched seam legs,
+# the array corner search, the array grid faces, the sorted edge count and
+# the frontier walk replaced
 
 
 def segment_triples_one_by_one(st, series, k: int, ends) -> np.ndarray:
@@ -428,9 +431,38 @@ def hole_cycles_dict(faces_w: np.ndarray):
     return cycles
 
 
+def tree_walk_fifo(n_nodes: int, u: np.ndarray, v: np.ndarray,
+                   inc: np.ndarray, root: int):
+    """Breadth-first spanning tree one node and one edge at a time: each
+    frontier in ascending node id, each node's forward edges before its
+    reversed ones in edge order, the first edge to reach a node kept."""
+    adj: list[list[tuple[int, int, float]]] = [[] for _ in range(n_nodes)]
+    for e, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        adj[a].append((b, e, 1.0))
+    for e, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        adj[b].append((a, e, -1.0))
+    triples = np.zeros((n_nodes,) + inc.shape[1:], dtype=inc.dtype)
+    in_tree = np.zeros(len(u), dtype=bool)
+    visited = np.zeros(n_nodes, dtype=bool)
+    visited[root] = True
+    frontier = [root]
+    while frontier:
+        reached = []
+        for cur in frontier:
+            for nxt, e, sgn in adj[cur]:
+                if not visited[nxt]:
+                    visited[nxt] = True
+                    in_tree[e] = True
+                    triples[nxt] = triples[cur] + sgn * inc[e]
+                    reached.append(nxt)
+        frontier = sorted(reached)
+    return triples, in_tree
+
+
 # ---------------------------------------------------------------------------
 # face intersections: the bucket-grid broad phase and the scalar Moller
-# (1997) interval test, pair by pair, that the array sweep replaced
+# (1997) interval test, pair by pair, that the array sweep replaced, and
+# the one-axis sweep that the strip sweep replaced
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -488,6 +520,41 @@ def tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float) -> bool:
             return False
         iv.append((min(pts), max(pts)))
     return not (iv[0][1] < iv[1][0] + eps or iv[1][1] < iv[0][0] + eps)
+
+
+def sweep_pairs_one_axis(lo: np.ndarray, hi: np.ndarray, faces: np.ndarray,
+                         chunk: int = 1 << 18):
+    """Face pairs (a, b), a < b, whose closed boxes overlap and that share
+    no vertex, by one sort-and-sweep along the longest axis: after
+    sorting by the box minimum, the partners of a face are a contiguous
+    run found by one searchsorted, expanded at most chunk pairs at a time."""
+    n = len(lo)
+    axis = int(np.argmax(hi.max(axis=0) - lo.min(axis=0)))
+    order = np.argsort(lo[:, axis], kind="stable")
+    key = lo[order, axis]
+    count = np.searchsorted(key, hi[order, axis], side="right") - np.arange(1, n + 1)
+    first = np.concatenate(([0], np.cumsum(count)))
+    cols = [(lo[order, c], hi[order, c]) for c in range(3) if c != axis]
+    found_a, found_b = [], []
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(first, first[start] + chunk, side="right")) - 1
+        stop = max(stop, start + 1)
+        run = count[start:stop]
+        a = np.repeat(np.arange(start, stop), run)
+        b = (a + 1 + np.arange(first[start], first[stop])
+             - np.repeat(first[start:stop], run))
+        keep = np.ones(len(a), dtype=bool)
+        for lc, hc in cols:
+            keep &= (lc[b] <= hc[a]) & (lc[a] <= hc[b])
+        found_a.append(order[a[keep]])
+        found_b.append(order[b[keep]])
+        start = stop
+    a = np.concatenate(found_a)
+    b = np.concatenate(found_b)
+    shared = np.any(faces[a][:, :, None] == faces[b][:, None, :], axis=(1, 2))
+    a, b = a[~shared], b[~shared]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def bucket_candidates(raw: np.ndarray, faces: np.ndarray) -> tuple[set, float]:

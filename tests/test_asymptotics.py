@@ -1,6 +1,7 @@
 """Paired solves, decay reports, and TPMS comparison distances."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_coords
 from stackedmin.immersion import build_mesh
-from stackedmin.opening import fix_omega
+from stackedmin import asymptotics
+from stackedmin.opening import GluingState, fix_omega
 from stackedmin.solver import newton_continuation
 from stackedmin.asymptotics import (
     DegenerateFitError,
@@ -83,6 +85,34 @@ def test_pair_rejects_mismatched_upper_tail():
 def test_pair_rejects_mixed_lattices():
     with pytest.raises(ValueError, match="lattice"):
         pair_solve(catalog("oPa"), catalog("twin-rPD"), 0.01)
+
+
+@pytest.mark.parametrize("name", ["twin-rPD", "oPa-oCLP"])
+def test_pair_chart_radius_needs_no_state(name, monkeypatch):
+    """pair_solve takes the shared chart radius from the central tori
+    without building or refreshing a state, and it is the radius of the
+    two central window states to the bit."""
+    defect = catalog(name)
+    ref = upper_reference(defect)
+    full, eps = [], []
+    refresh = GluingState.refresh
+
+    def counted(self, only=None):
+        full.append(only is None)
+        return refresh(self, only)
+
+    def solve(cfg, t, K, epsilon, **kw):
+        eps.append(epsilon)
+        return SimpleNamespace(state=SimpleNamespace(k_lo=-K, tori=[]))
+
+    monkeypatch.setattr(GluingState, "refresh", counted)
+    monkeypatch.setattr(asymptotics, "newton_continuation", solve)
+    pair_solve(ref, defect, 0.01, K=8)
+    assert eps and not full
+    central = [GluingState.central(c, 0.0, K=8, force_window=True).epsilon
+               for c in (ref, defect)]
+    assert sum(full) == 2  # the counter sees the states built here
+    assert eps == [min(central)] * 2
 
 
 def test_paired_windows_share_geometry(twin_pair, cross_pair):

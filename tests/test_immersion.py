@@ -2,7 +2,11 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import oracles
 from oracles import zeros_symmetric
 from stackedmin import elliptic, immersion
 from stackedmin.configs import Configuration, catalog
-from stackedmin.elliptic import lattice_for
+from stackedmin.elliptic import PoleError, lattice_for
 from stackedmin.hecke import hecke_G, solve_G_equals_C
 from stackedmin.opening import fix_omega, laurent_coeffs, omega_eval
 from stackedmin.solver import newton_continuation
@@ -27,6 +31,7 @@ from stackedmin.immersion import (
     _positions,
     _segment_triples,
     _sweep_pairs,
+    _tree_walk,
     _tri_tri_batch,
     build_mesh,
     embeddedness_diagnostics,
@@ -134,6 +139,94 @@ def test_coarse_grid_raises_typed_topology_error(rpd):
     assert "k=0" in str(err) and f"t={st.t:g}" in str(err) and "grid_res=4" in str(err)
     # two triangles touching at one vertex: four boundary edges meet there
     assert _hole_cycles(np.array([[0, 1, 2], [0, 3, 4]])) is None
+
+
+def test_loop_residual_error_names_layer_t_grid_and_residual(rpd):
+    st, series = rpd
+    with pytest.raises(LoopResidualError) as info:
+        integrate_layer(0, st, series, grid_res=16)
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert (err.k, err.t, err.grid_res) == (0, st.t, 16)
+    assert immersion.LOOP_TOL < err.residual < 1e-6
+    for part in ("k=0", f"t={st.t:g}", "grid_res=16", f"{err.residual:.2e}",
+                 "finer grid"):
+        assert part in str(err)
+
+
+def test_grid_node_on_a_pole_is_cut(rpd):
+    """At grid_res 20 a node of the rPD layer-0 grid lies within the pole
+    radius of a chart center; it is cut before g is evaluated, so the
+    layer meshes or fails with a mesh error, never a PoleError."""
+    st, series = rpd
+    T = st.torus(0)
+    n = 20
+    corner = _mesh_corner(T)
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    zg = corner + (ii + jj * T.tau) / n
+    gap = min(np.min(np.abs(elliptic.reduce_centered(zg - c, T.tau)[0]))
+              for c in (0.0, T.v))
+    assert gap < T.lattice.pole_radius
+    try:
+        patch = integrate_layer(0, st, series, grid_res=n)
+    except (MeshTopologyError, LoopResidualError):
+        return
+    except PoleError as err:  # pragma: no cover - the failure under test
+        pytest.fail(f"pole reached g: {err}")
+    assert patch.loop_defect < immersion.LOOP_TOL
+
+
+def _holed_torus_grid(rng, n: int, keep: float):
+    """Edges of a wrapped n x n grid with random nodes removed, in the
+    order integrate_layer lists them, with random complex increments."""
+    kept = rng.random((n, n)) < keep
+    vid = -np.ones((n, n), dtype=int)
+    vid[kept] = np.arange(int(kept.sum()))
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    u, v = [], []
+    for di, dj in ((1, 0), (0, 1)):
+        i2, j2 = (ii + di) % n, (jj + dj) % n
+        ok = kept & kept[i2, j2]
+        u.append(vid[ii[ok], jj[ok]])
+        v.append(vid[i2[ok], j2[ok]])
+    u, v = np.concatenate(u), np.concatenate(v)
+    inc = rng.standard_normal((len(u), 3)) + 1j * rng.standard_normal((len(u), 3))
+    return int(kept.sum()), u, v, inc
+
+
+def test_tree_walk_matches_fifo_loop(rpd, monkeypatch):
+    """The frontier walk gives the bits of the node-by-node FIFO loop on
+    random holed grids, connected or not, and on both rPD layers, where
+    it spans the kept grid with nkept - 1 tree edges."""
+    rng = np.random.default_rng(5)
+    graphs = [_holed_torus_grid(rng, n, keep)
+              for n, keep in ((6, 0.9), (9, 0.75), (13, 0.6), (16, 0.85))]
+    walk = immersion._tree_walk
+    seen = []
+
+    def captured(*args):
+        seen.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(immersion, "_tree_walk", captured)
+    st, series = rpd
+    for k in (0, 1):
+        integrate_layer(k, st, series)
+    assert len(seen) == 2
+    cases = [(g + (int(rng.integers(g[0])),), False) for g in graphs]
+    spanned = 0
+    for (n_nodes, u, v, inc, root), layer in cases + [(a, True) for a in seen]:
+        triples, in_tree = _tree_walk(n_nodes, u, v, inc, root)
+        ref_triples, ref_tree = oracles.tree_walk_fifo(n_nodes, u, v, inc, root)
+        assert np.array_equal(triples, ref_triples)
+        assert np.array_equal(in_tree, ref_tree)
+        reached = np.zeros(n_nodes, dtype=bool)
+        reached[[root]] = True
+        reached[u[in_tree]] = reached[v[in_tree]] = True
+        assert (in_tree.sum() == n_nodes - 1) == reached.all()
+        assert reached.all() or not layer
+        spanned += bool(reached.all())
+    assert spanned >= 4
 
 
 def test_segment_batch_matches_single_segments(rpd):
@@ -433,6 +526,42 @@ def test_sweep_matches_bucket_oracle(chunk, monkeypatch):
     assert hits == ref
     assert 0 < len(ref) < len(cands)
     assert {pair: pair in ref for pair in expected} == expected
+
+
+def test_strip_sweep_matches_one_axis_sweep_on_rpd_slabs(rpd_mesh):
+    """On every slab of the rPD mesh the strip sweep finds each candidate
+    pair of the one-axis sweep exactly once, and no other."""
+    prov = rpd_mesh.provenance
+    kk = np.array([k for _, k, _ in prov])
+    layer = np.array([tag == "layer" for tag, _, _ in prov])
+    minus = np.array([sign == "-" for _, _, sign in prov])
+    for k in np.unique(kk[layer]).tolist():
+        faces = rpd_mesh.faces[((kk == k) & ~minus) | ((kk == k - 1) & minus)]
+        tris = rpd_mesh.raw[faces]
+        lo, hi = tris.min(axis=1), tris.max(axis=1)
+        a, b = _sweep_pairs(lo, hi, faces)
+        ra, rb = oracles.sweep_pairs_one_axis(lo, hi, faces)
+        got = set(zip(a.tolist(), b.tolist()))
+        assert len(got) == len(a) == len(ra) > 1000
+        assert got == set(zip(ra.tolist(), rb.tolist()))
+
+
+def test_mesh_and_battery_import_no_sparse_graphs():
+    """The mesh walks and the battery run on numpy alone."""
+    code = (
+        "import sys\n"
+        "from stackedmin import configs, immersion\n"
+        "from stackedmin.solver import newton_continuation\n"
+        "rep = newton_continuation(configs.catalog('rPD'), 0.01)\n"
+        "mesh = immersion.build_mesh(rep.state, rep.series)\n"
+        "assert immersion.embeddedness_diagnostics(mesh)['pass']\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    src = Path(immersion.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_unbalanced_state_is_rejected(rpd):
