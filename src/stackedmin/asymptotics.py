@@ -63,8 +63,7 @@ def upper_reference(cfg_defect: Configuration) -> Configuration:
 
 
 def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
-               K: int | None = None, tol: float = 1e-11,
-               circle_nodes: int | None = None, callback=None):
+               K: int | None = None, tol: float = 1e-11, callback=None):
     """Solve the periodic reference and the defect on identical windows.
 
     The reference is forced into window mode so both states share the
@@ -88,11 +87,9 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
     eps = min(_chart_radius(central_layout(c, K, force_window=True)[0])
               for c in (cfg, cfg_defect))
     rep_p = newton_continuation(cfg, t, K=K, tol=tol, epsilon=eps,
-                                circle_nodes=circle_nodes, force_window=True,
-                                callback=callback)
+                                force_window=True, callback=callback)
     rep_d = newton_continuation(cfg_defect, t, K=K, tol=tol, epsilon=eps,
-                                circle_nodes=circle_nodes, force_window=True,
-                                callback=callback)
+                                force_window=True, callback=callback)
     st_p, st_d = rep_p.state, rep_d.state
     if st_p.k_lo != st_d.k_lo or len(st_p.tori) != len(st_d.tori):
         raise RuntimeError("paired windows came out misaligned")

@@ -26,6 +26,7 @@ from .elliptic import (
 ROOT_TOL = 1e-10
 DEDUP_RADIUS = 1e-6
 DEGENERACY_TOL = 1e-9
+SWEEP_ITERS = 50  # Newton steps of the root sweep
 
 HALF_PERIOD_COORDS = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
 
@@ -119,7 +120,7 @@ def _masked_G_step(z: np.ndarray, lat: Lattice, C: complex):
     return F, dz, alive
 
 
-def solve_G_equals_C(lat: Lattice, C: complex, grid: int = 32, max_iter: int = 50) -> SolutionSet:
+def solve_G_equals_C(lat: Lattice, C: complex, grid: int = 32) -> SolutionSet:
     """All solutions of G(q) = C from a seeded, deduplicated Newton sweep.
 
     Seeds are a half-cell-offset grid on the fundamental domain (so no
@@ -134,7 +135,7 @@ def solve_G_equals_C(lat: Lattice, C: complex, grid: int = 32, max_iter: int = 5
 
     z = seeds.astype(complex)
     converged = np.zeros(z.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(SWEEP_ITERS):
         F, dz, alive = _masked_G_step(z, lat, C)
         newly = alive & (np.abs(F) < ROOT_TOL) & (np.abs(dz) < 1e-12)
         converged |= newly

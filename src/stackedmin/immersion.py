@@ -10,8 +10,11 @@ recovered from the antiderivative triple (F+, F-, H) with
     x1 + i x2 = (conj(F-) - F+) / 2,      x3 = Re H,
 
 where F+- integrate the Gauss map to the power +-1 against the height
-differential.  Per-layer frames track a base point on every torus and
-carry the vertical spacing data.
+differential.  In the chart w of a neck the triple is one Laurent series,
+and `_neck_sheet` evaluates its antiderivative on a (ring, spoke) grid;
+it gives both the seam rings of the layer patches and the two sheets of
+each neck.  Per-layer frames track a base point on every torus and carry
+the vertical spacing data.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .opening import (
 GRID_RES = 64
 NECK_RINGS = 16
 NECK_SPOKES = 64
+THETAS = 2.0 * np.pi * np.arange(NECK_SPOKES) / NECK_SPOKES  # spoke angles
 # evaluation-side Laurent order; the seam sits at |w| = eps where the
 # truncation error decays only like 2^-n, so this must exceed the order
 # carried by the gluing solve
@@ -49,10 +53,13 @@ TAIL_TOL = 1e-7
 CUT_FACTOR = 1.25  # layer grids keep |1/g| >= CUT_FACTOR * epsilon
 SEG_NODES = 12
 SEG_STEP = 0.04
-MESH_BUFFER = 3  # window states: clamped boundary layers are not meshed
+EDGE_NODES = 4  # Gauss nodes per grid edge
 # two face planes closer than this in sin(angle) take the coplanar test
 COPLANAR_SIN = 1e-6
 SWEEP_CHUNK = 1 << 18  # candidate face pairs expanded at once
+GRAPH_FLOOR = 0.5  # least |n3| of a layer face that still reads as a graph
+SLICE_FACTOR = 0.6  # neck slices sit SLICE_FACTOR * t log(eps/t) off the waist
+LAYER, NECK_PLUS, NECK_MINUS = 0, 1, 2  # face part codes
 
 
 class LoopResidualError(RuntimeError):
@@ -162,12 +169,12 @@ def _segment_triples(st: GluingState, series: OmegaSeries, k: int,
 
 
 def _edge_triples(st: GluingState, series: OmegaSeries, k: int,
-                  z0s: np.ndarray, vec: complex, nodes: int = 4) -> np.ndarray:
+                  z0s: np.ndarray, vec: complex) -> np.ndarray:
     """Batched straight-edge integrals sharing one direction vector."""
-    x, wgt = _leggauss(nodes)
+    x, wgt = _leggauss(EDGE_NODES)
     s = 0.5 * (x + 1.0)
     zs = z0s[:, None] + s[None, :] * vec
-    vals = _diffs(st, series, k, zs.ravel()).reshape(len(z0s), nodes, 3)
+    vals = _diffs(st, series, k, zs.ravel()).reshape(len(z0s), EDGE_NODES, 3)
     return np.einsum("n, e n c -> e c", 0.5 * wgt, vals) * vec
 
 
@@ -175,61 +182,40 @@ def _edge_triples(st: GluingState, series: OmegaSeries, k: int,
 # neck annuli
 
 
-def _swap_laurent(nl: NeckLaurent) -> NeckLaurent:
-    """Laurent data of the same neck seen from the minus chart.
+def _neck_sheet(nl: NeckLaurent, side: str, radii: np.ndarray) -> np.ndarray:
+    """Triples of one neck side on the (ring, spoke) grid w = radii[j]
+    exp(i THETAS[s]) of its cut chart, relative to (radii[0], 0): the plus
+    chart on layer nl.k (side "+") or the minus chart on layer nl.k+1
+    (side "-").
 
-    Under w * w' = t^2 the roles of the regular and singular tails
-    exchange and every coefficient flips sign with the residue.
+    The antiderivatives of (F+', F-', H') against dw are one coefficient
+    array over the powers p of w, with the coefficients of log w at p = 0.
+    Under w * w' = t^2 the minus chart exchanges the regular and singular
+    tails and flips every coefficient with the residue.  The terms are the
+    separable products r^p e^(i p theta), with log r + i theta at p = 0,
+    summed in ascending p.
     """
-    return NeckLaurent(k=nl.k, t=nl.t, epsilon=nl.epsilon, c0=-nl.c0,
-                       c_plus=tuple(-c for c in nl.c_minus),
-                       c_minus=tuple(-c for c in nl.c_plus))
-
-
-def _power_coeffs(nl: NeckLaurent) -> dict[int, complex]:
-    coeffs = {-1: nl.c0}
-    for n, c in enumerate(nl.c_plus, start=1):
-        coeffs[n - 1] = coeffs.get(n - 1, 0.0) + c
-    for n, c in enumerate(nl.c_minus, start=1):
-        coeffs[-n - 1] = coeffs.get(-n - 1, 0.0) + nl.t ** (2 * n) * c
-    return coeffs
-
-
-def _series_triple(nl: NeckLaurent, parity_even: bool):
-    """Power coefficients of (F+', F-', H') against dw in one chart."""
-    base = _power_coeffs(nl)
-    t = nl.t
-    div = {m + 1: c for m, c in base.items()}
-    mul = {m - 1: t * t * c for m, c in base.items()}
-    hgt = {m: t * c for m, c in base.items()}
-    if parity_even:
-        return div, mul, hgt
-    return mul, div, hgt
-
-
-def _antiderivative(alpha: dict[int, complex], r, theta) -> np.ndarray:
-    """Antiderivative of sum alpha_m w^m on the cut chart theta in [0, 2pi)."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-    for m in sorted(alpha):
-        c = alpha[m]
-        if m == -1:
-            out = out + c * (np.log(r) + 1j * theta)
-        else:
-            out = out + (c / (m + 1)) * r ** (m + 1) * np.exp(1j * (m + 1) * theta)
-    return out
-
-
-def _sheet_values(nl: NeckLaurent, parity_even: bool, radii: np.ndarray,
-                  thetas: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Raw triples on the (ring, spoke) grid, anchored at (radii[0], 0)."""
-    series = _series_triple(nl, parity_even)
-    vals = np.empty((len(radii), len(thetas), 3), dtype=complex)
-    for c, alpha in enumerate(series):
-        av = _antiderivative(alpha, radii[:, None], thetas[None, :])
-        vals[:, :, c] = av - _antiderivative(alpha, radii[0], 0.0)
-    return vals + np.asarray(anchor, dtype=complex)[None, None, :]
+    n, t = len(nl.c_plus), nl.t
+    reg, sing = (nl.c_plus, nl.c_minus) if side == "+" else (nl.c_minus, nl.c_plus)
+    # density c0/w + sum reg[n-1] w^(n-1) + t^(2n) sing[n-1] w^(-n-1), ascending
+    dens = np.array([t ** (2 * j) * c for j, c in zip(range(n, 0, -1), sing[::-1])]
+                    + [nl.c0, *reg]) * (1.0 if side == "+" else -1.0)
+    p = np.arange(-n - 1, n + 2)
+    coef = np.zeros((len(p), 3), dtype=complex)
+    # (F+', F-', H') = (w dens, t^2 dens / w, t dens) on even layers, so
+    # the w^m term of dens integrates to p = m + 2, m and m + 1
+    coef[2:, 0], coef[:-2, 1], coef[1:-1, 2] = dens, t * t * dens, t * dens
+    if (nl.k + (side == "-")) % 2:
+        coef = coef[:, [1, 0, 2]]
+    # part by part, as Python's c / p rounds: numpy's complex division
+    # multiplies by 1 / p, which would move the bits of the spoke-0 weld
+    div = np.where(p == 0, 1, p)[:, None]
+    coef = coef.real / div + 1j * (coef.imag / div)
+    powers = (radii[:, None] ** p).T  # (power, ring)
+    basis = powers[:, :, None] * np.exp(1j * p[:, None] * THETAS)[:, None, :]
+    basis[p == 0] = np.log(radii)[:, None] + 1j * THETAS
+    vals = np.sum(basis[..., None] * coef[:, None, None, :], axis=0)
+    return vals - vals[0, 0]
 
 
 def _tail_estimate(nl: NeckLaurent) -> tuple[float, float]:
@@ -244,16 +230,15 @@ def _tail_estimate(nl: NeckLaurent) -> tuple[float, float]:
 class NeckField:
     """Integrated triples on both half-annuli of one neck.
 
-    plus[j, s] sits at w = radii[j] exp(i thetas[s]) in the chart of
-    layer k; minus[j, s] at w' = radii[j] exp(i thetas[s]) in the chart
+    plus[j, s] sits at w = radii[j] exp(i THETAS[s]) in the chart of
+    layer k; minus[j, s] at w' = radii[j] exp(i THETAS[s]) in the chart
     of layer k+1.  Row 0 is the seam |w| = epsilon, the last row the
     waist |w| = t.  Waist points pair by spoke s <-> (spokes - s) mod
-    spokes.
+    spokes.  Both sheets are relative to the plus seam point (epsilon, 0).
     """
 
     k: int
     radii: np.ndarray
-    thetas: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     laurent: NeckLaurent
@@ -262,55 +247,31 @@ class NeckField:
     weld_defect: float
 
 
-def _waist_transfer(nl: NeckLaurent, k: int, t: float,
-                    eps: float) -> np.ndarray:
-    """Triple increment from (eps, 0) on the plus sheet of neck k to
-    (eps, 0) on the minus sheet, through the waist along spoke zero."""
-    down = _series_triple(nl, k % 2 == 0)
-    up = _series_triple(_swap_laurent(nl), (k + 1) % 2 == 0)
-    out = np.array([_antiderivative(c, t, 0.0) - _antiderivative(c, eps, 0.0)
-                    for c in down], dtype=complex)
-    out += np.array([_antiderivative(c, eps, 0.0) - _antiderivative(c, t, 0.0)
-                     for c in up], dtype=complex)
-    return out
-
-
-def integrate_neck(k: int, st: GluingState, series: OmegaSeries,
-                   rings: int = NECK_RINGS, spokes: int = NECK_SPOKES,
-                   plus_anchor=None, minus_anchor=None,
-                   laurent: NeckLaurent | None = None) -> NeckField:
+def integrate_neck(k: int, st: GluingState, series: OmegaSeries) -> NeckField:
     """Integrate the neck between layers k and k+1 on a log-radial grid.
 
-    Anchors are raw triples at the seam point (epsilon, theta=0) of each
-    side.  A missing minus anchor is derived from the plus side by
-    transporting through the waist, so a standalone neck welds cleanly;
-    the weld defect then reports the residual of the two-chart matching
-    over the remaining spokes.
+    Both sheets come from `_neck_sheet` of the neck's own Laurent data,
+    relative to the plus seam point (epsilon, theta=0).  The minus sheet
+    is welded to the plus sheet at spoke 0 of the waist, so minus[0, 0]
+    is the triple increment through the neck; the weld defect reports the
+    residual of the two-chart matching over the remaining spokes.
     """
     if st.t <= 0.0:
         raise ValueError("neck integration needs t > 0")
-    nl = laurent if laurent is not None else laurent_coeffs(
-        st, series, k, LAURENT_ORDER)
+    nl = laurent_coeffs(st, series, k, LAURENT_ORDER)
     tail = _tail_estimate(nl)
     if max(tail) > TAIL_TOL:
         raise CoefficientDecayError(
             f"neck {k} series tail {max(tail):.2e} exceeds {TAIL_TOL:.0e}")
     eps = st.epsilon
-    radii = eps * (st.t / eps) ** (np.arange(rings + 1) / rings)
-    thetas = 2.0 * np.pi * np.arange(spokes) / spokes
-    if plus_anchor is None:
-        plus_anchor = np.zeros(3, dtype=complex)
-    if minus_anchor is None:
-        minus_anchor = plus_anchor + _waist_transfer(nl, k, st.t, eps)
-    plus = _sheet_values(nl, k % 2 == 0, radii, thetas, plus_anchor)
-    minus = _sheet_values(_swap_laurent(nl), (k + 1) % 2 == 0, radii, thetas,
-                          minus_anchor)
-    pair = (spokes - np.arange(spokes)) % spokes
+    radii = eps * (st.t / eps) ** (np.arange(NECK_RINGS + 1) / NECK_RINGS)
+    plus, minus = _neck_sheet(nl, "+", radii), _neck_sheet(nl, "-", radii)
+    minus += plus[-1, 0] - minus[-1, 0]
+    pair = (NECK_SPOKES - np.arange(NECK_SPOKES)) % NECK_SPOKES
     gap = _positions(plus[-1]) - _positions(minus[-1])[pair]
     weld = float(np.max(np.linalg.norm(gap, axis=-1)))
-    return NeckField(k=k, radii=radii, thetas=thetas, plus=plus, minus=minus,
-                     laurent=nl, tail_plus=tail[0], tail_minus=tail[1],
-                     weld_defect=weld)
+    return NeckField(k=k, radii=radii, plus=plus, minus=minus, laurent=nl,
+                     tail_plus=tail[0], tail_minus=tail[1], weld_defect=weld)
 
 
 def neck_flux(nl: NeckLaurent, k_parity_even: bool) -> np.ndarray:
@@ -331,13 +292,12 @@ class LayerPatch:
     """Graph-like triangulated patch of one layer torus.
 
     Vertices carry unreduced plane coordinates of the cell spanned from
-    corner; triples are raw (F+, F-, H) values anchored at the tree
-    root.  seam maps each side to the ring vertex index array; faces
+    the mesh corner; triples are raw (F+, F-, H) values anchored at the
+    tree root.  seam maps each side to the ring vertex index array; faces
     index into the local vertex list.
     """
 
     k: int
-    corner: complex
     verts_z: np.ndarray
     triples: np.ndarray
     faces: np.ndarray
@@ -468,8 +428,7 @@ def _tree_walk(n_nodes: int, u: np.ndarray, v: np.ndarray, inc: np.ndarray,
 
 
 def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
-                    grid_res: int = GRID_RES,
-                    spokes: int = NECK_SPOKES) -> LayerPatch:
+                    grid_res: int = GRID_RES) -> LayerPatch:
     """Integrate the triple over a layer grid with the chart disks cut out.
 
     Grid nodes closer to a chart center than the kernel's pole radius are
@@ -556,14 +515,12 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
         raise MeshTopologyError(f"expected 2 cut boundaries, found "
                                 f"{len(cycles)}", k, st.t, n)
 
-    # seam rings, one per side, valued along the Laurent arc
-    nl_plus = laurent_coeffs(st, series, k, LAURENT_ORDER)
-    nl_minus = _swap_laurent(laurent_coeffs(st, series, k - 1, LAURENT_ORDER))
-    thetas = 2.0 * np.pi * np.arange(spokes) / spokes
+    # seam rings, one per side, valued along the Laurent arc of the neck
+    # above (side "+") and of the neck below (side "-")
     seam, rings, stitch = {}, {}, 0.0
     for side, c_stored in (("+", T.v), ("-", 0.0)):
         ring_chart = np.asarray(
-            neck_point(st, k, side, st.epsilon * np.exp(1j * thetas)),
+            neck_point(st, k, side, st.epsilon * np.exp(1j * THETAS)),
             dtype=complex)
         c_cell = centers_cell[side]
         ring_z = c_cell + (ring_chart - c_stored)
@@ -577,17 +534,17 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     # the legs of both seam rings in one jet call
     leg_triples = _segment_triples(st, series, k, [
         (cyc_z[i], ring_z[s]) for ring_z, _, cyc_z, near in rings.values()
-        for s, i in enumerate(near)]).reshape(2, spokes, 3)
-    for (side, nl), leg in zip((("+", nl_plus), ("-", nl_minus)), leg_triples):
+        for s, i in enumerate(near)]).reshape(2, NECK_SPOKES, 3)
+    for (side, k_neck), leg in zip((("+", k), ("-", k - 1)), leg_triples):
         ring_z, cyc_ids, cyc_z, near = rings[side]
         c_cell = centers_cell[side]
         legs = triples[cyc_ids[near]] + leg
-        arc = _sheet_values(nl, k % 2 == 0, np.array([st.epsilon]), thetas,
-                            legs[0])[0]
+        nl = laurent_coeffs(st, series, k_neck, LAURENT_ORDER)
+        arc = legs[0] + _neck_sheet(nl, side, np.array([st.epsilon]))[0]
         stitch = max(stitch, float(np.max(np.linalg.norm(
             _positions(arc) - _positions(legs), axis=-1))))
-        ring_ids = nextid + np.arange(spokes)
-        nextid += spokes
+        ring_ids = nextid + np.arange(NECK_SPOKES)
+        nextid += NECK_SPOKES
         verts_list.append(ring_z)
         tri_list.append(arc)
         ang_cyc = np.angle(cyc_z - c_cell)
@@ -602,7 +559,7 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
                               dtype=int))
         seam[side] = ring_ids
 
-    return LayerPatch(k=k, corner=corner, verts_z=np.concatenate(verts_list),
+    return LayerPatch(k=k, verts_z=np.concatenate(verts_list),
                       triples=np.concatenate(tri_list), faces=np.concatenate(faces),
                       seam=seam, centers=centers_cell, root_z=complex(kept_z[root]),
                       alpha=alpha, beta=beta, loop_defect=loop_defect,
@@ -633,7 +590,8 @@ class LayerFrame:
 def _default_range(st: GluingState) -> list[int]:
     if st.mode == "cyclic":
         return list(range(0, st.n_tori + 1))
-    return list(range(st.k_lo + MESH_BUFFER, st.k_hi - MESH_BUFFER + 1))
+    # window states: the n_buffer clamped layers at each end are not meshed
+    return list(range(st.k_lo + st.n_buffer, st.k_hi - st.n_buffer + 1))
 
 
 @dataclass(frozen=True)
@@ -665,43 +623,34 @@ def spacing_report(st: GluingState, series: OmegaSeries,
 class SurfaceMesh:
     """Triangulated immersion of a run of layers and their necks.
 
-    vertices carry horizontal coordinates reduced into the period cell;
-    raw keeps the unreduced immersion.  provenance holds one
-    ("layer", k, "") or ("neck", k, sign) tag per face.
+    raw holds the unreduced immersion.  Each face carries the index
+    face_k of its layer or neck and the code face_part of its part:
+    LAYER, or NECK_PLUS / NECK_MINUS for the half of neck k in the chart
+    of layer k / k+1.
     """
 
     tau_ref: complex
     t: float
     epsilon: float
-    vertices: np.ndarray
     raw: np.ndarray
     faces: np.ndarray
-    provenance: list[tuple[str, int, str]]
+    face_k: np.ndarray
+    face_part: np.ndarray
     frames: list[LayerFrame]
     reports: dict
 
 
-def _reduce_horizontal(raw: np.ndarray, tau: complex) -> np.ndarray:
-    z = raw[:, 0] + 1j * raw[:, 1]
-    x, y = lattice_coords(z, tau)
-    zr = (x % 1.0) + (y % 1.0) * tau
-    out = raw.copy()
-    out[:, 0], out[:, 1] = zr.real, zr.imag
-    return out
-
-
-def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
-               grid_res: int = GRID_RES, rings: int = NECK_RINGS,
-               spokes: int = NECK_SPOKES) -> SurfaceMesh:
+def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMesh:
     """Assemble layer patches and neck annuli into one SurfaceMesh.
 
     Layers are integrated independently and joined through shared seam
     rings; the two half-annuli of each neck merge at the waist.  Each
     patch picks cell representatives of its chart centers, so consecutive
     patches are branch-aligned by transporting the immersion through the
-    neck itself (down the plus sheet, up the minus sheet along spoke 0).
-    The mesh is translated so the first crossed waist centroid sits at
-    the origin.
+    neck itself: neck k is translated onto the plus seam point of layer
+    k, and its welded minus sheet gives the offset of layer k+1.  The
+    mesh is translated so the first crossed waist centroid sits at the
+    origin.
     """
     if st.t <= 0.0:
         raise ValueError("meshing needs t > 0")
@@ -709,18 +658,17 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
     if len(ks) < 2:
         raise ValueError("need at least two layers to mesh a neck")
 
-    laurents = {k: laurent_coeffs(st, series, k, LAURENT_ORDER)
-                for k in ks[:-1]}
-    patches = {k: integrate_layer(k, st, series, grid_res, spokes)
-               for k in ks}
+    patches = {k: integrate_layer(k, st, series) for k in ks}
+    necks = {k: integrate_neck(k, st, series) for k in ks[:-1]}
 
     offsets: dict[int, np.ndarray] = {ks[0]: np.zeros(3, dtype=complex)}
+    shift: dict[int, np.ndarray] = {}
     for k in ks[:-1]:
-        nl = laurents[k]
         plo, phi = patches[k], patches[k + 1]
-        plus_val = offsets[k] + plo.triples[plo.seam["+"][0]]
-        minus_val = plus_val + _waist_transfer(nl, k, st.t, st.epsilon)
-        offsets[k + 1] = minus_val - phi.triples[phi.seam["-"][0]]
+        shift[k] = offsets[k] + plo.triples[plo.seam["+"][0]]
+        # down the plus sheet to the waist, up the minus sheet to layer k+1
+        offsets[k + 1] = (shift[k] + necks[k].minus[0, 0]
+                          - phi.triples[phi.seam["-"][0]])
 
     # canonical per-layer frames in the mesh branch, for reporting
     frames = {}
@@ -732,54 +680,45 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
         frames[k] = offsets[k] - per - _segment_triples(
             st, series, k, [(On, patch.root_z)])[0]
 
-    verts, faces, prov = [], [], []
+    verts, blocks = [], []  # blocks: (faces, k, part code)
     base_of: dict[int, int] = {}
     total = 0
     for k in ks:
         p = patches[k]
         base_of[k] = total
         verts.append(p.triples + offsets[k][None, :])
-        faces.append(p.faces + total)
-        prov.extend([("layer", k, "")] * len(p.faces))
+        blocks.append((p.faces + total, k, LAYER))
         total += len(p.triples)
 
+    rings, spokes = NECK_RINGS, NECK_SPOKES
     neck_grids: dict[int, dict[str, np.ndarray]] = {}
-    necks: dict[int, NeckField] = {}
     for k in ks[:-1]:
-        plo, phi = patches[k], patches[k + 1]
-        plus_anchor = plo.triples[plo.seam["+"][0]] + offsets[k]
-        minus_anchor = phi.triples[phi.seam["-"][0]] + offsets[k + 1]
-        nf = integrate_neck(k, st, series, rings, spokes,
-                            plus_anchor=plus_anchor,
-                            minus_anchor=minus_anchor, laurent=laurents[k])
-        necks[k] = nf
+        plo, phi, nf = patches[k], patches[k + 1], necks[k]
         ids_p = np.empty((rings + 1, spokes), dtype=int)
         ids_m = np.empty((rings + 1, spokes), dtype=int)
         ids_p[0] = plo.seam["+"] + base_of[k]
         ids_m[0] = phi.seam["-"] + base_of[k + 1]
-        new_p = nf.plus[1:].reshape(-1, 3)
         ids_p[1:] = total + np.arange(rings * spokes).reshape(rings, spokes)
-        verts.append(new_p)
+        verts.append(nf.plus[1:].reshape(-1, 3) + shift[k])
         total += rings * spokes
-        new_m = nf.minus[1:rings].reshape(-1, 3)
         ids_m[1:rings] = total + np.arange((rings - 1) * spokes).reshape(
             rings - 1, spokes)
-        verts.append(new_m)
+        verts.append(nf.minus[1:rings].reshape(-1, 3) + shift[k])
         total += (rings - 1) * spokes
-        pair = (spokes - np.arange(spokes)) % spokes
-        ids_m[rings] = ids_p[rings][pair]
+        ids_m[rings] = ids_p[rings][(spokes - np.arange(spokes)) % spokes]
         neck_grids[k] = {"plus": ids_p, "minus": ids_m}
-        for side, ids in (("+", ids_p), ("-", ids_m)):
-            for j in range(rings):
-                a, b = ids[j], ids[j + 1]
-                s1 = np.roll(np.arange(spokes), -1)
-                fa = np.stack([a, a[s1], b[s1]], axis=1)
-                fb = np.stack([a, b[s1], b], axis=1)
-                faces.append(np.concatenate([fa, fb]))
-                prov.extend([("neck", k, side)] * (2 * spokes))
+        s1 = np.roll(np.arange(spokes), -1)
+        for part, ids in ((NECK_PLUS, ids_p), (NECK_MINUS, ids_m)):
+            a, b = ids[:-1], ids[1:]
+            # per ring: the spokes' (a, a+1, b+1) faces, then their (a, b+1, b)
+            fa = np.stack([a, a[:, s1], b[:, s1]], axis=-1)
+            fb = np.stack([a, b[:, s1], b], axis=-1)
+            faces = np.concatenate([fa, fb], axis=1).reshape(-1, 3)
+            blocks.append((faces, k, part))
 
     triples_all = np.concatenate(verts)
-    faces_all = np.concatenate(faces)
+    faces_all = np.concatenate([f for f, _, _ in blocks])
+    sizes = [len(f) for f, _, _ in blocks]
     raw = _positions(triples_all)
 
     # normalize: first crossed waist centroid to the origin
@@ -818,7 +757,6 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
         "loop_defect": {k: patches[k].loop_defect for k in ks},
         "stitch_defect": {k: patches[k].stitch_defect for k in ks},
         "weld_defect": {k: necks[k].weld_defect for k in necks},
-        "tail": {k: (necks[k].tail_plus, necks[k].tail_minus) for k in necks},
         "wrap_continuity": {
             k: float(abs(np.pi * st.t ** 2
                          * (np.conj(necks[k].laurent.c_plus[0])
@@ -830,14 +768,14 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None,
         "neck_grids": neck_grids,
         "layer_base": base_of,
         "layer_len": {k: len(patches[k].triples) for k in ks},
-        "settings": {"grid_res": grid_res, "rings": rings, "spokes": spokes,
+        "settings": {"grid_res": GRID_RES, "rings": rings, "spokes": spokes,
                      "k_range": list(ks)},
     }
-    mesh = SurfaceMesh(tau_ref=st.tau_ref, t=st.t, epsilon=st.epsilon,
-                       vertices=_reduce_horizontal(raw, st.tau_ref), raw=raw,
-                       faces=faces_all, provenance=prov, frames=frames_out,
-                       reports=reports)
-    return mesh
+    return SurfaceMesh(tau_ref=st.tau_ref, t=st.t, epsilon=st.epsilon, raw=raw,
+                       faces=faces_all,
+                       face_k=np.repeat([k for _, k, _ in blocks], sizes),
+                       face_part=np.repeat([c for _, _, c in blocks], sizes),
+                       frames=frames_out, reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,13 +965,13 @@ def _intersecting_pairs(raw: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return np.stack([a[hit], b[hit]], axis=1)
 
 
-def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = None,
-                             graph_floor: float = 0.5) -> dict:
+def embeddedness_diagnostics(mesh: SurfaceMesh) -> dict:
     """Diagnostic embeddedness battery; failures are reported, not fatal.
 
-    Checks (i) that layer patches stay vertical graphs, (ii) that neck
-    cross sections at heights h_k +- t*c are simple convex curves, and
-    (iii) that no two faces of a layer slab intersect.  The slab of layer
+    Checks (i) that layer patches stay vertical graphs, with |n3| of at
+    least GRAPH_FLOOR on every face, (ii) that neck cross sections at
+    heights h_k +- t*c, c = SLICE_FACTOR log(epsilon/t), are simple convex
+    curves, and (iii) that no two faces of a layer slab intersect.  The slab of layer
     k is its patch and the halves of necks k - 1 and k that attach to it,
     up to their waists.  Check (iii) tests every pair of slab faces whose closed
     bounding boxes overlap and that share no vertex, by the Moller
@@ -1041,15 +979,8 @@ def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = Non
     is twice the median edge of the slab; faces whose planes meet at
     sin(angle) < COPLANAR_SIN take a 2D separating-axis test instead.
     """
-    if slice_offset is None:
-        slice_offset = 0.6 * math.log(mesh.epsilon / mesh.t)
-    # one pass over the face tags; each of the few distinct tags decodes once
-    codes: dict[tuple[str, int, str], int] = {}
-    ids = np.fromiter((codes.setdefault(tag, len(codes)) for tag in mesh.provenance),
-                      int, len(mesh.provenance))
-    layer = np.array([tag == "layer" for tag, _, _ in codes], dtype=bool)[ids]
-    kk = np.array([k for _, k, _ in codes], dtype=int)[ids]
-    minus = np.array([sign == "-" for _, _, sign in codes], dtype=bool)[ids]
+    kk, layer = mesh.face_k, mesh.face_part == LAYER
+    minus = mesh.face_part == NECK_MINUS
     out: dict = {"graph": {}, "slices": {}, "intersections": {}}
 
     for k in np.unique(kk[layer]).tolist():
@@ -1059,14 +990,13 @@ def embeddedness_diagnostics(mesh: SurfaceMesh, slice_offset: float | None = Non
         ok = lens > 0
         n3 = np.abs(nrm[ok, 2]) / lens[ok]
         val = float(np.min(n3)) if len(n3) else 0.0
-        out["graph"][k] = {"min_n3": val, "pass": bool(val >= graph_floor)}
-        # only neck faces carry the sign "-", so this is layer k, the plus
-        # half of neck k and the minus half of neck k - 1
+        out["graph"][k] = {"min_n3": val, "pass": bool(val >= GRAPH_FLOOR)}
+        # layer k, the plus half of neck k and the minus half of neck k - 1
         slab = ((kk == k) & ~minus) | ((kk == k - 1) & minus)
         pairs = len(_intersecting_pairs(mesh.raw, mesh.faces[slab]))
         out["intersections"][k] = {"pairs": pairs, "pass": pairs == 0}
 
-    tc = mesh.t * slice_offset
+    tc = mesh.t * SLICE_FACTOR * math.log(mesh.epsilon / mesh.t)
     for k in np.unique(kk[~layer]).tolist():
         grid = mesh.reports["neck_grids"][k]["plus"]
         waist_h = float(mesh.raw[grid[-1], 2].mean())
@@ -1099,6 +1029,9 @@ def write_obj(mesh: SurfaceMesh, path: str, copies: int = 1) -> None:
     with open(path, "w") as fh:
         fh.write(f"# stackedmin surface, t={mesh.t!r}\n")
         nv = len(mesh.raw)
+        groups = ("layer_{}", "neck_{}p", "neck_{}m")
+        cuts = np.flatnonzero((np.diff(mesh.face_k) != 0)
+                              | (np.diff(mesh.face_part) != 0)) + 1
         for ci, sh in enumerate(shifts):
             fh.write(f"g copy_{ci}\n")
             moved = mesh.raw.copy()
@@ -1106,16 +1039,13 @@ def write_obj(mesh: SurfaceMesh, path: str, copies: int = 1) -> None:
             moved[:, 1] += sh.imag
             for v in moved:
                 fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        last = None
         for ci in range(len(shifts)):
             off = 1 + ci * nv
-            for f, tag in zip(mesh.faces, mesh.provenance):
-                if tag != last:
-                    name = f"{tag[0]}_{tag[1]}{tag[2]}".replace("+", "p")
-                    fh.write(f"g {name.replace('-', 'm')}_copy{ci}\n")
-                    last = tag
-                fh.write(f"f {f[0] + off} {f[1] + off} {f[2] + off}\n")
-            last = None
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(mesh.faces)]):
+                k = str(mesh.face_k[lo]).replace("-", "m")
+                fh.write(f"g {groups[mesh.face_part[lo]].format(k)}_copy{ci}\n")
+                for f in mesh.faces[lo:hi]:
+                    fh.write(f"f {f[0] + off} {f[1] + off} {f[2] + off}\n")
 
 
 def mesh_summary(mesh: SurfaceMesh) -> dict:

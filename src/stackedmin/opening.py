@@ -27,9 +27,12 @@ from .elliptic import (
 from .hecke import hecke_G
 
 FIX_TOL = 1e-12
+FIX_MAX_ITER = 500
 DEFAULT_N_MAX = 8
 DEFAULT_CIRCLE_NODES = 256
 CHART_MARGIN = 2.0  # charts are |1/g| < CHART_MARGIN * epsilon
+CHART_NEWTON = 40  # Newton steps of the chart inversion
+N_BUFFER = 3  # least number of clamped tail layers at each end of a window
 
 _SIGNS = {"+": 0, "-": 1}
 
@@ -107,7 +110,7 @@ def _shortest_vector(tau: complex) -> float:
     return best
 
 
-def _invert_chart(T: TorusData, sign: str, w, newton_iters: int = 40):
+def _invert_chart(T: TorusData, sign: str, w):
     """Newton inversion of w = 1/g near one pole; w may be an array.
 
     Returns z with 1/g(z) = w.  Entries with w = 0 map to the pole itself.
@@ -120,7 +123,7 @@ def _invert_chart(T: TorusData, sign: str, w, newton_iters: int = 40):
     target = 1.0 / ws
     res = np.full(w.shape, np.inf)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(newton_iters):
+        for _ in range(CHART_NEWTON):
             gv, gp = T.g_and_gp(z)
             res = np.abs(1.0 / gv - ws)
             if np.all((res <= 1e-12 * np.abs(ws) + 1e-15) | at_pole):
@@ -165,7 +168,7 @@ def _chart_radius(tori: list[TorusData]) -> float:
 
 
 def central_layout(cfg: Configuration, K: int | None = None,
-                   n_buffer: int = 3, force_window: bool = False):
+                   force_window: bool = False):
     """Tori at the central data of a configuration (a = -1/2, bhat = 0,
     tau_k and v_k the alternating reflections of tau, q_k) with the layout
     of their state: (tori, mode, k_lo, left period, right period, buffer)."""
@@ -182,7 +185,7 @@ def central_layout(cfg: Configuration, K: int | None = None,
         # a tail of odd length repeats with twice its length
         p_l, p_r = (len(tl) * (1 + len(tl) % 2) for tl in (cfg.left_tail,
                                                           cfg.right_tail))
-        buf = max(n_buffer, p_l, p_r)
+        buf = max(N_BUFFER, p_l, p_r)
         ks = range(-K - buf, K + buf + 1)
         mode, k_lo = "window", -K - buf
     tori = [TorusData(a=-0.5, bhat=0j, tau=mirror_conj(cfg.tau, k),
@@ -332,17 +335,15 @@ class GluingState:
 
     @classmethod
     def central(cls, cfg: Configuration, t: float, K: int | None = None,
-                n_buffer: int = 3, n_max: int = DEFAULT_N_MAX,
                 circle_nodes: int = DEFAULT_CIRCLE_NODES,
                 force_window: bool = False,
                 epsilon: float | None = None) -> "GluingState":
         """State on the tori of `central_layout`, with the chart radius
         `_chart_radius` of them unless epsilon is given."""
-        tori, mode, k_lo, p_l, p_r, buf = central_layout(cfg, K, n_buffer,
-                                                         force_window)
+        tori, mode, k_lo, p_l, p_r, buf = central_layout(cfg, K, force_window)
         eps = _chart_radius(tori) if epsilon is None else epsilon
         return cls(t=t, tori=tori, mode=mode, k_lo=k_lo, epsilon=eps,
-                   rho=eps / 4, n_max=n_max, tau_ref=cfg.tau, q0_ref=cfg.q(0),
+                   rho=eps / 4, tau_ref=cfg.tau, q0_ref=cfg.q(0),
                    left_period=p_l, right_period=p_r, n_buffer=buf,
                    circle_nodes=circle_nodes)
 
@@ -491,8 +492,7 @@ def _fixed_point_system(st: GluingState):
     return mat, vec
 
 
-def fix_omega(st: GluingState, fix_tol: float = FIX_TOL,
-              max_iter: int = 500) -> OmegaSeries:
+def fix_omega(st: GluingState) -> OmegaSeries:
     """Iterate the neck-matching map from lambda = 0 to its fixed point.
 
     Raises NonContractionError outside the contraction regime
@@ -510,12 +510,12 @@ def fix_omega(st: GluingState, fix_tol: float = FIX_TOL,
     lam = np.zeros(st.n_tori * 2 * width, dtype=complex)
     norms = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(FIX_MAX_ITER):
         new = vec + mat @ lam
         step = float(np.max(np.abs(new - lam))) if lam.size else 0.0
         norms.append(step)
         lam = new
-        if step < fix_tol:
+        if step < FIX_TOL:
             converged = True
             break
     return OmegaSeries(lam=lam.reshape(st.n_tori, 2, width), n_max=st.n_max,
@@ -543,37 +543,11 @@ def path_base(T: TorusData) -> complex:
     return x0 + y0 * T.tau
 
 
-def gauss_component(st: GluingState, k: int, z):
-    """g_k, the degree-2 elliptic building block of the Gauss map."""
-    return st.torus(k).g(z)
-
-
-def neck_coordinate(st: GluingState, k: int, sign: str, z) -> complex:
-    """Chart value w = 1/g_k(z) near v_k (sign +) or 0_k (sign -)."""
-    T = st.torus(k)
-    w = 1.0 / T.g(z)
-    if abs(w) >= CHART_MARGIN * st.epsilon:
-        raise ChartError(f"|1/g| = {abs(w):.3e} outside the chart")
-    pole = T.v if _SIGNS[sign] == 0 else 0.0
-    other = 0.0 if _SIGNS[sign] == 0 else T.v
-    if torus_distance(z, pole, T.tau) > torus_distance(z, other, T.tau):
-        raise ChartError("point belongs to the opposite chart")
-    return complex(w)
-
-
 def neck_point(st: GluingState, k: int, sign: str, w):
     """Inverse chart map; w may be an array inside |w| < 2 epsilon."""
     if np.any(np.abs(w) >= CHART_MARGIN * st.epsilon):
         raise ChartError("coordinate outside the chart radius")
     return _invert_chart(st.torus(k), sign, w)
-
-
-def third_kind_form(st: GluingState, k: int, p: complex, q: complex, z):
-    """Meromorphic form on layer k with residues +1 at p and -1 at q and
-    imaginary periods; returned as its density against dz."""
-    lat = st.torus(k).lattice
-    val = zeta(z - p, lat) - zeta(z - q, lat) - xi_raw(q - p, lat)
-    return val if np.asarray(val).shape else complex(val)
 
 
 def omega_jmax(st: GluingState, series: OmegaSeries, j: int) -> int:
@@ -647,18 +621,6 @@ class NeckLaurent:
     c0: complex
     c_plus: tuple[complex, ...]
     c_minus: tuple[complex, ...]
-
-    def value(self, w):
-        wa = np.asarray(w, dtype=complex)
-        lo = self.t ** 2 / (CHART_MARGIN * self.epsilon)
-        if np.any(np.abs(wa) >= CHART_MARGIN * self.epsilon) or np.any(np.abs(wa) <= lo):
-            raise ChartError("outside the neck annulus")
-        val = self.c0 / wa
-        for n, c in enumerate(self.c_plus, start=1):
-            val = val + c * wa ** (n - 1)
-        for n, c in enumerate(self.c_minus, start=1):
-            val = val + (self.t ** (2 * n) * c) * wa ** (-n - 1)
-        return val if val.shape else complex(val)
 
 
 def laurent_coeffs(st: GluingState, series: OmegaSeries, k: int,

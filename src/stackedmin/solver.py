@@ -304,10 +304,9 @@ def _stamp_tail(st, tail_states, active_halfwidth):
 
 def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
                         K: int | None = None, tol: float = NEWTON_TOL,
-                        itmax: int = MAX_NEWTON, circle_nodes: int | None = None,
-                        callback=None, force_window: bool = False,
-                        epsilon: float | None = None,
-                        n_max: int | None = None) -> SolveReport:
+                        itmax: int = MAX_NEWTON, callback=None,
+                        force_window: bool = False,
+                        epsilon: float | None = None) -> SolveReport:
     """Continue the closed-neck solution to t_target along a t-schedule.
 
     Periodic stacks are solved on one (even) period with cyclic coupling.
@@ -322,14 +321,9 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
         raise ValueError("schedule must be strictly increasing")
     if schedule and abs(schedule[-1] - t_target) > 1e-15:
         raise ValueError("schedule must end at t_target")
-    kw = {"circle_nodes": circle_nodes} if circle_nodes else {}
-    if epsilon is not None:
-        kw["epsilon"] = epsilon
-    if n_max is not None:
-        kw["n_max"] = n_max
 
     if cfg.is_periodic() and not force_window:
-        st = GluingState.central(cfg, 0.0, **kw)
+        st = GluingState.central(cfg, 0.0, epsilon=epsilon)
         active = tuple(st.logical_range())
         steps = []
         series = fix_omega(st)
@@ -341,10 +335,10 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
 
     left_cfg = _tail_config(cfg, cfg.left_tail)
     right_cfg = _tail_config(cfg, cfg.right_tail)
-    lst = GluingState.central(left_cfg, 0.0, **kw)
+    lst = GluingState.central(left_cfg, 0.0, epsilon=epsilon)
     rst = lst if cfg.left_tail == cfg.right_tail else \
-        GluingState.central(right_cfg, 0.0, **kw)
-    st = GluingState.central(cfg, 0.0, K=K, force_window=True, **kw)
+        GluingState.central(right_cfg, 0.0, epsilon=epsilon)
+    st = GluingState.central(cfg, 0.0, K=K, force_window=True, epsilon=epsilon)
     tail_steps = {"left": [], "right": []}
     active = tuple(k for k in st.logical_range()
                    if abs(k) <= st.k_hi - st.n_buffer)

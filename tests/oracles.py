@@ -14,12 +14,17 @@ the solver's loop that reuses them, and the layer-patch loops integrate
 one segment, score one cell corner, triangulate one grid cell, count
 one face edge and grow the spanning tree one node at a time, for the
 batched seam legs, the array corner search, the array grid faces, the
-sorted edge count and the frontier walk.  The face-intersection reference
-enumerates candidate pairs from a bucket grid and tests them one pair at
-a time, for the array sweep of the embeddedness battery, and the
-one-axis sweep holds the strip sweep to the same candidate pairs.
+sorted edge count and the frontier walk.  The neck sheets are summed one
+Laurent power at a time from dicts of powers, for the one-array evaluator
+of the seam rings, the neck sheets and the waist weld.  The
+face-intersection reference enumerates candidate pairs from a bucket grid
+and tests them one pair at a time, for the array sweep of the
+embeddedness battery, and the one-axis sweep holds the strip sweep to the
+same candidate pairs.
 
-Two cross-checks close the file.  zeros_symmetric gets the symmetric
+The chart value w = 1/g, the Gauss component, the third-kind form and
+the pointwise value of a neck Laurent series are evaluated only by the
+tests.  Two cross-checks close the file.  zeros_symmetric gets the symmetric
 functions of the zeros of a layer Gauss component from argument-principle
 integrals over a cell boundary, without locating the zeros, against
 which the solver's residue form of the regularity sum is checked.
@@ -460,6 +465,74 @@ def tree_walk_fifo(n_nodes: int, u: np.ndarray, v: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# neck sheets one Laurent power at a time, from dicts of powers: the
+# evaluator that the one-array `_neck_sheet` replaced
+
+
+def _swap_laurent(nl):
+    """Laurent data of the same neck seen from the minus chart."""
+    from dataclasses import replace
+
+    return replace(nl, c0=-nl.c0, c_plus=tuple(-c for c in nl.c_minus),
+                   c_minus=tuple(-c for c in nl.c_plus))
+
+
+def _series_triple(nl, parity_even: bool):
+    """Power coefficients of (F+', F-', H') against dw in one chart."""
+    base = {-1: nl.c0}
+    for n, c in enumerate(nl.c_plus, start=1):
+        base[n - 1] = base.get(n - 1, 0.0) + c
+    for n, c in enumerate(nl.c_minus, start=1):
+        base[-n - 1] = base.get(-n - 1, 0.0) + nl.t ** (2 * n) * c
+    t = nl.t
+    div = {m + 1: c for m, c in base.items()}
+    mul = {m - 1: t * t * c for m, c in base.items()}
+    hgt = {m: t * c for m, c in base.items()}
+    return (div, mul, hgt) if parity_even else (mul, div, hgt)
+
+
+def _antiderivative(alpha: dict, r, theta) -> np.ndarray:
+    """Antiderivative of sum alpha_m w^m on the cut chart theta in [0, 2pi)."""
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
+    for m in sorted(alpha):
+        c = alpha[m]
+        if m == -1:
+            out = out + c * (np.log(r) + 1j * theta)
+        else:
+            out = out + (c / (m + 1)) * r ** (m + 1) * np.exp(1j * (m + 1) * theta)
+    return out
+
+
+def neck_sheet_per_power(nl, side: str, radii, thetas) -> np.ndarray:
+    """Triples of one neck side on the (ring, spoke) grid, relative to
+    (radii[0], 0): the plus chart on layer nl.k, the minus chart on nl.k+1."""
+    radii = np.asarray(radii, dtype=float)
+    if side == "-":
+        nl, parity_even = _swap_laurent(nl), (nl.k + 1) % 2 == 0
+    else:
+        parity_even = nl.k % 2 == 0
+    vals = np.empty((len(radii), len(thetas), 3), dtype=complex)
+    for c, alpha in enumerate(_series_triple(nl, parity_even)):
+        av = _antiderivative(alpha, radii[:, None], thetas[None, :])
+        vals[:, :, c] = av - _antiderivative(alpha, radii[0], 0.0)
+    return vals
+
+
+def waist_transfer(nl, k: int, t: float, eps: float) -> np.ndarray:
+    """Triple increment from (eps, 0) on the plus sheet of neck k to
+    (eps, 0) on the minus sheet, through the waist along spoke zero."""
+    down = _series_triple(nl, k % 2 == 0)
+    up = _series_triple(_swap_laurent(nl), (k + 1) % 2 == 0)
+    out = np.array([_antiderivative(c, t, 0.0) - _antiderivative(c, eps, 0.0)
+                    for c in down], dtype=complex)
+    out += np.array([_antiderivative(c, eps, 0.0) - _antiderivative(c, t, 0.0)
+                     for c in up], dtype=complex)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # face intersections: the bucket-grid broad phase and the scalar Moller
 # (1997) interval test, pair by pair, that the array sweep replaced, and
 # the one-axis sweep that the strip sweep replaced
@@ -596,6 +669,56 @@ def intersecting_pairs_buckets(raw: np.ndarray, faces: np.ndarray) -> set:
     tris = raw[faces]
     return {(a, b) for a, b in cands
             if tri_tri_intersect(tris[a], tris[b], 1e-7 * cell)}
+
+
+# ---------------------------------------------------------------------------
+# pointwise chart and form values that only the tests evaluate
+
+
+def gauss_component(st, k: int, z):
+    """g_k, the degree-2 elliptic building block of the Gauss map."""
+    return st.torus(k).g(z)
+
+
+def neck_coordinate(st, k: int, sign: str, z) -> complex:
+    """Chart value w = 1/g_k(z) near v_k (sign +) or 0_k (sign -)."""
+    from stackedmin.elliptic import torus_distance
+    from stackedmin.opening import CHART_MARGIN, ChartError
+
+    T = st.torus(k)
+    w = 1.0 / T.g(z)
+    if abs(w) >= CHART_MARGIN * st.epsilon:
+        raise ChartError(f"|1/g| = {abs(w):.3e} outside the chart")
+    pole, other = (T.v, 0.0) if sign == "+" else (0.0, T.v)
+    if torus_distance(z, pole, T.tau) > torus_distance(z, other, T.tau):
+        raise ChartError("point belongs to the opposite chart")
+    return complex(w)
+
+
+def third_kind_form(st, k: int, p: complex, q: complex, z):
+    """Meromorphic form on layer k with residues +1 at p and -1 at q and
+    imaginary periods; returned as its density against dz."""
+    from stackedmin.elliptic import xi_raw, zeta
+
+    lat = st.torus(k).lattice
+    val = zeta(z - p, lat) - zeta(z - q, lat) - xi_raw(q - p, lat)
+    return val if np.asarray(val).shape else complex(val)
+
+
+def neck_laurent_value(nl, w):
+    """The density of a NeckLaurent at w on its annulus, term by term."""
+    from stackedmin.opening import CHART_MARGIN, ChartError
+
+    wa = np.asarray(w, dtype=complex)
+    lo = nl.t ** 2 / (CHART_MARGIN * nl.epsilon)
+    if np.any(np.abs(wa) >= CHART_MARGIN * nl.epsilon) or np.any(np.abs(wa) <= lo):
+        raise ChartError("outside the neck annulus")
+    val = nl.c0 / wa
+    for n, c in enumerate(nl.c_plus, start=1):
+        val = val + c * wa ** (n - 1)
+    for n, c in enumerate(nl.c_minus, start=1):
+        val = val + (nl.t ** (2 * n) * c) * wa ** (-n - 1)
+    return val if val.shape else complex(val)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from stackedmin import elliptic, immersion
 from stackedmin.configs import Configuration, catalog
 from stackedmin.elliptic import PoleError, lattice_for
 from stackedmin.hecke import hecke_G, solve_G_equals_C
-from stackedmin.opening import fix_omega, laurent_coeffs, omega_eval
+from stackedmin.opening import GluingState, fix_omega, laurent_coeffs, omega_eval
 from stackedmin.solver import newton_continuation
 from stackedmin.immersion import (
     LAURENT_ORDER,
@@ -27,6 +27,7 @@ from stackedmin.immersion import (
     _hole_cycles,
     _intersecting_pairs,
     _mesh_corner,
+    _neck_sheet,
     _polygon_diagnostics,
     _positions,
     _segment_triples,
@@ -337,6 +338,53 @@ def test_neck_tails_negligible(rpd):
     assert nf.weld_defect < 1e-10
 
 
+def test_neck_sheet_matches_per_power_oracle(rpd):
+    """The one-array evaluator agrees with the per-power dict evaluator on
+    both chart sides of necks on both layer parities, on the full neck
+    grid and on the one-radius seam ring, whose values are the neck's
+    row 0 bit for bit."""
+    st, series = rpd
+    eps = st.epsilon
+    radii = eps * (st.t / eps) ** (np.arange(immersion.NECK_RINGS + 1)
+                                   / immersion.NECK_RINGS)
+    for k in (0, 1):
+        nl = laurent_coeffs(st, series, k, LAURENT_ORDER)
+        for side in "+-":
+            sheet = _neck_sheet(nl, side, radii)
+            seam = _neck_sheet(nl, side, np.array([eps]))
+            assert np.array_equal(seam[0], sheet[0])
+            for got, r in ((sheet, radii), (seam, np.array([eps]))):
+                ref = oracles.neck_sheet_per_power(nl, side, r, immersion.THETAS)
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_waist_weld_matches_oracle_bit_for_bit(rpd):
+    """The spoke-0 weld of integrate_neck is the per-power waist transfer
+    of the same Laurent data, bit for bit."""
+    st, series = rpd
+    for k in (0, 1):
+        nf = integrate_neck(k, st, series)
+        ref = oracles.waist_transfer(nf.laurent, k, st.t, st.epsilon)
+        assert np.array_equal(nf.minus[0, 0], ref)
+        assert not np.any(nf.plus[0, 0])
+
+
+def test_build_mesh_laurent_extractions(rpd, monkeypatch):
+    """One rPD mesh takes at most 8 contour extractions of the neck
+    Laurent data: one per seam ring and one per neck."""
+    st, series = rpd
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return laurent_coeffs(*args)
+
+    monkeypatch.setattr(immersion, "laurent_coeffs", counted)
+    build_mesh(st, series)
+    assert len(calls) <= 8
+
+
 def test_wrap_continuity_relation(rpd):
     st, series = rpd
     for k in (0, 1):
@@ -418,8 +466,7 @@ def test_planted_self_intersection_is_reported(rpd_mesh):
     mesh = copy.deepcopy(rpd_mesh)
     k = 0
     grids = mesh.reports["neck_grids"]
-    layer = [i for i, (tag, kk, _) in enumerate(mesh.provenance)
-             if tag == "layer" and kk == k]
+    layer = (mesh.face_part == immersion.LAYER) & (mesh.face_k == k)
     necks = np.concatenate([np.ravel(g) for sides in grids.values()
                             for g in sides.values()])
     inner = np.setdiff1d(mesh.faces[layer], necks)
@@ -531,10 +578,9 @@ def test_sweep_matches_bucket_oracle(chunk, monkeypatch):
 def test_strip_sweep_matches_one_axis_sweep_on_rpd_slabs(rpd_mesh):
     """On every slab of the rPD mesh the strip sweep finds each candidate
     pair of the one-axis sweep exactly once, and no other."""
-    prov = rpd_mesh.provenance
-    kk = np.array([k for _, k, _ in prov])
-    layer = np.array([tag == "layer" for tag, _, _ in prov])
-    minus = np.array([sign == "-" for _, _, sign in prov])
+    kk = rpd_mesh.face_k
+    layer = rpd_mesh.face_part == immersion.LAYER
+    minus = rpd_mesh.face_part == immersion.NECK_MINUS
     for k in np.unique(kk[layer]).tolist():
         faces = rpd_mesh.faces[((kk == k) & ~minus) | ((kk == k - 1) & minus)]
         tris = rpd_mesh.raw[faces]
@@ -593,6 +639,21 @@ def test_window_range_keeps_buffer(twin):
     ks = _default_range(st)
     assert ks[0] == st.k_lo + 3
     assert ks[-1] == st.k_lo + len(st.tori) - 1 - 3
+
+
+def test_window_range_skips_every_clamped_layer():
+    """A left tail of period 6 clamps 6 layers at each end of the window;
+    the default mesh range stays inside the actively solved layers."""
+    tau = catalog("rPD").tau
+    q = (1 + tau) / 3
+    cfg = Configuration(tau=tau, window=(q,) * 17, left_tail=(q, -q, q),
+                        right_tail=(-q,))
+    st = GluingState.central(cfg, 0.0, epsilon=0.05)
+    assert st.n_buffer == 6
+    active = [k for k in st.logical_range() if abs(k) <= st.k_hi - st.n_buffer]
+    assert (active[0], active[-1]) == (-9, 9)
+    ks = _default_range(st)
+    assert active[0] <= ks[0] and ks[-1] <= active[-1]
 
 
 def test_window_mesh_coheres(twin):
