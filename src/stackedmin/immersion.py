@@ -49,6 +49,7 @@ THETAS = 2.0 * np.pi * np.arange(NECK_SPOKES) / NECK_SPOKES  # spoke angles
 # carried by the gluing solve
 LAURENT_ORDER = 32
 LOOP_TOL = 1e-8
+LOOP_GAIN = 4.0  # least fall of a quadrature loop defect when the grid doubles
 TAIL_TOL = 1e-7
 CUT_FACTOR = 1.25  # layer grids keep |1/g| >= CUT_FACTOR * epsilon
 SEG_NODES = 12
@@ -64,12 +65,22 @@ LAYER, NECK_PLUS, NECK_MINUS = 0, 1, 2  # face part codes
 
 class LoopResidualError(RuntimeError):
     """A contractible loop of the cut layer grid picked up a position
-    defect above LOOP_TOL; a finer grid usually brings it down."""
+    defect above LOOP_TOL.  finer is the defect on the grid of twice the
+    resolution: a quadrature defect falls by LOOP_GAIN or more there, and
+    the message then advises a finer grid; a defect that stays means the
+    periods of the layer do not close, so the state is not balanced."""
 
-    def __init__(self, residual: float, k: int, t: float, grid_res: int):
+    def __init__(self, residual: float, k: int, t: float, grid_res: int,
+                 finer: float):
+        if finer * LOOP_GAIN <= residual:
+            advice = f"use a finer grid ({finer:.2e} at grid_res={2 * grid_res})"
+        else:
+            advice = (f"it stays at {finer:.2e} at grid_res={2 * grid_res}, so the "
+                      f"periods of layer k={k} do not close: the state is not balanced")
         super().__init__(f"layer k={k} at t={t:g}, grid_res={grid_res}: loop residual "
-                         f"{residual:.2e} exceeds {LOOP_TOL:.0e}; use a finer grid")
+                         f"{residual:.2e} exceeds {LOOP_TOL:.0e}; {advice}")
         self.residual, self.k, self.t, self.grid_res = residual, k, t, grid_res
+        self.finer = finer
 
 
 class CoefficientDecayError(RuntimeError):
@@ -427,24 +438,12 @@ def _tree_walk(n_nodes: int, u: np.ndarray, v: np.ndarray, inc: np.ndarray,
     return triples, in_tree
 
 
-def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
-                    grid_res: int = GRID_RES) -> LayerPatch:
-    """Integrate the triple over a layer grid with the chart disks cut out.
-
-    Grid nodes closer to a chart center than the kernel's pole radius are
-    cut before g is evaluated; they lie inside the chart disk anyway.  The
-    breadth-first spanning tree of `_tree_walk` accumulates the edge
-    integrals, less the periods of each edge's wrap, over the wrapped grid
-    graph; every non-tree edge closes a loop whose position defect past
-    LOOP_TOL raises LoopResidualError.  Seam rings at |1/g| = epsilon are
-    appended on both sides and joined to the jagged cut boundary; ring
-    values follow the neck Laurent arc from the spoke-0 anchor, and the
-    worst disagreement with the direct tree route is recorded as the
-    stitch defect.  A grid too coarse for that cut raises
-    MeshTopologyError.
-    """
+def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
+    """The n x n layer grid of layer k with the chart disks cut out, walked
+    by `_tree_walk`: (vid, kept_z, triples, root, alpha, beta,
+    centers_cell, loop_defect), with the worst loop position defect over
+    the non-tree edges."""
     T = st.torus(k)
-    n = grid_res
     corner = _mesh_corner(T)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     zg = corner + (ii + jj * T.tau) / n
@@ -486,8 +485,34 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     gap = _positions(triples[flat_u[loose]] + inc[loose]) - _positions(
         triples[flat_v[loose]])
     loop_defect = float(np.max(np.linalg.norm(gap, axis=-1)))
+    return vid, kept_z, triples, root, alpha, beta, centers_cell, loop_defect
+
+
+def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
+                    grid_res: int = GRID_RES) -> LayerPatch:
+    """Integrate the triple over a layer grid with the chart disks cut out.
+
+    Grid nodes closer to a chart center than the kernel's pole radius are
+    cut before g is evaluated; they lie inside the chart disk anyway.  The
+    breadth-first spanning tree of `_tree_walk` accumulates the edge
+    integrals, less the periods of each edge's wrap, over the wrapped grid
+    graph (`_grid_walk`); every non-tree edge closes a loop whose position
+    defect past LOOP_TOL raises LoopResidualError, with the defect of the
+    doubled grid to tell a coarse grid from an unbalanced state.  Seam
+    rings at |1/g| = epsilon are appended on both sides and joined to the
+    jagged cut boundary; ring values follow the neck Laurent arc from the
+    spoke-0 anchor, and the worst disagreement with the direct tree route
+    is recorded as the stitch defect.  A grid too coarse for that cut
+    raises MeshTopologyError.
+    """
+    T = st.torus(k)
+    n = grid_res
+    vid, kept_z, triples, root, alpha, beta, centers_cell, loop_defect = \
+        _grid_walk(k, st, series, n)
     if loop_defect > LOOP_TOL:
-        raise LoopResidualError(loop_defect, k, st.t, n)
+        raise LoopResidualError(loop_defect, k, st.t, n,
+                                _grid_walk(k, st, series, 2 * n)[-1])
+    nkept = len(kept_z)
 
     # duplicated boundary rows at i=n, j=n so faces close across the wrap
     # and lattice translates of the patch tile without seams

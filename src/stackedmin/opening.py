@@ -76,19 +76,23 @@ class TorusData:
         lat = self.lattice
         return self.a * (zeta(z, lat) - zeta(z - self.v, lat)) + self.b
 
-    def jets(self, z, jmax: int):
-        """Weierstrass jets (zeta, wp stack) at z and at z - v.
+    def jets(self, z, jmax: int, v=None):
+        """Weierstrass jets (zeta, wp stack) at z and at z - v, on the
+        lattice of this torus; v is its own marked point unless given.
 
         An array z and z - v go through one kernel call on the stacked
         array; the kernel is elementwise, so this is bit-identical to two
         calls.  A scalar keeps two calls, because the kernel's scalar
-        arithmetic rounds differently from its array loops.
+        arithmetic rounds differently from its array loops.  A row batch
+        of point sets that share tau passes z with a leading row axis and
+        v as the column (rows, 1) of their marked points.
         """
         lat = self.lattice
+        v = self.v if v is None else v
         if np.ndim(z) == 0:
-            return weierstrass_jet(z, lat, jmax), weierstrass_jet(z - self.v, lat, jmax)
+            return weierstrass_jet(z, lat, jmax), weierstrass_jet(z - v, lat, jmax)
         z = np.asarray(z)
-        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - self.v]), lat, jmax)
+        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - v]), lat, jmax)
         return (zeta_pair[0], derivs[:, 0]), (zeta_pair[1], derivs[:, 1])
 
     def g_and_gp(self, z):
@@ -198,26 +202,32 @@ class FormTable:
     """The second-kind forms of one torus, all orders at both poles (sign
     s = 0 at v, 1 at 0).  The order-n density is the sum over m <= n of
     coeffs[s, n-2, m-2] wp^(m-2)(z - pole), plus eta[s, n-2] = c_2 eta1
-    and mu[s, n-2]; coeffs is zero above the diagonal."""
+    and mu[s, n-2]; coeffs is zero above the diagonal.  The table of
+    parameter rows (`_circle_sets`) has a trailing row axis on all three."""
 
     coeffs: np.ndarray
     eta: np.ndarray
     mu: np.ndarray
 
-    def values(self, s: int, derivs):
+    def values(self, s: int, derivs, out=None):
         """Densities of all orders of sign s, shape (n_max-1,) + z.shape,
-        from the wp stack at z - pole.
+        from the wp stack at z - pole; a row table takes z with a leading
+        row axis, one row per parameter row.
 
         The loop over the coefficient index updates only the rows of the
         orders it reaches, so each form sums its terms in its own order.
         A single point takes Python scalars, which round unlike arrays.
+        An array result can go into out.
         """
-        row = (-1,) + (1,) * (np.ndim(derivs) - 1)  # one row per order
-        c = self.coeffs[s] if len(row) > 1 else self.coeffs[s].astype(object)
-        val = c[:, 0].reshape(row) * derivs[0]
+        c = self.coeffs[s]
+        # one entry per order, then the row axes of a row table
+        row = (-1,) + c.shape[2:] + (1,) * (np.ndim(derivs) + 1 - c.ndim)
+        c = c if len(row) > 1 else c.astype(object)
+        val = np.multiply(c[:, 0].reshape(row), derivs[0], out=out)
         for m in range(1, len(c)):
-            val[m:] = val[m:] + c[m:, m].reshape(row) * derivs[m]
-        val = val + self.eta[s].reshape(row) + self.mu[s].reshape(row)
+            val[m:] += c[m:, m].reshape(row) * derivs[m]
+        val += self.eta[s].reshape(row)
+        val += self.mu[s].reshape(row)
         return np.asarray(val, dtype=complex)
 
 
@@ -228,30 +238,54 @@ def _circle_nodes(center: complex, radius: float, m: int):
     return z, dz
 
 
-def _circle_jets(T: TorusData, center: complex, radius: float, m: int,
-                 jmax: int):
-    """Nodes around one pole with s = zeta(z) - zeta(z - v), the wp
-    stacks at z - v and z from one pair of Weierstrass jets, and the
-    contour powers (z - center)^p for p = 1..jmax+1; these depend on tau
-    and v only, not on a or bhat."""
-    z, dz = _circle_nodes(center, radius, m)
-    (zeta_z, dminus), (zeta_zv, dplus) = T.jets(z, jmax)
-    zpow = np.stack([(z - center) ** p for p in range(1, jmax + 2)])
-    return z, dz, zeta_z - zeta_zv, dplus, dminus, zpow
+def _gauss_constants(tori):
+    """a, b and xi_raw(v) of one torus, or their columns (rows, 1) over
+    row tori, each computed as a scalar."""
+    fs = (lambda T: T.a, lambda T: T.b, lambda T: xi_raw(T.v, T.lattice))
+    if isinstance(tori, TorusData):
+        return tuple(f(tori) for f in fs)
+    return tuple(np.array([f(T) for T in tori])[:, None] for f in fs)
 
 
-def _build_forms(T: TorusData, n_max: int, circles: dict) -> FormTable:
+def _point_sets(tori, points, jmax: int):
+    """For one torus, ([0], points(T), T.jets of them).  For row tori,
+    each distinct (tau, v) with the rows that share it, its points and its
+    jet pair, all with a leading set axis of length one.  The sets of one
+    tau come from one `TorusData.jets` call, which is bit-identical to a
+    call per set, and one tau is evaluated at a time."""
+    if isinstance(tori, TorusData):
+        z = points(tori)
+        yield [0], z, tori.jets(z, jmax)
+        return
+    keys = [(T.tau, T.v) for T in tori]
+    sets = list(dict.fromkeys(keys))
+    for tau in dict.fromkeys(key[0] for key in sets):
+        group = [key for key in sets if key[0] == tau]
+        z = np.stack([points(tori[keys.index(key)]) for key in group])
+        v = np.array([key[1] for key in group])[:, None]
+        (zeta_z, d_z), (zeta_zv, d_zv) = tori[keys.index(group[0])].jets(z, jmax, v)
+        for i, key in enumerate(group):
+            at = slice(i, i + 1)
+            yield ([r for r, other in enumerate(keys) if other == key], z[at],
+                   ((zeta_z[at], d_z[:, at]), (zeta_zv[at], d_zv[:, at])))
+
+
+def _build_forms(T, n_max: int, circles: dict) -> FormTable:
     """Principal-part matching at both poles by contour coefficient
     extraction of -g^(n-2) g' = target principal part of dw/w^n.
 
-    One product of h_n = -g^(n-2) g' with the contour powers of the jet
-    slot gives every coefficient of one form, each one sum over the nodes.
+    One product of h_n = -g^(n-2) g' with the contour powers gives every
+    coefficient of one form, each one sum over the nodes.  T is one
+    torus, or the row tori of circle fields with a leading row axis; the
+    products with eta1 stay scalar, row by row.
     """
-    lat = T.lattice
+    lats = [U.lattice for U in (T if isinstance(T, list) else [T])]
     width = n_max - 1
     orders = range(2, n_max + 1)
-    sign, fact = np.array([((-1.0) ** m, math.factorial(m - 1)) for m in orders]).T
-    coeffs = np.zeros((2, width, width), dtype=complex)
+    rows = np.shape(circles["node"][3])[:-1]
+    sign, fact = (np.reshape(x, (-1,) + (1,) * len(rows)) for x in np.array(
+        [((-1.0) ** m, math.factorial(m - 1)) for m in orders]).T)
+    coeffs = np.zeros((2, width, width) + rows, dtype=complex)
     for s, side in enumerate(("node", "zero")):
         _, dz, _, gv, gp, _, _, zpow = circles[side]
         for i, n in enumerate(orders):
@@ -259,17 +293,21 @@ def _build_forms(T: TorusData, n_max: int, circles: dict) -> FormTable:
             h = -(gv ** (n - 2)) * gp
             a_mm = np.sum(h * zpow[: i + 1] * dz, axis=-1) / (2j * np.pi)
             coeffs[s, i, : i + 1] = sign[: i + 1] * a_mm / fact[: i + 1]
-    eta = np.array([c * lat.eta1 for c in coeffs[:, :, 0].ravel()])  # scalar
+    c2 = coeffs[:, :, 0]
+    eta = np.array([[c * lat.eta1 for c, lat in zip(cs, lats)]  # scalar
+                    for cs in c2.reshape(2 * width, -1)])
     # mu = -2 pi i Im(c_2) / Im(tau), in the float steps of that complex product
-    mu = np.zeros((2, width), dtype=complex)
-    mu.imag = ((-2.0 * np.pi) * coeffs[:, :, 0].imag + 0.0) / lat.tau.imag
-    return FormTable(coeffs=coeffs, eta=eta.reshape(2, width), mu=mu)
+    mu = np.zeros(c2.shape, dtype=complex)
+    mu.imag = ((-2.0 * np.pi) * c2.imag + 0.0) / np.array([lat.tau.imag for lat in lats])
+    return FormTable(coeffs=coeffs, eta=eta.reshape(c2.shape), mu=mu)
 
 
 @dataclass
 class CircleCache:
     """Quadrature nodes around one pole with every field the contour
-    integrals need: g, g', the base form, and the second-kind stack."""
+    integrals need: g, g', the base form, and the second-kind stack.
+    Parameter rows (`_circle_sets`) have a row axis before the node axis
+    and no base or cols, which only the neck-matching system reads."""
 
     center: complex
     z: np.ndarray
@@ -278,22 +316,90 @@ class CircleCache:
     gp: np.ndarray
     w0: np.ndarray
     fvals: np.ndarray  # (sign, n-2, node), not rho-weighted
-    base: np.ndarray  # (n-2,): -(1/2 pi i) integral g^(n-1) w0 dz
-    cols: np.ndarray  # (n-2, sign, m-2): same with rho^(m-1) f in place of w0
+    base: np.ndarray = None  # (n-2,): -(1/2 pi i) integral g^(n-1) w0 dz
+    cols: np.ndarray = None  # (n-2, sign, m-2): same with rho^(m-1) f in place of w0
 
 
-def _build_circle(T: TorusData, forms: FormTable, center: complex, n_max: int,
-                  rho: float, jets: tuple) -> CircleCache:
-    z, dz, s, gv, gp, dplus, dminus, _ = jets
-    w0 = s - xi_raw(T.v, T.lattice)
-    fvals = np.stack([forms.values(0, dplus), forms.values(1, dminus)])
-    powers = gv ** np.arange(1, n_max)[:, None]  # g^(n-1) for n = 2..n_max
-    base = -np.sum(powers * w0 * dz, axis=1) / (2j * np.pi)
+@dataclass(frozen=True)
+class LayerRows:
+    """One torus, or a list of parameter rows of one layer's torus, with
+    their form table and, if built, their contour caches."""
+
+    tori: TorusData | list[TorusData]
+    forms: FormTable
+    circles: dict | None
+
+    @property
+    def row_tori(self) -> list:
+        return self.tori if isinstance(self.tori, list) else [self.tori]
+
+    def take(self, rows: list) -> "LayerRows":
+        """The given rows of a row batch, without circles; one torus is
+        its own only row."""
+        if not isinstance(self.tori, list):
+            return self
+        f = self.forms
+        return LayerRows(tori=[self.tori[r] for r in rows], circles=None,
+                         forms=FormTable(coeffs=f.coeffs[..., rows],
+                                         eta=f.eta[..., rows], mu=f.mu[..., rows]))
+
+    def per_row(self, values: list):
+        """The one value of a torus, or the array of a row batch."""
+        return np.array(values) if isinstance(self.tori, list) else values[0]
+
+
+def _circle_sets(st: "GluingState", tori):
+    """The rows that share each distinct (tau, v) of row tori, with the
+    form table and the contour caches (without base and cols) that a
+    refresh builds for them, in a `LayerRows`; one torus is one set.
+
+    The rows of a set share their circle nodes and jets, which broadcast
+    against a row axis before the node axis, and the sets of one tau
+    take one jet call per circle (`_point_sets`).  Every scalar stage (b,
+    xi_raw(v), the products with eta1) runs row by row and the array
+    stages are elementwise, so each row has the bits of its torus alone.
+    The state is only read.
+    """
+    r, m, jmax = st.contour_radius, st.circle_nodes, st.n_max - 2
+    _, dz = _circle_nodes(0.0, r, m)  # dz does not depend on the center
+    centers = {"node": lambda T: T.v, "zero": lambda T: 0.0}
+    sides = [_point_sets(tori, lambda T, c=c: _circle_nodes(c(T), r, m)[0], jmax)
+             for c in centers.values()]
+    for (rows, *node), (_, *zero) in zip(*sides):
+        sub = tori if isinstance(tori, TorusData) else [tori[i] for i in rows]
+        first = sub if isinstance(sub, TorusData) else sub[0]
+        a, b, xiv = _gauss_constants(sub)
+        jets = {}
+        for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in zip(centers, (node, zero)):
+            zpow = np.stack([(z - centers[side](first)) ** p for p in range(1, jmax + 2)])
+            s = zeta_z - zeta_zv
+            jets[side] = (z, dz, s, a * s + b, a * (dplus[0] - dminus[0]),
+                          dplus, dminus, zpow)
+        forms = _build_forms(sub, st.n_max, jets)
+        circles = {}
+        for side, (z, dz, s, gv, gp, dplus, dminus, _) in jets.items():
+            fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
+            forms.values(0, dplus, out=fvals[0])
+            forms.values(1, dminus, out=fvals[1])
+            circles[side] = CircleCache(center=centers[side](first), z=z, dz=dz,
+                                        g=gv, gp=gp, w0=s - xiv, fvals=fvals)
+        yield rows, LayerRows(tori=sub, forms=forms, circles=circles)
+
+
+def _layer_view(st: "GluingState", j: int, rows: LayerRows | None) -> LayerRows:
+    """rows, or stored torus j of the state with its caches."""
+    if rows is not None:
+        return rows
+    return LayerRows(tori=st.tori[j], forms=st._forms[j], circles=st._circles[j])
+
+
+def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
+    """The neck-matching integrals base and cols of one state circle."""
+    powers = cc.g ** np.arange(1, n_max)[:, None]  # g^(n-1) for n = 2..n_max
+    cc.base = -np.sum(powers * cc.w0 * cc.dz, axis=1) / (2j * np.pi)
     rhow = rho ** np.arange(1, n_max)  # rho^(m-1)
-    weighted = rhow[None, :, None] * fvals  # (sign, m-2, node)
-    cols = -np.einsum("in,smn,n->ism", powers, weighted, dz) / (2j * np.pi)
-    return CircleCache(center=center, z=z, dz=dz, g=gv, gp=gp, w0=w0,
-                       fvals=fvals, base=base, cols=cols)
+    weighted = rhow[None, :, None] * cc.fvals  # (sign, m-2, node)
+    cc.cols = -np.einsum("in,smn,n->ism", powers, weighted, cc.dz) / (2j * np.pi)
 
 
 @dataclass
@@ -321,7 +427,6 @@ class GluingState:
     circle_nodes: int = DEFAULT_CIRCLE_NODES
     _forms: list = field(default=None, repr=False, compare=False)
     _circles: list = field(default=None, repr=False, compare=False)
-    _jet_slot: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("cyclic", "window"):
@@ -380,71 +485,30 @@ class GluingState:
         flux is normalised against; a constant of the state."""
         return hecke_G(self.q0_ref, lattice_for(self.tau_ref))
 
-    def cached_jets(self, j: int, key: tuple, build):
-        """Raw Weierstrass jets of stored torus j for the node set that
-        key names with the rest of what they depend on (node count, jet
-        order, radius or path); build(T) makes them on a miss.  The one
-        slot belongs to one (j, tau_j, v_j): a request for another owner
-        empties it first, so it never serves stale jets."""
-        T = self.tori[j]
-        owner = (j, T.tau, T.v)
-        if self._jet_slot is None or self._jet_slot[0] != owner:
-            self._jet_slot = (owner, {})
-        entries = self._jet_slot[1]
-        if key not in entries:
-            entries[key] = build(T)
-        return entries[key]
-
-    def drop_jets(self) -> None:
-        """Empty the jet slot.  Its jets serve the repeated refreshes and
-        residuals of one Newton solve; a solved state need not hold them."""
-        self._jet_slot = None
-
     def refresh(self, only: int | None = None) -> None:
         """Rebuild form and contour caches, for one stored torus or all.
 
         Must be called after mutating torus parameters; caches do not
         depend on t, so rescaling t alone needs no refresh.
 
-        The raw circle jets (nodes, zeta(z) - zeta(z - v), the wp stacks
-        and the contour powers (z - pole)^(m-1)) depend on tau_j, v_j, the
-        contour radius, the node count and n_max only.  They come from the
-        one-slot jet memo (`cached_jets`), which also holds the solver's
-        period-path jets, so refresh(only=j) after a change of a or bhat
-        alone runs no theta pass: it rebuilds g, g', the `FormTable` of
-        torus j (coefficients (2, n_max-1, n_max-1) by pole, order and wp
-        derivative, with the eta and mu vectors) and the circle caches
-        from the slot.  Moving tau or v, or asking for the jets of another
-        torus, invalidates the slot; a full refresh clears it.
+        Each torus takes one jet pair per contour circle (`_circle_sets`):
+        the `FormTable` of torus j (coefficients (2, n_max-1, n_max-1) by
+        pole, order and wp derivative, with the eta and mu vectors) and the
+        circle caches, completed with the neck-matching integrals base and
+        cols.  The Jacobian's moved parameters never pass through here;
+        their rows come from `_circle_sets` without touching the state.
         """
-        full = self._forms is None or only is None
-        if full:
+        if self._forms is None or only is None:
             self._forms = [None] * self.n_tori
             self._circles = [None] * self.n_tori
             todo = range(self.n_tori)
         else:
             todo = [only]
-        r = self.contour_radius
-        m, jmax = self.circle_nodes, self.n_max - 2
         for j in todo:
-            T = self.tori[j]
-            centers = {"node": T.v, "zero": 0.0}
-            jets = {}
-            for side, c in centers.items():
-                # the raw jets completed with g and g' of the current a, b
-                z, dz, s, dplus, dminus, zpow = self.cached_jets(
-                    j, ("circle", side, r, m, jmax),
-                    lambda T, c=c: _circle_jets(T, c, r, m, jmax))
-                jets[side] = (z, dz, s, T.a * s + T.b,
-                              T.a * (dplus[0] - dminus[0]), dplus, dminus, zpow)
-            forms = _build_forms(T, self.n_max, jets)
-            self._forms[j] = forms
-            self._circles[j] = {
-                side: _build_circle(T, forms, c, self.n_max, self.rho, jets[side])
-                for side, c in centers.items()
-            }
-        if full:
-            self.drop_jets()
+            (_, rows), = _circle_sets(self, self.tori[j])
+            for cc in rows.circles.values():
+                _add_matching(cc, self.n_max, self.rho)
+            self._forms[j], self._circles[j] = rows.forms, rows.circles
 
     def circle(self, k: int, side: str) -> CircleCache:
         """Cached contour around 0_k (side 'zero') or v_k (side 'node')."""
@@ -567,19 +631,20 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
 
 
 def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
-                              jets: tuple):
+                              jets: tuple, rows: LayerRows | None = None):
     """`gauss_and_omega` on stored torus j from its jet pair, which
-    `TorusData.jets` made at order `omega_jmax`."""
-    T = st.tori[j]
+    `TorusData.jets` made at order `omega_jmax`; with parameter rows of
+    torus j (`LayerRows`), on their jets, one result row per row."""
+    lr = _layer_view(st, j, rows)
     row = series.lam[j]
     live = np.any(row != 0)
     (zeta_z, dminus), (zeta_zv, dplus) = jets
     s = zeta_z - zeta_zv
-    gv = np.asarray(T.a * s + T.b, dtype=complex)
-    val = np.asarray(s - xi_raw(T.v, T.lattice), dtype=complex)
+    a, b, xiv = _gauss_constants(lr.tori)
+    gv = np.asarray(a * s + b, dtype=complex)
+    val = np.asarray(s - xiv, dtype=complex)
     if live:
-        forms = st._forms[j]
-        fplus, fminus = forms.values(0, dplus), forms.values(1, dminus)
+        fplus, fminus = lr.forms.values(0, dplus), lr.forms.values(1, dminus)
         for n in range(2, st.n_max + 1):
             lp, lm = row[0, n - 2], row[1, n - 2]
             w = st.rho ** (n - 1)
@@ -596,14 +661,15 @@ def omega_eval(st: GluingState, series: OmegaSeries, k: int, z):
     return val if val.shape else complex(val)
 
 
-def omega_on_circle(st: GluingState, series: OmegaSeries, k: int, side: str):
-    """Density of the glued form at the cached contour nodes of layer k."""
+def omega_on_circle(st: GluingState, series: OmegaSeries, k: int, side: str,
+                    rows: LayerRows | None = None):
+    """Density of the glued form at the cached contour nodes of layer k,
+    or at the contour nodes of its parameter rows, one result row per row."""
     j = st.index_of(k)
-    cc = st._circles[j][side]
+    cc = _layer_view(st, j, rows).circles[side]
     row = series.lam[j]
     rhow = st.rho ** np.arange(1, st.n_max)
-    val = cc.w0 + np.einsum("s m, s m n -> n", row * rhow[None, :], cc.fvals)
-    return val
+    return cc.w0 + np.einsum("s m, s m ... n -> ... n", row * rhow[None, :], cc.fvals)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,14 @@ import numpy as np
 
 from .configs import Configuration
 from .opening import (
+    FormTable,
     GluingState,
+    LayerRows,
     OmegaSeries,
+    TorusData,
+    _circle_sets,
+    _layer_view,
+    _point_sets,
     fix_omega,
     gauss_and_omega_from_jets,
     omega_jmax,
@@ -52,61 +58,107 @@ class StepFailure(RuntimeError):
 # residuals
 
 
-def residual_E(k: int, st: GluingState, series: OmegaSeries) -> complex:
+def residual_E(k: int, st: GluingState, series: OmegaSeries,
+               rows: LayerRows | None = None) -> complex:
     """Sum of omega/dz over the zeros of g_k, as minus the residues of
-    W g'/g at the two poles (the cell-boundary part cancels by periodicity)."""
-    tot = 0j
+    W g'/g at the two poles (the cell-boundary part cancels by periodicity).
+    With parameter rows of layer k (`LayerRows`), one sum per row."""
+    lr = _layer_view(st, st.index_of(k), rows)
+    sums = []
     for side in ("zero", "node"):
-        cc = st.circle(k, side)
-        W = omega_on_circle(st, series, k, side)
-        tot += np.sum(W * cc.gp / cc.g * cc.dz) / (2j * np.pi)
-    return -tot
+        cc = lr.circles[side]
+        W = omega_on_circle(st, series, k, side, rows)
+        sums.append(np.atleast_1d(np.sum(W * cc.gp / cc.g * cc.dz, axis=-1)))
+    # the scalar stages, row by row
+    return lr.per_row([-(0j + zero / (2j * np.pi) + node / (2j * np.pi))
+                       for zero, node in zip(*sums)])
 
 
-def _path_data(st, series, k, vec, m=PATH_NODES):
+def _path_sums(st, series, k, along, rows=None):
+    """Node sums of W/g and t^2 g W on the period path from path_base(T)
+    along(T) on layer k, one column per row with rows of layer k.  The
+    rows of one (tau, v) share their points and jets, and each such set
+    is reduced before the next (`_point_sets`)."""
     j = st.index_of(k)
-    jmax = omega_jmax(st, series, j)
-    s = (np.arange(m) + 0.5) / m
-    jets = st.cached_jets(j, ("path", vec, m, jmax),
-                          lambda T: T.jets(path_base(T) + s * vec, jmax))
-    gv, W = gauss_and_omega_from_jets(st, series, j, jets)
-    if np.min(np.abs(gv)) < 1e-6:
-        raise ContourError(f"zero of g_{k} on a period path")
-    return W, gv, vec / m
+    lr = _layer_view(st, j, rows)
+    s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
+    out = np.empty((2, len(lr.row_tori)), dtype=complex)
+    for idx, _, jets in _point_sets(lr.tori, lambda T: path_base(T) + s * along(T),
+                                    omega_jmax(st, series, j)):
+        gv, W = gauss_and_omega_from_jets(st, series, j, jets, lr.take(idx))
+        if np.min(np.abs(gv)) < 1e-6:
+            raise ContourError(f"zero of g_{k} on a period path")
+        out[0, idx] = np.sum(W / gv, axis=-1)
+        out[1, idx] = np.sum(st.t * st.t * gv * W, axis=-1)
+    return out
 
 
-def residual_P(k: int, st: GluingState, series: OmegaSeries):
-    """Period residuals of the horizontal displacement over both cycles."""
-    T = st.torus(k)
-    t = st.t
+def residual_P(k: int, st: GluingState, series: OmegaSeries,
+               rows: LayerRows | None = None):
+    """Period residuals of the horizontal displacement over both cycles,
+    one array entry per row with rows of layer k."""
+    lr = _layer_view(st, st.index_of(k), rows)
     out = []
-    for vec, target in ((1.0, 2.0 * (-1) ** k), (T.tau, 2.0 * st.tau_ref)):
-        W, gv, dz = _path_data(st, series, k, vec)
-        i_ginv = np.sum(W / gv) * dz
-        i_g = np.sum(t * t * gv * W) * dz
-        if k % 2 == 0:
-            p = np.conj(i_g) - i_ginv
-        else:
-            p = np.conj(i_ginv) - i_g
-        out.append(p - target)
+    for along, target in ((lambda T: 1.0, 2.0 * (-1) ** k),
+                          (lambda T: T.tau, 2.0 * st.tau_ref)):
+        ps = []
+        for s_ginv, s_g, T in zip(*_path_sums(st, series, k, along, rows),
+                                  lr.row_tori):
+            dz = along(T) / PATH_NODES
+            i_ginv, i_g = s_ginv * dz, s_g * dz
+            if k % 2 == 0:
+                p = np.conj(i_g) - i_ginv
+            else:
+                p = np.conj(i_ginv) - i_g
+            ps.append(p - target)
+        out.append(lr.per_row(ps))
     return out[0], out[1]
 
 
-def residual_Gbal(k: int, st: GluingState, series: OmegaSeries) -> complex:
-    """Neck flux of g_k omega against the common normalisation value."""
-    cc = st.circle(k, "zero")
-    W = omega_on_circle(st, series, k, "zero")
-    flux = np.sum(cc.g * W * cc.dz)
-    if k % 2 == 1:
-        flux = np.conj(flux)
-    return flux + 2j * np.pi * st.balance_value
+def residual_Gbal(k: int, st: GluingState, series: OmegaSeries,
+                  rows: LayerRows | None = None) -> complex:
+    """Neck flux of g_k omega against the common normalisation value,
+    one array entry per row with rows of layer k."""
+    lr = _layer_view(st, st.index_of(k), rows)
+    cc = lr.circles["zero"]
+    W = omega_on_circle(st, series, k, "zero", rows)
+    out = []
+    for flux in np.atleast_1d(np.sum(cc.g * W * cc.dz, axis=-1)):
+        if k % 2 == 1:
+            flux = np.conj(flux)
+        out.append(flux + 2j * np.pi * st.balance_value)
+    return lr.per_row(out)
 
 
-def _block_residual(st, series, k):
-    e = residual_E(k, st, series)
-    p1, p2 = residual_P(k, st, series)
-    g = residual_Gbal(k, st, series)
-    return np.array([e, p1, p2, g])
+def _block_residual(st, series, k, tori=None):
+    """(E, P1, P2, Gbal) of layer k from the state's caches, or one such
+    row for each parameter row in tori; full_residual and the Jacobian
+    share this one evaluator.  The rows that share a (tau, v) take their
+    circles together (`_circle_sets`) and reduce them to E and Gbal
+    before the next set; the period paths then need the form tables only.
+    """
+    if tori is None:
+        return np.array([residual_E(k, st, series), *residual_P(k, st, series),
+                         residual_Gbal(k, st, series)])
+    out = np.empty((len(tori), 4), dtype=complex)
+    tables = []
+    for idx, rows in _circle_sets(st, tori):
+        out[idx, 0] = residual_E(k, st, series, rows)
+        out[idx, 3] = residual_Gbal(k, st, series, rows)
+        tables.append((idx, rows.forms))
+    paths = LayerRows(tori, _row_table(tables, len(tori)), None)
+    out[:, 1], out[:, 2] = residual_P(k, st, series, paths)
+    return out
+
+
+def _row_table(tables: list, n: int) -> FormTable:
+    """The form table of n parameter rows from (rows, table) pieces."""
+    out = [np.empty(a.shape[:-1] + (n,), dtype=complex)
+           for a in (tables[0][1].coeffs, tables[0][1].eta, tables[0][1].mu)]
+    for idx, f in tables:
+        for whole, part in zip(out, (f.coeffs, f.eta, f.mu)):
+            whole[..., idx] = part
+    return FormTable(*out)
 
 
 @dataclass(frozen=True)
@@ -152,12 +204,14 @@ def _get_block(st, j):
     return out
 
 
+def _torus(x) -> TorusData:
+    return TorusData(bhat=complex(x[0], x[1]), a=complex(x[2], x[3]),
+                     tau=complex(x[4], x[5]), v=complex(x[6], x[7]))
+
+
 def _put_block(st, j, x):
-    T = st.tori[j]
-    T.bhat = complex(x[0], x[1])
-    T.a = complex(x[2], x[3])
-    T.tau = complex(x[4], x[5])
-    T.v = complex(x[6], x[7])
+    T, new = st.tori[j], _torus(x)
+    T.bhat, T.a, T.tau, T.v = new.bhat, new.a, new.tau, new.v
 
 
 def _set_block(st, j, x):
@@ -169,27 +223,27 @@ def _fd_blocks(st, series, active, flat):
     """Forward-difference 8x8 Jacobian blocks of the active layers, with
     the series frozen; flat is the residual at the current parameters.
 
-    The bhat and a columns come first and leave tau and v alone, so their
-    refreshes and period paths reuse the state's jet slot.  The caches
-    saved before the columns go back with the parameters afterwards,
-    which needs no refresh.
+    The eight moved parameter sets of a layer are the eight rows of one
+    `_block_residual`, which never touches the state.  The four bhat and
+    a rows keep the layer's tau and v, so on each point set (node circle,
+    zero circle, the two period paths) one jet call serves them together
+    with the two v rows, and each tau row takes one more: twelve calls
+    per layer.  Array stages are elementwise or reduce along the node
+    axis and scalar stages run row by row, so each column has the bits of
+    a refresh and a block residual at its own parameters.
     """
     blocks = np.empty((len(active), 8, 8))
     for i, k in enumerate(active):
-        j = st.index_of(k)
-        x0 = _get_block(st, j)
-        saved = st._forms[j], st._circles[j]
-        r0 = flat[8 * i : 8 * i + 8]
+        x0 = _get_block(st, st.index_of(k))
+        moved = []
         for c in range(8):
             xp = x0.copy()
             xp[c] += FD_STEP
-            _set_block(st, j, xp)
-            rp = np.empty(8)
-            blk = _block_residual(st, series, k)
-            rp[0::2], rp[1::2] = blk.real, blk.imag
-            blocks[i, :, c] = (rp - r0) / FD_STEP
-        _put_block(st, j, x0)
-        st._forms[j], st._circles[j] = saved
+            moved.append(_torus(xp))
+        res = _block_residual(st, series, k, moved)
+        rp = np.empty((8, 8))
+        rp[:, 0::2], rp[:, 1::2] = res.real, res.imag
+        blocks[i] = ((rp - flat[8 * i : 8 * i + 8]) / FD_STEP).T
     return blocks
 
 
@@ -265,7 +319,6 @@ def _solve_at_t(st, active, tol, itmax, callback=None):
         if callback is not None:
             callback({"t": st.t, "iteration": it, "residual": history[-1],
                       "step_scale": scale})
-    st.drop_jets()
     return series, NewtonStep(t=st.t, iterations=it, residuals=tuple(history),
                               converged=history[-1] < tol, worst_k=res.worst_k)
 

@@ -312,12 +312,11 @@ def multipass_omega(st, series, k: int, z):
 
 def fd_blocks_plain(st, series, active, flat):
     """Forward-difference Jacobian blocks by the plain loop: each column
-    and the restore refresh the layer with the jet slot emptied first, so
-    every column computes its jets afresh."""
+    and the restore refresh the layer, so every column computes its jets
+    afresh."""
     from stackedmin.solver import FD_STEP, _block_residual, _get_block, _set_block
 
     def set_fresh(j, x):
-        st._jet_slot = None
         _set_block(st, j, x)
 
     blocks = np.empty((len(active), 8, 8))

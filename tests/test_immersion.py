@@ -610,6 +610,25 @@ def test_mesh_and_battery_import_no_sparse_graphs():
     assert out.stdout.strip() == "[]"
 
 
+def test_loop_residual_error_names_an_unbalanced_state(rpd):
+    """On the unbalanced state the loop residual does not fall on the
+    doubled grid, so the error blames the state and not the grid."""
+    st, _ = rpd
+    bad = copy.deepcopy(st)
+    bad.tori[0].bhat += 0.02
+    bad.refresh()
+    with pytest.raises(LoopResidualError) as info:
+        integrate_layer(0, bad, fix_omega(bad))
+    err = info.value
+    assert err.residual > 1e-2 and err.finer > err.residual / immersion.LOOP_GAIN
+    msg = str(err)
+    assert "finer grid" not in msg
+    for part in ("k=0", f"grid_res={immersion.GRID_RES}", f"{err.residual:.2e}",
+                 f"{err.finer:.2e}", f"grid_res={2 * immersion.GRID_RES}",
+                 "periods of layer k=0 do not close", "not balanced"):
+        assert part in msg
+
+
 def test_unbalanced_state_is_rejected(rpd):
     st, series = rpd
     bad = copy.deepcopy(st)

@@ -17,6 +17,7 @@ from stackedmin.opening import (
     fix_omega,
     mirror_conj,
     omega_eval,
+    omega_jmax,
     omega_on_circle,
 )
 from stackedmin.solver import (
@@ -221,10 +222,10 @@ def _fd_block(st, series, k, h=1e-6):
     return out
 
 
-def _perturbed_layer(name, K, k):
-    """State at t = 0.01 with layer k moved off the central data in every
+def _perturbed_layer(name, K, k, t=0.01):
+    """State at t with layer k moved off the central data in every
     parameter, its series, and the residual of layer k."""
-    st = GluingState.central(catalog(name, K=2), 0.01, K=K)
+    st = GluingState.central(catalog(name, K=2), t, K=K)
     j = st.index_of(k)
     T = st.tori[j]
     T.a += 0.013 - 0.007j
@@ -236,14 +237,20 @@ def _perturbed_layer(name, K, k):
     return st, series, full_residual(st, series, (k,)).flat()
 
 
-@pytest.mark.parametrize("name, K, k", [("oPa", None, 1), ("twin-rPD", 3, 0)])
-def test_fd_blocks_match_plain_loop(name, K, k):
-    """Jacobian blocks from the jet slot with the plain restore equal the
-    loop that recomputes every jet and refreshes to restore, bit for bit,
-    and leave the same caches behind."""
-    st, series, flat = _perturbed_layer(name, K, k)
-    ref_st, ref_series, ref_flat = _perturbed_layer(name, K, k)
+@pytest.mark.parametrize("name, K, k, t", [
+    pytest.param("oPa", None, 1, 0.01, id="oPa-None-1"),
+    pytest.param("twin-rPD", 3, 0, 0.01, id="twin-rPD-3-0"),
+    # closed necks: every lambda row is zero, so the paths take zeta alone
+    pytest.param("rPD", None, 0, 0.0, id="rPD-None-0-closed"),
+])
+def test_fd_blocks_match_plain_loop(name, K, k, t):
+    """Jacobian blocks from the row batch equal the loop that moves the
+    layer, refreshes and evaluates one column at a time and refreshes to
+    restore, bit for bit, and leave the same caches behind."""
+    st, series, flat = _perturbed_layer(name, K, k, t)
+    ref_st, ref_series, ref_flat = _perturbed_layer(name, K, k, t)
     assert np.array_equal(flat, ref_flat)
+    assert omega_jmax(st, series, st.index_of(k)) == (-1 if t == 0 else st.n_max - 2)
     got = _fd_blocks(st, series, (k,), flat)
     ref = oracles.fd_blocks_plain(ref_st, ref_series, (k,), ref_flat)
     assert np.array_equal(got, ref)
@@ -260,31 +267,42 @@ def test_fd_blocks_match_plain_loop(name, K, k):
             assert np.array_equal(getattr(a, name_), getattr(b, name_)), (side, name_)
 
 
-def test_ab_columns_run_no_theta_pass(monkeypatch):
-    """With the jet slot filled for a layer, its bhat and a columns reuse
-    every jet; each tau or v column needs one theta pass per circle and
-    per period path, and restoring the layer needs none."""
+def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
+    """The eight columns of one layer take three theta passes on each of
+    the four point sets (node circle, zero circle, both period paths):
+    one for the layer's own tau, shared by the bhat, a and v rows, and
+    one per tau row.  Together they evaluate the points of the five
+    distinct (tau, v), each set as many as one column of the plain loop,
+    and they never refresh the state."""
     st, series, flat = _perturbed_layer("rPD", None, 1)
-    st.refresh(only=1)
-    _block_residual(st, series, 1)
-    passes = []
-    theta_sums = elliptic._theta_sums
+    points, refreshes = [], []
+    theta_sums, refresh = elliptic._theta_sums, GluingState.refresh
 
-    def counted(*args, **kwargs):
-        passes.append(1)
-        return theta_sums(*args, **kwargs)
+    def counted(v, *args, **kwargs):
+        points.append(np.size(v))
+        return theta_sums(v, *args, **kwargs)
+
+    def counted_refresh(self, *args, **kwargs):
+        refreshes.append(1)
+        return refresh(self, *args, **kwargs)
 
     monkeypatch.setattr(elliptic, "_theta_sums", counted)
+    monkeypatch.setattr(GluingState, "refresh", counted_refresh)
+    _fd_blocks(st, series, (1,), flat)
+    assert len(points) == 12
+    assert refreshes == []
+    batched = sum(points)
     x0 = _get_block(st, 1)
-    for c in range(4):
+    plain = []
+    for c in range(8):
+        points.clear()
         xp = x0.copy()
         xp[c] += FD_STEP
         _set_block(st, 1, xp)
         _block_residual(st, series, 1)
-    _set_block(st, 1, x0)
-    assert len(passes) == 0
-    _fd_blocks(st, series, (1,), flat)
-    assert len(passes) == 4 * 4
+        plain.append(sum(points))
+    assert len(set(plain)) == 1
+    assert batched == 5 * plain[0]
 
 
 def test_closed_neck_jacobian_blocks():
@@ -333,12 +351,6 @@ def test_steps_record_the_worst_layer(rpd_solved):
     rows = np.max(np.abs(fresh.entries), axis=1)
     assert rep.steps[-1].worst_k == fresh.ks[int(np.argmax(rows))]
     assert all(s.worst_k in (0, 1) for s in rep.steps)
-
-
-def test_solve_drops_the_jet_slot():
-    rep = newton_continuation(catalog("rPD", K=1), 0.005, schedule=[0.005])
-    assert rep.converged
-    assert rep.state._jet_slot is None
 
 
 def test_solved_layers_repeat_periodically(rpd_solved):
