@@ -38,6 +38,11 @@ __all__ = [
 
 DEFAULT_SERIES_TOL = 1e-13
 DEFAULT_POLE_RADIUS = 1e-6
+# glibc's complex sin and cos are cosh/sinh products up to |Im w| = 709,
+# int(1023 ln 2); above it they take a scaled exp branch, then overflow
+TRIG_IM_BOUND = 709.0
+_DBL_MIN = float(np.finfo(float).tiny)  # 2^-1022
+_INV_DBL_MIN = 2.0**1022
 
 
 class PoleError(ValueError):
@@ -67,6 +72,8 @@ class Lattice:
     Fields beyond `tau` and `series_tol` are computed at construction:
     eta1 from the weight-2 Eisenstein series, eta2 forced by the Legendre
     relation eta1*tau - eta2 = 2 pi i, and the nome q = exp(i pi tau).
+    Raises ValueError when the theta pass would take sin or cos of a term
+    with |Im w| = (2 n_terms - 1) pi Im tau / 2 above `TRIG_IM_BOUND`.
     """
 
     tau: complex
@@ -94,6 +101,12 @@ class Lattice:
         # derivative ladders which lose a few digits to (2n+1)^3 factors.
         n = max(6, int(math.sqrt(40.0 / (np.pi * tau.imag))) + 4)
         object.__setattr__(self, "n_terms", n)
+        reach = (2 * n - 1) * np.pi * tau.imag / 2
+        if reach > TRIG_IM_BOUND:
+            raise ValueError(
+                f"modulus tau={tau} is too tall for the theta pass: its last term "
+                f"reaches |Im w| = {reach:.1f}, above the bound {TRIG_IM_BOUND:g}"
+            )
 
 
 @lru_cache(maxsize=256)
@@ -166,22 +179,60 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
     proportional to the odd theta function at v and u_k to its k-th
     derivative.  v is the already-scaled argument (pi times the reduced
     torus coordinate).
+
+    sin w and cos w of a term w = x + iy share their factors.  numpy's
+    complex sin and cos are glibc's csin and ccos, which compute
+    sin w = (cosh y sin x, sinh y cos x) and
+    cos w = (cosh y cos x, -(sinh y sin x)),
+    so each term evaluates cosh y, sinh y, sin x and cos x once and
+    assembles both with real products.  cosh y and sinh y come from one
+    complex sin of DBL_MIN + iy: glibc takes sin = Re and cos = 1 for
+    |Re| <= DBL_MIN, so it returns (cosh y DBL_MIN, sinh y), and the
+    real part is normal (cosh y >= 1), so scaling it by 2^1022 gives
+    cosh y exactly.  numpy's real sin and cos are glibc's too, whereas
+    np.sinh and np.cosh are SIMD code that differs in the last bit.  On
+    glibc the pair is therefore numpy's complex sin w and cos w bit for
+    bit, signed zeros included, while |y| <= TRIG_IM_BOUND (709), where
+    glibc leaves the cosh/sinh formulas; `Lattice` rejects any modulus
+    whose pass reaches past it.  x and y are taken from w itself, since
+    building them by real products could flip the sign of a zero.
     """
     v = np.asarray(v, dtype=complex)
     out = [np.zeros(v.shape, dtype=complex) for _ in range(kmax + 1)]
+    arg = np.empty(v.shape, dtype=complex)
+    arg.real = _DBL_MIN
+    hyp = np.empty(v.shape, dtype=complex)
+    sin_x = np.empty(v.shape)
+    cos_x = np.empty(v.shape)
+    sin_w = np.empty(v.shape, dtype=complex)
+    cos_w = np.empty(v.shape, dtype=complex)
+    term = np.empty(v.shape, dtype=complex)
     sign = 1.0
     for n in range(n_terms):
         w = (2 * n + 1) * v
+        arg.imag = w.imag
+        np.sin(arg, out=hyp)
+        np.multiply(hyp.real, _INV_DBL_MIN, out=hyp.real)  # (cosh y, sinh y)
+        np.sin(w.real, out=sin_x)
+        np.cos(w.real, out=cos_x)
+        np.multiply(hyp.real, sin_x, out=sin_w.real)
+        np.multiply(hyp.imag, cos_x, out=sin_w.imag)
+        np.multiply(hyp.real, cos_x, out=cos_w.real)
+        np.multiply(hyp.imag, sin_x, out=cos_w.imag)
+        np.negative(cos_w.imag, out=cos_w.imag)
         qf = sign * q ** (n * (n + 1))
-        trig = (np.sin(w), np.cos(w))
         for k in range(kmax + 1):
+            # a 0-d v keeps numpy's scalar complex product, which rounds
+            # differently from the array loop
+            c = qf * (2 * n + 1) ** k
+            trig = (sin_w, cos_w)[k % 2]
+            prod = c * trig[()] if v.ndim == 0 else np.multiply(c, trig, out=term)
             # subtracting the -sin, -cos terms is exact: negation commutes
             # with rounding, so this matches adding the negated products
-            term = qf * (2 * n + 1) ** k * trig[k % 2]
             if k % 4 < 2:
-                out[k] += term
+                out[k] += prod
             else:
-                out[k] -= term
+                out[k] -= prod
         sign = -sign
     return out
 

@@ -6,21 +6,23 @@ precision, K(m) from adaptive quadrature of its defining integral,
 invariants from direct Eisenstein-type lattice sums, and the normalized
 double-pole forms from the pairing-integral reconstruction.
 
-The multi-pass recipe is the exception: it rebuilds the opened-node
-caches from separate zeta / wp_eval / wp_derivs calls, so the fused
-evaluators can be held to the same bits.  Likewise the plain
-finite-difference loop recomputes every jet of every Jacobian column, for
-the solver's loop that reuses them, and the layer-patch loops integrate
-one segment, score one cell corner, triangulate one grid cell, count
-one face edge and grow the spanning tree one node at a time, for the
-batched seam legs, the array corner search, the array grid faces, the
-sorted edge count and the frontier walk.  The neck sheets are summed one
-Laurent power at a time from dicts of powers, for the one-array evaluator
-of the seam rings, the neck sheets and the waist weld.  The
-face-intersection reference enumerates candidate pairs from a bucket grid
-and tests them one pair at a time, for the array sweep of the
-embeddedness battery, and the one-axis sweep holds the strip sweep to the
-same candidate pairs.
+The theta pass that takes numpy's complex sin and cos of every term is
+the exception: the production pass assembles both from shared real
+factors and is held to it bit for bit.  So is the multi-pass recipe: it
+rebuilds the opened-node caches from separate zeta / wp_eval / wp_derivs
+calls, so the fused evaluators can be held to the same bits.  Likewise
+the plain finite-difference loop recomputes every jet of every Jacobian
+column, for the solver's loop that reuses them, and the layer-patch
+loops integrate one segment, score one cell corner, triangulate one grid
+cell, count one face edge and grow the spanning tree one node at a time,
+for the batched seam legs, the array corner search, the array grid
+faces, the sorted edge count and the frontier walk.  The neck sheets are
+summed one Laurent power at a time from dicts of powers, for the
+one-array evaluator of the seam rings, the neck sheets and the waist
+weld.  The face-intersection reference enumerates candidate pairs from a
+bucket grid and tests them one pair at a time, for the array sweep of
+the embeddedness battery, and the one-axis sweep holds the strip sweep
+to the same candidate pairs.
 
 The chart value w = 1/g, the Gauss component, the third-kind form and
 the pointwise value of a neck Laurent series are evaluated only by the
@@ -157,6 +159,33 @@ def weierstrass_mpmath(z: complex, tau: complex, dps: int = 30):
         wp = -eta1 - mp.pi**2 * (t2 / t0 - r1**2)
         dwp = -mp.pi**3 * (t3 / t0 - 3 * r1 * t2 / t0 + 2 * r1**3)
         return complex(zeta), complex(wp), complex(dwp)
+
+
+def theta_sums_complex_trig(v, q: complex, n_terms: int, kmax: int):
+    """Partial sums u_k = sum (-1)^n q^(n(n+1)) (2n+1)^k trig((2n+1)v).
+
+    trig cycles through sin, cos, -sin, -cos as k increases; u_0 is
+    proportional to the odd theta function at v and u_k to its k-th
+    derivative.  v is the already-scaled argument (pi times the reduced
+    torus coordinate).
+    """
+    v = np.asarray(v, dtype=complex)
+    out = [np.zeros(v.shape, dtype=complex) for _ in range(kmax + 1)]
+    sign = 1.0
+    for n in range(n_terms):
+        w = (2 * n + 1) * v
+        qf = sign * q ** (n * (n + 1))
+        trig = (np.sin(w), np.cos(w))
+        for k in range(kmax + 1):
+            # subtracting the -sin, -cos terms is exact: negation commutes
+            # with rounding, so this matches adding the negated products
+            term = qf * (2 * n + 1) ** k * trig[k % 2]
+            if k % 4 < 2:
+                out[k] += term
+            else:
+                out[k] -= term
+        sign = -sign
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ from stackedmin.elliptic import (
     Lattice,
     PoleError,
     TorusPoint,
+    _theta_sums,
     elliptic_KE,
+    lattice_coords,
+    reduce_centered,
     theta_star,
     torus_distance,
     weierstrass_jet,
@@ -135,7 +138,8 @@ def test_wp_derivs_ladder_matches_finite_differences():
     assert abs(fd3 - d[3]) < 1e-4 * max(1.0, abs(d[3]))
 
 
-MPMATH_TAUS = [0.3j, 1j, 3j, complex(np.exp(1j * np.pi / 3)), 0.45 + 0.35j, -0.2 + 0.7j]
+MPMATH_TAUS = [0.3j, 1j, 3j, complex(np.exp(1j * np.pi / 3)), 0.45 + 0.35j, -0.2 + 0.7j,
+               0.15j, 8j]
 
 
 @pytest.mark.parametrize("tau", MPMATH_TAUS)
@@ -164,6 +168,52 @@ def test_kernel_matches_mpmath(tau):
     assert rel(got_wp, ref_wp, np.abs(ref_wp)) < 1e-13
     scale = np.maximum(np.abs(ref_dwp), np.abs(ref_wp) ** 1.5)
     assert rel(got_dwp, ref_dwp, scale) < 1e-13
+
+
+def _theta_args(tau):
+    """pi times reduced points: random ones, 0 and -0.0 in both parts, the
+    axes, the half-periods and reduced coordinates at +-1/2."""
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-0.5, 0.5, (2, 40))
+    edge = np.array([a + b * tau for a in (-0.5, 0.0, 0.25, 0.5) for b in (-0.5, 0.5)])
+    half = np.array([0.5, tau / 2, (1 + tau) / 2, -0.5, -tau / 2, 0.3, -0.3, 0.2j, -0.2j])
+    zr = reduce_centered(np.concatenate([x + y * tau, edge, half]), tau)[0]
+    zeros = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                      complex(0.3, -0.0), complex(-0.3, -0.0), complex(-0.0, 0.2)])
+    return np.concatenate([np.pi * zr, zeros])
+
+
+@pytest.mark.parametrize("tau", MPMATH_TAUS + [41j])
+def test_theta_pass_matches_complex_trig(tau):
+    """The shared-factor pass is the complex-sin/cos pass bit for bit,
+    signed zeros included, and keeps its shapes and scalar types."""
+    lat = Lattice(tau)
+    if tau == 0.15j:
+        assert lat.n_terms == 13
+    v = _theta_args(lat.tau)
+    shaped = np.stack([v, v[::-1], -v, np.conj(v), v / 2, v / 3]).reshape(3, 2, -1)
+    inputs = [v, shaped, complex(v[3]), np.asarray(v[5]), v[-1], np.asarray(v[-4])]
+    for arg in inputs:
+        for kmax in (1, 3):
+            got = _theta_sums(arg, lat.nome, lat.n_terms, kmax)
+            ref = oracles.theta_sums_complex_trig(arg, lat.nome, lat.n_terms, kmax)
+            assert len(got) == len(ref) == kmax + 1
+            for g, r in zip(got, ref):
+                assert type(g) is type(r) and np.shape(g) == np.shape(r)
+                assert np.array_equal(np.reshape(g, -1).view(np.int64),
+                                      np.reshape(r, -1).view(np.int64))
+
+
+def test_lattice_rejects_moduli_whose_theta_pass_overflows():
+    s = np.linspace(-0.5, 0.5, 11)
+    lat = Lattice(41j)
+    z = 0.25 + 1j * s * lat.tau.imag
+    zr = reduce_centered(z, lat.tau)[0]
+    assert np.array_equal(lattice_coords(zr, lat.tau)[1][[0, -1]], [-0.5, 0.5])
+    zeta_v, derivs = weierstrass_jet(z, lat, 3)
+    assert np.all(np.isfinite(zeta_v)) and np.all(np.isfinite(derivs))
+    with pytest.raises(ValueError, match=r"tau=42j.*709"):
+        Lattice(42j)
 
 
 def test_views_share_the_jet():
