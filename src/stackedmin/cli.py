@@ -20,7 +20,7 @@ import json
 
 from .configs import UnknownConfigError, catalog, config_to_dict
 from .immersion import build_mesh, embeddedness_diagnostics, mesh_summary
-from .solver import auto_schedule, newton_continuation
+from .solver import ScheduleError, auto_schedule, newton_continuation
 
 
 def _steps(report) -> list[dict]:
@@ -51,9 +51,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = catalog(args.name)
-    except UnknownConfigError as exc:
+        report = newton_continuation(cfg, args.t)
+    except (UnknownConfigError, ScheduleError) as exc:
         parser.error(str(exc))
-    report = newton_continuation(cfg, args.t)
     record = {
         "command": args.command,
         "name": args.name,

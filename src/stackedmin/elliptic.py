@@ -36,7 +36,6 @@ __all__ = [
     "theta_star",
 ]
 
-DEFAULT_SERIES_TOL = 1e-13
 DEFAULT_POLE_RADIUS = 1e-6
 # glibc's complex sin and cos are cosh/sinh products up to |Im w| = 709,
 # int(1023 ln 2); above it they take a scaled exp branch, then overflow
@@ -69,7 +68,7 @@ def _eisenstein(tau: complex, weight: int) -> complex:
 class Lattice:
     """Torus modulus with derived quasi-periods and nome.
 
-    Fields beyond `tau` and `series_tol` are computed at construction:
+    Fields beyond `tau` are computed at construction:
     eta1 from the weight-2 Eisenstein series, eta2 forced by the Legendre
     relation eta1*tau - eta2 = 2 pi i, and the nome q = exp(i pi tau).
     Raises ValueError when the theta pass would take sin or cos of a term
@@ -77,8 +76,6 @@ class Lattice:
     """
 
     tau: complex
-    series_tol: float = DEFAULT_SERIES_TOL
-    pole_radius: float = DEFAULT_POLE_RADIUS
     eta1: complex = field(init=False)
     eta2: complex = field(init=False)
     nome: complex = field(init=False)
@@ -238,9 +235,9 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
 
 
 def _check_poles(zr, lat: Lattice):
-    if np.any(np.abs(zr) < lat.pole_radius):
+    if np.any(np.abs(zr) < DEFAULT_POLE_RADIUS):
         raise PoleError(
-            f"argument within {lat.pole_radius:g} of a lattice point of tau={lat.tau}"
+            f"argument within {DEFAULT_POLE_RADIUS:g} of a lattice point of tau={lat.tau}"
         )
 
 
@@ -255,7 +252,7 @@ def weierstrass_jet(z, lat: Lattice, jmax: int):
 
     Returns (zeta, derivs); zeta is a complex for scalar z, and derivs has
     shape (jmax+1,) + z.shape, empty for jmax = -1.  Raises PoleError
-    within pole_radius of a lattice point.
+    within DEFAULT_POLE_RADIUS of a lattice point.
     """
     if jmax < -1:
         raise ValueError("jmax must be at least -1")
@@ -284,7 +281,7 @@ def zeta(z, lat: Lattice):
     """Weierstrass zeta at z for the lattice Z + tau Z.
 
     Odd, quasi-periodic with increments eta1 and eta2 along the two
-    generators.  Raises PoleError within pole_radius of a lattice point.
+    generators.  Raises PoleError within DEFAULT_POLE_RADIUS of a lattice point.
     """
     return weierstrass_jet(z, lat, -1)[0]
 

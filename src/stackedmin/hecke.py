@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import (
+    DEFAULT_POLE_RADIUS,
     Lattice,
     TorusPoint,
     reduce_centered,
@@ -96,7 +97,7 @@ class SolutionSet:
 def _masked_G_step(z: np.ndarray, lat: Lattice, C: complex):
     """One vectorized Newton update; near-lattice entries are flagged dead."""
     zr, _, _ = reduce_centered(z, lat.tau)
-    alive = np.abs(zr) > 10 * lat.pole_radius
+    alive = np.abs(zr) > 10 * DEFAULT_POLE_RADIUS
     dz = np.zeros_like(z)
     F = np.full_like(z, np.inf)
     if np.any(alive):

@@ -29,7 +29,7 @@ from .hecke import hecke_G
 FIX_TOL = 1e-12
 FIX_MAX_ITER = 500
 DEFAULT_N_MAX = 8
-DEFAULT_CIRCLE_NODES = 256
+CIRCLE_NODES = 256  # quadrature nodes of each contour circle
 CHART_MARGIN = 2.0  # charts are |1/g| < CHART_MARGIN * epsilon
 CHART_NEWTON = 40  # Newton steps of the chart inversion
 N_BUFFER = 3  # least number of clamped tail layers at each end of a window
@@ -305,9 +305,9 @@ def _build_forms(T, n_max: int, circles: dict) -> FormTable:
 @dataclass
 class CircleCache:
     """Quadrature nodes around one pole with every field the contour
-    integrals need: g, g', the base form, and the second-kind stack.
-    Parameter rows (`_circle_sets`) have a row axis before the node axis
-    and no base or cols, which only the neck-matching system reads."""
+    integrals need: g, g', the base form, and the second-kind stack; a
+    row axis before the node axis for a set of parameter rows.  `refresh`
+    adds base and cols, which only the neck-matching system reads."""
 
     center: complex
     z: np.ndarray
@@ -322,30 +322,14 @@ class CircleCache:
 
 @dataclass(frozen=True)
 class LayerRows:
-    """One torus, or a list of parameter rows of one layer's torus, with
-    their form table and, if built, their contour caches."""
+    """One (tau, v) set of a layer: a torus, or the parameter rows that
+    share its tau and v, with their form table and, while needed, their
+    contour caches by side.  `refresh` stores one per torus; the residual
+    evaluator takes it and the sets of moved parameter rows alike."""
 
     tori: TorusData | list[TorusData]
     forms: FormTable
     circles: dict | None
-
-    @property
-    def row_tori(self) -> list:
-        return self.tori if isinstance(self.tori, list) else [self.tori]
-
-    def take(self, rows: list) -> "LayerRows":
-        """The given rows of a row batch, without circles; one torus is
-        its own only row."""
-        if not isinstance(self.tori, list):
-            return self
-        f = self.forms
-        return LayerRows(tori=[self.tori[r] for r in rows], circles=None,
-                         forms=FormTable(coeffs=f.coeffs[..., rows],
-                                         eta=f.eta[..., rows], mu=f.mu[..., rows]))
-
-    def per_row(self, values: list):
-        """The one value of a torus, or the array of a row batch."""
-        return np.array(values) if isinstance(self.tori, list) else values[0]
 
 
 def _circle_sets(st: "GluingState", tori):
@@ -360,7 +344,7 @@ def _circle_sets(st: "GluingState", tori):
     stages are elementwise, so each row has the bits of its torus alone.
     The state is only read.
     """
-    r, m, jmax = st.contour_radius, st.circle_nodes, st.n_max - 2
+    r, m, jmax = st.contour_radius, CIRCLE_NODES, st.n_max - 2
     _, dz = _circle_nodes(0.0, r, m)  # dz does not depend on the center
     centers = {"node": lambda T: T.v, "zero": lambda T: 0.0}
     sides = [_point_sets(tori, lambda T, c=c: _circle_nodes(c(T), r, m)[0], jmax)
@@ -384,13 +368,6 @@ def _circle_sets(st: "GluingState", tori):
             circles[side] = CircleCache(center=centers[side](first), z=z, dz=dz,
                                         g=gv, gp=gp, w0=s - xiv, fvals=fvals)
         yield rows, LayerRows(tori=sub, forms=forms, circles=circles)
-
-
-def _layer_view(st: "GluingState", j: int, rows: LayerRows | None) -> LayerRows:
-    """rows, or stored torus j of the state with its caches."""
-    if rows is not None:
-        return rows
-    return LayerRows(tori=st.tori[j], forms=st._forms[j], circles=st._circles[j])
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
@@ -424,9 +401,7 @@ class GluingState:
     left_period: int = 2
     right_period: int = 2
     n_buffer: int = 0
-    circle_nodes: int = DEFAULT_CIRCLE_NODES
-    _forms: list = field(default=None, repr=False, compare=False)
-    _circles: list = field(default=None, repr=False, compare=False)
+    _layers: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("cyclic", "window"):
@@ -435,12 +410,11 @@ class GluingState:
             raise ValueError("gluing scale t must be nonnegative")
         if self.rho > self.epsilon / 4 + 1e-15:
             raise ValueError("series radius must satisfy rho <= epsilon/4")
-        if self._forms is None:
+        if self._layers is None:
             self.refresh()
 
     @classmethod
     def central(cls, cfg: Configuration, t: float, K: int | None = None,
-                circle_nodes: int = DEFAULT_CIRCLE_NODES,
                 force_window: bool = False,
                 epsilon: float | None = None) -> "GluingState":
         """State on the tori of `central_layout`, with the chart radius
@@ -449,8 +423,7 @@ class GluingState:
         eps = _chart_radius(tori) if epsilon is None else epsilon
         return cls(t=t, tori=tori, mode=mode, k_lo=k_lo, epsilon=eps,
                    rho=eps / 4, tau_ref=cfg.tau, q0_ref=cfg.q(0),
-                   left_period=p_l, right_period=p_r, n_buffer=buf,
-                   circle_nodes=circle_nodes)
+                   left_period=p_l, right_period=p_r, n_buffer=buf)
 
     @property
     def n_tori(self) -> int:
@@ -491,16 +464,15 @@ class GluingState:
         Must be called after mutating torus parameters; caches do not
         depend on t, so rescaling t alone needs no refresh.
 
-        Each torus takes one jet pair per contour circle (`_circle_sets`):
-        the `FormTable` of torus j (coefficients (2, n_max-1, n_max-1) by
-        pole, order and wp derivative, with the eta and mu vectors) and the
-        circle caches, completed with the neck-matching integrals base and
-        cols.  The Jacobian's moved parameters never pass through here;
-        their rows come from `_circle_sets` without touching the state.
+        Torus j is one set of `_circle_sets`, stored as the `LayerRows`
+        _layers[j]: its `FormTable` (coefficients (2, n_max-1, n_max-1) by
+        pole, order and wp derivative, with the eta and mu vectors) and its
+        circles, completed with the neck-matching integrals base and cols.
+        The residual evaluator reads it as it reads the sets of the
+        Jacobian's moved rows, which never touch the state.
         """
-        if self._forms is None or only is None:
-            self._forms = [None] * self.n_tori
-            self._circles = [None] * self.n_tori
+        if self._layers is None or only is None:
+            self._layers = [None] * self.n_tori
             todo = range(self.n_tori)
         else:
             todo = [only]
@@ -508,11 +480,11 @@ class GluingState:
             (_, rows), = _circle_sets(self, self.tori[j])
             for cc in rows.circles.values():
                 _add_matching(cc, self.n_max, self.rho)
-            self._forms[j], self._circles[j] = rows.forms, rows.circles
+            self._layers[j] = rows
 
     def circle(self, k: int, side: str) -> CircleCache:
         """Cached contour around 0_k (side 'zero') or v_k (side 'node')."""
-        return self._circles[self.index_of(k)][side]
+        return self._layers[self.index_of(k)].circles[side]
 
 
 @dataclass(frozen=True)
@@ -548,7 +520,7 @@ def _fixed_point_system(st: GluingState):
         k = st.k_lo + j
         for srow, (step, side) in enumerate(((1, "zero"), (-1, "node"))):
             jn = st.index_of(k + step)
-            cc = st._circles[jn][side]
+            cc = st._layers[jn].circles[side]
             rows = slice((j * 2 + srow) * width, (j * 2 + srow + 1) * width)
             cols = slice(jn * 2 * width, (jn + 1) * 2 * width)
             vec[rows] = pref * cc.base
@@ -627,15 +599,14 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     j = st.index_of(k)
     za = np.asarray(z, dtype=complex)
     return gauss_and_omega_from_jets(
-        st, series, j, st.tori[j].jets(za, omega_jmax(st, series, j)))
+        st, series, j, st.tori[j].jets(za, omega_jmax(st, series, j)), st._layers[j])
 
 
 def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
-                              jets: tuple, rows: LayerRows | None = None):
-    """`gauss_and_omega` on stored torus j from its jet pair, which
-    `TorusData.jets` made at order `omega_jmax`; with parameter rows of
-    torus j (`LayerRows`), on their jets, one result row per row."""
-    lr = _layer_view(st, j, rows)
+                              jets: tuple, lr: LayerRows):
+    """`gauss_and_omega` on stored torus j from the jet pair of one set lr
+    of it (`LayerRows`: the state's own, or parameter rows, one result row
+    per row), which `TorusData.jets` made at order `omega_jmax`."""
     row = series.lam[j]
     live = np.any(row != 0)
     (zeta_z, dminus), (zeta_zv, dplus) = jets
@@ -664,9 +635,10 @@ def omega_eval(st: GluingState, series: OmegaSeries, k: int, z):
 def omega_on_circle(st: GluingState, series: OmegaSeries, k: int, side: str,
                     rows: LayerRows | None = None):
     """Density of the glued form at the cached contour nodes of layer k,
-    or at the contour nodes of its parameter rows, one result row per row."""
+    or at the contour nodes of a set of its parameter rows, one result
+    row per row."""
     j = st.index_of(k)
-    cc = _layer_view(st, j, rows).circles[side]
+    cc = (st._layers[j] if rows is None else rows).circles[side]
     row = series.lam[j]
     rhow = st.rho ** np.arange(1, st.n_max)
     return cc.w0 + np.einsum("s m, s m ... n -> ... n", row * rhow[None, :], cc.fvals)

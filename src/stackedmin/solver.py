@@ -13,13 +13,11 @@ import numpy as np
 
 from .configs import Configuration
 from .opening import (
-    FormTable,
     GluingState,
     LayerRows,
     OmegaSeries,
     TorusData,
     _circle_sets,
-    _layer_view,
     _point_sets,
     fix_omega,
     gauss_and_omega_from_jets,
@@ -37,6 +35,10 @@ MAX_HALVINGS = 12
 
 class ContourError(RuntimeError):
     """A zero of the Gauss component sits on an integration contour."""
+
+
+class ScheduleError(ValueError):
+    """A continuation target or t-schedule that cannot be followed."""
 
 
 class StepFailure(RuntimeError):
@@ -58,107 +60,82 @@ class StepFailure(RuntimeError):
 # residuals
 
 
-def residual_E(k: int, st: GluingState, series: OmegaSeries,
-               rows: LayerRows | None = None) -> complex:
-    """Sum of omega/dz over the zeros of g_k, as minus the residues of
-    W g'/g at the two poles (the cell-boundary part cancels by periodicity).
-    With parameter rows of layer k (`LayerRows`), one sum per row."""
-    lr = _layer_view(st, st.index_of(k), rows)
+def _circle_residuals(st, series, k, rows: LayerRows):
+    """E and Gbal of layer k on one (tau, v) set, one entry per row, from
+    one glued-form evaluation per circle: E sums omega/dz over the zeros
+    of g_k as minus the residues of W g'/g at the two poles (the cell
+    boundary cancels by periodicity), Gbal is the neck flux of g_k omega
+    against the common normalisation value."""
     sums = []
     for side in ("zero", "node"):
-        cc = lr.circles[side]
+        cc = rows.circles[side]
         W = omega_on_circle(st, series, k, side, rows)
         sums.append(np.atleast_1d(np.sum(W * cc.gp / cc.g * cc.dz, axis=-1)))
+        if side == "zero":
+            fluxes = np.atleast_1d(np.sum(cc.g * W * cc.dz, axis=-1))
     # the scalar stages, row by row
-    return lr.per_row([-(0j + zero / (2j * np.pi) + node / (2j * np.pi))
-                       for zero, node in zip(*sums)])
+    E = [-(0j + zero / (2j * np.pi) + node / (2j * np.pi)) for zero, node in zip(*sums)]
+    Gbal = []
+    for flux in fluxes:
+        if k % 2 == 1:
+            flux = np.conj(flux)
+        Gbal.append(flux + 2j * np.pi * st.balance_value)
+    return E, Gbal
 
 
-def _path_sums(st, series, k, along, rows=None):
-    """Node sums of W/g and t^2 g W on the period path from path_base(T)
-    along(T) on layer k, one column per row with rows of layer k.  The
-    rows of one (tau, v) share their points and jets, and each such set
-    is reduced before the next (`_point_sets`)."""
+def _period_residuals(st, series, k, tori, sets: list):
+    """Period residuals P1, P2 of the horizontal displacement over both
+    cycles, one column per row of tori (one torus is one row).  sets holds
+    the `LayerRows` of each (tau, v) set in the order of `_point_sets`;
+    the paths read their form tables only.  The node sums of W/g and
+    t^2 g W on the path from path_base(T) along each cycle are reduced
+    set by set, and the sets of one tau share their jet call."""
     j = st.index_of(k)
-    lr = _layer_view(st, j, rows)
+    row_tori = tori if isinstance(tori, list) else [tori]
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
-    out = np.empty((2, len(lr.row_tori)), dtype=complex)
-    for idx, _, jets in _point_sets(lr.tori, lambda T: path_base(T) + s * along(T),
-                                    omega_jmax(st, series, j)):
-        gv, W = gauss_and_omega_from_jets(st, series, j, jets, lr.take(idx))
-        if np.min(np.abs(gv)) < 1e-6:
-            raise ContourError(f"zero of g_{k} on a period path")
-        out[0, idx] = np.sum(W / gv, axis=-1)
-        out[1, idx] = np.sum(st.t * st.t * gv * W, axis=-1)
-    return out
-
-
-def residual_P(k: int, st: GluingState, series: OmegaSeries,
-               rows: LayerRows | None = None):
-    """Period residuals of the horizontal displacement over both cycles,
-    one array entry per row with rows of layer k."""
-    lr = _layer_view(st, st.index_of(k), rows)
-    out = []
-    for along, target in ((lambda T: 1.0, 2.0 * (-1) ** k),
-                          (lambda T: T.tau, 2.0 * st.tau_ref)):
-        ps = []
-        for s_ginv, s_g, T in zip(*_path_sums(st, series, k, along, rows),
-                                  lr.row_tori):
+    out = np.empty((2, len(row_tori)), dtype=complex)
+    for i, (along, target) in enumerate(((lambda T: 1.0, 2.0 * (-1) ** k),
+                                         (lambda T: T.tau, 2.0 * st.tau_ref))):
+        sums = np.empty((2, len(row_tori)), dtype=complex)
+        points = _point_sets(tori, lambda T: path_base(T) + s * along(T),
+                             omega_jmax(st, series, j))
+        for (idx, _, jets), rows in zip(points, sets):
+            gv, W = gauss_and_omega_from_jets(st, series, j, jets, rows)
+            if np.min(np.abs(gv)) < 1e-6:
+                raise ContourError(f"zero of g_{k} on a period path")
+            sums[0, idx] = np.sum(W / gv, axis=-1)
+            sums[1, idx] = np.sum(st.t * st.t * gv * W, axis=-1)
+        # the scalar stages, row by row
+        for r, (s_ginv, s_g, T) in enumerate(zip(*sums, row_tori)):
             dz = along(T) / PATH_NODES
             i_ginv, i_g = s_ginv * dz, s_g * dz
             if k % 2 == 0:
                 p = np.conj(i_g) - i_ginv
             else:
                 p = np.conj(i_ginv) - i_g
-            ps.append(p - target)
-        out.append(lr.per_row(ps))
-    return out[0], out[1]
-
-
-def residual_Gbal(k: int, st: GluingState, series: OmegaSeries,
-                  rows: LayerRows | None = None) -> complex:
-    """Neck flux of g_k omega against the common normalisation value,
-    one array entry per row with rows of layer k."""
-    lr = _layer_view(st, st.index_of(k), rows)
-    cc = lr.circles["zero"]
-    W = omega_on_circle(st, series, k, "zero", rows)
-    out = []
-    for flux in np.atleast_1d(np.sum(cc.g * W * cc.dz, axis=-1)):
-        if k % 2 == 1:
-            flux = np.conj(flux)
-        out.append(flux + 2j * np.pi * st.balance_value)
-    return lr.per_row(out)
-
-
-def _block_residual(st, series, k, tori=None):
-    """(E, P1, P2, Gbal) of layer k from the state's caches, or one such
-    row for each parameter row in tori; full_residual and the Jacobian
-    share this one evaluator.  The rows that share a (tau, v) take their
-    circles together (`_circle_sets`) and reduce them to E and Gbal
-    before the next set; the period paths then need the form tables only.
-    """
-    if tori is None:
-        return np.array([residual_E(k, st, series), *residual_P(k, st, series),
-                         residual_Gbal(k, st, series)])
-    out = np.empty((len(tori), 4), dtype=complex)
-    tables = []
-    for idx, rows in _circle_sets(st, tori):
-        out[idx, 0] = residual_E(k, st, series, rows)
-        out[idx, 3] = residual_Gbal(k, st, series, rows)
-        tables.append((idx, rows.forms))
-    paths = LayerRows(tori, _row_table(tables, len(tori)), None)
-    out[:, 1], out[:, 2] = residual_P(k, st, series, paths)
+            out[i, r] = p - target
     return out
 
 
-def _row_table(tables: list, n: int) -> FormTable:
-    """The form table of n parameter rows from (rows, table) pieces."""
-    out = [np.empty(a.shape[:-1] + (n,), dtype=complex)
-           for a in (tables[0][1].coeffs, tables[0][1].eta, tables[0][1].mu)]
-    for idx, f in tables:
-        for whole, part in zip(out, (f.coeffs, f.eta, f.mu)):
-            whole[..., idx] = part
-    return FormTable(*out)
+def _block_residual(st, series, k, tori=None):
+    """(E, P1, P2, Gbal) of layer k at the state's parameters, or one row
+    per parameter row in tori; full_residual and the Jacobian share it.
+    It works set by set: the state's layer is its stored `LayerRows`, and
+    the rows of tori that share a (tau, v) are one set of `_circle_sets`.
+    Each set's circles give its E and Gbal and are then dropped; the
+    period paths read only its form table."""
+    if tori is None:
+        j = st.index_of(k)
+        tori, sets = st.tori[j], [([0], st._layers[j])]
+    else:
+        sets = _circle_sets(st, tori)
+    out = np.empty((1 if isinstance(tori, TorusData) else len(tori), 4), dtype=complex)
+    paths = []
+    for idx, rows in sets:
+        out[idx, 0], out[idx, 3] = _circle_residuals(st, series, k, rows)
+        paths.append(LayerRows(rows.tori, rows.forms, None))
+    out[:, 1:3] = _period_residuals(st, series, k, tori, paths).T
+    return out[0] if isinstance(tori, TorusData) else out
 
 
 @dataclass(frozen=True)
@@ -365,15 +342,24 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
     Periodic stacks are solved on one (even) period with cyclic coupling.
     A stack with a defect window first gets its tails solved periodically,
     then the window is solved with the tail layers clamped as boundary
-    data; K is the half-width of the actively solved region.
+    data; K is the half-width of the actively solved region.  Raises
+    ScheduleError unless t_target is finite and nonnegative and the
+    schedule rises strictly from t >= 0 to t_target; only t_target = 0
+    may take no step.
     """
+    if not 0.0 <= t_target < np.inf:
+        raise ScheduleError(f"t_target must be finite and nonnegative, got {t_target}")
     if schedule is None:
         schedule = auto_schedule(t_target)
     schedule = [float(t) for t in schedule]
+    if not schedule and t_target > 0:
+        raise ScheduleError(f"empty schedule for t_target = {t_target} > 0")
+    if schedule and schedule[0] < 0:
+        raise ScheduleError("schedule must not hold a negative t")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+        raise ScheduleError("schedule must be strictly increasing")
     if schedule and abs(schedule[-1] - t_target) > 1e-15:
-        raise ValueError("schedule must end at t_target")
+        raise ScheduleError("schedule must end at t_target")
 
     if cfg.is_periodic() and not force_window:
         st = GluingState.central(cfg, 0.0, epsilon=epsilon)

@@ -222,7 +222,7 @@ def form_view(st, k: int, sign: str, n: int) -> SecondKindForm:
     from stackedmin.opening import _SIGNS
 
     j, s = st.index_of(k), _SIGNS[sign]
-    T, table = st.tori[j], st._forms[j]
+    T, table = st.tori[j], st._layers[j].forms
     return SecondKindForm(lat=T.lattice, pole=(T.v, 0.0)[s], order=n,
                           coeffs=tuple(table.coeffs[s, n - 2, : n - 1]),
                           mu=complex(table.mu[s, n - 2]))
@@ -830,14 +830,14 @@ def antiholomorphic_iterate(lat, C: complex, z0: complex, max_iter: int = 800):
     Converges exactly at attracting roots of G = C and returns None
     otherwise; an independent check on the Newton sweep for those roots.
     """
-    from stackedmin.elliptic import TorusPoint, reduce_centered
+    from stackedmin.elliptic import DEFAULT_POLE_RADIUS, TorusPoint, reduce_centered
     from stackedmin.hecke import ROOT_TOL, _ab, hecke_G
 
     z = complex(z0)
     b = _ab(lat)[1]
     for _ in range(max_iter):
         zr, _, _ = reduce_centered(z, lat.tau)
-        if abs(complex(zr)) < 10 * lat.pole_radius:
+        if abs(complex(zr)) < 10 * DEFAULT_POLE_RADIUS:
             return None
         G = hecke_G(z, lat)
         z_next = z - (np.conj(G) - np.conj(C)) / b

@@ -45,6 +45,16 @@ def test_unknown_name_is_a_usage_error(capsys):
     assert "valid names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["-0.01", "nan"])
+def test_unreachable_t_is_a_usage_error(capsys, t):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "rPD", "--t", t])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_target" in captured.err
+
+
 def test_mesh_prints_one_deterministic_record(capsys):
     lines = []
     for _ in range(2):

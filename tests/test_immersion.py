@@ -167,7 +167,7 @@ def test_grid_node_on_a_pole_is_cut(rpd):
     zg = corner + (ii + jj * T.tau) / n
     gap = min(np.min(np.abs(elliptic.reduce_centered(zg - c, T.tau)[0]))
               for c in (0.0, T.v))
-    assert gap < T.lattice.pole_radius
+    assert gap < elliptic.DEFAULT_POLE_RADIUS
     try:
         patch = integrate_layer(0, st, series, grid_res=n)
     except (MeshTopologyError, LoopResidualError):

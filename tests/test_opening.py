@@ -9,9 +9,11 @@ from hypothesis import strategies as hs
 
 import oracles
 from oracles import gauss_component, neck_coordinate, second_kind_form, third_kind_form
+from stackedmin import opening
 from stackedmin.configs import catalog
 from stackedmin.elliptic import weierstrass_jet, wp_derivs
 from stackedmin.opening import (
+    CIRCLE_NODES,
     ChartError,
     GluingState,
     NonContractionError,
@@ -302,10 +304,13 @@ def test_noncontraction_raises():
         fix_omega(st)
 
 
-def test_doubled_contour_nodes_agree():
+def test_doubled_contour_nodes_agree(monkeypatch):
     cfg = catalog("rPD")
     coarse = GluingState.central(cfg, 0.01)
-    fine = GluingState.central(cfg, 0.01, circle_nodes=512)
+    with monkeypatch.context() as m:
+        m.setattr(opening, "CIRCLE_NODES", 512)
+        fine = GluingState.central(cfg, 0.01)
+    assert fine.circle(0, "node").z.size == 2 * coarse.circle(0, "node").z.size
     sa = fix_omega(coarse)
     sb = fix_omega(fine)
     assert np.max(np.abs(sa.lam - sb.lam)) < 1e-12
@@ -416,9 +421,9 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     st = GluingState.central(catalog(name, K=2), 0.01, K=K)
     j = _perturbed(st, k)
     T = st.tori[j]
-    r, m = st.contour_radius, st.circle_nodes
+    r, m = st.contour_radius, CIRCLE_NODES
     forms = oracles.multipass_forms(T, st.n_max, r, m)
-    table = st._forms[j]
+    table = st._layers[j].forms
     assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1)
     assert not np.any(np.triu(table.coeffs, 1))
     assert len(forms) == 2 * (st.n_max - 1)
@@ -455,7 +460,7 @@ def test_form_table_matches_per_form_loop(name, K, k):
     period path, at a scalar, a 0-d and a 2-D z."""
     st = GluingState.central(catalog(name, K=2), 0.01, K=K)
     j = _perturbed(st, k)
-    T, table = st.tori[j], st._forms[j]
+    T, table = st.tori[j], st._layers[j].forms
     assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1)
     assert not np.any(np.triu(table.coeffs, 1))
     z0 = path_base(T)
@@ -492,7 +497,7 @@ def test_form_table_mu_follows_the_complex_expression():
     z, dz = _circle_nodes(0.0, st.contour_radius, 64)
     zpow = np.stack([z ** p for p in range(1, st.n_max)])
     flat = (z, dz, None, np.ones(64, complex), np.zeros(64, complex), None, None, zpow)
-    for table in (st._forms[0], _build_forms(T, st.n_max, {"node": flat, "zero": flat})):
+    for table in (st._layers[0].forms, _build_forms(T, st.n_max, {"node": flat, "zero": flat})):
         for s in (0, 1):
             for n in range(2, st.n_max + 1):
                 c2 = table.coeffs[s, n - 2, 0]

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oracles import _cell_corner, zeros_symmetric
-from stackedmin import elliptic
+from stackedmin import elliptic, solver
 from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
@@ -31,9 +31,6 @@ from stackedmin.solver import (
     auto_schedule,
     full_residual,
     newton_continuation,
-    residual_E,
-    residual_Gbal,
-    residual_P,
 )
 
 
@@ -66,7 +63,7 @@ def test_regularity_closed_form():
     series = fix_omega(st)
     for k in (0, 1):
         T = st.torus(k)
-        err = abs(residual_E(k, st, series) - (-2.0 * T.bhat / T.a))
+        err = abs(full_residual(st, series, (k,)).entries[0, 0] - (-2.0 * T.bhat / T.a))
         assert err < 1e-9
 
 
@@ -76,11 +73,11 @@ def test_period_closed_forms():
     st.tori[1].a = -0.52 - 0.03j
     st.refresh()
     series = fix_omega(st)
-    r1, r2 = residual_P(0, st, series)
+    r1, r2 = full_residual(st, series, (0,)).entries[0, 1:3]
     T0 = st.torus(0)
     assert abs((r1 + 2.0) - (-1.0 / T0.a)) < 1e-9
     assert abs((r2 + 2.0 * st.tau_ref) - (-T0.tau / T0.a)) < 1e-9
-    r1, r2 = residual_P(1, st, series)
+    r1, r2 = full_residual(st, series, (1,)).entries[0, 1:3]
     T1 = st.torus(1)
     assert abs((r1 - 2.0) - np.conj(1.0 / T1.a)) < 1e-9
     assert abs((r2 + 2.0 * st.tau_ref) - np.conj(T1.tau / T1.a)) < 1e-9
@@ -95,7 +92,7 @@ def test_balance_linearization(k):
     st.tori[k].v += delta
     st.refresh(k)
     series = fix_omega(st)
-    r = residual_Gbal(k, st, series)
+    r = full_residual(st, series, (k,)).entries[0, 3]
     J = hecke_jacobian(catalog("rPD").q(k), lattice_for(st.tau_ref))
     dm = mirror_conj(delta, k)
     pred = -2j * np.pi * complex(*(J.m @ [dm.real, dm.imag]))
@@ -144,7 +141,7 @@ def test_regularity_sums_omega_over_zeros():
     T = st.torus(0)
     roots = _tracked_roots(T, _cell_corner(T))
     vals = omega_eval(st, series, 0, np.array(roots))
-    assert abs(residual_E(0, st, series) - vals.sum()) < 1e-9
+    assert abs(full_residual(st, series, (0,)).entries[0, 0] - vals.sum()) < 1e-9
 
 
 def _rational_kernel_E(st, series, k, s1, s2, nodes=96):
@@ -184,7 +181,7 @@ def test_regularity_rational_kernel_route():
     series = fix_omega(st)
     s1, s2 = zeros_symmetric(0, st)
     other = _rational_kernel_E(st, series, 0, s1, s2)
-    assert abs(residual_E(0, st, series) - other) < 1e-7
+    assert abs(full_residual(st, series, (0,)).entries[0, 0] - other) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +251,9 @@ def test_fd_blocks_match_plain_loop(name, K, k, t):
     got = _fd_blocks(st, series, (k,), flat)
     ref = oracles.fd_blocks_plain(ref_st, ref_series, (k,), ref_flat)
     assert np.array_equal(got, ref)
+    # the state's cached set and a fresh row set of the same torus agree
+    assert np.array_equal(full_residual(st, series, (k,)).entries,
+                          _block_residual(st, series, k, [st.torus(k)]))
     j = st.index_of(k)
     assert np.array_equal(_get_block(st, j), _get_block(ref_st, j))
     for sign in "+-":
@@ -273,9 +273,10 @@ def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
     one for the layer's own tau, shared by the bhat, a and v rows, and
     one per tau row.  Together they evaluate the points of the five
     distinct (tau, v), each set as many as one column of the plain loop,
-    and they never refresh the state."""
+    and they never refresh the state.  Each set, and each layer of a full
+    residual, evaluates the glued form once per contour circle."""
     st, series, flat = _perturbed_layer("rPD", None, 1)
-    points, refreshes = [], []
+    points, refreshes, omegas = [], [], []
     theta_sums, refresh = elliptic._theta_sums, GluingState.refresh
 
     def counted(v, *args, **kwargs):
@@ -286,12 +287,21 @@ def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
         refreshes.append(1)
         return refresh(self, *args, **kwargs)
 
+    def counted_omega(*args, **kwargs):
+        omegas.append(1)
+        return omega_on_circle(*args, **kwargs)
+
     monkeypatch.setattr(elliptic, "_theta_sums", counted)
     monkeypatch.setattr(GluingState, "refresh", counted_refresh)
+    monkeypatch.setattr(solver, "omega_on_circle", counted_omega)
     _fd_blocks(st, series, (1,), flat)
     assert len(points) == 12
     assert refreshes == []
+    assert len(omegas) == 10
     batched = sum(points)
+    omegas.clear()
+    full_residual(st, series)
+    assert len(omegas) == 2 * st.n_tori
     x0 = _get_block(st, 1)
     plain = []
     for c in range(8):
@@ -362,11 +372,13 @@ def test_solved_layers_repeat_periodically(rpd_solved):
 
 
 def test_zero_target_returns_central():
-    rep = newton_continuation(catalog("rPD", K=1), 0.0)
-    assert rep.steps == ()
-    assert rep.final_residual == 0.0
-    assert rep.state.torus(0).a == -0.5
-    assert rep.state.torus(0).bhat == 0
+    # closed necks take no step, with or without an empty schedule
+    for schedule in (None, []):
+        rep = newton_continuation(catalog("rPD", K=1), 0.0, schedule=schedule)
+        assert rep.steps == ()
+        assert rep.final_residual == 0.0
+        assert rep.state.torus(0).a == -0.5
+        assert rep.state.torus(0).bhat == 0
 
 
 def test_schedule_validation():
@@ -375,6 +387,18 @@ def test_schedule_validation():
         newton_continuation(cfg, 0.005, schedule=[0.01, 0.005])
     with pytest.raises(ValueError):
         newton_continuation(cfg, 0.01, schedule=[0.004])
+    # a target no schedule reaches is refused before any solve, instead
+    # of reporting the central state as converged (inf comes last: the
+    # halving of auto_schedule never ends on it)
+    with pytest.raises(ValueError):
+        newton_continuation(cfg, -0.01)
+    with pytest.raises(ValueError):
+        newton_continuation(cfg, 0.01, schedule=[])
+    with pytest.raises(ValueError):
+        newton_continuation(cfg, 0.01, schedule=[-0.005, 0.01])
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            newton_continuation(cfg, t)
 
 
 def test_auto_schedule():
