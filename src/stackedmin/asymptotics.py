@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import Configuration
+from .configs import Configuration, _split
 from .opening import (GluingState, OmegaSeries, _chart_radius, central_layout,
                       fix_omega, omega_on_circle)
 from .solver import newton_continuation
@@ -56,19 +56,17 @@ def upper_reference(cfg_defect: Configuration) -> Configuration:
     """Periodic configuration that extends the defect's upper tail to all
     layers; this is the reference the defect converges to going up."""
     tail = cfg_defect.right_tail
-    n = len(tail)
-    win = tuple(tail[k % n] for k in range(-n, n + 1))
-    return Configuration(tau=cfg_defect.tau, window=win,
-                         left_tail=tail, right_tail=tail)
+    return _split(cfg_defect.tau, tail, tail, len(tail))
 
 
 def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
                K: int | None = None, tol: float = 1e-11, callback=None):
     """Solve the periodic reference and the defect on identical windows.
 
-    The reference is forced into window mode so both states share the
-    window extent, clamped tails, and quadrature settings.  Returns the
-    two solved states (reference first).
+    Both solves get the same half-width K, so the periodic reference is
+    solved as a window too: the two states share the window extent, the
+    clamped tails and the chart radius.  Returns the two solved states
+    (reference first).
     """
     if not cfg.is_periodic():
         raise ValueError("reference configuration must be periodic")
@@ -84,12 +82,12 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
                 "match the reference for k >= 0")
     # shared chart radius: the defect's separations are a superset of the
     # reference's, so the forms must be compared on the tighter circles
-    eps = min(_chart_radius(central_layout(c, K, force_window=True)[0])
+    eps = min(_chart_radius(central_layout(c, K)[0])
               for c in (cfg, cfg_defect))
     rep_p = newton_continuation(cfg, t, K=K, tol=tol, epsilon=eps,
-                                force_window=True, callback=callback)
+                                callback=callback)
     rep_d = newton_continuation(cfg_defect, t, K=K, tol=tol, epsilon=eps,
-                                force_window=True, callback=callback)
+                                callback=callback)
     st_p, st_d = rep_p.state, rep_d.state
     if st_p.k_lo != st_d.k_lo or len(st_p.tori) != len(st_d.tori):
         raise RuntimeError("paired windows came out misaligned")
@@ -141,10 +139,6 @@ def differential_rows(st_a: GluingState, series_a: OmegaSeries,
     return out
 
 
-def _window_halfwidth(st: GluingState) -> int:
-    return st.k_lo + len(st.tori) - 1 - st.n_buffer
-
-
 def _log_fit(ks: list[int], vals: np.ndarray) -> tuple[float, float]:
     y = np.log(vals)
     x = np.asarray(ks, dtype=float)
@@ -181,8 +175,8 @@ def decay_fit(st_periodic: GluingState, st_defect: GluingState,
     d = parameter_rows(st_periodic, st_defect)
     w = form_rows(st_periodic, series_periodic, st_defect, series_defect)
     ks = sorted(d)
-    half = _window_halfwidth(st_defect)
-    fit_ks = [k for k in ks if 1 <= k <= half - 2]
+    top = st_defect.active_range()[-1]
+    fit_ks = [k for k in ks if 1 <= k <= top - 2]
     if not fit_ks:
         raise DegenerateFitError("window too narrow for a fit")
     fit_vals = np.array([d[k] for k in fit_ks])

@@ -30,6 +30,17 @@ class UnknownConfigError(ValueError):
         super().__init__(f"unknown configuration {name!r}; valid names: {', '.join(names)}")
 
 
+class UnbalancedConfigError(ValueError):
+    """Raised for a stacking whose forces G(q_{k+1}) - G(q_k) do not all
+    vanish; carries the layer k of the largest force and its size."""
+
+    def __init__(self, k: int, force: float):
+        self.k = k
+        self.force = force
+        super().__init__(f"unbalanced configuration: largest force {force:.3e} at layer "
+                         f"k={k}; necks open only where G(q_k) is the same for every k")
+
+
 @dataclass(frozen=True)
 class Configuration:
     tau: complex
@@ -132,17 +143,9 @@ def nondegeneracy_check(cfg: Configuration) -> tuple[float, bool]:
     return float(min_sv), min_sv > NONDEG_TOL
 
 
-def _const(tau: complex, q0: complex, K: int) -> Configuration:
-    return Configuration(tau, (q0,) * (2 * K + 1), (q0,), (q0,))
-
-
-def _alternating(tau: complex, q_even: complex, q_odd: complex, K: int) -> Configuration:
-    window = tuple(q_even if k % 2 == 0 else q_odd for k in range(-K, K + 1))
-    return Configuration(tau, window, (q_even, q_odd), (q_even, q_odd))
-
-
 def _split(tau: complex, left: tuple, right: tuple, K: int) -> Configuration:
-    """Left pattern for k < 0, right pattern for k >= 0, absolute indexing."""
+    """Left pattern for k < 0, right pattern for k >= 0, absolute indexing;
+    _split(tau, p, p, K) is the periodic stack of the pattern p."""
     window = tuple(
         left[k % len(left)] if k < 0 else right[k % len(right)] for k in range(-K, K + 1)
     )
@@ -176,52 +179,50 @@ _EQ = complex(np.exp(1j * np.pi / 3))
 
 
 def _build_catalog(name: str, K: int, im: float, theta: float | None):
+    """The stack of a catalog entry from its left and right patterns; a
+    periodic entry gives one pattern for both sides."""
     t_im = 1j * im
+    q = (1 + _EQ) / 3
+    right = None
     if name == "tP":
-        return _const(1j, (1 + 1j) / 2, K)
-    if name == "oPa":
-        return _const(t_im, (1 + t_im) / 2, K)
-    if name == "oPb":
+        tau, left = 1j, ((1 + 1j) / 2,)
+    elif name == "oPa":
+        tau, left = t_im, ((1 + t_im) / 2,)
+    elif name == "oPb":
         th = 1.4 if theta is None else theta
         tau = complex(np.exp(1j * th))
-        return _const(tau, (1 + tau) / 2, K)
-    if name == "oPb-degenerate":
+        left = ((1 + tau) / 2,)
+    elif name == "oPb-degenerate":
         tau = complex(np.exp(1j * theta_star()))
-        return _const(tau, (1 + tau) / 2, K)
-    if name == "oCLP'":
-        return _const(t_im, 0.5, K)
-    if name == "rPD":
-        return _const(_EQ, (1 + _EQ) / 3, K)
-    if name == "H":
-        q = (1 + _EQ) / 3
-        return _alternating(_EQ, q, -q, K)
-    if name == "oDelta":
-        return _alternating(t_im, 0.5, t_im / 2, K)
-    if name == "oH":
+        left = ((1 + tau) / 2,)
+    elif name == "oCLP'":
+        tau, left = t_im, (0.5,)
+    elif name == "rPD":
+        tau, left = _EQ, (q,)
+    elif name == "H":
+        tau, left = _EQ, (q, -q)
+    elif name == "oDelta":
+        tau, left = t_im, (0.5, t_im / 2)
+    elif name == "oH":
         th = 1.1 if theta is None else theta
         tau = complex(np.exp(1j * th))
         c = _diagonal_root(th)
-        return _alternating(tau, c * (1 + tau), -c * (1 + tau), K)
-    if name == "twin-rPD":
-        q = (1 + _EQ) / 3
-        return _split(_EQ, (q,), (-q,), K)
-    if name == "rPD-H":
-        q = (1 + _EQ) / 3
-        return _split(_EQ, (q, -q), (-q,), K)
-    if name == "H-H-shift":
-        q = (1 + _EQ) / 3
-        window = tuple(
-            q if (k < 0 and k % 2 == 0) or (k > 0 and k % 2 == 1) else -q
-            for k in range(-K, K + 1)
-        )
-        return Configuration(_EQ, window, (q, -q), (-q, q))
-    if name == "oPa-oCLP":
-        return _split(t_im, (0.5,), ((1 + t_im) / 2,), K)
-    if name == "oCLP-rot-twin":
-        return _split(t_im, (0.5,), (t_im / 2,), K)
-    if name == "oPa-oDelta":
-        return _split(t_im, (t_im / 2, 0.5), ((1 + t_im) / 2,), K)
-    raise UnknownConfigError(name, CATALOG_NAMES)
+        left = (c * (1 + tau), -c * (1 + tau))
+    elif name == "twin-rPD":
+        tau, left, right = _EQ, (q,), (-q,)
+    elif name == "rPD-H":
+        tau, left, right = _EQ, (q, -q), (-q,)
+    elif name == "H-H-shift":
+        tau, left, right = _EQ, (q, -q), (-q, q)
+    elif name == "oPa-oCLP":
+        tau, left, right = t_im, (0.5,), ((1 + t_im) / 2,)
+    elif name == "oCLP-rot-twin":
+        tau, left, right = t_im, (0.5,), (t_im / 2,)
+    elif name == "oPa-oDelta":
+        tau, left, right = t_im, (t_im / 2, 0.5), ((1 + t_im) / 2,)
+    else:
+        raise UnknownConfigError(name, CATALOG_NAMES)
+    return _split(tau, left, right or left, K)
 
 
 CATALOG_NAMES = (

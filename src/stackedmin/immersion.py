@@ -615,8 +615,8 @@ class LayerFrame:
 def _default_range(st: GluingState) -> list[int]:
     if st.mode == "cyclic":
         return list(range(0, st.n_tori + 1))
-    # window states: the n_buffer clamped layers at each end are not meshed
-    return list(range(st.k_lo + st.n_buffer, st.k_hi - st.n_buffer + 1))
+    # window states: the clamped buffer layers are not meshed
+    return list(st.active_range())
 
 
 @dataclass(frozen=True)

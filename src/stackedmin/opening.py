@@ -171,12 +171,13 @@ def _chart_radius(tori: list[TorusData]) -> float:
     raise ValueError("no admissible chart radius found")
 
 
-def central_layout(cfg: Configuration, K: int | None = None,
-                   force_window: bool = False):
+def central_layout(cfg: Configuration, K: int | None = None):
     """Tori at the central data of a configuration (a = -1/2, bhat = 0,
     tau_k and v_k the alternating reflections of tau, q_k) with the layout
-    of their state: (tori, mode, k_lo, left period, right period, buffer)."""
-    if cfg.is_periodic() and not force_window:
+    of their state: (tori, mode, k_lo, left period, right period, buffer).
+    It is one even period, cyclic, when cfg is periodic and K is None, and
+    otherwise a window of half-width K padded by clamped buffer layers."""
+    if cfg.is_periodic() and K is None:
         n = math.lcm(cfg.period(), 2)
         ks = range(n)
         mode, k_lo, buf = "cyclic", 0, 0
@@ -415,11 +416,11 @@ class GluingState:
 
     @classmethod
     def central(cls, cfg: Configuration, t: float, K: int | None = None,
-                force_window: bool = False,
                 epsilon: float | None = None) -> "GluingState":
-        """State on the tori of `central_layout`, with the chart radius
+        """State on the tori of `central_layout`, a window exactly when
+        cfg is not periodic or K is given, with the chart radius
         `_chart_radius` of them unless epsilon is given."""
-        tori, mode, k_lo, p_l, p_r, buf = central_layout(cfg, K, force_window)
+        tori, mode, k_lo, p_l, p_r, buf = central_layout(cfg, K)
         eps = _chart_radius(tori) if epsilon is None else epsilon
         return cls(t=t, tori=tori, mode=mode, k_lo=k_lo, epsilon=eps,
                    rho=eps / 4, tau_ref=cfg.tau, q0_ref=cfg.q(0),
@@ -451,6 +452,11 @@ class GluingState:
 
     def logical_range(self) -> range:
         return range(self.k_lo, self.k_hi + 1)
+
+    def active_range(self) -> range:
+        """The layers a solve moves: every stored layer less the n_buffer
+        clamped ones at each end (all of them in a cyclic state)."""
+        return range(self.k_lo + self.n_buffer, self.k_hi - self.n_buffer + 1)
 
     @cached_property
     def balance_value(self) -> complex:

@@ -7,11 +7,11 @@ the neck flux.  The closed necks (t = 0) solve the system exactly at the
 central values, and solutions at t > 0 are continued from there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .configs import Configuration
+from .configs import Configuration, UnbalancedConfigError, _split, balance_report
 from .opening import (
     GluingState,
     LayerRows,
@@ -300,111 +300,89 @@ def _solve_at_t(st, active, tol, itmax, callback=None):
                               converged=history[-1] < tol, worst_k=res.worst_k)
 
 
+def _finite_t(t: float, what: str = "t_target") -> float:
+    if not 0.0 <= t < np.inf:
+        raise ScheduleError(f"{what} must be finite and nonnegative, got {t}")
+    return float(t)
+
+
 def auto_schedule(t_target: float) -> list:
-    if t_target <= 0:
-        return []
-    out = [float(t_target)]
+    """Halvings of t_target up to it, from the first at or below 0.0075;
+    ScheduleError unless t_target is finite and nonnegative."""
+    out = [_finite_t(t_target)]
     while out[0] > 0.0075:
         out.insert(0, out[0] / 2)
-    return out
+    return out if t_target > 0 else []
 
 
-def _tail_config(cfg: Configuration, tail) -> Configuration:
-    return Configuration(tau=cfg.tau, window=tuple(tail),
-                         left_tail=tuple(tail), right_tail=tuple(tail))
+def _tail_configs(cfg: Configuration) -> dict:
+    """The periodic stack of each distinct tail pattern, keyed by it."""
+    return {tail: _split(cfg.tau, tail, tail, len(tail))
+            for tail in (cfg.left_tail, cfg.right_tail)}
 
 
-def _stamp_tail(st, tail_states, active_halfwidth):
-    """Clamp the buffer layers to the solved periodic tail parameters.
-
-    Tail periods are even, so indexing the cyclic tail state by k modulo
-    its length lands on the layer with matching reflection parity.
-    """
-    left, right = tail_states
-    for k in st.logical_range():
-        if -active_halfwidth <= k <= active_halfwidth:
-            continue
-        src = right if k > 0 else left
-        T = src.tori[k % src.n_tori]
-        j = st.index_of(k)
-        mine = st.tori[j]
-        mine.bhat, mine.a, mine.tau, mine.v = T.bhat, T.a, T.tau, T.v
-        st.refresh(only=j)
+def _continue(st, schedule, tol, itmax, series=None, callback=None, clamps=None):
+    """The t-loop of every solve.  At schedule[i] the layers outside
+    `st.active_range()` first take the parameter blocks clamps[i] holds
+    for them, by k; Newton then moves the active layers.  Returns the
+    report and the blocks of every stored torus after each step."""
+    active = tuple(st.active_range())
+    steps, solved = [], []
+    for i, t in enumerate(schedule):
+        st.t = t
+        for k, x in (clamps[i].items() if clamps else ()):
+            _set_block(st, st.index_of(k), x)
+        series, step = _solve_at_t(st, active, tol, itmax, callback)
+        steps.append(step)
+        solved.append([_get_block(st, j) for j in range(st.n_tori)])
+    return SolveReport(steps=tuple(steps), state=st, series=series), solved
 
 
 def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
                         K: int | None = None, tol: float = NEWTON_TOL,
                         itmax: int = MAX_NEWTON, callback=None,
-                        force_window: bool = False,
                         epsilon: float | None = None) -> SolveReport:
     """Continue the closed-neck solution to t_target along a t-schedule.
 
-    Periodic stacks are solved on one (even) period with cyclic coupling.
-    A stack with a defect window first gets its tails solved periodically,
-    then the window is solved with the tail layers clamped as boundary
-    data; K is the half-width of the actively solved region.  Raises
-    ScheduleError unless t_target is finite and nonnegative and the
-    schedule rises strictly from t >= 0 to t_target; only t_target = 0
-    may take no step.
+    A periodic stack without K is solved on one (even) period with cyclic
+    coupling.  Otherwise the stack is solved on a window of half-width K
+    (`central_layout`): each distinct tail pattern is first continued as
+    a cyclic stack of its own, and at each t the window's buffer layers
+    are clamped to its tail's parameters at that t before Newton moves
+    the layers |k| <= K.  tail_reports then maps "left" and "right" to
+    the tail solves, one shared report when the patterns agree.
+
+    Raises UnbalancedConfigError when the forces of cfg do not vanish,
+    and ScheduleError unless t_target and the schedule are finite and
+    nonnegative and the schedule rises strictly to t_target; only
+    t_target = 0 may take no step.  Both are raised before any solve.
     """
-    if not 0.0 <= t_target < np.inf:
-        raise ScheduleError(f"t_target must be finite and nonnegative, got {t_target}")
+    bal = balance_report(cfg)
+    if not bal.balanced:
+        raise UnbalancedConfigError(max(bal.forces, key=lambda k: abs(bal.forces[k])),
+                                    bal.max_force)
+    _finite_t(t_target)
     if schedule is None:
         schedule = auto_schedule(t_target)
-    schedule = [float(t) for t in schedule]
+    schedule = [_finite_t(t, "schedule entry") for t in schedule]
     if not schedule and t_target > 0:
         raise ScheduleError(f"empty schedule for t_target = {t_target} > 0")
-    if schedule and schedule[0] < 0:
-        raise ScheduleError("schedule must not hold a negative t")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ScheduleError("schedule must be strictly increasing")
     if schedule and abs(schedule[-1] - t_target) > 1e-15:
         raise ScheduleError("schedule must end at t_target")
 
-    if cfg.is_periodic() and not force_window:
-        st = GluingState.central(cfg, 0.0, epsilon=epsilon)
-        active = tuple(st.logical_range())
-        steps = []
-        series = fix_omega(st)
-        for t in schedule:
-            st.t = t
-            series, step = _solve_at_t(st, active, tol, itmax, callback)
-            steps.append(step)
-        return SolveReport(steps=tuple(steps), state=st, series=series)
-
-    left_cfg = _tail_config(cfg, cfg.left_tail)
-    right_cfg = _tail_config(cfg, cfg.right_tail)
-    lst = GluingState.central(left_cfg, 0.0, epsilon=epsilon)
-    rst = lst if cfg.left_tail == cfg.right_tail else \
-        GluingState.central(right_cfg, 0.0, epsilon=epsilon)
-    st = GluingState.central(cfg, 0.0, K=K, force_window=True, epsilon=epsilon)
-    tail_steps = {"left": [], "right": []}
-    active = tuple(k for k in st.logical_range()
-                   if abs(k) <= st.k_hi - st.n_buffer)
-    steps = []
+    st = GluingState.central(cfg, 0.0, K=K, epsilon=epsilon)
     series = fix_omega(st)
-    lser = rser = None
-    for t in schedule:
-        for name, tst in (("left", lst), ("right", rst)):
-            if name == "right" and rst is lst:
-                tail_steps[name] = tail_steps["left"]
-                continue
-            tst.t = t
-            ser, stp = _solve_at_t(tst, tuple(tst.logical_range()), tol, itmax)
-            tail_steps[name].append(stp)
-            if name == "left":
-                lser = ser
-            else:
-                rser = ser
-        st.t = t
-        _stamp_tail(st, (lst, rst), st.k_hi - st.n_buffer)
-        series, step = _solve_at_t(st, active, tol, itmax, callback)
-        steps.append(step)
-    tails = {
-        "left": SolveReport(steps=tuple(tail_steps["left"]), state=lst,
-                            series=lser),
-        "right": SolveReport(steps=tuple(tail_steps["right"]), state=rst,
-                             series=rser if rst is not lst else lser),
-    }
-    return SolveReport(steps=tuple(steps), state=st, series=series,
-                       tail_reports=tails)
+    if st.mode == "cyclic":
+        return _continue(st, schedule, tol, itmax, series, callback)[0]
+    tails = {tail: _continue(GluingState.central(c, 0.0, epsilon=epsilon), schedule, tol, itmax)
+             for tail, c in _tail_configs(cfg).items()}
+    runs = {k: tails[cfg.right_tail if k > 0 else cfg.left_tail][1]
+            for k in st.logical_range() if k not in st.active_range()}
+    # a tail state is one even period, so k modulo its length keeps parity
+    clamps = [{k: solved[i][k % len(solved[i])] for k, solved in runs.items()}
+              for i in range(len(schedule))]
+    report = _continue(st, schedule, tol, itmax, series, callback, clamps)[0]
+    tail_reports = {"left": tails[cfg.left_tail][0], "right": tails[cfg.right_tail][0]}
+    return replace(report, tail_reports=tail_reports)

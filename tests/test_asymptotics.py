@@ -109,7 +109,7 @@ def test_pair_chart_radius_needs_no_state(name, monkeypatch):
     monkeypatch.setattr(asymptotics, "newton_continuation", solve)
     pair_solve(ref, defect, 0.01, K=8)
     assert eps and not full
-    central = [GluingState.central(c, 0.0, K=8, force_window=True).epsilon
+    central = [GluingState.central(c, 0.0, K=8).epsilon
                for c in (ref, defect)]
     assert sum(full) == 2  # the counter sees the states built here
     assert eps == [min(central)] * 2

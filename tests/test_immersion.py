@@ -69,7 +69,7 @@ def skew():
     q0 = sols.roots[0].z
     cfg = Configuration(tau=tau, window=(q0,), left_tail=(q0,),
                         right_tail=(q0,))
-    rep = newton_continuation(cfg, 0.01, K=8)
+    rep = newton_continuation(cfg, 0.01)
     assert rep.converged
     return rep.state, rep.series, hecke_G(q0, lat)
 

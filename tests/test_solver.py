@@ -1,13 +1,15 @@
 """Newton continuation on the opened-node parameter system."""
 
+import signal
+
 import numpy as np
 import numpy.polynomial.legendre as leg
 import pytest
 
 import oracles
 from oracles import _cell_corner, zeros_symmetric
-from stackedmin import elliptic, solver
-from stackedmin.configs import catalog
+from stackedmin import configs, elliptic, solver
+from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
 from stackedmin.immersion import _cell_rep
@@ -439,7 +441,7 @@ def test_window_matches_cyclic():
     cyc = newton_continuation(catalog("rPD", K=1), 0.008, schedule=[0.008],
                               callback=events.append)
     win = newton_continuation(catalog("rPD", K=1), 0.008, schedule=[0.008],
-                              K=4, force_window=True)
+                              K=4)
     assert win.state.mode == "window"
     assert win.tail_reports is not None
     assert win.tail_reports["left"].converged
@@ -466,3 +468,57 @@ def test_defect_window_solve():
     v0 = rep.state.torus(0).v
     vm = rep.state.torus(-1).v
     assert abs(v0 + np.conj(vm)) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["rPD-H", "H-H-shift", "oPa-oDelta"])
+def test_even_length_tails_solve(name):
+    """A two-layer tail is continued as its own periodic stack, not as a
+    window of even length."""
+    rep = newton_continuation(catalog(name, K=2), 0.005, schedule=[0.005], K=3)
+    assert rep.converged
+    assert rep.final_residual < NEWTON_TOL
+    assert all(tail.converged for tail in rep.tail_reports.values())
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_tail_stacks_continue_the_window(name):
+    """Each tail's periodic stack repeats the tail pattern and agrees with
+    the configuration past the window on its side."""
+    cfg = catalog(name, K=2)
+    tails = solver._tail_configs(cfg)
+    for tail, ks in ((cfg.left_tail, range(-cfg.K - 6, -cfg.K)),
+                     (cfg.right_tail, range(cfg.K + 1, cfg.K + 7))):
+        ref = tails[tail]
+        assert ref.period() == len(tail)
+        assert all(ref.q(k) == cfg.q(k) for k in ks)
+
+
+def test_unreachable_targets_raise_schedule_error():
+    """One finite-and-nonnegative check guards auto_schedule and every
+    entry of an explicit schedule; the alarm turns a hang into a failure."""
+    def hung(signum, frame):
+        raise TimeoutError("auto_schedule did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        for t in (float("inf"), float("nan"), -0.01):
+            with pytest.raises(solver.ScheduleError):
+                auto_schedule(t)
+        with pytest.raises(solver.ScheduleError):
+            newton_continuation(catalog("rPD", K=1), 0.01,
+                                schedule=[float("nan"), 0.01])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_unbalanced_stack_is_refused_at_entry():
+    """Steps 0.3 + 0.2i below 0 and 0.5 above on the square torus have
+    unequal G; the solve is refused before it opens a single neck."""
+    cfg = configs._split(1j, (0.3 + 0.2j,), (0.5,), 8)
+    with pytest.raises(configs.UnbalancedConfigError) as err:
+        newton_continuation(cfg, 0.01)
+    assert err.value.k == -1
+    assert abs(err.value.force - 1.75) < 0.01
+    assert "k=-1" in str(err.value) and "1.748e+00" in str(err.value)
