@@ -123,10 +123,15 @@ class BalanceReport:
 
 
 def balance_report(cfg: Configuration) -> BalanceReport:
-    """Forces between consecutive layers over the window plus one tail period."""
+    """Forces between consecutive layers over the window plus one tail period.
+
+    G is evaluated once per distinct step, by the same scalar call a
+    per-layer loop makes, so the values keep that loop's bits.
+    """
     lat = cfg.lattice
     ks = list(cfg.ks(pad=1))
-    G = {k: complex(hecke_G(cfg.q(k), lat)) for k in ks}
+    G_of = {q: complex(hecke_G(q, lat)) for q in dict.fromkeys(cfg.q(k) for k in ks)}
+    G = {k: G_of[cfg.q(k)] for k in ks}
     forces = {k: G[k + 1] - G[k] for k in ks[:-1]}
     max_force = max(abs(f) for f in forces.values())
     return BalanceReport(G_values=G, forces=forces, max_force=max_force, balanced=max_force < BALANCE_TOL)

@@ -40,6 +40,9 @@ DEFAULT_POLE_RADIUS = 1e-6
 # glibc's complex sin and cos are cosh/sinh products up to |Im w| = 709,
 # int(1023 ln 2); above it they take a scaled exp branch, then overflow
 TRIG_IM_BOUND = 709.0
+# a theta term below 1e-4 of the unit roundoff 2^-53 cannot move the
+# rounded sum of an order-one u_k, so the series stops before it
+THETA_TAIL_BOUND = 2.0**-53 * 1e-4
 _DBL_MIN = float(np.finfo(float).tiny)  # 2^-1022
 _INV_DBL_MIN = 2.0**1022
 
@@ -71,6 +74,14 @@ class Lattice:
     Fields beyond `tau` are computed at construction:
     eta1 from the weight-2 Eisenstein series, eta2 forced by the Legendre
     relation eta1*tau - eta2 = 2 pi i, and the nome q = exp(i pi tau).
+    n_terms is the least N >= 1 whose first dropped theta term is below
+    `THETA_TAIL_BOUND` over the whole reduced cell.  Reduced coordinates
+    lie in [-1/2, 1/2], so |Im v| <= pi Im tau / 2 and term n of every
+    u_k (k <= 3) is at most
+        B(n) = |q|^(n(n+1)) (2n+1)^3 cosh((2n+1) pi Im tau / 2).
+    B is taken in logs, since a tall modulus underflows |q| and overflows
+    the cosh, which would give 0 * inf.  The later terms fall faster than
+    geometrically, so the whole tail is of the size of B(N).
     Raises ValueError when the theta pass would take sin or cos of a term
     with |Im w| = (2 n_terms - 1) pi Im tau / 2 above `TRIG_IM_BOUND`.
     """
@@ -94,9 +105,15 @@ class Lattice:
         object.__setattr__(self, "nome", complex(np.exp(1j * np.pi * tau)))
         object.__setattr__(self, "g2", complex((4 * np.pi**4 / 3.0) * _eisenstein(tau, 4)))
         object.__setattr__(self, "g3", complex((8 * np.pi**6 / 27.0) * _eisenstein(tau, 6)))
-        # |q|^(N^2) ~ 1e-18 at N = sqrt(40 / (pi Im tau)); margin for the
-        # derivative ladders which lose a few digits to (2n+1)^3 factors.
-        n = max(6, int(math.sqrt(40.0 / (np.pi * tau.imag))) + 4)
+        log_bound = math.log(THETA_TAIL_BOUND)
+        n = 1
+        while True:
+            y = (2 * n + 1) * math.pi * tau.imag / 2
+            log_cosh = y + math.log1p(math.exp(-2 * y)) - math.log(2)
+            log_b = -math.pi * tau.imag * n * (n + 1) + 3 * math.log(2 * n + 1) + log_cosh
+            if log_b < log_bound:
+                break
+            n += 1
         object.__setattr__(self, "n_terms", n)
         reach = (2 * n - 1) * np.pi * tau.imag / 2
         if reach > TRIG_IM_BOUND:
@@ -175,7 +192,10 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
     trig cycles through sin, cos, -sin, -cos as k increases; u_0 is
     proportional to the odd theta function at v and u_k to its k-th
     derivative.  v is the already-scaled argument (pi times the reduced
-    torus coordinate).
+    torus coordinate).  n_terms is `Lattice.n_terms`: its first dropped
+    term, bounded in logs over the reduced cell by
+    |q|^(n(n+1)) (2n+1)^3 cosh((2n+1) pi Im tau / 2), is below
+    `THETA_TAIL_BOUND` = 2^-53 * 1e-4.
 
     sin w and cos w of a term w = x + iy share their factors.  numpy's
     complex sin and cos are glibc's csin and ccos, which compute

@@ -8,7 +8,9 @@ double-pole forms from the pairing-integral reconstruction.
 
 The theta pass that takes numpy's complex sin and cos of every term is
 the exception: the production pass assembles both from shared real
-factors and is held to it bit for bit.  So is the multi-pass recipe: it
+factors and is held to it bit for bit.  The earlier fixed rule for the
+series length is kept too, so the pass cut by the bound over the reduced
+cell can be held to the longer one.  So is the multi-pass recipe: it
 rebuilds the opened-node caches from separate zeta / wp_eval / wp_derivs
 calls, so the fused evaluators can be held to the same bits.  Likewise
 the plain finite-difference loop recomputes every jet of every Jacobian
@@ -36,6 +38,7 @@ a fixed-point iteration instead of the Newton sweep of solve_G_equals_C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +189,12 @@ def theta_sums_complex_trig(v, q: complex, n_terms: int, kmax: int):
                 out[k] -= term
         sign = -sign
     return out
+
+
+def n_terms_fixed_rule(tau: complex) -> int:
+    """The theta series length of the earlier fixed rule: |q|^(N^2) ~ 1e-18
+    at N = sqrt(40 / (pi Im tau)), plus a margin of four terms."""
+    return max(6, int(math.sqrt(40.0 / (math.pi * complex(tau).imag))) + 4)
 
 
 # ---------------------------------------------------------------------------

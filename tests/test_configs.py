@@ -78,6 +78,34 @@ def test_unbalanced_pair_reports_force():
     assert abs(rep.max_force - expect) < 1e-12
 
 
+@pytest.mark.parametrize("cfg", [
+    catalog("oPa"),
+    catalog("twin-rPD"),
+    Configuration(1j, (0.5, complex(0.5, -0.0), 0.3 + 0.1j), (0.5,), (complex(0.5, -0.0),)),
+], ids=["oPa", "twin-rPD", "signed-zero-steps-merge"])
+def test_balance_report_evaluates_each_distinct_step_once(cfg, monkeypatch):
+    import stackedmin.configs as configs_mod
+
+    lat = cfg.lattice
+    ks = list(cfg.ks(pad=1))
+    loop = {k: complex(hecke_G(cfg.q(k), lat)) for k in ks}
+    calls = []
+
+    def counted(q, lat):
+        calls.append(q)
+        return hecke_G(q, lat)
+
+    monkeypatch.setattr(configs_mod, "hecke_G", counted)
+    rep = balance_report(cfg)
+    assert len(calls) == len({cfg.q(k) for k in ks}) < len(ks)
+    bits = lambda z: (np.float64(z.real).view(np.int64), np.float64(z.imag).view(np.int64))
+    assert list(rep.G_values) == ks
+    assert all(bits(rep.G_values[k]) == bits(loop[k]) for k in ks)
+    forces = {k: loop[k + 1] - loop[k] for k in ks[:-1]}
+    assert all(bits(rep.forces[k]) == bits(forces[k]) for k in ks[:-1])
+    assert rep.max_force == max(abs(f) for f in forces.values())
+
+
 def test_every_catalog_entry_balances():
     for name in CATALOG_NAMES:
         cfg = catalog(name)

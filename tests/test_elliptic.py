@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import (
     Lattice,
     PoleError,
@@ -183,13 +185,14 @@ def _theta_args(tau):
     return np.concatenate([np.pi * zr, zeros])
 
 
-@pytest.mark.parametrize("tau", MPMATH_TAUS + [41j])
+@pytest.mark.parametrize("tau", MPMATH_TAUS + [41j, 0.1j])
 def test_theta_pass_matches_complex_trig(tau):
     """The shared-factor pass is the complex-sin/cos pass bit for bit,
-    signed zeros included, and keeps its shapes and scalar types."""
+    signed zeros included, and keeps its shapes and scalar types; the
+    flat moduli cover a long series."""
     lat = Lattice(tau)
-    if tau == 0.15j:
-        assert lat.n_terms == 13
+    if tau in (0.15j, 0.1j):
+        assert lat.n_terms == {0.15j: 11, 0.1j: 14}[tau]
     v = _theta_args(lat.tau)
     shaped = np.stack([v, v[::-1], -v, np.conj(v), v / 2, v / 3]).reshape(3, 2, -1)
     inputs = [v, shaped, complex(v[3]), np.asarray(v[5]), v[-1], np.asarray(v[-4])]
@@ -206,14 +209,50 @@ def test_theta_pass_matches_complex_trig(tau):
 
 def test_lattice_rejects_moduli_whose_theta_pass_overflows():
     s = np.linspace(-0.5, 0.5, 11)
-    lat = Lattice(41j)
+    lat = Lattice(451j)
+    assert lat.n_terms == 1
     z = 0.25 + 1j * s * lat.tau.imag
     zr = reduce_centered(z, lat.tau)[0]
     assert np.array_equal(lattice_coords(zr, lat.tau)[1][[0, -1]], [-0.5, 0.5])
     zeta_v, derivs = weierstrass_jet(z, lat, 3)
     assert np.all(np.isfinite(zeta_v)) and np.all(np.isfinite(derivs))
-    with pytest.raises(ValueError, match=r"tau=42j.*709"):
-        Lattice(42j)
+    with pytest.raises(ValueError, match=r"tau=452j.*709"):
+        Lattice(452j)
+
+
+CATALOG_TAUS = sorted({catalog(name).tau for name in CATALOG_NAMES}, key=lambda t: (t.imag, t.real))
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["tau", "mirror"])
+@pytest.mark.parametrize("tau", CATALOG_TAUS)
+def test_truncated_theta_pass_matches_the_fixed_rule(tau, mirror):
+    """Dropping the terms below the bound leaves every word of the pass
+    unchanged on the catalog moduli and their mirrors -conj(tau)."""
+    tau = -np.conj(tau) if mirror else tau
+    lat = Lattice(tau)
+    old = oracles.n_terms_fixed_rule(tau)
+    assert lat.n_terms < old
+    x, y = np.random.default_rng(13).uniform(-0.5, 0.5, (2, 20000))
+    zr = reduce_centered(x + y * lat.tau, lat.tau)[0]
+    v = np.concatenate([np.pi * zr, _theta_args(lat.tau)])
+    got = _theta_sums(v, lat.nome, lat.n_terms, 3)
+    ref = _theta_sums(v, lat.nome, old, 3)
+    for g, r in zip(got, ref):
+        assert np.array_equal(g.view(np.int64), r.view(np.int64))
+
+
+def test_theta_term_counts_are_pinned():
+    assert Lattice(np.exp(1j * np.pi / 3)).n_terms == 5
+    assert Lattice(1j).n_terms == 5
+    assert Lattice(1.25j).n_terms == 4
+
+
+@pytest.mark.parametrize("tau", [200j, 451j])
+def test_tall_lattices_build_without_overflow(tau):
+    # |q| underflows and cosh overflows here, so the bound must be taken in logs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Lattice(tau).n_terms == 1
 
 
 def test_views_share_the_jet():
