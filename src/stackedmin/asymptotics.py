@@ -3,8 +3,8 @@
 A defect configuration that agrees with a periodic one on the upper half
 k >= 0 produces a surface asymptotic to the periodic surface as the
 height grows.  This module solves both problems on identical windows,
-measures per-layer parameter and form differences, fits the geometric
-decay rate, and compares the two meshes after unwinding whole periods.
+measures per-layer parameter and form differences, and fits the
+geometric decay rate.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ from .configs import Configuration, _split
 from .opening import (GluingState, OmegaSeries, _chart_radius, central_layout,
                       fix_omega, omega_on_circle)
 from .solver import newton_continuation
-from .immersion import SurfaceMesh, weierstrass_phi
 
 AGREE_TOL = 1e-12
 FIT_FLOOR = 1e-14
@@ -60,12 +59,14 @@ def upper_reference(cfg_defect: Configuration) -> Configuration:
 
 
 def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
-               K: int | None = None, tol: float = 1e-11, callback=None):
+               K: int | None = None, callback=None):
     """Solve the periodic reference and the defect on identical windows.
 
     Both solves get the same half-width K, so the periodic reference is
     solved as a window too: the two states share the window extent, the
-    clamped tails and the chart radius.  Returns the two solved states
+    clamped tails and the chart radius.  Each is a `newton_continuation`
+    to its tolerance `NEWTON_TOL`, which continues the tails of the
+    window's buffer layers first.  Returns the two solved states
     (reference first).
     """
     if not cfg.is_periodic():
@@ -84,10 +85,8 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
     # reference's, so the forms must be compared on the tighter circles
     eps = min(_chart_radius(central_layout(c, K)[0])
               for c in (cfg, cfg_defect))
-    rep_p = newton_continuation(cfg, t, K=K, tol=tol, epsilon=eps,
-                                callback=callback)
-    rep_d = newton_continuation(cfg_defect, t, K=K, tol=tol, epsilon=eps,
-                                callback=callback)
+    rep_p = newton_continuation(cfg, t, K=K, epsilon=eps, callback=callback)
+    rep_d = newton_continuation(cfg_defect, t, K=K, epsilon=eps, callback=callback)
     st_p, st_d = rep_p.state, rep_d.state
     if st_p.k_lo != st_d.k_lo or len(st_p.tori) != len(st_d.tori):
         raise RuntimeError("paired windows came out misaligned")
@@ -121,21 +120,6 @@ def form_rows(st_a: GluingState, series_a: OmegaSeries,
             wb = omega_on_circle(st_b, series_b, k, side)
             gap = max(gap, float(np.max(np.abs(wa - wb))))
         out[k] = gap
-    return out
-
-
-def differential_rows(st_a: GluingState, series_a: OmegaSeries,
-                      st_b: GluingState, series_b: OmegaSeries
-                      ) -> dict[int, float]:
-    """Sup difference of the immersion differential on each layer."""
-    shared = [k for k in st_a.logical_range() if k in st_b.logical_range()]
-    out = {}
-    for k in shared:
-        za = st_a.circle(k, "node").z
-        zb = st_b.circle(k, "node").z
-        pa = np.asarray(weierstrass_phi(k, za, st_a, series_a))
-        pb = np.asarray(weierstrass_phi(k, zb, st_b, series_b))
-        out[k] = float(np.max(np.abs(pa - pb)))
     return out
 
 
@@ -192,51 +176,3 @@ def decay_fit(st_periodic: GluingState, st_defect: GluingState,
     return DecayReport(ks=ks, d=np.array([d[k] for k in ks]),
                        w=np.array([w[k] for k in ks]), rate=rate,
                        r_squared=r2, fit_ks=kept_ks, t=st_defect.t)
-
-
-def _frame_xyz(frame) -> np.ndarray:
-    return np.asarray(frame.position, dtype=float)
-
-
-def _layer_points(mesh: SurfaceMesh, k: int) -> np.ndarray:
-    base = mesh.reports["layer_base"][k]
-    count = mesh.reports["layer_len"][k]
-    return mesh.raw[base:base + count]
-
-
-def tpms_comparison(mesh_periodic: SurfaceMesh, mesh_defect: SurfaceMesh,
-                    ell: int, period: int = 2) -> float:
-    """Hausdorff-type gap after unwinding ell whole periods.
-
-    The period vector comes from the periodic mesh frames; the defect
-    mesh is translated by -ell periods and compared layer against layer
-    (k versus k + ell*period), after aligning the frames at the largest
-    shared k.  Meshes are cheaper to pass than re-deriving them from
-    states for every ell.
-    """
-    from scipy.spatial import cKDTree
-
-    if period % 2 != 0:
-        raise ValueError("period must be even")
-    fp = {f.k: f for f in mesh_periodic.frames}
-    fd = {f.k: f for f in mesh_defect.frames}
-    ks_p = sorted(fp)
-    anchor = next(k for k in ks_p if k + period in fp)
-    T = _frame_xyz(fp[anchor + period]) - _frame_xyz(fp[anchor])
-    shift_ks = [k for k in ks_p
-                if k >= 1 and k + ell * period in fd
-                and k in mesh_periodic.reports["layer_base"]
-                and k + ell * period in mesh_defect.reports["layer_base"]]
-    if not shift_ks:
-        raise ValueError(f"no comparable layers at ell={ell}")
-    k_top = max(shift_ks)
-    align = (_frame_xyz(fd[k_top + ell * period]) - ell * T
-             - _frame_xyz(fp[k_top]))
-    worst = 0.0
-    for k in shift_ks:
-        P = _layer_points(mesh_periodic, k)
-        Q = _layer_points(mesh_defect, k + ell * period) - ell * T - align
-        d_pq = float(np.max(cKDTree(P).query(Q)[0]))
-        d_qp = float(np.max(cKDTree(Q).query(P)[0]))
-        worst = max(worst, d_pq, d_qp)
-    return worst

@@ -5,12 +5,13 @@
 
 Both continue the catalog configuration NAME by Newton continuation to
 the neck size T and print one JSON run record.  `solve` records the
-configuration, every Newton step (main and tails) and the contraction
-estimate of the final glued form.  `mesh` builds the surface mesh of the
-solved state and records its `mesh_summary` with the embeddedness
-battery: intersecting face pairs per layer slab, the graph bound min_n3
-per layer and the pass flag of each neck slice.  Neither record holds
-timings, so the same command prints the same record.
+configuration, every Newton step (main and tails), the contraction
+estimate of the final glued form and the `nondegeneracy_check` of the
+stack, for information: a degenerate stack still solves.  `mesh` builds
+the surface mesh of the solved state and records its `mesh_summary`
+with the embeddedness battery: intersecting face pairs per layer slab,
+the graph bound min_n3 per layer and the pass flag of each neck slice.
+Neither record holds timings, so the same command prints the same record.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from .configs import UnknownConfigError, catalog, config_to_dict
+from .configs import UnknownConfigError, catalog, config_to_dict, nondegeneracy_check
 from .immersion import build_mesh, embeddedness_diagnostics, mesh_summary
 from .solver import ScheduleError, auto_schedule, newton_continuation
 
@@ -65,12 +66,15 @@ def main(argv=None) -> int:
         record["mesh"] = mesh_summary(mesh)
         record["embeddedness"] = _battery(mesh)
     else:
+        min_sv, nondegenerate = nondegeneracy_check(cfg)
         record.update({
             "schedule": auto_schedule(args.t),
             "steps": _steps(report),
             "converged": report.converged,
             "final_residual": report.final_residual,
             "contraction_estimate": report.series.contraction_estimate,
+            "nondegeneracy": {"min_singular_value": min_sv,
+                              "nondegenerate": nondegenerate},
         })
         if report.tail_reports:
             record["tail_steps"] = {side: _steps(tail)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import Lattice, TorusPoint, lattice_for, theta_star, torus_distance
+from .elliptic import Lattice, lattice_for, theta_star, torus_distance
 from .hecke import hecke_G, hecke_jacobian
 
 BALANCE_TOL = 1e-10
@@ -102,18 +102,6 @@ class Configuration:
         return len(self.right_tail)
 
 
-def positions(cfg: Configuration, p0: complex = 0.0) -> list[TorusPoint]:
-    """Node positions over the window from cumulative sums of the steps."""
-    lat = cfg.lattice
-    K = cfg.K
-    acc = {0: complex(p0)}
-    for k in range(1, K + 1):
-        acc[k] = acc[k - 1] + cfg.q(k)
-    for k in range(0, -K, -1):
-        acc[k - 1] = acc[k] - cfg.q(k)
-    return [TorusPoint.from_z(acc[k], lat) for k in range(-K, K + 1)]
-
-
 @dataclass
 class BalanceReport:
     G_values: dict[int, complex]
@@ -141,10 +129,12 @@ def nondegeneracy_check(cfg: Configuration) -> tuple[float, bool]:
     """Smallest singular value of the blockwise differential of (G_k).
 
     The differential with respect to (q_k) is diagonal per block, so the
-    inverse is uniformly bounded exactly when the worst block is.
+    inverse is uniformly bounded exactly when the worst block is.  Each
+    distinct step is evaluated once, as in `balance_report`.
     """
     lat = cfg.lattice
-    min_sv = min(hecke_jacobian(cfg.q(k), lat).min_singular_value() for k in cfg.ks(pad=1))
+    steps = dict.fromkeys(cfg.q(k) for k in cfg.ks(pad=1))
+    min_sv = min(hecke_jacobian(q, lat).min_singular_value() for q in steps)
     return float(min_sv), min_sv > NONDEG_TOL
 
 

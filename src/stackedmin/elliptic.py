@@ -27,7 +27,6 @@ __all__ = [
     "zeta",
     "wp_eval",
     "wp_derivs",
-    "xi",
     "xi_raw",
     "lattice_coords",
     "reduce_centered",
@@ -328,11 +327,6 @@ def xi_raw(w, lat: Lattice):
     w = np.asarray(w, dtype=complex)
     val = lat.eta1 * w - 2j * np.pi * (w.imag / lat.tau.imag)
     return val if val.shape else complex(val)
-
-
-def xi(p: TorusPoint, lat: Lattice) -> complex:
-    """Lattice-coordinate form on reduced coordinates: x*eta1 + y*eta2."""
-    return p.x * lat.eta1 + p.y * lat.eta2
 
 
 def elliptic_KE(m: float) -> tuple[float, float]:

@@ -19,7 +19,6 @@ the vertical spacing data.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -136,20 +135,6 @@ def _diffs(st: GluingState, series: OmegaSeries, k: int, z) -> np.ndarray:
     mul = (st.t * st.t) * gv * W
     gdh, gidh = (div, mul) if k % 2 == 0 else (mul, div)
     return np.stack([gdh, gidh, st.t * W], axis=-1)
-
-
-def weierstrass_phi(k: int, z, st: GluingState, series: OmegaSeries):
-    """Densities (phi1, phi2, phi3) of the Weierstrass forms against dz.
-
-    phi3 is the height density t*omega; phi1, phi2 combine the Gauss
-    map and its reciprocal.  Points inside the neck (|1/g| <= t) raise
-    ChartError.
-    """
-    fp, fm, h = np.moveaxis(_diffs(st, series, k, z), -1, 0)
-    phi = (0.5 * (fm - fp), 0.5j * (fm + fp), h)
-    if np.ndim(z) == 0:
-        return tuple(complex(p) for p in phi)
-    return phi
 
 
 _leggauss = lru_cache(maxsize=None)(leggauss)  # one table per node count
@@ -613,7 +598,7 @@ class LayerFrame:
 
 
 def _default_range(st: GluingState) -> list[int]:
-    if st.mode == "cyclic":
+    if st.n_buffer == 0:  # cyclic: one period and the next layer 0
         return list(range(0, st.n_tori + 1))
     # window states: the clamped buffer layers are not meshed
     return list(st.active_range())
@@ -631,13 +616,6 @@ def _spacing_rows(frames: list[LayerFrame], t: float) -> list[SpacingRow]:
     return [SpacingRow(k=hi.k, delta_height=hi.height - lo.height,
                        ratio=(hi.height - lo.height) / ref)
             for lo, hi in zip(frames, frames[1:])]
-
-
-def spacing_report(st: GluingState, series: OmegaSeries,
-                   k_range=None) -> list[SpacingRow]:
-    """Per-neck vertical spacing against the -2 t log t reference, from
-    the frames of the mesh over k_range."""
-    return _spacing_rows(build_mesh(st, series, k_range).frames, st.t)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,34 +1025,9 @@ def embeddedness_diagnostics(mesh: SurfaceMesh) -> dict:
 # output
 
 
-def write_obj(mesh: SurfaceMesh, path: str, copies: int = 1) -> None:
-    """ASCII OBJ export; copies tiles the horizontal period lattice."""
-    tau = mesh.tau_ref
-    shifts = [i + j * tau for i in range(copies) for j in range(copies)]
-    with open(path, "w") as fh:
-        fh.write(f"# stackedmin surface, t={mesh.t!r}\n")
-        nv = len(mesh.raw)
-        groups = ("layer_{}", "neck_{}p", "neck_{}m")
-        cuts = np.flatnonzero((np.diff(mesh.face_k) != 0)
-                              | (np.diff(mesh.face_part) != 0)) + 1
-        for ci, sh in enumerate(shifts):
-            fh.write(f"g copy_{ci}\n")
-            moved = mesh.raw.copy()
-            moved[:, 0] += sh.real
-            moved[:, 1] += sh.imag
-            for v in moved:
-                fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for ci in range(len(shifts)):
-            off = 1 + ci * nv
-            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(mesh.faces)]):
-                k = str(mesh.face_k[lo]).replace("-", "m")
-                fh.write(f"g {groups[mesh.face_part[lo]].format(k)}_copy{ci}\n")
-                for f in mesh.faces[lo:hi]:
-                    fh.write(f"f {f[0] + off} {f[1] + off} {f[2] + off}\n")
-
-
 def mesh_summary(mesh: SurfaceMesh) -> dict:
-    """JSON-ready sidecar payload describing one mesh."""
+    """JSON-ready description of one mesh, the `mesh` entry of the
+    `stackedmin mesh` record."""
     rep = mesh.reports
     return {
         "tau_ref": [mesh.tau_ref.real, mesh.tau_ref.imag],
@@ -1097,8 +1050,3 @@ def mesh_summary(mesh: SurfaceMesh) -> dict:
         "settings": rep["settings"],
     }
 
-
-def write_sidecar(mesh: SurfaceMesh, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(mesh_summary(mesh), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -157,8 +158,9 @@ def _charts_disjoint(tori: list[TorusData], eps: float) -> bool:
 
 
 def _chart_radius(tori: list[TorusData]) -> float:
-    """Largest neck radius with pairwise disjoint charts, capped at
-    0.2 times the minimal pole separation."""
+    """Largest neck radius with pairwise disjoint charts, capped at 0.2
+    times the minimal pole separation; repeated tori are checked once."""
+    tori = list({(T.a, T.bhat, T.tau, T.v): T for T in tori}.values())
     d = min(
         min(torus_distance(0.0, T.v, T.tau), _shortest_vector(T.tau))
         for T in tori
@@ -174,13 +176,13 @@ def _chart_radius(tori: list[TorusData]) -> float:
 def central_layout(cfg: Configuration, K: int | None = None):
     """Tori at the central data of a configuration (a = -1/2, bhat = 0,
     tau_k and v_k the alternating reflections of tau, q_k) with the layout
-    of their state: (tori, mode, k_lo, left period, right period, buffer).
-    It is one even period, cyclic, when cfg is periodic and K is None, and
+    of their state: (tori, k_lo, left period, right period, buffer).  It
+    is one even period, cyclic, when cfg is periodic and K is None, and
     otherwise a window of half-width K padded by clamped buffer layers."""
     if cfg.is_periodic() and K is None:
         n = math.lcm(cfg.period(), 2)
         ks = range(n)
-        mode, k_lo, buf = "cyclic", 0, 0
+        k_lo, buf = 0, 0
         p_l = p_r = n
     else:
         if K is None:
@@ -192,10 +194,10 @@ def central_layout(cfg: Configuration, K: int | None = None):
                                                           cfg.right_tail))
         buf = max(N_BUFFER, p_l, p_r)
         ks = range(-K - buf, K + buf + 1)
-        mode, k_lo = "window", -K - buf
+        k_lo = -K - buf
     tori = [TorusData(a=-0.5, bhat=0j, tau=mirror_conj(cfg.tau, k),
                       v=mirror_conj(cfg.q(k), k)) for k in ks]
-    return tori, mode, k_lo, p_l, p_r, buf
+    return tori, k_lo, p_l, p_r, buf
 
 
 @dataclass(frozen=True)
@@ -384,19 +386,19 @@ def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
 class GluingState:
     """All data of the opened surface at one parameter point.
 
-    mode "cyclic" closes the layer sequence with period len(tori);
-    mode "window" stores logical layers k_lo..k_lo+len(tori)-1 and folds
+    The state stores logical layers k_lo..k_lo+len(tori)-1 and folds
     indices beyond the ends back by the (even) tail periods, which
-    preserves layer parity.
+    preserves layer parity.  A window keeps n_buffer >= N_BUFFER clamped
+    layers at each end; a cyclic state is a window at k_lo = 0 with no
+    buffer, folding k to k mod len(tori).  rho is epsilon/4.
     """
 
+    n_max: ClassVar[int] = DEFAULT_N_MAX
     t: float
     tori: list[TorusData]
-    mode: str
     k_lo: int
     epsilon: float
-    rho: float
-    n_max: int = DEFAULT_N_MAX
+    rho: float = field(init=False)
     tau_ref: complex = 0j
     q0_ref: complex = 0j
     left_period: int = 2
@@ -405,12 +407,10 @@ class GluingState:
     _layers: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in ("cyclic", "window"):
-            raise ValueError("mode must be 'cyclic' or 'window'")
         if self.t < 0:
             raise ValueError("gluing scale t must be nonnegative")
-        if self.rho > self.epsilon / 4 + 1e-15:
-            raise ValueError("series radius must satisfy rho <= epsilon/4")
+        # a plain attribute, not a property: every form evaluation reads it
+        self.rho = self.epsilon / 4
         if self._layers is None:
             self.refresh()
 
@@ -420,10 +420,9 @@ class GluingState:
         """State on the tori of `central_layout`, a window exactly when
         cfg is not periodic or K is given, with the chart radius
         `_chart_radius` of them unless epsilon is given."""
-        tori, mode, k_lo, p_l, p_r, buf = central_layout(cfg, K)
+        tori, k_lo, p_l, p_r, buf = central_layout(cfg, K)
         eps = _chart_radius(tori) if epsilon is None else epsilon
-        return cls(t=t, tori=tori, mode=mode, k_lo=k_lo, epsilon=eps,
-                   rho=eps / 4, tau_ref=cfg.tau, q0_ref=cfg.q(0),
+        return cls(t=t, tori=tori, k_lo=k_lo, epsilon=eps, tau_ref=cfg.tau, q0_ref=cfg.q(0),
                    left_period=p_l, right_period=p_r, n_buffer=buf)
 
     @property
@@ -439,8 +438,6 @@ class GluingState:
         return 0.5 * self.epsilon
 
     def index_of(self, k: int) -> int:
-        if self.mode == "cyclic":
-            return k % self.n_tori
         if self.k_lo <= k <= self.k_hi:
             return k - self.k_lo
         if k > self.k_hi:
@@ -497,15 +494,13 @@ class GluingState:
 class OmegaSeries:
     """Fixed-point coefficients of the glued 1-form.
 
-    lam[j, s, n-2] is the coefficient for stored torus j, sign s
-    (0 for +, 1 for -), order n.  update_norms records the sup-norm
-    of each iteration's step; contraction_estimate is the operator
-    norm of the linear part of the update map.
+    lam[j, s, n-2] is the coefficient for stored torus j, sign s (0 for
+    +, 1 for -), order n.  update_norms records the sup-norm of each
+    iteration's step, the last one below FIX_TOL; contraction_estimate is
+    the operator norm of the linear part of the update map.
     """
 
     lam: np.ndarray
-    n_max: int
-    converged: bool
     contraction_estimate: float
     update_norms: tuple[float, ...]
 
@@ -537,8 +532,9 @@ def _fixed_point_system(st: GluingState):
 def fix_omega(st: GluingState) -> OmegaSeries:
     """Iterate the neck-matching map from lambda = 0 to its fixed point.
 
-    Raises NonContractionError outside the contraction regime
-    (t^2 >= rho*epsilon, or estimated contraction factor >= 1).
+    Raises NonContractionError outside the contraction regime (t^2 >=
+    rho*epsilon, or contraction estimate >= 1), and when no step falls
+    below FIX_TOL within FIX_MAX_ITER iterations.
     """
     if st.t ** 2 >= st.rho * st.epsilon:
         raise NonContractionError(
@@ -551,17 +547,17 @@ def fix_omega(st: GluingState) -> OmegaSeries:
     width = st.n_max - 1
     lam = np.zeros(st.n_tori * 2 * width, dtype=complex)
     norms = []
-    converged = False
     for _ in range(FIX_MAX_ITER):
         new = vec + mat @ lam
         step = float(np.max(np.abs(new - lam))) if lam.size else 0.0
         norms.append(step)
         lam = new
         if step < FIX_TOL:
-            converged = True
             break
-    return OmegaSeries(lam=lam.reshape(st.n_tori, 2, width), n_max=st.n_max,
-                       converged=converged, contraction_estimate=est,
+    else:
+        raise NonContractionError(f"fixed point not reached at t={st.t:g}: last step "
+                                  f"{norms[-1]:.3e}, contraction estimate {est:.3g}")
+    return OmegaSeries(lam=lam.reshape(st.n_tori, 2, width), contraction_estimate=est,
                        update_norms=tuple(norms))
 
 

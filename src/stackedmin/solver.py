@@ -263,15 +263,15 @@ def _step_failure(what, st, res, history):
         k=res.worst_k, t=st.t, history=history)
 
 
-def _solve_at_t(st, active, tol, itmax, callback=None):
+def _solve_at_t(st, active, callback=None):
     series = fix_omega(st)
     res = full_residual(st, series, active)
     history = [res.sup_norm]
     flat = res.flat()
     n_act = len(active)
     it = 0
-    while history[-1] >= tol:
-        if it >= itmax:
+    while history[-1] >= NEWTON_TOL:
+        if it >= MAX_NEWTON:
             raise _step_failure("Newton stalled", st, res, history)
         blocks = _fd_blocks(st, series, active, flat)
         dx = np.linalg.solve(blocks, -flat.reshape(n_act, 8, 1))[..., 0]
@@ -297,7 +297,7 @@ def _solve_at_t(st, active, tol, itmax, callback=None):
             callback({"t": st.t, "iteration": it, "residual": history[-1],
                       "step_scale": scale})
     return series, NewtonStep(t=st.t, iterations=it, residuals=tuple(history),
-                              converged=history[-1] < tol, worst_k=res.worst_k)
+                              converged=history[-1] < NEWTON_TOL, worst_k=res.worst_k)
 
 
 def _finite_t(t: float, what: str = "t_target") -> float:
@@ -321,7 +321,7 @@ def _tail_configs(cfg: Configuration) -> dict:
             for tail in (cfg.left_tail, cfg.right_tail)}
 
 
-def _continue(st, schedule, tol, itmax, series=None, callback=None, clamps=None):
+def _continue(st, schedule, series=None, callback=None, clamps=None):
     """The t-loop of every solve.  At schedule[i] the layers outside
     `st.active_range()` first take the parameter blocks clamps[i] holds
     for them, by k; Newton then moves the active layers.  Returns the
@@ -332,25 +332,26 @@ def _continue(st, schedule, tol, itmax, series=None, callback=None, clamps=None)
         st.t = t
         for k, x in (clamps[i].items() if clamps else ()):
             _set_block(st, st.index_of(k), x)
-        series, step = _solve_at_t(st, active, tol, itmax, callback)
+        series, step = _solve_at_t(st, active, callback)
         steps.append(step)
         solved.append([_get_block(st, j) for j in range(st.n_tori)])
     return SolveReport(steps=tuple(steps), state=st, series=series), solved
 
 
 def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
-                        K: int | None = None, tol: float = NEWTON_TOL,
-                        itmax: int = MAX_NEWTON, callback=None,
+                        K: int | None = None, callback=None,
                         epsilon: float | None = None) -> SolveReport:
-    """Continue the closed-neck solution to t_target along a t-schedule.
+    """Continue the closed-neck solution to t_target along a t-schedule,
+    each step by Newton to a residual below NEWTON_TOL.
 
     A periodic stack without K is solved on one (even) period with cyclic
     coupling.  Otherwise the stack is solved on a window of half-width K
-    (`central_layout`): each distinct tail pattern is first continued as
-    a cyclic stack of its own, and at each t the window's buffer layers
-    are clamped to its tail's parameters at that t before Newton moves
+    (`central_layout`): each tail pattern a buffer layer reads is first
+    continued as a cyclic stack of its own, and at each t the buffer
+    layers are clamped to its parameters at that t before Newton moves
     the layers |k| <= K.  tail_reports then maps "left" and "right" to
-    the tail solves, one shared report when the patterns agree.
+    the tail solves, one shared report when the patterns agree; it is
+    None when no layer is clamped, as in a cyclic state.
 
     Raises UnbalancedConfigError when the forces of cfg do not vanish,
     and ScheduleError unless t_target and the schedule are finite and
@@ -374,15 +375,17 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
 
     st = GluingState.central(cfg, 0.0, K=K, epsilon=epsilon)
     series = fix_omega(st)
-    if st.mode == "cyclic":
-        return _continue(st, schedule, tol, itmax, series, callback)[0]
-    tails = {tail: _continue(GluingState.central(c, 0.0, epsilon=epsilon), schedule, tol, itmax)
-             for tail, c in _tail_configs(cfg).items()}
-    runs = {k: tails[cfg.right_tail if k > 0 else cfg.left_tail][1]
-            for k in st.logical_range() if k not in st.active_range()}
+    # the tail pattern of each buffer layer; a window has both at its ends
+    reads = {k: cfg.right_tail if k > 0 else cfg.left_tail
+             for k in st.logical_range() if k not in st.active_range()}
+    tails = {tail: _continue(GluingState.central(c, 0.0, epsilon=epsilon), schedule)
+             for tail, c in (_tail_configs(cfg) if reads else {}).items()}
+    runs = {k: tails[tail][1] for k, tail in reads.items()}
     # a tail state is one even period, so k modulo its length keeps parity
     clamps = [{k: solved[i][k % len(solved[i])] for k, solved in runs.items()}
               for i in range(len(schedule))]
-    report = _continue(st, schedule, tol, itmax, series, callback, clamps)[0]
-    tail_reports = {"left": tails[cfg.left_tail][0], "right": tails[cfg.right_tail][0]}
-    return replace(report, tail_reports=tail_reports)
+    report = _continue(st, schedule, series, callback, clamps)[0]
+    if tails:
+        report = replace(report, tail_reports={"left": tails[cfg.left_tail][0],
+                                               "right": tails[cfg.right_tail][0]})
+    return report

@@ -26,9 +26,13 @@ bucket grid and tests them one pair at a time, for the array sweep of
 the embeddedness battery, and the one-axis sweep holds the strip sweep
 to the same candidate pairs.
 
-The chart value w = 1/g, the Gauss component, the third-kind form and
-the pointwise value of a neck Laurent series are evaluated only by the
-tests.  Two cross-checks close the file.  zeros_symmetric gets the symmetric
+Some cross-checks only the tests evaluate: the lattice-coordinate form
+xi on reduced coordinates, the node positions of a configuration, the
+Weierstrass triple phi and its per-layer gap between two states
+(differential_rows), and the gap between a defect mesh and its periodic
+reference after unwinding whole periods (tpms_comparison).  So are the
+chart value w = 1/g, the Gauss component, the third-kind form and the
+pointwise value of a neck Laurent series.  Two cross-checks close the file.  zeros_symmetric gets the symmetric
 functions of the zeros of a layer Gauss component from argument-principle
 integrals over a cell boundary, without locating the zeros, against
 which the solver's residue form of the regularity sum is checked.
@@ -706,6 +710,105 @@ def intersecting_pairs_buckets(raw: np.ndarray, faces: np.ndarray) -> set:
     tris = raw[faces]
     return {(a, b) for a, b in cands
             if tri_tri_intersect(tris[a], tris[b], 1e-7 * cell)}
+
+
+# ---------------------------------------------------------------------------
+# cross-checks on configurations, Weierstrass data and defect pairs that
+# only the tests evaluate
+
+
+def xi(p, lat) -> complex:
+    """Lattice-coordinate form on reduced coordinates: x*eta1 + y*eta2."""
+    return p.x * lat.eta1 + p.y * lat.eta2
+
+
+def positions(cfg, p0: complex = 0.0) -> list:
+    """Node positions over the window from cumulative sums of the steps."""
+    from stackedmin.elliptic import TorusPoint
+
+    lat = cfg.lattice
+    K = cfg.K
+    acc = {0: complex(p0)}
+    for k in range(1, K + 1):
+        acc[k] = acc[k - 1] + cfg.q(k)
+    for k in range(0, -K, -1):
+        acc[k - 1] = acc[k] - cfg.q(k)
+    return [TorusPoint.from_z(acc[k], lat) for k in range(-K, K + 1)]
+
+
+def weierstrass_phi(k: int, z, st, series):
+    """Densities (phi1, phi2, phi3) of the Weierstrass forms against dz.
+
+    phi3 is the height density t*omega; phi1, phi2 combine the Gauss
+    map and its reciprocal.  Points inside the neck (|1/g| <= t) raise
+    ChartError.
+    """
+    from stackedmin.immersion import _diffs
+
+    fp, fm, h = np.moveaxis(_diffs(st, series, k, z), -1, 0)
+    phi = (0.5 * (fm - fp), 0.5j * (fm + fp), h)
+    if np.ndim(z) == 0:
+        return tuple(complex(p) for p in phi)
+    return phi
+
+
+def differential_rows(st_a, series_a, st_b, series_b) -> dict[int, float]:
+    """Sup difference of the immersion differential on each layer."""
+    shared = [k for k in st_a.logical_range() if k in st_b.logical_range()]
+    out = {}
+    for k in shared:
+        za = st_a.circle(k, "node").z
+        zb = st_b.circle(k, "node").z
+        pa = np.asarray(weierstrass_phi(k, za, st_a, series_a))
+        pb = np.asarray(weierstrass_phi(k, zb, st_b, series_b))
+        out[k] = float(np.max(np.abs(pa - pb)))
+    return out
+
+
+def _frame_xyz(frame) -> np.ndarray:
+    return np.asarray(frame.position, dtype=float)
+
+
+def _layer_points(mesh, k: int) -> np.ndarray:
+    base = mesh.reports["layer_base"][k]
+    count = mesh.reports["layer_len"][k]
+    return mesh.raw[base:base + count]
+
+
+def tpms_comparison(mesh_periodic, mesh_defect, ell: int, period: int = 2) -> float:
+    """Hausdorff-type gap after unwinding ell whole periods.
+
+    The period vector comes from the periodic mesh frames; the defect
+    mesh is translated by -ell periods and compared layer against layer
+    (k versus k + ell*period), after aligning the frames at the largest
+    shared k.
+    """
+    from scipy.spatial import cKDTree
+
+    if period % 2 != 0:
+        raise ValueError("period must be even")
+    fp = {f.k: f for f in mesh_periodic.frames}
+    fd = {f.k: f for f in mesh_defect.frames}
+    ks_p = sorted(fp)
+    anchor = next(k for k in ks_p if k + period in fp)
+    T = _frame_xyz(fp[anchor + period]) - _frame_xyz(fp[anchor])
+    shift_ks = [k for k in ks_p
+                if k >= 1 and k + ell * period in fd
+                and k in mesh_periodic.reports["layer_base"]
+                and k + ell * period in mesh_defect.reports["layer_base"]]
+    if not shift_ks:
+        raise ValueError(f"no comparable layers at ell={ell}")
+    k_top = max(shift_ks)
+    align = (_frame_xyz(fd[k_top + ell * period]) - ell * T
+             - _frame_xyz(fp[k_top]))
+    worst = 0.0
+    for k in shift_ks:
+        P = _layer_points(mesh_periodic, k)
+        Q = _layer_points(mesh_defect, k + ell * period) - ell * T - align
+        d_pq = float(np.max(cKDTree(P).query(Q)[0]))
+        d_qp = float(np.max(cKDTree(Q).query(P)[0]))
+        worst = max(worst, d_pq, d_qp)
+    return worst
 
 
 # ---------------------------------------------------------------------------

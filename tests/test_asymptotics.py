@@ -16,13 +16,12 @@ from stackedmin.solver import newton_continuation
 from stackedmin.asymptotics import (
     DegenerateFitError,
     decay_fit,
-    differential_rows,
     form_rows,
     pair_solve,
     parameter_rows,
-    tpms_comparison,
     upper_reference,
 )
+from oracles import differential_rows, tpms_comparison
 
 DEFECT_NAMES = ("twin-rPD", "oPa-oCLP", "oCLP-rot-twin", "oPa-oDelta")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from stackedmin.cli import main
-from stackedmin.configs import catalog, config_to_dict
+from stackedmin.configs import NONDEG_TOL, catalog, config_to_dict
 from stackedmin.solver import NEWTON_TOL, newton_continuation
 
 
@@ -25,6 +25,14 @@ def test_solve_prints_one_run_record(capsys):
     assert record["final_residual"] == step["residuals"][-1]
     assert 0.0 < record["contraction_estimate"] < 1.0
     assert "tail_steps" not in record
+
+
+def test_solve_records_nondegeneracy(capsys):
+    assert main(["solve", "rPD", "--t", "0.005"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    nondeg = record["nondegeneracy"]
+    assert nondeg["min_singular_value"] > NONDEG_TOL
+    assert nondeg["nondegenerate"] is True
 
 
 def test_solve_records_the_worst_layer(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stackedmin.configs import (
     CATALOG_NAMES,
     DEGENERATE_NAMES,
+    NONDEG_TOL,
     Configuration,
     UnknownConfigError,
     balance_report,
@@ -12,10 +13,10 @@ from stackedmin.configs import (
     config_from_dict,
     config_to_dict,
     nondegeneracy_check,
-    positions,
 )
 from stackedmin.elliptic import Lattice, theta_star, torus_distance
 from stackedmin.hecke import hecke_G, hecke_jacobian
+from oracles import positions
 
 EQ = complex(np.exp(1j * np.pi / 3))
 
@@ -115,6 +116,30 @@ def test_every_catalog_entry_balances():
             assert not nondeg, name
         else:
             assert nondeg, (name, sv)
+
+
+@pytest.mark.parametrize("cfg", [
+    catalog("oPa"),
+    catalog("twin-rPD"),
+    Configuration(1j, (0.5, complex(0.5, -0.0), 0.3 + 0.1j), (0.5,), (complex(0.5, -0.0),)),
+], ids=["oPa", "twin-rPD", "signed-zero-steps-merge"])
+def test_nondegeneracy_check_evaluates_each_distinct_step_once(cfg, monkeypatch):
+    import stackedmin.configs as configs_mod
+
+    lat = cfg.lattice
+    ks = list(cfg.ks(pad=1))
+    loop = min(hecke_jacobian(cfg.q(k), lat).min_singular_value() for k in ks)
+    calls = []
+
+    def counted(q, lat):
+        calls.append(q)
+        return hecke_jacobian(q, lat)
+
+    monkeypatch.setattr(configs_mod, "hecke_jacobian", counted)
+    sv, nondeg = nondegeneracy_check(cfg)
+    assert len(calls) == len({cfg.q(k) for k in ks}) < len(ks)
+    assert np.float64(sv).view(np.int64) == np.float64(loop).view(np.int64)
+    assert nondeg == (loop > NONDEG_TOL)
 
 
 def test_degenerate_entry_is_at_critical_angle():

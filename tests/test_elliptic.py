@@ -19,12 +19,12 @@ from stackedmin.elliptic import (
     weierstrass_jet,
     wp_derivs,
     wp_eval,
-    xi,
     xi_raw,
     zeta,
 )
 
 import oracles
+from oracles import xi
 
 TAU_SAMPLES = [1j, 2j, np.exp(1j * np.pi / 3), 0.2 + 0.35j, -0.4 + 1.7j]
 

@@ -5,14 +5,13 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from oracles import zeros_symmetric
+from oracles import weierstrass_phi, zeros_symmetric
 from stackedmin import elliptic, immersion
 from stackedmin.configs import Configuration, catalog
 from stackedmin.elliptic import PoleError, lattice_for
@@ -40,10 +39,6 @@ from stackedmin.immersion import (
     integrate_neck,
     mesh_summary,
     neck_flux,
-    spacing_report,
-    weierstrass_phi,
-    write_obj,
-    write_sidecar,
 )
 
 
@@ -428,25 +423,18 @@ def test_mesh_defects_at_solver_noise(rpd_mesh):
     assert r["heights_increasing"]
 
 
-def test_spacing_rows_identical_for_periodic(rpd):
-    st, series = rpd
-    rows = spacing_report(st, series)
-    dhs = [row.delta_height for row in rows]
+def test_spacing_rows_identical_for_periodic(rpd_mesh):
+    rows = mesh_summary(rpd_mesh)["spacing"]
+    dhs = [row["delta_height"] for row in rows]
     assert np.ptp(dhs) < 1e-9
-
-
-def test_spacing_report_reads_the_mesh_frames(rpd, rpd_mesh):
-    st, series = rpd
-    rows = [asdict(row) for row in spacing_report(st, series)]
-    assert rows == mesh_summary(rpd_mesh)["spacing"]
 
 
 def test_spacing_ratio_climbs_to_one():
     ratios = []
     for t in (0.02, 0.01, 0.005):
         rep = newton_continuation(catalog("rPD", K=1), t)
-        rows = spacing_report(rep.state, rep.series)
-        ratios.append(rows[0].ratio)
+        rows = mesh_summary(build_mesh(rep.state, rep.series))["spacing"]
+        ratios.append(rows[0]["ratio"])
     assert all(r < 1.0 for r in ratios)
     assert ratios[0] < ratios[1] < ratios[2]
 
@@ -686,23 +674,6 @@ def test_window_mesh_coheres(twin):
 
 # ---------------------------------------------------------------------------
 # outputs
-
-
-def test_obj_and_sidecar_are_deterministic(rpd_mesh, tmp_path):
-    for trial in (0, 1):
-        write_obj(rpd_mesh, tmp_path / f"m{trial}.obj", copies=1)
-        write_sidecar(rpd_mesh, tmp_path / f"s{trial}.json")
-    assert (tmp_path / "m0.obj").read_bytes() == (tmp_path / "m1.obj").read_bytes()
-    assert (tmp_path / "s0.json").read_bytes() == (tmp_path / "s1.json").read_bytes()
-
-
-def test_obj_tiles_copies(rpd_mesh, tmp_path):
-    write_obj(rpd_mesh, tmp_path / "tiled.obj", copies=2)
-    text = (tmp_path / "tiled.obj").read_text()
-    nv = sum(1 for line in text.splitlines() if line.startswith("v "))
-    nf = sum(1 for line in text.splitlines() if line.startswith("f "))
-    assert nv == 4 * len(rpd_mesh.raw)
-    assert nf == 4 * len(rpd_mesh.faces)
 
 
 def test_summary_is_json_ready(rpd_mesh):

@@ -10,10 +10,11 @@ from hypothesis import strategies as hs
 import oracles
 from oracles import gauss_component, neck_coordinate, second_kind_form, third_kind_form
 from stackedmin import opening
-from stackedmin.configs import catalog
+from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import weierstrass_jet, wp_derivs
 from stackedmin.opening import (
     CIRCLE_NODES,
+    FIX_TOL,
     ChartError,
     GluingState,
     NonContractionError,
@@ -253,7 +254,7 @@ def test_second_kind_sup_norm_stable_across_layers(rpdh):
 
 def test_fix_omega_periods(rpd):
     st, series = rpd
-    assert series.converged
+    assert series.update_norms[-1] < FIX_TOL
     assert series.update_norms[-1] < 1e-12
     mat, vec = _fixed_point_system(st)
     flat = series.lam.reshape(-1)
@@ -276,7 +277,7 @@ def test_lambda_decay_envelope():
     st.tori[1].a = -0.5 + 0.03j
     st.refresh()
     series = fix_omega(st)
-    assert series.converged
+    assert series.update_norms[-1] < FIX_TOL
     mags = np.max(np.abs(series.lam), axis=(0, 1))
     ratio = st.t**2 / (2 * st.rho * st.epsilon)
     envelope = ratio ** np.arange(1, st.n_max)
@@ -381,10 +382,53 @@ def test_annulus_pullback(rpd):
     assert errs[t] < errs[0.05]
 
 
+def test_cyclic_state_is_a_window_without_buffer():
+    """A periodic stack without K is stored from k_lo = 0 with no buffer
+    and both tail periods its length, so the window fold is k mod n."""
+    names = [name for name in CATALOG_NAMES if catalog(name).is_periodic()]
+    assert len(names) >= 8
+    for name in names:
+        st = GluingState.central(catalog(name), 0.0)
+        n = st.n_tori
+        assert (st.n_buffer, st.k_lo) == (0, 0), name
+        assert st.left_period == st.right_period == n, name
+        assert all(st.index_of(k) == k % n for k in range(-3 * n, 3 * n + 1)), name
+
+
+def test_unconverged_fixed_point_raises(monkeypatch):
+    st = GluingState.central(catalog("rPD"), 0.01)
+    monkeypatch.setattr(opening, "FIX_MAX_ITER", 1)
+    with pytest.raises(NonContractionError, match=r"t=0\.01.*last step.*contraction estimate"):
+        fix_omega(st)
+
+
+def test_chart_radius_checks_each_distinct_torus_once(monkeypatch):
+    tori = opening.central_layout(catalog("twin-rPD"), 8)[0]
+    distinct = list({(T.tau, T.v): T for T in tori}.values())
+    assert (len(tori), len(distinct)) == (23, 4)
+    calls, trials = [], []
+    invert, disjoint = opening._invert_chart, opening._charts_disjoint
+
+    def counted_invert(T, sign, w):
+        calls.append(T)
+        return invert(T, sign, w)
+
+    def counted_disjoint(tori, eps):
+        trials.append(eps)
+        return disjoint(tori, eps)
+
+    monkeypatch.setattr(opening, "_invert_chart", counted_invert)
+    monkeypatch.setattr(opening, "_charts_disjoint", counted_disjoint)
+    eps = opening._chart_radius(tori)
+    assert trials and len(calls) <= 2 * len(distinct) * len(trials)
+    monkeypatch.undo()
+    assert eps == opening._chart_radius(distinct)
+
+
 def test_window_fold(rpdh):
     st, series = rpdh
-    assert st.mode == "window"
-    assert series.converged
+    assert st.n_buffer > 0
+    assert series.update_norms[-1] < FIX_TOL
     cfg = catalog("rPD-H", K=2)
     for k in range(st.k_lo - 6, st.k_hi + 7):
         tor = st.torus(k)

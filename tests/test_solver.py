@@ -367,10 +367,15 @@ def test_steps_record_the_worst_layer(rpd_solved):
 
 def test_solved_layers_repeat_periodically(rpd_solved):
     st = rpd_solved.state
-    assert st.mode == "cyclic"
+    assert st.n_buffer == 0
     assert st.n_tori == 2
     assert st.torus(2) is st.torus(0)
     assert st.torus(-1) is st.torus(1)
+
+
+def test_cyclic_solve_continues_no_tail(rpd_solved):
+    assert rpd_solved.state.n_buffer == 0
+    assert rpd_solved.tail_reports is None
 
 
 def test_zero_target_returns_central():
@@ -417,14 +422,16 @@ def test_noncontraction_bubbles_up():
         newton_continuation(catalog("rPD", K=1), 0.2, schedule=[0.2])
 
 
-def test_stalled_newton_raises():
+def test_stalled_newton_raises(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON", 1)
     with pytest.raises(StepFailure):
-        newton_continuation(catalog("rPD", K=1), 0.01, schedule=[0.01], itmax=1)
+        newton_continuation(catalog("rPD", K=1), 0.01, schedule=[0.01])
 
 
-def test_step_failure_names_layer_t_and_history():
-    with pytest.raises(StepFailure) as exc:
-        newton_continuation(catalog("rPD", K=1), 0.01, schedule=[0.01], itmax=1)
+def test_step_failure_names_layer_t_and_history(monkeypatch):
+    with monkeypatch.context() as m, pytest.raises(StepFailure) as exc:
+        m.setattr(solver, "MAX_NEWTON", 1)
+        newton_continuation(catalog("rPD", K=1), 0.01, schedule=[0.01])
     err = exc.value
     assert err.t == 0.01
     assert err.k in (0, 1)
@@ -442,7 +449,7 @@ def test_window_matches_cyclic():
                               callback=events.append)
     win = newton_continuation(catalog("rPD", K=1), 0.008, schedule=[0.008],
                               K=4)
-    assert win.state.mode == "window"
+    assert win.state.n_buffer > 0
     assert win.tail_reports is not None
     assert win.tail_reports["left"].converged
     assert win.tail_reports["right"].converged
@@ -459,7 +466,7 @@ def test_defect_window_solve():
     rep = newton_continuation(catalog("twin-rPD", K=2), 0.005,
                               schedule=[0.005], K=5)
     assert rep.converged
-    assert rep.state.mode == "window"
+    assert rep.state.n_buffer > 0
     assert rep.final_residual < 1e-9
     tails = rep.tail_reports
     assert tails["left"].state.n_tori == 2
