@@ -81,16 +81,18 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
             raise ValueError(
                 f"configurations disagree at layer {k}; the defect must "
                 "match the reference for k >= 0")
+    (tori_p, lo_p, *_), (tori_d, lo_d, *_) = (central_layout(c, K)
+                                              for c in (cfg, cfg_defect))
+    if (lo_p, len(tori_p)) != (lo_d, len(tori_d)):
+        raise ValueError(
+            f"paired windows misaligned at K={K}: the reference has {len(tori_p)} "
+            f"tori from k={lo_p}, the defect {len(tori_d)} from k={lo_d}")
     # shared chart radius: the defect's separations are a superset of the
     # reference's, so the forms must be compared on the tighter circles
-    eps = min(_chart_radius(central_layout(c, K)[0])
-              for c in (cfg, cfg_defect))
+    eps = min(_chart_radius(tori_p), _chart_radius(tori_d))
     rep_p = newton_continuation(cfg, t, K=K, epsilon=eps, callback=callback)
     rep_d = newton_continuation(cfg_defect, t, K=K, epsilon=eps, callback=callback)
-    st_p, st_d = rep_p.state, rep_d.state
-    if st_p.k_lo != st_d.k_lo or len(st_p.tori) != len(st_d.tori):
-        raise RuntimeError("paired windows came out misaligned")
-    return st_p, st_d
+    return rep_p.state, rep_d.state
 
 
 def parameter_rows(st_a: GluingState, st_b: GluingState) -> dict[int, float]:
@@ -134,9 +136,7 @@ def _log_fit(ks: list[int], vals: np.ndarray) -> tuple[float, float]:
     return -float(slope), r2
 
 
-def decay_fit(st_periodic: GluingState, st_defect: GluingState,
-              series_periodic: OmegaSeries | None = None,
-              series_defect: OmegaSeries | None = None) -> DecayReport:
+def decay_fit(st_periodic: GluingState, st_defect: GluingState) -> DecayReport:
     """Fit log d_k against k over the trusted upper half of the window.
 
     The fit runs over 1 <= k <= K-2; layer 0 carries the defect itself
@@ -152,12 +152,8 @@ def decay_fit(st_periodic: GluingState, st_defect: GluingState,
     same layers sit flat at 3-6e-13 and the fitted rate drops from 1.50
     to 0.07, so there the rate reflects rounding, not decay.
     """
-    if series_periodic is None:
-        series_periodic = fix_omega(st_periodic)
-    if series_defect is None:
-        series_defect = fix_omega(st_defect)
     d = parameter_rows(st_periodic, st_defect)
-    w = form_rows(st_periodic, series_periodic, st_defect, series_defect)
+    w = form_rows(st_periodic, fix_omega(st_periodic), st_defect, fix_omega(st_defect))
     ks = sorted(d)
     top = st_defect.active_range()[-1]
     fit_ks = [k for k in ks if 1 <= k <= top - 2]

@@ -241,9 +241,6 @@ CATALOG_NAMES = (
 # entries that are balanced but sit at a degenerate critical point on purpose
 DEGENERATE_NAMES = frozenset({"oPb-degenerate"})
 
-# the diagonal-scale family is solved numerically at build time
-EXPERIMENTAL_NAMES = frozenset({"oH"})
-
 
 def catalog(name: str, K: int = 8, im: float = 1.25, theta: float | None = None) -> Configuration:
     """Named example configurations.

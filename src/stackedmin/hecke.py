@@ -54,29 +54,17 @@ class HeckeJacobian:
     m: np.ndarray
     det: float
 
-    @classmethod
-    def at(cls, q: complex, lat: Lattice) -> "HeckeJacobian":
-        A, B = _gradient_pair(complex(q), lat)
-        m = np.array(
-            [
-                [(A + B).real, -(A - B).imag],
-                [(A + B).imag, (A - B).real],
-            ]
-        )
-        return cls(m=m, det=float(abs(A) ** 2 - abs(B) ** 2))
-
     def min_singular_value(self) -> float:
         return float(np.linalg.svd(self.m, compute_uv=False)[-1])
 
 
-def _gradient_pair(q, lat: Lattice):
-    """Coefficients (A, B) of dG = A dq + B d(conj q)."""
-    a, b = _ab(lat)
-    return a - wp_eval(q, lat, 0), b
-
-
 def hecke_jacobian(q: complex, lat: Lattice) -> HeckeJacobian:
-    return HeckeJacobian.at(q, lat)
+    """Differential of G at q: dG = A dq + B d(conj q), A = a - wp(q), B = b."""
+    a, b = _ab(lat)
+    A, B = a - wp_eval(complex(q), lat, 0), b
+    m = np.array([[(A + B).real, -(A - B).imag],
+                  [(A + B).imag, (A - B).real]])
+    return HeckeJacobian(m=m, det=float(abs(A) ** 2 - abs(B) ** 2))
 
 
 @dataclass
@@ -151,7 +139,7 @@ def solve_G_equals_C(lat: Lattice, C: complex, grid: int = 32) -> SolutionSet:
         roots.append(TorusPoint.from_z(complex(zc), lat))
     # stable ordering for reproducible output
     roots.sort(key=lambda p: (round(p.y, 9), round(p.x, 9)))
-    jacs = [HeckeJacobian.at(r.z, lat) for r in roots]
+    jacs = [hecke_jacobian(r.z, lat) for r in roots]
     failures = [complex(s) for s, ok in zip(seeds, converged) if not ok]
     return SolutionSet(roots=roots, C=C, count=len(roots), jacobians=jacs, failures=failures)
 

@@ -13,8 +13,8 @@ where F+- integrate the Gauss map to the power +-1 against the height
 differential.  In the chart w of a neck the triple is one Laurent series,
 and `_neck_sheet` evaluates its antiderivative on a (ring, spoke) grid;
 it gives both the seam rings of the layer patches and the two sheets of
-each neck.  Per-layer frames track a base point on every torus and carry
-the vertical spacing data.
+each neck.  Each layer sits at one base point, `path_base`: its grid
+node (0, 0), tree root and frame, which carries the vertical spacing.
 """
 
 from __future__ import annotations
@@ -96,12 +96,6 @@ class MeshTopologyError(RuntimeError):
         self.k, self.t, self.grid_res = k, t, grid_res
 
 
-def _near_rep(p: complex, ref: complex, tau: complex) -> complex:
-    """Lattice representative of p closest to ref."""
-    red, _, _ = reduce_centered(p - ref, tau)
-    return ref + complex(red)
-
-
 def _cell_rep(p: complex, corner: complex, tau: complex) -> complex:
     """Representative of p in the cell with the given corner."""
     x, y = lattice_coords(p - corner, tau)
@@ -112,13 +106,6 @@ def _positions(triples: np.ndarray) -> np.ndarray:
     tr = np.asarray(triples)
     x12 = 0.5 * (np.conj(tr[..., 1]) - tr[..., 0])
     return np.stack([x12.real, x12.imag, tr[..., 2].real], axis=-1)
-
-
-def _lattice_triple(shift: complex, tau: complex, alpha: np.ndarray,
-                    beta: np.ndarray) -> np.ndarray:
-    """Period triple of the lattice vector shift = m + n*tau."""
-    x, y = lattice_coords(shift, tau)
-    return round(float(x)) * alpha + round(float(y)) * beta
 
 
 def _diffs(st: GluingState, series: OmegaSeries, k: int, z) -> np.ndarray:
@@ -234,7 +221,6 @@ class NeckField:
     """
 
     k: int
-    radii: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     laurent: NeckLaurent
@@ -266,7 +252,7 @@ def integrate_neck(k: int, st: GluingState, series: OmegaSeries) -> NeckField:
     pair = (NECK_SPOKES - np.arange(NECK_SPOKES)) % NECK_SPOKES
     gap = _positions(plus[-1]) - _positions(minus[-1])[pair]
     weld = float(np.max(np.linalg.norm(gap, axis=-1)))
-    return NeckField(k=k, radii=radii, plus=plus, minus=minus, laurent=nl,
+    return NeckField(k=k, plus=plus, minus=minus, laurent=nl,
                      tail_plus=tail[0], tail_minus=tail[1], weld_defect=weld)
 
 
@@ -288,9 +274,9 @@ class LayerPatch:
     """Graph-like triangulated patch of one layer torus.
 
     Vertices carry unreduced plane coordinates of the cell spanned from
-    the mesh corner; triples are raw (F+, F-, H) values anchored at the
-    tree root.  seam maps each side to the ring vertex index array; faces
-    index into the local vertex list.
+    the base point `path_base`, which is vertex 0; triples are raw
+    (F+, F-, H) values, zero there.  seam maps each side to the ring
+    vertex index array; faces index into the local vertex list.
     """
 
     k: int
@@ -299,24 +285,10 @@ class LayerPatch:
     faces: np.ndarray
     seam: dict[str, np.ndarray]
     centers: dict[str, complex]
-    root_z: complex
     alpha: np.ndarray
     beta: np.ndarray
     loop_defect: float
     stitch_defect: float
-
-
-def _mesh_corner(T) -> complex:
-    """Cell corner maximizing edge clearance from both chart centers,
-    among 20 x 20 candidates; the first best one in (fx, fy) order wins."""
-    edge = np.linspace(0.0, 1.0, 33)
-    f = np.linspace(0.0, 0.95, 20)
-    z0 = (f[:, None] + f[None, :] * T.tau).reshape(-1, 1)
-    pts = np.concatenate([z0 + edge, z0 + edge * T.tau,
-                          z0 + 1.0 + edge * T.tau, z0 + T.tau + edge], axis=1)
-    score = np.min([np.min(np.abs(reduce_centered(pts - c, T.tau)[0]), axis=1)
-                    for c in (0.0, T.v)], axis=0)
-    return z0[np.argmax(score), 0]
 
 
 def _grid_faces(full_id: np.ndarray, vid: np.ndarray):
@@ -368,17 +340,9 @@ def _zip_band(ids_a: np.ndarray, ang_a: np.ndarray,
     na, nb = len(ids_a), len(ids_b)
     ia = int(np.argmin(ang_a))
     ib = int(np.argmin((ang_b - ang_a[ia]) % (2.0 * np.pi)))
-
-    def unwrapped(ang, start, count, origin):
-        out = [origin + ((ang[start] - origin + np.pi) % (2 * np.pi)) - np.pi]
-        for s in range(1, count + 1):
-            raw = ang[(start + s) % len(ang)]
-            step = ((raw - out[-1] + np.pi) % (2.0 * np.pi)) - np.pi
-            out.append(out[-1] + step)
-        return out
-
-    ua = unwrapped(ang_a, ia, na, ang_a[ia])
-    ub = unwrapped(ang_b, ib, nb, ua[0])
+    # both loops once around from their first vertices, b unwrapped from a's start
+    ua = np.unwrap(ang_a[(ia + np.arange(na + 1)) % na])
+    ub = np.unwrap(np.append(ua[0], ang_b[(ib + np.arange(nb + 1)) % nb]))[1:]
     faces = []
     ca = cb = 0
     while ca < na or cb < nb:
@@ -390,6 +354,68 @@ def _zip_band(ids_a: np.ndarray, ang_a: np.ndarray,
         else:
             faces.append((va, ids_b[(ib + cb + 1) % nb], vb))
             cb += 1
+    return faces
+
+
+def _clip_notches(walk: list[int], z: dict, center: complex):
+    """Ears cut from the counterclockwise jagged walk around center, and
+    the walk left once no edge steps backwards in angle.  A backward
+    staircase edge (a, b) closes a notch with the vertex after b or the
+    one before a; a zip over it folds a face that no flip unfolds."""
+    ears, walk, i = [], list(walk), 0
+    while i < len(walk):
+        prev, a, b, nxt = (walk[(i + s) % len(walk)] for s in (-1, 0, 1, 2))
+        cut = [] if _ccw(center, z[a], z[b]) else [
+            ear for ear in ((a, b, nxt), (prev, a, b)) if _ccw(*(z[v] for v in ear))]
+        if cut:  # the middle vertex of the ear leaves the walk
+            ears.append(cut[0])
+            walk.remove(cut[0][1])
+        i = 0 if cut else i + 1
+    return ears, walk
+
+
+def _in_circle(z: dict, a: int, b: int, c: int, d: int) -> bool:
+    """Whether d lies inside the circle through the counterclockwise a, b, c,
+    by the lifted determinant of the four points in ascending id order,
+    signed by that sort's parity: the flipped diagonal's test negates it."""
+    ids = (a, b, c, d)
+    odd = sum(x > y for i, x in enumerate(ids) for y in ids[i + 1:]) % 2
+    u, v, w = (z[i] - z[max(ids)] for i in sorted(ids)[:3])
+    det = sum(abs(p) ** 2 * (q.conjugate() * r).imag
+              for p, q, r in ((u, v, w), (v, w, u), (w, u, v)))
+    return (-det if odd else det) > 0.0
+
+
+def _ccw(p: complex, q: complex, r: complex) -> bool:
+    return ((q - p).conjugate() * (r - p)).imag > 0.0
+
+
+def _delaunay_flips(faces: list[tuple[int, int, int]],
+                    z: dict) -> list[tuple[int, int, int]]:
+    """Lawson flips of a triangulation in the z-plane, z mapping vertex ids
+    to Python complex values, until every interior edge is locally
+    Delaunay.  Faces (a, b, c) and (b, a, d) become (a, d, c) and
+    (d, b, c) in place when both are then counterclockwise (the quad
+    a, d, b, c is convex) and d lies inside the circle through a, b, c or
+    either old face is folded (clockwise).  Boundary edges stay."""
+    faces = [tuple(map(int, f)) for f in faces]
+    owner = {(f[i], f[i - 2]): n for n, f in enumerate(faces) for i in range(3)}
+    stack = list(owner)
+    while stack:
+        a, b = stack.pop()
+        f, g = owner.get((a, b)), owner.get((b, a))
+        if f is None or g is None:
+            continue
+        c, d = sum(faces[f]) - a - b, sum(faces[g]) - a - b
+        if not (_ccw(z[a], z[d], z[c]) and _ccw(z[d], z[b], z[c])
+                and (_in_circle(z, a, b, c, d) or not _ccw(z[a], z[b], z[c])
+                     or not _ccw(z[b], z[a], z[d]))):
+            continue
+        faces[f], faces[g] = (a, d, c), (d, b, c)
+        del owner[a, b], owner[b, a]
+        owner[a, d] = owner[d, c] = owner[c, a] = f
+        owner[d, b] = owner[b, c] = owner[c, d] = g
+        stack += [(a, d), (d, b), (b, c), (c, a)]
     return faces
 
 
@@ -425,14 +451,16 @@ def _tree_walk(n_nodes: int, u: np.ndarray, v: np.ndarray, inc: np.ndarray,
 
 def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
     """The n x n layer grid of layer k with the chart disks cut out, walked
-    by `_tree_walk`: (vid, kept_z, triples, root, alpha, beta,
-    centers_cell, loop_defect), with the worst loop position defect over
-    the non-tree edges."""
+    by `_tree_walk`: (vid, kept_z, triples, alpha, beta, centers_cell,
+    loop_defect), with the worst loop position defect over the non-tree
+    edges.  The grid is laid from `path_base`, so node (0, 0) is the base
+    point of the period paths alpha and beta, vertex 0 of the patch and
+    the root of the tree, where the triples vanish."""
     T = st.torus(k)
-    corner = _mesh_corner(T)
+    corner = path_base(T)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     zg = corner + (ii + jj * T.tau) / n
-    # the corner keeps both centers off the cell edges, so no other translate is near
+    # the base point keeps both centers off the cell edges, so no other translate is near
     centers_cell = {s: _cell_rep(c, corner, T.tau) for s, c in (("+", T.v), ("-", 0.0))}
     kept = np.all(np.abs(zg[..., None] - list(centers_cell.values()))
                   >= DEFAULT_POLE_RADIUS, axis=-1)
@@ -440,14 +468,14 @@ def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
     if kept.all():
         raise MeshTopologyError("grid does not resolve the chart disks",
                                 k, st.t, n)
+    if not kept[0, 0]:
+        raise MeshTopologyError("base point lies in a chart disk", k, st.t, n)
 
-    vid = -np.ones((n, n), dtype=int)
-    vid[kept] = np.arange(int(kept.sum()))
     nkept = int(kept.sum())
-
-    O_k = path_base(T)
+    vid = -np.ones((n, n), dtype=int)
+    vid[kept] = np.arange(nkept)
     alpha, beta = _segment_triples(st, series, k,
-                                   [(O_k, O_k + 1.0), (O_k, O_k + T.tau)])
+                                   [(corner, corner + 1.0), (corner, corner + T.tau)])
 
     # wrapped edges in the two lattice directions, net of their wrap periods
     edges = []
@@ -459,9 +487,7 @@ def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
             st, series, k, zg[ok].ravel(), vec) - wrap[:, None] * per))
     flat_u, flat_v, inc = (np.concatenate(e) for e in zip(*edges))
 
-    kept_z = zg[kept]
-    root = int(np.argmin(np.abs(reduce_centered(kept_z - O_k, T.tau)[0])))
-    triples, in_tree = _tree_walk(nkept, flat_u, flat_v, inc, root)
+    triples, in_tree = _tree_walk(nkept, flat_u, flat_v, inc, 0)
     if in_tree.sum() != nkept - 1:
         raise MeshTopologyError("cut layer grid is disconnected", k, st.t, n)
 
@@ -470,29 +496,29 @@ def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
     gap = _positions(triples[flat_u[loose]] + inc[loose]) - _positions(
         triples[flat_v[loose]])
     loop_defect = float(np.max(np.linalg.norm(gap, axis=-1)))
-    return vid, kept_z, triples, root, alpha, beta, centers_cell, loop_defect
+    return vid, zg[kept], triples, alpha, beta, centers_cell, loop_defect
 
 
 def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
                     grid_res: int = GRID_RES) -> LayerPatch:
     """Integrate the triple over a layer grid with the chart disks cut out.
 
-    Grid nodes closer to a chart center than the kernel's pole radius are
-    cut before g is evaluated; they lie inside the chart disk anyway.  The
-    breadth-first spanning tree of `_tree_walk` accumulates the edge
-    integrals, less the periods of each edge's wrap, over the wrapped grid
-    graph (`_grid_walk`); every non-tree edge closes a loop whose position
-    defect past LOOP_TOL raises LoopResidualError, with the defect of the
-    doubled grid to tell a coarse grid from an unbalanced state.  Seam
-    rings at |1/g| = epsilon are appended on both sides and joined to the
-    jagged cut boundary; ring values follow the neck Laurent arc from the
-    spoke-0 anchor, and the worst disagreement with the direct tree route
-    is recorded as the stitch defect.  A grid too coarse for that cut
-    raises MeshTopologyError.
+    The grid is laid from `path_base`: node (0, 0) is vertex 0 and the
+    root of the breadth-first spanning tree of `_tree_walk`, which sums
+    the edge integrals, less the periods of each edge's wrap, over the
+    wrapped grid graph (`_grid_walk`).  Nodes within the kernel's pole
+    radius of a chart center are cut before g is evaluated.  A non-tree
+    edge closes a loop; its position defect past LOOP_TOL raises
+    LoopResidualError, with the doubled grid's defect to tell a coarse
+    grid from an unbalanced state.  Seam rings at |1/g| = epsilon follow
+    the neck Laurent arc from the spoke-0 anchor, and their worst gap to
+    the direct tree route is the stitch defect.  Each seam band is zipped
+    to the jagged cut, its notches cut as ears, then flipped to Delaunay
+    in the z-plane.  A grid too coarse for the cut raises MeshTopologyError.
     """
     T = st.torus(k)
     n = grid_res
-    vid, kept_z, triples, root, alpha, beta, centers_cell, loop_defect = \
+    vid, kept_z, triples, alpha, beta, centers_cell, loop_defect = \
         _grid_walk(k, st, series, n)
     if loop_defect > LOOP_TOL:
         raise LoopResidualError(loop_defect, k, st.t, n,
@@ -557,23 +583,22 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
         nextid += NECK_SPOKES
         verts_list.append(ring_z)
         tri_list.append(arc)
-        ang_cyc = np.angle(cyc_z - c_cell)
         # orient the jagged walk counterclockwise around the hole
-        if np.sum(np.diff(np.unwrap(ang_cyc))) < 0:
+        if np.sum(np.diff(np.unwrap(np.angle(cyc_z - c_cell)))) < 0:
             cyc_ids = cyc_ids[::-1]
-            cyc_z = cyc_z[::-1]
-            ang_cyc = ang_cyc[::-1]
+        band_z = dict(zip(np.concatenate([cyc_ids, ring_ids]).tolist(),
+                          np.concatenate([kept_z[cyc_ids], ring_z]).tolist()))
+        ears, walk = _clip_notches(cyc_ids.tolist(), band_z, complex(c_cell))
         # ring angles in the z plane; the chart angle is offset by arg(-a)
-        ang_ring = np.angle(ring_z - c_cell)
-        faces.append(np.array(_zip_band(cyc_ids, ang_cyc, ring_ids, ang_ring),
-                              dtype=int))
+        zipped = _zip_band(np.array(walk), np.angle(kept_z[walk] - c_cell),
+                           ring_ids, np.angle(ring_z - c_cell))
+        faces.append(np.array(_delaunay_flips(ears + zipped, band_z), dtype=int))
         seam[side] = ring_ids
 
     return LayerPatch(k=k, verts_z=np.concatenate(verts_list),
                       triples=np.concatenate(tri_list), faces=np.concatenate(faces),
-                      seam=seam, centers=centers_cell, root_z=complex(kept_z[root]),
-                      alpha=alpha, beta=beta, loop_defect=loop_defect,
-                      stitch_defect=stitch)
+                      seam=seam, centers=centers_cell, alpha=alpha, beta=beta,
+                      loop_defect=loop_defect, stitch_defect=stitch)
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +607,12 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
 
 @dataclass(frozen=True)
 class LayerFrame:
-    """Base point of one layer with its accumulated position triple."""
+    """Base point `path_base` of layer k and its position in the mesh:
+    vertex 0 of patch k, where its grid and spanning-tree root sit."""
 
     k: int
     base: complex
-    triple: tuple[complex, complex, complex]
-
-    @property
-    def position(self) -> np.ndarray:
-        return _positions(np.asarray(self.triple))
-
-    @property
-    def height(self) -> float:
-        return float(self.triple[2].real)
+    position: np.ndarray
 
 
 def _default_range(st: GluingState) -> list[int]:
@@ -613,9 +631,9 @@ class SpacingRow:
 
 def _spacing_rows(frames: list[LayerFrame], t: float) -> list[SpacingRow]:
     ref = -2.0 * t * math.log(t)
-    return [SpacingRow(k=hi.k, delta_height=hi.height - lo.height,
-                       ratio=(hi.height - lo.height) / ref)
-            for lo, hi in zip(frames, frames[1:])]
+    dh = [(hi.k, float(hi.position[2] - lo.position[2]))
+          for lo, hi in zip(frames, frames[1:])]
+    return [SpacingRow(k=k, delta_height=h, ratio=h / ref) for k, h in dh]
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +644,8 @@ def _spacing_rows(frames: list[LayerFrame], t: float) -> list[SpacingRow]:
 class SurfaceMesh:
     """Triangulated immersion of a run of layers and their necks.
 
-    raw holds the unreduced immersion.  Each face carries the index
+    raw holds the unreduced immersion, and frames its vertices at the
+    layers' base points (`LayerFrame`).  Each face carries the index
     face_k of its layer or neck and the code face_part of its part:
     LAYER, or NECK_PLUS / NECK_MINUS for the half of neck k in the chart
     of layer k / k+1.
@@ -646,14 +665,13 @@ class SurfaceMesh:
 def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMesh:
     """Assemble layer patches and neck annuli into one SurfaceMesh.
 
-    Layers are integrated independently and joined through shared seam
-    rings; the two half-annuli of each neck merge at the waist.  Each
-    patch picks cell representatives of its chart centers, so consecutive
-    patches are branch-aligned by transporting the immersion through the
-    neck itself: neck k is translated onto the plus seam point of layer
-    k, and its welded minus sheet gives the offset of layer k+1.  The
-    mesh is translated so the first crossed waist centroid sits at the
-    origin.
+    Layers are integrated independently from their base points, with
+    Delaunay seam bands, and joined through shared seam rings; the two
+    half-annuli of each neck merge at the waist.  Consecutive patches are
+    branch-aligned through the neck itself: neck k is translated onto the
+    plus seam point of layer k, and its welded minus sheet gives the
+    offset of layer k+1.  The mesh is translated so the first crossed
+    waist centroid sits at the origin; frame k is then vertex 0 of patch k.
     """
     if st.t <= 0.0:
         raise ValueError("meshing needs t > 0")
@@ -672,16 +690,6 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
         # down the plus sheet to the waist, up the minus sheet to layer k+1
         offsets[k + 1] = (shift[k] + necks[k].minus[0, 0]
                           - phi.triples[phi.seam["-"][0]])
-
-    # canonical per-layer frames in the mesh branch, for reporting
-    frames = {}
-    for k in ks:
-        patch = patches[k]
-        T = st.torus(k)
-        On = _near_rep(path_base(T), patch.root_z, T.tau)
-        per = _lattice_triple(On - path_base(T), T.tau, patch.alpha, patch.beta)
-        frames[k] = offsets[k] - per - _segment_triples(
-            st, series, k, [(On, patch.root_z)])[0]
 
     verts, blocks = [], []  # blocks: (faces, k, part code)
     base_of: dict[int, int] = {}
@@ -729,15 +737,8 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
     centroid = raw[neck_grids[k0]["plus"][rings]].mean(axis=0)
     raw = raw - centroid[None, :]
 
-    w12 = complex(centroid[0], centroid[1])
-    frames_out = []
-    for k in ks:
-        tr = frames[k].copy()
-        tr[0] += w12
-        tr[1] -= np.conj(w12)
-        tr[2] -= centroid[2]
-        frames_out.append(LayerFrame(k=k, base=path_base(st.torus(k)),
-                                     triple=tuple(tr)))
+    frames = [LayerFrame(k=k, base=path_base(st.torus(k)),
+                         position=_positions(offsets[k]) - centroid) for k in ks]
 
     # limit node positions in the mesh branch, anchored at neck ks[0];
     # lattice detours of the cell representatives ride the layer periods
@@ -745,9 +746,10 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
     for k in ks[1:-1]:
         patch = patches[k]
         T = st.torus(k)
-        detour = patch.centers["+"] - patch.centers["-"] - T.v
-        lat = _positions(_lattice_triple(detour, T.tau, patch.alpha,
-                                         patch.beta)[None, :])[0]
+        # the period triple of the lattice vector m + n*tau between them
+        m, n = (round(float(c)) for c in lattice_coords(
+            patch.centers["+"] - patch.centers["-"] - T.v, T.tau))
+        lat = _positions(m * patch.alpha + n * patch.beta)
         p_ref[k] = p_ref[k - 1] + mirror_conj(T.v, k) \
             + complex(lat[0], lat[1])
     drift = {}
@@ -755,7 +757,7 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
         cen = raw[neck_grids[k]["plus"][rings]].mean(axis=0)
         drift[k] = float(abs(complex(cen[0], cen[1]) - p_ref[k]))
 
-    heights = [frames[k][2].real for k in ks]
+    heights = [offsets[k][2].real for k in ks]
     reports = {
         "loop_defect": {k: patches[k].loop_defect for k in ks},
         "stitch_defect": {k: patches[k].stitch_defect for k in ks},
@@ -778,7 +780,7 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
                        faces=faces_all,
                        face_k=np.repeat([k for _, k, _ in blocks], sizes),
                        face_part=np.repeat([c for _, _, c in blocks], sizes),
-                       frames=frames_out, reports=reports)
+                       frames=frames, reports=reports)
 
 
 # ---------------------------------------------------------------------------

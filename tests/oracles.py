@@ -15,13 +15,12 @@ rebuilds the opened-node caches from separate zeta / wp_eval / wp_derivs
 calls, so the fused evaluators can be held to the same bits.  Likewise
 the plain finite-difference loop recomputes every jet of every Jacobian
 column, for the solver's loop that reuses them, and the layer-patch
-loops integrate one segment, score one cell corner, triangulate one grid
-cell, count one face edge and grow the spanning tree one node at a time,
-for the batched seam legs, the array corner search, the array grid
-faces, the sorted edge count and the frontier walk.  The neck sheets are
-summed one Laurent power at a time from dicts of powers, for the
-one-array evaluator of the seam rings, the neck sheets and the waist
-weld.  The face-intersection reference enumerates candidate pairs from a
+loops integrate one segment, triangulate one grid cell, count one face
+edge and grow the spanning tree one node at a time, for the batched seam
+legs, the array grid faces, the sorted edge count and the frontier walk.
+The neck sheets are summed one Laurent power at a time from dicts of
+powers, for the one-array evaluator of the seam rings, the neck sheets
+and the waist weld.  The face-intersection reference enumerates candidate pairs from a
 bucket grid and tests them one pair at a time, for the array sweep of
 the embeddedness battery, and the one-axis sweep holds the strip sweep
 to the same candidate pairs.
@@ -404,26 +403,6 @@ def segment_triples_one_by_one(st, series, k: int, ends) -> np.ndarray:
         vals = vals.reshape(pieces, SEG_NODES, 3)
         out.append(np.einsum("n, p n c -> c", 0.5 * wgt / pieces, vals) * vec)
     return np.array(out)
-
-
-def mesh_corner_loop(T) -> complex:
-    """Cell corner maximizing edge clearance from both chart centers,
-    scored one candidate and one center at a time."""
-    from stackedmin.elliptic import reduce_centered
-
-    edge = np.linspace(0.0, 1.0, 33)
-    best, best_score = 0.0, -1.0
-    for fx in np.linspace(0.0, 0.95, 20):
-        for fy in np.linspace(0.0, 0.95, 20):
-            z0 = fx + fy * T.tau
-            pts = np.concatenate([z0 + edge, z0 + edge * T.tau,
-                                  z0 + 1.0 + edge * T.tau, z0 + T.tau + edge])
-            score = min(
-                float(np.min(np.abs(reduce_centered(pts - c, T.tau)[0])))
-                for c in (0.0, T.v))
-            if score > best_score:
-                best_score, best = score, z0
-    return best
 
 
 def grid_faces_loop(full_id: np.ndarray, vid: np.ndarray):

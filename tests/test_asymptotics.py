@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_coords
 from stackedmin.immersion import build_mesh
-from stackedmin import asymptotics
+from stackedmin import asymptotics, configs
 from stackedmin.opening import GluingState, fix_omega
 from stackedmin.solver import newton_continuation
 from stackedmin.asymptotics import (
@@ -114,6 +114,24 @@ def test_pair_chart_radius_needs_no_state(name, monkeypatch):
     assert eps == [min(central)] * 2
 
 
+def test_pair_rejects_misaligned_windows_before_solving(monkeypatch):
+    """A defect whose left tail needs a wider buffer than the reference's
+    gets a wider window at the same K; pair_solve names both extents
+    before it solves either problem."""
+    q = (1 + configs._EQ) / 3
+    defect = configs._split(configs._EQ, (q, -q, q), (-q,), 8)
+    ref = upper_reference(defect)
+
+    def solve(*args, **kw):  # pragma: no cover - the failure under test
+        raise AssertionError("solved before the windows were compared")
+
+    monkeypatch.setattr(asymptotics, "newton_continuation", solve)
+    with pytest.raises(ValueError, match="misaligned") as info:
+        pair_solve(ref, defect, 0.01, K=9)
+    msg = str(info.value)
+    assert "25 tori from k=-12" in msg and "31 from k=-15" in msg
+
+
 def test_paired_windows_share_geometry(twin_pair, cross_pair):
     for sp, _, sd, _ in (twin_pair, cross_pair):
         assert sp.k_lo == sd.k_lo
@@ -148,7 +166,7 @@ def test_twin_rows_collapse_above_the_defect(twin_pair):
 
 def test_twin_fit_keeps_only_resolvable_layers(twin_pair):
     sp, serp, sd, serd = twin_pair
-    rep = decay_fit(sp, sd, serp, serd)
+    rep = decay_fit(sp, sd)
     assert rep.fit_ks == [1, 2]
     assert 1.0 < rep.rate < 2.0
     assert rep.r_squared > 0.95
@@ -157,7 +175,7 @@ def test_twin_fit_keeps_only_resolvable_layers(twin_pair):
 
 def test_twin_differential_rate_is_comparable(twin_pair):
     sp, serp, sd, serd = twin_pair
-    rep = decay_fit(sp, sd, serp, serd)
+    rep = decay_fit(sp, sd)
     m = differential_rows(sp, serp, sd, serd)
     assert all(m[k] < 1e-14 for k in range(4, 9))
     rate_m = np.log(m[1] / m[2])
@@ -174,8 +192,8 @@ def test_twin_fit_degenerates_at_smaller_t():
 
 def test_reports_are_deterministic(twin_pair):
     sp, serp, sd, serd = twin_pair
-    a = decay_fit(sp, sd, serp, serd)
-    b = decay_fit(sp, sd, serp, serd)
+    a = decay_fit(sp, sd)
+    b = decay_fit(sp, sd)
     assert a.rate == b.rate
     assert np.array_equal(a.d, b.d)
     assert np.array_equal(a.w, b.w)
@@ -183,7 +201,7 @@ def test_reports_are_deterministic(twin_pair):
 
 def test_report_serializes(twin_pair):
     sp, serp, sd, serd = twin_pair
-    rep = decay_fit(sp, sd, serp, serd)
+    rep = decay_fit(sp, sd)
     blob = json.loads(json.dumps(rep.as_dict()))
     assert blob["t"] == 0.01
     assert len(blob["rows"]) == len(rep.ks)
@@ -212,7 +230,7 @@ def test_crossover_fit_is_degenerate(cross_pair):
     # the defect's influence on the quadruple dies below the floor by k=1
     sp, serp, sd, serd = cross_pair
     with pytest.raises(DegenerateFitError):
-        decay_fit(sp, sd, serp, serd)
+        decay_fit(sp, sd)
 
 
 # ------------------------------------------------------------------- meshes

@@ -25,7 +25,6 @@ from stackedmin.immersion import (
     _default_range,
     _hole_cycles,
     _intersecting_pairs,
-    _mesh_corner,
     _neck_sheet,
     _polygon_diagnostics,
     _positions,
@@ -53,6 +52,14 @@ def rpd():
 def rpd_mesh(rpd):
     st, series = rpd
     return build_mesh(st, series)
+
+
+@pytest.fixture(scope="module")
+def rpd_mesh_02():
+    """rPD solved and meshed at t = 0.02."""
+    rep = newton_continuation(catalog("rPD", K=1), 0.02)
+    assert rep.converged
+    return build_mesh(rep.state, rep.series)
 
 
 @pytest.fixture(scope="module")
@@ -140,24 +147,26 @@ def test_coarse_grid_raises_typed_topology_error(rpd):
 def test_loop_residual_error_names_layer_t_grid_and_residual(rpd):
     st, series = rpd
     with pytest.raises(LoopResidualError) as info:
-        integrate_layer(0, st, series, grid_res=16)
+        integrate_layer(0, st, series, grid_res=12)
     err = info.value
     assert isinstance(err, RuntimeError)
-    assert (err.k, err.t, err.grid_res) == (0, st.t, 16)
+    assert (err.k, err.t, err.grid_res) == (0, st.t, 12)
     assert immersion.LOOP_TOL < err.residual < 1e-6
-    for part in ("k=0", f"t={st.t:g}", "grid_res=16", f"{err.residual:.2e}",
+    for part in ("k=0", f"t={st.t:g}", "grid_res=12", f"{err.residual:.2e}",
                  "finer grid"):
         assert part in str(err)
 
 
 def test_grid_node_on_a_pole_is_cut(rpd):
-    """At grid_res 20 a node of the rPD layer-0 grid lies within the pole
-    radius of a chart center; it is cut before g is evaluated, so the
-    layer meshes or fails with a mesh error, never a PoleError."""
+    """At grid_res 18 a node of the rPD layer-0 grid lies within the pole
+    radius of a chart center: the base point sits at lattice coordinates
+    (2/3, 2/3), so a node lands on the pole when 3 divides n.  It is cut
+    before g is evaluated, so the layer meshes or fails with a mesh
+    error, never a PoleError."""
     st, series = rpd
     T = st.torus(0)
-    n = 20
-    corner = _mesh_corner(T)
+    n = 18
+    corner = immersion.path_base(T)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     zg = corner + (ii + jj * T.tau) / n
     gap = min(np.min(np.abs(elliptic.reduce_centered(zg - c, T.tau)[0]))
@@ -241,7 +250,6 @@ def test_segment_batch_matches_single_segments(rpd):
         got = _segment_triples(st, series, k, ends)
         ref = oracles.segment_triples_one_by_one(st, series, k, ends)
         assert np.array_equal(got, ref)
-        assert _mesh_corner(T) == oracles.mesh_corner_loop(T)
 
 
 def test_grid_faces_and_hole_walks_match_cell_loops(rpd, monkeypatch):
@@ -429,12 +437,10 @@ def test_spacing_rows_identical_for_periodic(rpd_mesh):
     assert np.ptp(dhs) < 1e-9
 
 
-def test_spacing_ratio_climbs_to_one():
-    ratios = []
-    for t in (0.02, 0.01, 0.005):
-        rep = newton_continuation(catalog("rPD", K=1), t)
-        rows = mesh_summary(build_mesh(rep.state, rep.series))["spacing"]
-        ratios.append(rows[0]["ratio"])
+def test_spacing_ratio_climbs_to_one(rpd_mesh_02, rpd_mesh):
+    rep = newton_continuation(catalog("rPD", K=1), 0.005)
+    meshes = (rpd_mesh_02, rpd_mesh, build_mesh(rep.state, rep.series))
+    ratios = [mesh_summary(mesh)["spacing"][0]["ratio"] for mesh in meshes]
     assert all(r < 1.0 for r in ratios)
     assert ratios[0] < ratios[1] < ratios[2]
 
@@ -448,6 +454,113 @@ def test_embeddedness_battery(rpd_mesh):
         assert diag["convex"] and diag["simple"]
     for diag in emb["intersections"].values():
         assert diag["pairs"] == 0
+
+
+def _seam_n3(mesh) -> float:
+    """|n3| of the surface on the seam ring |w| = epsilon."""
+    r = mesh.t / mesh.epsilon
+    return (1.0 - r * r) / (1.0 + r * r)
+
+
+def test_embeddedness_battery_at_larger_t(rpd_mesh_02):
+    emb = embeddedness_diagnostics(rpd_mesh_02)
+    assert emb["pass"]
+    for diag in emb["graph"].values():
+        assert diag["min_n3"] >= _seam_n3(rpd_mesh_02) - 0.01
+
+
+def test_graph_check_does_not_depend_on_grid_placement(rpd, monkeypatch):
+    """Sub-cell shifts of the layer grid keep every rPD layer a graph down
+    to the surface's own |n3| on the seam ring: the seam bands are
+    Delaunay in the z-plane, so no sliver that the grid's placement makes
+    reads as a steep face."""
+    st, series = rpd
+    base = immersion.path_base
+    for fx, fy in np.random.default_rng(12).random((6, 2)):
+        monkeypatch.setattr(immersion, "path_base",
+                            lambda T, fx=fx, fy=fy: base(T) + (fx + fy * T.tau) / 64)
+        mesh = build_mesh(st, series)
+        emb = embeddedness_diagnostics(mesh)
+        assert emb["pass"], (fx, fy)
+        for diag in emb["graph"].values():
+            assert diag["min_n3"] >= _seam_n3(mesh) - 0.01, (fx, fy)
+
+
+def test_frame_is_the_base_vertex(rpd, rpd_mesh):
+    """The grid, its tree root and the layer frame sit at path_base: each
+    patch's vertex 0 is the base point with a zero triple, and each frame
+    position is that vertex of the mesh to the bit."""
+    st, series = rpd
+    for frame in rpd_mesh.frames:
+        base = immersion.path_base(st.torus(frame.k))
+        assert frame.base == base
+        v0 = rpd_mesh.reports["layer_base"][frame.k]
+        assert np.array_equal(rpd_mesh.raw[v0], frame.position)
+    for k in (0, 1):
+        patch = integrate_layer(k, st, series)
+        assert patch.verts_z[0] == immersion.path_base(st.torus(k))
+        assert not np.any(patch.triples[0])
+
+
+def _signed_areas(faces, z) -> np.ndarray:
+    p = np.array([[z[i] for i in f] for f in faces])
+    return 0.5 * (np.conj(p[:, 1] - p[:, 0]) * (p[:, 2] - p[:, 0])).imag
+
+
+def test_seam_bands_are_delaunay(rpd, monkeypatch):
+    """On the rPD seam bands the flips keep the vertices and signed z-area
+    of the zip with its notch ears, and leave every face counterclockwise
+    and every interior edge locally Delaunay, by each face's circumcircle.
+    Without the ears, folded faces stay on layer 0."""
+    st, series = rpd
+    flips = immersion._delaunay_flips
+    bands = []
+
+    def captured(faces, z):
+        bands.append((faces, z, flips(faces, z)))
+        return bands[-1][2]
+
+    monkeypatch.setattr(immersion, "_delaunay_flips", captured)
+    for k in (0, 1):
+        integrate_layer(k, st, series)
+    assert len(bands) == 4
+    changed = 0
+    for zipped, z, faces in bands:
+        changed += sorted(map(tuple, zipped)) != sorted(faces)
+        assert {int(i) for f in zipped for i in f} == {i for f in faces for i in f}
+        area = _signed_areas(faces, z)
+        assert np.all(area > 0)
+        assert abs(area.sum() - _signed_areas(zipped, z).sum()) < 1e-12 * area.sum()
+        third = {(f[i], f[i - 2]): f[i - 1] for f in faces for i in range(3)}
+        for (a, b), c in third.items():
+            d = third.get((b, a))
+            if d is None:
+                continue
+            # circumcenter of a, b, c relative to a
+            u, v = z[b] - z[a], z[c] - z[a]
+            cen = u * v * np.conj(u - v) / (np.conj(u) * v - u * np.conj(v))
+            assert abs(z[d] - z[a] - cen) >= abs(cen) * (1.0 - 1e-9)
+    assert changed == len(bands)
+    # without the ears the zip folds faces over the notches, for good
+    bands.clear()
+    monkeypatch.setattr(immersion, "_clip_notches", lambda walk, z, c: ([], walk))
+    integrate_layer(0, st, series)
+    assert min(_signed_areas(faces, z).min() for _, z, faces in bands) < 0
+
+
+def test_in_circle_never_asks_to_flip_both_diagonals():
+    """On cocircular quads rounding decides the Delaunay test; evaluated on
+    the points in id order it still answers the two diagonals oppositely,
+    so no pair of faces can flip back and forth.  Taken at d, as the
+    textbook writes it, both diagonals would flip on about 2 % of them."""
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        center, r = complex(*rng.random(2)), 0.01 + 0.1 * rng.random()
+        # a, d, b, c counterclockwise on one circle: diagonal a-b, then c-d
+        pa, pd, pb, pc = center + r * np.exp(2j * np.pi * np.sort(rng.random(4)))
+        z = {0: complex(pa), 1: complex(pb), 2: complex(pc), 3: complex(pd)}
+        assert not (immersion._in_circle(z, 0, 1, 2, 3)
+                    and immersion._in_circle(z, 3, 2, 0, 1))
 
 
 def test_planted_self_intersection_is_reported(rpd_mesh):
