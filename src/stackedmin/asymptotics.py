@@ -14,7 +14,7 @@ import numpy as np
 from .configs import Configuration, _split
 from .opening import (GluingState, OmegaSeries, _chart_radius, central_layout,
                       fix_omega, omega_on_circle)
-from .solver import newton_continuation
+from .solver import _continue_stacks
 
 AGREE_TOL = 1e-12
 FIT_FLOOR = 1e-14
@@ -64,10 +64,12 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
 
     Both solves get the same half-width K, so the periodic reference is
     solved as a window too: the two states share the window extent, the
-    clamped tails and the chart radius.  Each is a `newton_continuation`
-    to its tolerance `NEWTON_TOL`, which continues the tails of the
-    window's buffer layers first.  Returns the two solved states
-    (reference first).
+    clamped tails and the chart radius.  Each window is continued as by
+    `newton_continuation` to its tolerance `NEWTON_TOL`, after the tails
+    of both windows' buffer layers; a tail pattern the two share, such
+    as the reference's own stack, is continued once.  The callback sees
+    the reference's steps, then the defect's.  Returns the two solved
+    states (reference first).
     """
     if not cfg.is_periodic():
         raise ValueError("reference configuration must be periodic")
@@ -90,8 +92,8 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
     # shared chart radius: the defect's separations are a superset of the
     # reference's, so the forms must be compared on the tighter circles
     eps = min(_chart_radius(tori_p), _chart_radius(tori_d))
-    rep_p = newton_continuation(cfg, t, K=K, epsilon=eps, callback=callback)
-    rep_d = newton_continuation(cfg_defect, t, K=K, epsilon=eps, callback=callback)
+    rep_p, rep_d = _continue_stacks([cfg, cfg_defect], t, K=K, epsilon=eps,
+                                    callback=callback)
     return rep_p.state, rep_d.state
 
 

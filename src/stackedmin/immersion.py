@@ -20,7 +20,7 @@ node (0, 0), tree root and frame, which carries the vertical spacing.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -666,7 +666,8 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
     """Assemble layer patches and neck annuli into one SurfaceMesh.
 
     Layers are integrated independently from their base points, with
-    Delaunay seam bands, and joined through shared seam rings; the two
+    Delaunay seam bands, once per distinct (k-1, k, k+1) of stored tori,
+    and joined through shared seam rings; the two
     half-annuli of each neck merge at the waist.  Consecutive patches are
     branch-aligned through the neck itself: neck k is translated onto the
     plus seam point of layer k, and its welded minus sheet gives the
@@ -679,7 +680,15 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
     if len(ks) < 2:
         raise ValueError("need at least two layers to mesh a neck")
 
-    patches = {k: integrate_layer(k, st, series) for k in ks}
+    # a patch reads its own torus and the necks on both sides, so a layer
+    # that folds onto the same stored tori (layer n_tori of a cyclic
+    # state onto layer 0) takes the patch already integrated
+    integrated, patches = {}, {}
+    for k in ks:
+        key = tuple(st.index_of(k + d) for d in (-1, 0, 1))
+        if key not in integrated:
+            integrated[key] = integrate_layer(k, st, series)
+        patches[k] = replace(integrated[key], k=k)
     necks = {k: integrate_neck(k, st, series) for k in ks[:-1]}
 
     offsets: dict[int, np.ndarray] = {ks[0]: np.zeros(3, dtype=complex)}
@@ -973,10 +982,11 @@ def _intersecting_pairs(raw: np.ndarray, faces: np.ndarray) -> np.ndarray:
 def embeddedness_diagnostics(mesh: SurfaceMesh) -> dict:
     """Diagnostic embeddedness battery; failures are reported, not fatal.
 
-    Checks (i) that layer patches stay vertical graphs, with |n3| of at
-    least GRAPH_FLOOR on every face, (ii) that neck cross sections at
-    heights h_k +- t*c, c = SLICE_FACTOR log(epsilon/t), are simple convex
-    curves, and (iii) that no two faces of a layer slab intersect.  The slab of layer
+    Checks (i) that layer patches stay vertical graphs: every face's n3,
+    signed so that the layer's area-weighted n3 is positive, is at least
+    GRAPH_FLOOR, so a face turned over fails however steep it is, (ii)
+    that neck cross sections at heights h_k +- t*c, c = SLICE_FACTOR
+    log(epsilon/t), are simple convex curves, and (iii) that no two faces of a layer slab intersect.  The slab of layer
     k is its patch and the halves of necks k - 1 and k that attach to it,
     up to their waists.  Check (iii) tests every pair of slab faces whose closed
     bounding boxes overlap and that share no vertex, by the Moller
@@ -993,7 +1003,8 @@ def embeddedness_diagnostics(mesh: SurfaceMesh) -> dict:
         nrm = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
         lens = np.linalg.norm(nrm, axis=1)
         ok = lens > 0
-        n3 = np.abs(nrm[ok, 2]) / lens[ok]
+        # signed against the layer's area-weighted side: a turned face reads < 0
+        n3 = np.sign(np.sum(nrm[ok, 2])) * nrm[ok, 2] / lens[ok]
         val = float(np.min(n3)) if len(n3) else 0.0
         out["graph"][k] = {"min_n3": val, "pass": bool(val >= GRAPH_FLOOR)}
         # layer k, the plus half of neck k and the minus half of neck k - 1

@@ -157,10 +157,14 @@ def _charts_disjoint(tori: list[TorusData], eps: float) -> bool:
     return True
 
 
+def _distinct(tori: list[TorusData]) -> list[TorusData]:
+    return list({(T.a, T.bhat, T.tau, T.v): T for T in tori}.values())
+
+
 def _chart_radius(tori: list[TorusData]) -> float:
     """Largest neck radius with pairwise disjoint charts, capped at 0.2
     times the minimal pole separation; repeated tori are checked once."""
-    tori = list({(T.a, T.bhat, T.tau, T.v): T for T in tori}.values())
+    tori = _distinct(tori)
     d = min(
         min(torus_distance(0.0, T.v, T.tau), _shortest_vector(T.tau))
         for T in tori
@@ -419,10 +423,16 @@ class GluingState:
                 epsilon: float | None = None) -> "GluingState":
         """State on the tori of `central_layout`, a window exactly when
         cfg is not periodic or K is given, with the chart radius
-        `_chart_radius` of them unless epsilon is given."""
+        `_chart_radius` of them unless epsilon is given.  A given epsilon
+        whose charts overlap on one of the distinct tori (`_charts_disjoint`)
+        raises ChartError."""
         tori, k_lo, p_l, p_r, buf = central_layout(cfg, K)
-        eps = _chart_radius(tori) if epsilon is None else epsilon
-        return cls(t=t, tori=tori, k_lo=k_lo, epsilon=eps, tau_ref=cfg.tau, q0_ref=cfg.q(0),
+        if epsilon is None:
+            epsilon = _chart_radius(tori)
+        elif not _charts_disjoint(_distinct(tori), epsilon):
+            raise ChartError(f"neck charts overlap at epsilon = {epsilon:g}; "
+                             f"_chart_radius of these tori is {_chart_radius(tori):g}")
+        return cls(t=t, tori=tori, k_lo=k_lo, epsilon=epsilon, tau_ref=cfg.tau, q0_ref=cfg.q(0),
                    left_period=p_l, right_period=p_r, n_buffer=buf)
 
     @property

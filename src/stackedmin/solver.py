@@ -161,10 +161,27 @@ class ResidualVector:
         return out
 
 
+def _layer_key(st, series, k) -> tuple:
+    """Everything of layer k that its residual row and its Jacobian block
+    read besides constants of the state: the bytes of its parameter block
+    and of its lambda row, and its parity."""
+    j = st.index_of(k)
+    return _get_block(st, j).tobytes(), series.lam[j].tobytes(), k % 2
+
+
 def full_residual(st: GluingState, series: OmegaSeries, ks=None) -> ResidualVector:
+    """Residual rows of the layers ks (every stored layer by default).
+    Layers with equal `_layer_key` have equal rows, so each distinct key
+    is evaluated once and its row copied to the others."""
     if ks is None:
         ks = tuple(st.logical_range())
-    rows = np.array([_block_residual(st, series, k) for k in ks])
+    rows = np.empty((len(ks), 4), dtype=complex)
+    first = {}
+    for i, k in enumerate(ks):
+        key = _layer_key(st, series, k)
+        if key not in first:
+            first[key] = _block_residual(st, series, k)
+        rows[i] = first[key]
     return ResidualVector(ks=tuple(ks), entries=rows)
 
 
@@ -196,6 +213,21 @@ def _set_block(st, j, x):
     st.refresh(only=j)
 
 
+def _set_blocks(st, blocks: dict):
+    """`_set_block` for each stored torus j of blocks {j: x}, refreshing
+    each distinct block once: tori set to the same bits share its caches,
+    which a refresh builds from the torus alone."""
+    done = {}
+    for j, x in blocks.items():
+        key = np.asarray(x).tobytes()
+        if key in done:
+            _put_block(st, j, x)
+            st._layers[j] = st._layers[done[key]]
+        else:
+            _set_block(st, j, x)
+            done[key] = j
+
+
 def _fd_blocks(st, series, active, flat):
     """Forward-difference 8x8 Jacobian blocks of the active layers, with
     the series frozen; flat is the residual at the current parameters.
@@ -208,9 +240,19 @@ def _fd_blocks(st, series, active, flat):
     per layer.  Array stages are elementwise or reduce along the node
     axis and scalar stages run row by row, so each column has the bits of
     a refresh and a block residual at its own parameters.
+
+    A layer whose `_layer_key` an earlier active layer has takes that
+    layer's block: its rows and its residual slice of flat are the same
+    bits, so each distinct key is differenced once.
     """
     blocks = np.empty((len(active), 8, 8))
+    first = {}
     for i, k in enumerate(active):
+        key = _layer_key(st, series, k)
+        if key in first:
+            blocks[i] = blocks[first[key]]
+            continue
+        first[key] = i
         x0 = _get_block(st, st.index_of(k))
         moved = []
         for c in range(8):
@@ -278,16 +320,15 @@ def _solve_at_t(st, active, callback=None):
         base = [_get_block(st, st.index_of(k)) for k in active]
         scale = 1.0
         for _ in range(MAX_HALVINGS):
-            for i, k in enumerate(active):
-                _set_block(st, st.index_of(k), base[i] + scale * dx[i])
+            _set_blocks(st, {st.index_of(k): base[i] + scale * dx[i]
+                             for i, k in enumerate(active)})
             trial_series = fix_omega(st)
             trial = full_residual(st, trial_series, active)
             if trial.sup_norm < history[-1]:
                 break
             scale *= 0.5
         else:
-            for i, k in enumerate(active):
-                _set_block(st, st.index_of(k), base[i])
+            _set_blocks(st, {st.index_of(k): base[i] for i, k in enumerate(active)})
             raise _step_failure("line search failed", st, res, history)
         series, res = trial_series, trial
         flat = res.flat()
@@ -330,8 +371,8 @@ def _continue(st, schedule, series=None, callback=None, clamps=None):
     steps, solved = [], []
     for i, t in enumerate(schedule):
         st.t = t
-        for k, x in (clamps[i].items() if clamps else ()):
-            _set_block(st, st.index_of(k), x)
+        clamp = clamps[i] if clamps else {}
+        _set_blocks(st, {st.index_of(k): x for k, x in clamp.items()})
         series, step = _solve_at_t(st, active, callback)
         steps.append(step)
         solved.append([_get_block(st, j) for j in range(st.n_tori)])
@@ -347,21 +388,38 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
     A periodic stack without K is solved on one (even) period with cyclic
     coupling.  Otherwise the stack is solved on a window of half-width K
     (`central_layout`): each tail pattern a buffer layer reads is first
-    continued as a cyclic stack of its own, and at each t the buffer
+    continued once as a cyclic stack of its own, and at each t the buffer
     layers are clamped to its parameters at that t before Newton moves
     the layers |k| <= K.  tail_reports then maps "left" and "right" to
     the tail solves, one shared report when the patterns agree; it is
-    None when no layer is clamped, as in a cyclic state.
+    None when no layer is clamped, as in a cyclic state.  Within each
+    Newton iteration, layers with equal parameters, lambda rows and
+    parity are evaluated once (`full_residual`, `_fd_blocks`).
 
     Raises UnbalancedConfigError when the forces of cfg do not vanish,
-    and ScheduleError unless t_target and the schedule are finite and
-    nonnegative and the schedule rises strictly to t_target; only
-    t_target = 0 may take no step.  Both are raised before any solve.
+    ScheduleError unless t_target and the schedule are finite and
+    nonnegative and the schedule rises strictly to t_target (only
+    t_target = 0 may take no step), and ChartError when a given epsilon
+    leaves the neck charts overlapping; all before any solve.
     """
-    bal = balance_report(cfg)
-    if not bal.balanced:
-        raise UnbalancedConfigError(max(bal.forces, key=lambda k: abs(bal.forces[k])),
-                                    bal.max_force)
+    return _continue_stacks([cfg], t_target, schedule, K, callback, epsilon)[0]
+
+
+def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
+                     callback=None, epsilon: float | None = None) -> list:
+    """`newton_continuation` of each configuration of cfgs, in order, with
+    the same schedule, K and epsilon; one SolveReport per configuration.
+
+    Every entry check runs on every configuration, and every state is
+    built, before the first solve.  A tail pattern on the same lattice is
+    continued once for all of them, and reports that read it share its
+    report; the callback sees the steps of the states of cfgs only.
+    """
+    for cfg in cfgs:
+        bal = balance_report(cfg)
+        if not bal.balanced:
+            raise UnbalancedConfigError(max(bal.forces, key=lambda k: abs(bal.forces[k])),
+                                        bal.max_force)
     _finite_t(t_target)
     if schedule is None:
         schedule = auto_schedule(t_target)
@@ -373,19 +431,26 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
     if schedule and abs(schedule[-1] - t_target) > 1e-15:
         raise ScheduleError("schedule must end at t_target")
 
-    st = GluingState.central(cfg, 0.0, K=K, epsilon=epsilon)
-    series = fix_omega(st)
+    states = [GluingState.central(cfg, 0.0, K=K, epsilon=epsilon) for cfg in cfgs]
     # the tail pattern of each buffer layer; a window has both at its ends
-    reads = {k: cfg.right_tail if k > 0 else cfg.left_tail
-             for k in st.logical_range() if k not in st.active_range()}
-    tails = {tail: _continue(GluingState.central(c, 0.0, epsilon=epsilon), schedule)
-             for tail, c in (_tail_configs(cfg) if reads else {}).items()}
-    runs = {k: tails[tail][1] for k, tail in reads.items()}
-    # a tail state is one even period, so k modulo its length keeps parity
-    clamps = [{k: solved[i][k % len(solved[i])] for k, solved in runs.items()}
-              for i in range(len(schedule))]
-    report = _continue(st, schedule, series, callback, clamps)[0]
-    if tails:
-        report = replace(report, tail_reports={"left": tails[cfg.left_tail][0],
-                                               "right": tails[cfg.right_tail][0]})
-    return report
+    reads = [{k: (cfg.tau, cfg.right_tail if k > 0 else cfg.left_tail)
+              for k in st.logical_range() if k not in st.active_range()}
+             for cfg, st in zip(cfgs, states)]
+    stacks = {(cfg.tau, tail): c for cfg, read in zip(cfgs, reads) if read
+              for tail, c in _tail_configs(cfg).items()}
+    tails = {key: _continue(GluingState.central(c, 0.0, epsilon=epsilon), schedule)
+             for key, c in stacks.items()}
+    reports = []
+    for cfg, st, read in zip(cfgs, states, reads):
+        series = fix_omega(st)
+        runs = {k: tails[key][1] for k, key in read.items()}
+        # a tail state is one even period, so k modulo its length keeps parity
+        clamps = [{k: solved[i][k % len(solved[i])] for k, solved in runs.items()}
+                  for i in range(len(schedule))]
+        report = _continue(st, schedule, series, callback, clamps)[0]
+        if read:
+            report = replace(report, tail_reports={
+                "left": tails[cfg.tau, cfg.left_tail][0],
+                "right": tails[cfg.tau, cfg.right_tail][0]})
+        reports.append(report)
+    return reports

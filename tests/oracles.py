@@ -14,7 +14,10 @@ cell can be held to the longer one.  So is the multi-pass recipe: it
 rebuilds the opened-node caches from separate zeta / wp_eval / wp_derivs
 calls, so the fused evaluators can be held to the same bits.  Likewise
 the plain finite-difference loop recomputes every jet of every Jacobian
-column, for the solver's loop that reuses them, and the layer-patch
+column of every layer, for the solver's loop that reuses them and
+differences each distinct layer once.  A cyclic state unfolded over two
+periods gives build_mesh one patch per layer, for the mesh that folds
+layer n_tori onto layer 0, and the layer-patch
 loops integrate one segment, triangulate one grid cell, count one face
 edge and grow the spanning tree one node at a time, for the batched seam
 legs, the array grid faces, the sorted edge count and the frontier walk.
@@ -375,6 +378,23 @@ def fd_blocks_plain(st, series, active, flat):
             blocks[i, :, c] = (rp - r0) / FD_STEP
         set_fresh(j, x0)
     return blocks
+
+
+def unfolded_cyclic(st, series):
+    """A cyclic state and its series over two periods: the stored tori,
+    their caches and their lambda rows repeat, so every layer carries the
+    data it has in st, but layer n_tori of st is stored apart from layer
+    0.  build_mesh on it integrates one patch per meshed layer."""
+    from dataclasses import replace
+
+    from stackedmin.opening import GluingState, TorusData
+
+    n = st.n_tori
+    twice = GluingState(t=st.t, tori=[TorusData(T.a, T.bhat, T.tau, T.v) for T in st.tori * 2],
+                        k_lo=st.k_lo, epsilon=st.epsilon, tau_ref=st.tau_ref,
+                        q0_ref=st.q0_ref, left_period=2 * n, right_period=2 * n,
+                        _layers=st._layers * 2)
+    return twice, replace(series, lam=np.concatenate([series.lam, series.lam]))
 
 
 # ---------------------------------------------------------------------------

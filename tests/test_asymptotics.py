@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_coords
 from stackedmin.immersion import build_mesh
-from stackedmin import asymptotics, configs
-from stackedmin.opening import GluingState, fix_omega
+from stackedmin import asymptotics, configs, solver
+from stackedmin.opening import GluingState, _chart_radius, central_layout, fix_omega
 from stackedmin.solver import newton_continuation
 from stackedmin.asymptotics import (
     DegenerateFitError,
@@ -100,12 +100,13 @@ def test_pair_chart_radius_needs_no_state(name, monkeypatch):
         full.append(only is None)
         return refresh(self, only)
 
-    def solve(cfg, t, K, epsilon, **kw):
-        eps.append(epsilon)
-        return SimpleNamespace(state=SimpleNamespace(k_lo=-K, tori=[]))
+    def solve(cfgs, t, K, epsilon, **kw):
+        eps.extend([epsilon] * len(cfgs))
+        return [SimpleNamespace(state=SimpleNamespace(k_lo=-K, tori=[]))
+                for _ in cfgs]
 
     monkeypatch.setattr(GluingState, "refresh", counted)
-    monkeypatch.setattr(asymptotics, "newton_continuation", solve)
+    monkeypatch.setattr(asymptotics, "_continue_stacks", solve)
     pair_solve(ref, defect, 0.01, K=8)
     assert eps and not full
     central = [GluingState.central(c, 0.0, K=8).epsilon
@@ -125,11 +126,59 @@ def test_pair_rejects_misaligned_windows_before_solving(monkeypatch):
     def solve(*args, **kw):  # pragma: no cover - the failure under test
         raise AssertionError("solved before the windows were compared")
 
-    monkeypatch.setattr(asymptotics, "newton_continuation", solve)
+    monkeypatch.setattr(asymptotics, "_continue_stacks", solve)
     with pytest.raises(ValueError, match="misaligned") as info:
         pair_solve(ref, defect, 0.01, K=9)
     msg = str(info.value)
     assert "25 tori from k=-12" in msg and "31 from k=-15" in msg
+
+
+def test_pair_continues_each_tail_once(monkeypatch):
+    """The reference's own stack is also the defect's right tail, so a
+    pair continues two tail stacks, not three.  Its states, callback
+    events and decay report are those of two separate solves with the
+    same chart radius, bit for bit."""
+    twin = catalog("twin-rPD", K=2)
+    ref = upper_reference(twin)
+    K, t = 5, 0.01
+    eps = min(_chart_radius(central_layout(c, K)[0]) for c in (ref, twin))
+    continued, run = [], solver._continue
+
+    def counted(st, *args, **kw):
+        continued.append(st.n_buffer == 0)
+        return run(st, *args, **kw)
+
+    monkeypatch.setattr(solver, "_continue", counted)
+    events = []
+    pair = pair_solve(ref, twin, t, K=K, callback=events.append)
+    assert continued == [True, True, False, False]
+    monkeypatch.undo()
+    separate = []
+    solo = [newton_continuation(c, t, K=K, epsilon=eps, callback=separate.append).state
+            for c in (ref, twin)]
+    assert repr(events) == repr(separate)
+    for got, want in zip(pair, solo):
+        assert (got.k_lo, got.epsilon, got.t) == (want.k_lo, want.epsilon, want.t)
+        assert np.array_equal([solver._get_block(got, j) for j in range(got.n_tori)],
+                              [solver._get_block(want, j) for j in range(want.n_tori)])
+    got, want = decay_fit(*pair), decay_fit(*solo)
+    assert got.fit_ks == want.fit_ks == [1, 2]
+    assert (got.rate, got.r_squared) == (want.rate, want.r_squared)
+    assert np.array_equal(got.d, want.d) and np.array_equal(got.w, want.w)
+
+
+def test_pair_chart_radius_passes_the_chart_check():
+    """The shared radius is at most each window's own, so the central
+    states of both windows and of their tails accept it."""
+    for name in DEFECT_NAMES:
+        defect = catalog(name)
+        ref = upper_reference(defect)
+        eps = min(_chart_radius(central_layout(c, 8)[0]) for c in (ref, defect))
+        stacks = [*solver._tail_configs(defect).values(), *solver._tail_configs(ref).values()]
+        for c in (ref, defect):
+            assert GluingState.central(c, 0.0, K=8, epsilon=eps).epsilon == eps
+        for c in stacks:
+            assert GluingState.central(c, 0.0, epsilon=eps).epsilon == eps
 
 
 def test_paired_windows_share_geometry(twin_pair, cross_pair):

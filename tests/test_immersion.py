@@ -1,6 +1,7 @@
 """Weierstrass data, patch integration, and mesh assembly."""
 
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -318,6 +319,37 @@ def test_build_mesh_theta_passes(rpd, rpd_mesh, monkeypatch):
         assert np.array_equal(got.faces, ref.faces)
 
 
+def test_folded_layer_reuses_its_patch(rpd, rpd_mesh, monkeypatch):
+    """Layer 2 of cyclic rPD folds onto layer 0, so build_mesh integrates
+    two patches for its three layers; the mesh equals the one built with
+    one patch per layer, on the state unfolded over two periods."""
+    st, series = rpd
+    calls, integrate = [], immersion.integrate_layer
+
+    def counted(k, *args, **kw):
+        calls.append(k)
+        return integrate(k, *args, **kw)
+
+    monkeypatch.setattr(immersion, "integrate_layer", counted)
+    mesh = build_mesh(st, series)
+    assert calls == [0, 1]
+    calls.clear()
+    ref = build_mesh(*oracles.unfolded_cyclic(st, series), k_range=range(3))
+    assert calls == [0, 1, 2]
+    for got in (mesh, rpd_mesh):
+        for name in ("raw", "faces", "face_k", "face_part"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert json.dumps(mesh_summary(got)) == json.dumps(mesh_summary(ref))
+        for key, val in ref.reports.items():
+            if key == "neck_grids":
+                assert all(np.array_equal(got.reports[key][k][part], grid)
+                           for k, grids in val.items() for part, grid in grids.items())
+            elif key == "flux":
+                assert all(np.array_equal(got.reports[key][k], v) for k, v in val.items())
+            else:
+                assert got.reports[key] == val, key
+
+
 def test_lattice_period_displacements(rpd):
     st, series = rpd
     for k in (0, 1):
@@ -454,6 +486,19 @@ def test_embeddedness_battery(rpd_mesh):
         assert diag["convex"] and diag["simple"]
     for diag in emb["intersections"].values():
         assert diag["pairs"] == 0
+
+
+def test_turned_layer_face_fails_the_graph_check(rpd_mesh):
+    """A layer face turned over keeps its |n3| but reverses its sign
+    against the rest of the layer, so the graph check fails."""
+    faces = rpd_mesh.faces.copy()
+    i = int(np.flatnonzero(rpd_mesh.face_part == immersion.LAYER)[0])
+    faces[i] = faces[i, ::-1]
+    emb = embeddedness_diagnostics(dataclasses.replace(rpd_mesh, faces=faces))
+    k = int(rpd_mesh.face_k[i])
+    assert emb["graph"][k]["min_n3"] < 0 < embeddedness_diagnostics(
+        rpd_mesh)["graph"][k]["min_n3"]
+    assert not emb["graph"][k]["pass"] and not emb["pass"]
 
 
 def _seam_n3(mesh) -> float:

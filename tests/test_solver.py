@@ -13,9 +13,13 @@ from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
 from stackedmin.immersion import _cell_rep
+from stackedmin.asymptotics import upper_reference
 from stackedmin.opening import (
+    ChartError,
     GluingState,
     NonContractionError,
+    _chart_radius,
+    central_layout,
     fix_omega,
     mirror_conj,
     omega_eval,
@@ -317,6 +321,78 @@ def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
     assert batched == 5 * plain[0]
 
 
+def _twin_window(defect: bool):
+    """twin-rPD, or its periodic reference, on a K = 4 window at t = 0.01
+    with its series: layers far from the defect repeat bit for bit."""
+    cfg = catalog("twin-rPD", K=2)
+    st = GluingState.central(cfg if defect else upper_reference(cfg), 0.01, K=4)
+    return st, fix_omega(st)
+
+
+def _distinct_layers(st, series, ks):
+    """Parameter block, lambda row and parity of each layer, the inputs
+    of its residual row and Jacobian block, without repeats."""
+    return {(_get_block(st, st.index_of(k)).tobytes(),
+             series.lam[st.index_of(k)].tobytes(), k % 2) for k in ks}
+
+
+@pytest.mark.parametrize("defect", [True, False], ids=["twin-rPD", "reference"])
+def test_repeated_layers_are_evaluated_once(defect, monkeypatch):
+    """full_residual and _fd_blocks evaluate each distinct (parameter
+    block, lambda row, parity) once, and every active layer gets the row
+    and the block that the plain loop computes for it, bit for bit."""
+    st, series = _twin_window(defect)
+    ref_st, ref_series = _twin_window(defect)
+    active = tuple(st.active_range())
+    distinct = _distinct_layers(st, series, active)
+    assert len(distinct) < len(active)
+    rows = np.array([_block_residual(ref_st, ref_series, k) for k in active])
+    calls = []
+
+    def counted(st, series, k, tori=None):
+        calls.append(k)
+        return _block_residual(st, series, k, tori)
+
+    monkeypatch.setattr(solver, "_block_residual", counted)
+    res = full_residual(st, series, active)
+    assert len(calls) == len(distinct)
+    assert np.array_equal(res.entries, rows)
+    calls.clear()
+    got = _fd_blocks(st, series, active, res.flat())
+    assert len(calls) == len(distinct)
+    monkeypatch.undo()
+    ref = oracles.fd_blocks_plain(ref_st, ref_series, active, res.flat())
+    assert np.array_equal(got, ref)
+
+
+def test_equal_blocks_share_one_refresh(monkeypatch):
+    """Setting several tori to the same bits refreshes once per distinct
+    block, and leaves the caches a refresh of each torus builds."""
+    st, _ = _twin_window(False)
+    ref_st, _ = _twin_window(False)
+    moved = {j: _get_block(st, j) + 1e-4 * (j % 2 + 1) for j in range(st.n_tori)}
+    refreshes, refresh = [], GluingState.refresh
+
+    def counted(self, only=None):
+        refreshes.append(only)
+        return refresh(self, only)
+
+    monkeypatch.setattr(GluingState, "refresh", counted)
+    solver._set_blocks(st, moved)
+    assert len(refreshes) == len({x.tobytes() for x in moved.values()}) == 2
+    monkeypatch.undo()
+    for j, x in moved.items():
+        _set_block(ref_st, j, x)
+    for j in range(st.n_tori):
+        a, b = st._layers[j], ref_st._layers[j]
+        for name_ in ("coeffs", "eta", "mu"):
+            assert np.array_equal(getattr(a.forms, name_), getattr(b.forms, name_))
+        for side in ("node", "zero"):
+            for name_ in ("z", "dz", "g", "gp", "w0", "fvals", "base", "cols"):
+                assert np.array_equal(getattr(a.circles[side], name_),
+                                      getattr(b.circles[side], name_)), (j, side, name_)
+
+
 def test_closed_neck_jacobian_blocks():
     st = central()
     series = fix_omega(st)
@@ -518,6 +594,20 @@ def test_unreachable_targets_raise_schedule_error():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_overlapping_charts_are_refused_at_entry(monkeypatch):
+    """A chart radius past the one the rPD tori admit is refused with a
+    ChartError that names it and `_chart_radius`, before any step."""
+    def solve(*args, **kw):  # pragma: no cover - the failure under test
+        raise AssertionError("stepped with overlapping charts")
+
+    monkeypatch.setattr(solver, "_solve_at_t", solve)
+    with pytest.raises(ChartError) as err:
+        newton_continuation(catalog("rPD"), 0.12, epsilon=0.26)
+    radius = _chart_radius(central_layout(catalog("rPD"))[0])
+    assert "epsilon = 0.26" in str(err.value)
+    assert f"_chart_radius of these tori is {radius:g}" in str(err.value)
 
 
 def test_unbalanced_stack_is_refused_at_entry():
