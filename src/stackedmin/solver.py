@@ -219,7 +219,7 @@ def _set_blocks(st, blocks: dict):
     which a refresh builds from the torus alone."""
     done = {}
     for j, x in blocks.items():
-        key = np.asarray(x).tobytes()
+        key = x.tobytes()
         if key in done:
             _put_block(st, j, x)
             st._layers[j] = st._layers[done[key]]
