@@ -9,6 +9,7 @@ absolute k so that relabeling the window does not move the tails.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,13 @@ class Configuration:
         object.__setattr__(self, "window", tuple(complex(q) for q in self.window))
         object.__setattr__(self, "left_tail", tuple(complex(q) for q in self.left_tail))
         object.__setattr__(self, "right_tail", tuple(complex(q) for q in self.right_tail))
+        if not cmath.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
+        for name, steps in (("window", self.window), ("left_tail", self.left_tail),
+                            ("right_tail", self.right_tail)):
+            for i, q in enumerate(steps):
+                if not cmath.isfinite(q):
+                    raise ValueError(f"{name}[{i}] must be finite, got {q}")
         if self.tau.imag <= 0:
             raise ValueError("Im tau must be positive")
         if len(self.window) % 2 != 1:

@@ -895,6 +895,7 @@ def _tri_tri_batch(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     Normals and the line direction are unit vectors, so every comparison
     is a length against the length eps.  Pairs whose planes meet at
     sin(angle) < COPLANAR_SIN take the 2D separating-axis test instead.
+    In both branches, triangles that touch within eps intersect.
     """
     n1 = _unit_rows(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
     n2 = _unit_rows(np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]))
@@ -911,7 +912,7 @@ def _tri_tri_batch(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     d = d[sel] / sin[sel, None]
     lo1, hi1 = _line_interval(p[sel], dp[sel], d, eps)
     lo2, hi2 = _line_interval(q[sel], dq[sel], d, eps)
-    out[sel] = ~((hi1 < lo2 + eps) | (hi2 < lo1 + eps))
+    out[sel] = ~((hi1 < lo2 - eps) | (hi2 < lo1 - eps))
     return out
 
 

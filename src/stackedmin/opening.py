@@ -52,18 +52,30 @@ def mirror_conj(z: complex, k: int) -> complex:
     return z if k % 2 == 0 else -z.conjugate()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorusData:
     """Parameters of one layer: g(z) = a*(zeta(z) - zeta(z - v)) + b.
 
     The additive constant is stored as the offset bhat from the balanced
     value, so b = -a*xi_raw(v) + bhat and bhat = 0 at central data.
+
+    A torus is a value: a solve puts a new one in place of the old, and
+    tori with the same `block` bytes share one cache (`GluingState.refresh`).
     """
 
     a: complex
     bhat: complex
     tau: complex
     v: complex
+
+    def block(self) -> np.ndarray:
+        """The solver's 8 floats: bhat, a, tau, v as (re, im) pairs."""
+        return np.array([self.bhat, self.a, self.tau, self.v], dtype=complex).view(float)
+
+    @classmethod
+    def from_block(cls, x) -> "TorusData":
+        return cls(bhat=complex(x[0], x[1]), a=complex(x[2], x[3]),
+                   tau=complex(x[4], x[5]), v=complex(x[6], x[7]))
 
     @property
     def lattice(self) -> Lattice:
@@ -100,9 +112,6 @@ class TorusData:
         """g and g' = a*(wp(z - v) - wp(z)) from one pair of jets."""
         (zeta_z, wp_z), (zeta_zv, wp_zv) = self.jets(z, 0)
         return self.a * (zeta_z - zeta_zv) + self.b, self.a * (wp_zv[0] - wp_z[0])
-
-    def gp(self, z):
-        return self.g_and_gp(z)[1]
 
 
 def _shortest_vector(tau: complex) -> float:
@@ -158,7 +167,7 @@ def _charts_disjoint(tori: list[TorusData], eps: float) -> bool:
 
 
 def _distinct(tori: list[TorusData]) -> list[TorusData]:
-    return list({(T.a, T.bhat, T.tau, T.v): T for T in tori}.values())
+    return list({T.block().tobytes(): T for T in tori}.values())
 
 
 def _chart_radius(tori: list[TorusData]) -> float:
@@ -395,6 +404,11 @@ class GluingState:
     preserves layer parity.  A window keeps n_buffer >= N_BUFFER clamped
     layers at each end; a cyclic state is a window at k_lo = 0 with no
     buffer, folding k to k mod len(tori).  rho is epsilon/4.
+
+    The tori are frozen values, so a stored torus changes only by putting
+    a new one in its place and refreshing its index.  Stored tori with
+    equal `TorusData.block` bytes share one `LayerRows`, from construction
+    on (`refresh`).
     """
 
     n_max: ClassVar[int] = DEFAULT_N_MAX
@@ -471,29 +485,33 @@ class GluingState:
         flux is normalised against; a constant of the state."""
         return hecke_G(self.q0_ref, lattice_for(self.tau_ref))
 
-    def refresh(self, only: int | None = None) -> None:
-        """Rebuild form and contour caches, for one stored torus or all.
+    def refresh(self, only=None) -> None:
+        """Rebuild form and contour caches, for every stored torus or for
+        the stored indices in only, after new tori are put in place; caches
+        do not depend on t, so rescaling t alone needs no refresh.
 
-        Must be called after mutating torus parameters; caches do not
-        depend on t, so rescaling t alone needs no refresh.
-
-        Torus j is one set of `_circle_sets`, stored as the `LayerRows`
-        _layers[j]: its `FormTable` (coefficients (2, n_max-1, n_max-1) by
-        pole, order and wp derivative, with the eta and mu vectors) and its
-        circles, completed with the neck-matching integrals base and cols.
-        The residual evaluator reads it as it reads the sets of the
-        Jacobian's moved rows, which never touch the state.
+        Each distinct `TorusData.block` among the refreshed tori is one set
+        of `_circle_sets`, built once as the `LayerRows` that each refreshed
+        torus with those bytes stores as _layers[j]: its `FormTable`
+        (coefficients (2, n_max-1, n_max-1) by pole, order and wp
+        derivative, with the eta and mu vectors) and its circles, completed
+        with the neck-matching integrals base and cols.  A set reads only
+        its torus, a value, so sharing it keeps every bit.  The residual
+        evaluator reads it as it reads the sets of the Jacobian's moved
+        rows, which never touch the state.
         """
         if self._layers is None or only is None:
             self._layers = [None] * self.n_tori
-            todo = range(self.n_tori)
-        else:
-            todo = [only]
-        for j in todo:
-            (_, rows), = _circle_sets(self, self.tori[j])
-            for cc in rows.circles.values():
-                _add_matching(cc, self.n_max, self.rho)
-            self._layers[j] = rows
+            only = range(self.n_tori)
+        built = {}
+        for j in only:
+            key = self.tori[j].block().tobytes()
+            if key not in built:
+                (_, rows), = _circle_sets(self, self.tori[j])
+                for cc in rows.circles.values():
+                    _add_matching(cc, self.n_max, self.rho)
+                built[key] = rows
+            self._layers[j] = built[key]
 
     def circle(self, k: int, side: str) -> CircleCache:
         """Cached contour around 0_k (side 'zero') or v_k (side 'node')."""
@@ -636,12 +654,6 @@ def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
             if lm != 0:
                 val = val + w * lm * fminus[n - 2]
     return gv, val
-
-
-def omega_eval(st: GluingState, series: OmegaSeries, k: int, z):
-    """Density of the glued form on layer k at points of that torus."""
-    val = gauss_and_omega(st, series, k, z)[1]
-    return val if val.shape else complex(val)
 
 
 def omega_on_circle(st: GluingState, series: OmegaSeries, k: int, side: str,

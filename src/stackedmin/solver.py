@@ -166,7 +166,7 @@ def _layer_key(st, series, k) -> tuple:
     read besides constants of the state: the bytes of its parameter block
     and of its lambda row, and its parity."""
     j = st.index_of(k)
-    return _get_block(st, j).tobytes(), series.lam[j].tobytes(), k % 2
+    return st.tori[j].block().tobytes(), series.lam[j].tobytes(), k % 2
 
 
 def full_residual(st: GluingState, series: OmegaSeries, ks=None) -> ResidualVector:
@@ -189,43 +189,13 @@ def full_residual(st: GluingState, series: OmegaSeries, ks=None) -> ResidualVect
 # Newton continuation
 
 
-def _get_block(st, j):
-    T = st.tori[j]
-    vals = (T.bhat, T.a, T.tau, T.v)
-    out = np.empty(8)
-    out[0::2] = [v.real for v in map(complex, vals)]
-    out[1::2] = [v.imag for v in map(complex, vals)]
-    return out
-
-
-def _torus(x) -> TorusData:
-    return TorusData(bhat=complex(x[0], x[1]), a=complex(x[2], x[3]),
-                     tau=complex(x[4], x[5]), v=complex(x[6], x[7]))
-
-
-def _put_block(st, j, x):
-    T, new = st.tori[j], _torus(x)
-    T.bhat, T.a, T.tau, T.v = new.bhat, new.a, new.tau, new.v
-
-
-def _set_block(st, j, x):
-    _put_block(st, j, x)
-    st.refresh(only=j)
-
-
 def _set_blocks(st, blocks: dict):
-    """`_set_block` for each stored torus j of blocks {j: x}, refreshing
-    each distinct block once: tori set to the same bits share its caches,
-    which a refresh builds from the torus alone."""
-    done = {}
+    """Put the torus of parameter block x at stored index j for each
+    {j: x} of blocks, then refresh those indices; equal blocks share one
+    cache build (`GluingState.refresh`)."""
     for j, x in blocks.items():
-        key = x.tobytes()
-        if key in done:
-            _put_block(st, j, x)
-            st._layers[j] = st._layers[done[key]]
-        else:
-            _set_block(st, j, x)
-            done[key] = j
+        st.tori[j] = TorusData.from_block(x)
+    st.refresh(list(blocks))
 
 
 def _fd_blocks(st, series, active, flat):
@@ -253,12 +223,12 @@ def _fd_blocks(st, series, active, flat):
             blocks[i] = blocks[first[key]]
             continue
         first[key] = i
-        x0 = _get_block(st, st.index_of(k))
+        x0 = st.torus(k).block()
         moved = []
         for c in range(8):
             xp = x0.copy()
             xp[c] += FD_STEP
-            moved.append(_torus(xp))
+            moved.append(TorusData.from_block(xp))
         res = _block_residual(st, series, k, moved)
         rp = np.empty((8, 8))
         rp[:, 0::2], rp[:, 1::2] = res.real, res.imag
@@ -317,7 +287,7 @@ def _solve_at_t(st, active, callback=None):
             raise _step_failure("Newton stalled", st, res, history)
         blocks = _fd_blocks(st, series, active, flat)
         dx = np.linalg.solve(blocks, -flat.reshape(n_act, 8, 1))[..., 0]
-        base = [_get_block(st, st.index_of(k)) for k in active]
+        base = [st.torus(k).block() for k in active]
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             _set_blocks(st, {st.index_of(k): base[i] + scale * dx[i]
@@ -375,7 +345,7 @@ def _continue(st, schedule, series=None, callback=None, clamps=None):
         _set_blocks(st, {st.index_of(k): x for k, x in clamp.items()})
         series, step = _solve_at_t(st, active, callback)
         steps.append(step)
-        solved.append([_get_block(st, j) for j in range(st.n_tori)])
+        solved.append([T.block() for T in st.tori])
     return SolveReport(steps=tuple(steps), state=st, series=series), solved
 
 

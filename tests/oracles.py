@@ -33,7 +33,8 @@ xi on reduced coordinates, the node positions of a configuration, the
 Weierstrass triple phi and its per-layer gap between two states
 (differential_rows), and the gap between a defect mesh and its periodic
 reference after unwinding whole periods (tpms_comparison).  So are the
-chart value w = 1/g, the Gauss component, the third-kind form and the
+chart value w = 1/g, the Gauss component and its derivative, the
+glued-form density at given points, the third-kind form and the
 pointwise value of a neck Laurent series.  Two cross-checks close the file.  zeros_symmetric gets the symmetric
 functions of the zeros of a layer Gauss component from argument-principle
 integrals over a cell boundary, without locating the zeros, against
@@ -112,7 +113,7 @@ def second_kind_alpha_oracle(st, k: int, n: int, points,
     dw = 1j * w * (2 * np.pi / n_contour)
     z = T.v - T.a * w
     for _ in range(40):
-        z = z - (T.g(z) - 1.0 / w) / T.gp(z)
+        z = z - (T.g(z) - 1.0 / w) / gp(T, z)
     assert np.max(np.abs(1.0 / T.g(z) - w)) < 1e-12
 
     from stackedmin.opening import path_base
@@ -358,15 +359,15 @@ def fd_blocks_plain(st, series, active, flat):
     """Forward-difference Jacobian blocks by the plain loop: each column
     and the restore refresh the layer, so every column computes its jets
     afresh."""
-    from stackedmin.solver import FD_STEP, _block_residual, _get_block, _set_block
+    from stackedmin.solver import FD_STEP, _block_residual, _set_blocks
 
     def set_fresh(j, x):
-        _set_block(st, j, x)
+        _set_blocks(st, {j: x})
 
     blocks = np.empty((len(active), 8, 8))
     for i, k in enumerate(active):
         j = st.index_of(k)
-        x0 = _get_block(st, j)
+        x0 = st.tori[j].block()
         r0 = flat[8 * i : 8 * i + 8]
         for c in range(8):
             xp = x0.copy()
@@ -387,10 +388,10 @@ def unfolded_cyclic(st, series):
     0.  build_mesh on it integrates one patch per meshed layer."""
     from dataclasses import replace
 
-    from stackedmin.opening import GluingState, TorusData
+    from stackedmin.opening import GluingState
 
     n = st.n_tori
-    twice = GluingState(t=st.t, tori=[TorusData(T.a, T.bhat, T.tau, T.v) for T in st.tori * 2],
+    twice = GluingState(t=st.t, tori=st.tori * 2,
                         k_lo=st.k_lo, epsilon=st.epsilon, tau_ref=st.tau_ref,
                         q0_ref=st.q0_ref, left_period=2 * n, right_period=2 * n,
                         _layers=st._layers * 2)
@@ -599,7 +600,8 @@ def tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float) -> bool:
     """Moller interval test; coplanar pairs fall back to 2D separation.
 
     Normals and the line direction are unit vectors, so every quantity
-    compared against the length eps is itself a length.
+    compared against the length eps is itself a length.  Triangles that
+    touch within eps intersect, coplanar or not.
     """
     from stackedmin.immersion import COPLANAR_SIN
 
@@ -632,7 +634,7 @@ def tri_tri_intersect(p: np.ndarray, q: np.ndarray, eps: float) -> bool:
         if not pts:
             return False
         iv.append((min(pts), max(pts)))
-    return not (iv[0][1] < iv[1][0] + eps or iv[1][1] < iv[0][0] + eps)
+    return not (iv[0][1] < iv[1][0] - eps or iv[1][1] < iv[0][0] - eps)
 
 
 def sweep_pairs_one_axis(lo: np.ndarray, hi: np.ndarray, faces: np.ndarray,
@@ -817,6 +819,19 @@ def tpms_comparison(mesh_periodic, mesh_defect, ell: int, period: int = 2) -> fl
 def gauss_component(st, k: int, z):
     """g_k, the degree-2 elliptic building block of the Gauss map."""
     return st.torus(k).g(z)
+
+
+def gp(T, z):
+    """g' of one torus, from the jet pair that also gives g."""
+    return T.g_and_gp(z)[1]
+
+
+def omega_eval(st, series, k: int, z):
+    """Density of the glued form on layer k at points of that torus."""
+    from stackedmin.opening import gauss_and_omega
+
+    val = gauss_and_omega(st, series, k, z)[1]
+    return val if val.shape else complex(val)
 
 
 def neck_coordinate(st, k: int, sign: str, z) -> complex:

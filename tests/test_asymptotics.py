@@ -159,8 +159,8 @@ def test_pair_continues_each_tail_once(monkeypatch):
     assert repr(events) == repr(separate)
     for got, want in zip(pair, solo):
         assert (got.k_lo, got.epsilon, got.t) == (want.k_lo, want.epsilon, want.t)
-        assert np.array_equal([solver._get_block(got, j) for j in range(got.n_tori)],
-                              [solver._get_block(want, j) for j in range(want.n_tori)])
+        assert np.array_equal([T.block() for T in got.tori],
+                              [T.block() for T in want.tori])
     got, want = decay_fit(*pair), decay_fit(*solo)
     assert got.fit_ks == want.fit_ks == [1, 2]
     assert (got.rate, got.r_squared) == (want.rate, want.r_squared)

@@ -1,7 +1,10 @@
-"""Tests for the console script declared in pyproject.toml."""
+"""Tests for the console script and the dependencies declared in pyproject.toml."""
 
+import ast
 import importlib
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,26 @@ def test_declared_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_runtime_imports_are_numpy_scipy_and_the_standard_library():
+    """Every module of the package imports only the standard library,
+    numpy, scipy and the package itself, and numpy and scipy are exactly
+    the dependencies pyproject.toml declares."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    declared = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+    assert sorted(re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared) == ["numpy", "scipy"]
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "stackedmin"}
+    modules = sorted((root / "src" / "stackedmin").glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)

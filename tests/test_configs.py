@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +227,34 @@ def test_json_round_trip():
 def test_malformed_json_rejected():
     with pytest.raises(ValueError):
         config_from_dict({"tau": [0.0, 1.0]})
+
+
+@pytest.mark.parametrize("where, match", [
+    ("tau", "tau must be finite"),
+    ("window", r"window\[1\] must be finite"),
+    ("left_tail", r"left_tail\[0\] must be finite"),
+    ("right_tail", r"right_tail\[1\] must be finite"),
+])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_values_are_refused(where, match, bad):
+    """A NaN or infinite tau or step is refused with its index, also when
+    it comes from JSON, which Python reads with NaN and Infinity."""
+    args = {"tau": 0.3 + 1j, "window": (0.5, 0.5, 0.5), "left_tail": (0.5,),
+            "right_tail": (0.5, 0.5)}
+    value = args[where]
+    if where == "tau":
+        args["tau"] = complex(value.real, bad)
+    else:
+        at = 0 if where == "left_tail" else 1
+        args[where] = value[:at] + (complex(bad, 0.1),) + value[at + 1:]
+    with pytest.raises(ValueError, match=match):
+        Configuration(**args)
+    pair = lambda z: [complex(z).real, complex(z).imag]
+    text = json.dumps({"tau": pair(args.pop("tau")),
+                       **{k: [pair(q) for q in v] for k, v in args.items()}})
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ValueError, match=match):
+        config_from_dict(json.loads(text))
 
 
 @settings(max_examples=20, deadline=None)

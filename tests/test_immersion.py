@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import weierstrass_phi, zeros_symmetric
+from oracles import omega_eval, weierstrass_phi, zeros_symmetric
 from stackedmin import elliptic, immersion
 from stackedmin.configs import Configuration, catalog
 from stackedmin.elliptic import PoleError, lattice_for
 from stackedmin.hecke import hecke_G, solve_G_equals_C
-from stackedmin.opening import GluingState, fix_omega, laurent_coeffs, omega_eval
+from stackedmin.opening import GluingState, fix_omega, laurent_coeffs
 from stackedmin.solver import newton_continuation
 from stackedmin.immersion import (
     LAURENT_ORDER,
@@ -686,10 +686,11 @@ def _triangle_soup(seed: int = 11):
     # an edge along an edge; a vertex on the face
     expected[p, add([[0.05, 0, 0], [0.25, 0, 0], [0.15, 0, 0.3]], [3, 0, 0])] = True
     expected[p, add([[0.1, 0.1, 0], [0.2, 0.1, 0.3], [0.1, 0.2, 0.3]], [3, 0, 0])] = True
-    # the two intervals on the line of the planes meet at one end
+    # the two intervals on the line of the planes meet at one end: a
+    # touch, which intersects as a coplanar touch does
     p = add(unit, [3, 1, 0])
     expected[p, add([[0.3, -0.1, -0.1], [0.5, -0.1, -0.1], [0.3, 0.1, 0.1]],
-                    [3, 1, 0])] = False
+                    [3, 1, 0])] = True
     # coplanar: overlapping, touching along an edge, apart; then the
     # overlapping and apart pairs again, tilted off the coordinate planes
     inner = [[0.1, 0.1, 0], [0.4, 0.1, 0], [0.1, 0.4, 0]]
@@ -761,7 +762,7 @@ def test_loop_residual_error_names_an_unbalanced_state(rpd):
     doubled grid, so the error blames the state and not the grid."""
     st, _ = rpd
     bad = copy.deepcopy(st)
-    bad.tori[0].bhat += 0.02
+    bad.tori[0] = dataclasses.replace(bad.tori[0], bhat=bad.tori[0].bhat + 0.02)
     bad.refresh()
     with pytest.raises(LoopResidualError) as info:
         integrate_layer(0, bad, fix_omega(bad))
@@ -778,7 +779,7 @@ def test_loop_residual_error_names_an_unbalanced_state(rpd):
 def test_unbalanced_state_is_rejected(rpd):
     st, series = rpd
     bad = copy.deepcopy(st)
-    bad.tori[0].bhat += 0.02
+    bad.tori[0] = dataclasses.replace(bad.tori[0], bhat=bad.tori[0].bhat + 0.02)
     bad.refresh()
     bad_series = fix_omega(bad)
     nl = laurent_coeffs(bad, bad_series, 0, LAURENT_ORDER)

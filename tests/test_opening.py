@@ -1,6 +1,8 @@
 """Tests for the node-opening machinery: charts, forms, and the omega fixed point."""
 
+import itertools
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import oracles
-from oracles import gauss_component, neck_coordinate, second_kind_form, third_kind_form
+from oracles import (gauss_component, neck_coordinate, omega_eval, second_kind_form,
+                     third_kind_form)
 from stackedmin import opening
+from stackedmin.asymptotics import upper_reference
 from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import weierstrass_jet, wp_derivs
 from stackedmin.opening import (
@@ -27,10 +31,10 @@ from stackedmin.opening import (
     laurent_coeffs,
     mirror_conj,
     neck_point,
-    omega_eval,
     omega_on_circle,
     path_base,
 )
+from stackedmin.solver import full_residual
 
 
 @pytest.fixture(scope="module")
@@ -272,9 +276,8 @@ def test_fix_omega_periods(rpd):
 def test_lambda_decay_envelope():
     # generic (perturbed) state, so no symmetry zeroes out coefficients
     st = GluingState.central(catalog("rPD"), 0.015)
-    st.tori[0].bhat = 0.04 - 0.02j
-    st.tori[0].v += 0.03 + 0.02j
-    st.tori[1].a = -0.5 + 0.03j
+    st.tori[0] = replace(st.tori[0], bhat=0.04 - 0.02j, v=st.tori[0].v + (0.03 + 0.02j))
+    st.tori[1] = replace(st.tori[1], a=-0.5 + 0.03j)
     st.refresh()
     series = fix_omega(st)
     assert series.update_norms[-1] < FIX_TOL
@@ -332,7 +335,7 @@ def test_laurent_reconstruction(rpd):
         for ang in np.linspace(0.1, 6.0, 7):
             w = r * np.exp(1j * ang)
             z = neck_point(st, 0, "+", w)
-            dzdw = -tor.g(z) ** 2 / tor.gp(z)
+            dzdw = -tor.g(z) ** 2 / oracles.gp(tor, z)
             direct = omega_eval(st, series, 0, np.array([z]))[0] * dzdw
             assert abs(oracles.neck_laurent_value(lc, w) - direct) < tol
 
@@ -371,10 +374,10 @@ def test_annulus_pullback(rpd):
                 w = r * np.exp(1j * ang)
                 zp = neck_point(st, k, "+", w)
                 lhs = omega_eval(st, series, k, np.array([zp]))[0]
-                lhs *= -tk.g(zp) ** 2 / tk.gp(zp)
+                lhs *= -tk.g(zp) ** 2 / oracles.gp(tk, zp)
                 zm = neck_point(st, k + 1, "-", t * t / w)
                 rhs = omega_eval(st, series, k + 1, np.array([zm]))[0]
-                rhs *= (-tn.g(zm) ** 2 / tn.gp(zm)) * (-t * t / w**2)
+                rhs *= (-tn.g(zm) ** 2 / oracles.gp(tn, zm)) * (-t * t / w**2)
                 worst = max(worst, abs(lhs - rhs))
         errs[r] = worst
     assert errs[t] < 1e-11
@@ -425,6 +428,59 @@ def test_chart_radius_checks_each_distinct_torus_once(monkeypatch):
     assert eps == opening._chart_radius(distinct)
 
 
+@pytest.mark.parametrize("name, builds", [("twin-rPD", 4), ("reference", 2)])
+def test_equal_tori_share_one_cache_from_construction(name, builds, monkeypatch):
+    """The K = 8 window stores 23 tori; construction builds one cache per
+    distinct parameter block, and equal tori hold the same `LayerRows`."""
+    calls, circle_sets = [], opening._circle_sets
+
+    def counted(st, tori):
+        calls.append(tori)
+        return circle_sets(st, tori)
+
+    monkeypatch.setattr(opening, "_circle_sets", counted)
+    twin = catalog("twin-rPD")
+    st = GluingState.central(twin if name == "twin-rPD" else upper_reference(twin), 0.0, K=8)
+    assert (st.n_tori, len(calls)) == (23, builds)
+    keys = [T.block().tobytes() for T in st.tori]
+    assert len(set(keys)) == builds
+    for i, j in itertools.combinations(range(st.n_tori), 2):
+        assert (st._layers[i] is st._layers[j]) == (keys[i] == keys[j]), (i, j)
+
+
+def test_torus_is_a_frozen_value():
+    T = opening.central_layout(catalog("rPD"))[0][1]
+    with pytest.raises(FrozenInstanceError):
+        T.a = -0.4
+    back = TorusData.from_block(T.block())
+    assert back.block().tobytes() == T.block().tobytes()
+    assert [back.bhat, back.a, back.tau, back.v] == [T.bhat, T.a, T.tau, T.v]
+
+
+def test_replacing_one_torus_of_a_shared_group():
+    """A torus put in place of one member of a shared group and refreshed
+    alone leaves the other members' caches as they were: every residual
+    row equals that of a state built fresh on the same tori, bit for bit."""
+    st = GluingState.central(catalog("twin-rPD", K=2), 0.01, K=4)
+    j = st.index_of(3)
+    group = [i for i in range(st.n_tori) if st._layers[i] is st._layers[j]]
+    assert len(group) > 2
+    before = full_residual(st, fix_omega(st)).entries
+    T = st.tori[j]
+    st.tori[j] = replace(T, bhat=T.bhat + (0.004 + 0.002j), v=T.v + 0.002)
+    st.refresh([j])
+    assert st._layers[j] is not st._layers[group[0]]
+    assert all(st._layers[i] is st._layers[group[-1]] for i in group if i != j)
+    fresh = GluingState(t=st.t, tori=list(st.tori), k_lo=st.k_lo, epsilon=st.epsilon,
+                        tau_ref=st.tau_ref, q0_ref=st.q0_ref, left_period=st.left_period,
+                        right_period=st.right_period, n_buffer=st.n_buffer)
+    series, fresh_series = fix_omega(st), fix_omega(fresh)
+    assert np.array_equal(series.lam, fresh_series.lam)
+    got, want = full_residual(st, series), full_residual(fresh, fresh_series)
+    assert np.array_equal(got.entries, want.entries)
+    assert not np.array_equal(got.entries[j], before[j])
+
+
 def test_window_fold(rpdh):
     st, series = rpdh
     assert st.n_buffer > 0
@@ -450,10 +506,9 @@ def _perturbed(st, k):
     """Move layer k off the central data so every coefficient is generic."""
     j = st.index_of(k)
     T = st.tori[j]
-    T.a += 0.013 - 0.007j
-    T.bhat += 0.004 + 0.002j
-    T.v += 0.002 - 0.003j
-    st.refresh(only=j)
+    st.tori[j] = replace(T, a=T.a + (0.013 - 0.007j), bhat=T.bhat + (0.004 + 0.002j),
+                         v=T.v + (0.002 - 0.003j))
+    st.refresh([j])
     return j
 
 

@@ -1,14 +1,15 @@
 """Newton continuation on the opened-node parameter system."""
 
 import signal
+from dataclasses import replace
 
 import numpy as np
 import numpy.polynomial.legendre as leg
 import pytest
 
 import oracles
-from oracles import _cell_corner, zeros_symmetric
-from stackedmin import configs, elliptic, solver
+from oracles import _cell_corner, omega_eval, zeros_symmetric
+from stackedmin import configs, elliptic, opening, solver
 from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
@@ -22,7 +23,6 @@ from stackedmin.opening import (
     central_layout,
     fix_omega,
     mirror_conj,
-    omega_eval,
     omega_jmax,
     omega_on_circle,
 )
@@ -32,8 +32,7 @@ from stackedmin.solver import (
     StepFailure,
     _block_residual,
     _fd_blocks,
-    _get_block,
-    _set_block,
+    _set_blocks,
     auto_schedule,
     full_residual,
     newton_continuation,
@@ -62,9 +61,8 @@ def test_central_residual_vanishes(name):
 
 def test_regularity_closed_form():
     st = central()
-    st.tori[0].bhat = 0.03 - 0.015j
-    st.tori[0].a = -0.48 + 0.01j
-    st.tori[1].bhat = -0.01 + 0.02j
+    st.tori[0] = replace(st.tori[0], bhat=0.03 - 0.015j, a=-0.48 + 0.01j)
+    st.tori[1] = replace(st.tori[1], bhat=-0.01 + 0.02j)
     st.refresh()
     series = fix_omega(st)
     for k in (0, 1):
@@ -75,8 +73,8 @@ def test_regularity_closed_form():
 
 def test_period_closed_forms():
     st = central()
-    st.tori[0].a = -0.45 + 0.02j
-    st.tori[1].a = -0.52 - 0.03j
+    st.tori[0] = replace(st.tori[0], a=-0.45 + 0.02j)
+    st.tori[1] = replace(st.tori[1], a=-0.52 - 0.03j)
     st.refresh()
     series = fix_omega(st)
     r1, r2 = full_residual(st, series, (0,)).entries[0, 1:3]
@@ -95,8 +93,8 @@ def test_balance_linearization(k):
     # of the balance function, composed with the layer reflection
     st = central()
     delta = 1e-5 * (1 + 0.7j)
-    st.tori[k].v += delta
-    st.refresh(k)
+    st.tori[k] = replace(st.tori[k], v=st.tori[k].v + delta)
+    st.refresh([k])
     series = fix_omega(st)
     r = full_residual(st, series, (k,)).entries[0, 3]
     J = hecke_jacobian(catalog("rPD").q(k), lattice_for(st.tau_ref))
@@ -114,7 +112,7 @@ def _tracked_roots(T, z0):
     seeds = [z0 + x + y * T.tau for x in xs for y in xs]
     basis = np.array([[1.0, T.tau.real], [0.0, T.tau.imag]])
     uniq = {}
-    for r in oracles.newton_roots_of(T.g, T.gp, seeds):
+    for r in oracles.newton_roots_of(T.g, lambda z: oracles.gp(T, z), seeds):
         c = r - z0
         al, be = np.linalg.solve(basis, [c.real, c.imag])
         uniq[(round(al % 1.0, 6), round(be % 1.0, 6))] = (al % 1.0, be % 1.0)
@@ -123,8 +121,8 @@ def _tracked_roots(T, z0):
 
 def test_zeros_match_tracked_roots():
     st = central(t=0.012)
-    st.tori[0].bhat = 0.05 - 0.02j
-    st.refresh(0)
+    st.tori[0] = replace(st.tori[0], bhat=0.05 - 0.02j)
+    st.refresh([0])
     s1, s2 = zeros_symmetric(0, st)
     T = st.torus(0)
     roots = _tracked_roots(T, _cell_corner(T))
@@ -141,8 +139,8 @@ def test_zeros_match_tracked_roots():
 
 def test_regularity_sums_omega_over_zeros():
     st = central(t=0.012)
-    st.tori[0].bhat = 0.05 - 0.02j
-    st.refresh(0)
+    st.tori[0] = replace(st.tori[0], bhat=0.05 - 0.02j)
+    st.refresh([0])
     series = fix_omega(st)
     T = st.torus(0)
     roots = _tracked_roots(T, _cell_corner(T))
@@ -182,8 +180,8 @@ def _rational_kernel_E(st, series, k, s1, s2, nodes=96):
 
 def test_regularity_rational_kernel_route():
     st = central(t=0.012)
-    st.tori[0].bhat = 0.05 - 0.02j
-    st.refresh(0)
+    st.tori[0] = replace(st.tori[0], bhat=0.05 - 0.02j)
+    st.refresh([0])
     series = fix_omega(st)
     s1, s2 = zeros_symmetric(0, st)
     other = _rational_kernel_E(st, series, 0, s1, s2)
@@ -206,22 +204,22 @@ def _anti2(c):
 
 def _fd_block(st, series, k, h=1e-6):
     j = st.index_of(k)
-    x0 = _get_block(st, j)
+    x0 = st.tori[j].block()
     out = np.empty((8, 8))
     for c in range(8):
         xp = x0.copy()
         xp[c] += h
-        _set_block(st, j, xp)
+        _set_blocks(st, {j: xp})
         bp = _block_residual(st, series, k)
         xm = x0.copy()
         xm[c] -= h
-        _set_block(st, j, xm)
+        _set_blocks(st, {j: xm})
         bm = _block_residual(st, series, k)
         col = np.empty(8)
         col[0::2] = (bp.real - bm.real) / (2 * h)
         col[1::2] = (bp.imag - bm.imag) / (2 * h)
         out[:, c] = col
-    _set_block(st, j, x0)
+    _set_blocks(st, {j: x0})
     return out
 
 
@@ -231,11 +229,9 @@ def _perturbed_layer(name, K, k, t=0.01):
     st = GluingState.central(catalog(name, K=2), t, K=K)
     j = st.index_of(k)
     T = st.tori[j]
-    T.a += 0.013 - 0.007j
-    T.bhat += 0.004 + 0.002j
-    T.tau += 0.003 + 0.001j
-    T.v += 0.002 - 0.003j
-    st.refresh(only=j)
+    st.tori[j] = replace(T, a=T.a + (0.013 - 0.007j), bhat=T.bhat + (0.004 + 0.002j),
+                         tau=T.tau + (0.003 + 0.001j), v=T.v + (0.002 - 0.003j))
+    st.refresh([j])
     series = fix_omega(st)
     return st, series, full_residual(st, series, (k,)).flat()
 
@@ -261,7 +257,7 @@ def test_fd_blocks_match_plain_loop(name, K, k, t):
     assert np.array_equal(full_residual(st, series, (k,)).entries,
                           _block_residual(st, series, k, [st.torus(k)]))
     j = st.index_of(k)
-    assert np.array_equal(_get_block(st, j), _get_block(ref_st, j))
+    assert np.array_equal(st.tori[j].block(), ref_st.tori[j].block())
     for sign in "+-":
         for n in range(2, st.n_max + 1):
             form = oracles.form_view(st, k, sign, n)
@@ -308,13 +304,13 @@ def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
     omegas.clear()
     full_residual(st, series)
     assert len(omegas) == 2 * st.n_tori
-    x0 = _get_block(st, 1)
+    x0 = st.tori[1].block()
     plain = []
     for c in range(8):
         points.clear()
         xp = x0.copy()
         xp[c] += FD_STEP
-        _set_block(st, 1, xp)
+        _set_blocks(st, {1: xp})
         _block_residual(st, series, 1)
         plain.append(sum(points))
     assert len(set(plain)) == 1
@@ -332,7 +328,7 @@ def _twin_window(defect: bool):
 def _distinct_layers(st, series, ks):
     """Parameter block, lambda row and parity of each layer, the inputs
     of its residual row and Jacobian block, without repeats."""
-    return {(_get_block(st, st.index_of(k)).tobytes(),
+    return {(st.torus(k).block().tobytes(),
              series.lam[st.index_of(k)].tobytes(), k % 2) for k in ks}
 
 
@@ -366,23 +362,31 @@ def test_repeated_layers_are_evaluated_once(defect, monkeypatch):
 
 
 def test_equal_blocks_share_one_refresh(monkeypatch):
-    """Setting several tori to the same bits refreshes once per distinct
-    block, and leaves the caches a refresh of each torus builds."""
+    """Setting several tori to the same bits builds one cache per distinct
+    block in one refresh, and leaves the caches a refresh of each torus
+    builds."""
     st, _ = _twin_window(False)
     ref_st, _ = _twin_window(False)
-    moved = {j: _get_block(st, j) + 1e-4 * (j % 2 + 1) for j in range(st.n_tori)}
-    refreshes, refresh = [], GluingState.refresh
+    moved = {j: st.tori[j].block() + 1e-4 * (j % 2 + 1) for j in range(st.n_tori)}
+    refreshes, builds = [], []
+    refresh, circle_sets = GluingState.refresh, opening._circle_sets
 
     def counted(self, only=None):
         refreshes.append(only)
         return refresh(self, only)
 
+    def counted_sets(st, tori):
+        builds.append(tori)
+        return circle_sets(st, tori)
+
     monkeypatch.setattr(GluingState, "refresh", counted)
+    monkeypatch.setattr(opening, "_circle_sets", counted_sets)
     solver._set_blocks(st, moved)
-    assert len(refreshes) == len({x.tobytes() for x in moved.values()}) == 2
+    assert refreshes == [list(moved)]
+    assert len(builds) == len({x.tobytes() for x in moved.values()}) == 2
     monkeypatch.undo()
     for j, x in moved.items():
-        _set_block(ref_st, j, x)
+        _set_blocks(ref_st, {j: x})
     for j in range(st.n_tori):
         a, b = st._layers[j], ref_st._layers[j]
         for name_ in ("coeffs", "eta", "mu"):
