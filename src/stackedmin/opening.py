@@ -218,8 +218,9 @@ class FormTable:
     """The second-kind forms of one torus, all orders at both poles (sign
     s = 0 at v, 1 at 0).  The order-n density is the sum over m <= n of
     coeffs[s, n-2, m-2] wp^(m-2)(z - pole), plus eta[s, n-2] = c_2 eta1
-    and mu[s, n-2]; coeffs is zero above the diagonal.  The table of
-    parameter rows (`_circle_sets`) has a trailing row axis on all three."""
+    and mu[s, n-2]; coeffs is zero above the diagonal.  All three carry a
+    trailing row axis, one entry per parameter row of the table's set
+    (`_circle_sets`); a stored torus is a set of one row."""
 
     coeffs: np.ndarray
     eta: np.ndarray
@@ -227,24 +228,22 @@ class FormTable:
 
     def values(self, s: int, derivs, out=None):
         """Densities of all orders of sign s, shape (n_max-1,) + z.shape,
-        from the wp stack at z - pole; a row table takes z with a leading
-        row axis, one row per parameter row.
+        from the wp stack at z - pole, where z has a leading row axis, one
+        row per parameter row of the table.
 
         The loop over the coefficient index updates only the rows of the
         orders it reaches, so each form sums its terms in its own order.
-        A single point takes Python scalars, which round unlike arrays.
-        An array result can go into out.
+        The result can go into out.
         """
         c = self.coeffs[s]
-        # one entry per order, then the row axes of a row table
+        # one entry per order, the row axis, then the point axes of z
         row = (-1,) + c.shape[2:] + (1,) * (np.ndim(derivs) + 1 - c.ndim)
-        c = c if len(row) > 1 else c.astype(object)
         val = np.multiply(c[:, 0].reshape(row), derivs[0], out=out)
         for m in range(1, len(c)):
             val[m:] += c[m:, m].reshape(row) * derivs[m]
         val += self.eta[s].reshape(row)
         val += self.mu[s].reshape(row)
-        return np.asarray(val, dtype=complex)
+        return val
 
 
 def _circle_nodes(center: complex, radius: float, m: int):
@@ -255,24 +254,18 @@ def _circle_nodes(center: complex, radius: float, m: int):
 
 
 def _gauss_constants(tori):
-    """a, b and xi_raw(v) of one torus, or their columns (rows, 1) over
-    row tori, each computed as a scalar."""
+    """a, b and xi_raw(v) of row tori as columns (rows, 1), each entry
+    computed as a scalar."""
     fs = (lambda T: T.a, lambda T: T.b, lambda T: xi_raw(T.v, T.lattice))
-    if isinstance(tori, TorusData):
-        return tuple(f(tori) for f in fs)
     return tuple(np.array([f(T) for T in tori])[:, None] for f in fs)
 
 
 def _point_sets(tori, points, jmax: int):
-    """For one torus, ([0], points(T), T.jets of them).  For row tori,
-    each distinct (tau, v) with the rows that share it, its points and its
-    jet pair, all with a leading set axis of length one.  The sets of one
-    tau come from one `TorusData.jets` call, which is bit-identical to a
-    call per set, and one tau is evaluated at a time."""
-    if isinstance(tori, TorusData):
-        z = points(tori)
-        yield [0], z, tori.jets(z, jmax)
-        return
+    """Each distinct (tau, v) of row tori with the rows that share it,
+    its points and its jet pair, all with a leading set axis of length
+    one.  The sets of one tau come from one `TorusData.jets` call, which
+    is bit-identical to a call per set, and one tau is evaluated at a
+    time."""
     keys = [(T.tau, T.v) for T in tori]
     sets = list(dict.fromkeys(keys))
     for tau in dict.fromkeys(key[0] for key in sets):
@@ -286,16 +279,16 @@ def _point_sets(tori, points, jmax: int):
                    ((zeta_z[at], d_z[:, at]), (zeta_zv[at], d_zv[:, at])))
 
 
-def _build_forms(T, n_max: int, circles: dict) -> FormTable:
+def _build_forms(tori, n_max: int, circles: dict) -> FormTable:
     """Principal-part matching at both poles by contour coefficient
     extraction of -g^(n-2) g' = target principal part of dw/w^n.
 
     One product of h_n = -g^(n-2) g' with the contour powers gives every
-    coefficient of one form, each one sum over the nodes.  T is one
-    torus, or the row tori of circle fields with a leading row axis; the
-    products with eta1 stay scalar, row by row.
+    coefficient of one form, each one sum over the nodes.  tori are the
+    rows of circle fields with a leading row axis (one row for a stored
+    torus); the products with eta1 stay scalar, row by row.
     """
-    lats = [U.lattice for U in (T if isinstance(T, list) else [T])]
+    lats = [T.lattice for T in tori]
     width = n_max - 1
     orders = range(2, n_max + 1)
     rows = np.shape(circles["node"][3])[:-1]
@@ -321,9 +314,10 @@ def _build_forms(T, n_max: int, circles: dict) -> FormTable:
 @dataclass
 class CircleCache:
     """Quadrature nodes around one pole with every field the contour
-    integrals need: g, g', the base form, and the second-kind stack; a
-    row axis before the node axis for a set of parameter rows.  `refresh`
-    adds base and cols, which only the neck-matching system reads."""
+    integrals need: g, g', the base form, and the second-kind stack, each
+    with a row axis before the node axis, one row per parameter row of its
+    set (one for a stored torus).  `refresh` adds base and cols from row 0,
+    which only the neck-matching system reads."""
 
     center: complex
     z: np.ndarray
@@ -331,19 +325,20 @@ class CircleCache:
     g: np.ndarray
     gp: np.ndarray
     w0: np.ndarray
-    fvals: np.ndarray  # (sign, n-2, node), not rho-weighted
+    fvals: np.ndarray  # (sign, n-2, row, node), not rho-weighted
     base: np.ndarray = None  # (n-2,): -(1/2 pi i) integral g^(n-1) w0 dz
     cols: np.ndarray = None  # (n-2, sign, m-2): same with rho^(m-1) f in place of w0
 
 
 @dataclass(frozen=True)
 class LayerRows:
-    """One (tau, v) set of a layer: a torus, or the parameter rows that
-    share its tau and v, with their form table and, while needed, their
-    contour caches by side.  `refresh` stores one per torus; the residual
-    evaluator takes it and the sets of moved parameter rows alike."""
+    """One (tau, v) set of a layer: the parameter rows that share its tau
+    and v, with their form table and, while needed, their contour caches
+    by side, every array with a row axis.  `refresh` stores a set of one
+    row per distinct torus; the residual evaluator takes it and the sets
+    of moved parameter rows alike."""
 
-    tori: TorusData | list[TorusData]
+    tori: list[TorusData]
     forms: FormTable
     circles: dict | None
 
@@ -351,7 +346,8 @@ class LayerRows:
 def _circle_sets(st: "GluingState", tori):
     """The rows that share each distinct (tau, v) of row tori, with the
     form table and the contour caches (without base and cols) that a
-    refresh builds for them, in a `LayerRows`; one torus is one set.
+    refresh builds for them, in a `LayerRows` with a row axis; a stored
+    torus is the one-row set of [T].
 
     The rows of a set share their circle nodes and jets, which broadcast
     against a row axis before the node axis, and the sets of one tau
@@ -366,8 +362,8 @@ def _circle_sets(st: "GluingState", tori):
     sides = [_point_sets(tori, lambda T, c=c: _circle_nodes(c(T), r, m)[0], jmax)
              for c in centers.values()]
     for (rows, *node), (_, *zero) in zip(*sides):
-        sub = tori if isinstance(tori, TorusData) else [tori[i] for i in rows]
-        first = sub if isinstance(sub, TorusData) else sub[0]
+        sub = [tori[i] for i in rows]
+        first = sub[0]
         a, b, xiv = _gauss_constants(sub)
         jets = {}
         for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in zip(centers, (node, zero)):
@@ -387,11 +383,12 @@ def _circle_sets(st: "GluingState", tori):
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
-    """The neck-matching integrals base and cols of one state circle."""
-    powers = cc.g ** np.arange(1, n_max)[:, None]  # g^(n-1) for n = 2..n_max
-    cc.base = -np.sum(powers * cc.w0 * cc.dz, axis=1) / (2j * np.pi)
+    """The neck-matching integrals base and cols of row 0 of one state
+    circle."""
+    powers = cc.g[0] ** np.arange(1, n_max)[:, None]  # g^(n-1) for n = 2..n_max
+    cc.base = -np.sum(powers * cc.w0[0] * cc.dz, axis=1) / (2j * np.pi)
     rhow = rho ** np.arange(1, n_max)  # rho^(m-1)
-    weighted = rhow[None, :, None] * cc.fvals  # (sign, m-2, node)
+    weighted = rhow[None, :, None] * cc.fvals[:, :, 0]  # (sign, m-2, node)
     cc.cols = -np.einsum("in,smn,n->ism", powers, weighted, cc.dz) / (2j * np.pi)
 
 
@@ -490,12 +487,13 @@ class GluingState:
         the stored indices in only, after new tori are put in place; caches
         do not depend on t, so rescaling t alone needs no refresh.
 
-        Each distinct `TorusData.block` among the refreshed tori is one set
-        of `_circle_sets`, built once as the `LayerRows` that each refreshed
-        torus with those bytes stores as _layers[j]: its `FormTable`
-        (coefficients (2, n_max-1, n_max-1) by pole, order and wp
-        derivative, with the eta and mu vectors) and its circles, completed
-        with the neck-matching integrals base and cols.  A set reads only
+        Each distinct `TorusData.block` among the refreshed tori is the
+        one-row set `_circle_sets(self, [T])`, built once as the `LayerRows`
+        that each refreshed torus with those bytes stores as _layers[j]: its
+        `FormTable` (coefficients (2, n_max-1, n_max-1, 1) by pole, order,
+        wp derivative and row, with the eta and mu vectors) and its circles
+        with their row axis, completed from row 0 with the neck-matching
+        integrals base and cols.  A set reads only
         its torus, a value, so sharing it keeps every bit.  The residual
         evaluator reads it as it reads the sets of the Jacobian's moved
         rows, which never touch the state.
@@ -507,7 +505,7 @@ class GluingState:
         for j in only:
             key = self.tori[j].block().tobytes()
             if key not in built:
-                (_, rows), = _circle_sets(self, self.tori[j])
+                (_, rows), = _circle_sets(self, [self.tori[j]])
                 for cc in rows.circles.values():
                     _add_matching(cc, self.n_max, self.rho)
                 built[key] = rows
@@ -625,25 +623,27 @@ def omega_jmax(st: GluingState, series: OmegaSeries, j: int) -> int:
 def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     """g_k and the density of the glued form on layer k at the same
     points of that torus, from one pair of Weierstrass jets; two arrays
-    shaped like z."""
+    shaped like z, from the one row of the stored set."""
     j = st.index_of(k)
-    za = np.asarray(z, dtype=complex)
-    return gauss_and_omega_from_jets(
+    za = np.asarray(z, dtype=complex).reshape(1, -1)
+    gv, val = gauss_and_omega_from_jets(
         st, series, j, st.tori[j].jets(za, omega_jmax(st, series, j)), st._layers[j])
+    return gv.reshape(np.shape(z)), val.reshape(np.shape(z))
 
 
 def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
                               jets: tuple, lr: LayerRows):
     """`gauss_and_omega` on stored torus j from the jet pair of one set lr
-    of it (`LayerRows`: the state's own, or parameter rows, one result row
-    per row), which `TorusData.jets` made at order `omega_jmax`."""
+    of it (`LayerRows`: the state's own, or parameter rows), one result
+    row per row, which `TorusData.jets` made at order `omega_jmax` on
+    points with a leading row axis."""
     row = series.lam[j]
     live = np.any(row != 0)
     (zeta_z, dminus), (zeta_zv, dplus) = jets
     s = zeta_z - zeta_zv
     a, b, xiv = _gauss_constants(lr.tori)
-    gv = np.asarray(a * s + b, dtype=complex)
-    val = np.asarray(s - xiv, dtype=complex)
+    gv = a * s + b
+    val = s - xiv
     if live:
         fplus, fminus = lr.forms.values(0, dplus), lr.forms.values(1, dminus)
         for n in range(2, st.n_max + 1):
@@ -659,8 +659,8 @@ def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
 def omega_on_circle(st: GluingState, series: OmegaSeries, k: int, side: str,
                     rows: LayerRows | None = None):
     """Density of the glued form at the cached contour nodes of layer k,
-    or at the contour nodes of a set of its parameter rows, one result
-    row per row."""
+    or at the contour nodes of a set of its parameter rows; one result
+    row per row, so the state's own circle gives one row."""
     j = st.index_of(k)
     cc = (st._layers[j] if rows is None else rows).circles[side]
     row = series.lam[j]

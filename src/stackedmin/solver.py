@@ -70,9 +70,9 @@ def _circle_residuals(st, series, k, rows: LayerRows):
     for side in ("zero", "node"):
         cc = rows.circles[side]
         W = omega_on_circle(st, series, k, side, rows)
-        sums.append(np.atleast_1d(np.sum(W * cc.gp / cc.g * cc.dz, axis=-1)))
+        sums.append(np.sum(W * cc.gp / cc.g * cc.dz, axis=-1))
         if side == "zero":
-            fluxes = np.atleast_1d(np.sum(cc.g * W * cc.dz, axis=-1))
+            fluxes = np.sum(cc.g * W * cc.dz, axis=-1)
     # the scalar stages, row by row
     E = [-(0j + zero / (2j * np.pi) + node / (2j * np.pi)) for zero, node in zip(*sums)]
     Gbal = []
@@ -85,18 +85,17 @@ def _circle_residuals(st, series, k, rows: LayerRows):
 
 def _period_residuals(st, series, k, tori, sets: list):
     """Period residuals P1, P2 of the horizontal displacement over both
-    cycles, one column per row of tori (one torus is one row).  sets holds
+    cycles, one column per row of tori.  sets holds
     the `LayerRows` of each (tau, v) set in the order of `_point_sets`;
     the paths read their form tables only.  The node sums of W/g and
     t^2 g W on the path from path_base(T) along each cycle are reduced
     set by set, and the sets of one tau share their jet call."""
     j = st.index_of(k)
-    row_tori = tori if isinstance(tori, list) else [tori]
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
-    out = np.empty((2, len(row_tori)), dtype=complex)
+    out = np.empty((2, len(tori)), dtype=complex)
     for i, (along, target) in enumerate(((lambda T: 1.0, 2.0 * (-1) ** k),
                                          (lambda T: T.tau, 2.0 * st.tau_ref))):
-        sums = np.empty((2, len(row_tori)), dtype=complex)
+        sums = np.empty((2, len(tori)), dtype=complex)
         points = _point_sets(tori, lambda T: path_base(T) + s * along(T),
                              omega_jmax(st, series, j))
         for (idx, _, jets), rows in zip(points, sets):
@@ -106,7 +105,7 @@ def _period_residuals(st, series, k, tori, sets: list):
             sums[0, idx] = np.sum(W / gv, axis=-1)
             sums[1, idx] = np.sum(st.t * st.t * gv * W, axis=-1)
         # the scalar stages, row by row
-        for r, (s_ginv, s_g, T) in enumerate(zip(*sums, row_tori)):
+        for r, (s_ginv, s_g, T) in enumerate(zip(*sums, tori)):
             dz = along(T) / PATH_NODES
             i_ginv, i_g = s_ginv * dz, s_g * dz
             if k % 2 == 0:
@@ -118,24 +117,25 @@ def _period_residuals(st, series, k, tori, sets: list):
 
 
 def _block_residual(st, series, k, tori=None):
-    """(E, P1, P2, Gbal) of layer k at the state's parameters, or one row
-    per parameter row in tori; full_residual and the Jacobian share it.
-    It works set by set: the state's layer is its stored `LayerRows`, and
-    the rows of tori that share a (tau, v) are one set of `_circle_sets`.
+    """(E, P1, P2, Gbal) of layer k, one row per parameter row in tori, of
+    shape (len(tori), 4); without tori, the one row of the state's
+    parameters.  full_residual and the Jacobian share it.  It works set
+    by set: the state's layer is its stored one-row `LayerRows`, and the
+    rows of tori that share a (tau, v) are one set of `_circle_sets`.
     Each set's circles give its E and Gbal and are then dropped; the
     period paths read only its form table."""
     if tori is None:
         j = st.index_of(k)
-        tori, sets = st.tori[j], [([0], st._layers[j])]
+        tori, sets = [st.tori[j]], [([0], st._layers[j])]
     else:
         sets = _circle_sets(st, tori)
-    out = np.empty((1 if isinstance(tori, TorusData) else len(tori), 4), dtype=complex)
+    out = np.empty((len(tori), 4), dtype=complex)
     paths = []
     for idx, rows in sets:
         out[idx, 0], out[idx, 3] = _circle_residuals(st, series, k, rows)
         paths.append(LayerRows(rows.tori, rows.forms, None))
     out[:, 1:3] = _period_residuals(st, series, k, tori, paths).T
-    return out[0] if isinstance(tori, TorusData) else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def full_residual(st: GluingState, series: OmegaSeries, ks=None) -> ResidualVect
     for i, k in enumerate(ks):
         key = _layer_key(st, series, k)
         if key not in first:
-            first[key] = _block_residual(st, series, k)
+            first[key] = _block_residual(st, series, k)[0]
         rows[i] = first[key]
     return ResidualVector(ks=tuple(ks), entries=rows)
 

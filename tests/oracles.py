@@ -234,14 +234,14 @@ class SecondKindForm:
 
 def form_view(st, k: int, sign: str, n: int) -> SecondKindForm:
     """The order-n form at v_k (sign +) or 0_k (-), read from one row of
-    the `FormTable` of layer k."""
+    the `FormTable` of layer k, in its one parameter row."""
     from stackedmin.opening import _SIGNS
 
     j, s = st.index_of(k), _SIGNS[sign]
     T, table = st.tori[j], st._layers[j].forms
     return SecondKindForm(lat=T.lattice, pole=(T.v, 0.0)[s], order=n,
-                          coeffs=tuple(table.coeffs[s, n - 2, : n - 1]),
-                          mu=complex(table.mu[s, n - 2]))
+                          coeffs=tuple(table.coeffs[s, n - 2, : n - 1, 0]),
+                          mu=complex(table.mu[s, n - 2, 0]))
 
 
 def form_value_from_derivs(form, derivs, alpha_normalized: bool = False):
@@ -374,7 +374,7 @@ def fd_blocks_plain(st, series, active, flat):
             xp[c] += FD_STEP
             set_fresh(j, xp)
             rp = np.empty(8)
-            blk = _block_residual(st, series, k)
+            blk = _block_residual(st, series, k)[0]
             rp[0::2], rp[1::2] = blk.real, blk.imag
             blocks[i, :, c] = (rp - r0) / FD_STEP
         set_fresh(j, x0)

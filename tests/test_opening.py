@@ -523,8 +523,8 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     r, m = st.contour_radius, CIRCLE_NODES
     forms = oracles.multipass_forms(T, st.n_max, r, m)
     table = st._layers[j].forms
-    assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1)
-    assert not np.any(np.triu(table.coeffs, 1))
+    assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1, 1)
+    assert not np.any(np.triu(table.coeffs[..., 0], 1))
     assert len(forms) == 2 * (st.n_max - 1)
     for (s, n), ref in forms.items():
         got = oracles.form_view(st, k, "+-"[s], n)
@@ -532,10 +532,12 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
             (ref.pole, ref.order, ref.coeffs, ref.mu)
     for side, center in (("node", T.v), ("zero", 0.0)):
         ref = oracles.multipass_circle(T, forms, center, st.n_max, st.rho, r, m)
-        got = st.circle(k, side)
-        for field_name in ("z", "dz", "g", "gp", "w0", "fvals", "base", "cols"):
-            assert np.array_equal(getattr(got, field_name),
-                                  getattr(ref, field_name)), (side, field_name)
+        cc = st.circle(k, side)
+        # the state's circle in its one parameter row
+        got = {"z": cc.z[0], "dz": cc.dz, "g": cc.g[0], "gp": cc.gp[0], "w0": cc.w0[0],
+               "fvals": cc.fvals[:, :, 0], "base": cc.base, "cols": cc.cols}
+        for field_name, value in got.items():
+            assert np.array_equal(value, getattr(ref, field_name)), (side, field_name)
 
     series = fix_omega(st)
     assert np.any(series.lam[j] != 0)
@@ -547,45 +549,60 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     g2, gp = T.g_and_gp(z)
     assert np.array_equal(g2, T.g(z))
     assert np.array_equal(gp, oracles._gp_multipass(T, z))
+    # a single point takes the array path: the bits of that point in z
     got = omega_eval(st, series, k, complex(z[3]))
     assert isinstance(got, complex)
-    assert got == oracles.multipass_omega(st, series, k, complex(z[3]))
+    assert got == oracles.multipass_omega(st, series, k, z)[3]
 
 
 @pytest.mark.parametrize("name, K, k", [("rPD", None, 1), ("twin-rPD", 3, 0)])
 def test_form_table_matches_per_form_loop(name, K, k):
     """The form table evaluates all orders of one pole at once and must
-    give the bits of the per-form loop: on the contour circles, on a
-    period path, at a scalar, a 0-d and a 2-D z."""
+    give the bits of the per-form loop on the contour circles, on a
+    period path and at a 2-D z.  The table has one parameter row, so the
+    wp stack takes a row axis of length one.
+
+    A single point, scalar or 0-d, gives the bits of the same point in a
+    one-point array.  Its orders share one array loop, which rounds
+    unlike the per-form loop's scalars (by about 3e-16 here), so against
+    that loop it agrees to 1e-15 only."""
     st = GluingState.central(catalog(name, K=2), 0.01, K=K)
     j = _perturbed(st, k)
     T, table = st.tori[j], st._layers[j].forms
-    assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1)
-    assert not np.any(np.triu(table.coeffs, 1))
+    assert table.coeffs.shape == (2, st.n_max - 1, st.n_max - 1, 1)
+    assert not np.any(np.triu(table.coeffs[..., 0], 1))
     z0 = path_base(T)
     line = z0 + np.linspace(0.05, 0.95, 6) * (0.6 + 0.3 * T.tau)
     points = {
-        "circle": st.circle(k, "node").z,
+        "circle": st.circle(k, "node").z[0],
         "path": z0 + (np.arange(512) + 0.5) / 512 * T.tau,
-        "scalar": complex(line[2]),
-        "0-d": np.asarray(line[2]),
         "2-D": line.reshape(2, 3) + np.array([[0.0], [0.03j]]),
     }
+    single = {"scalar": complex(line[2]), "0-d": np.asarray(line[2])}
     for s, sign in enumerate("+-"):
         pole = (T.v, 0.0)[s]
         for label, z in points.items():
             derivs = wp_derivs(np.asarray(z, complex) - pole, T.lattice, st.n_max - 2)
-            got = table.values(s, derivs)
-            assert got.shape == (st.n_max - 1,) + np.shape(z)
+            got = table.values(s, derivs[:, None])
+            assert got.shape == (st.n_max - 1, 1) + np.shape(z)
             for n in range(2, st.n_max + 1):
                 ref = oracles.form_value_from_derivs(
                     oracles.form_view(st, k, sign, n), derivs)
-                assert np.array_equal(got[n - 2], ref), (sign, label, n)
-                assert np.shape(got[n - 2]) == np.shape(ref)
+                assert np.array_equal(got[n - 2, 0], ref), (sign, label, n)
+                assert np.shape(got[n - 2, 0]) == np.shape(ref)
+        for label, z in single.items():
+            derivs = wp_derivs(np.asarray(z, complex) - pole, T.lattice, st.n_max - 2)
+            got = table.values(s, derivs[:, None])
+            assert got.shape == (st.n_max - 1, 1)
+            assert np.array_equal(got, table.values(s, derivs[:, None, None])[..., 0])
+            for n in range(2, st.n_max + 1):
+                ref = oracles.form_value_from_derivs(
+                    oracles.form_view(st, k, sign, n), derivs)
+                assert abs(got[n - 2, 0] - ref) <= 1e-15 * abs(ref), (sign, label, n)
         cc = st.circle(k, ("node", "zero")[s])
         for n in range(2, st.n_max + 1):
-            ref = second_kind_form(st, k, sign, n, cc.z)
-            assert np.array_equal(cc.fvals[s, n - 2], ref), (sign, n)
+            ref = second_kind_form(st, k, sign, n, cc.z[0])
+            assert np.array_equal(cc.fvals[s, n - 2, 0], ref), (sign, n)
 
 
 def test_form_table_mu_follows_the_complex_expression():
@@ -595,13 +612,15 @@ def test_form_table_mu_follows_the_complex_expression():
     T = st.tori[0]
     z, dz = _circle_nodes(0.0, st.contour_radius, 64)
     zpow = np.stack([z ** p for p in range(1, st.n_max)])
-    flat = (z, dz, None, np.ones(64, complex), np.zeros(64, complex), None, None, zpow)
-    for table in (st._layers[0].forms, _build_forms(T, st.n_max, {"node": flat, "zero": flat})):
+    # circle fields of one parameter row
+    flat = (z[None], dz, None, np.ones((1, 64), complex), np.zeros((1, 64), complex),
+            None, None, zpow[:, None])
+    for table in (st._layers[0].forms, _build_forms([T], st.n_max, {"node": flat, "zero": flat})):
         for s in (0, 1):
             for n in range(2, st.n_max + 1):
-                c2 = table.coeffs[s, n - 2, 0]
+                c2 = table.coeffs[s, n - 2, 0, 0]
                 want = -2j * np.pi * c2.imag / T.lattice.tau.imag
-                assert repr(complex(table.mu[s, n - 2])) == repr(want)
+                assert repr(complex(table.mu[s, n - 2, 0])) == repr(want)
 
 
 def test_jet_pair_matches_two_kernel_calls():
