@@ -7,8 +7,8 @@ Both continue the catalog configuration NAME by Newton continuation to
 the neck size T and print one JSON run record.  `solve` records the
 configuration, every Newton step (main and tails), the contraction
 estimate of the final glued form and the `nondegeneracy_check` of the
-stack, for information: a degenerate stack still solves.  `mesh` builds
-the surface mesh of the solved state and records its `mesh_summary`
+stack, for information: a degenerate stack still solves.  `mesh` (T > 0)
+builds the surface mesh of the solved state and records its `mesh_summary`
 with the embeddedness battery: intersecting face pairs per layer slab,
 the graph bound min_n3 per layer and the pass flag of each neck slice.
 Neither record holds timings, so the same command prints the same record.
@@ -50,6 +50,8 @@ def main(argv=None) -> int:
         cmd.add_argument("name", help="catalog configuration, e.g. rPD")
         cmd.add_argument("--t", type=float, required=True, help="target neck size")
     args = parser.parse_args(argv)
+    if args.command == "mesh" and args.t == 0:
+        parser.error("meshing needs t > 0")
     try:
         cfg = catalog(args.name)
         report = newton_continuation(cfg, args.t)

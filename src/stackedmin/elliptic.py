@@ -51,7 +51,9 @@ class PoleError(ValueError):
 
 
 def _eisenstein(tau: complex, weight: int) -> complex:
-    """Normalized Eisenstein series E2, E4 or E6 at Q = exp(2 pi i tau)."""
+    """Normalized Eisenstein series E2, E4 or E6 at Q = exp(2 pi i tau);
+    ValueError when it is cut at n = 401 with a last term above 2^-53 of
+    the sum, as on flat moduli such as tau = 0.01i."""
     Q = np.exp(2j * np.pi * tau)
     coeff = {2: -24.0, 4: 240.0, 6: -504.0}[weight]
     acc = 1.0 + 0j
@@ -63,6 +65,8 @@ def _eisenstein(tau: complex, weight: int) -> complex:
         if abs(term) < 1e-18 * abs(acc) or n > 400:
             break
         n += 1
+    if abs(term) > 2.0**-53 * abs(acc):
+        raise ValueError(f"weight-{weight} Eisenstein series at tau={tau} unconverged at n={n}")
     return complex(acc)
 
 
@@ -153,13 +157,14 @@ def reduce_centered(z, tau: complex):
     return np.asarray(z, dtype=complex) - m - n * tau, m, n
 
 
-def torus_distance(z1, z2, tau: complex) -> float:
-    """Distance on C/(Z + tau Z) between representatives z1, z2."""
+def torus_distance(z1, z2, tau: complex):
+    """Distance on C/(Z + tau Z) between z1 and z2: a float, or an array."""
     d, _, _ = reduce_centered(np.asarray(z1, dtype=complex) - z2, tau)
     # the centered representative may miss the true minimum for sheared
     # moduli, so compare against the four neighboring translates
     cands = [d, d + 1, d - 1, d + tau, d - tau, d + 1 + tau, d - 1 - tau, d + 1 - tau, d - 1 + tau]
-    return float(np.min(np.abs(cands), axis=0))
+    dist = np.min(np.abs(cands), axis=0)
+    return dist if dist.shape else float(dist)
 
 
 @dataclass(frozen=True)

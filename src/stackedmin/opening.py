@@ -157,8 +157,8 @@ def _charts_disjoint(tori: list[TorusData], eps: float) -> bool:
             zm = _invert_chart(T, "-", CHART_MARGIN * eps * th)
         except ChartError:
             return False
-        rp = max(torus_distance(z, T.v, T.tau) for z in zp)
-        rm = max(torus_distance(z, 0.0, T.tau) for z in zm)
+        rp = float(np.max(torus_distance(zp, T.v, T.tau)))
+        rm = float(np.max(torus_distance(zm, 0.0, T.tau)))
         d = torus_distance(0.0, T.v, T.tau)
         ell = _shortest_vector(T.tau)
         if rp + rm >= d or 2 * rp >= ell or 2 * rm >= ell:
@@ -218,9 +218,8 @@ class FormTable:
     """The second-kind forms of one torus, all orders at both poles (sign
     s = 0 at v, 1 at 0).  The order-n density is the sum over m <= n of
     coeffs[s, n-2, m-2] wp^(m-2)(z - pole), plus eta[s, n-2] = c_2 eta1
-    and mu[s, n-2]; coeffs is zero above the diagonal.  All three carry a
-    trailing row axis, one entry per parameter row of the table's set
-    (`_circle_sets`); a stored torus is a set of one row."""
+    and mu[s, n-2]; coeffs is zero above the diagonal.  All three end in
+    the row axis of a `_circle_sets` set, of length one for a stored torus."""
 
     coeffs: np.ndarray
     eta: np.ndarray
@@ -261,11 +260,10 @@ def _gauss_constants(tori):
 
 
 def _point_sets(tori, points, jmax: int):
-    """Each distinct (tau, v) of row tori with the rows that share it,
-    its points and its jet pair, all with a leading set axis of length
-    one.  The sets of one tau come from one `TorusData.jets` call, which
-    is bit-identical to a call per set, and one tau is evaluated at a
-    time."""
+    """Each distinct (tau, v) of row tori with the rows that share it, its
+    points and its jet pair, all with a leading set axis of length one.  The
+    sets of one tau come from one `TorusData.jets` call, bit-identical to a
+    call per set, and one tau is evaluated at a time."""
     keys = [(T.tau, T.v) for T in tori]
     sets = list(dict.fromkeys(keys))
     for tau in dict.fromkeys(key[0] for key in sets):
@@ -314,10 +312,9 @@ def _build_forms(tori, n_max: int, circles: dict) -> FormTable:
 @dataclass
 class CircleCache:
     """Quadrature nodes around one pole with every field the contour
-    integrals need: g, g', the base form, and the second-kind stack, each
-    with a row axis before the node axis, one row per parameter row of its
-    set (one for a stored torus).  `refresh` adds base and cols from row 0,
-    which only the neck-matching system reads."""
+    integrals need: g, g', the base form, and the second-kind stack, with
+    a row axis before the node axis.  `refresh` adds base and cols of row
+    0, which only the neck-matching system reads."""
 
     center: complex
     z: np.ndarray
@@ -334,9 +331,8 @@ class CircleCache:
 class LayerRows:
     """One (tau, v) set of a layer: the parameter rows that share its tau
     and v, with their form table and, while needed, their contour caches
-    by side, every array with a row axis.  `refresh` stores a set of one
-    row per distinct torus; the residual evaluator takes it and the sets
-    of moved parameter rows alike."""
+    by side, all with a row axis.  `refresh` stores a one-row set per
+    torus; the residual evaluator takes it and moved rows' sets alike."""
 
     tori: list[TorusData]
     forms: FormTable
@@ -346,8 +342,7 @@ class LayerRows:
 def _circle_sets(st: "GluingState", tori):
     """The rows that share each distinct (tau, v) of row tori, with the
     form table and the contour caches (without base and cols) that a
-    refresh builds for them, in a `LayerRows` with a row axis; a stored
-    torus is the one-row set of [T].
+    refresh builds for them, in a `LayerRows`; a stored torus T is [T].
 
     The rows of a set share their circle nodes and jets, which broadcast
     against a row axis before the node axis, and the sets of one tau
@@ -363,11 +358,10 @@ def _circle_sets(st: "GluingState", tori):
              for c in centers.values()]
     for (rows, *node), (_, *zero) in zip(*sides):
         sub = [tori[i] for i in rows]
-        first = sub[0]
         a, b, xiv = _gauss_constants(sub)
         jets = {}
         for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in zip(centers, (node, zero)):
-            zpow = np.stack([(z - centers[side](first)) ** p for p in range(1, jmax + 2)])
+            zpow = np.stack([(z - centers[side](sub[0])) ** p for p in range(1, jmax + 2)])
             s = zeta_z - zeta_zv
             jets[side] = (z, dz, s, a * s + b, a * (dplus[0] - dminus[0]),
                           dplus, dminus, zpow)
@@ -377,14 +371,13 @@ def _circle_sets(st: "GluingState", tori):
             fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
             forms.values(0, dplus, out=fvals[0])
             forms.values(1, dminus, out=fvals[1])
-            circles[side] = CircleCache(center=centers[side](first), z=z, dz=dz,
+            circles[side] = CircleCache(center=centers[side](sub[0]), z=z, dz=dz,
                                         g=gv, gp=gp, w0=s - xiv, fvals=fvals)
         yield rows, LayerRows(tori=sub, forms=forms, circles=circles)
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
-    """The neck-matching integrals base and cols of row 0 of one state
-    circle."""
+    """The neck-matching integrals base and cols of a state circle's row."""
     powers = cc.g[0] ** np.arange(1, n_max)[:, None]  # g^(n-1) for n = 2..n_max
     cc.base = -np.sum(powers * cc.w0[0] * cc.dz, axis=1) / (2j * np.pi)
     rhow = rho ** np.arange(1, n_max)  # rho^(m-1)
@@ -487,14 +480,13 @@ class GluingState:
         the stored indices in only, after new tori are put in place; caches
         do not depend on t, so rescaling t alone needs no refresh.
 
-        Each distinct `TorusData.block` among the refreshed tori is the
+        Each distinct `TorusData.block` T among the refreshed tori is the
         one-row set `_circle_sets(self, [T])`, built once as the `LayerRows`
         that each refreshed torus with those bytes stores as _layers[j]: its
         `FormTable` (coefficients (2, n_max-1, n_max-1, 1) by pole, order,
-        wp derivative and row, with the eta and mu vectors) and its circles
-        with their row axis, completed from row 0 with the neck-matching
-        integrals base and cols.  A set reads only
-        its torus, a value, so sharing it keeps every bit.  The residual
+        wp derivative and row) and its circles, completed with the
+        neck-matching integrals base and cols.  A set reads only its torus,
+        a value, so sharing it keeps every bit.  The residual
         evaluator reads it as it reads the sets of the Jacobian's moved
         rows, which never touch the state.
         """
@@ -634,9 +626,8 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
 def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
                               jets: tuple, lr: LayerRows):
     """`gauss_and_omega` on stored torus j from the jet pair of one set lr
-    of it (`LayerRows`: the state's own, or parameter rows), one result
-    row per row, which `TorusData.jets` made at order `omega_jmax` on
-    points with a leading row axis."""
+    of it (`LayerRows`: the state's own, or parameter rows), one result row
+    per row, which `TorusData.jets` made at order `omega_jmax`."""
     row = series.lam[j]
     live = np.any(row != 0)
     (zeta_z, dminus), (zeta_zv, dplus) = jets

@@ -85,11 +85,11 @@ def _circle_residuals(st, series, k, rows: LayerRows):
 
 def _period_residuals(st, series, k, tori, sets: list):
     """Period residuals P1, P2 of the horizontal displacement over both
-    cycles, one column per row of tori.  sets holds
-    the `LayerRows` of each (tau, v) set in the order of `_point_sets`;
-    the paths read their form tables only.  The node sums of W/g and
-    t^2 g W on the path from path_base(T) along each cycle are reduced
-    set by set, and the sets of one tau share their jet call."""
+    cycles, one column per row of tori.  sets holds the `LayerRows` of
+    each (tau, v) set in the order of `_point_sets`; the paths read their
+    form tables only.  The node sums of W/g and t^2 g W on the path from
+    path_base(T) along each cycle are reduced set by set, and the sets of
+    one tau share their jet call."""
     j = st.index_of(k)
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
     out = np.empty((2, len(tori)), dtype=complex)
@@ -117,13 +117,12 @@ def _period_residuals(st, series, k, tori, sets: list):
 
 
 def _block_residual(st, series, k, tori=None):
-    """(E, P1, P2, Gbal) of layer k, one row per parameter row in tori, of
-    shape (len(tori), 4); without tori, the one row of the state's
-    parameters.  full_residual and the Jacobian share it.  It works set
-    by set: the state's layer is its stored one-row `LayerRows`, and the
-    rows of tori that share a (tau, v) are one set of `_circle_sets`.
-    Each set's circles give its E and Gbal and are then dropped; the
-    period paths read only its form table."""
+    """(E, P1, P2, Gbal) of layer k, one row per parameter row in tori or,
+    without tori, the one row of the state's parameters; full_residual and
+    the Jacobian share it.  It works set by set: the state's layer is its
+    stored `LayerRows`, and the rows of tori that share a (tau, v) are one
+    set of `_circle_sets`.  Each set's circles give its E and Gbal and are
+    then dropped; the period paths read only its form table."""
     if tori is None:
         j = st.index_of(k)
         tori, sets = [st.tori[j]], [([0], st._layers[j])]

@@ -171,6 +171,25 @@ def weierstrass_mpmath(z: complex, tau: complex, dps: int = 30):
         return complex(zeta), complex(wp), complex(dwp)
 
 
+def invariants_mpmath(tau: complex, dps: int = 40):
+    """(eta1, g3) of the lattice Z + tau Z from mpmath's theta constants.
+
+    eta1 is -(pi^2/3) theta1'''(0)/theta1'(0), as in `weierstrass_mpmath`,
+    and g3 = 4 e1 e2 e3 with the half-period values e_i of wp, which are
+    pi^2/3 times sums of fourth powers of theta2, theta3 and theta4 at 0.
+    No Eisenstein series enters.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        eta1 = -(mp.pi**2 / 3) * mp.jtheta(1, 0, q, 3) / mp.jtheta(1, 0, q, 1)
+        t2, t3, t4 = (mp.jtheta(n, 0, q) ** 4 for n in (2, 3, 4))
+        c = mp.pi**2 / 3
+        e1, e2, e3 = c * (t3 + t4), c * (t2 - t4), -c * (t2 + t3)
+        return complex(eta1), complex(4 * e1 * e2 * e3)
+
+
 def theta_sums_complex_trig(v, q: complex, n_terms: int, kmax: int):
     """Partial sums u_k = sum (-1)^n q^(n(n+1)) (2n+1)^k trig((2n+1)v).
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from stackedmin import cli
 from stackedmin.cli import main
 from stackedmin.configs import NONDEG_TOL, catalog, config_to_dict
 from stackedmin.solver import NEWTON_TOL, newton_continuation
@@ -64,6 +65,19 @@ def test_unreachable_t_is_a_usage_error(capsys, t):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "t_target" in captured.err
+
+
+def test_mesh_at_zero_t_is_a_usage_error_before_any_solve(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the usage check")
+
+    monkeypatch.setattr(cli, "newton_continuation", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh", "rPD", "--t", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t > 0" in captured.err
 
 
 def test_mesh_prints_one_deterministic_record(capsys):

@@ -172,6 +172,21 @@ def test_kernel_matches_mpmath(tau):
     assert rel(got_dwp, ref_dwp, scale) < 1e-13
 
 
+def test_flat_moduli_refuse_an_unconverged_eisenstein_series():
+    """Near Im tau = 0.01 the q-series of eta1 and g3 are cut before they
+    converge; such a modulus raises instead of building a lattice with
+    wrong invariants.  At 0.02i the weight-6 series ends at its cap below
+    the unit roundoff, and the lattice still builds."""
+    pytest.importorskip("mpmath")
+    for tau in (0.01j, 0.3 + 0.01j):
+        with pytest.raises(ValueError, match=r"weight-\d Eisenstein series at tau=.*unconverged"):
+            Lattice(tau)
+    lat = Lattice(0.02j)
+    eta1, g3 = oracles.invariants_mpmath(0.02j)
+    assert abs(lat.eta1 - eta1) <= 1e-13 * abs(eta1)
+    assert abs(lat.g3 - g3) <= 1e-13 * abs(g3)
+
+
 def _theta_args(tau):
     """pi times reduced points: random ones, 0 and -0.0 in both parts, the
     axes, the half-periods and reduced coordinates at +-1/2."""
@@ -324,6 +339,19 @@ def test_torus_distance_basics():
     assert torus_distance(0.1, 0.1 + 3 + 2 * tau, tau) < 1e-12
     d = torus_distance(0.0, 0.95, tau)
     assert abs(d - 0.05) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [complex(np.exp(1j * np.pi / 3)), 0.45 + 0.35j, 1j])
+def test_torus_distance_takes_arrays(tau):
+    """An array argument gives the array of the per-point scalar calls,
+    bit for bit, in the shape of the argument."""
+    rng = np.random.default_rng(3)
+    z = (rng.uniform(-3, 3, 24) + 1j * rng.uniform(-3, 3, 24)).reshape(4, 6)
+    got = torus_distance(z, 0.2 + 0.1j, tau)
+    assert isinstance(got, np.ndarray) and got.shape == z.shape
+    ref = [torus_distance(p, 0.2 + 0.1j, tau) for p in z.ravel()]
+    assert all(type(r) is float for r in ref)
+    assert np.array_equal(got.ravel().view(np.int64), np.array(ref).view(np.int64))
 
 
 def test_elliptic_KE_limits_and_quadrature():

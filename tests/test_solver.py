@@ -614,6 +614,24 @@ def test_overlapping_charts_are_refused_at_entry(monkeypatch):
     assert f"_chart_radius of these tori is {radius:g}" in str(err.value)
 
 
+@pytest.mark.parametrize("name, t", [("rPD", 0.01), ("oPa", 0.04), ("oDelta", 0.02)])
+def test_solved_parameters_do_not_depend_on_epsilon(name, t):
+    """The chart radius only places the contours and the neck charts: a
+    solve at 0.9 and at 1.6 times the default epsilon gives every torus
+    block of the default solve to solver noise."""
+    cfg = catalog(name)
+    default = newton_continuation(cfg, t).state
+    eps = _chart_radius(central_layout(cfg)[0])
+    assert default.epsilon == eps
+    for scale in (0.9, 1.6):
+        st = newton_continuation(cfg, t, epsilon=scale * eps).state
+        assert st.epsilon == scale * eps
+        assert st.logical_range() == default.logical_range()
+        gap = max(np.max(np.abs(a.block() - b.block()))
+                  for a, b in zip(st.tori, default.tori))
+        assert gap < 1e-11, (scale, gap)
+
+
 def test_unbalanced_stack_is_refused_at_entry():
     """Steps 0.3 + 0.2i below 0 and 0.5 above on the square torus have
     unequal G; the solve is refused before it opens a single neck."""
