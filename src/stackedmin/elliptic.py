@@ -161,7 +161,7 @@ def torus_distance(z1, z2, tau: complex):
     """Distance on C/(Z + tau Z) between z1 and z2: a float, or an array."""
     d, _, _ = reduce_centered(np.asarray(z1, dtype=complex) - z2, tau)
     # the centered representative may miss the true minimum for sheared
-    # moduli, so compare against the four neighboring translates
+    # moduli, so compare against the eight neighboring translates
     cands = [d, d + 1, d - 1, d + tau, d - tau, d + 1 + tau, d - 1 - tau, d + 1 - tau, d - 1 + tau]
     dist = np.min(np.abs(cands), axis=0)
     return dist if dist.shape else float(dist)

@@ -157,8 +157,8 @@ def _charts_disjoint(tori: list[TorusData], eps: float) -> bool:
             zm = _invert_chart(T, "-", CHART_MARGIN * eps * th)
         except ChartError:
             return False
-        rp = float(np.max(torus_distance(zp, T.v, T.tau)))
-        rm = float(np.max(torus_distance(zm, 0.0, T.tau)))
+        rp = np.max(torus_distance(zp, T.v, T.tau))
+        rm = np.max(torus_distance(zm, 0.0, T.tau))
         d = torus_distance(0.0, T.v, T.tau)
         ell = _shortest_vector(T.tau)
         if rp + rm >= d or 2 * rp >= ell or 2 * rm >= ell:
@@ -377,7 +377,7 @@ def _circle_sets(st: "GluingState", tori):
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
-    """The neck-matching integrals base and cols of a state circle's row."""
+    """The neck-matching integrals base and cols of a state circle's one row."""
     powers = cc.g[0] ** np.arange(1, n_max)[:, None]  # g^(n-1) for n = 2..n_max
     cc.base = -np.sum(powers * cc.w0[0] * cc.dz, axis=1) / (2j * np.pi)
     rhow = rho ** np.arange(1, n_max)  # rho^(m-1)
@@ -480,15 +480,15 @@ class GluingState:
         the stored indices in only, after new tori are put in place; caches
         do not depend on t, so rescaling t alone needs no refresh.
 
-        Each distinct `TorusData.block` T among the refreshed tori is the
-        one-row set `_circle_sets(self, [T])`, built once as the `LayerRows`
-        that each refreshed torus with those bytes stores as _layers[j]: its
+        Each refreshed torus T with a new `TorusData.block` is built once
+        as the one-row set `_circle_sets(self, [T])`, the `LayerRows` that
+        each refreshed torus with those bytes stores as _layers[j]: its
         `FormTable` (coefficients (2, n_max-1, n_max-1, 1) by pole, order,
         wp derivative and row) and its circles, completed with the
         neck-matching integrals base and cols.  A set reads only its torus,
-        a value, so sharing it keeps every bit.  The residual
-        evaluator reads it as it reads the sets of the Jacobian's moved
-        rows, which never touch the state.
+        a value, so sharing it keeps every bit.  The residual evaluator
+        reads it as it reads the sets of the Jacobian's moved rows, which
+        never touch the state.
         """
         if self._layers is None or only is None:
             self._layers = [None] * self.n_tori
