@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import Configuration, _split
+from .configs import Configuration, periodic_stack
 from .opening import (GluingState, OmegaSeries, _chart_radius, central_layout,
                       fix_omega, omega_on_circle)
 from .solver import _continue_stacks
@@ -54,8 +54,7 @@ class DecayReport:
 def upper_reference(cfg_defect: Configuration) -> Configuration:
     """Periodic configuration that extends the defect's upper tail to all
     layers; this is the reference the defect converges to going up."""
-    tail = cfg_defect.right_tail
-    return _split(cfg_defect.tau, tail, tail, len(tail))
+    return periodic_stack(cfg_defect.tau, cfg_defect.right_tail)
 
 
 def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,

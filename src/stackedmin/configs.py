@@ -101,8 +101,7 @@ class Configuration:
         n = len(self.right_tail)
         if len(self.left_tail) != n:
             return False
-        every = all(abs(self.q(k) - self.right_tail[k % n]) < 1e-15 for k in self.ks(pad=1))
-        return every
+        return all(abs(self.q(k) - self.right_tail[k % n]) < 1e-15 for k in self.ks(pad=1))
 
     def period(self) -> int:
         if not self.is_periodic():
@@ -147,12 +146,17 @@ def nondegeneracy_check(cfg: Configuration) -> tuple[float, bool]:
 
 
 def _split(tau: complex, left: tuple, right: tuple, K: int) -> Configuration:
-    """Left pattern for k < 0, right pattern for k >= 0, absolute indexing;
-    _split(tau, p, p, K) is the periodic stack of the pattern p."""
+    """The window of half-width K of the stack with the left pattern for
+    k < 0 and the right one for k >= 0, both indexed by absolute k."""
     window = tuple(
         left[k % len(left)] if k < 0 else right[k % len(right)] for k in range(-K, K + 1)
     )
     return Configuration(tau, window, tuple(left), tuple(right))
+
+
+def periodic_stack(tau: complex, pattern: tuple) -> Configuration:
+    """The periodic stack of a pattern, on a window of one pattern length."""
+    return _split(tau, pattern, pattern, len(pattern))
 
 
 def _diagonal_root(theta: float) -> float:
@@ -179,72 +183,42 @@ def _diagonal_root(theta: float) -> float:
 
 
 _EQ = complex(np.exp(1j * np.pi / 3))
+_Q = (1 + _EQ) / 3
 
 
-def _build_catalog(name: str, K: int, im: float, theta: float | None):
-    """The stack of a catalog entry from its left and right patterns; a
-    periodic entry gives one pattern for both sides."""
-    t_im = 1j * im
-    q = (1 + _EQ) / 3
-    right = None
-    if name == "tP":
-        tau, left = 1j, ((1 + 1j) / 2,)
-    elif name == "oPa":
-        tau, left = t_im, ((1 + t_im) / 2,)
-    elif name == "oPb":
-        th = 1.4 if theta is None else theta
-        tau = complex(np.exp(1j * th))
-        left = ((1 + tau) / 2,)
-    elif name == "oPb-degenerate":
-        tau = complex(np.exp(1j * theta_star()))
-        left = ((1 + tau) / 2,)
-    elif name == "oCLP'":
-        tau, left = t_im, (0.5,)
-    elif name == "rPD":
-        tau, left = _EQ, (q,)
-    elif name == "H":
-        tau, left = _EQ, (q, -q)
-    elif name == "oDelta":
-        tau, left = t_im, (0.5, t_im / 2)
-    elif name == "oH":
-        th = 1.1 if theta is None else theta
-        tau = complex(np.exp(1j * th))
-        c = _diagonal_root(th)
-        left = (c * (1 + tau), -c * (1 + tau))
-    elif name == "twin-rPD":
-        tau, left, right = _EQ, (q,), (-q,)
-    elif name == "rPD-H":
-        tau, left, right = _EQ, (q, -q), (-q,)
-    elif name == "H-H-shift":
-        tau, left, right = _EQ, (q, -q), (-q, q)
-    elif name == "oPa-oCLP":
-        tau, left, right = t_im, (0.5,), ((1 + t_im) / 2,)
-    elif name == "oCLP-rot-twin":
-        tau, left, right = t_im, (0.5,), (t_im / 2,)
-    elif name == "oPa-oDelta":
-        tau, left, right = t_im, (t_im / 2, 0.5), ((1 + t_im) / 2,)
-    else:
-        raise UnknownConfigError(name, CATALOG_NAMES)
-    return _split(tau, left, right or left, K)
+def _same(tau: complex, pattern: tuple) -> tuple:
+    return tau, pattern, pattern
 
 
-CATALOG_NAMES = (
-    "tP",
-    "oPa",
-    "oPb",
-    "oCLP'",
-    "rPD",
-    "H",
-    "oDelta",
-    "oH",
-    "twin-rPD",
-    "rPD-H",
-    "H-H-shift",
-    "oPa-oCLP",
-    "oCLP-rot-twin",
-    "oPa-oDelta",
-    "oPb-degenerate",
-)
+def _half_period(tau: complex) -> tuple:
+    return _same(tau, ((1 + tau) / 2,))
+
+
+def _rhombic(theta: float) -> tuple:
+    """The oH stack +-c(1 + tau) on the unit-arc torus at the diagonal root c."""
+    tau, c = complex(np.exp(1j * theta)), _diagonal_root(theta)
+    return _same(tau, (c * (1 + tau), -c * (1 + tau)))
+
+
+# name -> builder of (tau, left pattern, right pattern) from (im, theta)
+_CATALOG = {
+    "tP": lambda im, th: _half_period(1j),
+    "oPa": lambda im, th: _half_period(1j * im),
+    "oPb": lambda im, th: _half_period(complex(np.exp(1j * (1.4 if th is None else th)))),
+    "oCLP'": lambda im, th: _same(1j * im, (0.5,)),
+    "rPD": lambda im, th: _same(_EQ, (_Q,)),
+    "H": lambda im, th: _same(_EQ, (_Q, -_Q)),
+    "oDelta": lambda im, th: _same(1j * im, (0.5, 1j * im / 2)),
+    "oH": lambda im, th: _rhombic(1.1 if th is None else th),
+    "twin-rPD": lambda im, th: (_EQ, (_Q,), (-_Q,)),
+    "rPD-H": lambda im, th: (_EQ, (_Q, -_Q), (-_Q,)),
+    "H-H-shift": lambda im, th: (_EQ, (_Q, -_Q), (-_Q, _Q)),
+    "oPa-oCLP": lambda im, th: (1j * im, (0.5,), ((1 + 1j * im) / 2,)),
+    "oCLP-rot-twin": lambda im, th: (1j * im, (0.5,), (1j * im / 2,)),
+    "oPa-oDelta": lambda im, th: (1j * im, (1j * im / 2, 0.5), ((1 + 1j * im) / 2,)),
+    "oPb-degenerate": lambda im, th: _half_period(complex(np.exp(1j * theta_star()))),
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 # entries that are balanced but sit at a degenerate critical point on purpose
 DEGENERATE_NAMES = frozenset({"oPb-degenerate"})
@@ -256,11 +230,12 @@ def catalog(name: str, K: int = 8, im: float = 1.25, theta: float | None = None)
     im sets Im(tau) for the purely imaginary moduli families, theta the
     arc angle for the unit-modulus ones.  Defaults keep every entry away
     from degenerate parameters except `oPb-degenerate`, which pins the
-    critical angle on purpose.
+    critical angle on purpose.  The window has half-width K, and each
+    entry's builder runs only when that entry is asked for.
     """
-    if name not in CATALOG_NAMES:
+    if name not in _CATALOG:
         raise UnknownConfigError(name, CATALOG_NAMES)
-    return _build_catalog(name, K, im, theta)
+    return _split(*_CATALOG[name](im, theta), K)
 
 
 def config_to_dict(cfg: Configuration) -> dict:

@@ -677,8 +677,9 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
     if st.t <= 0.0:
         raise ValueError("meshing needs t > 0")
     ks = list(k_range) if k_range is not None else _default_range(st)
-    if len(ks) < 2:
-        raise ValueError("need at least two layers to mesh a neck")
+    if not (len(ks) >= 2 and isinstance(ks[0], (int, np.integer))
+            and ks == list(range(ks[0], ks[0] + len(ks)))):
+        raise ValueError(f"k_range must be at least two consecutive ascending layers, got {ks}")
 
     # a patch reads its own torus and the necks on both sides, so a layer
     # that folds onto the same stored tori (layer n_tori of a cyclic

@@ -93,19 +93,15 @@ class TorusData:
         """Weierstrass jets (zeta, wp stack) at z and at z - v, on the
         lattice of this torus; v is its own marked point unless given.
 
-        An array z and z - v go through one kernel call on the stacked
-        array; the kernel is elementwise, so this is bit-identical to two
-        calls.  A scalar keeps two calls, because the kernel's scalar
-        arithmetic rounds differently from its array loops.  A row batch
-        of point sets that share tau passes z with a leading row axis and
-        v as the column (rows, 1) of their marked points.
+        z and z - v go through one kernel call on the stacked array; the
+        kernel is elementwise, so this is bit-identical to two array
+        calls.  A row batch of point sets that share tau passes z with a
+        leading row axis and v as the column (rows, 1) of their marked
+        points.
         """
-        lat = self.lattice
         v = self.v if v is None else v
-        if np.ndim(z) == 0:
-            return weierstrass_jet(z, lat, jmax), weierstrass_jet(z - v, lat, jmax)
         z = np.asarray(z)
-        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - v]), lat, jmax)
+        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - v]), self.lattice, jmax)
         return (zeta_pair[0], derivs[:, 0]), (zeta_pair[1], derivs[:, 1])
 
     def g_and_gp(self, z):
@@ -189,22 +185,18 @@ def _chart_radius(tori: list[TorusData]) -> float:
 def central_layout(cfg: Configuration, K: int | None = None):
     """Tori at the central data of a configuration (a = -1/2, bhat = 0,
     tau_k and v_k the alternating reflections of tau, q_k) with the layout
-    of their state: (tori, k_lo, left period, right period, buffer).  It
-    is one even period, cyclic, when cfg is periodic and K is None, and
-    otherwise a window of half-width K padded by clamped buffer layers."""
+    of their state: (tori, k_lo, left period, right period, buffer).  The
+    periods are the even periods of the tails.  It is one even period,
+    cyclic, when cfg is periodic and K is None, and otherwise a window of
+    half-width K padded by clamped buffer layers."""
+    p_l, p_r = (math.lcm(len(tl), 2) for tl in (cfg.left_tail, cfg.right_tail))
     if cfg.is_periodic() and K is None:
-        n = math.lcm(cfg.period(), 2)
-        ks = range(n)
-        k_lo, buf = 0, 0
-        p_l = p_r = n
+        ks, k_lo, buf = range(p_r), 0, 0
     else:
         if K is None:
             K = max(8, cfg.K + 1)
         if K < cfg.K:
             raise ValueError("window half-width K must cover the configuration")
-        # a tail of odd length repeats with twice its length
-        p_l, p_r = (len(tl) * (1 + len(tl) % 2) for tl in (cfg.left_tail,
-                                                          cfg.right_tail))
         buf = max(N_BUFFER, p_l, p_r)
         ks = range(-K - buf, K + buf + 1)
         k_lo = -K - buf
@@ -556,7 +548,7 @@ def fix_omega(st: GluingState) -> OmegaSeries:
     """
     if st.t ** 2 >= st.rho * st.epsilon:
         raise NonContractionError(
-            f"t^2 = {st.t**2:.3e} is not below rho*epsilon = {st.rho * st.epsilon:.3e}"
+            f"t = {st.t:g}: t^2 = {st.t**2:.3e} is not below rho*epsilon = {st.rho * st.epsilon:.3e}"
         )
     mat, vec = _fixed_point_system(st)
     est = float(np.max(np.sum(np.abs(mat), axis=1)))
@@ -606,12 +598,6 @@ def neck_point(st: GluingState, k: int, sign: str, w):
     return _invert_chart(st.torus(k), sign, w)
 
 
-def omega_jmax(st: GluingState, series: OmegaSeries, j: int) -> int:
-    """Jet order the glued form needs on stored torus j: the wp stack of
-    the second-kind forms when its lambda row is live, zeta alone else."""
-    return st.n_max - 2 if np.any(series.lam[j] != 0) else -1
-
-
 def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     """g_k and the density of the glued form on layer k at the same
     points of that torus, from one pair of Weierstrass jets; two arrays
@@ -619,7 +605,7 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     j = st.index_of(k)
     za = np.asarray(z, dtype=complex).reshape(1, -1)
     gv, val = gauss_and_omega_from_jets(
-        st, series, j, st.tori[j].jets(za, omega_jmax(st, series, j)), st._layers[j])
+        st, series, j, st.tori[j].jets(za, st.n_max - 2), st._layers[j])
     return gv.reshape(np.shape(z)), val.reshape(np.shape(z))
 
 
@@ -627,23 +613,19 @@ def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
                               jets: tuple, lr: LayerRows):
     """`gauss_and_omega` on stored torus j from the jet pair of one set lr
     of it (`LayerRows`: the state's own, or parameter rows), one result row
-    per row, which `TorusData.jets` made at order `omega_jmax`."""
+    per row; the jets are `TorusData.jets` at order n_max - 2, the wp stack
+    of the second-kind forms.  Every order of both signs adds its term."""
     row = series.lam[j]
-    live = np.any(row != 0)
     (zeta_z, dminus), (zeta_zv, dplus) = jets
     s = zeta_z - zeta_zv
     a, b, xiv = _gauss_constants(lr.tori)
     gv = a * s + b
     val = s - xiv
-    if live:
-        fplus, fminus = lr.forms.values(0, dplus), lr.forms.values(1, dminus)
-        for n in range(2, st.n_max + 1):
-            lp, lm = row[0, n - 2], row[1, n - 2]
-            w = st.rho ** (n - 1)
-            if lp != 0:
-                val = val + w * lp * fplus[n - 2]
-            if lm != 0:
-                val = val + w * lm * fminus[n - 2]
+    fplus, fminus = lr.forms.values(0, dplus), lr.forms.values(1, dminus)
+    for n in range(2, st.n_max + 1):
+        w = st.rho ** (n - 1)
+        val = val + w * row[0, n - 2] * fplus[n - 2]
+        val = val + w * row[1, n - 2] * fminus[n - 2]
     return gv, val
 
 

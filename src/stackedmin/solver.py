@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .configs import Configuration, UnbalancedConfigError, _split, balance_report
+from .configs import Configuration, UnbalancedConfigError, balance_report, periodic_stack
 from .opening import (
     GluingState,
     LayerRows,
@@ -21,7 +21,6 @@ from .opening import (
     _point_sets,
     fix_omega,
     gauss_and_omega_from_jets,
-    omega_jmax,
     omega_on_circle,
     path_base,
 )
@@ -96,8 +95,7 @@ def _period_residuals(st, series, k, tori, sets: list):
     for i, (along, target) in enumerate(((lambda T: 1.0, 2.0 * (-1) ** k),
                                          (lambda T: T.tau, 2.0 * st.tau_ref))):
         sums = np.empty((2, len(tori)), dtype=complex)
-        points = _point_sets(tori, lambda T: path_base(T) + s * along(T),
-                             omega_jmax(st, series, j))
+        points = _point_sets(tori, lambda T: path_base(T) + s * along(T), st.n_max - 2)
         for (idx, _, jets), rows in zip(points, sets):
             gv, W = gauss_and_omega_from_jets(st, series, j, jets, rows)
             if np.min(np.abs(gv)) < 1e-6:
@@ -327,16 +325,18 @@ def auto_schedule(t_target: float) -> list:
 
 def _tail_configs(cfg: Configuration) -> dict:
     """The periodic stack of each distinct tail pattern, keyed by it."""
-    return {tail: _split(cfg.tau, tail, tail, len(tail))
-            for tail in (cfg.left_tail, cfg.right_tail)}
+    return {tail: periodic_stack(cfg.tau, tail) for tail in (cfg.left_tail, cfg.right_tail)}
 
 
-def _continue(st, schedule, series=None, callback=None, clamps=None):
+def _continue(st, schedule, callback=None, clamps=None):
     """The t-loop of every solve.  At schedule[i] the layers outside
     `st.active_range()` first take the parameter blocks clamps[i] holds
     for them, by k; Newton then moves the active layers.  Returns the
-    report and the blocks of every stored torus after each step."""
+    report, whose series is the state's glued form at the last step (at
+    the state's own t when the schedule is empty), and the blocks of
+    every stored torus after each step."""
     active = tuple(st.active_range())
+    series = None if schedule else fix_omega(st)
     steps, solved = [], []
     for i, t in enumerate(schedule):
         st.t = t
@@ -411,12 +411,11 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
              for key, c in stacks.items()}
     reports = []
     for cfg, st, read in zip(cfgs, states, reads):
-        series = fix_omega(st)
         runs = {k: tails[key][1] for k, key in read.items()}
         # a tail state is one even period, so k modulo its length keeps parity
         clamps = [{k: solved[i][k % len(solved[i])] for k, solved in runs.items()}
                   for i in range(len(schedule))]
-        report = _continue(st, schedule, series, callback, clamps)[0]
+        report = _continue(st, schedule, callback, clamps)[0]
         if read:
             report = replace(report, tail_reports={
                 "left": tails[cfg.tau, cfg.left_tail][0],

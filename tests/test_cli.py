@@ -80,6 +80,18 @@ def test_mesh_at_zero_t_is_a_usage_error_before_any_solve(capsys, monkeypatch):
     assert "t > 0" in captured.err
 
 
+def test_library_failure_is_one_error_line(capsys):
+    """rPD solves to t = 0.05 and the step to 0.1 is past the contraction
+    regime: the run ends with exit code 1 and one line on stderr that
+    names the error type and t, not a traceback."""
+    assert main(["solve", "rPD", "--t", "0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("stackedmin: error: NonContractionError: t = 0.1: ")
+
+
 def test_mesh_prints_one_deterministic_record(capsys):
     lines = []
     for _ in range(2):

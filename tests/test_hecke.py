@@ -161,3 +161,18 @@ def test_degeneracy_mirror_invariance():
 def test_degeneracy_which_validation():
     with pytest.raises(ValueError):
         degeneracy_2division(Lattice(1j), 0)
+
+
+@pytest.mark.parametrize("tau", [1j, 1.25j, 2j, complex(np.exp(1j * np.pi / 3)),
+                                 complex(np.exp(1.1j)), complex(np.exp(1.4j)), 0.3 + 0.9j])
+def test_signed_root_count_is_the_degree_one(tau):
+    """G behaves like 1/q at the lattice, so as a map from the torus to
+    the sphere it has degree 1: the roots of G = C where the Jacobian
+    keeps orientation outnumber those where it reverses it by one.  A
+    missed root breaks the count (a missed +/- pair would not)."""
+    lat = Lattice(tau)
+    for C in (0, 0.2, -0.5 + 0.3j, 1, 0.05j, 2):
+        s = solve_G_equals_C(lat, C)
+        dets = [J.det for J in s.jacobians]
+        assert len(dets) == s.count and s.count % 2 == 1, C
+        assert sum(d > 0 for d in dets) - sum(d < 0 for d in dets) == 1, (C, dets)

@@ -319,6 +319,18 @@ def test_build_mesh_theta_passes(rpd, rpd_mesh, monkeypatch):
         assert np.array_equal(got.faces, ref.faces)
 
 
+@pytest.mark.parametrize("k_range", [[0, 2], [2, 1, 0], [1, 1, 2], [1], [0.0, 1.0]])
+def test_bad_k_range_is_refused_before_any_patch(rpd, monkeypatch, k_range):
+    """A mesh runs over consecutive ascending layers, at least two; any
+    other k_range is a ValueError naming it, raised before integrating."""
+    def no_patch(*args, **kw):
+        raise AssertionError("integrated a patch before the k_range check")
+
+    monkeypatch.setattr(immersion, "integrate_layer", no_patch)
+    with pytest.raises(ValueError, match="k_range"):
+        build_mesh(*rpd, k_range=k_range)
+
+
 def test_folded_layer_reuses_its_patch(rpd, rpd_mesh, monkeypatch):
     """Layer 2 of cyclic rPD folds onto layer 0, so build_mesh integrates
     two patches for its three layers; the mesh equals the one built with
