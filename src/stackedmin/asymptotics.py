@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import Configuration, periodic_stack
-from .opening import (GluingState, OmegaSeries, _chart_radius, central_layout,
-                      fix_omega, omega_on_circle)
-from .solver import _continue_stacks
+from .opening import GluingState, OmegaSeries, _chart_radius, central_layout, omega_on_circle
+from .solver import SolveReport, _continue_stacks
 
 AGREE_TOL = 1e-12
 FIT_FLOOR = 1e-14
@@ -64,11 +63,12 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
     Both solves get the same half-width K, so the periodic reference is
     solved as a window too: the two states share the window extent, the
     clamped tails and the chart radius.  Each window is continued as by
-    `newton_continuation` to its tolerance `NEWTON_TOL`, after the tails
-    of both windows' buffer layers; a tail pattern the two share, such
-    as the reference's own stack, is continued once.  The callback sees
-    the reference's steps, then the defect's.  Returns the two solved
-    states (reference first).
+    `newton_continuation` to its tolerance `NEWTON_TOL`, in one t-loop
+    with the tails of both windows' buffer layers; a tail pattern the two
+    share, such as the reference's own stack, is continued once.  The
+    callback sees the window steps ordered by t: at each t the
+    reference's step, then the defect's.  Returns the two SolveReports
+    (reference first), each with its solved state and glued form.
     """
     if not cfg.is_periodic():
         raise ValueError("reference configuration must be periodic")
@@ -91,9 +91,7 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
     # shared chart radius: the defect's separations are a superset of the
     # reference's, so the forms must be compared on the tighter circles
     eps = min(_chart_radius(tori_p), _chart_radius(tori_d))
-    rep_p, rep_d = _continue_stacks([cfg, cfg_defect], t, K=K, epsilon=eps,
-                                    callback=callback)
-    return rep_p.state, rep_d.state
+    return tuple(_continue_stacks([cfg, cfg_defect], t, K=K, epsilon=eps, callback=callback))
 
 
 def parameter_rows(st_a: GluingState, st_b: GluingState) -> dict[int, float]:
@@ -137,8 +135,9 @@ def _log_fit(ks: list[int], vals: np.ndarray) -> tuple[float, float]:
     return -float(slope), r2
 
 
-def decay_fit(st_periodic: GluingState, st_defect: GluingState) -> DecayReport:
-    """Fit log d_k against k over the trusted upper half of the window.
+def decay_fit(periodic: SolveReport, defect: SolveReport) -> DecayReport:
+    """Fit log d_k against k over the trusted upper half of the window,
+    from the solved states and glued forms of `pair_solve`'s reports.
 
     The fit runs over 1 <= k <= K-2; layer 0 carries the defect itself
     and the last two layers feel the clamped tail.  Entries below
@@ -153,10 +152,10 @@ def decay_fit(st_periodic: GluingState, st_defect: GluingState) -> DecayReport:
     same layers sit flat at 3-6e-13 and the fitted rate drops from 1.50
     to 0.07, so there the rate reflects rounding, not decay.
     """
-    d = parameter_rows(st_periodic, st_defect)
-    w = form_rows(st_periodic, fix_omega(st_periodic), st_defect, fix_omega(st_defect))
+    d = parameter_rows(periodic.state, defect.state)
+    w = form_rows(periodic.state, periodic.series, defect.state, defect.series)
     ks = sorted(d)
-    top = st_defect.active_range()[-1]
+    top = defect.state.active_range()[-1]
     fit_ks = [k for k in ks if 1 <= k <= top - 2]
     if not fit_ks:
         raise DegenerateFitError("window too narrow for a fit")
@@ -172,4 +171,4 @@ def decay_fit(st_periodic: GluingState, st_defect: GluingState) -> DecayReport:
     rate, r2 = _log_fit(kept_ks, fit_vals[keep])
     return DecayReport(ks=ks, d=np.array([d[k] for k in ks]),
                        w=np.array([w[k] for k in ks]), rate=rate,
-                       r_squared=r2, fit_ks=kept_ks, t=st_defect.t)
+                       r_squared=r2, fit_ks=kept_ks, t=defect.state.t)

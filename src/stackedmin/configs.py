@@ -103,11 +103,6 @@ class Configuration:
             return False
         return all(abs(self.q(k) - self.right_tail[k % n]) < 1e-15 for k in self.ks(pad=1))
 
-    def period(self) -> int:
-        if not self.is_periodic():
-            raise ValueError("configuration is not periodic")
-        return len(self.right_tail)
-
 
 @dataclass
 class BalanceReport:

@@ -137,8 +137,9 @@ def solve_G_equals_C(lat: Lattice, C: complex, grid: int = 32) -> SolutionSet:
         if any(torus_distance(zc, r.z, lat.tau) < DEDUP_RADIUS for r in roots):
             continue
         roots.append(TorusPoint.from_z(complex(zc), lat))
-    # stable ordering for reproducible output
-    roots.sort(key=lambda p: (round(p.y, 9), round(p.x, 9)))
+    # stable ordering for reproducible output; modulo 1 after rounding, so a
+    # root on a cell edge sorts at 0 whichever seed found it
+    roots.sort(key=lambda p: (round(p.y, 9) % 1.0, round(p.x, 9) % 1.0))
     jacs = [hecke_jacobian(r.z, lat) for r in roots]
     failures = [complex(s) for s, ok in zip(seeds, converged) if not ok]
     return SolutionSet(roots=roots, C=C, count=len(roots), jacobians=jacs, failures=failures)

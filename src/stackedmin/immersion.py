@@ -1021,8 +1021,8 @@ def embeddedness_diagnostics(mesh: SurfaceMesh) -> dict:
         for side, h in (("+", waist_h - tc), ("-", waist_h + tc)):
             poly = _slice_polygon(mesh, k, side, h)
             if poly is None:
-                out["slices"][f"{k}{side}"] = {"status": "out_of_range",
-                                               "pass": False}
+                out["slices"][f"{k}{side}"] = {"status": "out_of_range", "convex": False,
+                                               "simple": False, "pass": False}
                 continue
             diag = _polygon_diagnostics(poly)
             diag["height"] = h

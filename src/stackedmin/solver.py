@@ -253,10 +253,6 @@ class SolveReport:
     tail_reports: dict | None = None
 
     @property
-    def t_schedule(self):
-        return tuple(s.t for s in self.steps)
-
-    @property
     def converged(self) -> bool:
         return all(s.converged for s in self.steps)
 
@@ -328,26 +324,6 @@ def _tail_configs(cfg: Configuration) -> dict:
     return {tail: periodic_stack(cfg.tau, tail) for tail in (cfg.left_tail, cfg.right_tail)}
 
 
-def _continue(st, schedule, callback=None, clamps=None):
-    """The t-loop of every solve.  At schedule[i] the layers outside
-    `st.active_range()` first take the parameter blocks clamps[i] holds
-    for them, by k; Newton then moves the active layers.  Returns the
-    report, whose series is the state's glued form at the last step (at
-    the state's own t when the schedule is empty), and the blocks of
-    every stored torus after each step."""
-    active = tuple(st.active_range())
-    series = None if schedule else fix_omega(st)
-    steps, solved = [], []
-    for i, t in enumerate(schedule):
-        st.t = t
-        clamp = clamps[i] if clamps else {}
-        _set_blocks(st, {st.index_of(k): x for k, x in clamp.items()})
-        series, step = _solve_at_t(st, active, callback)
-        steps.append(step)
-        solved.append([T.block() for T in st.tori])
-    return SolveReport(steps=tuple(steps), state=st, series=series), solved
-
-
 def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
                         K: int | None = None, callback=None,
                         epsilon: float | None = None) -> SolveReport:
@@ -356,11 +332,11 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
 
     A periodic stack without K is solved on one (even) period with cyclic
     coupling.  Otherwise the stack is solved on a window of half-width K
-    (`central_layout`): each tail pattern a buffer layer reads is first
-    continued once as a cyclic stack of its own, and at each t the buffer
-    layers are clamped to its parameters at that t before Newton moves
-    the layers |k| <= K.  tail_reports then maps "left" and "right" to
-    the tail solves, one shared report when the patterns agree; it is
+    (`central_layout`): each tail pattern a buffer layer reads is
+    continued alongside as a cyclic stack of its own, and at each t the
+    buffer layers are clamped to its parameters at that t before Newton
+    moves the layers |k| <= K.  tail_reports then maps "left" and "right"
+    to the tail solves, one shared report when the patterns agree; it is
     None when no layer is clamped, as in a cyclic state.  Within each
     Newton iteration, layers with equal parameters, lambda rows and
     parity are evaluated once (`full_residual`, `_fd_blocks`).
@@ -380,9 +356,15 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
     the same schedule, K and epsilon; one SolveReport per configuration.
 
     Every entry check runs on every configuration, and every state is
-    built, before the first solve.  A tail pattern on the same lattice is
-    continued once for all of them, and reports that read it share its
-    report; the callback sees the steps of the states of cfgs only.
+    built, before the first solve: the state of each configuration and
+    one cyclic state per tail pattern on a lattice that a buffer layer
+    reads.  One loop then walks the schedule.  At each t every tail state
+    takes its Newton step; then each window, in order, clamps its buffer
+    layers to the live tail state's tori they fold into and takes its
+    step.  Reports that read a tail share its report; the callback sees
+    the steps of the states of cfgs only, at each t in the order of cfgs.
+    With an empty schedule each series is the glued form at the state's
+    own t.
     """
     for cfg in cfgs:
         bal = balance_report(cfg)
@@ -407,18 +389,23 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
              for cfg, st in zip(cfgs, states)]
     stacks = {(cfg.tau, tail): c for cfg, read in zip(cfgs, reads) if read
               for tail, c in _tail_configs(cfg).items()}
-    tails = {key: _continue(GluingState.central(c, 0.0, epsilon=epsilon), schedule)
-             for key, c in stacks.items()}
-    reports = []
-    for cfg, st, read in zip(cfgs, states, reads):
-        runs = {k: tails[key][1] for k, key in read.items()}
-        # a tail state is one even period, so k modulo its length keeps parity
-        clamps = [{k: solved[i][k % len(solved[i])] for k, solved in runs.items()}
-                  for i in range(len(schedule))]
-        report = _continue(st, schedule, callback, clamps)[0]
-        if read:
-            report = replace(report, tail_reports={
-                "left": tails[cfg.tau, cfg.left_tail][0],
-                "right": tails[cfg.tau, cfg.right_tail][0]})
-        reports.append(report)
-    return reports
+    tails = {key: GluingState.central(c, 0.0, epsilon=epsilon) for key, c in stacks.items()}
+    # tails first: at each t the windows' buffer layers read their step at t
+    runs = [(st, {}, None) for st in tails.values()]
+    runs += [(st, read, callback) for st, read in zip(states, reads)]
+    steps = [[] for _ in runs]
+    series = [None if schedule else fix_omega(st) for st, _, _ in runs]
+    for t in schedule:
+        for i, (st, read, cb) in enumerate(runs):
+            st.t = t
+            # a tail state is one even period, so its fold of k keeps parity
+            _set_blocks(st, {st.index_of(k): tails[key].torus(k).block()
+                             for k, key in read.items()})
+            series[i], step = _solve_at_t(st, tuple(st.active_range()), cb)
+            steps[i].append(step)
+    reports = [SolveReport(steps=tuple(done), state=st, series=ser)
+               for done, (st, _, _), ser in zip(steps, runs, series)]
+    by_tail = dict(zip(tails, reports))
+    return [replace(rep, tail_reports={"left": by_tail[cfg.tau, cfg.left_tail],
+                                       "right": by_tail[cfg.tau, cfg.right_tail]})
+            if read else rep for cfg, read, rep in zip(cfgs, reads, reports[len(tails):])]

@@ -11,7 +11,7 @@ from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_coords
 from stackedmin.immersion import build_mesh
 from stackedmin import asymptotics, configs, solver
-from stackedmin.opening import GluingState, _chart_radius, central_layout, fix_omega
+from stackedmin.opening import GluingState, _chart_radius, central_layout
 from stackedmin.solver import newton_continuation
 from stackedmin.asymptotics import (
     DegenerateFitError,
@@ -29,21 +29,24 @@ DEFECT_NAMES = ("twin-rPD", "oPa-oCLP", "oCLP-rot-twin", "oPa-oDelta")
 @pytest.fixture(scope="module")
 def twin_pair():
     twin = catalog("twin-rPD")
-    sp, sd = pair_solve(upper_reference(twin), twin, 0.01, K=10)
-    return sp, fix_omega(sp), sd, fix_omega(sd)
+    return pair_solve(upper_reference(twin), twin, 0.01, K=10)
 
 
 @pytest.fixture(scope="module")
 def cross_pair():
     cross = catalog("oPa-oCLP")
-    sp, sd = pair_solve(upper_reference(cross), cross, 0.01)
-    return sp, fix_omega(sp), sd, fix_omega(sd)
+    return pair_solve(upper_reference(cross), cross, 0.01)
+
+
+def _unpack(pair):
+    """(state, series) of the reference, then of the defect."""
+    rp, rd = pair
+    return rp.state, rp.series, rd.state, rd.series
 
 
 @pytest.fixture(scope="module")
 def twin_meshes(twin_pair):
-    sp, serp, sd, serd = twin_pair
-    return build_mesh(sp, serp), build_mesh(sd, serd)
+    return tuple(build_mesh(rep.state, rep.series) for rep in twin_pair)
 
 
 # ---------------------------------------------------------------- references
@@ -55,7 +58,7 @@ def test_upper_reference_extends_the_right_tail(name, k):
     cfg = catalog(name)
     ref = upper_reference(cfg)
     assert ref.is_periodic()
-    assert ref.period() == len(cfg.right_tail)
+    assert len(ref.right_tail) == len(cfg.right_tail)
     assert ref.tau == cfg.tau
     assert abs(ref.q(k) - cfg.q(k)) < 1e-15
 
@@ -135,29 +138,34 @@ def test_pair_rejects_misaligned_windows_before_solving(monkeypatch):
 
 def test_pair_continues_each_tail_once(monkeypatch):
     """The reference's own stack is also the defect's right tail, so a
-    pair continues two tail stacks, not three.  Its states, callback
-    events and decay report are those of two separate solves with the
-    same chart radius, bit for bit."""
+    pair continues two tail stacks, not three.  Its states, glued forms
+    and decay report are those of two separate solves with the same chart
+    radius, bit for bit, and its callback events at each t are theirs at
+    that t, the reference's first."""
     twin = catalog("twin-rPD", K=2)
     ref = upper_reference(twin)
     K, t = 5, 0.01
     eps = min(_chart_radius(central_layout(c, K)[0]) for c in (ref, twin))
-    continued, run = [], solver._continue
+    stepped, run = [], solver._solve_at_t
 
     def counted(st, *args, **kw):
-        continued.append(st.n_buffer == 0)
+        if not any(st is s for s in stepped):
+            stepped.append(st)
         return run(st, *args, **kw)
 
-    monkeypatch.setattr(solver, "_continue", counted)
+    monkeypatch.setattr(solver, "_solve_at_t", counted)
     events = []
     pair = pair_solve(ref, twin, t, K=K, callback=events.append)
-    assert continued == [True, True, False, False]
+    assert [st.n_buffer == 0 for st in stepped] == [True, True, False, False]
     monkeypatch.undo()
-    separate = []
-    solo = [newton_continuation(c, t, K=K, epsilon=eps, callback=separate.append).state
-            for c in (ref, twin)]
-    assert repr(events) == repr(separate)
+    separate = ([], [])
+    solo = [newton_continuation(c, t, K=K, epsilon=eps, callback=seen.append)
+            for c, seen in zip((ref, twin), separate)]
+    assert repr(events) == repr([e for s in solver.auto_schedule(t)
+                                 for seen in separate for e in seen if e["t"] == s])
     for got, want in zip(pair, solo):
+        assert np.array_equal(got.series.lam, want.series.lam)
+        got, want = got.state, want.state
         assert (got.k_lo, got.epsilon, got.t) == (want.k_lo, want.epsilon, want.t)
         assert np.array_equal([T.block() for T in got.tori],
                               [T.block() for T in want.tori])
@@ -182,7 +190,7 @@ def test_pair_chart_radius_passes_the_chart_check():
 
 
 def test_paired_windows_share_geometry(twin_pair, cross_pair):
-    for sp, _, sd, _ in (twin_pair, cross_pair):
+    for sp, _, sd, _ in map(_unpack, (twin_pair, cross_pair)):
         assert sp.k_lo == sd.k_lo
         assert len(sp.tori) == len(sd.tori)
         assert sp.epsilon == sd.epsilon
@@ -191,18 +199,18 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
 
 def test_identical_pair_is_flat():
     cfg = catalog("rPD", K=1)
-    sp, sd = pair_solve(cfg, cfg, 0.02, K=6)
-    d = parameter_rows(sp, sd)
+    pair = pair_solve(cfg, cfg, 0.02, K=6)
+    d = parameter_rows(pair[0].state, pair[1].state)
     assert max(d.values()) == 0.0
     with pytest.raises(DegenerateFitError):
-        decay_fit(sp, sd)
+        decay_fit(*pair)
 
 
 # --------------------------------------------------------------- twin decay
 
 
 def test_twin_rows_collapse_above_the_defect(twin_pair):
-    sp, _, sd, _ = twin_pair
+    sp, _, sd, _ = _unpack(twin_pair)
     d = parameter_rows(sp, sd)
     below = [d[k] for k in d if k <= -1]
     assert min(below) > 1.0  # O(1) mismatch against the mirrored tail
@@ -214,8 +222,7 @@ def test_twin_rows_collapse_above_the_defect(twin_pair):
 
 
 def test_twin_fit_keeps_only_resolvable_layers(twin_pair):
-    sp, serp, sd, serd = twin_pair
-    rep = decay_fit(sp, sd)
+    rep = decay_fit(*twin_pair)
     assert rep.fit_ks == [1, 2]
     assert 1.0 < rep.rate < 2.0
     assert rep.r_squared > 0.95
@@ -223,8 +230,8 @@ def test_twin_fit_keeps_only_resolvable_layers(twin_pair):
 
 
 def test_twin_differential_rate_is_comparable(twin_pair):
-    sp, serp, sd, serd = twin_pair
-    rep = decay_fit(sp, sd)
+    sp, serp, sd, serd = _unpack(twin_pair)
+    rep = decay_fit(*twin_pair)
     m = differential_rows(sp, serp, sd, serd)
     assert all(m[k] < 1e-14 for k in range(4, 9))
     rate_m = np.log(m[1] / m[2])
@@ -234,23 +241,21 @@ def test_twin_differential_rate_is_comparable(twin_pair):
 def test_twin_fit_degenerates_at_smaller_t():
     # halving t drops every fitted difference below double precision
     twin = catalog("twin-rPD")
-    sp, sd = pair_solve(upper_reference(twin), twin, 0.005, K=10)
+    pair = pair_solve(upper_reference(twin), twin, 0.005, K=10)
     with pytest.raises(DegenerateFitError):
-        decay_fit(sp, sd)
+        decay_fit(*pair)
 
 
 def test_reports_are_deterministic(twin_pair):
-    sp, serp, sd, serd = twin_pair
-    a = decay_fit(sp, sd)
-    b = decay_fit(sp, sd)
+    a = decay_fit(*twin_pair)
+    b = decay_fit(*twin_pair)
     assert a.rate == b.rate
     assert np.array_equal(a.d, b.d)
     assert np.array_equal(a.w, b.w)
 
 
 def test_report_serializes(twin_pair):
-    sp, serp, sd, serd = twin_pair
-    rep = decay_fit(sp, sd)
+    rep = decay_fit(*twin_pair)
     blob = json.loads(json.dumps(rep.as_dict()))
     assert blob["t"] == 0.01
     assert len(blob["rows"]) == len(rep.ks)
@@ -261,7 +266,7 @@ def test_report_serializes(twin_pair):
 
 
 def test_crossover_rows_collapse_within_one_layer(cross_pair):
-    sp, serp, sd, serd = cross_pair
+    sp, serp, sd, serd = _unpack(cross_pair)
     d = parameter_rows(sp, sd)
     assert d[-1] == pytest.approx(0.625, abs=1e-2)  # node offset oPa vs oCLP'
     assert 1e-9 < d[0] < 1e-6
@@ -277,9 +282,8 @@ def test_crossover_rows_collapse_within_one_layer(cross_pair):
 
 def test_crossover_fit_is_degenerate(cross_pair):
     # the defect's influence on the quadruple dies below the floor by k=1
-    sp, serp, sd, serd = cross_pair
     with pytest.raises(DegenerateFitError):
-        decay_fit(sp, sd)
+        decay_fit(*cross_pair)
 
 
 # ------------------------------------------------------------------- meshes

@@ -33,3 +33,13 @@ def test_bench_mesh_workload_is_correct():
     assert proc.returncode == 0, proc.stderr[-3000:]
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record["correct"] is True and record["failed"] == 0, record
+
+
+def test_bench_defect_workload_is_correct():
+    """One traced defect-decay pass: the workload reads the pair's
+    callback stream and hands the pair's return value to decay_fit."""
+    proc = _run("bench/run.py", "--workload", "defect-decay", "--seed", "1",
+                "--seconds", "0.001", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["correct"] is True and record["failed"] == 0, record

@@ -212,8 +212,7 @@ def test_separation_guard():
 
 def test_periodicity_helpers():
     assert catalog("rPD").is_periodic()
-    assert catalog("rPD").period() == 1
-    assert catalog("H").period() == 2
+    assert catalog("H").is_periodic()
     assert not catalog("twin-rPD").is_periodic()
 
 

@@ -13,6 +13,7 @@ from stackedmin.hecke import (
 )
 
 TAU_EQUIL = complex(np.exp(1j * np.pi / 3))
+LATTICES = [1j, 1.25j, 2j, TAU_EQUIL, complex(np.exp(1.1j)), complex(np.exp(1.4j)), 0.3 + 0.9j]
 
 
 def test_half_periods_are_roots():
@@ -163,8 +164,7 @@ def test_degeneracy_which_validation():
         degeneracy_2division(Lattice(1j), 0)
 
 
-@pytest.mark.parametrize("tau", [1j, 1.25j, 2j, complex(np.exp(1j * np.pi / 3)),
-                                 complex(np.exp(1.1j)), complex(np.exp(1.4j)), 0.3 + 0.9j])
+@pytest.mark.parametrize("tau", LATTICES)
 def test_signed_root_count_is_the_degree_one(tau):
     """G behaves like 1/q at the lattice, so as a map from the torus to
     the sphere it has degree 1: the roots of G = C where the Jacobian
@@ -176,3 +176,15 @@ def test_signed_root_count_is_the_degree_one(tau):
         dets = [J.det for J in s.jacobians]
         assert len(dets) == s.count and s.count % 2 == 1, C
         assert sum(d > 0 for d in dets) - sum(d < 0 for d in dets) == 1, (C, dets)
+
+
+@pytest.mark.parametrize("tau", LATTICES)
+def test_root_order_does_not_depend_on_the_seed_grid(tau):
+    """A root on a cell edge sorts at x = 0 (or y = 0) whichever seed
+    found it, so every seed grid lists the roots of G = C in one order."""
+    lat = Lattice(tau)
+    for C in (0, 0.2):
+        first, *rest = [solve_G_equals_C(lat, C, grid=g).roots for g in (16, 24, 32, 40, 64)]
+        for roots in rest:
+            assert len(roots) == len(first), C
+            assert all(torus_distance(a.z, b.z, tau) < 1e-6 for a, b in zip(first, roots)), C

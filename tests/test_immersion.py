@@ -500,6 +500,18 @@ def test_embeddedness_battery(rpd_mesh):
         assert diag["pairs"] == 0
 
 
+def test_out_of_range_slices_carry_every_slice_key(rpd_mesh, monkeypatch):
+    """A slice height past the neck is reported failed with the convex
+    and simple keys of a measured slice, so a reader of them sees a
+    failed slice, not a KeyError."""
+    monkeypatch.setattr(immersion, "SLICE_FACTOR", 50)
+    emb = embeddedness_diagnostics(rpd_mesh)
+    assert emb["slices"] and not emb["pass"]
+    for diag in emb["slices"].values():
+        assert diag["status"] == "out_of_range"
+        assert (diag["convex"], diag["simple"], diag["pass"]) == (False, False, False)
+
+
 def test_turned_layer_face_fails_the_graph_check(rpd_mesh):
     """A layer face turned over keeps its |n3| but reverses its sign
     against the rest of the layer, so the graph check fails."""

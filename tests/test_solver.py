@@ -425,7 +425,7 @@ def test_closed_neck_jacobian_blocks():
 def test_continuation_converges(rpd_solved):
     rep = rpd_solved
     assert rep.converged
-    assert rep.t_schedule == (0.005, 0.01)
+    assert tuple(s.t for s in rep.steps) == (0.005, 0.01)
     assert rep.final_residual < 1e-9
     for step in rep.steps:
         assert step.iterations == len(step.residuals) - 1
@@ -565,6 +565,38 @@ def test_even_length_tails_solve(name):
     assert all(tail.converged for tail in rep.tail_reports.values())
 
 
+def test_tails_and_windows_step_together(monkeypatch):
+    """One t-loop: at each t every tail state takes its step before the
+    window takes its own, every step at t comes before any at the next t,
+    and when the window steps, its buffer layers hold the blocks of the
+    live tail tori they fold into."""
+    calls, tails, run = [], [], solver._solve_at_t
+
+    def traced(st, *args, **kw):
+        if st.n_buffer == 0:
+            if not any(st is s for s in tails):
+                tails.append(st)
+            calls.append((st.t, "tail", None))
+        else:
+            buffer = {k: st.torus(k).block() for k in st.logical_range()
+                      if k not in st.active_range()}
+            live = [[T.block() for T in s.tori] for s in tails]
+            calls.append((st.t, "window", (buffer, live)))
+        return run(st, *args, **kw)
+
+    monkeypatch.setattr(solver, "_solve_at_t", traced)
+    schedule = [0.0025, 0.005]
+    rep = newton_continuation(catalog("rPD-H", K=2), 0.005, schedule=schedule, K=3)
+    assert [(t, kind) for t, kind, _ in calls] == [
+        (t, kind) for t in schedule for kind in ("tail", "tail", "window")]
+    sides = {side: next(i for i, s in enumerate(tails) if s is tail.state)
+             for side, tail in rep.tail_reports.items()}
+    for buffer, live in (seen for _, kind, seen in calls if kind == "window"):
+        for k, block in buffer.items():
+            i = sides["right" if k > 0 else "left"]
+            assert np.array_equal(block, live[i][tails[i].index_of(k)]), k
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_tail_stacks_continue_the_window(name):
     """Each tail's periodic stack repeats the tail pattern and agrees with
@@ -574,7 +606,7 @@ def test_tail_stacks_continue_the_window(name):
     for tail, ks in ((cfg.left_tail, range(-cfg.K - 6, -cfg.K)),
                      (cfg.right_tail, range(cfg.K + 1, cfg.K + 7))):
         ref = tails[tail]
-        assert ref.period() == len(tail)
+        assert ref.is_periodic() and len(ref.right_tail) == len(tail)
         assert all(ref.q(k) == cfg.q(k) for k in ks)
 
 
