@@ -159,26 +159,32 @@ class ResidualVector:
 
 
 def _layer_key(st, series, k) -> tuple:
-    """Everything of layer k that its residual row and its Jacobian block
-    read besides constants of the state: the bytes of its parameter block
-    and of its lambda row, and its parity."""
+    """Everything the residual row and the Jacobian block of layer k read:
+    the bytes of its parameter block, its lambda row, its parity and the
+    state constants t, epsilon, tau_ref and balance_value (on twin-rPD,
+    the left tail's is -4.4e-16i and the window's +4.4e-16i)."""
     j = st.index_of(k)
-    return st.tori[j].block().tobytes(), series.lam[j].tobytes(), k % 2
+    consts = np.array([st.t, st.epsilon, st.tau_ref, st.balance_value], dtype=complex)
+    return (st.tori[j].block().tobytes(), series.lam[j].tobytes(), k % 2,
+            consts.tobytes())
 
 
-def full_residual(st: GluingState, series: OmegaSeries, ks=None) -> ResidualVector:
+def full_residual(st: GluingState, series: OmegaSeries, ks=None,
+                  memo: dict | None = None) -> ResidualVector:
     """Residual rows of the layers ks (every stored layer by default).
     Layers with equal `_layer_key` have equal rows, so each distinct key
-    is evaluated once and its row copied to the others."""
+    is evaluated once and its row copied to the others: within this call,
+    or, with a memo shared by several calls, across all of them (one t of
+    `_continue_stacks`, over its states and Newton iterations)."""
     if ks is None:
         ks = tuple(st.logical_range())
+    memo = {} if memo is None else memo
     rows = np.empty((len(ks), 4), dtype=complex)
-    first = {}
     for i, k in enumerate(ks):
-        key = _layer_key(st, series, k)
-        if key not in first:
-            first[key] = _block_residual(st, series, k)[0]
-        rows[i] = first[key]
+        key = ("row",) + _layer_key(st, series, k)
+        if key not in memo:
+            memo[key] = _block_residual(st, series, k)[0]
+        rows[i] = memo[key]
     return ResidualVector(ks=tuple(ks), entries=rows)
 
 
@@ -195,7 +201,7 @@ def _set_blocks(st, blocks: dict):
     st.refresh(list(blocks))
 
 
-def _fd_blocks(st, series, active, flat):
+def _fd_blocks(st, series, active, flat, memo: dict | None = None):
     """Forward-difference 8x8 Jacobian blocks of the active layers, with
     the series frozen; flat is the residual at the current parameters.
 
@@ -208,18 +214,18 @@ def _fd_blocks(st, series, active, flat):
     axis and scalar stages run row by row, so each column has the bits of
     a refresh and a block residual at its own parameters.
 
-    A layer whose `_layer_key` an earlier active layer has takes that
-    layer's block: its rows and its residual slice of flat are the same
-    bits, so each distinct key is differenced once.
+    A layer whose `_layer_key` an earlier layer has takes that layer's
+    block: its rows and its residual slice of flat are the same bits, so
+    each distinct key is differenced once, within this call or, with a
+    memo shared as in `full_residual`, across every call that shares it.
     """
+    memo = {} if memo is None else memo
     blocks = np.empty((len(active), 8, 8))
-    first = {}
     for i, k in enumerate(active):
-        key = _layer_key(st, series, k)
-        if key in first:
-            blocks[i] = blocks[first[key]]
+        key = ("fd",) + _layer_key(st, series, k)
+        if key in memo:
+            blocks[i] = memo[key]
             continue
-        first[key] = i
         x0 = st.torus(k).block()
         moved = []
         for c in range(8):
@@ -229,7 +235,7 @@ def _fd_blocks(st, series, active, flat):
         res = _block_residual(st, series, k, moved)
         rp = np.empty((8, 8))
         rp[:, 0::2], rp[:, 1::2] = res.real, res.imag
-        blocks[i] = ((rp - flat[8 * i : 8 * i + 8]) / FD_STEP).T
+        blocks[i] = memo[key] = ((rp - flat[8 * i : 8 * i + 8]) / FD_STEP).T
     return blocks
 
 
@@ -268,9 +274,12 @@ def _step_failure(what, st, res, history):
         k=res.worst_k, t=st.t, history=history)
 
 
-def _solve_at_t(st, active, callback=None):
+def _solve_at_t(st, active, callback, memo: dict):
+    """Newton on the active layers at the state's t.  Its first residual,
+    line-search trials and Jacobians read and fill memo by `_layer_key`,
+    across its iterations and with every state that shares memo at t."""
     series = fix_omega(st)
-    res = full_residual(st, series, active)
+    res = full_residual(st, series, active, memo)
     history = [res.sup_norm]
     flat = res.flat()
     n_act = len(active)
@@ -278,7 +287,7 @@ def _solve_at_t(st, active, callback=None):
     while history[-1] >= NEWTON_TOL:
         if it >= MAX_NEWTON:
             raise _step_failure("Newton stalled", st, res, history)
-        blocks = _fd_blocks(st, series, active, flat)
+        blocks = _fd_blocks(st, series, active, flat, memo)
         dx = np.linalg.solve(blocks, -flat.reshape(n_act, 8, 1))[..., 0]
         base = [st.torus(k).block() for k in active]
         scale = 1.0
@@ -286,7 +295,7 @@ def _solve_at_t(st, active, callback=None):
             _set_blocks(st, {st.index_of(k): base[i] + scale * dx[i]
                              for i, k in enumerate(active)})
             trial_series = fix_omega(st)
-            trial = full_residual(st, trial_series, active)
+            trial = full_residual(st, trial_series, active, memo)
             if trial.sup_norm < history[-1]:
                 break
             scale *= 0.5
@@ -337,9 +346,10 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
     buffer layers are clamped to its parameters at that t before Newton
     moves the layers |k| <= K.  tail_reports then maps "left" and "right"
     to the tail solves, one shared report when the patterns agree; it is
-    None when no layer is clamped, as in a cyclic state.  Within each
-    Newton iteration, layers with equal parameters, lambda rows and
-    parity are evaluated once (`full_residual`, `_fd_blocks`).
+    None when no layer is clamped, as in a cyclic state.  At each t,
+    layers with equal parameters, lambda rows, parity and state constants
+    (`_layer_key`) are evaluated once across every Newton iteration and
+    every state, window or tail (`full_residual`, `_fd_blocks`).
 
     Raises UnbalancedConfigError when the forces of cfg do not vanish,
     ScheduleError unless t_target and the schedule are finite and
@@ -361,10 +371,11 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
     reads.  One loop then walks the schedule.  At each t every tail state
     takes its Newton step; then each window, in order, clamps its buffer
     layers to the live tail state's tori they fold into and takes its
-    step.  Reports that read a tail share its report; the callback sees
-    the steps of the states of cfgs only, at each t in the order of cfgs.
-    With an empty schedule each series is the glued form at the state's
-    own t.
+    step.  All states share one memo of residual rows and Jacobian blocks
+    by `_layer_key` at each t, dropped at the next.  Reports that read a
+    tail share its report; the callback sees the steps of the states of
+    cfgs only, at each t in the order of cfgs.  With an empty schedule
+    each series is the glued form at the state's own t.
     """
     for cfg in cfgs:
         bal = balance_report(cfg)
@@ -396,12 +407,13 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
     steps = [[] for _ in runs]
     series = [None if schedule else fix_omega(st) for st, _, _ in runs]
     for t in schedule:
+        memo = {}
         for i, (st, read, cb) in enumerate(runs):
             st.t = t
             # a tail state is one even period, so its fold of k keeps parity
             _set_blocks(st, {st.index_of(k): tails[key].torus(k).block()
                              for k, key in read.items()})
-            series[i], step = _solve_at_t(st, tuple(st.active_range()), cb)
+            series[i], step = _solve_at_t(st, tuple(st.active_range()), cb, memo)
             steps[i].append(step)
     reports = [SolveReport(steps=tuple(done), state=st, series=ser)
                for done, (st, _, _), ser in zip(steps, runs, series)]

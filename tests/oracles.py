@@ -400,6 +400,18 @@ def fd_blocks_plain(st, series, active, flat):
     return blocks
 
 
+def t_squared_fit_residual(ts, values, terms: int) -> float:
+    """Largest residual of the least-squares fit of values (one row per t,
+    the t = 0 values already subtracted) by c_1 t^2 + ... + c_terms
+    t^(2 terms).  The columns are powers of (t / max t)^2, so they are of
+    one size."""
+    s = (np.asarray(ts, dtype=float) / np.max(ts)) ** 2
+    y = np.asarray(values).reshape(len(s), -1)
+    cols = s[:, None] ** np.arange(1, terms + 1)
+    coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
+    return float(np.max(np.abs(cols @ coeffs - y)))
+
+
 def unfolded_cyclic(st, series):
     """A cyclic state and its series over two periods: the stored tori,
     their caches and their lambda rows repeat, so every layer carries the

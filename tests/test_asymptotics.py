@@ -197,6 +197,21 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
         assert sp.t == sd.t
 
 
+@pytest.mark.parametrize("pair, name", [("twin_pair", "twin-rPD"),
+                                        ("cross_pair", "oPa-oCLP")])
+def test_window_half_width_does_not_move_the_layers(pair, name, request):
+    """With the chart radius of the wide pair, a defect solved on windows
+    of half-width 1 and 2 gives every active layer of the pair's defect
+    state to solver noise: the clamped tails stand in for the layers the
+    narrow window leaves out."""
+    wide = request.getfixturevalue(pair)[1].state
+    for K in (1, 2):
+        st = newton_continuation(catalog(name, K=1), 0.01, K=K, epsilon=wide.epsilon).state
+        gap = max(np.max(np.abs(st.torus(k).block() - wide.torus(k).block()))
+                  for k in st.active_range())
+        assert gap < 1e-11, (K, gap)
+
+
 def test_identical_pair_is_flat():
     cfg = catalog("rPD", K=1)
     pair = pair_solve(cfg, cfg, 0.02, K=6)

@@ -14,7 +14,7 @@ from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
 from stackedmin.immersion import _cell_rep
-from stackedmin.asymptotics import upper_reference
+from stackedmin.asymptotics import pair_solve, upper_reference
 from stackedmin.opening import (
     ChartError,
     GluingState,
@@ -359,6 +359,62 @@ def test_repeated_layers_are_evaluated_once(defect, monkeypatch):
     assert np.array_equal(got, ref)
 
 
+def _state_key(st, series, k):
+    """(t, epsilon, tau_ref, balance_value) with the parameter block,
+    lambda row and parity of layer k: all that its row and block read."""
+    (key,) = _distinct_layers(st, series, (k,))
+    return (st.t, st.epsilon, st.tau_ref, st.balance_value) + key
+
+
+def test_no_layer_key_is_evaluated_twice_at_one_t(monkeypatch):
+    """In a pair solve, every state at one t, window or tail, and every
+    Newton iteration share one memo: no residual row and no Jacobian
+    block is evaluated twice for the same state key at the same t."""
+    seen = {"fd": [], "row": []}
+
+    def counted(st, series, k, tori=None):
+        seen["fd" if tori is not None else "row"].append(_state_key(st, series, k))
+        return _block_residual(st, series, k, tori)
+
+    monkeypatch.setattr(solver, "_block_residual", counted)
+    twin = catalog("twin-rPD", K=2)
+    pair_solve(upper_reference(twin), twin, 0.01, K=2)
+    for kind, keys in seen.items():
+        assert {key[0] for key in keys} == {0.005, 0.01}, kind
+        assert len(set(keys)) == len(keys), kind
+
+
+@pytest.mark.parametrize("what", ["balance_value", "epsilon", "tau_ref", "t"])
+def test_layer_key_separates_states(what):
+    """Two states on the same tori with one lambda that differ in one
+    state constant: after the first fills a shared memo, the second still
+    gets its own rows and blocks, bit for bit."""
+    st = GluingState.central(catalog("rPD"), 0.01)
+    series = fix_omega(st)
+    if what == "balance_value":  # G(q0) is -4.4e-16i, G(-q0) is +4.4e-16i
+        other = replace(st, q0_ref=-st.q0_ref)
+    elif what == "epsilon":
+        other = replace(st, epsilon=0.9 * st.epsilon, _layers=None)
+    elif what == "tau_ref":
+        other = replace(st, tau_ref=st.tau_ref + 1e-3j)
+        other.balance_value = st.balance_value
+    else:
+        other = replace(st, t=0.011)
+    assert getattr(other, what) != getattr(st, what)
+    assert all(getattr(other, name) == getattr(st, name)
+               for name in ("t", "epsilon", "tau_ref", "balance_value") if name != what)
+    ks = tuple(st.active_range())
+    res, ref = full_residual(st, series, ks), full_residual(other, series, ks)
+    assert not np.array_equal(res.entries, ref.entries)
+    ref_blocks = _fd_blocks(other, series, ks, ref.flat())
+    memo = {}
+    full_residual(st, series, ks, memo)
+    _fd_blocks(st, series, ks, res.flat(), memo)
+    got = full_residual(other, series, ks, memo)
+    assert np.array_equal(got.entries, ref.entries)
+    assert np.array_equal(_fd_blocks(other, series, ks, got.flat(), memo), ref_blocks)
+
+
 def test_equal_blocks_share_one_refresh(monkeypatch):
     """Setting several tori to the same bits builds one cache per distinct
     block in one refresh, and leaves the caches a refresh of each torus
@@ -660,6 +716,22 @@ def test_solved_parameters_do_not_depend_on_epsilon(name, t):
         gap = max(np.max(np.abs(a.block() - b.block()))
                   for a, b in zip(st.tori, default.tori))
         assert gap < 1e-11, (scale, gap)
+
+
+@pytest.mark.parametrize("name, t_max, terms", [("rPD", 0.04, 3), ("oPa", 0.08, 5)])
+def test_family_is_a_power_series_in_t_squared(name, t_max, terms):
+    """The solved family has no odd and no log terms: at seven t from
+    t_max/8 to t_max, the torus blocks less their t = 0 values are fitted
+    by terms powers t^2, t^4, ... to solver noise."""
+    cfg = catalog(name)
+    closed = GluingState.central(cfg, 0.0)
+    ts = np.linspace(t_max / 8, t_max, 7)
+    moved = []
+    for t in ts:
+        st = newton_continuation(cfg, t).state
+        assert st.epsilon == closed.epsilon
+        moved.append([a.block() - b.block() for a, b in zip(st.tori, closed.tori)])
+    assert oracles.t_squared_fit_residual(ts, moved, terms) < 1e-10
 
 
 def test_unbalanced_stack_is_refused_at_entry():
