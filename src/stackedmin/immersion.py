@@ -56,7 +56,9 @@ SEG_STEP = 0.04
 EDGE_NODES = 4  # Gauss nodes per grid edge
 # two face planes closer than this in sin(angle) take the coplanar test
 COPLANAR_SIN = 1e-6
-SWEEP_CHUNK = 1 << 18  # candidate face pairs expanded at once
+# the most kernel points or face pairs that one array pass of the mesh or
+# the battery takes, so its transients grow with BLOCK, not with the grid
+BLOCK = 1 << 12
 GRAPH_FLOOR = 0.5  # least |n3| of a layer face that still reads as a graph
 SLICE_FACTOR = 0.6  # neck slices sit SLICE_FACTOR * t log(eps/t) off the waist
 LAYER, NECK_PLUS, NECK_MINUS = 0, 1, 2  # face part codes
@@ -127,12 +129,18 @@ def _diffs(st: GluingState, series: OmegaSeries, k: int, z) -> np.ndarray:
 _leggauss = lru_cache(maxsize=None)(leggauss)  # one table per node count
 
 
+def _in_blocks(fn, z: np.ndarray, size: int) -> np.ndarray:
+    """fn over the leading axis of z, at most size entries per call, for
+    an fn that acts on each entry alone, so the split keeps every bit."""
+    return np.concatenate([fn(z[i : i + size]) for i in range(0, max(len(z), 1), size)])
+
+
 def _segment_triples(st: GluingState, series: OmegaSeries, k: int,
                      ends) -> np.ndarray:
     """Integrals of the triple along the straight segments z0 -> z1 of
     ends, in pieces of at most SEG_STEP with SEG_NODES Gauss nodes each.
-    One _diffs call takes the nodes of all segments, and each segment
-    sums its own slice, as it would alone."""
+    The nodes of all segments go through `_diffs` together, BLOCK at a
+    time, and each segment sums its own slice, as it would alone."""
     x, wgt = _leggauss(SEG_NODES)
     nodes, pieces = [], []
     for z0, z1 in ends:
@@ -141,7 +149,7 @@ def _segment_triples(st: GluingState, series: OmegaSeries, k: int,
         s = (np.arange(p)[:, None] + 0.5 * (x[None, :] + 1.0)) / p
         nodes.append(z0 + s.ravel() * vec)
         pieces.append(p)
-    vals = _diffs(st, series, k, np.concatenate(nodes))
+    vals = _in_blocks(lambda z: _diffs(st, series, k, z), np.concatenate(nodes), BLOCK)
     out = np.empty((len(pieces), 3), dtype=complex)
     start = 0
     for i, ((z0, z1), p) in enumerate(zip(ends, pieces)):
@@ -153,12 +161,16 @@ def _segment_triples(st: GluingState, series: OmegaSeries, k: int,
 
 def _edge_triples(st: GluingState, series: OmegaSeries, k: int,
                   z0s: np.ndarray, vec: complex) -> np.ndarray:
-    """Batched straight-edge integrals sharing one direction vector."""
+    """Batched straight-edge integrals sharing one direction vector, at
+    most BLOCK // EDGE_NODES edges per `_diffs` call."""
     x, wgt = _leggauss(EDGE_NODES)
     s = 0.5 * (x + 1.0)
-    zs = z0s[:, None] + s[None, :] * vec
-    vals = _diffs(st, series, k, zs.ravel()).reshape(len(z0s), EDGE_NODES, 3)
-    return np.einsum("n, e n c -> e c", 0.5 * wgt, vals) * vec
+
+    def edges(z0):
+        vals = _diffs(st, series, k, (z0[:, None] + s[None, :] * vec).ravel())
+        return np.einsum("n, e n c -> e c", 0.5 * wgt, vals.reshape(-1, EDGE_NODES, 3)) * vec
+
+    return _in_blocks(edges, z0s, BLOCK // EDGE_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +207,14 @@ def _neck_sheet(nl: NeckLaurent, side: str, radii: np.ndarray) -> np.ndarray:
     div = np.where(p == 0, 1, p)[:, None]
     coef = coef.real / div + 1j * (coef.imag / div)
     powers = (radii[:, None] ** p).T  # (power, ring)
-    basis = powers[:, :, None] * np.exp(1j * p[:, None] * THETAS)[:, None, :]
-    basis[p == 0] = np.log(radii)[:, None] + 1j * THETAS
-    vals = np.sum(basis[..., None] * coef[:, None, None, :], axis=0)
+    phases = np.exp(1j * p[:, None] * THETAS)  # (power, spoke)
+    # one (ring, spoke, 3) term per power, added in ascending p as a sum
+    # over the power axis adds them, without the (power, ...) product
+    vals = None
+    for pk, pw, ph, ck in zip(p, powers, phases, coef):
+        basis = np.log(radii)[:, None] + 1j * THETAS if pk == 0 else pw[:, None] * ph
+        term = basis[..., None] * ck
+        vals = term if vals is None else np.add(vals, term, out=vals)
     return vals - vals[0, 0]
 
 
@@ -464,7 +481,7 @@ def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
     centers_cell = {s: _cell_rep(c, corner, T.tau) for s, c in (("+", T.v), ("-", 0.0))}
     kept = np.all(np.abs(zg[..., None] - list(centers_cell.values()))
                   >= DEFAULT_POLE_RADIUS, axis=-1)
-    kept[kept] = 1.0 / np.abs(T.g(zg[kept])) >= CUT_FACTOR * st.epsilon
+    kept[kept] = 1.0 / np.abs(_in_blocks(T.g, zg[kept], BLOCK)) >= CUT_FACTOR * st.epsilon
     if kept.all():
         raise MeshTopologyError("grid does not resolve the chart disks",
                                 k, st.t, n)
@@ -926,9 +943,10 @@ def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
     Strips are as wide as the widest box across them, and each face joins
     every strip its box covers (at most two, up to rounding).  Sorted by
     (strip, box minimum), the partners of an entry are a contiguous run
-    found by one searchsorted, expanded at most SWEEP_CHUNK pairs at a
-    time.  A pair counts only in the strip of its larger lower corner, by
-    the floor expression of the registration, so it is found once.
+    found by one searchsorted.  The runs, laid end to end, are expanded
+    and filtered BLOCK candidate pairs at a time.  A pair counts only in
+    the strip of its larger lower corner, by the floor expression of the
+    registration, so it is found once.
     """
     spans = hi.max(axis=0) - lo.min(axis=0)
     axis, across = (int(c) for c in np.argsort(-spans, kind="stable")[:2])
@@ -950,35 +968,33 @@ def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
     count = np.searchsorted(key[order], bound, side="right") - np.arange(1, len(face) + 1)
     first = np.concatenate(([0], np.cumsum(count)))
     cols = [(lo[face, c], hi[face, c]) for c in range(3) if c != axis]
-    found = []
-    start = 0
-    while start < len(face):
-        stop = int(np.searchsorted(first, first[start] + SWEEP_CHUNK, side="right")) - 1
-        stop = max(stop, start + 1)
-        run = count[start:stop]
-        a = np.repeat(np.arange(start, stop), run)
-        b = (a + 1 + np.arange(first[start], first[stop])
-             - np.repeat(first[start:stop], run))
+    found = [np.empty((2, 0), dtype=np.int64)]
+    for start in range(0, int(first[-1]), BLOCK):
+        # candidate q is partner q - first[a] of the entry a whose run holds it
+        q = np.arange(start, min(start + BLOCK, int(first[-1])))
+        a = np.searchsorted(first, q, side="right") - 1
+        b = a + 1 + q - first[a]
         keep = np.maximum(own[a], own[b]) == strip[a]
         for lc, hc in cols:
             keep &= (lc[b] <= hc[a]) & (lc[a] <= hc[b])
-        found.append(face[np.stack([a[keep], b[keep]])])
-        start = stop
+        a, b = face[a[keep]], face[b[keep]]
+        shared = np.any(faces[a][:, :, None] == faces[b][:, None, :], axis=(1, 2))
+        found.append(np.stack([a[~shared], b[~shared]]))
     a, b = np.concatenate(found, axis=1)
-    shared = np.any(faces[a][:, :, None] == faces[b][:, None, :], axis=(1, 2))
-    a, b = a[~shared], b[~shared]
     return np.minimum(a, b), np.maximum(a, b)
 
 
 def _intersecting_pairs(raw: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Intersecting face pairs (a, b), a < b, that share no vertex, as
-    rows of indices into faces."""
+    rows of indices into faces; the triangle test takes BLOCK pairs at a
+    time."""
     tris = raw[faces]
     cell = float(np.median(np.linalg.norm(tris[:, 1] - tris[:, 0], axis=1))) * 2
     cell = max(cell, 1e-9)
-    a, b = _sweep_pairs(tris.min(axis=1), tris.max(axis=1), faces)
-    hit = _tri_tri_batch(tris[a], tris[b], 1e-7 * cell)
-    return np.stack([a[hit], b[hit]], axis=1)
+    pairs = np.stack(_sweep_pairs(tris.min(axis=1), tris.max(axis=1), faces), axis=1)
+    hit = _in_blocks(lambda ab: _tri_tri_batch(tris[ab[:, 0]], tris[ab[:, 1]], 1e-7 * cell),
+                     pairs, BLOCK)
+    return pairs[hit]
 
 
 def embeddedness_diagnostics(mesh: SurfaceMesh) -> dict:

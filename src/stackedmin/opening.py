@@ -9,6 +9,7 @@ w_k^+ * w_{k+1}^- = t^2.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -390,7 +391,8 @@ class GluingState:
     The tori are frozen values, so a stored torus changes only by putting
     a new one in its place and refreshing its index.  Stored tori with
     equal `TorusData.block` bytes share one `LayerRows`, from construction
-    on (`refresh`).
+    on (`refresh`); states given one shared_rows map share them across
+    states too, for as long as a state holds them.
     """
 
     n_max: ClassVar[int] = DEFAULT_N_MAX
@@ -405,6 +407,8 @@ class GluingState:
     right_period: int = 2
     n_buffer: int = 0
     _layers: list = field(default=None, repr=False, compare=False)
+    shared_rows: weakref.WeakValueDictionary | None = field(default=None, repr=False,
+                                                            compare=False)
 
     def __post_init__(self):
         if self.t < 0:
@@ -416,12 +420,14 @@ class GluingState:
 
     @classmethod
     def central(cls, cfg: Configuration, t: float, K: int | None = None,
-                epsilon: float | None = None) -> "GluingState":
+                epsilon: float | None = None,
+                shared_rows: weakref.WeakValueDictionary | None = None) -> "GluingState":
         """State on the tori of `central_layout`, a window exactly when
         cfg is not periodic or K is given, with the chart radius
-        `_chart_radius` of them unless epsilon is given.  A given epsilon
-        whose charts overlap on one of the distinct tori (`_charts_disjoint`)
-        raises ChartError."""
+        `_chart_radius` of them unless epsilon is given, and refreshed
+        through shared_rows when it is given.  A given epsilon whose charts
+        overlap on one of the distinct tori (`_charts_disjoint`) raises
+        ChartError."""
         tori, k_lo, p_l, p_r, buf = central_layout(cfg, K)
         if epsilon is None:
             epsilon = _chart_radius(tori)
@@ -429,7 +435,7 @@ class GluingState:
             raise ChartError(f"neck charts overlap at epsilon = {epsilon:g}; "
                              f"_chart_radius of these tori is {_chart_radius(tori):g}")
         return cls(t=t, tori=tori, k_lo=k_lo, epsilon=epsilon, tau_ref=cfg.tau, q0_ref=cfg.q(0),
-                   left_period=p_l, right_period=p_r, n_buffer=buf)
+                   left_period=p_l, right_period=p_r, n_buffer=buf, shared_rows=shared_rows)
 
     @property
     def n_tori(self) -> int:
@@ -477,23 +483,29 @@ class GluingState:
         each refreshed torus with those bytes stores as _layers[j]: its
         `FormTable` (coefficients (2, n_max-1, n_max-1, 1) by pole, order,
         wp derivative and row) and its circles, completed with the
-        neck-matching integrals base and cols.  A set reads only its torus,
-        a value, so sharing it keeps every bit.  The residual evaluator
-        reads it as it reads the sets of the Jacobian's moved rows, which
-        never touch the state.
+        neck-matching integrals base and cols.  A set reads only its torus
+        and epsilon, values, so sharing it keeps every bit.  The residual
+        evaluator reads it as it reads the sets of the Jacobian's moved
+        rows, which never touch the state.
+
+        With shared_rows, a refresh first looks there by (block bytes,
+        epsilon) and puts what it builds there.  The map holds its sets
+        weakly, so a set that no state holds any more, such as a rejected
+        line-search trial's, is freed as it would be without the map.
         """
         if self._layers is None or only is None:
             self._layers = [None] * self.n_tori
             only = range(self.n_tori)
-        built = {}
+        built = {} if self.shared_rows is None else self.shared_rows
         for j in only:
-            key = self.tori[j].block().tobytes()
-            if key not in built:
+            key = (self.tori[j].block().tobytes(), self.epsilon)
+            rows = built.get(key)
+            if rows is None:
                 (_, rows), = _circle_sets(self, [self.tori[j]])
                 for cc in rows.circles.values():
                     _add_matching(cc, self.n_max, self.rho)
                 built[key] = rows
-            self._layers[j] = built[key]
+            self._layers[j] = rows
 
     def circle(self, k: int, side: str) -> CircleCache:
         """Cached contour around 0_k (side 'zero') or v_k (side 'node')."""
@@ -551,10 +563,12 @@ def fix_omega(st: GluingState) -> OmegaSeries:
             f"t = {st.t:g}: t^2 = {st.t**2:.3e} is not below rho*epsilon = {st.rho * st.epsilon:.3e}"
         )
     mat, vec = _fixed_point_system(st)
-    est = float(np.max(np.sum(np.abs(mat), axis=1)))
+    width = st.n_max - 1
+    # the row sums of |mat|, by the rows of one stored torus at a time
+    est = max(float(np.max(np.sum(np.abs(mat[i : i + 2 * width]), axis=1)))
+              for i in range(0, len(mat), 2 * width))
     if est >= 1.0:
         raise NonContractionError(f"contraction estimate {est:.3f} >= 1")
-    width = st.n_max - 1
     lam = np.zeros(st.n_tori * 2 * width, dtype=complex)
     norms = []
     for _ in range(FIX_MAX_ITER):

@@ -7,6 +7,7 @@ the neck flux.  The closed necks (t = 0) solve the system exactly at the
 central values, and solutions at t > 0 are continued from there.
 """
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -372,7 +373,9 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
     takes its Newton step; then each window, in order, clamps its buffer
     layers to the live tail state's tori they fold into and takes its
     step.  All states share one memo of residual rows and Jacobian blocks
-    by `_layer_key` at each t, dropped at the next.  Reports that read a
+    by `_layer_key` at each t, dropped at the next, and one weak map of
+    layer caches (`GluingState.refresh`) for the whole solve, detached
+    from the states it returns.  Reports that read a
     tail share its report; the callback sees the steps of the states of
     cfgs only, at each t in the order of cfgs.  With an empty schedule
     each series is the glued form at the state's own t.
@@ -393,14 +396,18 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
     if schedule and abs(schedule[-1] - t_target) > 1e-15:
         raise ScheduleError("schedule must end at t_target")
 
-    states = [GluingState.central(cfg, 0.0, K=K, epsilon=epsilon) for cfg in cfgs]
+    # every refresh of this solve, in any state, looks up equal blocks here
+    shared = weakref.WeakValueDictionary()
+    states = [GluingState.central(cfg, 0.0, K=K, epsilon=epsilon, shared_rows=shared)
+              for cfg in cfgs]
     # the tail pattern of each buffer layer; a window has both at its ends
     reads = [{k: (cfg.tau, cfg.right_tail if k > 0 else cfg.left_tail)
               for k in st.logical_range() if k not in st.active_range()}
              for cfg, st in zip(cfgs, states)]
     stacks = {(cfg.tau, tail): c for cfg, read in zip(cfgs, reads) if read
               for tail, c in _tail_configs(cfg).items()}
-    tails = {key: GluingState.central(c, 0.0, epsilon=epsilon) for key, c in stacks.items()}
+    tails = {key: GluingState.central(c, 0.0, epsilon=epsilon, shared_rows=shared)
+             for key, c in stacks.items()}
     # tails first: at each t the windows' buffer layers read their step at t
     runs = [(st, {}, None) for st in tails.values()]
     runs += [(st, read, callback) for st, read in zip(states, reads)]
@@ -415,6 +422,8 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
                              for k, key in read.items()})
             series[i], step = _solve_at_t(st, tuple(st.active_range()), cb, memo)
             steps[i].append(step)
+    for st, _, _ in runs:  # the returned states refresh on their own
+        st.shared_rows = None
     reports = [SolveReport(steps=tuple(done), state=st, series=ser)
                for done, (st, _, _), ser in zip(steps, runs, series)]
     by_tail = dict(zip(tails, reports))

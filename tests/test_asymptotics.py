@@ -201,11 +201,11 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
                                         ("cross_pair", "oPa-oCLP")])
 def test_window_half_width_does_not_move_the_layers(pair, name, request):
     """With the chart radius of the wide pair, a defect solved on windows
-    of half-width 1 and 2 gives every active layer of the pair's defect
+    of half-width 1, 2 and 3 gives every active layer of the pair's defect
     state to solver noise: the clamped tails stand in for the layers the
     narrow window leaves out."""
     wide = request.getfixturevalue(pair)[1].state
-    for K in (1, 2):
+    for K in (1, 2, 3):
         st = newton_continuation(catalog(name, K=1), 0.01, K=K, epsilon=wide.epsilon).state
         gap = max(np.max(np.abs(st.torus(k).block() - wide.torus(k).block()))
                   for k in st.active_range())

@@ -35,6 +35,15 @@ def test_bench_mesh_workload_is_correct():
     assert record["correct"] is True and record["failed"] == 0, record
 
 
+def test_bench_periodic_workload_is_correct():
+    """One traced periodic-oPa pass, so the gates of every workload run."""
+    proc = _run("bench/run.py", "--workload", "periodic-oPa", "--seed", "1",
+                "--seconds", "0.001", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["correct"] is True and record["failed"] == 0, record
+
+
 def test_bench_defect_workload_is_correct():
     """One traced defect-decay pass: the workload reads the pair's
     callback stream and hands the pair's return value to decay_fit."""

@@ -4,8 +4,10 @@ import copy
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -730,9 +732,9 @@ def _triangle_soup(seed: int = 11):
     return np.array(verts), np.array(faces), expected
 
 
-@pytest.mark.parametrize("chunk", [immersion.SWEEP_CHUNK, 7])
-def test_sweep_matches_bucket_oracle(chunk, monkeypatch):
-    monkeypatch.setattr(immersion, "SWEEP_CHUNK", chunk)
+@pytest.mark.parametrize("block", [immersion.BLOCK, 7])
+def test_sweep_matches_bucket_oracle(block, monkeypatch):
+    monkeypatch.setattr(immersion, "BLOCK", block)
     raw, faces, expected = _triangle_soup()
     tris = raw[faces]
     a, b = _sweep_pairs(tris.min(axis=1), tris.max(axis=1), faces)
@@ -744,6 +746,55 @@ def test_sweep_matches_bucket_oracle(chunk, monkeypatch):
     assert hits == ref
     assert 0 < len(ref) < len(cands)
     assert {pair: pair in ref for pair in expected} == expected
+
+
+def test_blocks_keep_the_mesh_and_the_battery(rpd, rpd_mesh, monkeypatch):
+    """With BLOCK at 64, no `_diffs` call takes more than 64 points, the
+    edge, sweep and triangle batches split many times over, and the rPD
+    mesh, its reports and frames and the battery keep every bit."""
+    st, series = rpd
+    ref = embeddedness_diagnostics(rpd_mesh)
+    sizes, diffs = [], immersion._diffs
+
+    def counted(st, series, k, z):
+        sizes.append(len(z))
+        return diffs(st, series, k, z)
+
+    monkeypatch.setattr(immersion, "_diffs", counted)
+    monkeypatch.setattr(immersion, "BLOCK", 64)
+    mesh = build_mesh(st, series)
+    assert max(sizes) == 64 and len(sizes) > 1000
+    for name in ("raw", "faces", "face_k", "face_part"):
+        got, want = getattr(mesh, name), getattr(rpd_mesh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert pickle.dumps(mesh.reports) == pickle.dumps(rpd_mesh.reports)
+    assert pickle.dumps(mesh.frames) == pickle.dumps(rpd_mesh.frames)
+    assert pickle.dumps(embeddedness_diagnostics(mesh)) == pickle.dumps(ref)
+
+
+def _traced_peak_mib(fn, *args, **kw) -> float:
+    """MiB that fn allocates at its peak above what was live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kw)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_geometry_transients_stay_bounded(rpd, rpd_mesh):
+    """The edge walk and the battery take BLOCK points or pairs at a time,
+    so a layer at grid_res 128 (16k nodes) and the battery on the rPD
+    mesh (about 200k candidate pairs per slab) stay within a few MiB of
+    their outputs."""
+    st, series = rpd
+    assert _traced_peak_mib(integrate_layer, 0, st, series, grid_res=128) < 16
+    assert _traced_peak_mib(embeddedness_diagnostics, rpd_mesh) < 10
 
 
 def test_strip_sweep_matches_one_axis_sweep_on_rpd_slabs(rpd_mesh):

@@ -301,6 +301,19 @@ def test_contraction_scaling():
     assert np.max(scaled) / np.min(scaled) < 1.25
 
 
+@pytest.mark.parametrize("K", [None, 8])
+def test_contraction_estimate_is_the_largest_row_sum(K):
+    """fix_omega sums |mat| one stored torus's rows at a time; its
+    estimate is the largest row sum of the whole |mat|, bit for bit, on
+    the cyclic reference and on the K = 8 twin-rPD window."""
+    twin = catalog("twin-rPD")
+    st = GluingState.central(upper_reference(twin) if K is None else twin, 0.01, K=K)
+    mat, _ = _fixed_point_system(st)
+    assert len(mat) == st.n_tori * 2 * (st.n_max - 1)
+    est = fix_omega(st).contraction_estimate
+    assert est == float(np.max(np.sum(np.abs(mat), axis=1))) > 0.0
+
+
 def test_noncontraction_raises():
     st = GluingState.central(catalog("rPD"), 0.0)
     st.t = 0.06

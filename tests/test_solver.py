@@ -1,5 +1,6 @@
 """Newton continuation on the opened-node parameter system."""
 
+import itertools
 import signal
 from dataclasses import replace
 
@@ -449,6 +450,26 @@ def test_equal_blocks_share_one_refresh(monkeypatch):
             for name_ in ("z", "dz", "g", "gp", "w0", "fvals", "base", "cols"):
                 assert np.array_equal(getattr(a.circles[side], name_),
                                       getattr(b.circles[side], name_)), (j, side, name_)
+
+
+def test_one_solve_shares_layer_caches_across_states():
+    """Every refresh of one solve looks up equal blocks across its states:
+    each clamped buffer layer of a twin-rPD window holds the `LayerRows`
+    of the tail layer it folds into, and two stored layers of the window
+    and its tails hold one object exactly when their blocks and epsilon
+    agree.  The returned states refresh on their own again."""
+    rep = newton_continuation(catalog("twin-rPD", K=2), 0.005, schedule=[0.005], K=5)
+    st, tails = rep.state, rep.tail_reports
+    states = [st, tails["left"].state, tails["right"].state]
+    for k in st.logical_range():
+        if k not in st.active_range():
+            tail = tails["right" if k > 0 else "left"].state
+            assert st._layers[st.index_of(k)] is tail._layers[tail.index_of(k)], k
+    held = [((T.block().tobytes(), s.epsilon), rows)
+            for s in states for T, rows in zip(s.tori, s._layers)]
+    for (key_a, a), (key_b, b) in itertools.combinations(held, 2):
+        assert (a is b) == (key_a == key_b)
+    assert all(s.shared_rows is None for s in states)
 
 
 def test_closed_neck_jacobian_blocks():
