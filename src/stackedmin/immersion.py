@@ -326,8 +326,8 @@ def _hole_cycles(faces_w: np.ndarray) -> list[list[int]] | None:
     """Closed boundary walks of the kept region, in wrapped vertex ids;
     None when the boundary is not a union of simple cycles."""
     edges = np.sort(faces_w[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, first, counts = np.unique(edges, axis=0, return_index=True,
-                                 return_counts=True)
+    key = edges[:, 0].astype(np.int64) * (int(edges.max()) + 1) + edges[:, 1]
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
     nbrs: dict[int, list[int]] = {}
     for a, b in edges[np.sort(first[counts == 1])]:  # boundary, as first met
         nbrs.setdefault(a, []).append(b)
@@ -448,7 +448,7 @@ def _tree_walk(n_nodes: int, u: np.ndarray, v: np.ndarray, inc: np.ndarray,
     """
     order = np.argsort(np.concatenate([u, v]), kind="stable")
     tail, head = np.concatenate([u, v])[order], np.concatenate([v, u])[order]
-    step = np.concatenate([inc, -inc])[order]
+    edge, fwd = order % len(u), order < len(u)
     offsets = np.searchsorted(tail, np.arange(n_nodes + 1))
     triples = np.zeros((n_nodes,) + inc.shape[1:], dtype=inc.dtype)
     in_tree = np.zeros(len(u), dtype=bool)
@@ -460,9 +460,10 @@ def _tree_walk(n_nodes: int, u: np.ndarray, v: np.ndarray, inc: np.ndarray,
         out = out[~visited[head[out]]]
         frontier, first = np.unique(head[out], return_index=True)
         out = out[first]
-        triples[frontier] = triples[tail[out]] + step[out]
+        step = inc[edge[out]]
+        triples[frontier] = triples[tail[out]] + np.where(fwd[out, None], step, -step)
         visited[frontier] = True
-        in_tree[order[out] % len(u)] = True
+        in_tree[edge[out]] = True
     return triples, in_tree
 
 

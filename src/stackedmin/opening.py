@@ -32,6 +32,8 @@ FIX_TOL = 1e-12
 FIX_MAX_ITER = 500
 DEFAULT_N_MAX = 8
 CIRCLE_NODES = 256  # quadrature nodes of each contour circle
+JET_SETS = 3  # (tau, v) sets per jet call, as v and its two moves in one layer's Jacobian
+SET_ROWS = 4  # rows per built set, as the bhat and a moves of one layer
 CHART_MARGIN = 2.0  # charts are |1/g| < CHART_MARGIN * epsilon
 CHART_NEWTON = 40  # Newton steps of the chart inversion
 N_BUFFER = 3  # least number of clamped tail layers at each end of a window
@@ -72,6 +74,10 @@ class TorusData:
     def block(self) -> np.ndarray:
         """The solver's 8 floats: bhat, a, tau, v as (re, im) pairs."""
         return np.array([self.bhat, self.a, self.tau, self.v], dtype=complex).view(float)
+
+    def tau_v(self) -> bytes:
+        """The bits of tau and v, which fix every point set of the torus."""
+        return self.block()[4:].tobytes()
 
     @classmethod
     def from_block(cls, x) -> "TorusData":
@@ -252,22 +258,31 @@ def _gauss_constants(tori):
     return tuple(np.array([f(T) for T in tori])[:, None] for f in fs)
 
 
+def _tau_chunks(tori):
+    """Runs of at most JET_SETS distinct (tau, v) of one tau among row
+    tori, each the row indices of its rows, in order of first appearance.
+    Rows share a (tau, v) when their bits agree (`TorusData.tau_v`), so
+    each set's points are those of each of its rows."""
+    keys = [T.tau_v() for T in tori]
+    sets = [[r for r, other in enumerate(keys) if other == key] for key in dict.fromkeys(keys)]
+    for tau in dict.fromkeys(key[:16] for key in keys):  # the bits of tau
+        group = [rows for rows in sets if keys[rows[0]][:16] == tau]
+        yield from (group[i : i + JET_SETS] for i in range(0, len(group), JET_SETS))
+
+
 def _point_sets(tori, points, jmax: int):
-    """Each distinct (tau, v) of row tori with the rows that share it, its
-    points and its jet pair, all with a leading set axis of length one.  The
-    sets of one tau come from one `TorusData.jets` call, bit-identical to a
-    call per set, and one tau is evaluated at a time."""
-    keys = [(T.tau, T.v) for T in tori]
-    sets = list(dict.fromkeys(keys))
-    for tau in dict.fromkeys(key[0] for key in sets):
-        group = [key for key in sets if key[0] == tau]
-        z = np.stack([points(tori[keys.index(key)]) for key in group])
-        v = np.array([key[1] for key in group])[:, None]
-        (zeta_z, d_z), (zeta_zv, d_zv) = tori[keys.index(group[0])].jets(z, jmax, v)
-        for i, key in enumerate(group):
+    """Each distinct (tau, v) of row tori, from any layers, with the rows
+    that share it, its points and its jet pair, all with a leading set
+    axis of length one.  The sets of one `_tau_chunks` run come from one
+    `TorusData.jets` call, bit-identical to a call per set, and one run
+    is evaluated at a time."""
+    for chunk in _tau_chunks(tori):
+        z = np.stack([points(tori[rows[0]]) for rows in chunk])
+        v = np.array([tori[rows[0]].v for rows in chunk])[:, None]
+        (zeta_z, d_z), (zeta_zv, d_zv) = tori[chunk[0][0]].jets(z, jmax, v)
+        for i, rows in enumerate(chunk):
             at = slice(i, i + 1)
-            yield ([r for r, other in enumerate(keys) if other == key], z[at],
-                   ((zeta_z[at], d_z[:, at]), (zeta_zv[at], d_zv[:, at])))
+            yield rows, z[at], ((zeta_z[at], d_z[:, at]), (zeta_zv[at], d_zv[:, at]))
 
 
 def _build_forms(tori, n_max: int, circles: dict) -> FormTable:
@@ -322,51 +337,53 @@ class CircleCache:
 
 @dataclass(frozen=True)
 class LayerRows:
-    """One (tau, v) set of a layer: the parameter rows that share its tau
-    and v, with their form table and, while needed, their contour caches
-    by side, all with a row axis.  `refresh` stores a one-row set per
-    torus; the residual evaluator takes it and moved rows' sets alike."""
+    """One (tau, v) set: the parameter rows that share its tau and v, with
+    their form table and, while needed, their contour caches by side, all
+    with a row axis.  `refresh` stores a one-row set per torus; the
+    residual evaluator takes it and moved rows' sets alike."""
 
     tori: list[TorusData]
     forms: FormTable
     circles: dict | None
 
 
-def _circle_sets(st: "GluingState", tori):
-    """The rows that share each distinct (tau, v) of row tori, with the
-    form table and the contour caches (without base and cols) that a
-    refresh builds for them, in a `LayerRows`; a stored torus T is [T].
 
-    The rows of a set share their circle nodes and jets, which broadcast
-    against a row axis before the node axis, and the sets of one tau
-    take one jet call per circle (`_point_sets`).  Every scalar stage (b,
-    xi_raw(v), the products with eta1) runs row by row and the array
-    stages are elementwise, so each row has the bits of its torus alone.
-    The state is only read.
+def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS):
+    """The rows that share each distinct (tau, v) of row tori, at most per
+    at a time, with the form table and the contour caches (without base
+    and cols) that a refresh builds for them, in a `LayerRows`; a stored
+    torus T is [T].
+
+    The rows of a (tau, v) share their circle nodes and jets, which
+    broadcast against a row axis before the node axis, and the sets of one
+    `_tau_chunks` run take one jet call per circle (`_point_sets`).  Every
+    scalar stage (b, xi_raw(v), the products with eta1) runs row by row
+    and the array stages are elementwise, so each row has the bits of its
+    torus alone.  The state is only read.
     """
     r, m, jmax = st.contour_radius, CIRCLE_NODES, st.n_max - 2
     _, dz = _circle_nodes(0.0, r, m)  # dz does not depend on the center
     centers = {"node": lambda T: T.v, "zero": lambda T: 0.0}
     sides = [_point_sets(tori, lambda T, c=c: _circle_nodes(c(T), r, m)[0], jmax)
              for c in centers.values()]
-    for (rows, *node), (_, *zero) in zip(*sides):
-        sub = [tori[i] for i in rows]
-        a, b, xiv = _gauss_constants(sub)
-        jets = {}
-        for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in zip(centers, (node, zero)):
-            zpow = np.stack([(z - centers[side](sub[0])) ** p for p in range(1, jmax + 2)])
-            s = zeta_z - zeta_zv
-            jets[side] = (z, dz, s, a * s + b, a * (dplus[0] - dminus[0]),
-                          dplus, dminus, zpow)
-        forms = _build_forms(sub, st.n_max, jets)
-        circles = {}
-        for side, (z, dz, s, gv, gp, dplus, dminus, _) in jets.items():
-            fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
-            forms.values(0, dplus, out=fvals[0])
-            forms.values(1, dminus, out=fvals[1])
-            circles[side] = CircleCache(center=centers[side](sub[0]), z=z, dz=dz,
-                                        g=gv, gp=gp, w0=s - xiv, fvals=fvals)
-        yield rows, LayerRows(tori=sub, forms=forms, circles=circles)
+    for (rows_all, *node), (_, *zero) in zip(*sides):
+        for rows in (rows_all[i : i + per] for i in range(0, len(rows_all), per)):
+            sub = [tori[i] for i in rows]
+            a, b, xiv = _gauss_constants(sub)
+            jets, circles = {}, {}
+            for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in zip(centers, (node, zero)):
+                zpow = np.stack([(z - centers[side](sub[0])) ** p for p in range(1, jmax + 2)])
+                s = zeta_z - zeta_zv
+                jets[side] = (z, dz, s, a * s + b, a * (dplus[0] - dminus[0]),
+                              dplus, dminus, zpow)
+            forms = _build_forms(sub, st.n_max, jets)
+            for side, (z, dz, s, gv, gp, dplus, dminus, _) in jets.items():
+                fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
+                forms.values(0, dplus, out=fvals[0])
+                forms.values(1, dminus, out=fvals[1])
+                circles[side] = CircleCache(center=centers[side](sub[0]), z=z, dz=dz,
+                                            g=gv, gp=gp, w0=s - xiv, fvals=fvals)
+            yield rows, LayerRows(tori=sub, forms=forms, circles=circles)
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
@@ -478,9 +495,10 @@ class GluingState:
         the stored indices in only, after new tori are put in place; caches
         do not depend on t, so rescaling t alone needs no refresh.
 
-        Each refreshed torus T with a new `TorusData.block` is built once
-        as the one-row set `_circle_sets(self, [T])`, the `LayerRows` that
-        each refreshed torus with those bytes stores as _layers[j]: its
+        New `TorusData.block` bytes are built, after the old caches go, as
+        the one-row sets of one `_circle_sets` pass (each distinct (tau, v)
+        once), bit for bit `_circle_sets(self, [T])`: the `LayerRows` that
+        each refreshed torus with those bytes stores as _layers[j], its
         `FormTable` (coefficients (2, n_max-1, n_max-1, 1) by pole, order,
         wp derivative and row) and its circles, completed with the
         neck-matching integrals base and cols.  A set reads only its torus
@@ -497,15 +515,18 @@ class GluingState:
             self._layers = [None] * self.n_tori
             only = range(self.n_tori)
         built = {} if self.shared_rows is None else self.shared_rows
-        for j in only:
-            key = (self.tori[j].block().tobytes(), self.epsilon)
-            rows = built.get(key)
-            if rows is None:
-                (_, rows), = _circle_sets(self, [self.tori[j]])
-                for cc in rows.circles.values():
-                    _add_matching(cc, self.n_max, self.rho)
-                built[key] = rows
-            self._layers[j] = rows
+        keys = {j: (self.tori[j].block().tobytes(), self.epsilon) for j in only}
+        rows = {key: built.get(key) for key in keys.values()}  # held while assigning
+        new = {key: self.tori[j] for j, key in keys.items() if rows[key] is None}
+        for j, key in keys.items():  # the old caches go before the build
+            self._layers[j] = rows[key]
+        order = list(new)
+        for (u,), lr in _circle_sets(self, list(new.values()), 1):
+            for cc in lr.circles.values():
+                _add_matching(cc, self.n_max, self.rho)
+            rows[order[u]] = built[order[u]] = lr
+        for j, key in keys.items():
+            self._layers[j] = rows[key]
 
     def circle(self, k: int, side: str) -> CircleCache:
         """Cached contour around 0_k (side 'zero') or v_k (side 'node')."""
@@ -618,41 +639,42 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     shaped like z, from the one row of the stored set."""
     j = st.index_of(k)
     za = np.asarray(z, dtype=complex).reshape(1, -1)
-    gv, val = gauss_and_omega_from_jets(
-        st, series, j, st.tori[j].jets(za, st.n_max - 2), st._layers[j])
-    return gv.reshape(np.shape(z)), val.reshape(np.shape(z))
+    gv, *parts = gauss_parts(st.tori[j].jets(za, st.n_max - 2), st._layers[j])
+    return gv.reshape(np.shape(z)), glued_density(st, series.lam[j], *parts).reshape(np.shape(z))
 
 
-def gauss_and_omega_from_jets(st: GluingState, series: OmegaSeries, j: int,
-                              jets: tuple, lr: LayerRows):
-    """`gauss_and_omega` on stored torus j from the jet pair of one set lr
-    of it (`LayerRows`: the state's own, or parameter rows), one result row
-    per row; the jets are `TorusData.jets` at order n_max - 2, the wp stack
-    of the second-kind forms.  Every order of both signs adds its term."""
-    row = series.lam[j]
+def gauss_parts(jets: tuple, lr: LayerRows):
+    """g, the base form zeta(z) - zeta(z - v) - xi_raw(v) and the second-kind
+    densities of both signs of the rows of a set lr (`LayerRows`), one
+    row per row, from the jet pair of their (tau, v) at order n_max - 2."""
     (zeta_z, dminus), (zeta_zv, dplus) = jets
     s = zeta_z - zeta_zv
     a, b, xiv = _gauss_constants(lr.tori)
-    gv = a * s + b
-    val = s - xiv
-    fplus, fminus = lr.forms.values(0, dplus), lr.forms.values(1, dminus)
+    return a * s + b, s - xiv, lr.forms.values(0, dplus), lr.forms.values(1, dminus)
+
+
+def glued_density(st: GluingState, lam: np.ndarray, base, fplus, fminus):
+    """The glued form's density from `gauss_parts` and one layer's lambda
+    row: every order of both signs adds its term."""
+    val = base
     for n in range(2, st.n_max + 1):
         w = st.rho ** (n - 1)
-        val = val + w * row[0, n - 2] * fplus[n - 2]
-        val = val + w * row[1, n - 2] * fminus[n - 2]
-    return gv, val
+        val = val + w * lam[0, n - 2] * fplus[n - 2]
+        val = val + w * lam[1, n - 2] * fminus[n - 2]
+    return val
 
 
 def omega_on_circle(st: GluingState, series: OmegaSeries, k: int, side: str,
-                    rows: LayerRows | None = None):
+                    rows: LayerRows | None = None, at=slice(None)):
     """Density of the glued form at the cached contour nodes of layer k,
-    or at the contour nodes of a set of its parameter rows; one result
-    row per row, so the state's own circle gives one row."""
+    or at the contour nodes of the rows at of a set of parameter rows; one
+    result row per row, so the state's own circle gives one row."""
     j = st.index_of(k)
     cc = (st._layers[j] if rows is None else rows).circles[side]
     row = series.lam[j]
     rhow = st.rho ** np.arange(1, st.n_max)
-    return cc.w0 + np.einsum("s m, s m ... n -> ... n", row * rhow[None, :], cc.fvals)
+    return cc.w0[at] + np.einsum("s m, s m ... n -> ... n", row * rhow[None, :],
+                                 cc.fvals[:, :, at])
 
 
 @dataclass(frozen=True)

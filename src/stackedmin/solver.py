@@ -20,8 +20,10 @@ from .opening import (
     TorusData,
     _circle_sets,
     _point_sets,
+    _tau_chunks,
     fix_omega,
-    gauss_and_omega_from_jets,
+    gauss_parts,
+    glued_density,
     omega_on_circle,
     path_base,
 )
@@ -60,19 +62,19 @@ class StepFailure(RuntimeError):
 # residuals
 
 
-def _circle_residuals(st, series, k, rows: LayerRows):
-    """E and Gbal of layer k on one (tau, v) set, one entry per row, from
-    one glued-form evaluation per circle: E sums omega/dz over the zeros
-    of g_k as minus the residues of W g'/g at the two poles (the cell
-    boundary cancels by periodicity), Gbal is the neck flux of g_k omega
-    against the common normalisation value."""
+def _circle_residuals(st, series, k, rows: LayerRows, at):
+    """E and Gbal of layer k on the rows at of one (tau, v) set, one entry
+    per row, from one glued-form evaluation per circle: E sums omega/dz
+    over the zeros of g_k as minus the residues of W g'/g at the two poles
+    (the cell boundary cancels by periodicity), Gbal is the neck flux of
+    g_k omega against the common normalisation value."""
     sums = []
     for side in ("zero", "node"):
         cc = rows.circles[side]
-        W = omega_on_circle(st, series, k, side, rows)
-        sums.append(np.sum(W * cc.gp / cc.g * cc.dz, axis=-1))
+        W = omega_on_circle(st, series, k, side, rows, at)
+        sums.append(np.sum(W * cc.gp[at] / cc.g[at] * cc.dz, axis=-1))
         if side == "zero":
-            fluxes = np.sum(cc.g * W * cc.dz, axis=-1)
+            fluxes = np.sum(cc.g[at] * W * cc.dz, axis=-1)
     # the scalar stages, row by row
     E = [-(0j + zero / (2j * np.pi) + node / (2j * np.pi)) for zero, node in zip(*sums)]
     Gbal = []
@@ -83,56 +85,82 @@ def _circle_residuals(st, series, k, rows: LayerRows):
     return E, Gbal
 
 
-def _period_residuals(st, series, k, tori, sets: list):
+def _by_layer(ks, rows):
+    """The pairs on the rows of a set by layer, rows[i] listing those on
+    row i: (k, positions, rows in the set, a slice when that is all)."""
+    groups = {}
+    for i, pairs in enumerate(rows):
+        for p in pairs:
+            pos, at = groups.setdefault(ks[p], ([], []))
+            pos.append(p)
+            at.append(i)
+    return [(k, pos, slice(None) if at == list(range(len(rows))) else at)
+            for k, (pos, at) in groups.items()]
+
+
+def _period_residuals(st, series, tori, run, held, out):
     """Period residuals P1, P2 of the horizontal displacement over both
-    cycles, one column per row of tori.  sets holds the `LayerRows` of
-    each (tau, v) set in the order of `_point_sets`; the paths read their
-    form tables only.  The node sums of W/g and t^2 g W on the path from
-    path_base(T) along each cycle are reduced set by set, and the sets of
-    one tau share their jet call."""
-    j = st.index_of(k)
+    cycles into columns 1, 2 of out, for the pairs on the distinct rows
+    run, whose (`_by_layer` groups, `LayerRows`) sets held lists by
+    (tau, v).  The paths from path_base(T) read form tables only: one jet
+    call per (tau, v) and path (`_point_sets`) and one `gauss_parts` per
+    set serve the node sums of W/g and t^2 g W of each layer on it, with
+    its own lambda row; its parity enters in the scalar stage."""
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
-    out = np.empty((2, len(tori)), dtype=complex)
-    for i, (along, target) in enumerate(((lambda T: 1.0, 2.0 * (-1) ** k),
-                                         (lambda T: T.tau, 2.0 * st.tau_ref))):
-        sums = np.empty((2, len(tori)), dtype=complex)
-        points = _point_sets(tori, lambda T: path_base(T) + s * along(T), st.n_max - 2)
-        for (idx, _, jets), rows in zip(points, sets):
-            gv, W = gauss_and_omega_from_jets(st, series, j, jets, rows)
-            if np.min(np.abs(gv)) < 1e-6:
-                raise ContourError(f"zero of g_{k} on a period path")
-            sums[0, idx] = np.sum(W / gv, axis=-1)
-            sums[1, idx] = np.sum(st.t * st.t * gv * W, axis=-1)
-        # the scalar stages, row by row
-        for r, (s_ginv, s_g, T) in enumerate(zip(*sums, tori)):
-            dz = along(T) / PATH_NODES
-            i_ginv, i_g = s_ginv * dz, s_g * dz
-            if k % 2 == 0:
-                p = np.conj(i_g) - i_ginv
-            else:
-                p = np.conj(i_ginv) - i_g
-            out[i, r] = p - target
-    return out
+    for col, along in ((1, lambda T: 1.0), (2, lambda T: T.tau)):
+        for idx, _, jets in _point_sets(run, lambda T: path_base(T) + s * along(T),
+                                        st.n_max - 2):
+            for groups, lr in held[run[idx[0]].tau_v()]:
+                gv, *parts = gauss_parts(jets, lr)
+                if np.min(np.abs(gv)) < 1e-6:
+                    raise ContourError(f"zero of g_{groups[0][0]} on a period path")
+                for k, pos, at in groups:
+                    W = glued_density(st, series.lam[st.index_of(k)],
+                                      *(x[..., at, :] for x in parts))
+                    sums = np.sum(W / gv[at], axis=-1), np.sum(st.t * st.t * gv[at] * W, axis=-1)
+                    # the scalar stages, row by row
+                    for p, s_ginv, s_g in zip(pos, *sums):
+                        dz = along(tori[p]) / PATH_NODES
+                        i_ginv, i_g = s_ginv * dz, s_g * dz
+                        val = np.conj(i_g) - i_ginv if k % 2 == 0 else np.conj(i_ginv) - i_g
+                        out[p, col] = val - (2.0 * (-1) ** k, 2.0 * st.tau_ref)[col - 1]
+                del gv, parts, W  # before the next set's parts
+        del jets  # before the next path's kernel call
 
 
-def _block_residual(st, series, k, tori=None):
-    """(E, P1, P2, Gbal) of layer k, one row per parameter row in tori or,
-    without tori, the one row of the state's parameters; full_residual and
-    the Jacobian share it.  It works set by set: the state's layer is its
-    stored `LayerRows`, and the rows of tori that share a (tau, v) are one
-    set of `_circle_sets`.  Each set's circles give its E and Gbal and are
-    then dropped; the period paths read only its form table."""
-    if tori is None:
-        j = st.index_of(k)
-        tori, sets = [st.tori[j]], [([0], st._layers[j])]
-    else:
-        sets = _circle_sets(st, tori)
-    out = np.empty((len(tori), 4), dtype=complex)
-    paths = []
-    for idx, rows in sets:
-        out[idx, 0], out[idx, 3] = _circle_residuals(st, series, k, rows)
-        paths.append(LayerRows(rows.tori, rows.forms, None))
-    out[:, 1:3] = _period_residuals(st, series, k, tori, paths).T
+def _block_residual(st, series, ks, tori=None):
+    """(E, P1, P2, Gbal) of each (layer, parameter row) pair (ks[p],
+    tori[p]) for full_residual and the Jacobian; without tori each row is
+    the layer's stored torus with its stored `LayerRows`.  Pairs with
+    equal blocks share a distinct row, and the distinct rows go one
+    `_tau_chunks` run at a time, so each (tau, v) is evaluated once and
+    one run's jets are held; moved rows take one `_circle_sets` pass per
+    run.  A set's circles give the E and Gbal of each layer on it and go;
+    the paths read its form table.  Lambda rows and parities enter last,
+    per layer.  Array stages are elementwise along rows or reduce along
+    nodes, so each pair has the bits of its layer evaluated alone."""
+    stored = tori is None
+    tori = [st.torus(k) for k in ks] if stored else tori
+    by_block = {}
+    for p, T in enumerate(tori):
+        by_block.setdefault(T.block().tobytes(), []).append(p)
+    pairs_of = list(by_block.values())
+    distinct = [tori[pairs[0]] for pairs in pairs_of]
+    out = np.empty((len(ks), 4), dtype=complex)
+    for chunk in _tau_chunks(distinct):
+        us = [u for rows in chunk for u in rows]
+        run = [distinct[u] for u in us]
+        sets = ([([i], st._layers[st.index_of(ks[pairs_of[u][0]])]) for i, u in enumerate(us)]
+                if stored else _circle_sets(st, run))
+        held = {}
+        for idx, rows in sets:
+            groups = _by_layer(ks, [pairs_of[us[i]] for i in idx])
+            for k, pos, at in groups:
+                out[pos, 0], out[pos, 3] = _circle_residuals(st, series, k, rows, at)
+            held.setdefault(rows.tori[0].tau_v(), []).append(
+                (groups, rows if stored else LayerRows(rows.tori, rows.forms, None)))
+            del rows  # its circles, before the next kernel call
+        _period_residuals(st, series, tori, run, held, out)
     return out
 
 
@@ -176,16 +204,16 @@ def full_residual(st: GluingState, series: OmegaSeries, ks=None,
     Layers with equal `_layer_key` have equal rows, so each distinct key
     is evaluated once and its row copied to the others: within this call,
     or, with a memo shared by several calls, across all of them (one t of
-    `_continue_stacks`, over its states and Newton iterations)."""
+    `_continue_stacks`, over its states and Newton iterations).  The new
+    keys take one `_block_residual` pass."""
     if ks is None:
         ks = tuple(st.logical_range())
     memo = {} if memo is None else memo
-    rows = np.empty((len(ks), 4), dtype=complex)
-    for i, k in enumerate(ks):
-        key = ("row",) + _layer_key(st, series, k)
-        if key not in memo:
-            memo[key] = _block_residual(st, series, k)[0]
-        rows[i] = memo[key]
+    keys = [("row",) + _layer_key(st, series, k) for k in ks]
+    todo = {key: k for key, k in zip(keys, ks) if key not in memo}
+    if todo:
+        memo.update(zip(todo, _block_residual(st, series, list(todo.values()))))
+    rows = np.array([memo[key] for key in keys], dtype=complex).reshape(-1, 4)
     return ResidualVector(ks=tuple(ks), entries=rows)
 
 
@@ -206,14 +234,15 @@ def _fd_blocks(st, series, active, flat, memo: dict | None = None):
     """Forward-difference 8x8 Jacobian blocks of the active layers, with
     the series frozen; flat is the residual at the current parameters.
 
-    The eight moved parameter sets of a layer are the eight rows of one
-    `_block_residual`, which never touches the state.  The four bhat and
-    a rows keep the layer's tau and v, so on each point set (node circle,
-    zero circle, the two period paths) one jet call serves them together
-    with the two v rows, and each tau row takes one more: twelve calls
-    per layer.  Array stages are elementwise or reduce along the node
-    axis and scalar stages run row by row, so each column has the bits of
-    a refresh and a block residual at its own parameters.
+    The eight moved parameter sets of each layer are its eight pairs in
+    one `_block_residual` pass over all layers, which never touches the
+    state.  The four bhat and a rows keep the layer's tau and v, so on
+    each point set (node circle, zero circle, the two period paths) one
+    jet call serves them with the two v rows, and each tau row takes one
+    more: twelve calls for one layer, fewer where layers share a (tau, v).
+    Array stages are elementwise or reduce along the node axis and scalar
+    stages run row by row, so each column has the bits of a refresh and
+    a block residual at its own parameters.
 
     A layer whose `_layer_key` an earlier layer has takes that layer's
     block: its rows and its residual slice of flat are the same bits, so
@@ -221,23 +250,18 @@ def _fd_blocks(st, series, active, flat, memo: dict | None = None):
     memo shared as in `full_residual`, across every call that shares it.
     """
     memo = {} if memo is None else memo
-    blocks = np.empty((len(active), 8, 8))
-    for i, k in enumerate(active):
-        key = ("fd",) + _layer_key(st, series, k)
-        if key in memo:
-            blocks[i] = memo[key]
-            continue
-        x0 = st.torus(k).block()
-        moved = []
-        for c in range(8):
-            xp = x0.copy()
-            xp[c] += FD_STEP
-            moved.append(TorusData.from_block(xp))
-        res = _block_residual(st, series, k, moved)
-        rp = np.empty((8, 8))
-        rp[:, 0::2], rp[:, 1::2] = res.real, res.imag
-        blocks[i] = memo[key] = ((rp - flat[8 * i : 8 * i + 8]) / FD_STEP).T
-    return blocks
+    keys = [("fd",) + _layer_key(st, series, k) for k in active]
+    todo = {key: (i, k) for i, (key, k) in enumerate(zip(keys, active)) if key not in memo}
+    # row c moves entry c alone, so the other entries keep their bits
+    moved = [TorusData.from_block(xp) for _, k in todo.values() for x0 in [st.torus(k).block()]
+             for xp in np.where(np.eye(8, dtype=bool), x0 + FD_STEP, x0)]
+    if todo:
+        ks = [k for _, k in todo.values() for _ in range(8)]
+        # (re, im) of each row's four entries, as in flat
+        rp = _block_residual(st, series, ks, moved).view(float).reshape(len(todo), 8, 8)
+        r0 = np.array([flat[8 * i : 8 * i + 8] for i, _ in todo.values()])[:, None]
+        memo.update(zip(todo, ((rp - r0) / FD_STEP).transpose(0, 2, 1)))
+    return np.array([memo[key] for key in keys]).reshape(-1, 8, 8)
 
 
 @dataclass(frozen=True)
@@ -350,7 +374,9 @@ def newton_continuation(cfg: Configuration, t_target: float, schedule=None,
     None when no layer is clamped, as in a cyclic state.  At each t,
     layers with equal parameters, lambda rows, parity and state constants
     (`_layer_key`) are evaluated once across every Newton iteration and
-    every state, window or tail (`full_residual`, `_fd_blocks`).
+    every state, window or tail (`full_residual`, `_fd_blocks`), and each
+    residual, Jacobian or refresh call evaluates the jets of each distinct
+    (tau, v) of its layers once.
 
     Raises UnbalancedConfigError when the forces of cfg do not vanish,
     ScheduleError unless t_target and the schedule are finite and

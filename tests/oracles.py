@@ -393,11 +393,28 @@ def fd_blocks_plain(st, series, active, flat):
             xp[c] += FD_STEP
             set_fresh(j, xp)
             rp = np.empty(8)
-            blk = _block_residual(st, series, k)[0]
+            blk = _block_residual(st, series, [k])[0]
             rp[0::2], rp[1::2] = blk.real, blk.imag
             blocks[i, :, c] = (rp - r0) / FD_STEP
         set_fresh(j, x0)
     return blocks
+
+
+def traced_peak_mib(fn, *args, **kw) -> float:
+    """MiB that fn allocates at its peak above what was live before it."""
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kw)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def t_squared_fit_residual(ts, values, terms: int) -> float:

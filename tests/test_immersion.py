@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -772,29 +771,15 @@ def test_blocks_keep_the_mesh_and_the_battery(rpd, rpd_mesh, monkeypatch):
     assert pickle.dumps(embeddedness_diagnostics(mesh)) == pickle.dumps(ref)
 
 
-def _traced_peak_mib(fn, *args, **kw) -> float:
-    """MiB that fn allocates at its peak above what was live before it."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn(*args, **kw)
-        return (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 def test_geometry_transients_stay_bounded(rpd, rpd_mesh):
     """The edge walk and the battery take BLOCK points or pairs at a time,
-    so a layer at grid_res 128 (16k nodes) and the battery on the rPD
-    mesh (about 200k candidate pairs per slab) stay within a few MiB of
-    their outputs."""
+    and the tree walk and the hole walk index edges instead of copying
+    their steps and rows, so a layer at grid_res 128 (16k nodes) and the
+    battery on the rPD mesh (about 200k candidate pairs per slab) stay
+    within a few MiB of their outputs."""
     st, series = rpd
-    assert _traced_peak_mib(integrate_layer, 0, st, series, grid_res=128) < 16
-    assert _traced_peak_mib(embeddedness_diagnostics, rpd_mesh) < 10
+    assert oracles.traced_peak_mib(integrate_layer, 0, st, series, grid_res=128) < 9
+    assert oracles.traced_peak_mib(embeddedness_diagnostics, rpd_mesh) < 10
 
 
 def test_strip_sweep_matches_one_axis_sweep_on_rpd_slabs(rpd_mesh):

@@ -444,17 +444,18 @@ def test_chart_radius_checks_each_distinct_torus_once(monkeypatch):
 @pytest.mark.parametrize("name, builds", [("twin-rPD", 4), ("reference", 2)])
 def test_equal_tori_share_one_cache_from_construction(name, builds, monkeypatch):
     """The K = 8 window stores 23 tori; construction builds one cache per
-    distinct parameter block, and equal tori hold the same `LayerRows`."""
+    distinct parameter block in one grouped build, and equal tori hold the
+    same `LayerRows`."""
     calls, circle_sets = [], opening._circle_sets
 
-    def counted(st, tori):
+    def counted(st, tori, *args):
         calls.append(tori)
-        return circle_sets(st, tori)
+        return circle_sets(st, tori, *args)
 
     monkeypatch.setattr(opening, "_circle_sets", counted)
     twin = catalog("twin-rPD")
     st = GluingState.central(twin if name == "twin-rPD" else upper_reference(twin), 0.0, K=8)
-    assert (st.n_tori, len(calls)) == (23, builds)
+    assert (st.n_tori, [len(tori) for tori in calls]) == (23, [builds])
     keys = [T.block().tobytes() for T in st.tori]
     assert len(set(keys)) == builds
     for i, j in itertools.combinations(range(st.n_tori), 2):

@@ -29,6 +29,7 @@ from stackedmin.opening import (
 from stackedmin.solver import (
     FD_STEP,
     NEWTON_TOL,
+    ResidualVector,
     StepFailure,
     _block_residual,
     _fd_blocks,
@@ -210,11 +211,11 @@ def _fd_block(st, series, k, h=1e-6):
         xp = x0.copy()
         xp[c] += h
         _set_blocks(st, {j: xp})
-        bp = _block_residual(st, series, k)[0]
+        bp = _block_residual(st, series, [k])[0]
         xm = x0.copy()
         xm[c] -= h
         _set_blocks(st, {j: xm})
-        bm = _block_residual(st, series, k)[0]
+        bm = _block_residual(st, series, [k])[0]
         col = np.empty(8)
         col[0::2] = (bp.real - bm.real) / (2 * h)
         col[1::2] = (bp.imag - bm.imag) / (2 * h)
@@ -254,7 +255,7 @@ def test_fd_blocks_match_plain_loop(name, K, k, t):
     assert np.array_equal(got, ref)
     # the state's cached set and a fresh row set of the same torus agree
     assert np.array_equal(full_residual(st, series, (k,)).entries,
-                          _block_residual(st, series, k, [st.torus(k)]))
+                          _block_residual(st, series, [k], [st.torus(k)]))
     j = st.index_of(k)
     assert np.array_equal(st.tori[j].block(), ref_st.tori[j].block())
     for sign in "+-":
@@ -310,7 +311,7 @@ def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
         xp = x0.copy()
         xp[c] += FD_STEP
         _set_blocks(st, {1: xp})
-        _block_residual(st, series, 1)
+        _block_residual(st, series, [1])
         plain.append(sum(points))
     assert len(set(plain)) == 1
     assert batched == 5 * plain[0]
@@ -341,23 +342,111 @@ def test_repeated_layers_are_evaluated_once(defect, monkeypatch):
     active = tuple(st.active_range())
     distinct = _distinct_layers(st, series, active)
     assert len(distinct) < len(active)
-    rows = np.array([_block_residual(ref_st, ref_series, k)[0] for k in active])
+    rows = np.array([_block_residual(ref_st, ref_series, [k])[0] for k in active])
     calls = []
 
-    def counted(st, series, k, tori=None):
-        calls.append(k)
-        return _block_residual(st, series, k, tori)
+    def counted(st, series, ks, tori=None):
+        calls.append(list(ks))
+        return _block_residual(st, series, ks, tori)
 
     monkeypatch.setattr(solver, "_block_residual", counted)
     res = full_residual(st, series, active)
-    assert len(calls) == len(distinct)
+    assert len(calls) == 1 and len(calls[0]) == len(distinct)
     assert np.array_equal(res.entries, rows)
     calls.clear()
     got = _fd_blocks(st, series, active, res.flat())
-    assert len(calls) == len(distinct)
+    (ks,) = calls
+    assert len(ks[::8]) == len(distinct) and ks == [k for k in ks[::8] for _ in range(8)]
     monkeypatch.undo()
     ref = oracles.fd_blocks_plain(ref_st, ref_series, active, res.flat())
     assert np.array_equal(got, ref)
+
+
+def _shared_tau_v(st):
+    """Move a and bhat of every stored torus by one of three steps, so
+    that layers on one (tau, v) carry different parameter blocks."""
+    _set_blocks(st, {j: T.block() + 1e-4 * (j % 3) * np.array([1, 1, 1, -1, 0, 0, 0, 0])
+                     for j, T in enumerate(st.tori)})
+
+
+@pytest.mark.parametrize("defect", [True, False], ids=["twin-rPD", "reference"])
+def test_no_point_set_reaches_the_kernel_twice_in_one_call(defect, monkeypatch):
+    """Within one full_residual, one _fd_blocks and one refresh, each
+    (tau, v) point set (node circle, zero circle, each period path) is
+    evaluated once, however many layers share it: no (nome, points,
+    points - v) reaches the theta pass twice in one call."""
+    st, series = _twin_window(defect)
+    active = tuple(st.active_range())
+    theta_sums, calls = elliptic._theta_sums, []
+
+    def counted(v, q, *args, **kwargs):
+        if np.ndim(v) == 3:  # (z, z - v) by set by node
+            calls.extend((q, v[0, i].tobytes(), v[1, i].tobytes()) for i in range(v.shape[1]))
+        return theta_sums(v, q, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "_theta_sums", counted)
+    flat = full_residual(st, series, active).flat()
+    seen = {"full_residual": list(calls)}
+    calls.clear()
+    _fd_blocks(st, series, active, flat)
+    seen["_fd_blocks"] = list(calls)
+    calls.clear()
+    _shared_tau_v(st)
+    seen["refresh"] = list(calls)
+    repeated = {name: len(keys) - len(set(keys)) for name, keys in seen.items()}
+    assert all(seen.values()) and repeated == dict.fromkeys(seen, 0)
+
+
+@pytest.mark.parametrize("defect", [True, False], ids=["twin-rPD", "reference"])
+@pytest.mark.parametrize("moved", [False, True], ids=["central", "shared-tau-v"])
+def test_grouped_pass_matches_layer_by_layer(defect, moved):
+    """One pass over every active layer gives each layer the residual row
+    that `_block_residual` gives it alone and the Jacobian block of the
+    plain loop, bit for bit, on the central window and on one whose
+    layers share (tau, v) with different blocks; and a grouped refresh
+    stores, for each torus, the set that a build of that torus alone
+    gives, field by field."""
+    st, series = _twin_window(defect)
+    ref_st, ref_series = _twin_window(defect)
+    if moved:
+        _shared_tau_v(st)
+        _shared_tau_v(ref_st)
+        series, ref_series = fix_omega(st), fix_omega(ref_st)
+        assert len({(T.tau, T.v) for T in st.tori}) < len({T.block().tobytes() for T in st.tori})
+    active = tuple(st.active_range())
+    rows = _block_residual(st, series, active)
+    assert np.array_equal(rows, [_block_residual(st, series, [k])[0] for k in active])
+    got = _fd_blocks(st, series, active, ResidualVector(active, rows).flat())
+    ref = oracles.fd_blocks_plain(ref_st, ref_series, active,
+                                  ResidualVector(active, rows).flat())
+    assert np.array_equal(got, ref)
+    for j, T in enumerate(st.tori):
+        (_, alone), = opening._circle_sets(st, [T])
+        for cc in alone.circles.values():
+            opening._add_matching(cc, st.n_max, st.rho)
+        stored = st._layers[j]
+        assert stored.tori == [T]
+        for name_ in ("coeffs", "eta", "mu"):
+            assert np.array_equal(getattr(stored.forms, name_), getattr(alone.forms, name_))
+        for side in ("node", "zero"):
+            a, b = stored.circles[side], alone.circles[side]
+            assert a.center == b.center
+            for name_ in ("z", "dz", "g", "gp", "w0", "fvals", "base", "cols"):
+                x, y = getattr(a, name_), getattr(b, name_)
+                assert x.shape == y.shape and np.array_equal(x, y), (j, side, name_)
+
+
+def test_jacobian_pass_memory_stays_bounded():
+    """One _fd_blocks over the 17 active layers of the twin-rPD K = 8
+    window at t = 0.01 holds one run of jets and the per-row arrays of
+    one set at a time: its traced peak stays below the 1.571 MiB that the
+    layer-by-layer pass took."""
+    st = GluingState.central(catalog("twin-rPD"), 0.01, K=8)
+    series = fix_omega(st)
+    active = tuple(st.active_range())
+    flat = full_residual(st, series, active).flat()
+    _fd_blocks(st, series, active, flat)  # lattices of the moved taus are cached
+    assert oracles.traced_peak_mib(_fd_blocks, st, series, active, flat) < 1.57
 
 
 def _state_key(st, series, k):
@@ -373,9 +462,10 @@ def test_no_layer_key_is_evaluated_twice_at_one_t(monkeypatch):
     block is evaluated twice for the same state key at the same t."""
     seen = {"fd": [], "row": []}
 
-    def counted(st, series, k, tori=None):
-        seen["fd" if tori is not None else "row"].append(_state_key(st, series, k))
-        return _block_residual(st, series, k, tori)
+    def counted(st, series, ks, tori=None):
+        seen["fd" if tori is not None else "row"].extend(
+            _state_key(st, series, k) for k in dict.fromkeys(ks))
+        return _block_residual(st, series, ks, tori)
 
     monkeypatch.setattr(solver, "_block_residual", counted)
     twin = catalog("twin-rPD", K=2)
@@ -430,15 +520,16 @@ def test_equal_blocks_share_one_refresh(monkeypatch):
         refreshes.append(only)
         return refresh(self, only)
 
-    def counted_sets(st, tori):
+    def counted_sets(st, tori, *args):
         builds.append(tori)
-        return circle_sets(st, tori)
+        return circle_sets(st, tori, *args)
 
     monkeypatch.setattr(GluingState, "refresh", counted)
     monkeypatch.setattr(opening, "_circle_sets", counted_sets)
     solver._set_blocks(st, moved)
     assert refreshes == [list(moved)]
-    assert len(builds) == len({x.tobytes() for x in moved.values()}) == 2
+    # one grouped build, of one torus per distinct block
+    assert [len(tori) for tori in builds] == [len({x.tobytes() for x in moved.values()})] == [2]
     monkeypatch.undo()
     for j, x in moved.items():
         _set_blocks(ref_st, {j: x})
