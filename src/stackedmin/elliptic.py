@@ -144,12 +144,13 @@ def lattice_coords(z, tau: complex):
     return x, y
 
 
-def reduce_centered(z, tau: complex):
+def reduce_centered(z, tau):
     """Reduce to the centered parallelogram, coordinates in [-1/2, 1/2).
 
     Returns (z_red, m, n) with z = z_red + m + n*tau.  Ties at the
     boundary resolve by round-half-to-even, which keeps the reduction
-    deterministic across platforms.
+    deterministic across platforms.  tau may be a column of moduli, one
+    per entry of the leading set axis of z, which broadcasts.
     """
     x, y = lattice_coords(z, tau)
     m = np.round(x)
@@ -190,7 +191,7 @@ class TorusPoint:
         return cls(z=x + y * lat.tau, x=x, y=y)
 
 
-def _theta_sums(v, q: complex, n_terms: int, kmax: int):
+def _theta_sums(v, q, n_terms: int, kmax: int):
     """Partial sums u_k = sum (-1)^n q^(n(n+1)) (2n+1)^k trig((2n+1)v).
 
     trig cycles through sin, cos, -sin, -cos as k increases; u_0 is
@@ -200,6 +201,13 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
     term, bounded in logs over the reduced cell by
     |q|^(n(n+1)) (2n+1)^3 cosh((2n+1) pi Im tau / 2), is below
     `THETA_TAIL_BOUND` = 2^-53 * 1e-4.
+
+    q is one nome, or a column of nomes (S, 1, ..., 1), one per entry of
+    the leading set axis of v, all of one n_terms.  Each coefficient
+    sign * q^(n(n+1)) * (2n+1)^k is a Python complex product per nome,
+    and a column of them multiplies the trig array as a broadcast
+    operand, in the loop that a single nome takes, so each set gets the
+    bits of a pass on its own nome.
 
     sin w and cos w of a term w = x + iy share their factors.  numpy's
     complex sin and cos are glibc's csin and ccos, which compute
@@ -219,6 +227,7 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
     building them by real products could flip the sign of a zero.
     """
     v = np.asarray(v, dtype=complex)
+    nomes, col = np.ravel(q).tolist(), np.shape(q)  # Python complex scalars
     out = [np.zeros(v.shape, dtype=complex) for _ in range(kmax + 1)]
     arg = np.empty(v.shape, dtype=complex)
     arg.real = _DBL_MIN
@@ -228,9 +237,10 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
     sin_w = np.empty(v.shape, dtype=complex)
     cos_w = np.empty(v.shape, dtype=complex)
     term = np.empty(v.shape, dtype=complex)
+    w = np.empty(v.shape, dtype=complex)
     sign = 1.0
     for n in range(n_terms):
-        w = (2 * n + 1) * v
+        np.multiply(2 * n + 1, v, out=w)
         arg.imag = w.imag
         np.sin(arg, out=hyp)
         np.multiply(hyp.real, _INV_DBL_MIN, out=hyp.real)  # (cosh y, sinh y)
@@ -241,11 +251,12 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
         np.multiply(hyp.real, cos_x, out=cos_w.real)
         np.multiply(hyp.imag, sin_x, out=cos_w.imag)
         np.negative(cos_w.imag, out=cos_w.imag)
-        qf = sign * q ** (n * (n + 1))
+        qf = [sign * nome ** (n * (n + 1)) for nome in nomes]
         for k in range(kmax + 1):
+            c = [f * (2 * n + 1) ** k for f in qf]
             # a 0-d v keeps numpy's scalar complex product, which rounds
             # differently from the array loop
-            c = qf * (2 * n + 1) ** k
+            c = np.array(c).reshape(col) if col else c[0]
             trig = (sin_w, cos_w)[k % 2]
             prod = c * trig[()] if v.ndim == 0 else np.multiply(c, trig, out=term)
             # subtracting the -sin, -cos terms is exact: negation commutes
@@ -258,14 +269,15 @@ def _theta_sums(v, q: complex, n_terms: int, kmax: int):
     return out
 
 
-def _check_poles(zr, lat: Lattice):
-    if np.any(np.abs(zr) < DEFAULT_POLE_RADIUS):
-        raise PoleError(
-            f"argument within {DEFAULT_POLE_RADIUS:g} of a lattice point of tau={lat.tau}"
-        )
+def _check_poles(zr, taus):
+    near = np.abs(zr) < DEFAULT_POLE_RADIUS
+    if np.any(near):
+        # the first set with a point near a lattice point
+        tau = taus[int(np.argmax(near.reshape(len(taus), -1).any(axis=1)))]
+        raise PoleError(f"argument within {DEFAULT_POLE_RADIUS:g} of a lattice point of tau={tau}")
 
 
-def weierstrass_jet(z, lat: Lattice, jmax: int):
+def weierstrass_jet(z, lat, jmax: int):
     """Weierstrass zeta and the stack wp, wp', ..., wp^(jmax) at z.
 
     One reduction, one pole check and one theta pass serve every order:
@@ -274,25 +286,42 @@ def weierstrass_jet(z, lat: Lattice, jmax: int):
     algebraic relation wp'' = 6 wp^2 - g2/2, which stays well conditioned
     for the orders needed here (jmax <= 10 in practice).
 
+    lat is one `Lattice`, or a sequence of lattices of one n_terms, one
+    per entry of the leading set axis of z.  Then tau, eta1, eta2, g2/2
+    and the nomes enter as broadcast columns (S, 1, ..., 1) where one
+    lattice gives Python scalars, and every element goes through the
+    same IEEE operations, so each set has the bits of a call on its own
+    lattice.
+
     Returns (zeta, derivs); zeta is a complex for scalar z, and derivs has
     shape (jmax+1,) + z.shape, empty for jmax = -1.  Raises PoleError
-    within DEFAULT_POLE_RADIUS of a lattice point.
+    within DEFAULT_POLE_RADIUS of a lattice point, naming the modulus of
+    the first set that has one.
     """
     if jmax < -1:
         raise ValueError("jmax must be at least -1")
-    zr, m, n = reduce_centered(z, lat.tau)
-    _check_poles(zr, lat)
-    u = _theta_sums(np.pi * zr, lat.nome, lat.n_terms, min(jmax + 2, 3))
+    lats = [lat] if isinstance(lat, Lattice) else list(lat)
+    if len({L.n_terms for L in lats}) != 1:
+        raise ValueError("the lattices of one jet call must share n_terms")
+    consts = [(L.tau, L.eta1, L.eta2, L.g2 / 2.0, L.nome) for L in lats]
+    if isinstance(lat, Lattice):
+        tau, eta1, eta2, half_g2, nome = consts[0]
+    else:
+        col = (-1,) + (1,) * (np.ndim(z) - 1)
+        tau, eta1, eta2, half_g2, nome = (np.array(c).reshape(col) for c in zip(*consts))
+    zr, m, n = reduce_centered(z, tau)
+    _check_poles(zr, [L.tau for L in lats])
+    u = _theta_sums(np.pi * zr, nome, lats[0].n_terms, min(jmax + 2, 3))
     u0, u1 = u[0], u[1]
-    zeta_val = lat.eta1 * zr + np.pi * u1 / u0 + m * lat.eta1 + n * lat.eta2
+    zeta_val = eta1 * zr + np.pi * u1 / u0 + m * eta1 + n * eta2
     out = np.empty((jmax + 1,) + np.shape(z), dtype=complex)
     if jmax >= 0:
         r1 = u1 / u0
-        out[0] = -lat.eta1 - np.pi**2 * (u[2] / u0 - r1 * r1)
+        out[0] = -eta1 - np.pi**2 * (u[2] / u0 - r1 * r1)
     if jmax >= 1:
         out[1] = -np.pi**3 * (u[3] / u0 - 3 * r1 * (u[2] / u0) + 2 * r1**3)
     if jmax >= 2:
-        out[2] = 6.0 * out[0] ** 2 - lat.g2 / 2.0
+        out[2] = 6.0 * out[0] ** 2 - half_g2
     for j in range(3, jmax + 1):
         acc = np.zeros(out.shape[1:], dtype=complex)
         for i in range(j - 1):

@@ -324,12 +324,30 @@ def _grid_faces(full_id: np.ndarray, vid: np.ndarray):
 
 def _hole_cycles(faces_w: np.ndarray) -> list[list[int]] | None:
     """Closed boundary walks of the kept region, in wrapped vertex ids;
-    None when the boundary is not a union of simple cycles."""
-    edges = np.sort(faces_w[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    key = edges[:, 0].astype(np.int64) * (int(edges.max()) + 1) + edges[:, 1]
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    None when the boundary is not a union of simple cycles.
+
+    Each face edge (f, e), from corner e to corner e + 1 mod 3, gets one
+    int64 key lo * span + hi of its sorted ends, built column by column
+    in face-edge order 3f + e.  A stable argsort groups equal keys, a key
+    met once is a boundary edge, and its position orders it as first met.
+    """
+    span = int(faces_w.max()) + 1
+    key = np.empty(faces_w.shape, dtype=np.int64)
+    for e in range(3):
+        a, b = faces_w[:, e], faces_w[:, (e + 1) % 3]
+        np.multiply(np.minimum(a, b), span, out=key[:, e])
+        key[:, e] += np.maximum(a, b)
+    key = key.ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]  # sorted; the face-edge order is gone
+    once = np.ones(len(key), dtype=bool)
+    once[1:] &= key[1:] != key[:-1]
+    once[:-1] &= key[:-1] != key[1:]
+    bound, pos = key[once], order[once]
+    del key, order, once
     nbrs: dict[int, list[int]] = {}
-    for a, b in edges[np.sort(first[counts == 1])]:  # boundary, as first met
+    for lo_hi in bound[np.argsort(pos)].tolist():  # boundary, as first met
+        a, b = divmod(lo_hi, span)
         nbrs.setdefault(a, []).append(b)
         nbrs.setdefault(b, []).append(a)
     if any(len(ns) != 2 for ns in nbrs.values()):

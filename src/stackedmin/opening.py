@@ -32,8 +32,8 @@ FIX_TOL = 1e-12
 FIX_MAX_ITER = 500
 DEFAULT_N_MAX = 8
 CIRCLE_NODES = 256  # quadrature nodes of each contour circle
-JET_SETS = 3  # (tau, v) sets per jet call, as v and its two moves in one layer's Jacobian
-SET_ROWS = 4  # rows per built set, as the bhat and a moves of one layer
+JET_SETS = 3  # (tau, v) sets of any moduli of one n_terms per jet call
+SET_ROWS = 4  # rows per form, density and sum pass, across a run's sets
 CHART_MARGIN = 2.0  # charts are |1/g| < CHART_MARGIN * epsilon
 CHART_NEWTON = 40  # Newton steps of the chart inversion
 N_BUFFER = 3  # least number of clamped tail layers at each end of a window
@@ -96,19 +96,17 @@ class TorusData:
         lat = self.lattice
         return self.a * (zeta(z, lat) - zeta(z - self.v, lat)) + self.b
 
-    def jets(self, z, jmax: int, v=None):
+    def jets(self, z, jmax: int):
         """Weierstrass jets (zeta, wp stack) at z and at z - v, on the
-        lattice of this torus; v is its own marked point unless given.
+        lattice of this torus.
 
         z and z - v go through one kernel call on the stacked array; the
         kernel is elementwise, so this is bit-identical to two array
-        calls.  A row batch of point sets that share tau passes z with a
-        leading row axis and v as the column (rows, 1) of their marked
-        points.
+        calls.  The evaluator's runs of point sets of several tori take
+        one call over a set axis instead (`_point_sets`).
         """
-        v = self.v if v is None else v
         z = np.asarray(z)
-        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - v]), self.lattice, jmax)
+        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - self.v]), self.lattice, jmax)
         return (zeta_pair[0], derivs[:, 0]), (zeta_pair[1], derivs[:, 1])
 
     def g_and_gp(self, z):
@@ -224,10 +222,13 @@ class FormTable:
     eta: np.ndarray
     mu: np.ndarray
 
-    def values(self, s: int, derivs, out=None):
-        """Densities of all orders of sign s, shape (n_max-1,) + z.shape,
-        from the wp stack at z - pole, where z has a leading row axis, one
-        row per parameter row of the table.
+    def values(self, s: int, derivs, out=None, sel=slice(None)):
+        """Densities of all orders of sign s, one row per parameter row of
+        the table, shape (n_max-1, rows) + the point shape, from the wp
+        stack at z - pole of a run's sets, (jmax+1, sets) + the point
+        shape.  Row r reads set sel[r], or every row the one set of a
+        slice sel; each order's jet is gathered inside the loop, so no
+        per-row copy of the stack is held.
 
         The loop over the coefficient index updates only the rows of the
         orders it reaches, so each form sums its terms in its own order.
@@ -236,9 +237,9 @@ class FormTable:
         c = self.coeffs[s]
         # one entry per order, the row axis, then the point axes of z
         row = (-1,) + c.shape[2:] + (1,) * (np.ndim(derivs) + 1 - c.ndim)
-        val = np.multiply(c[:, 0].reshape(row), derivs[0], out=out)
+        val = np.multiply(c[:, 0].reshape(row), derivs[0][sel], out=out)
         for m in range(1, len(c)):
-            val[m:] += c[m:, m].reshape(row) * derivs[m]
+            val[m:] += c[m:, m].reshape(row) * derivs[m][sel]
         val += self.eta[s].reshape(row)
         val += self.mu[s].reshape(row)
         return val
@@ -258,51 +259,62 @@ def _gauss_constants(tori):
     return tuple(np.array([f(T) for T in tori])[:, None] for f in fs)
 
 
-def _tau_chunks(tori):
-    """Runs of at most JET_SETS distinct (tau, v) of one tau among row
-    tori, each the row indices of its rows, in order of first appearance.
-    Rows share a (tau, v) when their bits agree (`TorusData.tau_v`), so
-    each set's points are those of each of its rows."""
-    keys = [T.tau_v() for T in tori]
-    sets = [[r for r, other in enumerate(keys) if other == key] for key in dict.fromkeys(keys)]
-    for tau in dict.fromkeys(key[:16] for key in keys):  # the bits of tau
-        group = [rows for rows in sets if keys[rows[0]][:16] == tau]
+def _set_runs(tori):
+    """Runs of at most JET_SETS distinct (tau, v) among row tori, each a
+    list of sets, a set the indices of the rows with its (tau, v): the
+    sets in order of first appearance, the lattices of a run of one
+    n_terms.  Rows share a (tau, v) when their bits agree
+    (`TorusData.tau_v`), so each set's points are those of each of its
+    rows."""
+    sets = {}
+    for r, T in enumerate(tori):
+        sets.setdefault(T.tau_v(), []).append(r)
+    by_terms = {}
+    for rows in sets.values():
+        by_terms.setdefault(tori[rows[0]].lattice.n_terms, []).append(rows)
+    for group in by_terms.values():
         yield from (group[i : i + JET_SETS] for i in range(0, len(group), JET_SETS))
 
 
-def _point_sets(tori, points, jmax: int):
-    """Each distinct (tau, v) of row tori, from any layers, with the rows
-    that share it, its points and its jet pair, all with a leading set
-    axis of length one.  The sets of one `_tau_chunks` run come from one
-    `TorusData.jets` call, bit-identical to a call per set, and one run
-    is evaluated at a time."""
-    for chunk in _tau_chunks(tori):
-        z = np.stack([points(tori[rows[0]]) for rows in chunk])
-        v = np.array([tori[rows[0]].v for rows in chunk])[:, None]
-        (zeta_z, d_z), (zeta_zv, d_zv) = tori[chunk[0][0]].jets(z, jmax, v)
-        for i, rows in enumerate(chunk):
-            at = slice(i, i + 1)
-            yield rows, z[at], ((zeta_z[at], d_z[:, at]), (zeta_zv[at], d_zv[:, at]))
+def _point_sets(tori, run, points, jmax: int):
+    """The points of the sets of one `_set_runs` run of row tori, from
+    any layers and moduli, and their jet pair at z and z - v, all with a
+    leading set axis: one `weierstrass_jet` call over the lattices of
+    the run, bit-identical to a call per set."""
+    heads = [tori[rows[0]] for rows in run]
+    z = np.stack([points(T) for T in heads])
+    v = np.array([T.v for T in heads])[:, None]
+    zeta, d = weierstrass_jet(np.stack([z, z - v], axis=1), [T.lattice for T in heads], jmax)
+    return z, ((zeta[:, 0], d[:, :, 0]), (zeta[:, 1], d[:, :, 1]))
 
 
-def _build_forms(tori, n_max: int, circles: dict) -> FormTable:
+def _set_of(keys: list, tori) -> slice | np.ndarray:
+    """The index among a run's set keys (`TorusData.tau_v`) of each row
+    torus; a slice when the rows share one set, so that its jets
+    broadcast across them."""
+    idx = [keys.index(T.tau_v()) for T in tori]
+    return slice(idx[0], idx[0] + 1) if len(set(idx)) == 1 else np.array(idx)
+
+
+def _build_forms(tori, n_max: int, dz, circles: dict) -> FormTable:
     """Principal-part matching at both poles by contour coefficient
     extraction of -g^(n-2) g' = target principal part of dw/w^n.
 
     One product of h_n = -g^(n-2) g' with the contour powers gives every
     coefficient of one form, each one sum over the nodes.  tori are the
-    rows of circle fields with a leading row axis (one row for a stored
-    torus); the products with eta1 stay scalar, row by row.
+    rows of the circle fields (g, g', powers of z - pole) by side, with a
+    leading row axis (one row for a stored torus); the products with
+    eta1 stay scalar, row by row.
     """
     lats = [T.lattice for T in tori]
     width = n_max - 1
     orders = range(2, n_max + 1)
-    rows = np.shape(circles["node"][3])[:-1]
+    rows = np.shape(circles["node"][0])[:-1]
     sign, fact = (np.reshape(x, (-1,) + (1,) * len(rows)) for x in np.array(
         [((-1.0) ** m, math.factorial(m - 1)) for m in orders]).T)
     coeffs = np.zeros((2, width, width) + rows, dtype=complex)
     for s, side in enumerate(("node", "zero")):
-        _, dz, _, gv, gp, _, _, zpow = circles[side]
+        gv, gp, zpow = circles[side]
         for i, n in enumerate(orders):
             # a Python int exponent: numpy squares a scalar 2 on its own path
             h = -(gv ** (n - 2)) * gp
@@ -321,10 +333,12 @@ def _build_forms(tori, n_max: int, circles: dict) -> FormTable:
 class CircleCache:
     """Quadrature nodes around one pole with every field the contour
     integrals need: g, g', the base form, and the second-kind stack, with
-    a row axis before the node axis.  `refresh` adds base and cols of row
-    0, which only the neck-matching system reads."""
+    a row axis before the node axis.  A built chunk's center and nodes
+    broadcast against its rows (one row when they share a set);
+    `refresh` makes the center a complex and adds base and cols of row 0,
+    which only the neck-matching system reads."""
 
-    center: complex
+    center: complex | np.ndarray
     z: np.ndarray
     dz: np.ndarray
     g: np.ndarray
@@ -337,53 +351,69 @@ class CircleCache:
 
 @dataclass(frozen=True)
 class LayerRows:
-    """One (tau, v) set: the parameter rows that share its tau and v, with
-    their form table and, while needed, their contour caches by side, all
-    with a row axis.  `refresh` stores a one-row set per torus; the
-    residual evaluator takes it and moved rows' sets alike."""
+    """Parameter rows of one or more (tau, v) sets, with their form table
+    and, while needed, their contour caches by side, all with a row axis.
+    `refresh` stores a one-row set per torus; the residual evaluator
+    takes it and moved rows' chunks alike."""
 
     tori: list[TorusData]
     forms: FormTable
     circles: dict | None
 
 
-
 def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS):
-    """The rows that share each distinct (tau, v) of row tori, at most per
-    at a time, with the form table and the contour caches (without base
-    and cols) that a refresh builds for them, in a `LayerRows`; a stored
-    torus T is [T].
+    """The rows of row tori, at most per at a time across the (tau, v)
+    sets of each `_set_runs` run, each chunk's row indices with the form
+    table and the contour caches (without base and cols) that a refresh
+    builds for them, in a `LayerRows`.
 
-    The rows of a (tau, v) share their circle nodes and jets, which
-    broadcast against a row axis before the node axis, and the sets of one
-    `_tau_chunks` run take one jet call per circle (`_point_sets`).  Every
-    scalar stage (b, xi_raw(v), the products with eta1) runs row by row
-    and the array stages are elementwise, so each row has the bits of its
-    torus alone.  The state is only read.
+    The sets of a run take one jet call per circle (`_point_sets`), and
+    one run's jets are held at a time.  Every scalar stage (b, xi_raw(v),
+    the products with eta1) runs row by row and the array stages are
+    elementwise, so each row has the bits of its torus alone.  The state
+    is only read.
     """
-    r, m, jmax = st.contour_radius, CIRCLE_NODES, st.n_max - 2
+    r, m = st.contour_radius, CIRCLE_NODES
     _, dz = _circle_nodes(0.0, r, m)  # dz does not depend on the center
-    centers = {"node": lambda T: T.v, "zero": lambda T: 0.0}
-    sides = [_point_sets(tori, lambda T, c=c: _circle_nodes(c(T), r, m)[0], jmax)
-             for c in centers.values()]
-    for (rows_all, *node), (_, *zero) in zip(*sides):
-        for rows in (rows_all[i : i + per] for i in range(0, len(rows_all), per)):
-            sub = [tori[i] for i in rows]
-            a, b, xiv = _gauss_constants(sub)
-            jets, circles = {}, {}
-            for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in zip(centers, (node, zero)):
-                zpow = np.stack([(z - centers[side](sub[0])) ** p for p in range(1, jmax + 2)])
-                s = zeta_z - zeta_zv
-                jets[side] = (z, dz, s, a * s + b, a * (dplus[0] - dminus[0]),
-                              dplus, dminus, zpow)
-            forms = _build_forms(sub, st.n_max, jets)
-            for side, (z, dz, s, gv, gp, dplus, dminus, _) in jets.items():
-                fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
-                forms.values(0, dplus, out=fvals[0])
-                forms.values(1, dminus, out=fvals[1])
-                circles[side] = CircleCache(center=centers[side](sub[0]), z=z, dz=dz,
-                                            g=gv, gp=gp, w0=s - xiv, fvals=fvals)
-            yield rows, LayerRows(tori=sub, forms=forms, circles=circles)
+    poles = {"node": lambda T: T.v, "zero": lambda T: 0.0}
+    for run in _set_runs(tori):
+        keys = [tori[rows[0]].tau_v() for rows in run]
+        sides = {side: _point_sets(tori, run, lambda T, p=p: _circle_nodes(p(T), r, m)[0],
+                                   st.n_max - 2) for side, p in poles.items()}
+        flat = [u for rows in run for u in rows]
+        for rows in (flat[i : i + per] for i in range(0, len(flat), per)):
+            yield rows, _circle_chunk(st, [tori[i] for i in rows], keys, sides, poles, dz)
+        del sides  # before the next run's kernel calls
+
+
+def _circle_chunk(st: "GluingState", sub, keys, sides, poles, dz) -> LayerRows:
+    """The `LayerRows` of the row tori sub of one run, from the run's set
+    keys and its nodes and jets by circle (sides).  The rows read those
+    of their sets: broadcast against a row axis before the node axis when
+    they share one set, gathered row by row when they span several (each
+    order of the wp stack inside `FormTable.values`)."""
+    sel = _set_of(keys, sub)
+    a, b, xiv = _gauss_constants(sub)
+    fields, zpow = {}, {}
+    for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in sides.items():
+        z = z[sel]
+        # one pole per row of z: a set's, or each row's
+        center = np.array([poles[side](T) for T in sub[: len(z)]], dtype=complex)[:, None]
+        zpow[side] = np.stack([(z - center) ** p for p in range(1, st.n_max)])
+        s = zeta_z[sel] - zeta_zv[sel]
+        fields[side] = (z, center, s, a * s + b, a * (dplus[0][sel] - dminus[0][sel]))
+    forms = _build_forms(sub, st.n_max, dz, {side: (gv, gp, zpow[side])
+                                             for side, (*_, gv, gp) in fields.items()})
+    del zpow  # before the densities
+    circles = {}
+    for side, (z, center, s, gv, gp) in fields.items():
+        _, ((_, dminus), (_, dplus)) = sides[side]
+        fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
+        forms.values(0, dplus, out=fvals[0], sel=sel)
+        forms.values(1, dminus, out=fvals[1], sel=sel)
+        circles[side] = CircleCache(center=center, z=z, dz=dz, g=gv, gp=gp, w0=s - xiv,
+                                    fvals=fvals)
+    return LayerRows(tori=sub, forms=forms, circles=circles)
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
@@ -428,8 +458,8 @@ class GluingState:
                                                             compare=False)
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("gluing scale t must be nonnegative")
+        if not 0.0 <= self.t < math.inf:
+            raise ValueError(f"gluing scale t must be finite and nonnegative, got {self.t}")
         # a plain attribute, not a property: every form evaluation reads it
         self.rho = self.epsilon / 4
         if self._layers is None:
@@ -442,12 +472,14 @@ class GluingState:
         """State on the tori of `central_layout`, a window exactly when
         cfg is not periodic or K is given, with the chart radius
         `_chart_radius` of them unless epsilon is given, and refreshed
-        through shared_rows when it is given.  A given epsilon whose charts
-        overlap on one of the distinct tori (`_charts_disjoint`) raises
-        ChartError."""
+        through shared_rows when it is given.  A given epsilon that is not
+        finite and positive, or whose charts overlap on one of the distinct
+        tori (`_charts_disjoint`), raises ChartError."""
         tori, k_lo, p_l, p_r, buf = central_layout(cfg, K)
         if epsilon is None:
             epsilon = _chart_radius(tori)
+        elif not 0.0 < epsilon < math.inf:  # NaN fails every chart comparison
+            raise ChartError(f"epsilon = {epsilon} is not a finite positive chart radius")
         elif not _charts_disjoint(_distinct(tori), epsilon):
             raise ChartError(f"neck charts overlap at epsilon = {epsilon:g}; "
                              f"_chart_radius of these tori is {_chart_radius(tori):g}")
@@ -496,8 +528,10 @@ class GluingState:
         do not depend on t, so rescaling t alone needs no refresh.
 
         New `TorusData.block` bytes are built, after the old caches go, as
-        the one-row sets of one `_circle_sets` pass (each distinct (tau, v)
-        once), bit for bit `_circle_sets(self, [T])`: the `LayerRows` that
+        the one-row chunks of one `_circle_sets` pass (each distinct
+        (tau, v) once, three sets to a jet call), each with nodes of its
+        own so that it holds nothing of its run, bit for bit
+        `_circle_sets(self, [T])`: the `LayerRows` that
         each refreshed torus with those bytes stores as _layers[j], its
         `FormTable` (coefficients (2, n_max-1, n_max-1, 1) by pole, order,
         wp derivative and row) and its circles, completed with the
@@ -521,8 +555,11 @@ class GluingState:
         for j, key in keys.items():  # the old caches go before the build
             self._layers[j] = rows[key]
         order = list(new)
+        # one row per chunk: copying rows out of wider chunks cost the
+        # solve's peak RSS more than the wider chunks saved
         for (u,), lr in _circle_sets(self, list(new.values()), 1):
             for cc in lr.circles.values():
+                cc.center, cc.z = complex(cc.center[0, 0]), cc.z.copy()
                 _add_matching(cc, self.n_max, self.rho)
             rows[order[u]] = built[order[u]] = lr
         for j, key in keys.items():
@@ -576,8 +613,8 @@ def fix_omega(st: GluingState) -> OmegaSeries:
     """Iterate the neck-matching map from lambda = 0 to its fixed point.
 
     Raises NonContractionError outside the contraction regime (t^2 >=
-    rho*epsilon, or contraction estimate >= 1), and when no step falls
-    below FIX_TOL within FIX_MAX_ITER iterations.
+    rho*epsilon, or a contraction estimate not below 1, NaN included),
+    and when no step falls below FIX_TOL within FIX_MAX_ITER iterations.
     """
     if st.t ** 2 >= st.rho * st.epsilon:
         raise NonContractionError(
@@ -588,8 +625,8 @@ def fix_omega(st: GluingState) -> OmegaSeries:
     # the row sums of |mat|, by the rows of one stored torus at a time
     est = max(float(np.max(np.sum(np.abs(mat[i : i + 2 * width]), axis=1)))
               for i in range(0, len(mat), 2 * width))
-    if est >= 1.0:
-        raise NonContractionError(f"contraction estimate {est:.3f} >= 1")
+    if not est < 1.0:
+        raise NonContractionError(f"contraction estimate {est:.3f} is not below 1")
     lam = np.zeros(st.n_tori * 2 * width, dtype=complex)
     norms = []
     for _ in range(FIX_MAX_ITER):
@@ -643,14 +680,16 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     return gv.reshape(np.shape(z)), glued_density(st, series.lam[j], *parts).reshape(np.shape(z))
 
 
-def gauss_parts(jets: tuple, lr: LayerRows):
+def gauss_parts(jets: tuple, lr: LayerRows, sel=slice(None)):
     """g, the base form zeta(z) - zeta(z - v) - xi_raw(v) and the second-kind
-    densities of both signs of the rows of a set lr (`LayerRows`), one
-    row per row, from the jet pair of their (tau, v) at order n_max - 2."""
+    densities of both signs of the rows of lr (`LayerRows`), one row per
+    row, from the jet pair of their run's sets at order n_max - 2: row r
+    reads set sel[r], or every row the one set of a slice sel."""
     (zeta_z, dminus), (zeta_zv, dplus) = jets
-    s = zeta_z - zeta_zv
+    s = zeta_z[sel] - zeta_zv[sel]
     a, b, xiv = _gauss_constants(lr.tori)
-    return a * s + b, s - xiv, lr.forms.values(0, dplus), lr.forms.values(1, dminus)
+    return (a * s + b, s - xiv, lr.forms.values(0, dplus, sel=sel),
+            lr.forms.values(1, dminus, sel=sel))
 
 
 def glued_density(st: GluingState, lam: np.ndarray, base, fplus, fminus):

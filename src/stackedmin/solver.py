@@ -14,13 +14,16 @@ import numpy as np
 
 from .configs import Configuration, UnbalancedConfigError, balance_report, periodic_stack
 from .opening import (
+    SET_ROWS,
+    FormTable,
     GluingState,
     LayerRows,
     OmegaSeries,
     TorusData,
     _circle_sets,
     _point_sets,
-    _tau_chunks,
+    _set_of,
+    _set_runs,
     fix_omega,
     gauss_parts,
     glued_density,
@@ -98,34 +101,48 @@ def _by_layer(ks, rows):
             for k, (pos, at) in groups.items()]
 
 
-def _period_residuals(st, series, tori, run, held, out):
+def _period_residuals(st, series, tori, distinct, run, held, out):
     """Period residuals P1, P2 of the horizontal displacement over both
-    cycles into columns 1, 2 of out, for the pairs on the distinct rows
-    run, whose (`_by_layer` groups, `LayerRows`) sets held lists by
-    (tau, v).  The paths from path_base(T) read form tables only: one jet
-    call per (tau, v) and path (`_point_sets`) and one `gauss_parts` per
-    set serve the node sums of W/g and t^2 g W of each layer on it, with
-    its own lambda row; its parity enters in the scalar stage."""
+    cycles into columns 1, 2 of out, for the pairs on the rows of a
+    `_set_runs` run of the distinct rows, which held lists in chunks of
+    at most SET_ROWS rows across its (tau, v) sets as (`_by_layer`
+    groups, `LayerRows`).  The paths from path_base(T) read form tables
+    only: one jet call per path for the run (`_point_sets`) and one
+    `gauss_parts` per chunk serve the node sums of W/g and t^2 g W of
+    each layer on it, with its own lambda row; its parity enters in the
+    scalar stage."""
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
+    keys = [distinct[rows[0]].tau_v() for rows in run]
     for col, along in ((1, lambda T: 1.0), (2, lambda T: T.tau)):
-        for idx, _, jets in _point_sets(run, lambda T: path_base(T) + s * along(T),
-                                        st.n_max - 2):
-            for groups, lr in held[run[idx[0]].tau_v()]:
-                gv, *parts = gauss_parts(jets, lr)
-                if np.min(np.abs(gv)) < 1e-6:
-                    raise ContourError(f"zero of g_{groups[0][0]} on a period path")
-                for k, pos, at in groups:
-                    W = glued_density(st, series.lam[st.index_of(k)],
-                                      *(x[..., at, :] for x in parts))
-                    sums = np.sum(W / gv[at], axis=-1), np.sum(st.t * st.t * gv[at] * W, axis=-1)
-                    # the scalar stages, row by row
-                    for p, s_ginv, s_g in zip(pos, *sums):
-                        dz = along(tori[p]) / PATH_NODES
-                        i_ginv, i_g = s_ginv * dz, s_g * dz
-                        val = np.conj(i_g) - i_ginv if k % 2 == 0 else np.conj(i_ginv) - i_g
-                        out[p, col] = val - (2.0 * (-1) ** k, 2.0 * st.tau_ref)[col - 1]
-                del gv, parts, W  # before the next set's parts
+        jets = _point_sets(distinct, run, lambda T: path_base(T) + s * along(T),
+                           st.n_max - 2)[1]
+        for groups, lr in held:
+            gv, *parts = gauss_parts(jets, lr, _set_of(keys, lr.tori))
+            near = np.min(np.abs(gv), axis=-1) < 1e-6
+            for k, pos, at in groups:
+                if np.any(near[at]):
+                    raise ContourError(f"zero of g_{k} on a period path")
+                W = glued_density(st, series.lam[st.index_of(k)],
+                                  *(x[..., at, :] for x in parts))
+                sums = np.sum(W / gv[at], axis=-1), np.sum(st.t * st.t * gv[at] * W, axis=-1)
+                # the scalar stages, row by row
+                for p, s_ginv, s_g in zip(pos, *sums):
+                    dz = along(tori[p]) / PATH_NODES
+                    i_ginv, i_g = s_ginv * dz, s_g * dz
+                    val = np.conj(i_g) - i_ginv if k % 2 == 0 else np.conj(i_ginv) - i_g
+                    out[p, col] = val - (2.0 * (-1) ** k, 2.0 * st.tau_ref)[col - 1]
+            del gv, parts, W  # before the next chunk's parts
         del jets  # before the next path's kernel call
+
+
+def _stacked(sets: list) -> LayerRows:
+    """The rows of stored one-row sets as one `LayerRows` without circles:
+    their form tables joined along the row axis."""
+    if len(sets) == 1:
+        return LayerRows(sets[0].tori, sets[0].forms, None)
+    forms = FormTable(*(np.concatenate([getattr(lr.forms, name) for lr in sets], axis=-1)
+                        for name in ("coeffs", "eta", "mu")))
+    return LayerRows([lr.tori[0] for lr in sets], forms, None)
 
 
 def _block_residual(st, series, ks, tori=None):
@@ -133,12 +150,13 @@ def _block_residual(st, series, ks, tori=None):
     tori[p]) for full_residual and the Jacobian; without tori each row is
     the layer's stored torus with its stored `LayerRows`.  Pairs with
     equal blocks share a distinct row, and the distinct rows go one
-    `_tau_chunks` run at a time, so each (tau, v) is evaluated once and
-    one run's jets are held; moved rows take one `_circle_sets` pass per
-    run.  A set's circles give the E and Gbal of each layer on it and go;
-    the paths read its form table.  Lambda rows and parities enter last,
-    per layer.  Array stages are elementwise along rows or reduce along
-    nodes, so each pair has the bits of its layer evaluated alone."""
+    `_set_runs` run at a time, so each (tau, v) is evaluated once and one
+    run's jets are held; the run's rows go SET_ROWS at a time across its
+    sets, moved rows through one `_circle_sets` pass per run.  A chunk's
+    circles give the E and Gbal of each layer on it and go; the paths
+    read its form table.  Lambda rows and parities enter last, per layer.
+    Array stages are elementwise along rows or reduce along nodes, so
+    each pair has the bits of its layer evaluated alone."""
     stored = tori is None
     tori = [st.torus(k) for k in ks] if stored else tori
     by_block = {}
@@ -147,20 +165,25 @@ def _block_residual(st, series, ks, tori=None):
     pairs_of = list(by_block.values())
     distinct = [tori[pairs[0]] for pairs in pairs_of]
     out = np.empty((len(ks), 4), dtype=complex)
-    for chunk in _tau_chunks(distinct):
-        us = [u for rows in chunk for u in rows]
-        run = [distinct[u] for u in us]
-        sets = ([([i], st._layers[st.index_of(ks[pairs_of[u][0]])]) for i, u in enumerate(us)]
-                if stored else _circle_sets(st, run))
-        held = {}
-        for idx, rows in sets:
-            groups = _by_layer(ks, [pairs_of[us[i]] for i in idx])
-            for k, pos, at in groups:
-                out[pos, 0], out[pos, 3] = _circle_residuals(st, series, k, rows, at)
-            held.setdefault(rows.tori[0].tau_v(), []).append(
-                (groups, rows if stored else LayerRows(rows.tori, rows.forms, None)))
-            del rows  # its circles, before the next kernel call
-        _period_residuals(st, series, tori, run, held, out)
+    for run in _set_runs(distinct):
+        us = [u for rows in run for u in rows]
+        held = []
+        if stored:
+            layers = [st._layers[st.index_of(ks[pairs_of[u][0]])] for u in us]
+            for u, rows in zip(us, layers):
+                for k, pos, at in _by_layer(ks, [pairs_of[u]]):
+                    out[pos, 0], out[pos, 3] = _circle_residuals(st, series, k, rows, at)
+            for c in range(0, len(us), SET_ROWS):
+                held.append((_by_layer(ks, [pairs_of[u] for u in us[c : c + SET_ROWS]]),
+                             _stacked(layers[c : c + SET_ROWS])))
+        else:
+            for idx, rows in _circle_sets(st, [distinct[u] for u in us]):
+                groups = _by_layer(ks, [pairs_of[us[i]] for i in idx])
+                for k, pos, at in groups:
+                    out[pos, 0], out[pos, 3] = _circle_residuals(st, series, k, rows, at)
+                held.append((groups, LayerRows(rows.tori, rows.forms, None)))
+                del rows  # its circles, before the next chunk
+        _period_residuals(st, series, tori, distinct, run, held, out)
     return out
 
 
@@ -236,13 +259,14 @@ def _fd_blocks(st, series, active, flat, memo: dict | None = None):
 
     The eight moved parameter sets of each layer are its eight pairs in
     one `_block_residual` pass over all layers, which never touches the
-    state.  The four bhat and a rows keep the layer's tau and v, so on
-    each point set (node circle, zero circle, the two period paths) one
-    jet call serves them with the two v rows, and each tau row takes one
-    more: twelve calls for one layer, fewer where layers share a (tau, v).
-    Array stages are elementwise or reduce along the node axis and scalar
-    stages run row by row, so each column has the bits of a refresh and
-    a block residual at its own parameters.
+    state.  The four bhat and a rows keep the layer's tau and v, and each
+    tau and v row has a (tau, v) of its own, so a layer has five sets in
+    two `_set_runs` runs, its own with the two tau rows, then the two v
+    rows: on each point set (node circle, zero circle, the two period
+    paths) two jet calls for one layer, and the runs of many layers go
+    three sets to a call.  Array stages are elementwise or reduce along
+    the node axis and scalar stages run row by row, so each column has
+    the bits of a refresh and a block residual at its own parameters.
 
     A layer whose `_layer_key` an earlier layer has takes that layer's
     block: its rows and its residual slice of flat are the same bits, so

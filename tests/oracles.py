@@ -20,13 +20,18 @@ periods gives build_mesh one patch per layer, for the mesh that folds
 layer n_tori onto layer 0, and the layer-patch
 loops integrate one segment, triangulate one grid cell, count one face
 edge and grow the spanning tree one node at a time, for the batched seam
-legs, the array grid faces, the sorted edge count and the frontier walk.
+legs, the array grid faces, the sorted edge count and the frontier walk;
+the edge count by np.unique over sorted (3F, 2) edge rows is kept for the
+argsort count that replaced it.
 The neck sheets are summed one Laurent power at a time from dicts of
 powers, for the one-array evaluator of the seam rings, the neck sheets
 and the waist weld.  The face-intersection reference enumerates candidate pairs from a
 bucket grid and tests them one pair at a time, for the array sweep of
 the embeddedness battery, and the one-axis sweep holds the strip sweep
 to the same candidate pairs.
+
+One counter wraps the theta pass to count its calls, points and the
+point sets of each call over a set axis.
 
 Some cross-checks only the tests evaluate: the lattice-coordinate form
 xi on reduced coordinates, the node positions of a configuration, the
@@ -400,6 +405,43 @@ def fd_blocks_plain(st, series, active, flat):
     return blocks
 
 
+@dataclass
+class ThetaPasses:
+    """The theta passes that `theta_passes` counted: the points of each
+    pass, and the key (nome, z, z - v) of each set of each pass over a set
+    axis, z as the pass takes it (pi times the reduced point)."""
+
+    points: list
+    keys: list
+
+    @property
+    def calls(self) -> int:
+        return len(self.points)
+
+    def clear(self) -> None:
+        self.points.clear()
+        self.keys.clear()
+
+
+def theta_passes(monkeypatch) -> ThetaPasses:
+    """Count every call of elliptic._theta_sums while monkeypatch holds.
+    A call over a set axis takes a column of nomes and v shaped (set,
+    z or z - v, node); a one-lattice call takes one nome."""
+    from stackedmin import elliptic
+
+    counted, theta_sums = ThetaPasses([], []), elliptic._theta_sums
+
+    def count(v, q, *args, **kwargs):
+        counted.points.append(np.size(v))
+        if np.ndim(q):
+            counted.keys.extend((complex(nome), pair[0].tobytes(), pair[1].tobytes())
+                                for nome, pair in zip(np.ravel(q), v))
+        return theta_sums(v, q, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "_theta_sums", count)
+    return counted
+
+
 def traced_peak_mib(fn, *args, **kw) -> float:
     """MiB that fn allocates at its peak above what was live before it."""
     import tracemalloc
@@ -506,6 +548,36 @@ def hole_cycles_dict(faces_w: np.ndarray):
         if c == 1:
             nbrs.setdefault(a, []).append(b)
             nbrs.setdefault(b, []).append(a)
+    if any(len(ns) != 2 for ns in nbrs.values()):
+        return None
+    cycles, seen = [], set()
+    for start in sorted(nbrs):
+        if start in seen:
+            continue
+        walk, prev, cur = [start], None, start
+        while True:
+            a, b = nbrs[cur]
+            nxt = b if a == prev else a
+            if nxt == start:
+                break
+            walk.append(nxt)
+            prev, cur = cur, nxt
+        seen.update(walk)
+        cycles.append(walk)
+    return cycles
+
+
+def hole_cycles_unique(faces_w: np.ndarray):
+    """Boundary walks of the kept region, with the face edges keyed as
+    sorted (3F, 2) rows and counted by np.unique; None when the boundary
+    is not simple."""
+    edges = np.sort(faces_w[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    key = edges[:, 0].astype(np.int64) * (int(edges.max()) + 1) + edges[:, 1]
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    nbrs: dict[int, list[int]] = {}
+    for a, b in edges[np.sort(first[counts == 1])]:  # boundary, as first met
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
     if any(len(ns) != 2 for ns in nbrs.values()):
         return None
     cycles, seen = [], set()

@@ -197,15 +197,28 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
         assert sp.t == sd.t
 
 
-@pytest.mark.parametrize("pair, name", [("twin_pair", "twin-rPD"),
-                                        ("cross_pair", "oPa-oCLP")])
-def test_window_half_width_does_not_move_the_layers(pair, name, request):
-    """With the chart radius of the wide pair, a defect solved on windows
-    of half-width 1, 2 and 3 gives every active layer of the pair's defect
-    state to solver noise: the clamped tails stand in for the layers the
-    narrow window leaves out."""
-    wide = request.getfixturevalue(pair)[1].state
-    for K in (1, 2, 3):
+@pytest.fixture(scope="module")
+def wide_windows():
+    """K = 8 window solves at t = 0.01 of the defects that no pair fixture
+    holds, solved once per module."""
+    return {name: newton_continuation(catalog(name, K=1), 0.01, K=8)
+            for name in ("rPD-H", "oPa-oDelta")}
+
+
+@pytest.mark.parametrize("pair, name, Ks", [
+    pytest.param("twin_pair", "twin-rPD", (1, 2, 3), id="twin_pair-twin-rPD"),
+    pytest.param("cross_pair", "oPa-oCLP", (1, 2, 3), id="cross_pair-oPa-oCLP"),
+    pytest.param("wide_windows", "rPD-H", (1, 2), id="K8-rPD-H"),
+    pytest.param("wide_windows", "oPa-oDelta", (1, 2), id="K8-oPa-oDelta"),
+])
+def test_window_half_width_does_not_move_the_layers(pair, name, Ks, request):
+    """With the chart radius of the wide window (a pair's defect state, or
+    a K = 8 window), a defect solved on narrower windows gives every
+    active layer of the wide state to solver noise: the clamped tails
+    stand in for the layers the narrow window leaves out."""
+    held = request.getfixturevalue(pair)
+    wide = (held[name] if pair == "wide_windows" else held[1]).state
+    for K in Ks:
         st = newton_continuation(catalog(name, K=1), 0.01, K=K, epsilon=wide.epsilon).state
         gap = max(np.max(np.abs(st.torus(k).block() - wide.torus(k).block()))
                   for k in st.active_range())

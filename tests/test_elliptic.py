@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -286,6 +287,52 @@ def test_views_share_the_jet():
         weierstrass_jet(np.array([0.3, 1.0 + 1e-9j]), lat, 2)
     with pytest.raises(ValueError):
         weierstrass_jet(z, lat, -2)
+
+
+HEX = complex(np.exp(1j * np.pi / 3))
+
+
+def _signed_zero_points(v: complex):
+    """(2, 9) rows z and z - v, with +0 and -0 imaginary parts on both."""
+    z = np.empty(9, dtype=complex)
+    z.real = [0.3, 0.3, -0.45, -0.45, 0.11, 0.0, -0.0, 0.2, 0.37]
+    z.imag = [0.0, -0.0, 0.0, -0.0, 0.27, 0.31, -0.29, 0.6, -0.0]
+    zv = z - v
+    zv.imag[:2] = [0.0, -0.0]
+    return np.stack([z, zv])
+
+
+@pytest.mark.parametrize("taus", [
+    pytest.param([HEX, -HEX.conjugate(), HEX + 1e-6j], id="hexagonal-mirror-moved"),
+    pytest.param([1.2j, -(1.2j).conjugate(), 1.2j + 1e-6, 0.3 + 1.2j],
+                 id="rectangular-sheared"),
+])
+def test_set_axis_jet_matches_a_call_per_modulus(taus):
+    """One jet call over a leading set axis of moduli of one n_terms,
+    whose lattice constants enter as broadcast columns, gives each set the
+    bits of a call on its own lattice: mirrored, finite-difference moved
+    and sheared moduli, and points with +0 and -0 imaginary parts."""
+    lats = [Lattice(tau) for tau in taus]
+    assert len({lat.n_terms for lat in lats}) == 1
+    z = np.stack([_signed_zero_points(0.4 + 0.3j + 0.01 * i) for i in range(len(lats))])
+    for jmax in (-1, 0, 1, 2, 6):
+        zeta_v, derivs = weierstrass_jet(z, lats, jmax)
+        assert zeta_v.shape == z.shape and derivs.shape == (jmax + 1,) + z.shape
+        for i, lat in enumerate(lats):
+            ref_zeta, ref_derivs = weierstrass_jet(z[i], lat, jmax)
+            assert zeta_v[i].tobytes() == ref_zeta.tobytes(), (jmax, i)
+            assert derivs[:, i].tobytes() == ref_derivs.tobytes(), (jmax, i)
+
+
+def test_set_axis_pole_error_names_the_modulus_of_its_set():
+    lats = [Lattice(tau) for tau in (HEX, -HEX.conjugate(), HEX + 1e-6j)]
+    z = np.full((3, 2, 4), 0.3 + 0.2j)
+    z[1, 1, 2] = 1.0 + lats[1].tau  # a lattice point of the second set only
+    with pytest.raises(PoleError, match=re.escape(f"tau={lats[1].tau}")):
+        weierstrass_jet(z, lats, 2)
+    weierstrass_jet(z[[0, 2]], [lats[0], lats[2]], 2)
+    with pytest.raises(ValueError, match="share n_terms"):
+        weierstrass_jet(z[:2], [Lattice(1j), Lattice(2j)], 0)
 
 
 def test_torus_point_reduction_invariants():

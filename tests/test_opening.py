@@ -411,6 +411,23 @@ def test_cyclic_state_is_a_window_without_buffer():
         assert all(st.index_of(k) == k % n for k in range(-3 * n, 3 * n + 1)), name
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.01])
+def test_gluing_scale_must_be_finite_and_nonnegative(t):
+    with pytest.raises(ValueError, match=f"finite and nonnegative, got {t}"):
+        GluingState.central(catalog("rPD"), t)
+
+
+def test_nan_contraction_estimate_is_refused(monkeypatch):
+    """A NaN in the neck-matching system gives a NaN contraction estimate,
+    which is refused before the iteration, not after FIX_MAX_ITER steps."""
+    st = GluingState.central(catalog("rPD"), 0.01)
+    mat, vec = _fixed_point_system(st)
+    mat[0, 0] = np.nan
+    monkeypatch.setattr(opening, "_fixed_point_system", lambda st: (mat, vec))
+    with pytest.raises(NonContractionError, match="contraction estimate nan is not below 1"):
+        fix_omega(st)
+
+
 def test_unconverged_fixed_point_raises(monkeypatch):
     st = GluingState.central(catalog("rPD"), 0.01)
     monkeypatch.setattr(opening, "FIX_MAX_ITER", 1)
@@ -626,10 +643,10 @@ def test_form_table_mu_follows_the_complex_expression():
     T = st.tori[0]
     z, dz = _circle_nodes(0.0, st.contour_radius, 64)
     zpow = np.stack([z ** p for p in range(1, st.n_max)])
-    # circle fields of one parameter row
-    flat = (z[None], dz, None, np.ones((1, 64), complex), np.zeros((1, 64), complex),
-            None, None, zpow[:, None])
-    for table in (st._layers[0].forms, _build_forms([T], st.n_max, {"node": flat, "zero": flat})):
+    # g, g' and the contour powers of one parameter row
+    flat = (np.ones((1, 64), complex), np.zeros((1, 64), complex), zpow[:, None])
+    for table in (st._layers[0].forms,
+                  _build_forms([T], st.n_max, dz, {"node": flat, "zero": flat})):
         for s in (0, 1):
             for n in range(2, st.n_max + 1):
                 c2 = table.coeffs[s, n - 2, 0, 0]

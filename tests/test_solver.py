@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from oracles import _cell_corner, omega_eval, zeros_symmetric
-from stackedmin import configs, elliptic, opening, solver
+from stackedmin import configs, opening, solver
 from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import lattice_for
 from stackedmin.hecke import hecke_jacobian
@@ -269,21 +269,19 @@ def test_fd_blocks_match_plain_loop(name, K, k, t):
             assert np.array_equal(getattr(a, name_), getattr(b, name_)), (side, name_)
 
 
-def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
-    """The eight columns of one layer take three theta passes on each of
-    the four point sets (node circle, zero circle, both period paths):
-    one for the layer's own tau, shared by the bhat, a and v rows, and
-    one per tau row.  Together they evaluate the points of the five
-    distinct (tau, v), each set as many as one column of the plain loop,
-    and they never refresh the state.  Each set, and each layer of a full
+def test_fd_blocks_run_eight_theta_passes(monkeypatch):
+    """The eight columns of one layer take two theta passes on each of
+    the four point sets (node circle, zero circle, both period paths),
+    one per run of at most three (tau, v): the layer's own, shared by the
+    bhat and a rows, with those of the two tau rows, then those of the
+    two v rows.  Together they evaluate the points of the five distinct
+    (tau, v) once each, each set as many as one column of the plain loop,
+    and they never refresh the state.  A run's rows go SET_ROWS at a time
+    across its sets, and each such chunk, and each layer of a full
     residual, evaluates the glued form once per contour circle."""
     st, series, flat = _perturbed_layer("rPD", None, 1)
-    points, refreshes, omegas = [], [], []
-    theta_sums, refresh = elliptic._theta_sums, GluingState.refresh
-
-    def counted(v, *args, **kwargs):
-        points.append(np.size(v))
-        return theta_sums(v, *args, **kwargs)
+    refreshes, omegas = [], []
+    refresh = GluingState.refresh
 
     def counted_refresh(self, *args, **kwargs):
         refreshes.append(1)
@@ -293,26 +291,28 @@ def test_fd_blocks_run_twelve_theta_passes(monkeypatch):
         omegas.append(1)
         return omega_on_circle(*args, **kwargs)
 
-    monkeypatch.setattr(elliptic, "_theta_sums", counted)
+    passes = oracles.theta_passes(monkeypatch)
     monkeypatch.setattr(GluingState, "refresh", counted_refresh)
     monkeypatch.setattr(solver, "omega_on_circle", counted_omega)
     _fd_blocks(st, series, (1,), flat)
-    assert len(points) == 12
+    assert passes.calls == 8
+    assert len(passes.keys) == len(set(passes.keys)) == 4 * 5
     assert refreshes == []
-    assert len(omegas) == 10
-    batched = sum(points)
+    # the chunks [bhat, bhat, a, a], [tau, tau] and [v, v]
+    assert len(omegas) == 2 * 3
+    batched = sum(passes.points)
     omegas.clear()
     full_residual(st, series)
     assert len(omegas) == 2 * st.n_tori
     x0 = st.tori[1].block()
     plain = []
     for c in range(8):
-        points.clear()
+        passes.clear()
         xp = x0.copy()
         xp[c] += FD_STEP
         _set_blocks(st, {1: xp})
         _block_residual(st, series, [1])
-        plain.append(sum(points))
+        plain.append(sum(passes.points))
     assert len(set(plain)) == 1
     assert batched == 5 * plain[0]
 
@@ -377,22 +377,15 @@ def test_no_point_set_reaches_the_kernel_twice_in_one_call(defect, monkeypatch):
     points - v) reaches the theta pass twice in one call."""
     st, series = _twin_window(defect)
     active = tuple(st.active_range())
-    theta_sums, calls = elliptic._theta_sums, []
-
-    def counted(v, q, *args, **kwargs):
-        if np.ndim(v) == 3:  # (z, z - v) by set by node
-            calls.extend((q, v[0, i].tobytes(), v[1, i].tobytes()) for i in range(v.shape[1]))
-        return theta_sums(v, q, *args, **kwargs)
-
-    monkeypatch.setattr(elliptic, "_theta_sums", counted)
+    passes = oracles.theta_passes(monkeypatch)
     flat = full_residual(st, series, active).flat()
-    seen = {"full_residual": list(calls)}
-    calls.clear()
+    seen = {"full_residual": list(passes.keys)}
+    passes.clear()
     _fd_blocks(st, series, active, flat)
-    seen["_fd_blocks"] = list(calls)
-    calls.clear()
+    seen["_fd_blocks"] = list(passes.keys)
+    passes.clear()
     _shared_tau_v(st)
-    seen["refresh"] = list(calls)
+    seen["refresh"] = list(passes.keys)
     repeated = {name: len(keys) - len(set(keys)) for name, keys in seen.items()}
     assert all(seen.values()) and repeated == dict.fromkeys(seen, 0)
 
@@ -810,6 +803,22 @@ def test_overlapping_charts_are_refused_at_entry(monkeypatch):
     radius = _chart_radius(central_layout(catalog("rPD"))[0])
     assert "epsilon = 0.26" in str(err.value)
     assert f"_chart_radius of these tori is {radius:g}" in str(err.value)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.1, 0.0, -0.0])
+def test_nonfinite_or_nonpositive_epsilon_is_refused_at_entry(epsilon, monkeypatch):
+    """A chart radius that is not finite and positive is refused with a
+    ChartError that names it, before any step: NaN would pass every
+    chart comparison, -0.1 would solve with rho = -0.025, and 0 would
+    evaluate the kernel at the poles."""
+    def solve(*args, **kw):  # pragma: no cover - the failure under test
+        raise AssertionError("stepped with a bad chart radius")
+
+    monkeypatch.setattr(solver, "_solve_at_t", solve)
+    with pytest.raises(ChartError, match=f"epsilon = {epsilon} is not a finite positive"):
+        GluingState.central(catalog("rPD"), 0.01, epsilon=epsilon)
+    with pytest.raises(ChartError, match=f"epsilon = {epsilon} "):
+        newton_continuation(catalog("rPD"), 0.01, epsilon=epsilon)
 
 
 @pytest.mark.parametrize("name, t", [("rPD", 0.01), ("oPa", 0.04), ("oDelta", 0.02)])
