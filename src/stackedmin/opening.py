@@ -75,10 +75,6 @@ class TorusData:
         """The solver's 8 floats: bhat, a, tau, v as (re, im) pairs."""
         return np.array([self.bhat, self.a, self.tau, self.v], dtype=complex).view(float)
 
-    def tau_v(self) -> bytes:
-        """The bits of tau and v, which fix every point set of the torus."""
-        return self.block()[4:].tobytes()
-
     @classmethod
     def from_block(cls, x) -> "TorusData":
         return cls(bhat=complex(x[0], x[1]), a=complex(x[2], x[3]),
@@ -98,16 +94,10 @@ class TorusData:
 
     def jets(self, z, jmax: int):
         """Weierstrass jets (zeta, wp stack) at z and at z - v, on the
-        lattice of this torus.
-
-        z and z - v go through one kernel call on the stacked array; the
-        kernel is elementwise, so this is bit-identical to two array
-        calls.  The evaluator's runs of point sets of several tori take
-        one call over a set axis instead (`_point_sets`).
-        """
-        z = np.asarray(z)
-        zeta_pair, derivs = weierstrass_jet(np.stack([z, z - self.v]), self.lattice, jmax)
-        return (zeta_pair[0], derivs[:, 0]), (zeta_pair[1], derivs[:, 1])
+        lattice of this torus: `_point_sets` on a set of one, bit-identical
+        to two array calls."""
+        _, ((zeta_z, d_z), (zeta_zv, d_zv)) = _point_sets([self], [[0]], lambda T: z, jmax)
+        return (zeta_z[0], d_z[:, 0]), (zeta_zv[0], d_zv[:, 0])
 
     def g_and_gp(self, z):
         """g and g' = a*(wp(z - v) - wp(z)) from one pair of jets."""
@@ -254,21 +244,22 @@ def _circle_nodes(center: complex, radius: float, m: int):
 
 def _gauss_constants(tori):
     """a, b and xi_raw(v) of row tori as columns (rows, 1), each entry
-    computed as a scalar."""
-    fs = (lambda T: T.a, lambda T: T.b, lambda T: xi_raw(T.v, T.lattice))
-    return tuple(np.array([f(T) for T in tori])[:, None] for f in fs)
+    computed as a scalar, b in the steps of `TorusData.b`."""
+    xiv = [xi_raw(T.v, T.lattice) for T in tori]
+    b = [-T.a * x + T.bhat for T, x in zip(tori, xiv)]
+    return tuple(np.array(c)[:, None] for c in ([T.a for T in tori], b, xiv))
 
 
 def _set_runs(tori):
     """Runs of at most JET_SETS distinct (tau, v) among row tori, each a
     list of sets, a set the indices of the rows with its (tau, v): the
     sets in order of first appearance, the lattices of a run of one
-    n_terms.  Rows share a (tau, v) when their bits agree
-    (`TorusData.tau_v`), so each set's points are those of each of its
+    n_terms.  Rows share a (tau, v) when its floats in `TorusData.block`
+    agree bit for bit, so each set's points are those of each of its
     rows."""
     sets = {}
     for r, T in enumerate(tori):
-        sets.setdefault(T.tau_v(), []).append(r)
+        sets.setdefault(T.block()[4:].tobytes(), []).append(r)
     by_terms = {}
     for rows in sets.values():
         by_terms.setdefault(tori[rows[0]].lattice.n_terms, []).append(rows)
@@ -276,24 +267,27 @@ def _set_runs(tori):
         yield from (group[i : i + JET_SETS] for i in range(0, len(group), JET_SETS))
 
 
+def _run_chunks(run, per: int = SET_ROWS):
+    """The rows of a `_set_runs` run in its order, per at a time: each
+    chunk's positions in that order and the set of each of its rows, a
+    slice when they share one so that its points broadcast across them."""
+    sets = [i for i, rows in enumerate(run) for _ in rows]
+    for c in range(0, len(sets), per):
+        sel = sets[c : c + per]
+        yield range(c, c + len(sel)), (slice(sel[0], sel[0] + 1) if sel[0] == sel[-1]
+                                       else np.array(sel))
+
+
 def _point_sets(tori, run, points, jmax: int):
     """The points of the sets of one `_set_runs` run of row tori, from
-    any layers and moduli, and their jet pair at z and z - v, all with a
-    leading set axis: one `weierstrass_jet` call over the lattices of
-    the run, bit-identical to a call per set."""
+    any layers and moduli and of any shape, and their jet pair at z and
+    z - v, all with a leading set axis: one `weierstrass_jet` call over
+    the lattices of the run, bit-identical to a call per set."""
     heads = [tori[rows[0]] for rows in run]
-    z = np.stack([points(T) for T in heads])
-    v = np.array([T.v for T in heads])[:, None]
+    z = np.stack([np.asarray(points(T)) for T in heads])
+    v = np.array([T.v for T in heads]).reshape((-1,) + (1,) * (z.ndim - 1))
     zeta, d = weierstrass_jet(np.stack([z, z - v], axis=1), [T.lattice for T in heads], jmax)
     return z, ((zeta[:, 0], d[:, :, 0]), (zeta[:, 1], d[:, :, 1]))
-
-
-def _set_of(keys: list, tori) -> slice | np.ndarray:
-    """The index among a run's set keys (`TorusData.tau_v`) of each row
-    torus; a slice when the rows share one set, so that its jets
-    broadcast across them."""
-    idx = [keys.index(T.tau_v()) for T in tori]
-    return slice(idx[0], idx[0] + 1) if len(set(idx)) == 1 else np.array(idx)
 
 
 def _build_forms(tori, n_max: int, dz, circles: dict) -> FormTable:
@@ -331,15 +325,11 @@ def _build_forms(tori, n_max: int, dz, circles: dict) -> FormTable:
 
 @dataclass
 class CircleCache:
-    """Quadrature nodes around one pole with every field the contour
-    integrals need: g, g', the base form, and the second-kind stack, with
-    a row axis before the node axis.  A built chunk's center and nodes
-    broadcast against its rows (one row when they share a set);
-    `refresh` makes the center a complex and adds base and cols of row 0,
-    which only the neck-matching system reads."""
+    """The fields the contour integrals around one pole read: the
+    quadrature weights dz and, with a row axis before the node axis, g,
+    g', the base form and the second-kind stack.  `refresh` adds base and
+    cols of row 0, which only the neck-matching system reads."""
 
-    center: complex | np.ndarray
-    z: np.ndarray
     dz: np.ndarray
     g: np.ndarray
     gp: np.ndarray
@@ -354,7 +344,7 @@ class LayerRows:
     """Parameter rows of one or more (tau, v) sets, with their form table
     and, while needed, their contour caches by side, all with a row axis.
     `refresh` stores a one-row set per torus; the residual evaluator
-    takes it and moved rows' chunks alike."""
+    takes chunks of stored sets (`_joined`) and of moved rows alike."""
 
     tori: list[TorusData]
     forms: FormTable
@@ -362,10 +352,11 @@ class LayerRows:
 
 
 def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS):
-    """The rows of row tori, at most per at a time across the (tau, v)
-    sets of each `_set_runs` run, each chunk's row indices with the form
-    table and the contour caches (without base and cols) that a refresh
-    builds for them, in a `LayerRows`.
+    """The rows of row tori, per at a time across the (tau, v) sets of
+    each `_set_runs` run (`_run_chunks`): each chunk's row indices, the
+    set of each row in its run, and the form table and contour caches
+    (without base and cols) that a refresh builds for them, in a
+    `LayerRows`.
 
     The sets of a run take one jet call per circle (`_point_sets`), and
     one run's jets are held at a time.  Every scalar stage (b, xi_raw(v),
@@ -377,22 +368,21 @@ def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS):
     _, dz = _circle_nodes(0.0, r, m)  # dz does not depend on the center
     poles = {"node": lambda T: T.v, "zero": lambda T: 0.0}
     for run in _set_runs(tori):
-        keys = [tori[rows[0]].tau_v() for rows in run]
         sides = {side: _point_sets(tori, run, lambda T, p=p: _circle_nodes(p(T), r, m)[0],
                                    st.n_max - 2) for side, p in poles.items()}
         flat = [u for rows in run for u in rows]
-        for rows in (flat[i : i + per] for i in range(0, len(flat), per)):
-            yield rows, _circle_chunk(st, [tori[i] for i in rows], keys, sides, poles, dz)
+        for pos, sel in _run_chunks(run, per):
+            rows = [flat[i] for i in pos]
+            yield rows, sel, _circle_chunk(st, [tori[i] for i in rows], sel, sides, poles, dz)
         del sides  # before the next run's kernel calls
 
 
-def _circle_chunk(st: "GluingState", sub, keys, sides, poles, dz) -> LayerRows:
-    """The `LayerRows` of the row tori sub of one run, from the run's set
-    keys and its nodes and jets by circle (sides).  The rows read those
-    of their sets: broadcast against a row axis before the node axis when
-    they share one set, gathered row by row when they span several (each
-    order of the wp stack inside `FormTable.values`)."""
-    sel = _set_of(keys, sub)
+def _circle_chunk(st: "GluingState", sub, sel, sides, poles, dz) -> LayerRows:
+    """The `LayerRows` of the row tori sub of one run, from the set sel of
+    each row and the run's nodes and jets by circle (sides).  The rows
+    read those of their sets: broadcast against a row axis before the
+    node axis when they share one set, gathered row by row when they span
+    several (each order of the wp stack inside `FormTable.values`)."""
     a, b, xiv = _gauss_constants(sub)
     fields, zpow = {}, {}
     for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in sides.items():
@@ -401,19 +391,35 @@ def _circle_chunk(st: "GluingState", sub, keys, sides, poles, dz) -> LayerRows:
         center = np.array([poles[side](T) for T in sub[: len(z)]], dtype=complex)[:, None]
         zpow[side] = np.stack([(z - center) ** p for p in range(1, st.n_max)])
         s = zeta_z[sel] - zeta_zv[sel]
-        fields[side] = (z, center, s, a * s + b, a * (dplus[0][sel] - dminus[0][sel]))
+        fields[side] = (s, a * s + b, a * (dplus[0][sel] - dminus[0][sel]))
     forms = _build_forms(sub, st.n_max, dz, {side: (gv, gp, zpow[side])
-                                             for side, (*_, gv, gp) in fields.items()})
+                                             for side, (_, gv, gp) in fields.items()})
     del zpow  # before the densities
     circles = {}
-    for side, (z, center, s, gv, gp) in fields.items():
+    for side, (s, gv, gp) in fields.items():
         _, ((_, dminus), (_, dplus)) = sides[side]
         fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
         forms.values(0, dplus, out=fvals[0], sel=sel)
         forms.values(1, dminus, out=fvals[1], sel=sel)
-        circles[side] = CircleCache(center=center, z=z, dz=dz, g=gv, gp=gp, w0=s - xiv,
-                                    fvals=fvals)
+        circles[side] = CircleCache(dz=dz, g=gv, gp=gp, w0=s - xiv, fvals=fvals)
     return LayerRows(tori=sub, forms=forms, circles=circles)
+
+
+def _joined(sets: list, run):
+    """The stored one-row sets of the rows of a `_set_runs` run, in its
+    order, in the chunks that `_circle_sets` gives moved rows: each
+    chunk's positions, the set of each row, and its sets' form tables and
+    circles (without base and cols) joined along the row axis in one
+    `LayerRows`, a set alone as it is."""
+    for pos, sel in _run_chunks(run):
+        part = [sets[i] for i in pos]
+        yield pos, sel, part[0] if len(part) == 1 else LayerRows(
+            [lr.tori[0] for lr in part],
+            FormTable(*(np.concatenate([getattr(lr.forms, name) for lr in part], axis=-1)
+                        for name in ("coeffs", "eta", "mu"))),
+            {side: CircleCache(part[0].circles[side].dz, *(
+                np.concatenate([getattr(lr.circles[side], name) for lr in part], axis=-2)
+                for name in ("g", "gp", "w0", "fvals"))) for side in ("node", "zero")})
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:
@@ -460,6 +466,8 @@ class GluingState:
     def __post_init__(self):
         if not 0.0 <= self.t < math.inf:
             raise ValueError(f"gluing scale t must be finite and nonnegative, got {self.t}")
+        if not 0.0 < self.epsilon < math.inf:  # NaN fails every chart comparison
+            raise ChartError(f"epsilon = {self.epsilon} is not a finite positive chart radius")
         # a plain attribute, not a property: every form evaluation reads it
         self.rho = self.epsilon / 4
         if self._layers is None:
@@ -473,18 +481,19 @@ class GluingState:
         cfg is not periodic or K is given, with the chart radius
         `_chart_radius` of them unless epsilon is given, and refreshed
         through shared_rows when it is given.  A given epsilon that is not
-        finite and positive, or whose charts overlap on one of the distinct
-        tori (`_charts_disjoint`), raises ChartError."""
+        finite and positive (checked on construction), or whose charts
+        overlap on one of the distinct tori (`_charts_disjoint`), raises
+        ChartError before any cache is built."""
         tori, k_lo, p_l, p_r, buf = central_layout(cfg, K)
-        if epsilon is None:
-            epsilon = _chart_radius(tori)
-        elif not 0.0 < epsilon < math.inf:  # NaN fails every chart comparison
-            raise ChartError(f"epsilon = {epsilon} is not a finite positive chart radius")
-        elif not _charts_disjoint(_distinct(tori), epsilon):
+        # construction checks t and epsilon; the caches wait for the overlap check
+        st = cls(t=t, tori=tori, k_lo=k_lo, epsilon=_chart_radius(tori) if epsilon is None
+                 else epsilon, tau_ref=cfg.tau, q0_ref=cfg.q(0), left_period=p_l,
+                 right_period=p_r, n_buffer=buf, _layers=[], shared_rows=shared_rows)
+        if epsilon is not None and not _charts_disjoint(_distinct(tori), epsilon):
             raise ChartError(f"neck charts overlap at epsilon = {epsilon:g}; "
                              f"_chart_radius of these tori is {_chart_radius(tori):g}")
-        return cls(t=t, tori=tori, k_lo=k_lo, epsilon=epsilon, tau_ref=cfg.tau, q0_ref=cfg.q(0),
-                   left_period=p_l, right_period=p_r, n_buffer=buf, shared_rows=shared_rows)
+        st.refresh()
+        return st
 
     @property
     def n_tori(self) -> int:
@@ -527,29 +536,30 @@ class GluingState:
         the stored indices in only, after new tori are put in place; caches
         do not depend on t, so rescaling t alone needs no refresh.
 
-        New `TorusData.block` bytes are built, after the old caches go, as
-        the one-row chunks of one `_circle_sets` pass (each distinct
-        (tau, v) once, three sets to a jet call), each with nodes of its
-        own so that it holds nothing of its run, bit for bit
-        `_circle_sets(self, [T])`: the `LayerRows` that
-        each refreshed torus with those bytes stores as _layers[j], its
-        `FormTable` (coefficients (2, n_max-1, n_max-1, 1) by pole, order,
-        wp derivative and row) and its circles, completed with the
-        neck-matching integrals base and cols.  A set reads only its torus
-        and epsilon, values, so sharing it keeps every bit.  The residual
-        evaluator reads it as it reads the sets of the Jacobian's moved
-        rows, which never touch the state.
+        Each refreshed index j stores as _layers[j] the `LayerRows` of its
+        (block bytes, epsilon): one row, its `FormTable` (coefficients
+        (2, n_max-1, n_max-1, 1) by pole, order, wp derivative and row) and
+        its circles with the neck-matching integrals base and cols.  A set
+        is looked up in shared_rows when the state has that map, and
+        otherwise among the sets the state holds at the other indices.  The
+        keys found nowhere are built after the old caches go, as the
+        one-row chunks of one `_circle_sets` pass (each distinct (tau, v)
+        once, three sets to a jet call), bit for bit `_circle_sets(self,
+        [T])`.  A set reads only its torus and epsilon, values, so sharing
+        it keeps every bit.
 
-        With shared_rows, a refresh first looks there by (block bytes,
-        epsilon) and puts what it builds there.  The map holds its sets
-        weakly, so a set that no state holds any more, such as a rejected
-        line-search trial's, is freed as it would be without the map.
+        shared_rows gets what the refresh builds and holds it weakly, so a
+        set that no state holds any more, such as a rejected line-search
+        trial's, is freed as it would be without the map.
         """
         if self._layers is None or only is None:
             self._layers = [None] * self.n_tori
             only = range(self.n_tori)
-        built = {} if self.shared_rows is None else self.shared_rows
         keys = {j: (self.tori[j].block().tobytes(), self.epsilon) for j in only}
+        built = self.shared_rows
+        if built is None:
+            built = {(lr.tori[0].block().tobytes(), self.epsilon): lr
+                     for j, lr in enumerate(self._layers) if lr is not None and j not in keys}
         rows = {key: built.get(key) for key in keys.values()}  # held while assigning
         new = {key: self.tori[j] for j, key in keys.items() if rows[key] is None}
         for j, key in keys.items():  # the old caches go before the build
@@ -557,9 +567,8 @@ class GluingState:
         order = list(new)
         # one row per chunk: copying rows out of wider chunks cost the
         # solve's peak RSS more than the wider chunks saved
-        for (u,), lr in _circle_sets(self, list(new.values()), 1):
+        for (u,), _, lr in _circle_sets(self, list(new.values()), 1):
             for cc in lr.circles.values():
-                cc.center, cc.z = complex(cc.center[0, 0]), cc.z.copy()
                 _add_matching(cc, self.n_max, self.rho)
             rows[order[u]] = built[order[u]] = lr
         for j, key in keys.items():

@@ -14,15 +14,13 @@ import numpy as np
 
 from .configs import Configuration, UnbalancedConfigError, balance_report, periodic_stack
 from .opening import (
-    SET_ROWS,
-    FormTable,
     GluingState,
     LayerRows,
     OmegaSeries,
     TorusData,
     _circle_sets,
+    _joined,
     _point_sets,
-    _set_of,
     _set_runs,
     fix_omega,
     gauss_parts,
@@ -104,20 +102,19 @@ def _by_layer(ks, rows):
 def _period_residuals(st, series, tori, distinct, run, held, out):
     """Period residuals P1, P2 of the horizontal displacement over both
     cycles into columns 1, 2 of out, for the pairs on the rows of a
-    `_set_runs` run of the distinct rows, which held lists in chunks of
-    at most SET_ROWS rows across its (tau, v) sets as (`_by_layer`
-    groups, `LayerRows`).  The paths from path_base(T) read form tables
-    only: one jet call per path for the run (`_point_sets`) and one
-    `gauss_parts` per chunk serve the node sums of W/g and t^2 g W of
+    `_set_runs` run of the distinct rows, which held lists by chunk
+    (`_run_chunks`) as (`_by_layer` groups, the set of each row, a
+    `LayerRows` of form tables).  The paths from path_base(T) read form
+    tables only: one jet call per path for the run (`_point_sets`) and
+    one `gauss_parts` per chunk serve the node sums of W/g and t^2 g W of
     each layer on it, with its own lambda row; its parity enters in the
     scalar stage."""
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
-    keys = [distinct[rows[0]].tau_v() for rows in run]
     for col, along in ((1, lambda T: 1.0), (2, lambda T: T.tau)):
         jets = _point_sets(distinct, run, lambda T: path_base(T) + s * along(T),
                            st.n_max - 2)[1]
-        for groups, lr in held:
-            gv, *parts = gauss_parts(jets, lr, _set_of(keys, lr.tori))
+        for groups, sel, lr in held:
+            gv, *parts = gauss_parts(jets, lr, sel)
             near = np.min(np.abs(gv), axis=-1) < 1e-6
             for k, pos, at in groups:
                 if np.any(near[at]):
@@ -135,28 +132,18 @@ def _period_residuals(st, series, tori, distinct, run, held, out):
         del jets  # before the next path's kernel call
 
 
-def _stacked(sets: list) -> LayerRows:
-    """The rows of stored one-row sets as one `LayerRows` without circles:
-    their form tables joined along the row axis."""
-    if len(sets) == 1:
-        return LayerRows(sets[0].tori, sets[0].forms, None)
-    forms = FormTable(*(np.concatenate([getattr(lr.forms, name) for lr in sets], axis=-1)
-                        for name in ("coeffs", "eta", "mu")))
-    return LayerRows([lr.tori[0] for lr in sets], forms, None)
-
-
 def _block_residual(st, series, ks, tori=None):
     """(E, P1, P2, Gbal) of each (layer, parameter row) pair (ks[p],
     tori[p]) for full_residual and the Jacobian; without tori each row is
     the layer's stored torus with its stored `LayerRows`.  Pairs with
     equal blocks share a distinct row, and the distinct rows go one
     `_set_runs` run at a time, so each (tau, v) is evaluated once and one
-    run's jets are held; the run's rows go SET_ROWS at a time across its
-    sets, moved rows through one `_circle_sets` pass per run.  A chunk's
-    circles give the E and Gbal of each layer on it and go; the paths
-    read its form table.  Lambda rows and parities enter last, per layer.
-    Array stages are elementwise along rows or reduce along nodes, so
-    each pair has the bits of its layer evaluated alone."""
+    run's jets are held.  The run's rows go in `_run_chunks`, stored sets
+    joined (`_joined`) and moved rows built by one `_circle_sets` pass.  A
+    chunk's circles give the E and Gbal of each layer on it and go; the
+    paths read its form table.  Lambda rows and parities enter last, per
+    layer.  Array stages are elementwise along rows or reduce along
+    nodes, so each pair has the bits of its layer evaluated alone."""
     stored = tori is None
     tori = [st.torus(k) for k in ks] if stored else tori
     by_block = {}
@@ -167,22 +154,16 @@ def _block_residual(st, series, ks, tori=None):
     out = np.empty((len(ks), 4), dtype=complex)
     for run in _set_runs(distinct):
         us = [u for rows in run for u in rows]
-        held = []
         if stored:
             layers = [st._layers[st.index_of(ks[pairs_of[u][0]])] for u in us]
-            for u, rows in zip(us, layers):
-                for k, pos, at in _by_layer(ks, [pairs_of[u]]):
-                    out[pos, 0], out[pos, 3] = _circle_residuals(st, series, k, rows, at)
-            for c in range(0, len(us), SET_ROWS):
-                held.append((_by_layer(ks, [pairs_of[u] for u in us[c : c + SET_ROWS]]),
-                             _stacked(layers[c : c + SET_ROWS])))
-        else:
-            for idx, rows in _circle_sets(st, [distinct[u] for u in us]):
-                groups = _by_layer(ks, [pairs_of[us[i]] for i in idx])
-                for k, pos, at in groups:
-                    out[pos, 0], out[pos, 3] = _circle_residuals(st, series, k, rows, at)
-                held.append((groups, LayerRows(rows.tori, rows.forms, None)))
-                del rows  # its circles, before the next chunk
+        held = []
+        for pos, sel, rows in (_joined(layers, run) if stored
+                               else _circle_sets(st, [distinct[u] for u in us])):
+            groups = _by_layer(ks, [pairs_of[us[i]] for i in pos])
+            for k, p, at in groups:
+                out[p, 0], out[p, 3] = _circle_residuals(st, series, k, rows, at)
+            held.append((groups, sel, LayerRows(rows.tori, rows.forms, None)))
+            del rows  # its circles, before the next chunk
         _period_residuals(st, series, tori, distinct, run, held, out)
     return out
 
@@ -221,6 +202,18 @@ def _layer_key(st, series, k) -> tuple:
             consts.tobytes())
 
 
+def _memoized(st, series, ks, memo: dict | None, kind: str, evaluate) -> list:
+    """The entries of memo under (kind,) + `_layer_key` of each layer of
+    ks, in order.  The keys not in memo are filled first, by one call
+    evaluate(positions) over one position in ks per new key."""
+    memo = {} if memo is None else memo
+    keys = [(kind,) + _layer_key(st, series, k) for k in ks]
+    todo = {key: i for i, key in enumerate(keys) if key not in memo}
+    if todo:
+        memo.update(zip(todo, evaluate(todo.values())))
+    return [memo[key] for key in keys]
+
+
 def full_residual(st: GluingState, series: OmegaSeries, ks=None,
                   memo: dict | None = None) -> ResidualVector:
     """Residual rows of the layers ks (every stored layer by default).
@@ -231,13 +224,9 @@ def full_residual(st: GluingState, series: OmegaSeries, ks=None,
     keys take one `_block_residual` pass."""
     if ks is None:
         ks = tuple(st.logical_range())
-    memo = {} if memo is None else memo
-    keys = [("row",) + _layer_key(st, series, k) for k in ks]
-    todo = {key: k for key, k in zip(keys, ks) if key not in memo}
-    if todo:
-        memo.update(zip(todo, _block_residual(st, series, list(todo.values()))))
-    rows = np.array([memo[key] for key in keys], dtype=complex).reshape(-1, 4)
-    return ResidualVector(ks=tuple(ks), entries=rows)
+    rows = _memoized(st, series, ks, memo, "row",
+                     lambda new: _block_residual(st, series, [ks[i] for i in new]))
+    return ResidualVector(ks=tuple(ks), entries=np.array(rows, dtype=complex).reshape(-1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +262,17 @@ def _fd_blocks(st, series, active, flat, memo: dict | None = None):
     each distinct key is differenced once, within this call or, with a
     memo shared as in `full_residual`, across every call that shares it.
     """
-    memo = {} if memo is None else memo
-    keys = [("fd",) + _layer_key(st, series, k) for k in active]
-    todo = {key: (i, k) for i, (key, k) in enumerate(zip(keys, active)) if key not in memo}
-    # row c moves entry c alone, so the other entries keep their bits
-    moved = [TorusData.from_block(xp) for _, k in todo.values() for x0 in [st.torus(k).block()]
-             for xp in np.where(np.eye(8, dtype=bool), x0 + FD_STEP, x0)]
-    if todo:
-        ks = [k for _, k in todo.values() for _ in range(8)]
+    def blocks(new):
+        # row c moves entry c alone, so the other entries keep their bits
+        moved = [TorusData.from_block(xp) for i in new for x0 in [st.torus(active[i]).block()]
+                 for xp in np.where(np.eye(8, dtype=bool), x0 + FD_STEP, x0)]
+        ks = [active[i] for i in new for _ in range(8)]
         # (re, im) of each row's four entries, as in flat
-        rp = _block_residual(st, series, ks, moved).view(float).reshape(len(todo), 8, 8)
-        r0 = np.array([flat[8 * i : 8 * i + 8] for i, _ in todo.values()])[:, None]
-        memo.update(zip(todo, ((rp - r0) / FD_STEP).transpose(0, 2, 1)))
-    return np.array([memo[key] for key in keys]).reshape(-1, 8, 8)
+        rp = _block_residual(st, series, ks, moved).view(float).reshape(len(new), 8, 8)
+        r0 = np.array([flat[8 * i : 8 * i + 8] for i in new])[:, None]
+        return ((rp - r0) / FD_STEP).transpose(0, 2, 1)
+
+    return np.array(_memoized(st, series, active, memo, "fd", blocks)).reshape(-1, 8, 8)
 
 
 @dataclass(frozen=True)

@@ -328,6 +328,15 @@ def multipass_forms(T, n_max: int, radius: float, m: int) -> dict:
     return forms
 
 
+def circle_nodes(st, k: int, side: str) -> np.ndarray:
+    """The quadrature nodes of the cached contour around 0_k (side
+    'zero') or v_k (side 'node'), where its fields sit."""
+    from stackedmin.opening import CIRCLE_NODES, _circle_nodes
+
+    center = st.torus(k).v if side == "node" else 0.0
+    return _circle_nodes(center, st.contour_radius, CIRCLE_NODES)[0]
+
+
 def multipass_circle(T, forms: dict, center: complex, n_max: int, rho: float,
                      radius: float, m: int):
     """Contour cache around one pole of one torus."""
@@ -351,8 +360,7 @@ def multipass_circle(T, forms: dict, center: complex, n_max: int, rho: float,
     rhow = rho ** np.arange(1, n_max)
     weighted = rhow[None, :, None] * fvals
     cols = -np.einsum("in,smn,n->ism", powers, weighted, dz) / (2j * np.pi)
-    return CircleCache(center=center, z=z, dz=dz, g=gv, gp=gp, w0=w0,
-                       fvals=fvals, base=base, cols=cols)
+    return CircleCache(dz=dz, g=gv, gp=gp, w0=w0, fvals=fvals, base=base, cols=cols)
 
 
 def multipass_omega(st, series, k: int, z):
@@ -878,8 +886,8 @@ def differential_rows(st_a, series_a, st_b, series_b) -> dict[int, float]:
     shared = [k for k in st_a.logical_range() if k in st_b.logical_range()]
     out = {}
     for k in shared:
-        za = st_a.circle(k, "node").z
-        zb = st_b.circle(k, "node").z
+        za = circle_nodes(st_a, k, "node")
+        zb = circle_nodes(st_b, k, "node")
         pa = np.asarray(weierstrass_phi(k, za, st_a, series_a))
         pb = np.asarray(weierstrass_phi(k, zb, st_b, series_b))
         out[k] = float(np.max(np.abs(pa - pb)))

@@ -199,27 +199,29 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
 
 @pytest.fixture(scope="module")
 def wide_windows():
-    """K = 8 window solves at t = 0.01 of the defects that no pair fixture
-    holds, solved once per module."""
-    return {name: newton_continuation(catalog(name, K=1), 0.01, K=8)
-            for name in ("rPD-H", "oPa-oDelta")}
+    """K = 8 window solves of the defects that no pair fixture holds, at
+    t = 0.01, and of twin-rPD at t = 0.04, solved once per module."""
+    return {name: newton_continuation(catalog(name, K=1), t, K=8)
+            for name, t in (("rPD-H", 0.01), ("oPa-oDelta", 0.01), ("twin-rPD", 0.04))}
 
 
-@pytest.mark.parametrize("pair, name, Ks", [
-    pytest.param("twin_pair", "twin-rPD", (1, 2, 3), id="twin_pair-twin-rPD"),
-    pytest.param("cross_pair", "oPa-oCLP", (1, 2, 3), id="cross_pair-oPa-oCLP"),
-    pytest.param("wide_windows", "rPD-H", (1, 2), id="K8-rPD-H"),
-    pytest.param("wide_windows", "oPa-oDelta", (1, 2), id="K8-oPa-oDelta"),
+@pytest.mark.parametrize("pair, name, t, Ks", [
+    pytest.param("twin_pair", "twin-rPD", 0.01, (1, 2, 3), id="twin_pair-twin-rPD"),
+    pytest.param("cross_pair", "oPa-oCLP", 0.01, (1, 2, 3), id="cross_pair-oPa-oCLP"),
+    pytest.param("wide_windows", "rPD-H", 0.01, (1, 2, 3), id="K8-rPD-H"),
+    pytest.param("wide_windows", "oPa-oDelta", 0.01, (1, 2, 3), id="K8-oPa-oDelta"),
+    pytest.param("wide_windows", "twin-rPD", 0.04, (1, 2), id="K8-twin-rPD-t0.04"),
 ])
-def test_window_half_width_does_not_move_the_layers(pair, name, Ks, request):
+def test_window_half_width_does_not_move_the_layers(pair, name, t, Ks, request):
     """With the chart radius of the wide window (a pair's defect state, or
-    a K = 8 window), a defect solved on narrower windows gives every
-    active layer of the wide state to solver noise: the clamped tails
-    stand in for the layers the narrow window leaves out."""
+    a K = 8 window), a defect solved on narrower windows at the same t
+    gives every active layer of the wide state to solver noise: the
+    clamped tails stand in for the layers the narrow window leaves out."""
     held = request.getfixturevalue(pair)
     wide = (held[name] if pair == "wide_windows" else held[1]).state
+    assert wide.t == t
     for K in Ks:
-        st = newton_continuation(catalog(name, K=1), 0.01, K=K, epsilon=wide.epsilon).state
+        st = newton_continuation(catalog(name, K=1), t, K=K, epsilon=wide.epsilon).state
         gap = max(np.max(np.abs(st.torus(k).block() - wide.torus(k).block()))
                   for k in st.active_range())
         assert gap < 1e-11, (K, gap)

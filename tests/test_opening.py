@@ -327,7 +327,7 @@ def test_doubled_contour_nodes_agree(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(opening, "CIRCLE_NODES", 512)
         fine = GluingState.central(cfg, 0.01)
-    assert fine.circle(0, "node").z.size == 2 * coarse.circle(0, "node").z.size
+    assert fine.circle(0, "node").dz.size == 2 * coarse.circle(0, "node").dz.size
     sa = fix_omega(coarse)
     sb = fix_omega(fine)
     assert np.max(np.abs(sa.lam - sb.lam)) < 1e-12
@@ -512,6 +512,52 @@ def test_replacing_one_torus_of_a_shared_group():
     assert not np.array_equal(got.entries[j], before[j])
 
 
+def test_refresh_without_a_map_reuses_the_sets_the_state_holds(monkeypatch):
+    """A torus put in place of another stored torus and refreshed alone,
+    on a state built without shared_rows, takes the set that the state
+    already holds for those bits: nothing is built, and every residual
+    row equals that of a state built fresh on the same tori."""
+    st = GluingState.central(catalog("twin-rPD", K=2), 0.01, K=4)
+    assert st.shared_rows is None and st._layers[5] is not st._layers[6]
+    builds, circle_sets = [], opening._circle_sets
+
+    def counted(st, tori, *args):
+        builds.append(tori)
+        return circle_sets(st, tori, *args)
+
+    monkeypatch.setattr(opening, "_circle_sets", counted)
+    st.tori[5] = st.tori[6]
+    st.refresh([5])
+    assert st._layers[5] is st._layers[6]
+    assert [len(tori) for tori in builds] == [0]
+    monkeypatch.undo()
+    fresh = GluingState(t=st.t, tori=list(st.tori), k_lo=st.k_lo, epsilon=st.epsilon,
+                        tau_ref=st.tau_ref, q0_ref=st.q0_ref, left_period=st.left_period,
+                        right_period=st.right_period, n_buffer=st.n_buffer)
+    series, fresh_series = fix_omega(st), fix_omega(fresh)
+    assert np.array_equal(series.lam, fresh_series.lam)
+    assert np.array_equal(full_residual(st, series).entries,
+                          full_residual(fresh, fresh_series).entries)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1, 0.0, -0.0])
+def test_state_refuses_a_bad_chart_radius_before_any_build(epsilon, monkeypatch):
+    """A GluingState built directly, or replaced with a new epsilon, whose
+    chart radius is not finite and positive raises a ChartError naming
+    it before any cache is built."""
+    st = GluingState.central(catalog("rPD"), 0.01)
+
+    def build(*args, **kw):  # pragma: no cover - the failure under test
+        raise AssertionError("built caches at a bad chart radius")
+
+    monkeypatch.setattr(opening, "_circle_sets", build)
+    tori = opening.central_layout(catalog("rPD"))[0]
+    for make in (lambda: GluingState(t=0.01, tori=tori, k_lo=0, epsilon=epsilon),
+                 lambda: replace(st, epsilon=epsilon, _layers=None)):
+        with pytest.raises(ChartError, match=f"epsilon = {epsilon} is not a finite positive"):
+            make()
+
+
 def test_window_fold(rpdh):
     st, series = rpdh
     assert st.n_buffer > 0
@@ -565,7 +611,7 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
         ref = oracles.multipass_circle(T, forms, center, st.n_max, st.rho, r, m)
         cc = st.circle(k, side)
         # the state's circle in its one parameter row
-        got = {"z": cc.z[0], "dz": cc.dz, "g": cc.g[0], "gp": cc.gp[0], "w0": cc.w0[0],
+        got = {"dz": cc.dz, "g": cc.g[0], "gp": cc.gp[0], "w0": cc.w0[0],
                "fvals": cc.fvals[:, :, 0], "base": cc.base, "cols": cc.cols}
         for field_name, value in got.items():
             assert np.array_equal(value, getattr(ref, field_name)), (side, field_name)
@@ -605,7 +651,7 @@ def test_form_table_matches_per_form_loop(name, K, k):
     z0 = path_base(T)
     line = z0 + np.linspace(0.05, 0.95, 6) * (0.6 + 0.3 * T.tau)
     points = {
-        "circle": st.circle(k, "node").z[0],
+        "circle": oracles.circle_nodes(st, k, "node"),
         "path": z0 + (np.arange(512) + 0.5) / 512 * T.tau,
         "2-D": line.reshape(2, 3) + np.array([[0.0], [0.03j]]),
     }
@@ -630,9 +676,10 @@ def test_form_table_matches_per_form_loop(name, K, k):
                 ref = oracles.form_value_from_derivs(
                     oracles.form_view(st, k, sign, n), derivs)
                 assert abs(got[n - 2, 0] - ref) <= 1e-15 * abs(ref), (sign, label, n)
-        cc = st.circle(k, ("node", "zero")[s])
+        side = ("node", "zero")[s]
+        cc, nodes = st.circle(k, side), oracles.circle_nodes(st, k, side)
         for n in range(2, st.n_max + 1):
-            ref = second_kind_form(st, k, sign, n, cc.z[0])
+            ref = second_kind_form(st, k, sign, n, nodes)
             assert np.array_equal(cc.fvals[s, n - 2, 0], ref), (sign, n)
 
 
