@@ -595,31 +595,25 @@ class OmegaSeries:
 
 
 def _fixed_point_system(st: GluingState):
-    """Assemble lambda -> b + M lambda realizing the neck-matching map.
+    """The neck-matching map lambda -> vec + mat lambda[nbr], by blocks.
 
     Row (j,+,n) integrates over the circle at 0 of the next layer, row
     (j,-,n) over the circle at v of the previous one; both carry the
-    prefactor (t^2/rho)^(n-1).
+    prefactor (t^2/rho)^(n-1).  So block mat[j, s], (n_max-1, 2(n_max-1)),
+    reads the flattened lambda row of the one stored torus nbr[j, s].
     """
     width = st.n_max - 1
-    dim = st.n_tori * 2 * width
-    mat = np.zeros((dim, dim), dtype=complex)
-    vec = np.zeros(dim, dtype=complex)
     pref = (st.t ** 2 / st.rho) ** np.arange(1, st.n_max)
-    for j in range(st.n_tori):
-        k = st.k_lo + j
-        for srow, (step, side) in enumerate(((1, "zero"), (-1, "node"))):
-            jn = st.index_of(k + step)
-            cc = st._layers[jn].circles[side]
-            rows = slice((j * 2 + srow) * width, (j * 2 + srow + 1) * width)
-            cols = slice(jn * 2 * width, (jn + 1) * 2 * width)
-            vec[rows] = pref * cc.base
-            mat[rows, cols] += pref[:, None] * cc.cols.reshape(width, 2 * width)
-    return mat, vec
+    nbr = np.array([[st.index_of(k + 1), st.index_of(k - 1)] for k in st.logical_range()])
+    ccs = [st._layers[jn].circles[side] for row in nbr for jn, side in zip(row, ("zero", "node"))]
+    mat = np.array([pref[:, None] * cc.cols.reshape(width, 2 * width) for cc in ccs])
+    vec = np.array([pref * cc.base for cc in ccs])
+    return mat.reshape(nbr.shape + mat.shape[1:]), vec.reshape(nbr.shape + (width,)), nbr
 
 
 def fix_omega(st: GluingState) -> OmegaSeries:
-    """Iterate the neck-matching map from lambda = 0 to its fixed point.
+    """Iterate the neck-matching map from lambda = 0 to its fixed point;
+    the contraction estimate is the largest row sum of |mat|.
 
     Raises NonContractionError outside the contraction regime (t^2 >=
     rho*epsilon, or a contraction estimate not below 1, NaN included),
@@ -629,18 +623,15 @@ def fix_omega(st: GluingState) -> OmegaSeries:
         raise NonContractionError(
             f"t = {st.t:g}: t^2 = {st.t**2:.3e} is not below rho*epsilon = {st.rho * st.epsilon:.3e}"
         )
-    mat, vec = _fixed_point_system(st)
-    width = st.n_max - 1
-    # the row sums of |mat|, by the rows of one stored torus at a time
-    est = max(float(np.max(np.sum(np.abs(mat[i : i + 2 * width]), axis=1)))
-              for i in range(0, len(mat), 2 * width))
+    mat, vec, nbr = _fixed_point_system(st)
+    est = float(np.max(np.sum(np.abs(mat), axis=-1)))
     if not est < 1.0:
         raise NonContractionError(f"contraction estimate {est:.3f} is not below 1")
-    lam = np.zeros(st.n_tori * 2 * width, dtype=complex)
+    lam = np.zeros(vec.shape, dtype=complex)
     norms = []
     for _ in range(FIX_MAX_ITER):
-        new = vec + mat @ lam
-        step = float(np.max(np.abs(new - lam))) if lam.size else 0.0
+        new = vec + (mat @ lam.reshape(len(lam), -1)[nbr, :, None])[..., 0]
+        step = float(np.max(np.abs(new - lam)))
         norms.append(step)
         lam = new
         if step < FIX_TOL:
@@ -648,8 +639,7 @@ def fix_omega(st: GluingState) -> OmegaSeries:
     else:
         raise NonContractionError(f"fixed point not reached at t={st.t:g}: last step "
                                   f"{norms[-1]:.3e}, contraction estimate {est:.3g}")
-    return OmegaSeries(lam=lam.reshape(st.n_tori, 2, width), contraction_estimate=est,
-                       update_norms=tuple(norms))
+    return OmegaSeries(lam=lam, contraction_estimate=est, update_norms=tuple(norms))
 
 
 def _gap_midpoint(*fracs: float) -> float:

@@ -15,7 +15,9 @@ rebuilds the opened-node caches from separate zeta / wp_eval / wp_derivs
 calls, so the fused evaluators can be held to the same bits.  Likewise
 the plain finite-difference loop recomputes every jet of every Jacobian
 column of every layer, for the solver's loop that reuses them and
-differences each distinct layer once.  A cyclic state unfolded over two
+differences each distinct layer once.  The neck-matching map is
+assembled as one dense square matrix, for the per-torus blocks that
+fix_omega iterates.  A cyclic state unfolded over two
 periods gives build_mesh one patch per layer, for the mesh that folds
 layer n_tori onto layer 0, and the layer-patch
 loops integrate one segment, triangulate one grid cell, count one face
@@ -411,6 +413,28 @@ def fd_blocks_plain(st, series, active, flat):
             blocks[i, :, c] = (rp - r0) / FD_STEP
         set_fresh(j, x0)
     return blocks
+
+
+def dense_fixed_point_system(st):
+    """The neck-matching map lambda -> vec + mat lambda as one dense square
+    matrix over the flattened lambda, (j, s, n-2) row-major: row (j,+,n)
+    reads the circle at 0 of layer k + 1, row (j,-,n) the circle at v of
+    layer k - 1, both with the prefactor (t^2/rho)^(n-1)."""
+    width = st.n_max - 1
+    dim = st.n_tori * 2 * width
+    mat = np.zeros((dim, dim), dtype=complex)
+    vec = np.zeros(dim, dtype=complex)
+    pref = (st.t ** 2 / st.rho) ** np.arange(1, st.n_max)
+    for j in range(st.n_tori):
+        k = st.k_lo + j
+        for srow, (step, side) in enumerate(((1, "zero"), (-1, "node"))):
+            jn = st.index_of(k + step)
+            cc = st._layers[jn].circles[side]
+            rows = slice((j * 2 + srow) * width, (j * 2 + srow + 1) * width)
+            cols = slice(jn * 2 * width, (jn + 1) * 2 * width)
+            vec[rows] = pref * cc.base
+            mat[rows, cols] += pref[:, None] * cc.cols.reshape(width, 2 * width)
+    return mat, vec
 
 
 @dataclass

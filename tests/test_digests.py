@@ -62,7 +62,7 @@ def test_periodic_opa_digest(opa):
 
 def test_periodic_opa_lambda_digest(opa):
     assert _digest(opa.series.lam) == (
-        "f25bab07f061ae4a363c8cff925ce7261cc1864c519d7f5d5a899c3c0e836823")
+        "72c0fd222beb8240f83c8c21acd278910b78dc43547d09be9ae5f2cc10c908b5")
 
 
 def test_defect_decay_digest(pair):
@@ -75,7 +75,7 @@ def test_defect_decay_digest(pair):
 def test_defect_decay_lambda_digest(pair):
     reference, defect, _ = pair
     assert _digest(reference.series.lam, defect.series.lam) == (
-        "1d46da3ad3eb29c89a47a02ce8f21f5ea4e6dbc2bad512943166aba5e211b5dd")
+        "ee48dfac69330151b67bc555a7589d19a702cb7323f8f7dc6293047e631d1f1e")
 
 
 def test_mesh_rpd_digest(rpd):

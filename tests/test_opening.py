@@ -260,7 +260,7 @@ def test_fix_omega_periods(rpd):
     st, series = rpd
     assert series.update_norms[-1] < FIX_TOL
     assert series.update_norms[-1] < 1e-12
-    mat, vec = _fixed_point_system(st)
+    mat, vec = oracles.dense_fixed_point_system(st)
     flat = series.lam.reshape(-1)
     assert np.max(np.abs(flat - (vec + mat @ flat))) < 1e-12
     cc = st.circle(0, "zero")
@@ -303,15 +303,37 @@ def test_contraction_scaling():
 
 @pytest.mark.parametrize("K", [None, 8])
 def test_contraction_estimate_is_the_largest_row_sum(K):
-    """fix_omega sums |mat| one stored torus's rows at a time; its
-    estimate is the largest row sum of the whole |mat|, bit for bit, on
-    the cyclic reference and on the K = 8 twin-rPD window."""
+    """The blocks of the neck-matching map are the nonzero blocks of the
+    dense oracle entry for entry, the oracle is zero elsewhere, and the
+    contraction estimate is its largest row sum of |mat| within 4 ulp
+    (the sums run over other lengths), on the cyclic reference and on the
+    K = 8 twin-rPD window."""
     twin = catalog("twin-rPD")
     st = GluingState.central(upper_reference(twin) if K is None else twin, 0.01, K=K)
-    mat, _ = _fixed_point_system(st)
-    assert len(mat) == st.n_tori * 2 * (st.n_max - 1)
+    dense, dense_vec = oracles.dense_fixed_point_system(st)
+    mat, vec, nbr = _fixed_point_system(st)
+    n, width = st.n_tori, st.n_max - 1
+    assert nbr.tolist() == [[st.index_of(k + 1), st.index_of(k - 1)]
+                            for k in st.logical_range()]
+    assert mat.shape == (n, 2, width, 2 * width)
+    assert np.array_equal(vec, dense_vec.reshape(n, 2, width))
+    rows = dense.reshape(n, 2, width, n, 2 * width).copy()
+    at = (np.arange(n)[:, None], np.arange(2), slice(None), nbr)
+    assert np.array_equal(mat, rows[at])
+    rows[at] = 0.0
+    assert not rows.any()
     est = fix_omega(st).contraction_estimate
-    assert est == float(np.max(np.sum(np.abs(mat), axis=1))) > 0.0
+    want = float(np.max(np.sum(np.abs(dense), axis=1)))
+    assert want > 0.0
+    assert abs(est - want) <= 4 * np.spacing(want)
+
+
+def test_fix_omega_traced_peak_is_bounded():
+    """One fix_omega on the K = 8 twin-rPD window at t = 0.01 holds the
+    per-torus blocks and a lambda update, not a dense square map of all
+    322 unknowns (1.62 MiB traced)."""
+    st = GluingState.central(catalog("twin-rPD"), 0.01, K=8)
+    assert oracles.traced_peak_mib(fix_omega, st) < 0.25
 
 
 def test_noncontraction_raises():
@@ -421,9 +443,9 @@ def test_nan_contraction_estimate_is_refused(monkeypatch):
     """A NaN in the neck-matching system gives a NaN contraction estimate,
     which is refused before the iteration, not after FIX_MAX_ITER steps."""
     st = GluingState.central(catalog("rPD"), 0.01)
-    mat, vec = _fixed_point_system(st)
-    mat[0, 0] = np.nan
-    monkeypatch.setattr(opening, "_fixed_point_system", lambda st: (mat, vec))
+    mat, vec, nbr = _fixed_point_system(st)
+    mat[0, 0, 0, 0] = np.nan
+    monkeypatch.setattr(opening, "_fixed_point_system", lambda st: (mat, vec, nbr))
     with pytest.raises(NonContractionError, match="contraction estimate nan is not below 1"):
         fix_omega(st)
 
