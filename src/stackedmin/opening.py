@@ -442,10 +442,12 @@ class GluingState:
     buffer, folding k to k mod len(tori).  rho is epsilon/4.
 
     The tori are frozen values, so a stored torus changes only by putting
-    a new one in its place and refreshing its index.  Stored tori with
-    equal `TorusData.block` bytes share one `LayerRows`, from construction
-    on (`refresh`); states given one shared_rows map share them across
-    states too, for as long as a state holds them.
+    a new one in its place and refreshing its index; the tori and _layers
+    lists are the state's own, copied on construction (dataclasses.replace
+    included).  Stored tori with equal `TorusData.block` bytes share one
+    `LayerRows`, from construction on (`refresh`); states given one
+    shared_rows map share them across states too, for as long as a state
+    holds them.
     """
 
     n_max: ClassVar[int] = DEFAULT_N_MAX
@@ -470,8 +472,11 @@ class GluingState:
             raise ChartError(f"epsilon = {self.epsilon} is not a finite positive chart radius")
         # a plain attribute, not a property: every form evaluation reads it
         self.rho = self.epsilon / 4
+        self.tori = list(self.tori)
         if self._layers is None:
             self.refresh()
+        else:
+            self._layers = list(self._layers)
 
     @classmethod
     def central(cls, cfg: Configuration, t: float, K: int | None = None,

@@ -562,6 +562,20 @@ def test_refresh_without_a_map_reuses_the_sets_the_state_holds(monkeypatch):
                           full_residual(fresh, fresh_series).entries)
 
 
+def test_replaced_state_shares_no_list_with_its_original():
+    """A state made by dataclasses.replace holds its own tori and _layers
+    lists, so a torus put in place and refreshed on the copy leaves the
+    original's torus and cache as they were."""
+    st = GluingState.central(catalog("rPD"), 0.01)
+    torus, layer = st.tori[0], st._layers[0]
+    cp = replace(st, t=0.011)
+    assert cp.tori is not st.tori and cp._layers is not st._layers
+    cp.tori[0] = replace(torus, bhat=0.01 - 0.02j)
+    cp.refresh([0])
+    assert cp._layers[0] is not layer
+    assert st.tori[0] is torus and st._layers[0] is layer
+
+
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1, 0.0, -0.0])
 def test_state_refuses_a_bad_chart_radius_before_any_build(epsilon, monkeypatch):
     """A GluingState built directly, or replaced with a new epsilon, whose
