@@ -60,10 +60,12 @@ class TorusData:
     """Parameters of one layer: g(z) = a*(zeta(z) - zeta(z - v)) + b.
 
     The additive constant is stored as the offset bhat from the balanced
-    value, so b = -a*xi_raw(v) + bhat and bhat = 0 at central data.
+    value, so b = -a*xiv + bhat with xiv = xi_raw(v), and bhat = 0 at
+    central data.
 
-    A torus is a value: a solve puts a new one in place of the old, and
-    tori with the same `block` bytes share one cache (`GluingState.refresh`).
+    A torus is a value, so it derives xiv and b once and keeps them.  A
+    solve puts a new one in place of the old, and tori with the same
+    `block` bytes share one cache (`GluingState.refresh`).
     """
 
     a: complex
@@ -84,9 +86,13 @@ class TorusData:
     def lattice(self) -> Lattice:
         return lattice_for(self.tau)
 
-    @property
+    @cached_property
+    def xiv(self) -> complex:
+        return xi_raw(self.v, self.lattice)
+
+    @cached_property
     def b(self) -> complex:
-        return -self.a * xi_raw(self.v, self.lattice) + self.bhat
+        return -self.a * self.xiv + self.bhat
 
     def g(self, z):
         lat = self.lattice
@@ -243,11 +249,9 @@ def _circle_nodes(center: complex, radius: float, m: int):
 
 
 def _gauss_constants(tori):
-    """a, b and xi_raw(v) of row tori as columns (rows, 1), each entry
-    computed as a scalar, b in the steps of `TorusData.b`."""
-    xiv = [xi_raw(T.v, T.lattice) for T in tori]
-    b = [-T.a * x + T.bhat for T, x in zip(tori, xiv)]
-    return tuple(np.array(c)[:, None] for c in ([T.a for T in tori], b, xiv))
+    """a, b and xi_raw(v) of row tori as columns (rows, 1), each entry the
+    scalar that its torus keeps."""
+    return tuple(np.array(c)[:, None] for c in zip(*((T.a, T.b, T.xiv) for T in tori)))
 
 
 def _set_runs(tori):
