@@ -35,6 +35,9 @@ to the same candidate pairs.
 One counter wraps the theta pass to count its calls, points and the
 point sets of each call over a set axis.
 
+A defect's layers -M .. M - 1 closed into a periodic supercell stand
+in for its window away from the far boundary.
+
 Some cross-checks only the tests evaluate: the lattice-coordinate form
 xi on reduced coordinates, the node positions of a configuration, the
 Weierstrass triple phi and its per-layer gap between two states
@@ -489,6 +492,15 @@ def traced_peak_mib(fn, *args, **kw) -> float:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def supercell(cfg, M: int):
+    """The periodic stack of 2M layers whose pattern entry i is q_k of cfg,
+    with k = i for i < M and k = i - 2M otherwise: layers -M .. M - 1 of
+    cfg closed into a cycle, whose far boundary joins layer M - 1 to -M."""
+    from stackedmin.configs import periodic_stack
+
+    return periodic_stack(cfg.tau, tuple(cfg.q(i if i < M else i - 2 * M) for i in range(2 * M)))
 
 
 def t_squared_fit_residual(ts, values, terms: int) -> float:

@@ -21,7 +21,7 @@ from stackedmin.asymptotics import (
     parameter_rows,
     upper_reference,
 )
-from oracles import differential_rows, tpms_comparison
+from oracles import differential_rows, supercell, tpms_comparison
 
 DEFECT_NAMES = ("twin-rPD", "oPa-oCLP", "oCLP-rot-twin", "oPa-oDelta")
 
@@ -225,6 +225,30 @@ def test_window_half_width_does_not_move_the_layers(pair, name, t, Ks, request):
         gap = max(np.max(np.abs(st.torus(k).block() - wide.torus(k).block()))
                   for k in st.active_range())
         assert gap < 1e-11, (K, gap)
+
+
+@pytest.fixture(scope="module")
+def twin_window():
+    """The K = 8 window solve of twin-rPD at t = 0.01."""
+    return newton_continuation(catalog("twin-rPD", K=1), 0.01, K=8)
+
+
+@pytest.mark.parametrize("window, name", [("twin_window", "twin-rPD"),
+                                          ("wide_windows", "rPD-H")])
+@pytest.mark.parametrize("M", [2, 3])
+def test_supercell_matches_the_window_away_from_its_far_boundary(window, name, M, request):
+    """A defect's layers -M .. M - 1 closed into a cycle of 2M layers and
+    solved with the K = 8 window's chart radius give layers -M + 1 ..
+    M - 2 of that window to solver noise: the far boundary's footprint
+    stays on its two neighbours."""
+    held = request.getfixturevalue(window)
+    wide = (held[name] if window == "wide_windows" else held).state
+    assert wide.t == 0.01 and wide.k_lo + wide.n_buffer == -8
+    st = newton_continuation(supercell(catalog(name, K=1), M), 0.01, epsilon=wide.epsilon).state
+    assert (st.n_tori, st.n_buffer) == (2 * M, 0)
+    gap = max(np.max(np.abs(st.torus(k).block() - wide.torus(k).block()))
+              for k in range(-M + 1, M - 1))
+    assert gap < 1e-11, gap
 
 
 def test_identical_pair_is_flat():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackedmin.configs import CATALOG_NAMES, catalog
+from stackedmin.hecke import hecke_G
 from stackedmin.elliptic import (
     Lattice,
     PoleError,
@@ -427,3 +428,30 @@ def test_determinism_bit_identical():
     z = 0.312 + 0.477j
     assert zeta(z, lat1) == zeta(z, lat2)
     assert wp_eval(z, lat1) == wp_eval(z, lat2)
+
+
+MODULAR = {"S": (0, -1, 1, 0), "T": (1, 1, 0, 1), "gamma": (1, 1, 1, 2)}
+
+
+@pytest.mark.parametrize("tau, name, bound", [
+    *((tau, name, 1e-13) for tau in (0.2 + 1.1j, np.exp(1j * np.pi / 3), 1.25j)
+      for name in MODULAR),
+    # the gamma-image of 0.3 + 0.1i has Im tau = 0.019, where Lattice raises
+    (0.3 + 0.1j, "S", 1e-12), (0.3 + 0.1j, "T", 1e-12),
+])
+def test_jet_and_hecke_form_are_modular_covariant(tau, name, bound):
+    """Under tau -> (a tau + b)/(c tau + d) the lattice is scaled by
+    1/(c tau + d), so at z/(c tau + d) zeta and G scale by (c tau + d) and
+    wp^(j) by (c tau + d)^(j+2): each checked, entry by entry, at 48
+    random points of the cell."""
+    a, b, c, d = MODULAR[name]
+    scale = c * tau + d
+    x, y = np.random.default_rng(7).uniform(0.1, 0.9, (2, 48))
+    z = x + y * tau
+    lat, image = Lattice(tau), Lattice((a * tau + b) / scale)
+    zeta, wp = weierstrass_jet(z, lat, 4)
+    zeta_im, wp_im = weierstrass_jet(z / scale, image, 4)
+    pairs = [(zeta_im, scale * zeta), (hecke_G(z / scale, image), scale * hecke_G(z, lat))]
+    pairs += [(wp_im[j], scale ** (j + 2) * wp[j]) for j in range(5)]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want) / np.abs(want)) < bound
