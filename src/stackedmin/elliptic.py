@@ -316,10 +316,10 @@ def weierstrass_jet(z, lat, jmax: int):
     zeta_val = eta1 * zr + np.pi * u1 / u0 + m * eta1 + n * eta2
     out = np.empty((jmax + 1,) + np.shape(z), dtype=complex)
     if jmax >= 0:
-        r1 = u1 / u0
-        out[0] = -eta1 - np.pi**2 * (u[2] / u0 - r1 * r1)
+        r1, r2 = u1 / u0, u[2] / u0
+        out[0] = -eta1 - np.pi**2 * (r2 - r1 * r1)
     if jmax >= 1:
-        out[1] = -np.pi**3 * (u[3] / u0 - 3 * r1 * (u[2] / u0) + 2 * r1**3)
+        out[1] = -np.pi**3 * (u[3] / u0 - 3 * r1 * r2 + 2 * r1**3)
     if jmax >= 2:
         out[2] = 6.0 * out[0] ** 2 - half_g2
     for j in range(3, jmax + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -112,13 +112,7 @@ class TorusData:
 
 
 def _shortest_vector(tau: complex) -> float:
-    best = abs(tau)
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            if m == 0 and n == 0:
-                continue
-            best = min(best, abs(m + n * tau))
-    return best
+    return min(abs(m + n * tau) for m in range(-3, 4) for n in range(-3, 4) if m or n)
 
 
 def _invert_chart(T: TorusData, sign: str, w):
@@ -147,7 +141,7 @@ def _invert_chart(T: TorusData, sign: str, w):
 
 
 def _charts_disjoint(tori: list[TorusData], eps: float) -> bool:
-    th = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+    th = _unit_nodes(16)
     for T in tori:
         try:
             zp = _invert_chart(T, "+", CHART_MARGIN * eps * th)
@@ -241,11 +235,16 @@ class FormTable:
         return val
 
 
-def _circle_nodes(center: complex, radius: float, m: int):
+@lru_cache(maxsize=None)
+def _unit_nodes(m: int) -> np.ndarray:
     th = np.exp(2j * np.pi * (np.arange(m) + 0.5) / m)
-    z = center + radius * th
-    dz = 1j * radius * th * (2 * np.pi / m)
-    return z, dz
+    th.flags.writeable = False  # one array per m, shared by every caller
+    return th
+
+
+def _circle_nodes(center: complex, radius: float, m: int):
+    th = _unit_nodes(m)
+    return center + radius * th, 1j * radius * th * (2 * np.pi / m)
 
 
 def _gauss_constants(tori):

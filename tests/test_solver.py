@@ -1,8 +1,14 @@
 """Newton continuation on the opened-node parameter system."""
 
 import itertools
+import os
+import platform
 import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.legendre as leg
@@ -10,6 +16,7 @@ import pytest
 
 import oracles
 from oracles import _cell_corner, omega_eval, zeros_symmetric
+import stackedmin
 from stackedmin import configs, opening, solver
 from stackedmin.configs import CATALOG_NAMES, catalog
 from stackedmin.elliptic import lattice_for
@@ -440,6 +447,67 @@ def test_jacobian_pass_memory_stays_bounded():
     flat = full_residual(st, series, active).flat()
     _fd_blocks(st, series, active, flat)  # lattices of the moved taus are cached
     assert oracles.traced_peak_mib(_fd_blocks, st, series, active, flat) < 1.57
+
+
+_REFAULT_PASS = """
+import resource
+from stackedmin.configs import catalog
+from stackedmin.opening import GluingState, fix_omega
+from stackedmin.solver import _fd_blocks, full_residual
+
+st = GluingState.central(catalog("twin-rPD"), 0.01, K=8)
+series = fix_omega(st)
+active = tuple(st.active_range())
+
+
+def one_pass():
+    _fd_blocks(st, series, active, full_residual(st, series, active).flat())
+
+
+one_pass()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+one_pass()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_evaluator_pass_does_not_refault_the_heap():
+    """A second full_residual + _fd_blocks pass over the twin-rPD K = 8
+    window at t = 0.01 reuses the heap of the first: with glibc's dynamic
+    thresholds each chunk's 0.1-0.5 MB transients grew and trimmed it
+    again (about 3,000 minor faults per pass, 0 with the thresholds the
+    package fixes).  It runs in a fresh interpreter, so that no earlier
+    test's large free has raised the dynamic thresholds."""
+    src = str(Path(stackedmin.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _REFAULT_PASS],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert int(proc.stdout.strip().splitlines()[-1]) < 100
+
+
+class _RecordingLibc:
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_malloc_thresholds_are_mmap_4_and_trim_16_mib():
+    libc = _RecordingLibc()
+    stackedmin._fix_malloc_thresholds(libc)
+    assert libc.calls == [(-3, 4 << 20), (-1, 16 << 20)]
+
+
+def test_malloc_thresholds_without_mallopt_change_nothing():
+    """A C library without mallopt (macOS, Windows) keeps its defaults."""
+    libc = SimpleNamespace()
+    stackedmin._fix_malloc_thresholds(libc)
+    stackedmin._fix_malloc_thresholds(None)
+    assert vars(libc) == {}
 
 
 def _state_key(st, series, k):
