@@ -85,10 +85,10 @@ class Configuration:
             return self.right_tail[k % len(self.right_tail)]
         return self.left_tail[k % len(self.left_tail)]
 
-    def ks(self, pad: int | None = None) -> range:
-        """Window indices, optionally padded by one tail period per side."""
+    def ks(self, padded: bool = False) -> range:
+        """Window indices, padded by one tail period per side when padded."""
         K = self.K
-        if pad is None:
+        if not padded:
             return range(-K, K + 1)
         return range(-K - len(self.left_tail), K + len(self.right_tail) + 1)
 
@@ -101,7 +101,7 @@ class Configuration:
         n = len(self.right_tail)
         if len(self.left_tail) != n:
             return False
-        return all(abs(self.q(k) - self.right_tail[k % n]) < 1e-15 for k in self.ks(pad=1))
+        return all(abs(self.q(k) - self.right_tail[k % n]) < 1e-15 for k in self.ks(padded=True))
 
 
 @dataclass
@@ -119,7 +119,7 @@ def balance_report(cfg: Configuration) -> BalanceReport:
     per-layer loop makes, so the values keep that loop's bits.
     """
     lat = cfg.lattice
-    ks = list(cfg.ks(pad=1))
+    ks = list(cfg.ks(padded=True))
     G_of = {q: complex(hecke_G(q, lat)) for q in dict.fromkeys(cfg.q(k) for k in ks)}
     G = {k: G_of[cfg.q(k)] for k in ks}
     forces = {k: G[k + 1] - G[k] for k in ks[:-1]}
@@ -135,7 +135,7 @@ def nondegeneracy_check(cfg: Configuration) -> tuple[float, bool]:
     distinct step is evaluated once, as in `balance_report`.
     """
     lat = cfg.lattice
-    steps = dict.fromkeys(cfg.q(k) for k in cfg.ks(pad=1))
+    steps = dict.fromkeys(cfg.q(k) for k in cfg.ks(padded=True))
     min_sv = min(hecke_jacobian(q, lat).min_singular_value() for q in steps)
     return float(min_sv), min_sv > NONDEG_TOL
 

@@ -25,8 +25,6 @@ __all__ = [
     "PoleError",
     "weierstrass_jet",
     "zeta",
-    "wp_eval",
-    "wp_derivs",
     "xi_raw",
     "lattice_coords",
     "reduce_centered",
@@ -337,19 +335,6 @@ def zeta(z, lat: Lattice):
     generators.  Raises PoleError within DEFAULT_POLE_RADIUS of a lattice point.
     """
     return weierstrass_jet(z, lat, -1)[0]
-
-
-def wp_eval(z, lat: Lattice, order: int = 0):
-    """Weierstrass wp (order=0) or wp' (order=1)."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    val = weierstrass_jet(z, lat, order)[1][order]
-    return val if val.shape else complex(val)
-
-
-def wp_derivs(z, lat: Lattice, jmax: int):
-    """Stack of wp, wp', ..., wp^(jmax) at z, shape (jmax+1,) + z.shape."""
-    return weierstrass_jet(z, lat, jmax)[1]
 
 
 def xi_raw(w, lat: Lattice):

@@ -20,8 +20,6 @@ from .elliptic import (
     reduce_centered,
     torus_distance,
     weierstrass_jet,
-    wp_eval,
-    zeta,
 )
 
 ROOT_TOL = 1e-10
@@ -37,13 +35,19 @@ def _ab(lat: Lattice) -> tuple[complex, complex]:
     return -b - lat.eta1, b
 
 
+def _G_and_dG(q, lat: Lattice):
+    """G(q) = (zeta(q) + a q) + b conj(q) and A = a - wp(q), so that
+    dG = A dq + b d(conj q), from one jet; keep a scalar q 0-d."""
+    a, b = _ab(lat)
+    zeta_q, wp_q = weierstrass_jet(q, lat, 0)
+    return zeta_q + a * q + b * np.conj(q), a - wp_q[0]
+
+
 def hecke_G(q, lat: Lattice):
     """Evaluate G(q) = zeta(q) - xi(q); lattice-periodic in q, odd, array-safe."""
     if isinstance(q, TorusPoint):
         q = q.z
-    q = np.asarray(q, dtype=complex)
-    a, b = _ab(lat)
-    val = zeta(q, lat) + a * q + b * np.conj(q)
+    val = _G_and_dG(np.asarray(q, dtype=complex), lat)[0]
     return val if val.shape else complex(val)
 
 
@@ -60,8 +64,7 @@ class HeckeJacobian:
 
 def hecke_jacobian(q: complex, lat: Lattice) -> HeckeJacobian:
     """Differential of G at q: dG = A dq + B d(conj q), A = a - wp(q), B = b."""
-    a, b = _ab(lat)
-    A, B = a - wp_eval(complex(q), lat, 0), b
+    A, B = complex(_G_and_dG(complex(q), lat)[1]), _ab(lat)[1]  # a Python A + B keeps signed zeros
     m = np.array([[(A + B).real, -(A - B).imag],
                   [(A + B).imag, (A - B).real]])
     return HeckeJacobian(m=m, det=float(abs(A) ** 2 - abs(B) ** 2))
@@ -90,22 +93,17 @@ def _masked_G_step(z: np.ndarray, lat: Lattice, C: complex):
     F = np.full_like(z, np.inf)
     if np.any(alive):
         za = z[alive]
-        a, b = _ab(lat)
-        zeta_za, wp_za = weierstrass_jet(za, lat, 0)
-        Fa = zeta_za + a * za + b * np.conj(za) - C
-        A = a - wp_za[0]
+        b = _ab(lat)[1]
+        Ga, A = _G_and_dG(za, lat)
+        Fa = Ga - C
         det = np.abs(A) ** 2 - abs(b) ** 2
         with np.errstate(all="ignore"):
             det = np.where(np.abs(det) < 1e-14, np.nan, det)
             step = (-Fa * np.conj(A) + np.conj(Fa) * b) / det
             mag = np.abs(step)
             step = np.where(mag > 0.5, step * (0.5 / np.maximum(mag, 1e-300)), step)
-        full_step = np.zeros_like(z)
-        full_step[alive] = np.nan_to_num(step, nan=0.0)
-        dz = full_step
-        Ff = np.full_like(z, np.inf)
-        Ff[alive] = Fa
-        F = Ff
+        dz[alive] = np.nan_to_num(step, nan=0.0)
+        F[alive] = Fa
     return F, dz, alive
 
 
@@ -156,6 +154,6 @@ def degeneracy_2division(lat: Lattice, which: int) -> tuple[complex, bool]:
         raise ValueError("which must be 1, 2 or 3")
     x, y = HALF_PERIOD_COORDS[which - 1]
     w = x + y * lat.tau
-    p = wp_eval(w, lat, 0)
+    p = complex(weierstrass_jet(w, lat, 0)[1][0])  # numpy's complex division rounds apart
     quotient = (lat.tau * p + lat.eta2) / (p + lat.eta1)
     return complex(quotient), bool(abs(quotient.imag) < DEGENERACY_TOL)

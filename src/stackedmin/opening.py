@@ -163,7 +163,9 @@ def _distinct(tori: list[TorusData]) -> list[TorusData]:
 
 def _chart_radius(tori: list[TorusData]) -> float:
     """Largest neck radius with pairwise disjoint charts, capped at 0.2
-    times the minimal pole separation; repeated tori are checked once."""
+    times the minimal pole separation; repeated tori are checked once.
+    Raises ChartError, naming the last radius tried, when 60 shrinks by
+    0.9 leave the charts overlapping."""
     tori = _distinct(tori)
     d = min(
         min(torus_distance(0.0, T.v, T.tau), _shortest_vector(T.tau))
@@ -173,8 +175,8 @@ def _chart_radius(tori: list[TorusData]) -> float:
     for _ in range(60):
         if _charts_disjoint(tori, eps):
             return eps
-        eps *= 0.9
-    raise ValueError("no admissible chart radius found")
+        last, eps = eps, eps * 0.9
+    raise ChartError(f"no admissible chart radius found: charts overlap at epsilon = {last:g}")
 
 
 def central_layout(cfg: Configuration, K: int | None = None):
@@ -448,9 +450,9 @@ class GluingState:
     a new one in its place and refreshing its index; the tori and _layers
     lists are the state's own, copied on construction (dataclasses.replace
     included).  Stored tori with equal `TorusData.block` bytes share one
-    `LayerRows`, from construction on (`refresh`); states given one
-    shared_rows map share them across states too, for as long as a state
-    holds them.
+    `LayerRows`, from construction on (`refresh`), through the weak map
+    shared_rows: the state's own unless it is given one, and then shared
+    with every state given the same map, for as long as a state holds them.
     """
 
     n_max: ClassVar[int] = DEFAULT_N_MAX
@@ -476,6 +478,8 @@ class GluingState:
         # a plain attribute, not a property: every form evaluation reads it
         self.rho = self.epsilon / 4
         self.tori = list(self.tori)
+        if self.shared_rows is None:
+            self.shared_rows = weakref.WeakValueDictionary()
         if self._layers is None:
             self.refresh()
         else:
@@ -548,13 +552,11 @@ class GluingState:
         (block bytes, epsilon): one row, its `FormTable` (coefficients
         (2, n_max-1, n_max-1, 1) by pole, order, wp derivative and row) and
         its circles with the neck-matching integrals base and cols.  A set
-        is looked up in shared_rows when the state has that map, and
-        otherwise among the sets the state holds at the other indices.  The
-        keys found nowhere are built after the old caches go, as the
-        one-row chunks of one `_circle_sets` pass (each distinct (tau, v)
-        once, three sets to a jet call), bit for bit `_circle_sets(self,
-        [T])`.  A set reads only its torus and epsilon, values, so sharing
-        it keeps every bit.
+        is looked up in shared_rows, and the keys not found there are
+        built after the old caches go, as the one-row chunks of one
+        `_circle_sets` pass (each distinct (tau, v) once, three sets to a
+        jet call), bit for bit `_circle_sets(self, [T])`.  A set reads only
+        its torus and epsilon, values, so sharing it keeps every bit.
 
         shared_rows gets what the refresh builds and holds it weakly, so a
         set that no state holds any more, such as a rejected line-search
@@ -565,9 +567,6 @@ class GluingState:
             only = range(self.n_tori)
         keys = {j: (self.tori[j].block().tobytes(), self.epsilon) for j in only}
         built = self.shared_rows
-        if built is None:
-            built = {(lr.tori[0].block().tobytes(), self.epsilon): lr
-                     for j, lr in enumerate(self._layers) if lr is not None and j not in keys}
         rows = {key: built.get(key) for key in keys.values()}  # held while assigning
         new = {key: self.tori[j] for j, key in keys.items() if rows[key] is None}
         for j, key in keys.items():  # the old caches go before the build

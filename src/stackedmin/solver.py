@@ -185,10 +185,7 @@ class ResidualVector:
         return self.ks[int(np.argmax(np.max(np.abs(self.entries), axis=1)))]
 
     def flat(self) -> np.ndarray:
-        out = np.empty(8 * len(self.ks))
-        out[0::2] = self.entries.real.ravel()
-        out[1::2] = self.entries.imag.ravel()
-        return out
+        return self.entries.view(float).ravel()  # (re, im) interleaved, as in _fd_blocks
 
 
 def _layer_key(st, series, k) -> tuple:
@@ -411,11 +408,11 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
     layers to the live tail state's tori they fold into and takes its
     step.  All states share one memo of residual rows and Jacobian blocks
     by `_layer_key` at each t, dropped at the next, and one weak map of
-    layer caches (`GluingState.refresh`) for the whole solve, detached
-    from the states it returns.  Reports that read a
-    tail share its report; the callback sees the steps of the states of
-    cfgs only, at each t in the order of cfgs.  With an empty schedule
-    each series is the glued form at the state's own t.
+    layer caches (`GluingState.refresh`), which the states it returns
+    keep.  Reports that read a tail share its report; the callback sees
+    the steps of the states of cfgs only, at each t in the order of cfgs.
+    With an empty schedule each series is the glued form at the state's
+    own t.
     """
     for cfg in cfgs:
         bal = balance_report(cfg)
@@ -459,8 +456,6 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
                              for k, key in read.items()})
             series[i], step = _solve_at_t(st, tuple(st.active_range()), cb, memo)
             steps[i].append(step)
-    for st, _, _ in runs:  # the returned states refresh on their own
-        st.shared_rows = None
     reports = [SolveReport(steps=tuple(done), state=st, series=ser)
                for done, (st, _, _), ser in zip(steps, runs, series)]
     by_tail = dict(zip(tails, reports))

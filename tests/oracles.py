@@ -11,7 +11,7 @@ the exception: the production pass assembles both from shared real
 factors and is held to it bit for bit.  The earlier fixed rule for the
 series length is kept too, so the pass cut by the bound over the reduced
 cell can be held to the longer one.  So is the multi-pass recipe: it
-rebuilds the opened-node caches from separate zeta / wp_eval / wp_derivs
+rebuilds the opened-node caches from separate zeta and weierstrass_jet
 calls, so the fused evaluators can be held to the same bits.  Likewise
 the plain finite-difference loop recomputes every jet of every Jacobian
 column of every layer, for the solver's loop that reuses them and
@@ -235,7 +235,7 @@ def n_terms_fixed_rule(tau: complex) -> int:
 
 # ---------------------------------------------------------------------------
 # the multi-pass recipe of the opened-node caches: every Weierstrass value
-# comes from its own zeta / wp_eval / wp_derivs call, and every
+# comes from its own zeta or weierstrass_jet call, and every
 # second-kind form is evaluated by its own loop over the orders, in the
 # operation order the fused evaluators must reproduce bit for bit
 
@@ -292,19 +292,19 @@ def second_kind_form(st, k: int, sign: str, n: int, z,
     With alpha_normalized the first period vanishes instead of being
     imaginary; that variant feeds the slow integral cross-check.
     """
-    from stackedmin.elliptic import wp_derivs
+    from stackedmin.elliptic import weierstrass_jet
 
     form = form_view(st, k, sign, n)
-    derivs = wp_derivs(np.asarray(z, complex) - form.pole, form.lat, n - 2)
+    derivs = weierstrass_jet(np.asarray(z, complex) - form.pole, form.lat, n - 2)[1]
     val = form_value_from_derivs(form, derivs, alpha_normalized)
     return val if val.shape else complex(val)
 
 
 def _gp_multipass(T, z):
-    from stackedmin.elliptic import wp_eval
+    from stackedmin.elliptic import weierstrass_jet
 
     lat = T.lattice
-    return T.a * (wp_eval(z - T.v, lat) - wp_eval(z, lat))
+    return T.a * (weierstrass_jet(z - T.v, lat, 0)[1][0] - weierstrass_jet(z, lat, 0)[1][0])
 
 
 def multipass_forms(T, n_max: int, radius: float, m: int) -> dict:
@@ -345,7 +345,7 @@ def circle_nodes(st, k: int, side: str) -> np.ndarray:
 def multipass_circle(T, forms: dict, center: complex, n_max: int, rho: float,
                      radius: float, m: int):
     """Contour cache around one pole of one torus."""
-    from stackedmin.elliptic import wp_derivs, xi_raw, zeta
+    from stackedmin.elliptic import weierstrass_jet, xi_raw, zeta
     from stackedmin.opening import CircleCache, _circle_nodes
 
     lat = T.lattice
@@ -354,8 +354,8 @@ def multipass_circle(T, forms: dict, center: complex, n_max: int, rho: float,
     gv = T.a * s + T.b
     gp = _gp_multipass(T, z)
     w0 = s - xi_raw(T.v, lat)
-    dplus = wp_derivs(z - T.v, lat, n_max - 2)
-    dminus = wp_derivs(z, lat, n_max - 2)
+    dplus = weierstrass_jet(z - T.v, lat, n_max - 2)[1]
+    dminus = weierstrass_jet(z, lat, n_max - 2)[1]
     fvals = np.empty((2, n_max - 1, m), dtype=complex)
     for n in range(2, n_max + 1):
         fvals[0, n - 2] = form_value_from_derivs(forms[(0, n)], dplus)
@@ -370,7 +370,7 @@ def multipass_circle(T, forms: dict, center: complex, n_max: int, rho: float,
 
 def multipass_omega(st, series, k: int, z):
     """Density of the glued form on layer k."""
-    from stackedmin.elliptic import wp_derivs, xi_raw, zeta
+    from stackedmin.elliptic import weierstrass_jet, xi_raw, zeta
 
     j = st.index_of(k)
     T = st.tori[j]
@@ -380,8 +380,8 @@ def multipass_omega(st, series, k: int, z):
                      dtype=complex)
     row = series.lam[j]
     if np.any(row != 0):
-        dplus = wp_derivs(za - T.v, lat, st.n_max - 2)
-        dminus = wp_derivs(za, lat, st.n_max - 2)
+        dplus = weierstrass_jet(za - T.v, lat, st.n_max - 2)[1]
+        dminus = weierstrass_jet(za, lat, st.n_max - 2)[1]
         for n in range(2, st.n_max + 1):
             lp, lm = row[0, n - 2], row[1, n - 2]
             w = st.rho ** (n - 1)

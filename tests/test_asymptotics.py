@@ -199,10 +199,13 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
 
 @pytest.fixture(scope="module")
 def wide_windows():
-    """K = 8 window solves of the defects that no pair fixture holds, at
-    t = 0.01, and of twin-rPD at t = 0.04, solved once per module."""
-    return {name: newton_continuation(catalog(name, K=1), t, K=8)
-            for name, t in (("rPD-H", 0.01), ("oPa-oDelta", 0.01), ("twin-rPD", 0.04))}
+    """K = 8 window solves of defects by (name, t), solved once per module:
+    every catalog defect but twin-rPD at t = 0.01, and twin-rPD and rPD-H
+    at t = 0.04."""
+    return {(name, t): newton_continuation(catalog(name, K=1), t, K=8)
+            for name, t in (("rPD-H", 0.01), ("oPa-oDelta", 0.01), ("oPa-oCLP", 0.01),
+                            ("H-H-shift", 0.01), ("oCLP-rot-twin", 0.01),
+                            ("twin-rPD", 0.04), ("rPD-H", 0.04))}
 
 
 @pytest.mark.parametrize("pair, name, t, Ks", [
@@ -218,7 +221,7 @@ def test_window_half_width_does_not_move_the_layers(pair, name, t, Ks, request):
     gives every active layer of the wide state to solver noise: the
     clamped tails stand in for the layers the narrow window leaves out."""
     held = request.getfixturevalue(pair)
-    wide = (held[name] if pair == "wide_windows" else held[1]).state
+    wide = (held[name, t] if pair == "wide_windows" else held[1]).state
     assert wide.t == t
     for K in Ks:
         st = newton_continuation(catalog(name, K=1), t, K=K, epsilon=wide.epsilon).state
@@ -233,18 +236,26 @@ def twin_window():
     return newton_continuation(catalog("twin-rPD", K=1), 0.01, K=8)
 
 
-@pytest.mark.parametrize("window, name", [("twin_window", "twin-rPD"),
-                                          ("wide_windows", "rPD-H")])
+@pytest.mark.parametrize("window, name, t", [
+    pytest.param("twin_window", "twin-rPD", 0.01, id="twin_window-twin-rPD"),
+    pytest.param("wide_windows", "rPD-H", 0.01, id="wide_windows-rPD-H"),
+    pytest.param("wide_windows", "oPa-oCLP", 0.01, id="wide_windows-oPa-oCLP"),
+    pytest.param("wide_windows", "oPa-oDelta", 0.01, id="wide_windows-oPa-oDelta"),
+    pytest.param("wide_windows", "H-H-shift", 0.01, id="wide_windows-H-H-shift"),
+    pytest.param("wide_windows", "oCLP-rot-twin", 0.01, id="wide_windows-oCLP-rot-twin"),
+    pytest.param("wide_windows", "twin-rPD", 0.04, id="wide_windows-twin-rPD-t0.04"),
+    pytest.param("wide_windows", "rPD-H", 0.04, id="wide_windows-rPD-H-t0.04"),
+])
 @pytest.mark.parametrize("M", [2, 3])
-def test_supercell_matches_the_window_away_from_its_far_boundary(window, name, M, request):
+def test_supercell_matches_the_window_away_from_its_far_boundary(window, name, t, M, request):
     """A defect's layers -M .. M - 1 closed into a cycle of 2M layers and
     solved with the K = 8 window's chart radius give layers -M + 1 ..
     M - 2 of that window to solver noise: the far boundary's footprint
     stays on its two neighbours."""
     held = request.getfixturevalue(window)
-    wide = (held[name] if window == "wide_windows" else held).state
-    assert wide.t == 0.01 and wide.k_lo + wide.n_buffer == -8
-    st = newton_continuation(supercell(catalog(name, K=1), M), 0.01, epsilon=wide.epsilon).state
+    wide = (held[name, t] if window == "wide_windows" else held).state
+    assert wide.t == t and wide.k_lo + wide.n_buffer == -8
+    st = newton_continuation(supercell(catalog(name, K=1), M), t, epsilon=wide.epsilon).state
     assert (st.n_tori, st.n_buffer) == (2 * M, 0)
     gap = max(np.max(np.abs(st.torus(k).block() - wide.torus(k).block()))
               for k in range(-M + 1, M - 1))

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from stackedmin import cli
+from stackedmin import cli, opening
 from stackedmin.cli import main
 from stackedmin.configs import NONDEG_TOL, catalog, config_to_dict
+from stackedmin.opening import ChartError, GluingState
 from stackedmin.solver import NEWTON_TOL, newton_continuation
 
 
@@ -148,3 +149,47 @@ def test_runtime_imports_are_numpy_scipy_and_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
+
+
+def test_src_imports_are_read_and_all_names_exist():
+    """Every name a module of the package imports is read in that module
+    (an `__all__` entry counts; `from __future__ import annotations` is
+    exempt), and every `__all__` entry is bound at module level."""
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "src" / "stackedmin").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, read, bound, exported = set(), set(), set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                bound |= names
+                if "__all__" in names:
+                    exported = [elt.value for elt in node.value.elts]
+        assert not imported - read - set(exported), (path.name, imported - read - set(exported))
+        assert not set(exported) - bound, (path.name, set(exported) - bound)
+
+
+def test_no_admissible_chart_radius_is_one_error_line(capsys, monkeypatch):
+    """When no chart radius leaves the neck charts disjoint, construction
+    raises ChartError naming the last radius tried, and the CLI ends with
+    exit code 1 and one line on stderr, not a traceback."""
+    monkeypatch.setattr(opening, "_charts_disjoint", lambda tori, eps: False)
+    with pytest.raises(ChartError, match="no admissible chart radius"):
+        GluingState.central(catalog("rPD"), 0.0)
+    assert main(["solve", "rPD", "--t", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("stackedmin: error: ChartError: no admissible chart radius")

@@ -90,7 +90,7 @@ def test_balance_report_evaluates_each_distinct_step_once(cfg, monkeypatch):
     import stackedmin.configs as configs_mod
 
     lat = cfg.lattice
-    ks = list(cfg.ks(pad=1))
+    ks = list(cfg.ks(padded=True))
     loop = {k: complex(hecke_G(cfg.q(k), lat)) for k in ks}
     calls = []
 
@@ -129,7 +129,7 @@ def test_nondegeneracy_check_evaluates_each_distinct_step_once(cfg, monkeypatch)
     import stackedmin.configs as configs_mod
 
     lat = cfg.lattice
-    ks = list(cfg.ks(pad=1))
+    ks = list(cfg.ks(padded=True))
     loop = min(hecke_jacobian(cfg.q(k), lat).min_singular_value() for k in ks)
     calls = []
 

@@ -609,7 +609,7 @@ def test_one_solve_shares_layer_caches_across_states():
     each clamped buffer layer of a twin-rPD window holds the `LayerRows`
     of the tail layer it folds into, and two stored layers of the window
     and its tails hold one object exactly when their blocks and epsilon
-    agree.  The returned states refresh on their own again."""
+    agree.  The returned states keep the solve's one map."""
     rep = newton_continuation(catalog("twin-rPD", K=2), 0.005, schedule=[0.005], K=5)
     st, tails = rep.state, rep.tail_reports
     states = [st, tails["left"].state, tails["right"].state]
@@ -621,7 +621,7 @@ def test_one_solve_shares_layer_caches_across_states():
             for s in states for T, rows in zip(s.tori, s._layers)]
     for (key_a, a), (key_b, b) in itertools.combinations(held, 2):
         assert (a is b) == (key_a == key_b)
-    assert all(s.shared_rows is None for s in states)
+    assert st.shared_rows is not None and all(s.shared_rows is st.shared_rows for s in states)
 
 
 def test_closed_neck_jacobian_blocks():
