@@ -158,7 +158,7 @@ def test_src_imports_are_read_and_all_names_exist():
     root = Path(__file__).resolve().parents[1]
     for path in sorted((root / "src" / "stackedmin").glob("*.py")):
         tree = ast.parse(path.read_text())
-        imported, read, bound, exported = set(), set(), set(), []
+        imported, read, bound, exported = set(), set(), set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -175,9 +175,9 @@ def test_src_imports_are_read_and_all_names_exist():
                 names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
                 bound |= names
                 if "__all__" in names:
-                    exported = [elt.value for elt in node.value.elts]
-        assert not imported - read - set(exported), (path.name, imported - read - set(exported))
-        assert not set(exported) - bound, (path.name, set(exported) - bound)
+                    exported = {elt.value for elt in node.value.elts}
+        assert not imported - read - exported, (path.name, imported - read - exported)
+        assert not exported - bound, (path.name, exported - bound)
 
 
 def test_no_admissible_chart_radius_is_one_error_line(capsys, monkeypatch):
