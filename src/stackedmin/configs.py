@@ -67,8 +67,12 @@ class Configuration:
             raise ValueError("window must have odd length 2K+1")
         if not self.left_tail or not self.right_tail:
             raise ValueError("tails must be non-empty periodic patterns")
-        for k in self.ks():
-            d = torus_distance(self.q(k), 0.0, self.tau)
+        # the padded range holds every tail step; each distinct step once
+        first = {}
+        for k in self.ks(padded=True):
+            first.setdefault(self.q(k), k)
+        for q, k in first.items():
+            d = torus_distance(q, 0.0, self.tau)
             if d < MIN_SEPARATION:
                 raise ValueError(f"step q_{k} is within {MIN_SEPARATION} of the lattice (distance {d:.2e})")
 

@@ -189,6 +189,16 @@ class TorusPoint:
         return cls(z=x + y * lat.tau, x=x, y=y)
 
 
+def _one_per_row(y) -> bool:
+    """Whether each row of y along the last axis holds one non-zero value.
+    The ends of the first row are compared first, two scalar reads that
+    settle most other arrays."""
+    if y.ndim == 0 or y.size == 0 or y.flat[0] != y.flat[y.shape[-1] - 1]:
+        return False
+    first = y[..., :1]
+    return bool(np.all(first != 0) and np.all(y == first))
+
+
 def _theta_sums(v, q, n_terms: int, kmax: int):
     """Partial sums u_k = sum (-1)^n q^(n(n+1)) (2n+1)^k trig((2n+1)v).
 
@@ -223,6 +233,12 @@ def _theta_sums(v, q, n_terms: int, kmax: int):
     glibc leaves the cosh/sinh formulas; `Lattice` rejects any modulus
     whose pass reaches past it.  x and y are taken from w itself, since
     building them by real products could flip the sign of a zero.
+
+    A row of w along the last axis whose imaginary parts are all equal
+    and non-zero, as on the alpha period path, holds one argument
+    DBL_MIN + iy bit for bit (equal non-zero floats share their bits), so
+    that step runs on one column and broadcasts along the row.  A zero
+    imaginary part is left out, since +0 and -0 compare equal.
     """
     v = np.asarray(v, dtype=complex)
     nomes, col = np.ravel(q).tolist(), np.shape(q)  # Python complex scalars
@@ -239,15 +255,18 @@ def _theta_sums(v, q, n_terms: int, kmax: int):
     sign = 1.0
     for n in range(n_terms):
         np.multiply(2 * n + 1, v, out=w)
-        arg.imag = w.imag
-        np.sin(arg, out=hyp)
-        np.multiply(hyp.real, _INV_DBL_MIN, out=hyp.real)  # (cosh y, sinh y)
+        y = w.imag
+        one = _one_per_row(y)
+        a, h = (arg[..., :1], hyp[..., :1]) if one else (arg, hyp)
+        a.imag = y[..., :1] if one else y
+        np.sin(a, out=h)
+        np.multiply(h.real, _INV_DBL_MIN, out=h.real)  # (cosh y, sinh y)
         np.sin(w.real, out=sin_x)
         np.cos(w.real, out=cos_x)
-        np.multiply(hyp.real, sin_x, out=sin_w.real)
-        np.multiply(hyp.imag, cos_x, out=sin_w.imag)
-        np.multiply(hyp.real, cos_x, out=cos_w.real)
-        np.multiply(hyp.imag, sin_x, out=cos_w.imag)
+        np.multiply(h.real, sin_x, out=sin_w.real)
+        np.multiply(h.imag, cos_x, out=sin_w.imag)
+        np.multiply(h.real, cos_x, out=cos_w.real)
+        np.multiply(h.imag, sin_x, out=cos_w.imag)
         np.negative(cos_w.imag, out=cos_w.imag)
         qf = [sign * nome ** (n * (n + 1)) for nome in nomes]
         for k in range(kmax + 1):
@@ -318,14 +337,22 @@ def weierstrass_jet(z, lat, jmax: int):
         out[0] = -eta1 - np.pi**2 * (r2 - r1 * r1)
     if jmax >= 1:
         out[1] = -np.pi**3 * (u[3] / u0 - 3 * r1 * r2 + 2 * r1**3)
-    if jmax >= 2:
+    _wp_orders(out, half_g2)
+    return (zeta_val if zeta_val.shape else complex(zeta_val)), out
+
+
+def _wp_orders(out, half_g2) -> None:
+    """Orders 2 .. len(out) - 1 of a wp stack in place, from wp = out[0]
+    and wp' = out[1], by the differentiated relation wp'' = 6 wp^2 - g2/2.
+    Every step is elementwise, so half_g2, a scalar or a column that
+    broadcasts, gives each entry the bits of its own lattice."""
+    if len(out) > 2:
         out[2] = 6.0 * out[0] ** 2 - half_g2
-    for j in range(3, jmax + 1):
+    for j in range(3, len(out)):
         acc = np.zeros(out.shape[1:], dtype=complex)
         for i in range(j - 1):
             acc += comb(j - 2, i) * out[i] * out[j - 2 - i]
         out[j] = 6.0 * acc
-    return (zeta_val if zeta_val.shape else complex(zeta_val)), out
 
 
 def zeta(z, lat: Lattice):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import ClassVar
@@ -19,6 +20,7 @@ import numpy as np
 from .configs import Configuration
 from .elliptic import (
     Lattice,
+    _wp_orders,
     lattice_coords,
     lattice_for,
     torus_distance,
@@ -283,15 +285,38 @@ def _run_chunks(run, per: int = SET_ROWS):
                                        else np.array(sel))
 
 
-def _point_sets(tori, run, points, jmax: int):
+def _point_sets(tori, run, points, jmax: int, held=None, keep=False):
     """The points of the sets of one `_set_runs` run of row tori, from
     any layers and moduli and of any shape, and their jet pair at z and
     z - v, all with a leading set axis: one `weierstrass_jet` call over
-    the lattices of the run, bit-identical to a call per set."""
+    the lattices of the run, bit-identical to a call per set.
+
+    held, a dict of one kind of points (`GluingState.holding_jets`), maps
+    the (tau, v) bytes of a set to its zeta, wp and wp' at z and z - v.
+    A set found there takes them, and its higher orders from
+    `elliptic._wp_orders`, the kernel's own recurrence; the others go to
+    `weierstrass_jet`, and with keep each of them is added to held."""
     heads = [tori[rows[0]] for rows in run]
     z = np.stack([np.asarray(points(T)) for T in heads])
     v = np.array([T.v for T in heads]).reshape((-1,) + (1,) * (z.ndim - 1))
-    zeta, d = weierstrass_jet(np.stack([z, z - v], axis=1), [T.lattice for T in heads], jmax)
+    zz = np.stack([z, z - v], axis=1)
+    keys = [T.block()[4:].tobytes() for T in heads]
+    found = [i for i, key in enumerate(keys) if held is not None and key in held]
+    todo = [i for i in range(len(heads)) if i not in found]
+    if not found:
+        zeta, d = weierstrass_jet(zz, [T.lattice for T in heads], jmax)
+    else:
+        zeta = np.empty(zz.shape, dtype=complex)
+        d = np.empty((jmax + 1,) + zz.shape, dtype=complex)
+        if todo:
+            zeta[todo], d[:, todo] = weierstrass_jet(zz[todo], [heads[i].lattice for i in todo],
+                                                     jmax)
+        for i in found:
+            zeta[i], d[:2, i] = held[keys[i]][0], held[keys[i]][1:]
+            _wp_orders(d[:, i], heads[i].lattice.g2 / 2.0)
+    if keep and held is not None:
+        for i in todo:  # copies, so the run's stack is not kept alive
+            held[keys[i]] = np.concatenate([zeta[i][None], d[:2, i]])
     return z, ((zeta[:, 0], d[:, :, 0]), (zeta[:, 1], d[:, :, 1]))
 
 
@@ -356,7 +381,7 @@ class LayerRows:
     circles: dict | None
 
 
-def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS):
+def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS, keep: bool = False):
     """The rows of row tori, per at a time across the (tau, v) sets of
     each `_set_runs` run (`_run_chunks`): each chunk's row indices, the
     set of each row in its run, and the form table and contour caches
@@ -366,15 +391,18 @@ def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS):
     The sets of a run take one jet call per circle (`_point_sets`), and
     one run's jets are held at a time.  Every scalar stage (b, xi_raw(v),
     the products with eta1) runs row by row and the array stages are
-    elementwise, so each row has the bits of its torus alone.  The state
-    is only read.
+    elementwise, so each row has the bits of its torus alone.  A set whose
+    circle jets the state holds reads them; with keep (a refresh of stored
+    tori) the evaluated ones are added.  Nothing else of the state is
+    written.
     """
     r, m = st.contour_radius, CIRCLE_NODES
     _, dz = _circle_nodes(0.0, r, m)  # dz does not depend on the center
     poles = {"node": lambda T: T.v, "zero": lambda T: 0.0}
     for run in _set_runs(tori):
         sides = {side: _point_sets(tori, run, lambda T, p=p: _circle_nodes(p(T), r, m)[0],
-                                   st.n_max - 2) for side, p in poles.items()}
+                                   st.n_max - 2, st._jets.get(side), keep)
+                 for side, p in poles.items()}
         flat = [u for rows in run for u in rows]
         for pos, sel in _run_chunks(run, per):
             rows = [flat[i] for i in pos]
@@ -453,6 +481,8 @@ class GluingState:
     `LayerRows`, from construction on (`refresh`), through the weak map
     shared_rows: the state's own unless it is given one, and then shared
     with every state given the same map, for as long as a state holds them.
+    Within `holding_jets` the state also keeps the low-order jets of its
+    stored (tau, v) in _jets; outside it _jets is empty.
     """
 
     n_max: ClassVar[int] = DEFAULT_N_MAX
@@ -469,6 +499,7 @@ class GluingState:
     _layers: list = field(default=None, repr=False, compare=False)
     shared_rows: weakref.WeakValueDictionary | None = field(default=None, repr=False,
                                                             compare=False)
+    _jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.t < math.inf:
@@ -543,6 +574,21 @@ class GluingState:
         flux is normalised against; a constant of the state."""
         return hecke_G(self.q0_ref, lattice_for(self.tau_ref))
 
+    @contextmanager
+    def holding_jets(self):
+        """Keep, while it is entered, the jets that the state evaluates at
+        its stored (tau, v): zeta, wp and wp' at z and z - v (`_point_sets`)
+        by kind of points, the two circles of the sets a refresh builds and
+        the two period paths of the stored rows of a residual pass
+        (`solver._block_residual`).  Moved parameter rows read them and
+        never add to them.  A set goes when no stored torus has its (tau,
+        v) after a refresh, and every set goes on exit."""
+        self._jets = {"node": {}, "zero": {}, "P1": {}, "P2": {}}
+        try:
+            yield
+        finally:
+            self._jets = {}
+
     def refresh(self, only=None) -> None:
         """Rebuild form and contour caches, for every stored torus or for
         the stored indices in only, after new tori are put in place; caches
@@ -560,7 +606,9 @@ class GluingState:
 
         shared_rows gets what the refresh builds and holds it weakly, so a
         set that no state holds any more, such as a rejected line-search
-        trial's, is freed as it would be without the map.
+        trial's, is freed as it would be without the map.  Held jets
+        (`holding_jets`) of a (tau, v) that no stored torus has any more go
+        before the build, which keeps the circle jets of what it builds.
         """
         if self._layers is None or only is None:
             self._layers = [None] * self.n_tori
@@ -571,10 +619,14 @@ class GluingState:
         new = {key: self.tori[j] for j, key in keys.items() if rows[key] is None}
         for j, key in keys.items():  # the old caches go before the build
             self._layers[j] = rows[key]
+        live = {T.block()[4:].tobytes() for T in self.tori}
+        for held in self._jets.values():
+            for key in held.keys() - live:
+                del held[key]
         order = list(new)
         # one row per chunk: copying rows out of wider chunks cost the
         # solve's peak RSS more than the wider chunks saved
-        for (u,), _, lr in _circle_sets(self, list(new.values()), 1):
+        for (u,), _, lr in _circle_sets(self, list(new.values()), 1, True):
             for cc in lr.circles.values():
                 _add_matching(cc, self.n_max, self.rho)
             rows[order[u]] = built[order[u]] = lr

@@ -99,7 +99,7 @@ def _by_layer(ks, rows):
             for k, (pos, at) in groups.items()]
 
 
-def _period_residuals(st, series, tori, distinct, run, held, out):
+def _period_residuals(st, series, tori, distinct, run, held, out, keep):
     """Period residuals P1, P2 of the horizontal displacement over both
     cycles into columns 1, 2 of out, for the pairs on the rows of a
     `_set_runs` run of the distinct rows, which held lists by chunk
@@ -108,11 +108,12 @@ def _period_residuals(st, series, tori, distinct, run, held, out):
     tables only: one jet call per path for the run (`_point_sets`) and
     one `gauss_parts` per chunk serve the node sums of W/g and t^2 g W of
     each layer on it, with its own lambda row; its parity enters in the
-    scalar stage."""
+    scalar stage.  The paths read the jets the state holds, and with keep
+    (stored rows) add those they evaluate (`_point_sets`)."""
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
     for col, along in ((1, lambda T: 1.0), (2, lambda T: T.tau)):
         jets = _point_sets(distinct, run, lambda T: path_base(T) + s * along(T),
-                           st.n_max - 2)[1]
+                           st.n_max - 2, st._jets.get(f"P{col}"), keep)[1]
         for groups, sel, lr in held:
             gv, *parts = gauss_parts(jets, lr, sel)
             near = np.min(np.abs(gv), axis=-1) < 1e-6
@@ -164,7 +165,7 @@ def _block_residual(st, series, ks, tori=None):
                 out[p, 0], out[p, 3] = _circle_residuals(st, series, k, rows, at)
             held.append((groups, sel, LayerRows(rows.tori, rows.forms, None)))
             del rows  # its circles, before the next chunk
-        _period_residuals(st, series, tori, distinct, run, held, out)
+        _period_residuals(st, series, tori, distinct, run, held, out, stored)
     return out
 
 
@@ -253,6 +254,11 @@ def _fd_blocks(st, series, active, flat, memo: dict | None = None):
     three sets to a call.  Array stages are elementwise or reduce along
     the node axis and scalar stages run row by row, so each column has
     the bits of a refresh and a block residual at its own parameters.
+    When the state holds jets (`GluingState.holding_jets`, within
+    `_solve_at_t`), the layer's own set reads the circles of its refresh
+    and the paths of its last residual pass where they were evaluated, so
+    only the four moved sets reach the kernel; the moved rows add
+    nothing to what is held.
 
     A layer whose `_layer_key` an earlier layer has takes that layer's
     block: its rows and its residual slice of flat are the same bits, so
@@ -310,40 +316,44 @@ def _step_failure(what, st, res, history):
 def _solve_at_t(st, active, callback, memo: dict):
     """Newton on the active layers at the state's t.  Its first residual,
     line-search trials and Jacobians read and fill memo by `_layer_key`,
-    across its iterations and with every state that shares memo at t."""
-    series = fix_omega(st)
-    res = full_residual(st, series, active, memo)
-    history = [res.sup_norm]
-    flat = res.flat()
-    n_act = len(active)
-    it = 0
-    while history[-1] >= NEWTON_TOL:
-        if it >= MAX_NEWTON:
-            raise _step_failure("Newton stalled", st, res, history)
-        blocks = _fd_blocks(st, series, active, flat, memo)
-        dx = np.linalg.solve(blocks, -flat.reshape(n_act, 8, 1))[..., 0]
-        base = [st.torus(k).block() for k in active]
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            _set_blocks(st, {st.index_of(k): base[i] + scale * dx[i]
-                             for i, k in enumerate(active)})
-            trial_series = fix_omega(st)
-            trial = full_residual(st, trial_series, active, memo)
-            if trial.sup_norm < history[-1]:
-                break
-            scale *= 0.5
-        else:
-            _set_blocks(st, {st.index_of(k): base[i] for i, k in enumerate(active)})
-            raise _step_failure("line search failed", st, res, history)
-        series, res = trial_series, trial
+    across its iterations and with every state that shares memo at t.
+    While it runs the state holds the jets at its stored (tau, v)
+    (`GluingState.holding_jets`), so a Jacobian reads the circles and
+    paths of each layer's own set from its refresh and residual."""
+    with st.holding_jets():
+        series = fix_omega(st)
+        res = full_residual(st, series, active, memo)
+        history = [res.sup_norm]
         flat = res.flat()
-        history.append(res.sup_norm)
-        it += 1
-        if callback is not None:
-            callback({"t": st.t, "iteration": it, "residual": history[-1],
-                      "step_scale": scale})
-    return series, NewtonStep(t=st.t, iterations=it, residuals=tuple(history),
-                              converged=history[-1] < NEWTON_TOL, worst_k=res.worst_k)
+        n_act = len(active)
+        it = 0
+        while history[-1] >= NEWTON_TOL:
+            if it >= MAX_NEWTON:
+                raise _step_failure("Newton stalled", st, res, history)
+            blocks = _fd_blocks(st, series, active, flat, memo)
+            dx = np.linalg.solve(blocks, -flat.reshape(n_act, 8, 1))[..., 0]
+            base = [st.torus(k).block() for k in active]
+            scale = 1.0
+            for _ in range(MAX_HALVINGS):
+                _set_blocks(st, {st.index_of(k): base[i] + scale * dx[i]
+                                 for i, k in enumerate(active)})
+                trial_series = fix_omega(st)
+                trial = full_residual(st, trial_series, active, memo)
+                if trial.sup_norm < history[-1]:
+                    break
+                scale *= 0.5
+            else:
+                _set_blocks(st, {st.index_of(k): base[i] for i, k in enumerate(active)})
+                raise _step_failure("line search failed", st, res, history)
+            series, res = trial_series, trial
+            flat = res.flat()
+            history.append(res.sup_norm)
+            it += 1
+            if callback is not None:
+                callback({"t": st.t, "iteration": it, "residual": history[-1],
+                          "step_scale": scale})
+        return series, NewtonStep(t=st.t, iterations=it, residuals=tuple(history),
+                                  converged=history[-1] < NEWTON_TOL, worst_k=res.worst_k)
 
 
 def _finite_t(t: float, what: str = "t_target") -> float:

@@ -210,6 +210,19 @@ def test_separation_guard():
         Configuration(1j, (1e-4,) * 3, (1e-4,), (1e-4,))
 
 
+@pytest.mark.parametrize("left, right, k", [
+    ((1e-9,), (0.5 + 0.5j,), -1),
+    ((0.5 + 0.5j,), (0.5 + 0.5j, 1.0 + 1e-9), 1),
+    ((0.5 + 0.5j, 2j), (0.5 + 0.5j,), -1),
+], ids=["left", "right-second", "left-on-tau"])
+def test_tail_steps_near_the_lattice_are_refused(left, right, k):
+    """A tail step next to a lattice point is refused on construction with
+    the window's message, naming the first padded index that reads it,
+    instead of failing later inside the balance form."""
+    with pytest.raises(ValueError, match=rf"step q_{k} is within 0.001 of the lattice"):
+        Configuration(1j, (0.5 + 0.5j,), left, right)
+
+
 def test_periodicity_helpers():
     assert catalog("rPD").is_periodic()
     assert catalog("H").is_periodic()

@@ -8,7 +8,8 @@ int64 bytes, in a fixed order.  The solved parameters (every stored
 block and each step's residual history, with d_k, w_k and the rate of
 the pair), the lambda rows and the rPD mesh are hashed apart, so a
 change that moves lambda in its last bits alone re-records only its
-lambda digests.
+lambda digests.  The `oPa` and pair fixtures also count the points of
+their theta passes and trace their memory (`measured`).
 """
 
 import hashlib
@@ -16,6 +17,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import oracles
+from stackedmin import elliptic
 from stackedmin.asymptotics import decay_fit, pair_solve, upper_reference
 from stackedmin.configs import catalog
 from stackedmin.immersion import build_mesh
@@ -37,16 +40,40 @@ def _params(rep) -> list:
             + [np.array(step.residuals) for step in rep.steps])
 
 
-@pytest.fixture(scope="module")
-def opa():
-    return newton_continuation(catalog("oPa"), 0.08)
+def _measure(fn, measured: dict, name: str):
+    """fn(), recording under name the points of its theta passes and its
+    traced peak in MiB above entry."""
+    out, points, theta_sums = [], [], elliptic._theta_sums
+
+    def counted(v, *args):
+        points.append(np.size(v))
+        return theta_sums(v, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elliptic, "_theta_sums", counted)
+        peak = oracles.traced_peak_mib(lambda: out.append(fn()))
+    measured[name] = {"points": sum(points), "peak_mib": peak}
+    return out[0]
 
 
 @pytest.fixture(scope="module")
-def pair():
-    twin = catalog("twin-rPD")
-    reference, defect = pair_solve(upper_reference(twin), twin, 0.01, K=8)
-    return reference, defect, decay_fit(reference, defect)
+def measured():
+    return {}
+
+
+@pytest.fixture(scope="module")
+def opa(measured):
+    return _measure(lambda: newton_continuation(catalog("oPa"), 0.08), measured, "oPa")
+
+
+@pytest.fixture(scope="module")
+def pair(measured):
+    def run():
+        twin = catalog("twin-rPD")
+        reference, defect = pair_solve(upper_reference(twin), twin, 0.01, K=8)
+        return reference, defect, decay_fit(reference, defect)
+
+    return _measure(run, measured, "pair")
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +103,18 @@ def test_defect_decay_lambda_digest(pair):
     reference, defect, _ = pair
     assert _digest(reference.series.lam, defect.series.lam) == (
         "ee48dfac69330151b67bc555a7589d19a702cb7323f8f7dc6293047e631d1f1e")
+
+
+def test_kernel_points_and_memory_stay_bounded(opa, pair, measured):
+    """A Jacobian reads the jets that its state's refresh and residual
+    evaluated at each layer's own (tau, v): `oPa` to 0.08 sends 678,530
+    points through the theta pass (797,314 when every set was evaluated
+    again) and the pair 1,198,087 (1,376,263).  Holding them only while a
+    Newton step runs keeps the pair with its fit at a traced peak of
+    about 8.1 MiB (6.2 without the held jets)."""
+    assert measured["oPa"]["points"] <= 690_000
+    assert measured["pair"]["points"] <= 1_200_000
+    assert measured["pair"]["peak_mib"] <= 9.0
 
 
 def test_mesh_rpd_digest(rpd):

@@ -12,6 +12,7 @@ from stackedmin.elliptic import (
     Lattice,
     PoleError,
     TorusPoint,
+    _one_per_row,
     _theta_sums,
     elliptic_KE,
     lattice_coords,
@@ -200,17 +201,40 @@ def _theta_args(tau):
     return np.concatenate([np.pi * zr, zeros])
 
 
+def _row_args(tau):
+    """Arguments whose rows along the last axis share one imaginary part:
+    the alpha period path's (sets, 2, 512) of pi times reduced points (the
+    one-column cosh/sinh step), rows at +0 and -0 with real parts of both
+    signs, a row and an array that differ in one entry, 0-d and 1-D."""
+    s = (np.arange(512) + 0.5) / 512
+    base = np.array([0.31 + 0.4 * tau, -0.2 + 0.1 * tau, 0.45 - 0.3 * tau])[:, None, None]
+    v = np.array([0.1 + 0.2 * tau, 0.3 - 0.1 * tau, 0.2 + 0.3 * tau])[:, None, None]
+    path = np.pi * reduce_centered(base - np.array([0, 1])[:, None] * v + s, tau)[0]
+    x = np.array([-1.5, -0.7, -0.0, 0.0, 0.4, 1.2])
+    zeros = np.stack([x + 0j, x - 0j, x.astype(complex)])
+    zeros[1].imag, zeros[2].imag = -0.0, 0.0
+    row = x + 0.25j
+    off = row.copy()
+    off[2] += 1e-3j
+    mixed = np.stack([row, row + 0.5j, off])
+    assert _one_per_row(path.imag) and _one_per_row(np.stack([row, row + 0.5j]).imag)
+    assert not any(_one_per_row(a.imag) for a in (zeros, off, mixed))
+    return [path, zeros, zeros[1], row, off, mixed, complex(row[0]), np.asarray(row[1])]
+
+
 @pytest.mark.parametrize("tau", MPMATH_TAUS + [41j, 0.1j])
 def test_theta_pass_matches_complex_trig(tau):
     """The shared-factor pass is the complex-sin/cos pass bit for bit,
     signed zeros included, and keeps its shapes and scalar types; the
-    flat moduli cover a long series."""
+    flat moduli cover a long series, and rows of one imaginary part take
+    cosh and sinh on one column with the same bits."""
     lat = Lattice(tau)
     if tau in (0.15j, 0.1j):
         assert lat.n_terms == {0.15j: 11, 0.1j: 14}[tau]
     v = _theta_args(lat.tau)
     shaped = np.stack([v, v[::-1], -v, np.conj(v), v / 2, v / 3]).reshape(3, 2, -1)
     inputs = [v, shaped, complex(v[3]), np.asarray(v[5]), v[-1], np.asarray(v[-4])]
+    inputs += _row_args(lat.tau)
     for arg in inputs:
         for kmax in (1, 3):
             got = _theta_sums(arg, lat.nome, lat.n_terms, kmax)

@@ -737,6 +737,29 @@ def test_form_table_mu_follows_the_complex_expression():
                 assert repr(complex(table.mu[s, n - 2, 0])) == repr(want)
 
 
+def test_held_jets_give_the_bits_of_the_kernel():
+    """A set that _point_sets finds in held takes its zeta, wp and wp'
+    from there and its higher orders from the kernel's recurrence: every
+    order of every set equals a run with nothing held, bit for bit, when
+    one, two or all of the run's sets are held.  With keep it adds the
+    sets it evaluated, as arrays of their own."""
+    tori = [TorusData(a=-0.5, bhat=0j, tau=tau, v=v) for tau, v in (
+        (0.1 + 1.2j, 0.47 + 0.58j), (-0.1 + 1.2j, 0.3 + 0.2j), (0.1 + 1.2j + 1e-6, 0.47 + 0.58j))]
+    run = [[0], [1], [2]]
+    points = lambda T: 0.5 * T.v + np.linspace(0.0, 0.3, 16) * (1 + T.tau)
+    want = opening._point_sets(tori, run, points, 6)
+    for first in ([[0]], [[0], [2]], run):
+        held = {}
+        opening._point_sets(tori, first, points, 6, held, True)
+        assert len(held) == len(first) and all(x.base is None for x in held.values())
+        got = opening._point_sets(tori, run, points, 6, held)
+        assert np.array_equal(got[0], want[0])
+        for (gz, gd), (wz, wd) in zip(got[1], want[1]):
+            assert gd.shape == wd.shape
+            assert np.array_equal(gz.view(np.int64), wz.view(np.int64))
+            assert np.array_equal(gd.view(np.int64), wd.view(np.int64))
+
+
 def test_jet_pair_matches_two_kernel_calls():
     """The stacked z, z - v call returns the bits of two separate array
     calls, shapes and types included."""

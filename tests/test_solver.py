@@ -325,6 +325,56 @@ def test_fd_blocks_run_eight_theta_passes(monkeypatch):
     assert batched == 5 * plain[0]
 
 
+@pytest.mark.parametrize("name, K, k", [
+    pytest.param("oPa", None, 1, id="oPa-None-1"),
+    pytest.param("twin-rPD", 3, 0, id="twin-rPD-3-0"),
+])
+def test_fd_blocks_read_the_jets_the_state_holds(name, K, k, monkeypatch):
+    """While a state holds jets, a refresh and a full_residual of a moved
+    layer keep those of its own (tau, v) on the two circles and the two
+    period paths, and _fd_blocks reads them: none of those four (nome,
+    points) reaches the theta pass again, the four moved sets take two
+    passes per point set, and the blocks equal the plain loop's bit for
+    bit.  Replacing the torus drops what was held for it."""
+    ref_st, ref_series, ref_flat = _perturbed_layer(name, K, k)
+    st = GluingState.central(catalog(name, K=2), 0.01, K=K)
+    j = st.index_of(k)
+    passes = oracles.theta_passes(monkeypatch)
+    with st.holding_jets():
+        _set_blocks(st, {j: ref_st.tori[j].block()})
+        series = fix_omega(st)
+        flat = full_residual(st, series, (k,)).flat()
+        own = set(passes.keys)
+        passes.clear()
+        got = _fd_blocks(st, series, (k,), flat)
+        assert len(own) == 4 and not own & set(passes.keys)
+        assert passes.calls == 8 and len(set(passes.keys)) == 4 * 4
+        key = st.tori[j].block()[4:].tobytes()
+        assert all(key in held for held in st._jets.values())
+        _set_blocks(st, {j: central_layout(catalog(name, K=2), K)[0][j].block()})
+        assert not any(key in held for held in st._jets.values())
+    assert st._jets == {}
+    assert np.array_equal(flat, ref_flat)
+    assert np.array_equal(got, oracles.fd_blocks_plain(ref_st, ref_series, (k,), ref_flat))
+
+
+def test_no_state_holds_jets_once_the_solve_returns(monkeypatch):
+    """The window and tail states of a solve hold jets while their Newton
+    steps run, where the Jacobians read them, and none holds any once
+    newton_continuation returns."""
+    held, fd_blocks = [], solver._fd_blocks
+
+    def traced(st, *args, **kw):
+        held.append(sum(len(sets) for sets in st._jets.values()))
+        return fd_blocks(st, *args, **kw)
+
+    monkeypatch.setattr(solver, "_fd_blocks", traced)
+    rep = newton_continuation(catalog("rPD-H", K=2), 0.005, schedule=[0.0025, 0.005], K=3)
+    assert held and all(held)
+    states = [rep.state] + [tail.state for tail in rep.tail_reports.values()]
+    assert all(st._jets == {} for st in states)
+
+
 def _twin_window(defect: bool):
     """twin-rPD, or its periodic reference, on a K = 4 window at t = 0.01
     with its series: layers far from the defect repeat bit for bit."""
