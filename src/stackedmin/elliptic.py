@@ -256,9 +256,9 @@ def _theta_sums(v, q, n_terms: int, kmax: int):
     for n in range(n_terms):
         np.multiply(2 * n + 1, v, out=w)
         y = w.imag
-        one = _one_per_row(y)
-        a, h = (arg[..., :1], hyp[..., :1]) if one else (arg, hyp)
-        a.imag = y[..., :1] if one else y
+        cols = np.s_[..., :1] if _one_per_row(y) else np.s_[...]
+        a, h = arg[cols], hyp[cols]
+        a.imag = y[cols]
         np.sin(a, out=h)
         np.multiply(h.real, _INV_DBL_MIN, out=h.real)  # (cosh y, sinh y)
         np.sin(w.real, out=sin_x)

@@ -101,16 +101,16 @@ class TorusData:
         return self.a * (zeta(z, lat) - zeta(z - self.v, lat)) + self.b
 
     def jets(self, z, jmax: int):
-        """Weierstrass jets (zeta, wp stack) at z and at z - v, on the
-        lattice of this torus: `_point_sets` on a set of one, bit-identical
-        to two array calls."""
-        _, ((zeta_z, d_z), (zeta_zv, d_zv)) = _point_sets([self], [[0]], lambda T: z, jmax)
-        return (zeta_z[0], d_z[:, 0]), (zeta_zv[0], d_zv[:, 0])
+        """zeta(z) - zeta(z - v) and the wp stacks at z and at z - v, on
+        the lattice of this torus: `_point_sets` on a set of one,
+        bit-identical to two array calls."""
+        _, s, d_z, d_zv = _point_sets([self], [[0]], lambda T: z, jmax)
+        return s[0], d_z[:, 0], d_zv[:, 0]
 
     def g_and_gp(self, z):
         """g and g' = a*(wp(z - v) - wp(z)) from one pair of jets."""
-        (zeta_z, wp_z), (zeta_zv, wp_zv) = self.jets(z, 0)
-        return self.a * (zeta_z - zeta_zv) + self.b, self.a * (wp_zv[0] - wp_z[0])
+        s, wp_z, wp_zv = self.jets(z, 0)
+        return self.a * s + self.b, self.a * (wp_zv[0] - wp_z[0])
 
 
 def _shortest_vector(tau: complex) -> float:
@@ -287,13 +287,14 @@ def _run_chunks(run, per: int = SET_ROWS):
 
 def _point_sets(tori, run, points, jmax: int, held=None, keep=False):
     """The points of the sets of one `_set_runs` run of row tori, from
-    any layers and moduli and of any shape, and their jet pair at z and
-    z - v, all with a leading set axis: one `weierstrass_jet` call over
-    the lattices of the run, bit-identical to a call per set.
+    any layers and moduli and of any shape, s = zeta(z) - zeta(z - v),
+    and the wp stacks at z and z - v, all with a leading set axis: one
+    `weierstrass_jet` call over the lattices of the run, bit-identical to
+    a call per set.
 
     held, a dict of one kind of points (`GluingState.holding_jets`), maps
-    the (tau, v) bytes of a set to its zeta, wp and wp' at z and z - v.
-    A set found there takes them, and its higher orders from
+    the (tau, v) bytes of a set to its s and its wp and wp' at z and
+    z - v.  A set found there takes them, and its higher orders from
     `elliptic._wp_orders`, the kernel's own recurrence; the others go to
     `weierstrass_jet`, and with keep each of them is added to held."""
     heads = [tori[rows[0]] for rows in run]
@@ -305,19 +306,20 @@ def _point_sets(tori, run, points, jmax: int, held=None, keep=False):
     todo = [i for i in range(len(heads)) if i not in found]
     if not found:
         zeta, d = weierstrass_jet(zz, [T.lattice for T in heads], jmax)
+        s = zeta[:, 0] - zeta[:, 1]
     else:
-        zeta = np.empty(zz.shape, dtype=complex)
+        s = np.empty(z.shape, dtype=complex)
         d = np.empty((jmax + 1,) + zz.shape, dtype=complex)
         if todo:
-            zeta[todo], d[:, todo] = weierstrass_jet(zz[todo], [heads[i].lattice for i in todo],
-                                                     jmax)
+            zeta, d[:, todo] = weierstrass_jet(zz[todo], [heads[i].lattice for i in todo], jmax)
+            s[todo] = zeta[:, 0] - zeta[:, 1]
         for i in found:
-            zeta[i], d[:2, i] = held[keys[i]][0], held[keys[i]][1:]
+            s[i], d[:2, i] = held[keys[i]]
             _wp_orders(d[:, i], heads[i].lattice.g2 / 2.0)
     if keep and held is not None:
         for i in todo:  # copies, so the run's stack is not kept alive
-            held[keys[i]] = np.concatenate([zeta[i][None], d[:2, i]])
-    return z, ((zeta[:, 0], d[:, :, 0]), (zeta[:, 1], d[:, :, 1]))
+            held[keys[i]] = s[i].copy(), d[:2, i].copy()
+    return z, s, d[:, :, 0], d[:, :, 1]
 
 
 def _build_forms(tori, n_max: int, dz, circles: dict) -> FormTable:
@@ -418,19 +420,19 @@ def _circle_chunk(st: "GluingState", sub, sel, sides, poles, dz) -> LayerRows:
     several (each order of the wp stack inside `FormTable.values`)."""
     a, b, xiv = _gauss_constants(sub)
     fields, zpow = {}, {}
-    for side, (z, ((zeta_z, dminus), (zeta_zv, dplus))) in sides.items():
+    for side, (z, s, dminus, dplus) in sides.items():
         z = z[sel]
         # one pole per row of z: a set's, or each row's
         center = np.array([poles[side](T) for T in sub[: len(z)]], dtype=complex)[:, None]
         zpow[side] = np.stack([(z - center) ** p for p in range(1, st.n_max)])
-        s = zeta_z[sel] - zeta_zv[sel]
+        s = s[sel]
         fields[side] = (s, a * s + b, a * (dplus[0][sel] - dminus[0][sel]))
     forms = _build_forms(sub, st.n_max, dz, {side: (gv, gp, zpow[side])
                                              for side, (_, gv, gp) in fields.items()})
     del zpow  # before the densities
     circles = {}
     for side, (s, gv, gp) in fields.items():
-        _, ((_, dminus), (_, dplus)) = sides[side]
+        _, _, dminus, dplus = sides[side]
         fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
         forms.values(0, dplus, out=fvals[0], sel=sel)
         forms.values(1, dminus, out=fvals[1], sel=sel)
@@ -577,12 +579,13 @@ class GluingState:
     @contextmanager
     def holding_jets(self):
         """Keep, while it is entered, the jets that the state evaluates at
-        its stored (tau, v): zeta, wp and wp' at z and z - v (`_point_sets`)
-        by kind of points, the two circles of the sets a refresh builds and
-        the two period paths of the stored rows of a residual pass
-        (`solver._block_residual`).  Moved parameter rows read them and
-        never add to them.  A set goes when no stored torus has its (tau,
-        v) after a refresh, and every set goes on exit."""
+        its stored (tau, v): zeta(z) - zeta(z - v), and wp and wp' at z
+        and z - v (`_point_sets`), by kind of points: the two circles of
+        the sets a refresh builds and the two period paths of the stored
+        rows of a residual pass (`solver._block_residual`).  Moved
+        parameter rows read them and never add to them.  A set goes when
+        no stored torus has its (tau, v) after a refresh, and every set
+        goes on exit."""
         self._jets = {"node": {}, "zero": {}, "P1": {}, "P2": {}}
         try:
             yield
@@ -741,10 +744,11 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
 def gauss_parts(jets: tuple, lr: LayerRows, sel=slice(None)):
     """g, the base form zeta(z) - zeta(z - v) - xi_raw(v) and the second-kind
     densities of both signs of the rows of lr (`LayerRows`), one row per
-    row, from the jet pair of their run's sets at order n_max - 2: row r
-    reads set sel[r], or every row the one set of a slice sel."""
-    (zeta_z, dminus), (zeta_zv, dplus) = jets
-    s = zeta_z[sel] - zeta_zv[sel]
+    row, from s and the wp stacks of their run's sets at order n_max - 2
+    (`_point_sets`): row r reads set sel[r], or every row the one set of a
+    slice sel."""
+    s, dminus, dplus = jets
+    s = s[sel]
     a, b, xiv = _gauss_constants(lr.tori)
     return (a * s + b, s - xiv, lr.forms.values(0, dplus, sel=sel),
             lr.forms.values(1, dminus, sel=sel))

@@ -113,7 +113,7 @@ def _period_residuals(st, series, tori, distinct, run, held, out, keep):
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
     for col, along in ((1, lambda T: 1.0), (2, lambda T: T.tau)):
         jets = _point_sets(distinct, run, lambda T: path_base(T) + s * along(T),
-                           st.n_max - 2, st._jets.get(f"P{col}"), keep)[1]
+                           st.n_max - 2, st._jets.get(f"P{col}"), keep)[1:]
         for groups, sel, lr in held:
             gv, *parts = gauss_parts(jets, lr, sel)
             near = np.min(np.abs(gv), axis=-1) < 1e-6

@@ -111,7 +111,7 @@ def test_kernel_points_and_memory_stay_bounded(opa, pair, measured):
     points through the theta pass (797,314 when every set was evaluated
     again) and the pair 1,198,087 (1,376,263).  Holding them only while a
     Newton step runs keeps the pair with its fit at a traced peak of
-    about 8.1 MiB (6.2 without the held jets)."""
+    about 7.8 MiB (6.2 without the held jets)."""
     assert measured["oPa"]["points"] <= 690_000
     assert measured["pair"]["points"] <= 1_200_000
     assert measured["pair"]["peak_mib"] <= 9.0
