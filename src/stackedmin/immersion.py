@@ -135,6 +135,36 @@ def _in_blocks(fn, z: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate([fn(z[i : i + size]) for i in range(0, max(len(z), 1), size)])
 
 
+def _in_rows(fn, z: np.ndarray, row: np.ndarray, size: int) -> np.ndarray:
+    """fn at the points z, for an fn that acts on each point alone, laid
+    out as rows of one imaginary part so that the theta pass takes its
+    one-column cosh/sinh step on each: row[p] >= 0 names the row of z[p],
+    whose points share Im z bit for bit.  Each row is padded with its own
+    last point to a common length, cut in pieces of at most size when it
+    is longer, and fn takes whole pieces, at most size points per call."""
+    if not len(z):
+        return fn(z)
+    counts = np.bincount(row)
+    counts = counts[counts > 0]
+    longest = int(counts.max())
+    split = -(-longest // size)  # pieces per row
+    width = -(-longest // split)
+    cols = np.arange(split * width)
+    # slot c of a row takes its point min(c, count - 1), in the sorted order
+    slot = (np.cumsum(counts) - counts)[:, None] + np.minimum(cols, counts[:, None] - 1)
+    src = np.argsort(row, kind="stable")[slot].reshape(-1, width)
+    real = (cols < counts[:, None]).reshape(-1, width)
+    per = max(1, size // width)
+    out = None
+    for r in range(0, len(src), per):
+        at, keep = src[r : r + per], real[r : r + per]
+        vals = fn(z[at])
+        if out is None:
+            out = np.empty((len(z),) + vals.shape[2:], dtype=vals.dtype)
+        out[at[keep]] = vals[keep]
+    return out
+
+
 def _segment_triples(st: GluingState, series: OmegaSeries, k: int,
                      ends) -> np.ndarray:
     """Integrals of the triple along the straight segments z0 -> z1 of
@@ -160,17 +190,20 @@ def _segment_triples(st: GluingState, series: OmegaSeries, k: int,
 
 
 def _edge_triples(st: GluingState, series: OmegaSeries, k: int,
-                  z0s: np.ndarray, vec: complex) -> np.ndarray:
-    """Batched straight-edge integrals sharing one direction vector, at
-    most BLOCK // EDGE_NODES edges per `_diffs` call."""
+                  z0s: np.ndarray, rows: np.ndarray, vec: complex) -> np.ndarray:
+    """Batched straight-edge integrals sharing one direction vector from
+    the starts z0s in grid rows rows, by `_in_rows`, at most BLOCK //
+    EDGE_NODES edges per call.  The nodes go to `_diffs` as an
+    (EDGE_NODES, rows, edges) array: node m of an edge from grid row j
+    has Im z = Im z0 + s_m Im vec, one value along each of its rows."""
     x, wgt = _leggauss(EDGE_NODES)
     s = 0.5 * (x + 1.0)
 
     def edges(z0):
-        vals = _diffs(st, series, k, (z0[:, None] + s[None, :] * vec).ravel())
-        return np.einsum("n, e n c -> e c", 0.5 * wgt, vals.reshape(-1, EDGE_NODES, 3)) * vec
+        vals = _diffs(st, series, k, z0 + s.reshape(-1, 1, 1) * vec)
+        return np.einsum("n, n r e c -> r e c", 0.5 * wgt, vals) * vec
 
-    return _in_blocks(edges, z0s, BLOCK // EDGE_NODES)
+    return _in_rows(edges, z0s, rows, BLOCK // EDGE_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +533,9 @@ def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
     centers_cell = {s: _cell_rep(c, corner, T.tau) for s, c in (("+", T.v), ("-", 0.0))}
     kept = np.all(np.abs(zg[..., None] - list(centers_cell.values()))
                   >= DEFAULT_POLE_RADIUS, axis=-1)
-    kept[kept] = 1.0 / np.abs(_in_blocks(T.g, zg[kept], BLOCK)) >= CUT_FACTOR * st.epsilon
+    # zg[i, j] has Im corner + j Im(tau) / n bit for bit, so grid row j is one row
+    kept[kept] = 1.0 / np.abs(_in_rows(T.g, zg[kept], jj[kept], BLOCK)) \
+        >= CUT_FACTOR * st.epsilon
     if kept.all():
         raise MeshTopologyError("grid does not resolve the chart disks",
                                 k, st.t, n)
@@ -520,7 +555,7 @@ def _grid_walk(k: int, st: GluingState, series: OmegaSeries, n: int):
         ok = kept & kept[i2, j2]
         wrap = (ii[ok] + di >= n) | (jj[ok] + dj >= n)
         edges.append((vid[ii[ok], jj[ok]], vid[i2[ok], j2[ok]], _edge_triples(
-            st, series, k, zg[ok].ravel(), vec) - wrap[:, None] * per))
+            st, series, k, zg[ok], jj[ok], vec) - wrap[:, None] * per))
     flat_u, flat_v, inc = (np.concatenate(e) for e in zip(*edges))
 
     triples, in_tree = _tree_walk(nkept, flat_u, flat_v, inc, 0)
@@ -986,18 +1021,31 @@ def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
     bound = strip * stride + np.searchsorted(ranks, hi[face, axis], side="right")
     count = np.searchsorted(key[order], bound, side="right") - np.arange(1, len(face) + 1)
     first = np.concatenate(([0], np.cumsum(count)))
+    del key, order, bound, count  # the runs are in first
     cols = [(lo[face, c], hi[face, c]) for c in range(3) if c != axis]
+    slots = [np.ascontiguousarray(faces[:, i]) for i in range(3)]  # gathers faster than rows
     found = [np.empty((2, 0), dtype=np.int64)]
-    for start in range(0, int(first[-1]), BLOCK):
-        # candidate q is partner q - first[a] of the entry a whose run holds it
-        q = np.arange(start, min(start + BLOCK, int(first[-1])))
-        a = np.searchsorted(first, q, side="right") - 1
-        b = a + 1 + q - first[a]
+    total = int(first[-1])
+    for start in range(0, total, BLOCK):
+        # candidate q is partner q - first[a] of the entry a whose run
+        # holds it; the block's entries are a contiguous range
+        stop = min(start + BLOCK, total)
+        a0 = int(np.searchsorted(first, start, side="right")) - 1
+        a1 = int(np.searchsorted(first, stop - 1, side="right"))
+        held = np.minimum(first[a0 + 1 : a1 + 1], stop) - np.maximum(first[a0:a1], start)
+        a = np.repeat(np.arange(a0, a1), held)
+        b = a + 1 + np.arange(start, stop) - first[a]
         keep = np.maximum(own[a], own[b]) == strip[a]
         for lc, hc in cols:
             keep &= (lc[b] <= hc[a]) & (lc[a] <= hc[b])
         a, b = face[a[keep]], face[b[keep]]
-        shared = np.any(faces[a][:, :, None] == faces[b][:, None, :], axis=(1, 2))
+        # a shared vertex id, by the nine slot pairs of the two faces
+        at_b = [ids[b] for ids in slots]
+        shared = np.zeros(len(a), dtype=bool)
+        for ids in slots:
+            at_a = ids[a]
+            for other in at_b:
+                shared |= at_a == other
         found.append(np.stack([a[~shared], b[~shared]]))
     a, b = np.concatenate(found, axis=1)
     return np.minimum(a, b), np.maximum(a, b)

@@ -26,7 +26,7 @@ from .elliptic import (
     torus_distance,
     weierstrass_jet,
     xi_raw,
-    zeta,
+    zeta,  # noqa: F401  bound here for bench/test_bench.py, which wraps opening.zeta
 )
 from .hecke import hecke_G
 
@@ -97,8 +97,11 @@ class TorusData:
         return -self.a * self.xiv + self.bhat
 
     def g(self, z):
-        lat = self.lattice
-        return self.a * (zeta(z, lat) - zeta(z - self.v, lat)) + self.b
+        """g at z from `jets` at order -1, one kernel call for z and z - v.
+        A 0-d z stays on Python's complex arithmetic, since numpy's scalar
+        products and quotients can round apart from it."""
+        s = self.jets(z, -1)[0]
+        return self.a * (s if np.ndim(z) else complex(s)) + self.b
 
     def jets(self, z, jmax: int):
         """zeta(z) - zeta(z - v) and the wp stacks at z and at z - v, on
@@ -734,9 +737,11 @@ def neck_point(st: GluingState, k: int, sign: str, w):
 def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     """g_k and the density of the glued form on layer k at the same
     points of that torus, from one pair of Weierstrass jets; two arrays
-    shaped like z, from the one row of the stored set."""
+    shaped like z, from the one row of the stored set.  z keeps its axes
+    in the kernel, so rows of z along its last axis whose imaginary parts
+    agree take the theta pass's one-column cosh/sinh step."""
     j = st.index_of(k)
-    za = np.asarray(z, dtype=complex).reshape(1, -1)
+    za = np.atleast_1d(np.asarray(z, dtype=complex))[None]
     gv, *parts = gauss_parts(st.tori[j].jets(za, st.n_max - 2), st._layers[j])
     return gv.reshape(np.shape(z)), glued_density(st, series.lam[j], *parts).reshape(np.shape(z))
 

@@ -8,8 +8,10 @@ int64 bytes, in a fixed order.  The solved parameters (every stored
 block and each step's residual history, with d_k, w_k and the rate of
 the pair), the lambda rows and the rPD mesh are hashed apart, so a
 change that moves lambda in its last bits alone re-records only its
-lambda digests.  The `oPa` and pair fixtures also count the points of
-their theta passes and trace their memory (`measured`).
+lambda digests; the rPD mesh's reports and its battery's findings are
+hashed apart from its vertices and faces.  The `oPa` and pair fixtures
+also count the points of their theta passes and trace their memory
+(`measured`).
 """
 
 import hashlib
@@ -21,7 +23,7 @@ import oracles
 from stackedmin import elliptic
 from stackedmin.asymptotics import decay_fit, pair_solve, upper_reference
 from stackedmin.configs import catalog
-from stackedmin.immersion import build_mesh
+from stackedmin.immersion import build_mesh, embeddedness_diagnostics
 from stackedmin.solver import newton_continuation
 
 
@@ -127,7 +129,36 @@ def test_mesh_rpd_lambda_digest(rpd):
         "3a3d244e4377418acce08480cf6e0cd7dc885b570e5ea01c3227b84907c699e8")
 
 
-def test_mesh_rpd_mesh_digest(rpd):
-    mesh = build_mesh(rpd.state, rpd.series)
-    assert _digest(mesh.raw, mesh.faces) == (
+def _mesh_reports(mesh) -> list:
+    """The mesh's loop, stitch, weld, wrap and drift defects and its
+    fluxes, each with its layer or neck indices; the battery's pairs and
+    min_n3 per slab; and the convex, simple, turning and height of each
+    slice."""
+    rep = mesh.reports
+    out = []
+    for key in ("loop_defect", "stitch_defect", "weld_defect", "wrap_continuity", "drift"):
+        out += [np.array(list(rep[key]), dtype=np.int64), np.array(list(rep[key].values()))]
+    out += [np.array(list(rep["flux"])), np.array(list(rep["flux"].values()))]
+    diag = embeddedness_diagnostics(mesh)
+    slabs = list(diag["intersections"])
+    out += [np.array(slabs), np.array([diag["intersections"][k]["pairs"] for k in slabs]),
+            np.array([diag["graph"][k]["min_n3"] for k in slabs])]
+    slices = diag["slices"].values()
+    out += [np.array([[s["convex"], s["simple"]] for s in slices], dtype=np.int64),
+            np.array([[s["turning"], s["height"]] for s in slices])]
+    return out
+
+
+@pytest.fixture(scope="module")
+def rpd_mesh(rpd):
+    return build_mesh(rpd.state, rpd.series)
+
+
+def test_mesh_rpd_mesh_digest(rpd_mesh):
+    assert _digest(rpd_mesh.raw, rpd_mesh.faces) == (
         "bc5254a515920bb14f28a69a6133865bc2792894ab22983dd05f5d7d06927f22")
+
+
+def test_mesh_rpd_reports_digest(rpd_mesh):
+    assert _digest(*_mesh_reports(rpd_mesh)) == (
+        "0c48ad4b0840950f5b19d7673cec76d77f7124200273b0b3154f9193de7a6513")

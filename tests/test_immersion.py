@@ -18,7 +18,7 @@ from stackedmin import elliptic, immersion
 from stackedmin.configs import Configuration, catalog
 from stackedmin.elliptic import PoleError, lattice_for
 from stackedmin.hecke import hecke_G, solve_G_equals_C
-from stackedmin.opening import GluingState, fix_omega, laurent_coeffs
+from stackedmin.opening import GluingState, TorusData, fix_omega, laurent_coeffs
 from stackedmin.solver import newton_continuation
 from stackedmin.immersion import (
     LAURENT_ORDER,
@@ -761,6 +761,100 @@ def test_sweep_matches_bucket_oracle(block, monkeypatch):
     assert {pair: pair in ref for pair in expected} == expected
 
 
+def _shared_vertex_soup():
+    """Bounding boxes that all contain the origin, and faces of which only
+    the last two share no vertex id.  Nine pairs share one id each, the
+    hub 0, in slot i of the first face and slot j of the second, one pair
+    per (i, j); one pair shares two ids.  Every face but the last holds
+    the hub and every face but the one before it holds id 1 or 2, so any
+    other two faces share an id."""
+    faces, fresh = [], iter(range(10, 100))
+    for i in range(3):
+        for j in range(3):
+            for hub, other in ((i, 1), (j, 2)):
+                face = [next(fresh)] * 3
+                face[hub], face[(hub + 1) % 3] = 0, other
+                faces.append(face)
+    faces += [[0, 1, next(fresh)], [2, 0, 1], [0, next(fresh), next(fresh)], [1, 2, 3]]
+    rng = np.random.default_rng(5)
+    lo = -rng.random((len(faces), 3))
+    return lo, lo + 1.0 + rng.random((len(faces), 3)), np.array(faces)
+
+
+@pytest.mark.parametrize("block", [immersion.BLOCK, 7])
+def test_sweep_drops_pairs_that_share_any_vertex_slot(block, monkeypatch):
+    """Of faces whose boxes all overlap, `_sweep_pairs` returns only the
+    pair that shares no vertex id, whichever slots the others share."""
+    monkeypatch.setattr(immersion, "BLOCK", block)
+    lo, hi, faces = _shared_vertex_soup()
+    nine = faces[:18].reshape(9, 2, 3)
+    assert all(len(set(a) & set(b)) == 1 for a, b in nine)
+    assert sorted((a.tolist().index(0), b.tolist().index(0)) for a, b in nine) == [
+        (i, j) for i in range(3) for j in range(3)]
+    assert len(set(faces[18]) & set(faces[19])) == 2
+    a, b = _sweep_pairs(lo, hi, faces)
+    assert list(zip(a.tolist(), b.tolist())) == [(len(faces) - 2, len(faces) - 1)]
+
+
+def test_in_rows_keeps_the_order_and_the_rows():
+    """`_in_rows` hands fn pieces of one row each, at most size points a
+    call, padded within their row, and returns fn's values in the order
+    of z."""
+    rng = np.random.default_rng(3)
+    row = rng.integers(0, 5, 40)
+    z = rng.random(40) + 1j * (row + 1)
+    for size in (3, 8, 64):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return np.stack([x, 2 * x], axis=-1)
+
+        out = immersion._in_rows(fn, z, row, size)
+        assert np.array_equal(out, np.stack([z, 2 * z], axis=-1))
+        assert all(x.ndim == 2 and x.size <= size for x in calls)
+        assert all(np.all(x.imag == x.imag[:, :1]) for x in calls)
+        assert sum(x.size for x in calls) >= len(z)
+
+
+def test_mesh_rows_take_the_one_column_step(rpd, monkeypatch):
+    """On the rPD mesh at t = 0.01 every theta pass of the edge quadrature
+    (`_edge_triples`) and of the kept mask (`TorusData.g`) runs on rows of
+    one imaginary part, so each of its terms takes the one-column
+    cosh/sinh step, and padding the cut rows keeps the mesh's theta points
+    within 5 % of the 152,424 of the flat layout."""
+    st, series = rpd
+    inside, steps, points = [], [], []
+    one_per_row, theta_sums = elliptic._one_per_row, elliptic._theta_sums
+
+    def rows(y):
+        got = one_per_row(y)
+        if inside:
+            steps.append(got)
+        return got
+
+    def counted(v, *args):
+        points.append(np.size(v))
+        return theta_sums(v, *args)
+
+    def entered(fn):
+        def run(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(elliptic, "_one_per_row", rows)
+    monkeypatch.setattr(elliptic, "_theta_sums", counted)
+    monkeypatch.setattr(immersion, "_edge_triples", entered(immersion._edge_triples))
+    monkeypatch.setattr(TorusData, "g", entered(TorusData.g))
+    build_mesh(st, series)
+    assert steps and all(steps)
+    assert abs(sum(points) - 152_424) <= 0.05 * 152_424
+
+
 def test_blocks_keep_the_mesh_and_the_battery(rpd, rpd_mesh, monkeypatch):
     """With BLOCK at 64, no `_diffs` call takes more than 64 points, the
     edge, sweep and triangle batches split many times over, and the rPD
@@ -770,7 +864,7 @@ def test_blocks_keep_the_mesh_and_the_battery(rpd, rpd_mesh, monkeypatch):
     sizes, diffs = [], immersion._diffs
 
     def counted(st, series, k, z):
-        sizes.append(len(z))
+        sizes.append(np.size(z))
         return diffs(st, series, k, z)
 
     monkeypatch.setattr(immersion, "_diffs", counted)
@@ -789,7 +883,7 @@ def test_geometry_transients_stay_bounded(rpd, rpd_mesh):
     """The edge walk and the battery take BLOCK points or pairs at a time,
     and the tree walk and the hole walk index edges instead of copying
     their steps and rows, so a layer at grid_res 128 (16k nodes) and the
-    battery on the rPD mesh (about 200k candidate pairs per slab) stay
+    battery on the rPD mesh (165k to 197k candidate pairs per slab) stay
     within a few MiB of their outputs."""
     st, series = rpd
     assert oracles.traced_peak_mib(integrate_layer, 0, st, series, grid_res=128) < 9

@@ -661,6 +661,7 @@ def test_fused_caches_match_multipass_recipe(name, K, k):
     assert np.array_equal(gv, T.g(z))
     g2, gp = T.g_and_gp(z)
     assert np.array_equal(g2, T.g(z))
+    assert isinstance(T.g(complex(z[3])), complex)
     assert np.array_equal(gp, oracles._gp_multipass(T, z))
     # a single point takes the array path: the bits of that point in z
     got = omega_eval(st, series, k, complex(z[3]))
