@@ -1,4 +1,4 @@
-"""Weierstrass functions and complete elliptic integrals on a torus C/(Z + tau Z).
+"""Weierstrass functions on a torus C/(Z + tau Z).
 
 Everything is evaluated through rapidly convergent nome series: the
 log-derivative of the odd theta function gives zeta, its next two
@@ -29,7 +29,6 @@ __all__ = [
     "lattice_coords",
     "reduce_centered",
     "torus_distance",
-    "elliptic_KE",
     "theta_star",
 ]
 
@@ -375,38 +374,11 @@ def xi_raw(w, lat: Lattice):
     return val if val.shape else complex(val)
 
 
-def elliptic_KE(m: float) -> tuple[float, float]:
-    """Complete elliptic integrals (K(m), E(m)) by the arithmetic-geometric mean.
-
-    Parameter convention: K(m) = int_0^(pi/2) dt / sqrt(1 - m sin^2 t).
-    Valid for 0 < m < 1.
-    """
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"parameter must lie in (0, 1), got {m}")
-    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
-    csum = 0.5 * c * c
-    n = 0
-    # hard cap: the AGM gains digits quadratically, 60 rounds is far past
-    # double precision even for m within 1e-15 of the endpoints
-    for n in range(1, 61):
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        csum += 2 ** (n - 1) * c * c
-        if c <= 1e-16 * a:
-            break
-    K = math.pi / (2.0 * a)
-    E = K * (1.0 - csum)
-    return K, E
-
-
 def theta_star() -> float:
-    """Rhombic-angle threshold 2*arctan(K(1-m)/K(m)) at the root of 2E = K."""
+    """Rhombic-angle threshold 2*arctan(K(1-m)/K(m)) at the root of 2E = K,
+    K and E the complete elliptic integrals of parameter m."""
     from scipy.optimize import brentq
+    from scipy.special import ellipe, ellipk
 
-    def h(m):
-        K, E = elliptic_KE(m)
-        return 2.0 * E - K
-
-    m = brentq(h, 1e-6, 1.0 - 1e-9, xtol=1e-15)
-    K, _ = elliptic_KE(m)
-    Kp, _ = elliptic_KE(1.0 - m)
-    return 2.0 * math.atan2(Kp, K)
+    m = brentq(lambda m: 2.0 * ellipe(m) - ellipk(m), 1e-6, 1.0 - 1e-9, xtol=1e-15)
+    return 2.0 * math.atan2(ellipk(1.0 - m), ellipk(m))

@@ -35,7 +35,7 @@ FIX_MAX_ITER = 500
 DEFAULT_N_MAX = 8
 CIRCLE_NODES = 256  # quadrature nodes of each contour circle
 JET_SETS = 3  # (tau, v) sets of any moduli of one n_terms per jet call
-SET_ROWS = 4  # rows per form, density and sum pass, across a run's sets
+SET_ROWS = 4  # moved rows per form, density and sum pass, across a run's sets
 CHART_MARGIN = 2.0  # charts are |1/g| < CHART_MARGIN * epsilon
 CHART_NEWTON = 40  # Newton steps of the chart inversion
 N_BUFFER = 3  # least number of clamped tail layers at each end of a window
@@ -277,7 +277,7 @@ def _set_runs(tori):
         yield from (group[i : i + JET_SETS] for i in range(0, len(group), JET_SETS))
 
 
-def _run_chunks(run, per: int = SET_ROWS):
+def _run_chunks(run, per: int):
     """The rows of a `_set_runs` run in its order, per at a time: each
     chunk's positions in that order and the set of each of its rows, a
     slice when they share one so that its points broadcast across them."""
@@ -378,8 +378,8 @@ class CircleCache:
 class LayerRows:
     """Parameter rows of one or more (tau, v) sets, with their form table
     and, while needed, their contour caches by side, all with a row axis.
-    `refresh` stores a one-row set per torus; the residual evaluator
-    takes chunks of stored sets (`_joined`) and of moved rows alike."""
+    `refresh` stores a one-row set per torus, which the residual
+    evaluator reads in place; moved rows go in chunks of several."""
 
     tori: list[TorusData]
     forms: FormTable
@@ -441,23 +441,6 @@ def _circle_chunk(st: "GluingState", sub, sel, sides, poles, dz) -> LayerRows:
         forms.values(1, dminus, out=fvals[1], sel=sel)
         circles[side] = CircleCache(dz=dz, g=gv, gp=gp, w0=s - xiv, fvals=fvals)
     return LayerRows(tori=sub, forms=forms, circles=circles)
-
-
-def _joined(sets: list, run):
-    """The stored one-row sets of the rows of a `_set_runs` run, in its
-    order, in the chunks that `_circle_sets` gives moved rows: each
-    chunk's positions, the set of each row, and its sets' form tables and
-    circles (without base and cols) joined along the row axis in one
-    `LayerRows`, a set alone as it is."""
-    for pos, sel in _run_chunks(run):
-        part = [sets[i] for i in pos]
-        yield pos, sel, part[0] if len(part) == 1 else LayerRows(
-            [lr.tori[0] for lr in part],
-            FormTable(*(np.concatenate([getattr(lr.forms, name) for lr in part], axis=-1)
-                        for name in ("coeffs", "eta", "mu"))),
-            {side: CircleCache(part[0].circles[side].dz, *(
-                np.concatenate([getattr(lr.circles[side], name) for lr in part], axis=-2)
-                for name in ("g", "gp", "w0", "fvals"))) for side in ("node", "zero")})
 
 
 def _add_matching(cc: CircleCache, n_max: int, rho: float) -> None:

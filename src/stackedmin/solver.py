@@ -19,8 +19,8 @@ from .opening import (
     OmegaSeries,
     TorusData,
     _circle_sets,
-    _joined,
     _point_sets,
+    _run_chunks,
     _set_runs,
     fix_omega,
     gauss_parts,
@@ -139,12 +139,13 @@ def _block_residual(st, series, ks, tori=None):
     the layer's stored torus with its stored `LayerRows`.  Pairs with
     equal blocks share a distinct row, and the distinct rows go one
     `_set_runs` run at a time, so each (tau, v) is evaluated once and one
-    run's jets are held.  The run's rows go in `_run_chunks`, stored sets
-    joined (`_joined`) and moved rows built by one `_circle_sets` pass.  A
-    chunk's circles give the E and Gbal of each layer on it and go; the
-    paths read its form table.  Lambda rows and parities enter last, per
-    layer.  Array stages are elementwise along rows or reduce along
-    nodes, so each pair has the bits of its layer evaluated alone."""
+    run's jets are held.  A stored row is read where the refresh keeps it,
+    its layer's one-row set; moved rows go in `_run_chunks`, built by one
+    `_circle_sets` pass.  A chunk's circles give the E and Gbal of each
+    layer on it and go; the paths read its form table.  Lambda rows and
+    parities enter last, per layer.  Array stages are elementwise along
+    rows or reduce along nodes, so each pair has the bits of its layer
+    evaluated alone."""
     stored = tori is None
     tori = [st.torus(k) for k in ks] if stored else tori
     by_block = {}
@@ -155,11 +156,11 @@ def _block_residual(st, series, ks, tori=None):
     out = np.empty((len(ks), 4), dtype=complex)
     for run in _set_runs(distinct):
         us = [u for rows in run for u in rows]
-        if stored:
-            layers = [st._layers[st.index_of(ks[pairs_of[u][0]])] for u in us]
+        chunks = (((pos, sel, st._layers[st.index_of(ks[pairs_of[us[pos[0]]][0]])])
+                   for pos, sel in _run_chunks(run, 1)) if stored
+                  else _circle_sets(st, [distinct[u] for u in us]))
         held = []
-        for pos, sel, rows in (_joined(layers, run) if stored
-                               else _circle_sets(st, [distinct[u] for u in us])):
+        for pos, sel, rows in chunks:
             groups = _by_layer(ks, [pairs_of[us[i]] for i in pos])
             for k, p, at in groups:
                 out[p, 0], out[p, 3] = _circle_residuals(st, series, k, rows, at)

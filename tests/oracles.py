@@ -96,14 +96,6 @@ def invariants_lattice_sum(tau: complex, radius: float = 150.0) -> tuple[complex
     return complex(g2), complex(g3)
 
 
-def K_quadrature(m: float) -> float:
-    """Complete elliptic integral K(m) by adaptive quadrature."""
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda t: 1.0 / np.sqrt(1.0 - m * np.sin(t) ** 2), 0.0, np.pi / 2, epsabs=1e-13)
-    return val
-
-
 def second_kind_alpha_oracle(st, k: int, n: int, points,
                              n_contour: int = 128, n_alpha: int = 128):
     """First-cycle-normalized neck form density by pairing integrals.

@@ -200,12 +200,13 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
 @pytest.fixture(scope="module")
 def wide_windows():
     """K = 8 window solves of defects by (name, t), solved once per module:
-    every catalog defect but twin-rPD at t = 0.01, and twin-rPD and rPD-H
-    at t = 0.04."""
+    every catalog defect but twin-rPD at t = 0.01, and twin-rPD, rPD-H,
+    oPa-oCLP and oPa-oDelta at t = 0.04."""
     return {(name, t): newton_continuation(catalog(name, K=1), t, K=8)
             for name, t in (("rPD-H", 0.01), ("oPa-oDelta", 0.01), ("oPa-oCLP", 0.01),
                             ("H-H-shift", 0.01), ("oCLP-rot-twin", 0.01),
-                            ("twin-rPD", 0.04), ("rPD-H", 0.04))}
+                            ("twin-rPD", 0.04), ("rPD-H", 0.04), ("oPa-oCLP", 0.04),
+                            ("oPa-oDelta", 0.04))}
 
 
 @pytest.mark.parametrize("pair, name, t, Ks", [
@@ -214,6 +215,9 @@ def wide_windows():
     pytest.param("wide_windows", "rPD-H", 0.01, (1, 2, 3), id="K8-rPD-H"),
     pytest.param("wide_windows", "oPa-oDelta", 0.01, (1, 2, 3), id="K8-oPa-oDelta"),
     pytest.param("wide_windows", "twin-rPD", 0.04, (1, 2), id="K8-twin-rPD-t0.04"),
+    pytest.param("wide_windows", "rPD-H", 0.04, (1, 2), id="K8-rPD-H-t0.04"),
+    pytest.param("wide_windows", "oPa-oCLP", 0.04, (1, 2), id="K8-oPa-oCLP-t0.04"),
+    pytest.param("wide_windows", "oPa-oDelta", 0.04, (1, 2), id="K8-oPa-oDelta-t0.04"),
 ])
 def test_window_half_width_does_not_move_the_layers(pair, name, t, Ks, request):
     """With the chart radius of the wide window (a pair's defect state, or

@@ -1,4 +1,3 @@
-import math
 import re
 import warnings
 
@@ -14,7 +13,6 @@ from stackedmin.elliptic import (
     TorusPoint,
     _one_per_row,
     _theta_sums,
-    elliptic_KE,
     lattice_coords,
     reduce_centered,
     theta_star,
@@ -421,24 +419,15 @@ def test_torus_distance_takes_arrays(tau):
     assert np.array_equal(got.ravel().view(np.int64), np.array(ref).view(np.int64))
 
 
-def test_elliptic_KE_limits_and_quadrature():
-    K, E = elliptic_KE(1e-12)
-    assert abs(K - math.pi / 2) < 1e-10
-    assert abs(E - math.pi / 2) < 1e-10
-    K, E = elliptic_KE(0.5)
-    assert abs(K - oracles.K_quadrature(0.5)) < 1e-11
-    assert K > E
-
-
-def test_elliptic_KE_domain():
-    with pytest.raises(ValueError):
-        elliptic_KE(0.0)
-    with pytest.raises(ValueError):
-        elliptic_KE(1.0)
-
-
 def test_theta_star_value():
-    assert abs(theta_star() - 1.23409) < 1e-4
+    """theta* = 2 atan(K(1 - m)/K(m)) at the root m of 2 E(m) = K(m),
+    against mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        m = mp.findroot(lambda m: 2 * mp.ellipe(m) - mp.ellipk(m), (0.8, 0.85),
+                        solver="anderson")
+        ref = 2 * mp.atan(mp.ellipk(1 - m) / mp.ellipk(m))
+    assert abs(theta_star() - float(ref)) < 1e-13
 
 
 def test_determinism_bit_identical():

@@ -486,6 +486,28 @@ def test_grouped_pass_matches_layer_by_layer(defect, moved):
                 assert x.shape == y.shape and np.array_equal(x, y), (j, side, name_)
 
 
+@pytest.mark.parametrize("state", [
+    lambda: central("rPD", 0.01),
+    lambda: GluingState.central(catalog("twin-rPD", K=2), 0.01, K=2),
+], ids=["rPD", "twin-rPD-K2"])
+def test_stored_residual_reads_the_state_sets_in_place(state, monkeypatch):
+    """A full residual reads each stored torus's one-row set where the
+    refresh keeps it: every set that the circle stage gets is one of the
+    state's, not a copy joined from them."""
+    st = state()
+    series = fix_omega(st)
+    seen, circle_residuals = [], solver._circle_residuals
+
+    def wrapped(st_, series_, k, rows, at):
+        seen.append(rows)
+        return circle_residuals(st_, series_, k, rows, at)
+
+    monkeypatch.setattr(solver, "_circle_residuals", wrapped)
+    full_residual(st, series)
+    in_place = [any(rows is lr for lr in st._layers) for rows in seen]
+    assert in_place and all(in_place), in_place
+
+
 def test_jacobian_pass_memory_stays_bounded():
     """One _fd_blocks over the 17 active layers of the twin-rPD K = 8
     window at t = 0.01 holds one run of jets and the per-row arrays of
