@@ -188,16 +188,6 @@ class TorusPoint:
         return cls(z=x + y * lat.tau, x=x, y=y)
 
 
-def _one_per_row(y) -> bool:
-    """Whether each row of y along the last axis holds one non-zero value.
-    The ends of the first row are compared first, two scalar reads that
-    settle most other arrays."""
-    if y.ndim == 0 or y.size == 0 or y.flat[0] != y.flat[y.shape[-1] - 1]:
-        return False
-    first = y[..., :1]
-    return bool(np.all(first != 0) and np.all(y == first))
-
-
 def _theta_sums(v, q, n_terms: int, kmax: int):
     """Partial sums u_k = sum (-1)^n q^(n(n+1)) (2n+1)^k trig((2n+1)v).
 
@@ -233,39 +223,42 @@ def _theta_sums(v, q, n_terms: int, kmax: int):
     whose pass reaches past it.  x and y are taken from w itself, since
     building them by real products could flip the sign of a zero.
 
-    A row of w along the last axis whose imaginary parts are all equal
-    and non-zero, as on the alpha period path, holds one argument
-    DBL_MIN + iy bit for bit (equal non-zero floats share their bits), so
-    that step runs on one column and broadcasts along the row.  A zero
-    imaginary part is left out, since +0 and -0 compare equal.
+    Each term takes cosh y and sinh y once per distinct y.  Im w_n =
+    (2n+1) Im v + 0 Re v, so entries whose Im w bits agree at n = 0
+    agree at every n, signed zeros included.  The entries are grouped
+    once by those bits; each term takes the complex sin at one entry per
+    group, with y read from w at the group's first entry, and gathers
+    cosh y and sinh y back to every entry.
     """
     v = np.asarray(v, dtype=complex)
     nomes, col = np.ravel(q).tolist(), np.shape(q)  # Python complex scalars
-    out = [np.zeros(v.shape, dtype=complex) for _ in range(kmax + 1)]
-    arg = np.empty(v.shape, dtype=complex)
+    w = np.empty(v.shape, dtype=complex)
+    np.multiply(1, v, out=w)  # the first term, whose Im bits group the entries
+    _, first, group = np.unique(w.imag.view(np.int64), return_index=True, return_inverse=True)
+    group = group.reshape(v.shape)
+    arg = np.empty(first.shape, dtype=complex)
     arg.real = _DBL_MIN
+    h = np.empty(first.shape, dtype=complex)
+    out = [np.zeros(v.shape, dtype=complex) for _ in range(kmax + 1)]
     hyp = np.empty(v.shape, dtype=complex)
     sin_x = np.empty(v.shape)
     cos_x = np.empty(v.shape)
     sin_w = np.empty(v.shape, dtype=complex)
     cos_w = np.empty(v.shape, dtype=complex)
     term = np.empty(v.shape, dtype=complex)
-    w = np.empty(v.shape, dtype=complex)
     sign = 1.0
     for n in range(n_terms):
         np.multiply(2 * n + 1, v, out=w)
-        y = w.imag
-        cols = np.s_[..., :1] if _one_per_row(y) else np.s_[...]
-        a, h = arg[cols], hyp[cols]
-        a.imag = y[cols]
-        np.sin(a, out=h)
+        arg.imag = w.imag.reshape(-1)[first]
+        np.sin(arg, out=h)
         np.multiply(h.real, _INV_DBL_MIN, out=h.real)  # (cosh y, sinh y)
+        np.take(h, group, out=hyp, mode="clip")
         np.sin(w.real, out=sin_x)
         np.cos(w.real, out=cos_x)
-        np.multiply(h.real, sin_x, out=sin_w.real)
-        np.multiply(h.imag, cos_x, out=sin_w.imag)
-        np.multiply(h.real, cos_x, out=cos_w.real)
-        np.multiply(h.imag, sin_x, out=cos_w.imag)
+        np.multiply(hyp.real, sin_x, out=sin_w.real)
+        np.multiply(hyp.imag, cos_x, out=sin_w.imag)
+        np.multiply(hyp.real, cos_x, out=cos_w.real)
+        np.multiply(hyp.imag, sin_x, out=cos_w.imag)
         np.negative(cos_w.imag, out=cos_w.imag)
         qf = [sign * nome ** (n * (n + 1)) for nome in nomes]
         for k in range(kmax + 1):

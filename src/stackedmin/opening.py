@@ -720,11 +720,9 @@ def neck_point(st: GluingState, k: int, sign: str, w):
 def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     """g_k and the density of the glued form on layer k at the same
     points of that torus, from one pair of Weierstrass jets; two arrays
-    shaped like z, from the one row of the stored set.  z keeps its axes
-    in the kernel, so rows of z along its last axis whose imaginary parts
-    agree take the theta pass's one-column cosh/sinh step."""
+    shaped like z, from the one row of the stored set."""
     j = st.index_of(k)
-    za = np.atleast_1d(np.asarray(z, dtype=complex))[None]
+    za = np.asarray(z, dtype=complex).reshape(1, -1)
     gv, *parts = gauss_parts(st.tori[j].jets(za, st.n_max - 2), st._layers[j])
     return gv.reshape(np.shape(z)), glued_density(st, series.lam[j], *parts).reshape(np.shape(z))
 

@@ -22,6 +22,7 @@ from stackedmin.asymptotics import (
     upper_reference,
 )
 from oracles import differential_rows, supercell, tpms_comparison
+from write_goldens import FOOTPRINT_TS, PATH, WINDOWS, assert_held, footprint, record, window
 
 DEFECT_NAMES = ("twin-rPD", "oPa-oCLP", "oCLP-rot-twin", "oPa-oDelta")
 
@@ -201,12 +202,42 @@ def test_paired_windows_share_geometry(twin_pair, cross_pair):
 def wide_windows():
     """K = 8 window solves of defects by (name, t), solved once per module:
     every catalog defect but twin-rPD at t = 0.01, and twin-rPD, rPD-H,
-    oPa-oCLP and oPa-oDelta at t = 0.04."""
-    return {(name, t): newton_continuation(catalog(name, K=1), t, K=8)
-            for name, t in (("rPD-H", 0.01), ("oPa-oDelta", 0.01), ("oPa-oCLP", 0.01),
-                            ("H-H-shift", 0.01), ("oCLP-rot-twin", 0.01),
-                            ("twin-rPD", 0.04), ("rPD-H", 0.04), ("oPa-oCLP", 0.04),
-                            ("oPa-oDelta", 0.04))}
+    oPa-oCLP and oPa-oDelta at t = 0.04 (`write_goldens.WINDOWS`)."""
+    return {(name, t): window(name, t) for name, t in WINDOWS}
+
+
+def test_wide_windows_hold_their_goldens(wide_windows):
+    """Each K = 8 window keeps its blocks within NEWTON_TOL of the goldens
+    of `tests/write_goldens.py`, tails included, and no step takes more
+    Newton iterations."""
+    goldens = json.loads(PATH.read_text())["windows"]
+    assert len(goldens) == len(wide_windows) == 9
+    for (name, t), rep in wide_windows.items():
+        assert_held(record(rep), goldens[f"{name}@{t}"], (name, t))
+
+
+@pytest.fixture(scope="module")
+def footprints():
+    """d_0 and w_0 of the K = 8 twin-rPD pair by t over FOOTPRINT_TS."""
+    return {t: footprint(t) for t in FOOTPRINT_TS}
+
+
+def test_defect_footprint_holds_its_goldens(footprints):
+    """d_0 and w_0 stay within 1e-3 relative of their goldens."""
+    goldens = json.loads(PATH.read_text())["footprint"]
+    for t, got in footprints.items():
+        for key in ("d0", "w0"):
+            want = goldens[str(t)][key]
+            assert abs(got[key] - want) < 1e-3 * want, (t, key, got[key], want)
+
+
+def test_defect_footprint_scales_like_t_to_the_sixth(footprints):
+    """The defect's own layer moves by t^6: log d_0 and log w_0 against
+    log t over t = 0.02, 0.03, 0.04 have slopes 6.02 within 0.2 of 6."""
+    log_t = np.log(list(footprints))
+    for key in ("d0", "w0"):
+        slope = np.polyfit(log_t, np.log([f[key] for f in footprints.values()]), 1)[0]
+        assert 5.8 <= slope <= 6.2, (key, slope)
 
 
 @pytest.mark.parametrize("pair, name, t, Ks", [

@@ -27,8 +27,8 @@ from stackedmin import elliptic
 from stackedmin.asymptotics import decay_fit, pair_solve, upper_reference
 from stackedmin.configs import catalog
 from stackedmin.immersion import build_mesh, embeddedness_diagnostics
-from stackedmin.solver import NEWTON_TOL, newton_continuation
-from write_goldens import PATH, record
+from stackedmin.solver import newton_continuation
+from write_goldens import PATH, assert_held, record
 
 
 def _digest(*arrays) -> str:
@@ -133,22 +133,6 @@ def test_mesh_rpd_lambda_digest(rpd):
         "3a3d244e4377418acce08480cf6e0cd7dc885b570e5ea01c3227b84907c699e8")
 
 
-def _assert_held(got: dict, golden: dict, where=()):
-    """Every block of a `write_goldens.record` within NEWTON_TOL of its
-    golden, and no step with more Newton iterations, tails included."""
-    assert got.keys() == golden.keys(), where
-    for key, want in golden.items():
-        if key == "blocks":
-            assert np.shape(got[key]) == np.shape(want), where
-            gap = np.max(np.abs(np.subtract(got[key], want)))
-            assert gap <= NEWTON_TOL, (where, gap)
-        elif key == "iterations":
-            assert len(got[key]) == len(want), where
-            assert all(np.less_equal(got[key], want)), (where, got[key], want)
-        else:
-            _assert_held(got[key], want, where + (key,))
-
-
 @pytest.mark.parametrize("fixture, name", [("opa", "oPa"), ("pair", "pair"), ("rpd", "rPD")])
 def test_solves_hold_their_goldens(fixture, name, request):
     """The solved blocks and iteration counts of the three workloads stay
@@ -160,7 +144,7 @@ def test_solves_hold_their_goldens(fixture, name, request):
         got = {"reference": record(reference), "defect": record(defect)}
     else:
         got = record(rep)
-    _assert_held(got, json.loads(PATH.read_text())[name])
+    assert_held(got, json.loads(PATH.read_text())[name])
 
 
 def _mesh_reports(mesh) -> list:

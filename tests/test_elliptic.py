@@ -11,7 +11,6 @@ from stackedmin.elliptic import (
     Lattice,
     PoleError,
     TorusPoint,
-    _one_per_row,
     _theta_sums,
     lattice_coords,
     reduce_centered,
@@ -201,9 +200,11 @@ def _theta_args(tau):
 
 def _row_args(tau):
     """Arguments whose rows along the last axis share one imaginary part:
-    the alpha period path's (sets, 2, 512) of pi times reduced points (the
-    one-column cosh/sinh step), rows at +0 and -0 with real parts of both
-    signs, a row and an array that differ in one entry, 0-d and 1-D."""
+    the alpha period path's (sets, 2, 512) of pi times reduced points,
+    rows at +0 and -0 with real parts of both signs, a row and an array
+    that differ in one entry, 0-d and 1-D; then the same imaginary parts
+    scattered: the path shuffled by a fixed permutation and transposed,
+    and the +-0 rows interleaved with a row of one non-zero part."""
     s = (np.arange(512) + 0.5) / 512
     base = np.array([0.31 + 0.4 * tau, -0.2 + 0.1 * tau, 0.45 - 0.3 * tau])[:, None, None]
     v = np.array([0.1 + 0.2 * tau, 0.3 - 0.1 * tau, 0.2 + 0.3 * tau])[:, None, None]
@@ -215,17 +216,18 @@ def _row_args(tau):
     off = row.copy()
     off[2] += 1e-3j
     mixed = np.stack([row, row + 0.5j, off])
-    assert _one_per_row(path.imag) and _one_per_row(np.stack([row, row + 0.5j]).imag)
-    assert not any(_one_per_row(a.imag) for a in (zeros, off, mixed))
-    return [path, zeros, zeros[1], row, off, mixed, complex(row[0]), np.asarray(row[1])]
+    shuffled = path.reshape(-1)[np.random.default_rng(11).permutation(path.size)]
+    interleaved = np.stack([zeros[0], row, zeros[1], zeros[2], row], axis=-1).reshape(-1)
+    return [path, zeros, zeros[1], row, off, mixed, complex(row[0]), np.asarray(row[1]),
+            shuffled.reshape(path.shape), path.T, interleaved]
 
 
 @pytest.mark.parametrize("tau", MPMATH_TAUS + [41j, 0.1j])
 def test_theta_pass_matches_complex_trig(tau):
     """The shared-factor pass is the complex-sin/cos pass bit for bit,
     signed zeros included, and keeps its shapes and scalar types; the
-    flat moduli cover a long series, and rows of one imaginary part take
-    cosh and sinh on one column with the same bits."""
+    flat moduli cover a long series, and entries of one imaginary part,
+    in rows or scattered, share cosh and sinh with the same bits."""
     lat = Lattice(tau)
     if tau in (0.15j, 0.1j):
         assert lat.n_terms == {0.15j: 11, 0.1j: 14}[tau]

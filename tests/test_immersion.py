@@ -796,63 +796,37 @@ def test_sweep_drops_pairs_that_share_any_vertex_slot(block, monkeypatch):
     assert list(zip(a.tolist(), b.tolist())) == [(len(faces) - 2, len(faces) - 1)]
 
 
-def test_in_rows_keeps_the_order_and_the_rows():
-    """`_in_rows` hands fn pieces of one row each, at most size points a
-    call, padded within their row, and returns fn's values in the order
-    of z."""
-    rng = np.random.default_rng(3)
-    row = rng.integers(0, 5, 40)
-    z = rng.random(40) + 1j * (row + 1)
-    for size in (3, 8, 64):
-        calls = []
-
-        def fn(x):
-            calls.append(x)
-            return np.stack([x, 2 * x], axis=-1)
-
-        out = immersion._in_rows(fn, z, row, size)
-        assert np.array_equal(out, np.stack([z, 2 * z], axis=-1))
-        assert all(x.ndim == 2 and x.size <= size for x in calls)
-        assert all(np.all(x.imag == x.imag[:, :1]) for x in calls)
-        assert sum(x.size for x in calls) >= len(z)
-
-
-def test_mesh_rows_take_the_one_column_step(rpd, monkeypatch):
-    """On the rPD mesh at t = 0.01 every theta pass of the edge quadrature
-    (`_edge_triples`) and of the kept mask (`TorusData.g`) runs on rows of
-    one imaginary part, so each of its terms takes the one-column
-    cosh/sinh step, and padding the cut rows keeps the mesh's theta points
-    within 5 % of the 152,424 of the flat layout."""
+def test_mesh_takes_one_complex_sin_per_distinct_imaginary_part(rpd, monkeypatch):
+    """The rPD mesh at t = 0.01 sends its 152,424 grid and edge points
+    through the theta pass as they lie, and no term of a pass takes the
+    complex sin (its cosh/sinh step) of more values than the pass's
+    argument has distinct Im bit patterns: 14,562 in all, since a grid
+    row and the nodes of its edges share their imaginary parts."""
     st, series = rpd
-    inside, steps, points = [], [], []
-    one_per_row, theta_sums = elliptic._one_per_row, elliptic._theta_sums
+    passes, theta_sums = [], elliptic._theta_sums
 
-    def rows(y):
-        got = one_per_row(y)
-        if inside:
-            steps.append(got)
-        return got
+    class Counting:
+        """numpy, with the sizes of the complex sin calls recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sin(self, x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                passes[-1][1].append(np.size(x))
+            return np.sin(x, *args, **kwargs)
 
     def counted(v, *args):
-        points.append(np.size(v))
+        w = np.multiply(1, np.asarray(v, dtype=complex))
+        passes.append((np.size(v), [], len(np.unique(np.imag(w).view(np.int64)))))
         return theta_sums(v, *args)
 
-    def entered(fn):
-        def run(*args, **kwargs):
-            inside.append(fn)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside.pop()
-        return run
-
-    monkeypatch.setattr(elliptic, "_one_per_row", rows)
+    monkeypatch.setattr(elliptic, "np", Counting())
     monkeypatch.setattr(elliptic, "_theta_sums", counted)
-    monkeypatch.setattr(immersion, "_edge_triples", entered(immersion._edge_triples))
-    monkeypatch.setattr(TorusData, "g", entered(TorusData.g))
     build_mesh(st, series)
-    assert steps and all(steps)
-    assert abs(sum(points) - 152_424) <= 0.05 * 152_424
+    assert sum(size for size, _, _ in passes) == 152_424
+    assert all(sins and max(sins) <= distinct for _, sins, distinct in passes)
+    assert sum(distinct for _, _, distinct in passes) < 152_424 / 10
 
 
 def test_blocks_keep_the_mesh_and_the_battery(rpd, rpd_mesh, monkeypatch):
