@@ -66,22 +66,22 @@ LAYER, NECK_PLUS, NECK_MINUS = 0, 1, 2  # face part codes
 
 class LoopResidualError(RuntimeError):
     """A contractible loop of the cut layer grid picked up a position
-    defect above LOOP_TOL.  finer is the defect on the grid of twice the
-    resolution: a quadrature defect falls by LOOP_GAIN or more there, and
+    defect above LOOP_TOL.  finer is the defect on a finer grid, of
+    finer_res: a quadrature defect falls by LOOP_GAIN or more there, and
     the message then advises a finer grid; a defect that stays means the
     periods of the layer do not close, so the state is not balanced."""
 
     def __init__(self, residual: float, k: int, t: float, grid_res: int,
-                 finer: float):
+                 finer: float, finer_res: int):
         if finer * LOOP_GAIN <= residual:
-            advice = f"use a finer grid ({finer:.2e} at grid_res={2 * grid_res})"
+            advice = f"use a finer grid ({finer:.2e} at grid_res={finer_res})"
         else:
-            advice = (f"it stays at {finer:.2e} at grid_res={2 * grid_res}, so the "
+            advice = (f"it stays at {finer:.2e} at grid_res={finer_res}, so the "
                       f"periods of layer k={k} do not close: the state is not balanced")
         super().__init__(f"layer k={k} at t={t:g}, grid_res={grid_res}: loop residual "
                          f"{residual:.2e} exceeds {LOOP_TOL:.0e}; {advice}")
         self.residual, self.k, self.t, self.grid_res = residual, k, t, grid_res
-        self.finer = finer
+        self.finer, self.finer_res = finer, finer_res
 
 
 class CoefficientDecayError(RuntimeError):
@@ -545,20 +545,28 @@ def integrate_layer(k: int, st: GluingState, series: OmegaSeries,
     wrapped grid graph (`_grid_walk`).  Nodes within the kernel's pole
     radius of a chart center are cut before g is evaluated.  A non-tree
     edge closes a loop; its position defect past LOOP_TOL raises
-    LoopResidualError, with the doubled grid's defect to tell a coarse
-    grid from an unbalanced state.  Seam rings at |1/g| = epsilon follow
-    the neck Laurent arc from the spoke-0 anchor, and their worst gap to
-    the direct tree route is the stitch defect.  Each seam band is zipped
-    to the jagged cut, its notches cut as ears, then flipped to Delaunay
-    in the z-plane.  A grid too coarse for the cut raises MeshTopologyError.
+    LoopResidualError, with the defect of the doubled grid (doubled again,
+    at most to GRID_RES, while it has not fallen by LOOP_GAIN) to tell a
+    coarse grid from an unbalanced state.  Seam rings at |1/g| = epsilon
+    follow the neck Laurent arc from the spoke-0 anchor, and their worst
+    gap to the direct tree route is the stitch defect.  Each seam band is
+    zipped to the jagged cut, its notches cut as ears, then flipped to
+    Delaunay in the z-plane.  A grid too coarse for the cut raises
+    MeshTopologyError.
     """
     T = st.torus(k)
     n = grid_res
     vid, kept_z, triples, alpha, beta, centers_cell, loop_defect = \
         _grid_walk(k, st, series, n)
     if loop_defect > LOOP_TOL:
-        raise LoopResidualError(loop_defect, k, st.t, n,
-                                _grid_walk(k, st, series, 2 * n)[-1])
+        # a coarse grid can sit before the quadrature's fall, so the grid
+        # doubles until its defect falls by LOOP_GAIN, at most to GRID_RES
+        finer_res = 2 * n
+        finer = _grid_walk(k, st, series, finer_res)[-1]
+        while finer * LOOP_GAIN > loop_defect and finer_res < GRID_RES:
+            finer_res = min(2 * finer_res, GRID_RES)
+            finer = _grid_walk(k, st, series, finer_res)[-1]
+        raise LoopResidualError(loop_defect, k, st.t, n, finer, finer_res)
     nkept = len(kept_z)
 
     # duplicated boundary rows at i=n, j=n so faces close across the wrap

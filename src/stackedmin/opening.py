@@ -34,7 +34,8 @@ FIX_TOL = 1e-12
 FIX_MAX_ITER = 500
 DEFAULT_N_MAX = 8
 CIRCLE_NODES = 256  # quadrature nodes of each contour circle
-JET_SETS = 3  # (tau, v) sets of any moduli of one n_terms per jet call
+JET_SETS = 5  # (tau, v) sets of any moduli of one n_terms per jet call, the most
+# that keeps the Jacobian pass below its traced-memory bound (tests/run_width.py)
 SET_ROWS = 4  # moved rows per form, density and sum pass, across a run's sets
 CHART_MARGIN = 2.0  # charts are |1/g| < CHART_MARGIN * epsilon
 CHART_NEWTON = 40  # Newton steps of the chart inversion
@@ -107,8 +108,8 @@ class TorusData:
         """zeta(z) - zeta(z - v) and the wp stacks at z and at z - v, on
         the lattice of this torus: `_point_sets` on a set of one,
         bit-identical to two array calls."""
-        _, s, d_z, d_zv = _point_sets([self], [[0]], lambda T: z, jmax)
-        return s[0], d_z[:, 0], d_zv[:, 0]
+        _, s, d, _ = _point_sets([self], [[0]], lambda T: z, jmax)
+        return s[0], d[:, 0, 0], d[:, 0, 1]
 
     def g_and_gp(self, z):
         """g and g' = a*(wp(z - v) - wp(z)) from one pair of jets."""
@@ -219,13 +220,11 @@ class FormTable:
     eta: np.ndarray
     mu: np.ndarray
 
-    def values(self, s: int, derivs, out=None, sel=slice(None)):
+    def values(self, s: int, derivs, out=None):
         """Densities of all orders of sign s, one row per parameter row of
         the table, shape (n_max-1, rows) + the point shape, from the wp
-        stack at z - pole of a run's sets, (jmax+1, sets) + the point
-        shape.  Row r reads set sel[r], or every row the one set of a
-        slice sel; each order's jet is gathered inside the loop, so no
-        per-row copy of the stack is held.
+        stack at z - pole, (n_max-1, rows) + the point shape, one row per
+        parameter row or one that every row reads (`_wp_stack`).
 
         The loop over the coefficient index updates only the rows of the
         orders it reaches, so each form sums its terms in its own order.
@@ -234,9 +233,9 @@ class FormTable:
         c = self.coeffs[s]
         # one entry per order, the row axis, then the point axes of z
         row = (-1,) + c.shape[2:] + (1,) * (np.ndim(derivs) + 1 - c.ndim)
-        val = np.multiply(c[:, 0].reshape(row), derivs[0][sel], out=out)
+        val = np.multiply(c[:, 0].reshape(row), derivs[0], out=out)
         for m in range(1, len(c)):
-            val[m:] += c[m:, m].reshape(row) * derivs[m][sel]
+            val[m:] += c[m:, m].reshape(row) * derivs[m]
         val += self.eta[s].reshape(row)
         val += self.mu[s].reshape(row)
         return val
@@ -291,14 +290,16 @@ def _run_chunks(run, per: int):
 def _point_sets(tori, run, points, jmax: int, held=None, keep=False):
     """The points of the sets of one `_set_runs` run of row tori, from
     any layers and moduli and of any shape, s = zeta(z) - zeta(z - v),
-    and the wp stacks at z and z - v, all with a leading set axis: one
-    `weierstrass_jet` call over the lattices of the run, bit-identical to
-    a call per set.
+    the wp stack at z and z - v to order jmax, (jmax + 1, sets, 2) + the
+    point shape, and the g2/2 of each set: one `weierstrass_jet` call over
+    the lattices of the run, bit-identical to a call per set.  The runs
+    of the solver ask for jmax = 1 and build the orders above wp' where a
+    chunk of rows reads them (`_wp_stack`).
 
     held, a dict of one kind of points (`GluingState.holding_jets`), maps
     the (tau, v) bytes of a set to its s and its wp and wp' at z and
-    z - v.  A set found there takes them, and its higher orders from
-    `elliptic._wp_orders`, the kernel's own recurrence; the others go to
+    z - v, as this returns them at jmax = 1, so only jmax = 1 reads or
+    keeps it.  A set found there takes them; the others go to
     `weierstrass_jet`, and with keep each of them is added to held."""
     heads = [tori[rows[0]] for rows in run]
     z = np.stack([np.asarray(points(T)) for T in heads])
@@ -317,12 +318,26 @@ def _point_sets(tori, run, points, jmax: int, held=None, keep=False):
             zeta, d[:, todo] = weierstrass_jet(zz[todo], [heads[i].lattice for i in todo], jmax)
             s[todo] = zeta[:, 0] - zeta[:, 1]
         for i in found:
-            s[i], d[:2, i] = held[keys[i]]
-            _wp_orders(d[:, i], heads[i].lattice.g2 / 2.0)
+            s[i], d[:, i] = held[keys[i]]
     if keep and held is not None:
         for i in todo:  # copies, so the run's stack is not kept alive
-            held[keys[i]] = s[i].copy(), d[:2, i].copy()
-    return z, s, d[:, :, 0], d[:, :, 1]
+            held[keys[i]] = s[i].copy(), d[:, i].copy()
+    return z, s, d, np.array([T.lattice.g2 / 2.0 for T in heads])
+
+
+def _wp_stack(low, half_g2, sel, jmax: int):
+    """wp, wp', ..., wp^(jmax) at the rows sel of a run's sets, from their
+    orders up to min(jmax, 1), (orders, sets) + any shape, and the g2/2
+    of each set (`_point_sets`): row r reads set sel[r], or the one set
+    of a slice sel.  The orders above come from `elliptic._wp_orders` on
+    the gathered rows, each with its set's g2/2; every step is
+    elementwise, so each row has the bits of the kernel's stack on its
+    own lattice."""
+    low = low[:, sel]
+    out = np.empty((jmax + 1,) + low.shape[1:], dtype=complex)
+    out[: len(low)] = low
+    _wp_orders(out, half_g2[sel].reshape((-1,) + (1,) * (low.ndim - 2)))
+    return out
 
 
 def _build_forms(tori, n_max: int, dz, circles: dict) -> FormTable:
@@ -394,19 +409,19 @@ def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS, keep: bool = Fals
     `LayerRows`.
 
     The sets of a run take one jet call per circle (`_point_sets`), and
-    one run's jets are held at a time.  Every scalar stage (b, xi_raw(v),
-    the products with eta1) runs row by row and the array stages are
-    elementwise, so each row has the bits of its torus alone.  A set whose
-    circle jets the state holds reads them; with keep (a refresh of stored
-    tori) the evaluated ones are added.  Nothing else of the state is
-    written.
+    one run's jets and one chunk's wp stacks (`_wp_stack`) are held at a
+    time.  Every scalar stage (b, xi_raw(v), the products with
+    eta1) runs row by row and the array stages are elementwise, so each
+    row has the bits of its torus alone.  A set whose circle jets the
+    state holds reads them; with keep (a refresh of stored tori) the
+    evaluated ones are added.  Nothing else of the state is written.
     """
     r, m = st.contour_radius, CIRCLE_NODES
     _, dz = _circle_nodes(0.0, r, m)  # dz does not depend on the center
     poles = {"node": lambda T: T.v, "zero": lambda T: 0.0}
     for run in _set_runs(tori):
         sides = {side: _point_sets(tori, run, lambda T, p=p: _circle_nodes(p(T), r, m)[0],
-                                   st.n_max - 2, st._jets.get(side), keep)
+                                   1, st._jets.get(side), keep)
                  for side, p in poles.items()}
         flat = [u for rows in run for u in rows]
         for pos, sel in _run_chunks(run, per):
@@ -420,25 +435,28 @@ def _circle_chunk(st: "GluingState", sub, sel, sides, poles, dz) -> LayerRows:
     each row and the run's nodes and jets by circle (sides).  The rows
     read those of their sets: broadcast against a row axis before the
     node axis when they share one set, gathered row by row when they span
-    several (each order of the wp stack inside `FormTable.values`)."""
+    several.  The wp stacks are built after the form table, one circle
+    at a time, at z and z - v together (`_wp_stack`)."""
     a, b, xiv = _gauss_constants(sub)
     fields, zpow = {}, {}
-    for side, (z, s, dminus, dplus) in sides.items():
+    for side, (z, s, d, _) in sides.items():
         z = z[sel]
         # one pole per row of z: a set's, or each row's
         center = np.array([poles[side](T) for T in sub[: len(z)]], dtype=complex)[:, None]
         zpow[side] = np.stack([(z - center) ** p for p in range(1, st.n_max)])
-        s = s[sel]
-        fields[side] = (s, a * s + b, a * (dplus[0][sel] - dminus[0][sel]))
+        s, wp = s[sel], d[0][sel]
+        fields[side] = (s, a * s + b, a * (wp[:, 1] - wp[:, 0]))
     forms = _build_forms(sub, st.n_max, dz, {side: (gv, gp, zpow[side])
                                              for side, (_, gv, gp) in fields.items()})
     del zpow  # before the densities
     circles = {}
     for side, (s, gv, gp) in fields.items():
-        _, _, dminus, dplus = sides[side]
+        _, _, d, half_g2 = sides[side]
+        stack = _wp_stack(d, half_g2, sel, st.n_max - 2)  # at z and z - v
         fvals = np.empty((2, st.n_max - 1) + gv.shape, dtype=complex)
-        forms.values(0, dplus, out=fvals[0], sel=sel)
-        forms.values(1, dminus, out=fvals[1], sel=sel)
+        forms.values(0, stack[:, :, 1], out=fvals[0])
+        forms.values(1, stack[:, :, 0], out=fvals[1])
+        del stack  # before the next side's
         circles[side] = CircleCache(dz=dz, g=gv, gp=gp, w0=s - xiv, fvals=fvals)
     return LayerRows(tori=sub, forms=forms, circles=circles)
 
@@ -566,9 +584,11 @@ class GluingState:
     def holding_jets(self):
         """Keep, while it is entered, the jets that the state evaluates at
         its stored (tau, v): zeta(z) - zeta(z - v), and wp and wp' at z
-        and z - v (`_point_sets`), by kind of points: the two circles of
-        the sets a refresh builds and the two period paths of the stored
-        rows of a residual pass (`solver._block_residual`).  Moved
+        and z - v, in the format of a run's `_point_sets` (up to JET_SETS
+        sets to a jet call), by kind of points: the two circles of the sets
+        a refresh builds and the two period paths of the stored rows of a
+        residual pass (`solver._block_residual`).  The higher orders are
+        not held; a chunk that reads a set builds them (`_wp_stack`).  Moved
         parameter rows read them and never add to them.  A set goes when
         no stored torus has its (tau, v) after a refresh, and every set
         goes on exit."""
@@ -589,8 +609,9 @@ class GluingState:
         its circles with the neck-matching integrals base and cols.  A set
         is looked up in shared_rows, and the keys not found there are
         built after the old caches go, as the one-row chunks of one
-        `_circle_sets` pass (each distinct (tau, v) once, three sets to a
-        jet call), bit for bit `_circle_sets(self, [T])`.  A set reads only
+        `_circle_sets` pass (each distinct (tau, v) once, up to JET_SETS
+        sets to a jet call), bit for bit
+        `_circle_sets(self, [T])`.  A set reads only
         its torus and epsilon, values, so sharing it keeps every bit.
 
         shared_rows gets what the refresh builds and holds it weakly, so a
@@ -722,22 +743,25 @@ def gauss_and_omega(st: GluingState, series: OmegaSeries, k: int, z):
     points of that torus, from one pair of Weierstrass jets; two arrays
     shaped like z, from the one row of the stored set."""
     j = st.index_of(k)
-    za = np.asarray(z, dtype=complex).reshape(1, -1)
-    gv, *parts = gauss_parts(st.tori[j].jets(za, st.n_max - 2), st._layers[j])
+    za = np.asarray(z, dtype=complex).reshape(-1)
+    gv, *parts = gauss_parts(_point_sets([st.tori[j]], [[0]], lambda T: za, 1), st._layers[j])
     return gv.reshape(np.shape(z)), glued_density(st, series.lam[j], *parts).reshape(np.shape(z))
 
 
 def gauss_parts(jets: tuple, lr: LayerRows, sel=slice(None)):
     """g, the base form zeta(z) - zeta(z - v) - xi_raw(v) and the second-kind
     densities of both signs of the rows of lr (`LayerRows`), one row per
-    row, from s and the wp stacks of their run's sets at order n_max - 2
-    (`_point_sets`): row r reads set sel[r], or every row the one set of a
-    slice sel."""
-    s, dminus, dplus = jets
+    row, from the jets of their run's sets (`_point_sets`): row r reads
+    set sel[r], or every row the one set of a slice sel.  Each sign's wp
+    stack is built for the densities of that sign (`_wp_stack`)."""
+    _, s, d, half_g2 = jets
     s = s[sel]
     a, b, xiv = _gauss_constants(lr.tori)
-    return (a * s + b, s - xiv, lr.forms.values(0, dplus, sel=sel),
-            lr.forms.values(1, dminus, sel=sel))
+    jmax = lr.forms.coeffs.shape[1] - 1
+    # sign 0 reads the stack at z - v, sign 1 the one at z
+    return (a * s + b, s - xiv,
+            *(lr.forms.values(sign, _wp_stack(d[:, :, 1 - sign], half_g2, sel, jmax))
+              for sign in (0, 1)))
 
 
 def glued_density(st: GluingState, lam: np.ndarray, base, fplus, fminus):

@@ -106,14 +106,15 @@ def _period_residuals(st, series, tori, distinct, run, held, out, keep):
     (`_run_chunks`) as (`_by_layer` groups, the set of each row, a
     `LayerRows` of form tables).  The paths from path_base(T) read form
     tables only: one jet call per path for the run (`_point_sets`) and
-    one `gauss_parts` per chunk serve the node sums of W/g and t^2 g W of
-    each layer on it, with its own lambda row; its parity enters in the
-    scalar stage.  The paths read the jets the state holds, and with keep
-    (stored rows) add those they evaluate (`_point_sets`)."""
+    one `gauss_parts` per chunk, which builds the chunk's wp stacks
+    (`opening._wp_stack`), serve the node sums of W/g and t^2 g W of each
+    layer on it, with its own lambda row; its parity enters in the scalar
+    stage.  The paths read the jets the state holds, and with keep (stored
+    rows) add those they evaluate (`_point_sets`)."""
     s = (np.arange(PATH_NODES) + 0.5) / PATH_NODES
     for col, along in ((1, lambda T: 1.0), (2, lambda T: T.tau)):
         jets = _point_sets(distinct, run, lambda T: path_base(T) + s * along(T),
-                           st.n_max - 2, st._jets.get(f"P{col}"), keep)[1:]
+                           1, st._jets.get(f"P{col}"), keep)
         for groups, sel, lr in held:
             gv, *parts = gauss_parts(jets, lr, sel)
             near = np.min(np.abs(gv), axis=-1) < 1e-6
@@ -248,11 +249,12 @@ def _fd_blocks(st, series, active, flat, memo: dict | None = None):
     The eight moved parameter sets of each layer are its eight pairs in
     one `_block_residual` pass over all layers, which never touches the
     state.  The four bhat and a rows keep the layer's tau and v, and each
-    tau and v row has a (tau, v) of its own, so a layer has five sets in
-    two `_set_runs` runs, its own with the two tau rows, then the two v
-    rows: on each point set (node circle, zero circle, the two period
-    paths) two jet calls for one layer, and the runs of many layers go
-    three sets to a call.  Array stages are elementwise or reduce along
+    tau and v row has a (tau, v) of its own, so a layer's five sets make
+    one `_set_runs` run of JET_SETS: on each point set (node circle, zero
+    circle, the two period paths) one jet call for one layer, and the
+    runs of many layers go JET_SETS sets to a call.  Its rows go in two
+    chunks, the bhat and a rows on the layer's own set, then the tau and
+    v rows.  Array stages are elementwise or reduce along
     the node axis and scalar stages run row by row, so each column has
     the bits of a refresh and a block residual at its own parameters.
     When the state holds jets (`GluingState.holding_jets`, within

@@ -18,6 +18,7 @@ moves bits.
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -47,18 +48,29 @@ def _params(rep) -> list:
 
 
 def _measure(fn, measured: dict, name: str):
-    """fn(), recording under name the points of its theta passes and its
-    traced peak in MiB above entry."""
-    out, points, theta_sums = [], [], elliptic._theta_sums
+    """fn(), recording under name the points and the number of its theta
+    passes, the orders jmax that its `weierstrass_jet` calls ask for, and
+    its traced peak in MiB above entry."""
+    out, points, orders = [], [], set()
+    theta_sums, jet = elliptic._theta_sums, elliptic.weierstrass_jet
 
     def counted(v, *args):
         points.append(np.size(v))
         return theta_sums(v, *args)
 
+    def asked(z, lat, jmax):
+        orders.add(jmax)
+        return jet(z, lat, jmax)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(elliptic, "_theta_sums", counted)
+        # every module of the package that bound the kernel's jet by name
+        for module in [m for key, m in sys.modules.items() if key.startswith("stackedmin")]:
+            if getattr(module, "weierstrass_jet", None) is jet:
+                mp.setattr(module, "weierstrass_jet", asked)
         peak = oracles.traced_peak_mib(lambda: out.append(fn()))
-    measured[name] = {"points": sum(points), "peak_mib": peak}
+    measured[name] = {"points": sum(points), "passes": len(points), "orders": orders,
+                      "peak_mib": peak}
     return out[0]
 
 
@@ -116,11 +128,25 @@ def test_kernel_points_and_memory_stay_bounded(opa, pair, measured):
     evaluated at each layer's own (tau, v): `oPa` to 0.08 sends 678,530
     points through the theta pass (797,314 when every set was evaluated
     again) and the pair 1,198,087 (1,376,263).  Holding them only while a
-    Newton step runs keeps the pair with its fit at a traced peak of
-    about 7.8 MiB (6.2 without the held jets)."""
+    Newton step runs, as zeta(z) - zeta(z - v), wp and wp' at z and
+    z - v, with up to JET_SETS = 5 (tau, v) to a jet call, keeps the pair
+    with its fit at a traced peak of about 7.8 MiB (6.2 without the held
+    jets)."""
     assert measured["oPa"]["points"] <= 690_000
     assert measured["pair"]["points"] <= 1_200_000
     assert measured["pair"]["peak_mib"] <= 9.0
+
+
+def test_solves_take_fewer_theta_passes_of_low_order(opa, pair, measured):
+    """A jet call takes the points of up to JET_SETS = 5 (tau, v) sets
+    and asks the kernel for zeta, wp and wp' alone; the orders above wp'
+    are built where a chunk of rows reads them.  So the pair takes 529
+    theta passes and `oPa` to 0.08 takes 286 over the same points (785
+    and 454 at three sets to a call), and no solve asks `weierstrass_jet`
+    for an order above 1."""
+    assert measured["pair"]["passes"] <= 529
+    assert measured["oPa"]["passes"] <= 286
+    assert max(measured["pair"]["orders"] | measured["oPa"]["orders"]) <= 1
 
 
 def test_mesh_rpd_digest(rpd):

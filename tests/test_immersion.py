@@ -159,6 +159,48 @@ def test_loop_residual_error_names_layer_t_grid_and_residual(rpd):
         assert part in str(err)
 
 
+@pytest.mark.parametrize("grid_res", [3, 6])
+def test_coarse_grid_before_the_fall_gets_grid_advice(rpd, grid_res):
+    """On the solved rPD layer 0 the loop defect rises before it falls
+    (5.6e-8, 9.8e-8 and 2.0e-7 at grid_res 3, 6 and 12, 9.3e-10 at 24),
+    so the doubled grid alone would blame a balanced state: the grid
+    doubles until the defect falls by LOOP_GAIN, and the error advises a
+    finer grid, naming the grid where it fell."""
+    st, series = rpd
+    with pytest.raises(LoopResidualError) as info:
+        integrate_layer(0, st, series, grid_res=grid_res)
+    err = info.value
+    assert err.grid_res == grid_res and err.finer_res > 2 * grid_res
+    assert err.finer * immersion.LOOP_GAIN <= err.residual
+    msg = str(err)
+    assert "not balanced" not in msg
+    for part in ("finer grid", f"{err.finer:.2e}", f"grid_res={err.finer_res}"):
+        assert part in msg
+
+
+def test_coarse_grid_doubling_stops_at_grid_res(rpd, monkeypatch):
+    """On the unbalanced state the defect never falls, so from grid_res 3
+    the grid doubles to 48 and then stops at GRID_RES, not at 96, and the
+    error blames the state on that grid."""
+    st, _ = rpd
+    bad = copy.deepcopy(st)
+    bad.tori[0] = dataclasses.replace(bad.tori[0], bhat=bad.tori[0].bhat + 0.02)
+    bad.refresh()
+    walked, grid_walk = [], immersion._grid_walk
+
+    def counted(k, st_, series, n):
+        walked.append(n)
+        return grid_walk(k, st_, series, n)
+
+    monkeypatch.setattr(immersion, "_grid_walk", counted)
+    with pytest.raises(LoopResidualError) as info:
+        integrate_layer(0, bad, fix_omega(bad), grid_res=3)
+    err = info.value
+    assert walked == [3, 6, 12, 24, 48, immersion.GRID_RES]
+    assert err.finer_res == immersion.GRID_RES and "not balanced" in str(err)
+    assert f"grid_res={immersion.GRID_RES}, so the periods" in str(err)
+
+
 def test_grid_node_on_a_pole_is_cut(rpd):
     """At grid_res 18 a node of the rPD layer-0 grid lies within the pole
     radius of a chart center: the base point sits at lattice coordinates

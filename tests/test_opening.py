@@ -739,26 +739,45 @@ def test_form_table_mu_follows_the_complex_expression():
 
 
 def test_held_jets_give_the_bits_of_the_kernel():
-    """A set that _point_sets finds in held takes zeta(z) - zeta(z - v),
-    wp and wp' from there and its higher orders from the kernel's
-    recurrence: every order of every set equals a run with nothing held,
-    bit for bit, when one, two or all of the run's sets are held.  With
-    keep it adds the sets it evaluated, as arrays of their own."""
+    """A run's jets are s = zeta(z) - zeta(z - v), wp and wp' at z and
+    z - v and each set's g2/2; a set that _point_sets finds in held takes
+    them from there.  The stacks that `_wp_stack` builds from them, on a
+    slice of one set and on rows gathered across sets, equal the
+    kernel's stack at order n_max - 2 on each row's own lattice, and s
+    equals the kernel's, bit for bit, when none, one, two or all of the
+    run's sets are held.  With keep it adds the sets it evaluated, as
+    arrays of their own."""
     tori = [TorusData(a=-0.5, bhat=0j, tau=tau, v=v) for tau, v in (
         (0.1 + 1.2j, 0.47 + 0.58j), (-0.1 + 1.2j, 0.3 + 0.2j), (0.1 + 1.2j + 1e-6, 0.47 + 0.58j))]
     run = [[0], [1], [2]]
     points = lambda T: 0.5 * T.v + np.linspace(0.0, 0.3, 16) * (1 + T.tau)
-    want = opening._point_sets(tori, run, points, 6)
-    for first in ([[0]], [[0], [2]], run):
+    jmax = GluingState.n_max - 2
+    kernel = []
+    for T in tori:
+        (rz, rd), (rzv, rdv) = (weierstrass_jet(w, T.lattice, jmax)
+                                for w in (points(T), points(T) - T.v))
+        kernel.append((rz - rzv, rd, rdv))
+    for first in ([], [[0]], [[0], [2]], run):
         held = {}
-        opening._point_sets(tori, first, points, 6, held, True)
+        if first:
+            opening._point_sets(tori, first, points, 1, held, True)
         assert len(held) == len(first)
         assert all(x.base is None for arrays in held.values() for x in arrays)
-        got = opening._point_sets(tori, run, points, 6, held)
-        assert np.array_equal(got[0], want[0])
-        for g, w in zip(got[1:], want[1:]):
-            assert g.shape == w.shape
-            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        z, s, d, half_g2 = opening._point_sets(tori, run, points, 1, held)
+        assert d.shape == (2, len(tori), 2) + z.shape[1:]
+        for i, T in enumerate(tori):
+            assert np.array_equal(z[i], points(T))
+            assert np.array_equal(s[i].view(np.int64), kernel[i][0].view(np.int64))
+        for sel in (slice(1, 2), np.array([2, 0, 2, 1])):
+            rows = np.arange(len(tori))[sel]
+            # both points together, and the stack at z - v alone
+            for low, refs in ((d, (1, 2)), (d[:, :, 1], (2,))):
+                got = opening._wp_stack(low, half_g2, sel, jmax)
+                assert got.shape == (jmax + 1, len(rows)) + low.shape[2:]
+                for r, i in enumerate(rows):
+                    want = np.stack([kernel[i][ref] for ref in refs], axis=1)
+                    assert np.array_equal(got[:, r].reshape(want.shape).view(np.int64),
+                                          want.view(np.int64))
 
 
 def test_jet_pair_matches_two_kernel_calls():

@@ -277,16 +277,16 @@ def test_fd_blocks_match_plain_loop(name, K, k, t):
             assert np.array_equal(getattr(a, name_), getattr(b, name_)), (side, name_)
 
 
-def test_fd_blocks_run_eight_theta_passes(monkeypatch):
-    """The eight columns of one layer take two theta passes on each of
-    the four point sets (node circle, zero circle, both period paths),
-    one per run of at most three (tau, v): the layer's own, shared by the
-    bhat and a rows, with those of the two tau rows, then those of the
-    two v rows.  Together they evaluate the points of the five distinct
-    (tau, v) once each, each set as many as one column of the plain loop,
-    and they never refresh the state.  A run's rows go SET_ROWS at a time
-    across its sets, and each such chunk, and each layer of a full
-    residual, evaluates the glued form once per contour circle."""
+def test_fd_blocks_run_four_theta_passes(monkeypatch):
+    """The eight columns of one layer take one theta pass on each of the
+    four point sets (node circle, zero circle, both period paths): the
+    five distinct (tau, v) of the layer, its own, shared by the bhat and
+    a rows, and those of the two tau and the two v rows, make one run of
+    JET_SETS.  Together they evaluate the points of the five sets once
+    each, each set as many as one column of the plain loop, and they
+    never refresh the state.  A run's rows go SET_ROWS at a time across
+    its sets, and each such chunk, and each layer of a full residual,
+    evaluates the glued form once per contour circle."""
     st, series, flat = _perturbed_layer("rPD", None, 1)
     refreshes, omegas = [], []
     refresh = GluingState.refresh
@@ -303,11 +303,11 @@ def test_fd_blocks_run_eight_theta_passes(monkeypatch):
     monkeypatch.setattr(GluingState, "refresh", counted_refresh)
     monkeypatch.setattr(solver, "omega_on_circle", counted_omega)
     _fd_blocks(st, series, (1,), flat)
-    assert passes.calls == 8
+    assert passes.calls == 4
     assert len(passes.keys) == len(set(passes.keys)) == 4 * 5
     assert refreshes == []
-    # the chunks [bhat, bhat, a, a], [tau, tau] and [v, v]
-    assert len(omegas) == 2 * 3
+    # the chunks [bhat, bhat, a, a] and [tau, tau, v, v]
+    assert len(omegas) == 2 * 2
     batched = sum(passes.points)
     omegas.clear()
     full_residual(st, series)
@@ -333,8 +333,8 @@ def test_fd_blocks_read_the_jets_the_state_holds(name, K, k, monkeypatch):
     """While a state holds jets, a refresh and a full_residual of a moved
     layer keep those of its own (tau, v) on the two circles and the two
     period paths, and _fd_blocks reads them: none of those four (nome,
-    points) reaches the theta pass again, the four moved sets take two
-    passes per point set, and the blocks equal the plain loop's bit for
+    points) reaches the theta pass again, the four moved sets take one
+    pass per point set, and the blocks equal the plain loop's bit for
     bit.  Replacing the torus drops what was held for it."""
     ref_st, ref_series, ref_flat = _perturbed_layer(name, K, k)
     st = GluingState.central(catalog(name, K=2), 0.01, K=K)
@@ -348,7 +348,7 @@ def test_fd_blocks_read_the_jets_the_state_holds(name, K, k, monkeypatch):
         passes.clear()
         got = _fd_blocks(st, series, (k,), flat)
         assert len(own) == 4 and not own & set(passes.keys)
-        assert passes.calls == 8 and len(set(passes.keys)) == 4 * 4
+        assert passes.calls == 4 and len(set(passes.keys)) == 4 * 4
         key = st.tori[j].block()[4:].tobytes()
         assert all(key in held for held in st._jets.values())
         _set_blocks(st, {j: central_layout(catalog(name, K=2), K)[0][j].block()})
