@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import Configuration, periodic_stack
-from .opening import GluingState, OmegaSeries, _chart_radius, central_layout, omega_on_circle
+from .opening import (GluingState, OmegaSeries, _chart_radius, _charts_checked_once,
+                      central_layout, omega_on_circle)
 from .solver import SolveReport, _continue_stacks
 
 AGREE_TOL = 1e-12
@@ -90,8 +91,9 @@ def pair_solve(cfg: Configuration, cfg_defect: Configuration, t: float,
             f"tori from k={lo_p}, the defect {len(tori_d)} from k={lo_d}")
     # shared chart radius: the defect's separations are a superset of the
     # reference's, so the forms must be compared on the tighter circles
-    eps = min(_chart_radius(tori_p), _chart_radius(tori_d))
-    return tuple(_continue_stacks([cfg, cfg_defect], t, K=K, epsilon=eps, callback=callback))
+    with _charts_checked_once():  # the windows share their distinct tori
+        eps = min(_chart_radius(tori_p), _chart_radius(tori_d))
+        return tuple(_continue_stacks([cfg, cfg_defect], t, K=K, epsilon=eps, callback=callback))
 
 
 def parameter_rows(st_a: GluingState, st_b: GluingState) -> dict[int, float]:

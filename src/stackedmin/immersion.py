@@ -745,14 +745,13 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
         offsets[k + 1] = (shift[k] + necks[k].minus[0, 0]
                           - phi.triples[phi.seam["-"][0]])
 
-    verts, blocks = [], []  # blocks: (faces, k, part code)
+    blocks = []  # (triples, offset, faces, their vertex base, k, part code), as views
     base_of: dict[int, int] = {}
     total = 0
     for k in ks:
         p = patches[k]
         base_of[k] = total
-        verts.append(p.triples + offsets[k][None, :])
-        blocks.append((p.faces + total, k, LAYER))
+        blocks.append((p.triples, offsets[k], p.faces, total, k, LAYER))
         total += len(p.triples)
 
     rings, spokes = NECK_RINGS, NECK_SPOKES
@@ -764,32 +763,36 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
         ids_p[0] = plo.seam["+"] + base_of[k]
         ids_m[0] = phi.seam["-"] + base_of[k + 1]
         ids_p[1:] = total + np.arange(rings * spokes).reshape(rings, spokes)
-        verts.append(nf.plus[1:].reshape(-1, 3) + shift[k])
         total += rings * spokes
         ids_m[1:rings] = total + np.arange((rings - 1) * spokes).reshape(
             rings - 1, spokes)
-        verts.append(nf.minus[1:rings].reshape(-1, 3) + shift[k])
         total += (rings - 1) * spokes
         ids_m[rings] = ids_p[rings][(spokes - np.arange(spokes)) % spokes]
         neck_grids[k] = {"plus": ids_p, "minus": ids_m}
         s1 = np.roll(np.arange(spokes), -1)
-        for part, ids in ((NECK_PLUS, ids_p), (NECK_MINUS, ids_m)):
+        for part, ids, sheet in ((NECK_PLUS, ids_p, nf.plus[1:]),
+                                 (NECK_MINUS, ids_m, nf.minus[1:rings])):
             a, b = ids[:-1], ids[1:]
             # per ring: the spokes' (a, a+1, b+1) faces, then their (a, b+1, b)
             fa = np.stack([a, a[:, s1], b[:, s1]], axis=-1)
             fb = np.stack([a, b[:, s1], b], axis=-1)
             faces = np.concatenate([fa, fb], axis=1).reshape(-1, 3)
-            blocks.append((faces, k, part))
+            blocks.append((sheet.reshape(-1, 3), shift[k], faces, 0, k, part))
 
-    triples_all = np.concatenate(verts)
-    faces_all = np.concatenate([f for f, _, _ in blocks])
-    sizes = [len(f) for f, _, _ in blocks]
-    raw = _positions(triples_all)
+    # each block's positions and offset faces go straight into the mesh arrays
+    raw = np.empty((total, 3))
+    sizes = [len(f) for _, _, f, _, _, _ in blocks]
+    faces_all = np.empty((sum(sizes), 3), dtype=int)
+    v = f = 0
+    for tr, off, fc, base, _, _ in blocks:
+        raw[v : v + len(tr)] = _positions(tr + off)
+        faces_all[f : f + len(fc)] = fc + base
+        v, f = v + len(tr), f + len(fc)
 
     # normalize: first crossed waist centroid to the origin
     k0 = ks[0]
     centroid = raw[neck_grids[k0]["plus"][rings]].mean(axis=0)
-    raw = raw - centroid[None, :]
+    raw -= centroid
 
     frames = [LayerFrame(k=k, base=path_base(st.torus(k)),
                          position=_positions(offsets[k]) - centroid) for k in ks]
@@ -832,8 +835,8 @@ def build_mesh(st: GluingState, series: OmegaSeries, k_range=None) -> SurfaceMes
     }
     return SurfaceMesh(tau_ref=st.tau_ref, t=st.t, epsilon=st.epsilon, raw=raw,
                        faces=faces_all,
-                       face_k=np.repeat([k for _, k, _ in blocks], sizes),
-                       face_part=np.repeat([c for _, _, c in blocks], sizes),
+                       face_k=np.repeat([b[4] for b in blocks], sizes),
+                       face_part=np.repeat([b[5] for b in blocks], sizes),
                        frames=frames, reports=reports)
 
 
@@ -994,7 +997,7 @@ def _sweep_pairs(lo: np.ndarray, hi: np.ndarray,
     bound = strip * stride + np.searchsorted(ranks, hi[face, axis], side="right")
     count = np.searchsorted(key[order], bound, side="right") - np.arange(1, len(face) + 1)
     first = np.concatenate(([0], np.cumsum(count)))
-    del key, order, bound, count  # the runs are in first
+    del s_lo, s_hi, reps, ranks, key, order, bound, count  # the runs are in first
     cols = [(lo[face, c], hi[face, c]) for c in range(3) if c != axis]
     slots = [np.ascontiguousarray(faces[:, i]) for i in range(3)]  # gathers faster than rows
     found = [np.empty((2, 0), dtype=np.int64)]
@@ -1031,9 +1034,12 @@ def _intersecting_pairs(raw: np.ndarray, faces: np.ndarray) -> np.ndarray:
     tris = raw[faces]
     cell = float(np.median(np.linalg.norm(tris[:, 1] - tris[:, 0], axis=1))) * 2
     cell = max(cell, 1e-9)
-    pairs = np.stack(_sweep_pairs(tris.min(axis=1), tris.max(axis=1), faces), axis=1)
-    hit = _in_blocks(lambda ab: _tri_tri_batch(tris[ab[:, 0]], tris[ab[:, 1]], 1e-7 * cell),
-                     pairs, BLOCK)
+    lo, hi = tris.min(axis=1), tris.max(axis=1)
+    del tris  # the sweep reads the boxes; each block gathers its own triangles
+    pairs = np.stack(_sweep_pairs(lo, hi, faces), axis=1)
+    del lo, hi  # before the triangle test's blocks
+    hit = _in_blocks(lambda ab: _tri_tri_batch(raw[faces[ab[:, 0]]], raw[faces[ab[:, 1]]],
+                                               1e-7 * cell), pairs, BLOCK)
     return pairs[hit]
 
 
@@ -1064,6 +1070,7 @@ def embeddedness_diagnostics(mesh: SurfaceMesh) -> dict:
         # signed against the layer's area-weighted side: a turned face reads < 0
         n3 = np.sign(np.sum(nrm[ok, 2])) * nrm[ok, 2] / lens[ok]
         val = float(np.min(n3)) if len(n3) else 0.0
+        del tris, nrm, lens, n3  # before the slab check
         out["graph"][k] = {"min_n3": val, "pass": bool(val >= GRAPH_FLOOR)}
         # layer k, the plus half of neck k and the minus half of neck k - 1
         slab = ((kk == k) & ~minus) | ((kk == k - 1) & minus)

@@ -146,19 +146,37 @@ def _invert_chart(T: TorusData, sign: str, w):
     return z if z.shape else complex(z)
 
 
+_CHECKED: list[dict] = []  # (torus bytes, epsilon) -> fits, within `_charts_checked_once`
+
+
+@contextmanager
+def _charts_checked_once():
+    """Within it `_charts_disjoint` checks each distinct torus once per
+    epsilon; nested entries share the checks, and the outermost drops them."""
+    _CHECKED.append(_CHECKED[-1] if _CHECKED else {})
+    try:
+        yield
+    finally:
+        _CHECKED.pop()
+
+
 def _charts_disjoint(tori: list[TorusData], eps: float) -> bool:
+    memo = _CHECKED[-1] if _CHECKED else {}
     th = _unit_nodes(16)
     for T in tori:
-        try:
-            zp = _invert_chart(T, "+", CHART_MARGIN * eps * th)
-            zm = _invert_chart(T, "-", CHART_MARGIN * eps * th)
-        except ChartError:
-            return False
-        rp = np.max(torus_distance(zp, T.v, T.tau))
-        rm = np.max(torus_distance(zm, 0.0, T.tau))
-        d = torus_distance(0.0, T.v, T.tau)
-        ell = _shortest_vector(T.tau)
-        if rp + rm >= d or 2 * rp >= ell or 2 * rm >= ell:
+        key = T.block().tobytes(), eps
+        if key not in memo:
+            try:
+                zp = _invert_chart(T, "+", CHART_MARGIN * eps * th)
+                zm = _invert_chart(T, "-", CHART_MARGIN * eps * th)
+            except ChartError:
+                return False
+            rp = np.max(torus_distance(zp, T.v, T.tau))
+            rm = np.max(torus_distance(zm, 0.0, T.tau))
+            d = torus_distance(0.0, T.v, T.tau)
+            ell = _shortest_vector(T.tau)
+            memo[key] = not (rp + rm >= d or 2 * rp >= ell or 2 * rm >= ell)
+        if not memo[key]:
             return False
     return True
 
@@ -251,6 +269,16 @@ def _unit_nodes(m: int) -> np.ndarray:
 def _circle_nodes(center: complex, radius: float, m: int):
     th = _unit_nodes(m)
     return center + radius * th, 1j * radius * th * (2 * np.pi / m)
+
+
+@lru_cache(maxsize=4)
+def _zero_powers(radius: float, m: int, n_max: int) -> np.ndarray:
+    """The contour powers z^p, p = 1 .. n_max - 1, of the zero circle, the
+    same for every row: (n_max - 1, 1, m), one read-only array per radius."""
+    z = _circle_nodes(0.0, radius, m)[0]
+    zpow = np.stack([z ** p for p in range(1, n_max)])[:, None]
+    zpow.flags.writeable = False
+    return zpow
 
 
 def _gauss_constants(tori):
@@ -426,24 +454,26 @@ def _circle_sets(st: "GluingState", tori, per: int = SET_ROWS, keep: bool = Fals
         flat = [u for rows in run for u in rows]
         for pos, sel in _run_chunks(run, per):
             rows = [flat[i] for i in pos]
-            yield rows, sel, _circle_chunk(st, [tori[i] for i in rows], sel, sides, poles, dz)
+            yield rows, sel, _circle_chunk(st, [tori[i] for i in rows], sel, sides, dz)
         del sides  # before the next run's kernel calls
 
 
-def _circle_chunk(st: "GluingState", sub, sel, sides, poles, dz) -> LayerRows:
+def _circle_chunk(st: "GluingState", sub, sel, sides, dz) -> LayerRows:
     """The `LayerRows` of the row tori sub of one run, from the set sel of
     each row and the run's nodes and jets by circle (sides).  The rows
     read those of their sets: broadcast against a row axis before the
     node axis when they share one set, gathered row by row when they span
     several.  The wp stacks are built after the form table, one circle
-    at a time, at z and z - v together (`_wp_stack`)."""
+    at a time, at z and z - v together (`_wp_stack`).  The zero circle's
+    powers broadcast against the rows (`_zero_powers`)."""
     a, b, xiv = _gauss_constants(sub)
-    fields, zpow = {}, {}
-    for side, (z, s, d, _) in sides.items():
-        z = z[sel]
-        # one pole per row of z: a set's, or each row's
-        center = np.array([poles[side](T) for T in sub[: len(z)]], dtype=complex)[:, None]
-        zpow[side] = np.stack([(z - center) ** p for p in range(1, st.n_max)])
+    z = sides["node"][0][sel]
+    # one pole per row of z: a set's, or each row's
+    center = np.array([T.v for T in sub[: len(z)]], dtype=complex)[:, None]
+    zpow = {"node": np.stack([(z - center) ** p for p in range(1, st.n_max)]),
+            "zero": _zero_powers(st.contour_radius, CIRCLE_NODES, st.n_max)}
+    fields = {}
+    for side, (_, s, d, _) in sides.items():
         s, wp = s[sel], d[0][sel]
         fields[side] = (s, a * s + b, a * (wp[:, 1] - wp[:, 0]))
     forms = _build_forms(sub, st.n_max, dz, {side: (gv, gp, zpow[side])

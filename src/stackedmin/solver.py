@@ -18,6 +18,7 @@ from .opening import (
     LayerRows,
     OmegaSeries,
     TorusData,
+    _charts_checked_once,
     _circle_sets,
     _point_sets,
     _run_chunks,
@@ -445,16 +446,17 @@ def _continue_stacks(cfgs, t_target: float, schedule=None, K: int | None = None,
 
     # every refresh of this solve, in any state, looks up equal blocks here
     shared = weakref.WeakValueDictionary()
-    states = [GluingState.central(cfg, 0.0, K=K, epsilon=epsilon, shared_rows=shared)
-              for cfg in cfgs]
-    # the tail pattern of each buffer layer; a window has both at its ends
-    reads = [{k: (cfg.tau, cfg.right_tail if k > 0 else cfg.left_tail)
-              for k in st.logical_range() if k not in st.active_range()}
-             for cfg, st in zip(cfgs, states)]
-    stacks = {(cfg.tau, tail): c for cfg, read in zip(cfgs, reads) if read
-              for tail, c in _tail_configs(cfg).items()}
-    tails = {key: GluingState.central(c, 0.0, epsilon=epsilon, shared_rows=shared)
-             for key, c in stacks.items()}
+    with _charts_checked_once():  # the tails' tori are the windows' buffer tori
+        states = [GluingState.central(cfg, 0.0, K=K, epsilon=epsilon, shared_rows=shared)
+                  for cfg in cfgs]
+        # the tail pattern of each buffer layer; a window has both at its ends
+        reads = [{k: (cfg.tau, cfg.right_tail if k > 0 else cfg.left_tail)
+                  for k in st.logical_range() if k not in st.active_range()}
+                 for cfg, st in zip(cfgs, states)]
+        stacks = {(cfg.tau, tail): c for cfg, read in zip(cfgs, reads) if read
+                  for tail, c in _tail_configs(cfg).items()}
+        tails = {key: GluingState.central(c, 0.0, epsilon=epsilon, shared_rows=shared)
+                 for key, c in stacks.items()}
     # tails first: at each t the windows' buffer layers read their step at t
     runs = [(st, {}, None) for st in tails.values()]
     runs += [(st, read, callback) for st, read in zip(states, reads)]

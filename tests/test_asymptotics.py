@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stackedmin.configs import catalog
 from stackedmin.elliptic import lattice_coords
 from stackedmin.immersion import build_mesh
-from stackedmin import asymptotics, configs, solver
+from stackedmin import asymptotics, configs, opening, solver
 from stackedmin.opening import GluingState, _chart_radius, central_layout
 from stackedmin.solver import newton_continuation
 from stackedmin.asymptotics import (
@@ -188,6 +188,25 @@ def test_pair_chart_radius_passes_the_chart_check():
             assert GluingState.central(c, 0.0, K=8, epsilon=eps).epsilon == eps
         for c in stacks:
             assert GluingState.central(c, 0.0, epsilon=eps).epsilon == eps
+
+
+def test_pair_solve_inverts_each_chart_once(monkeypatch):
+    """The K = 8 pair's two `_chart_radius` calls and the chart checks of
+    its four states (two windows and the two tails, whose tori are the
+    windows' buffer tori) invert each (torus, side, epsilon) once: 8
+    inversions over 4 distinct tori at one radius, where a check per call
+    took 32.  Nothing of the checks is kept after the solve."""
+    calls, invert = [], opening._invert_chart
+
+    def counted(T, sign, w):
+        calls.append((T.block().tobytes(), sign, float(np.max(np.abs(w)))))
+        return invert(T, sign, w)
+
+    monkeypatch.setattr(opening, "_invert_chart", counted)
+    twin = catalog("twin-rPD")
+    pair_solve(upper_reference(twin), twin, 0.01, K=8)
+    assert len(calls) == len(set(calls)) == 8
+    assert not opening._CHECKED
 
 
 def test_paired_windows_share_geometry(twin_pair, cross_pair):

@@ -34,7 +34,7 @@ from stackedmin.opening import (
     omega_on_circle,
     path_base,
 )
-from stackedmin.solver import full_residual
+from stackedmin.solver import _fd_blocks, full_residual
 
 
 @pytest.fixture(scope="module")
@@ -736,6 +736,21 @@ def test_form_table_mu_follows_the_complex_expression():
                 c2 = table.coeffs[s, n - 2, 0, 0]
                 want = -2j * np.pi * c2.imag / T.lattice.tau.imag
                 assert repr(complex(table.mu[s, n - 2, 0])) == repr(want)
+
+
+def test_zero_circle_powers_are_built_once_per_radius():
+    """Every chunk of a refresh and of a Jacobian pass reads the zero
+    circle's contour powers from one read-only array of its radius,
+    (n_max - 1, 1, nodes), that broadcasts against its rows."""
+    opening._zero_powers.cache_clear()
+    st = GluingState.central(catalog("twin-rPD"), 0.01, K=8)
+    series = fix_omega(st)
+    active = tuple(st.active_range())
+    _fd_blocks(st, series, active, full_residual(st, series, active).flat())
+    info = opening._zero_powers.cache_info()
+    assert info.misses == 1 and info.hits > 1
+    zpow = opening._zero_powers(st.contour_radius, CIRCLE_NODES, st.n_max)
+    assert zpow.shape == (st.n_max - 1, 1, CIRCLE_NODES) and not zpow.flags.writeable
 
 
 def test_held_jets_give_the_bits_of_the_kernel():
